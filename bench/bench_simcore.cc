@@ -1,24 +1,24 @@
 /**
  * @file
  * Simulator step-loop benchmarks: wall-clock steps/sec of the decoded
- * threaded-code quantum loop (StepLoop::Decoded) against the classic
- * per-step switch interpreter (StepLoop::Classic) on three probes:
+ * threaded-code quantum loop on three probes:
  *
  *  - compute-bound: uncontended arithmetic and thread-local memory,
- *    the case quantum batching and threaded dispatch target. CI holds
- *    Decoded >= 2x Classic here (same-run ratio, host-immune).
+ *    the case quantum batching and threaded dispatch target.
  *  - sync-heavy: a tight lock/update/unlock loop. Every sync op is a
- *    forced preemption point, so batching buys little; the O(1)
- *    runnable set and decoded dispatch must still keep Decoded no
- *    slower than Classic.
+ *    forced preemption point, so this measures the O(1) runnable set
+ *    and per-op dispatch rather than batching.
  *  - tx-heavy: the full TxRace pipeline (transactions, conflict
- *    detection, aborts). Dominated by the HTM engine and detector;
- *    the gate only requires no regression.
+ *    detection, aborts), dominated by the HTM engine and detector.
  *
  * Items/sec is scheduler steps/sec (actual steps executed, taken from
- * the run result), so the numbers compare across lanes and probes.
- * BENCH_simcore.json commits the reference run for the baseline
- * regression gate in scripts/bench_compare.py.
+ * the run result), so the numbers compare across probes.
+ *
+ * BM_HostAnchor runs no simulator code at all: it is the host-speed
+ * anchor the baseline gate normalizes by (scripts/bench_compare.py
+ * --calibration BM_HostAnchor against the committed
+ * BENCH_simcore.json), so a dispatch slowdown still shows after
+ * normalization.
  */
 
 #include <benchmark/benchmark.h>
@@ -108,14 +108,12 @@ txProgram()
 }
 
 /** Run @p prog bare (NativePolicy, zero injection rates — the hot
- *  lane) under the given step loop and count real steps/sec. */
+ *  lane) and count real steps/sec. */
 void
-runBare(benchmark::State &state, const ir::Program &prog,
-        sim::StepLoop lane)
+runBare(benchmark::State &state, const ir::Program &prog)
 {
     sim::MachineConfig cfg;
     cfg.interruptPerStep = 0.0;
-    cfg.stepLoop = lane;
     uint64_t steps = 0;
     uint64_t seed = 1;
     for (auto _ : state) {
@@ -129,15 +127,13 @@ runBare(benchmark::State &state, const ir::Program &prog,
     state.SetItemsProcessed(static_cast<int64_t>(steps));
 }
 
-/** Run @p prog through the full TxRace pipeline under the given step
- *  loop and count real steps/sec. */
+/** Run @p prog through the full TxRace pipeline and count real
+ *  steps/sec. */
 void
-runTx(benchmark::State &state, const ir::Program &prog,
-      sim::StepLoop lane)
+runTx(benchmark::State &state, const ir::Program &prog)
 {
     core::RunConfig cfg;
     cfg.mode = core::RunMode::TxRaceNoOpt;
-    cfg.machine.stepLoop = lane;
     uint64_t steps = 0;
     uint64_t seed = 1;
     for (auto _ : state) {
@@ -152,44 +148,50 @@ runTx(benchmark::State &state, const ir::Program &prog,
 void
 BM_SimComputeDecoded(benchmark::State &state)
 {
-    runBare(state, computeProgram(), sim::StepLoop::Decoded);
+    runBare(state, computeProgram());
 }
 BENCHMARK(BM_SimComputeDecoded);
 
 void
-BM_SimComputeClassic(benchmark::State &state)
-{
-    runBare(state, computeProgram(), sim::StepLoop::Classic);
-}
-BENCHMARK(BM_SimComputeClassic);
-
-void
 BM_SimSyncDecoded(benchmark::State &state)
 {
-    runBare(state, syncProgram(), sim::StepLoop::Decoded);
+    runBare(state, syncProgram());
 }
 BENCHMARK(BM_SimSyncDecoded);
 
 void
-BM_SimSyncClassic(benchmark::State &state)
-{
-    runBare(state, syncProgram(), sim::StepLoop::Classic);
-}
-BENCHMARK(BM_SimSyncClassic);
-
-void
 BM_SimTxDecoded(benchmark::State &state)
 {
-    runTx(state, txProgram(), sim::StepLoop::Decoded);
+    runTx(state, txProgram());
 }
 BENCHMARK(BM_SimTxDecoded);
 
+/** Host-speed anchor: a fixed mix of integer hashing, table loads and
+ *  stores, and data-dependent branches over a 32 KiB table — the
+ *  instruction mix of an interpreter loop, with no simulator code. */
 void
-BM_SimTxClassic(benchmark::State &state)
+BM_HostAnchor(benchmark::State &state)
 {
-    runTx(state, txProgram(), sim::StepLoop::Classic);
+    constexpr uint64_t kSlots = 4096;
+    std::vector<uint64_t> table(kSlots, 0);
+    uint64_t x = 0x9e3779b97f4a7c15ULL;
+    for (auto _ : state) {
+        for (uint64_t i = 0; i < kSlots; ++i) {
+            x += 0x9e3779b97f4a7c15ULL;
+            uint64_t h = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+            h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+            h ^= h >> 31;
+            table[h % kSlots] += h;
+            if (h & 1)
+                x ^= table[(h >> 20) % kSlots];
+        }
+        benchmark::DoNotOptimize(table.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(
+        static_cast<int64_t>(state.iterations() * kSlots));
 }
-BENCHMARK(BM_SimTxClassic);
+BENCHMARK(BM_HostAnchor);
 
 } // namespace
 

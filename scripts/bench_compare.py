@@ -19,7 +19,9 @@ optional monitor-mode budget-compliance gate over txrace_run
    benchmark measured in the same file. Normalizing cancels host speed
    (CI runners and dev machines differ by integer factors), so what is
    compared is each benchmark's cost relative to the calibration
-   anchor. A normalized slowdown beyond --max-regress fails.
+   anchor. A normalized slowdown beyond --max-regress fails. CI gates
+   bench_simcore this way against BENCH_simcore.json, normalized by
+   its BM_HostAnchor lane (host work that runs no simulator code).
 
 3. Monitor budget gate (--monitor-metrics FILE): the file is a
    txrace_run --monitor --metrics-json dump; every complete window's
@@ -34,16 +36,6 @@ optional monitor-mode budget-compliance gate over txrace_run
    non-negative integer counters (the byte-determinism contract is
    checked by `cmp` in CI; this gate checks the content contract).
 
-5. Simulator core gate (--simcore FILE): the file is bench_simcore
-   --json output (google-benchmark schema, items/sec = scheduler
-   steps/sec). Holds the decoded step loop's same-run speedup over
-   the classic interpreter lane: >= 2x on the compute-bound probe
-   (the quantum-batching/threaded-dispatch headline) and no
-   regression (>= 1.2x) on the sync-heavy and tx-heavy probes. With
-   --simcore-baseline, every probe is also regressed against the
-   committed BENCH_simcore.json, normalized by the classic compute
-   lane (a pure interpreter loop, so a stable host-speed anchor).
-
 Usage:
   bench_compare.py [CURRENT.json] [--baseline BASELINE.json]
                    [--ratio-fast NAME] [--ratio-slow NAME]
@@ -51,8 +43,6 @@ Usage:
                    [--min-ratio 1.05] [--max-regress 0.25] [--summary]
                    [--monitor-metrics METRICS.json] [--budget-pct N]
                    [--profile-metrics PROFILE.json]
-                   [--simcore SIMCORE.json]
-                   [--simcore-baseline BENCH_simcore.json]
 
 Exit status 0 when all gates pass, 1 otherwise.
 """
@@ -217,40 +207,6 @@ def check_profile(path):
     return True
 
 
-# (probe, decoded benchmark, classic benchmark, min decoded/classic)
-SIMCORE_PAIRS = (
-    ("compute", "BM_SimComputeDecoded", "BM_SimComputeClassic", 2.0),
-    ("sync", "BM_SimSyncDecoded", "BM_SimSyncClassic", 1.2),
-    ("tx", "BM_SimTxDecoded", "BM_SimTxClassic", 1.2),
-)
-SIMCORE_CALIBRATION = "BM_SimComputeClassic"
-
-
-def check_simcore(path, baseline_path, max_regress):
-    """Decoded-vs-classic step-loop gates over bench_simcore output."""
-    cur = load_items_per_second(path)
-    ok = True
-    for probe, fast, slow, min_ratio in SIMCORE_PAIRS:
-        if fast not in cur or slow not in cur:
-            print(f"simcore gate: FAIL ({probe}: {fast} or {slow} "
-                  f"missing from {path})")
-            ok = False
-            continue
-        ratio = cur[fast] / cur[slow]
-        good = ratio >= min_ratio
-        print(f"simcore gate: {probe}: decoded "
-              f"{cur[fast] / 1e6:.1f} M steps/s vs classic "
-              f"{cur[slow] / 1e6:.1f} M steps/s = {ratio:.2f}x "
-              f"(need >= {min_ratio:.1f}x) -> "
-              f"{'ok' if good else 'FAIL'}")
-        ok = good and ok
-    if baseline_path:
-        base = load_items_per_second(baseline_path)
-        ok = check_baseline(cur, base, SIMCORE_CALIBRATION,
-                            max_regress) and ok
-    return ok
-
-
 def print_summary(cur):
     print("\nbenchmark                                items/sec")
     for name in sorted(cur):
@@ -285,18 +241,12 @@ def main():
     ap.add_argument("--profile-metrics",
                     help="--profile-out dump to gate for "
                          "txrace-profile-v1 well-formedness")
-    ap.add_argument("--simcore",
-                    help="bench_simcore --json output to gate for the "
-                         "decoded step loop's speedup over classic")
-    ap.add_argument("--simcore-baseline",
-                    help="committed BENCH_simcore.json to regress "
-                         "--simcore results against")
     args = ap.parse_args()
 
     if (not args.current and not args.monitor_metrics
-            and not args.profile_metrics and not args.simcore):
+            and not args.profile_metrics):
         ap.error("need CURRENT.json, --monitor-metrics, "
-                 "--profile-metrics, and/or --simcore")
+                 "and/or --profile-metrics")
 
     ok = True
     if args.current:
@@ -318,9 +268,6 @@ def main():
                            args.budget_pct) and ok
     if args.profile_metrics:
         ok = check_profile(args.profile_metrics) and ok
-    if args.simcore:
-        ok = check_simcore(args.simcore, args.simcore_baseline,
-                           args.max_regress) and ok
     return 0 if ok else 1
 
 

@@ -38,16 +38,6 @@ BudgetController::bindMetrics(telemetry::MetricRegistry &reg)
     met_.probeFailures = reg.counter("budget.probe_failures");
 }
 
-void
-BudgetController::count(Machine &m, telemetry::MetricId id,
-                        const char *name, uint64_t delta)
-{
-    if (reg_)
-        reg_->add(id, delta);
-    else
-        m.stats().add(name, delta);
-}
-
 uint64_t
 BudgetController::baseNow(const Machine &m) const
 {
@@ -94,12 +84,12 @@ BudgetController::closeWindow(Machine &m, uint64_t base_end)
     w.hardOver = oh > hardAllowed_;
     w.refused = windowRefused_;
     windows_.push_back(w);
-    count(m, met_.windows, "budget.windows");
+    count(met_.windows);
     if (w.hardOver)
-        count(m, met_.windowsOver, "budget.windows_over");
+        count(met_.windowsOver);
     bool soft_over = oh > softAllowed_;
     if (soft_over)
-        count(m, met_.windowsSoftOver, "budget.windows_soft_over");
+        count(met_.windowsSoftOver);
 
     // Unsatisfiable: the budget is blown hard for several windows in
     // a row even while admission is refusing everything it can — the
@@ -136,7 +126,7 @@ BudgetController::closeWindow(Machine &m, uint64_t base_end)
                 s.probeBackoffExp =
                     std::min(s.probeBackoffExp + 1,
                              cfg_.maxProbeBackoffExp);
-                count(m, met_.probeFailures, "budget.probe_failures");
+                count(met_.probeFailures);
             }
             s.shift = std::min(s.shift + cfg_.cutShift,
                                cfg_.floorShift);
@@ -147,7 +137,7 @@ BudgetController::closeWindow(Machine &m, uint64_t base_end)
                                             cfg_.maxProbeBackoffExp);
             s.nextProbeWindow = windowIndex_ + interval;
             ++siteCuts_;
-            count(m, met_.siteCuts, "budget.site_cuts");
+            count(met_.siteCuts);
             if (m.events().enabled())
                 m.events().record(m.currentStep(), 0, "budget-cut",
                                   strprintf("site %u to 1/%llu",
@@ -172,7 +162,7 @@ BudgetController::closeWindow(Machine &m, uint64_t base_end)
                     windowIndex_ +
                     std::max<uint64_t>(cfg_.reprobeWindows, 1);
                 ++siteProbes_;
-                count(m, met_.siteProbes, "budget.site_probes");
+                count(met_.siteProbes);
                 if (m.events().enabled())
                     m.events().record(
                         m.currentStep(), 0, "budget-probe",
@@ -202,7 +192,7 @@ BudgetController::admitRegion(Machine &m, Tid t, uint64_t cost)
         pressure_ = true;
         windowRefused_ = true;
         ++gatedRegions_;
-        count(m, met_.gatedRegions, "budget.gated_regions");
+        count(met_.gatedRegions);
         return false;
     }
     return true;
@@ -221,7 +211,7 @@ BudgetController::admitCheck(Machine &m, Tid t, ir::InstrId site,
         pressure_ = true;
         windowRefused_ = true;
         ++gatedChecks_;
-        count(m, met_.gatedChecks, "budget.gated_checks");
+        count(met_.gatedChecks);
         return false;
     }
     SiteState &s = sites_[site];
@@ -229,7 +219,7 @@ BudgetController::admitCheck(Machine &m, Tid t, ir::InstrId site,
         return true;
     if (!sampleDraw(s, site)) {
         ++sampledSkips_;
-        count(m, met_.sampledSkips, "budget.sampled_skips");
+        count(met_.sampledSkips);
         return false;
     }
     return true;

@@ -120,8 +120,9 @@ class BudgetController
     bool enabled() const { return cfg_.enabled; }
     const BudgetConfig &config() const { return cfg_; }
 
-    /** Intern the controller's counters (policy calls at run start,
-     *  right after the governor binds). */
+    /** Intern the controller's counters in @p reg. Must precede the
+     *  first admission call: the owning policy calls it at run start,
+     *  right after the governor binds. */
     void bindMetrics(telemetry::MetricRegistry &reg);
 
     /** Snapshot the cost baseline at run start. */
@@ -191,8 +192,8 @@ class BudgetController
     void rollWindows(sim::Machine &m);
     void closeWindow(sim::Machine &m, uint64_t base_end);
     bool sampleDraw(SiteState &s, ir::InstrId site);
-    void count(sim::Machine &m, telemetry::MetricId id,
-               const char *name, uint64_t delta = 1);
+    /** Bump a counter (bindMetrics() came first). */
+    void count(telemetry::MetricId id) { reg_->add(id); }
 
     BudgetConfig cfg_;
     uint64_t seed_;

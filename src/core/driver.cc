@@ -21,7 +21,6 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
         result.error = machine.run();
         result.totalCost = machine.totalCost();
         result.buckets = machine.buckets();
-        result.stats.merge(machine.stats());
         result.telemetry = std::move(machine.tel());
         break;
       }
@@ -33,8 +32,6 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
         result.error = machine.run();
         result.totalCost = machine.totalCost();
         result.buckets = machine.buckets();
-        result.stats.merge(machine.stats());
-        result.stats.merge(policy.lockset().stats());
         result.races = policy.lockset().races();
         result.telemetry = std::move(machine.tel());
         break;
@@ -57,8 +54,6 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
         result.error = machine.run();
         result.totalCost = machine.totalCost();
         result.buckets = machine.buckets();
-        result.stats.merge(machine.stats());
-        result.stats.merge(machine.htm().stats());
         result.races = policy.races();
         result.events = std::move(machine.events());
         result.telemetry = std::move(machine.tel());
@@ -75,8 +70,6 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
         result.error = machine.run();
         result.totalCost = machine.totalCost();
         result.buckets = machine.buckets();
-        result.stats.merge(machine.stats());
-        result.stats.merge(machine.det().stats());
         result.races = machine.det().races();
         result.telemetry = std::move(machine.tel());
         break;
@@ -92,12 +85,6 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
         ir::Program prepared =
             passes::preparedForTxRace(prog, pass_cfg, &elision);
 
-        TxRacePolicy::Scheme scheme = TxRacePolicy::Scheme::NoOpt;
-        if (cfg.mode == RunMode::TxRaceDynLoopcut)
-            scheme = TxRacePolicy::Scheme::Dyn;
-        else if (cfg.mode == RunMode::TxRaceProfLoopcut)
-            scheme = TxRacePolicy::Scheme::Prof;
-
         // Windowed slow path needs the engine-side version log; the
         // flag is part of the run's identity (capacity model changes),
         // so it is set from the slowpath choice, never independently.
@@ -105,14 +92,18 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
         mcfg.htm.versionLog = cfg.slowpath == SlowPathKind::Window;
 
         LoopCutTable profiled(cfg.dynLoopcutInitial);
-        if (scheme == TxRacePolicy::Scheme::Prof) {
+        const bool prof = cfg.mode == RunMode::TxRaceProfLoopcut;
+        if (prof) {
             // Offline profiling run on a "representative input"
             // (perturbed seed): learn thresholds the Dyn way, keep
             // only the table. Profiling cost is not part of the
             // measured run, as in the paper.
-            TxRacePolicy profiler(TxRacePolicy::Scheme::Dyn, nullptr,
-                                  cfg.dynLoopcutInitial, 4, false, {},
-                                  1, {}, cfg.slowpath);
+            RunConfig prof_run = cfg;
+            prof_run.mode = RunMode::TxRaceDynLoopcut;
+            prof_run.conflictAddressHints = false;
+            prof_run.governor = {};
+            prof_run.budget = {};
+            TxRacePolicy profiler(prof_run);
             sim::MachineConfig prof_cfg = mcfg;
             prof_cfg.seed ^= cfg.profileSeedDelta;
             sim::Machine machine(prepared, prof_cfg, profiler);
@@ -120,41 +111,30 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
             profiled = profiler.loopcuts();
         }
 
-        TxRacePolicy policy(scheme,
-                            scheme == TxRacePolicy::Scheme::Prof
-                                ? &profiled
-                                : nullptr,
-                            cfg.dynLoopcutInitial, 4,
-                            cfg.conflictAddressHints, cfg.governor,
-                            cfg.machine.seed ^ 0x9075ea1ULL,
-                            cfg.budget, cfg.slowpath);
+        TxRacePolicy policy(cfg, prof ? &profiled : nullptr);
         sim::Machine machine(prepared, mcfg, policy);
         result.error = machine.run();
         result.budget = policy.budgetReport();
         result.totalCost = machine.totalCost();
         result.buckets = machine.buckets();
-        result.stats.merge(machine.stats());
-        result.stats.merge(machine.htm().stats());
-        result.stats.merge(machine.det().stats());
-        // Static-elision accounting (zero-valued entries omitted to
-        // keep the first-touch dump shape).
-        auto put = [&](const char *name, uint64_t v) {
-            if (v)
-                result.stats.add(name, v);
-        };
-        put("pass.elide.candidates", elision.candidates);
-        put("pass.elide.dominated", elision.dominated);
-        put("pass.elide.raw_downgraded", elision.rawDowngraded);
-        put("pass.elide.privatized", elision.privatized);
-        put("pass.elide.total", elision.elided());
+        // Static-elision accounting.
+        auto &reg = machine.tel().registry;
+        reg.addNamed("pass.elide.candidates", elision.candidates);
+        reg.addNamed("pass.elide.dominated", elision.dominated);
+        reg.addNamed("pass.elide.raw_downgraded", elision.rawDowngraded);
+        reg.addNamed("pass.elide.privatized", elision.privatized);
+        reg.addNamed("pass.elide.total", elision.elided());
         for (const auto &[fn, n] : elision.perFunction)
-            result.stats.add("pass.elide.fn." + fn, n);
+            reg.addNamed("pass.elide.fn." + fn, n);
         result.races = machine.det().races();
         result.events = std::move(machine.events());
         result.telemetry = std::move(machine.tel());
         break;
       }
     }
+    // One string-keyed snapshot of every counter and gauge the run
+    // wrote: machine, HTM, detector, policy and passes alike.
+    result.telemetry.registry.exportTo(result.stats);
     return result;
 }
 

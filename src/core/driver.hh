@@ -66,7 +66,8 @@ struct RunResult
     uint64_t totalCost = 0;
     /** Per-bucket cost attribution (Figure 7 breakdown). */
     std::array<uint64_t, sim::kNumBuckets> buckets{};
-    /** Merged machine + HTM + detector + policy counters. */
+    /** Snapshot of every counter and gauge the run wrote (machine,
+     *  HTM, detector, policy, passes), rendered from the registry. */
     StatSet stats;
     /** Distinct static races reported. */
     detector::RaceSet races;

@@ -6,6 +6,17 @@ using sim::Bucket;
 using sim::Machine;
 
 void
+EraserPolicy::onRunEnd(Machine &m)
+{
+    // Same end-of-run transfer as the machine's own engine counters.
+    auto &reg = m.tel().registry;
+    const detector::LocksetCounters &c = lockset_.counters();
+    reg.addNamed("lockset.reads", c.reads);
+    reg.addNamed("lockset.writes", c.writes);
+    reg.addNamed("lockset.warnings", c.warnings);
+}
+
+void
 EraserPolicy::onSyncPerformed(Machine &m, Tid t,
                               const ir::Instruction &ins)
 {

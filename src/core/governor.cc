@@ -31,16 +31,6 @@ FallbackGovernor::bindMetrics(telemetry::MetricRegistry &reg)
     met_.budgetVetoes = reg.counter("txrace.gov.budget_vetoes");
 }
 
-void
-FallbackGovernor::count(Machine &m, telemetry::MetricId id,
-                        const char *name)
-{
-    if (reg_)
-        reg_->add(id);
-    else
-        m.stats().add(name);
-}
-
 FallbackGovernor::ThreadGov &
 FallbackGovernor::state(Tid t)
 {
@@ -81,7 +71,7 @@ FallbackGovernor::demote(Machine &m, Tid t, uint32_t to,
         g.probing = false;
         g.probeBackoffExp = std::min(g.probeBackoffExp + 1,
                                      cfg_.maxProbeBackoffExp);
-        count(m, met_.failedProbes, "txrace.gov.failed_probes");
+        count(met_.failedProbes);
     }
     to = std::min(to, static_cast<uint32_t>(kSampling));
     if (to <= g.level)
@@ -93,7 +83,7 @@ FallbackGovernor::demote(Machine &m, Tid t, uint32_t to,
     g.windowAborts = 0;
     g.windowSlowCost = 0;
     g.windowSlowChecks = 0;
-    count(m, met_.demotions, "txrace.gov.demotions");
+    count(met_.demotions);
     if (m.events().enabled())
         m.events().record(m.currentStep(), t, "gov-demote",
                           strprintf("to level %u (%s)", to, why));
@@ -112,7 +102,7 @@ FallbackGovernor::levelForRegion(Machine &m, Tid t)
     if (g.probing && n - g.lastTransition >= 2 * cfg_.windowCost) {
         g.probing = false;
         g.probeBackoffExp = 0;
-        count(m, met_.probeSuccesses, "txrace.gov.probe_successes");
+        count(met_.probeSuccesses);
     }
 
     // Re-probation: after a cooldown (exponentially longer for every
@@ -128,7 +118,7 @@ FallbackGovernor::levelForRegion(Machine &m, Tid t)
             // says the current window cannot afford what it already
             // runs. The budget wins; restart the cooldown.
             g.lastTransition = n;
-            count(m, met_.budgetVetoes, "txrace.gov.budget_vetoes");
+            count(met_.budgetVetoes);
         } else if (n - g.lastTransition >= delay) {
             --g.level;
             g.lastTransition = n;
@@ -137,7 +127,7 @@ FallbackGovernor::levelForRegion(Machine &m, Tid t)
             g.windowSlowCost = 0;
             g.windowSlowChecks = 0;
             g.probing = true;
-            count(m, met_.reprobations, "txrace.gov.reprobations");
+            count(met_.reprobations);
             if (m.events().enabled())
                 m.events().record(m.currentStep(), t, "gov-probe",
                                   strprintf("probing level %u",
@@ -171,8 +161,7 @@ FallbackGovernor::onAbort(Machine &m, Tid t, Bucket reason,
     if (reason == Bucket::Conflict && primary) {
         if (++g.consecConflicts >= cfg_.livelockK) {
             g.consecConflicts = 0;
-            count(m, met_.livelockEscalations,
-                  "txrace.gov.livelock_escalations");
+            count(met_.livelockEscalations);
             if (m.events().enabled())
                 m.events().record(m.currentStep(), t, "gov-livelock",
                                   "K consecutive conflict aborts");
@@ -217,7 +206,7 @@ FallbackGovernor::onAbort(Machine &m, Tid t, Bucket reason,
         // but these cycles exist only because the governor chose to
         // wait, so budget accounting files them under degraded.
         m.addCost(t, stall, reason, telemetry::Phase::Degraded);
-        count(m, met_.backoffRetries, "txrace.gov.backoff_retries");
+        count(met_.backoffRetries);
         return GovernorAction::RetryBackoff;
     }
     return GovernorAction::FallBack;
@@ -269,8 +258,7 @@ FallbackGovernor::onSlowCheckCost(Machine &m, Tid t, uint64_t cost)
             g.windowSlowCost = 0;
             g.windowSlowChecks = 0;
             g.probing = true;
-            count(m, met_.stallPromotions,
-                  "txrace.gov.stall_promotions");
+            count(met_.stallPromotions);
             if (m.events().enabled())
                 m.events().record(m.currentStep(), t, "gov-probe",
                                   "stalled slow path, probing up");

@@ -27,8 +27,8 @@
  * periodically promotes one level; failed probes back off
  * exponentially so a persistent storm is probed ever more rarely.
  *
- * All transitions are counted in the policy's StatSet and recorded in
- * the EventLog, so `--trace` shows the ladder in action.
+ * All transitions are counted in the machine's metrics registry and
+ * recorded in the EventLog, so `--trace` shows the ladder in action.
  */
 
 #ifndef TXRACE_CORE_GOVERNOR_HH
@@ -128,10 +128,9 @@ class FallbackGovernor
      *  behaviour. */
     void setBudget(const BudgetController *budget) { budget_ = budget; }
 
-    /** Intern the governor's counters in @p reg (the owning policy
-     *  calls this at run start). Transition counting then goes through
-     *  interned ids; unbound, it falls back to the machine's
-     *  string-keyed StatSet (standalone unit-test use). */
+    /** Intern the governor's counters in @p reg. Must precede the
+     *  first transition: the owning policy calls it at run start,
+     *  standalone tests right after construction. */
     void bindMetrics(telemetry::MetricRegistry &reg);
 
     /**
@@ -202,10 +201,8 @@ class FallbackGovernor
     uint64_t now(sim::Machine &m, Tid t) const;
     void demote(sim::Machine &m, Tid t, uint32_t to, const char *why,
                 sim::Bucket reason);
-    /** Bump a transition counter: interned id when bound, string
-     *  fallback otherwise. */
-    void count(sim::Machine &m, telemetry::MetricId id,
-               const char *name);
+    /** Bump a transition counter (bindMetrics() came first). */
+    void count(telemetry::MetricId id) { reg_->add(id); }
 
     GovernorConfig cfg_;
     uint64_t seed_;
@@ -213,7 +210,7 @@ class FallbackGovernor
     const BudgetController *budget_ = nullptr;
     std::vector<ThreadGov> threads_;
 
-    /** Interned transition-counter ids (valid when reg_ is set). */
+    /** Interned transition-counter ids (set by bindMetrics()). */
     struct Metrics
     {
         telemetry::MetricId failedProbes, demotions, probeSuccesses;

@@ -292,9 +292,9 @@ writeMetricsJson(std::ostream &os, const MetricsMeta &meta,
                 result.buckets[b]);
     w.endObject();
 
-    // The merged string-keyed counter set: machine + HTM + detector +
-    // policy, exactly the names `--stats` prints (StatSet iterates its
-    // map in name order — deterministic).
+    // The run's counter snapshot: machine + HTM + detector + policy,
+    // exactly the names `--stats` prints (StatSet iterates its map in
+    // name order — deterministic).
     w.key("counters");
     w.beginObject();
     for (const auto &[name, value] : result.stats.all())

@@ -22,6 +22,8 @@
 
 namespace txrace::core {
 
+struct RunConfig;
+
 /** No instrumentation at all: defines the overhead baseline. */
 class NativePolicy : public sim::ExecutionPolicy
 {
@@ -67,6 +69,7 @@ class TsanPolicy : public sim::ExecutionPolicy
 class EraserPolicy : public sim::ExecutionPolicy
 {
   public:
+    void onRunEnd(sim::Machine &m) override;
     void onSyncPerformed(sim::Machine &m, Tid t,
                          const ir::Instruction &ins) override;
     bool onMemAccess(sim::Machine &m, Tid t,
@@ -108,6 +111,13 @@ class RaceTmPolicy : public sim::ExecutionPolicy
 
   private:
     detector::RaceSet races_;
+    /** Interned transaction-outcome counter ids (onRunStart). */
+    struct Metrics
+    {
+        telemetry::MetricId txBegins, txCommitted;
+        telemetry::MetricId abortConflict, abortCapacity, abortUnknown;
+    };
+    Metrics met_{};
 };
 
 /**
@@ -136,43 +146,22 @@ class RaceTmPolicy : public sim::ExecutionPolicy
 class TxRacePolicy : public sim::ExecutionPolicy
 {
   public:
-    /** Loop-cut scheme selection. */
-    enum class Scheme { NoOpt, Dyn, Prof };
-
     /**
-     * @param scheme loop-cut handling
+     * The policy takes its whole configuration from the run's:
+     * cfg.mode (a TxRace mode) picks the loop-cut scheme, and
+     * dynLoopcutInitial, conflictAddressHints, governor, budget and
+     * slowpath are used as given. The governor and budget controller
+     * share one sampling seed derived from cfg.machine.seed. Window
+     * slow path needs the machine's HtmConfig::versionLog on (the
+     * driver sets it from cfg.slowpath).
+     *
      * @param preloaded profiled thresholds (Prof scheme); merged in
-     * @param dyn_initial Dyn scheme first-abort estimate (paper: 2)
-     * @param max_retries bound on retry-only re-executions
      */
-    /**
-     * @param addr_hints enable the §9 "future HTM" extension: the
-     *        conflicting cache line is reported to the runtime, and
-     *        conflict-triggered slow episodes only software-check
-     *        accesses to that line instead of the whole region.
-     * @param gov adaptive fallback governor configuration; disabled
-     *        by default (the paper's unconditional-fallback runtime).
-     * @param gov_seed seed for the governor's sampling stream (set
-     *        from the machine seed by the driver).
-     * @param budget monitor-mode overhead budget; disabled by default.
-     *        The controller shares gov_seed for its sampling hash.
-     * @param slowpath conflict-abort repair scheme. Window replays
-     *        only the aborting window from the version logs (the
-     *        machine's HtmConfig::versionLog must be on); Region is
-     *        the paper's TxFail-broadcast whole-region re-execution,
-     *        kept as the differential oracle. Defaults to Region so
-     *        directly-constructed policies (tests) keep the original
-     *        behavior; the driver selects Window.
-     */
-    explicit TxRacePolicy(Scheme scheme,
-                          const LoopCutTable *preloaded = nullptr,
-                          uint64_t dyn_initial = 2,
-                          uint32_t max_retries = 4,
-                          bool addr_hints = false,
-                          const GovernorConfig &gov = {},
-                          uint64_t gov_seed = 1,
-                          const BudgetConfig &budget = {},
-                          SlowPathKind slowpath = SlowPathKind::Region);
+    explicit TxRacePolicy(const RunConfig &cfg,
+                          const LoopCutTable *preloaded = nullptr);
+
+    /** Bound on retry-only re-executions of one transaction. */
+    static constexpr uint32_t kMaxRetries = 4;
 
     /** Windowed replays one transaction attempt may pay before the
      *  policy surrenders the region to a solo slow episode. One: a
@@ -257,10 +246,15 @@ class TxRacePolicy : public sim::ExecutionPolicy
     /** Apply vector-clock updates for one sync instruction. */
     void trackSync(sim::Machine &m, Tid t, const ir::Instruction &ins);
 
-    Scheme scheme_;
+    /** Loop-cut scheme active (Dyn and Prof; NoOpt ignores LoopCut
+     *  markers and learns nothing). */
+    bool loopCuts_;
     LoopCutTable loopcuts_;
-    uint32_t maxRetries_;
+    /** §9 "future HTM" extension: the conflicting cache line is
+     *  reported to the runtime, and conflict-triggered slow episodes
+     *  only software-check accesses to that line. */
     bool addrHints_;
+    /** Conflict-abort repair (see RunConfig::slowpath). */
     SlowPathKind slowpath_;
     FallbackGovernor governor_;
     BudgetController budget_;

@@ -6,8 +6,14 @@ using sim::Bucket;
 using sim::Machine;
 
 void
-RaceTmPolicy::onRunStart(Machine &)
+RaceTmPolicy::onRunStart(Machine &m)
 {
+    auto &reg = m.tel().registry;
+    met_.txBegins = reg.counter("tx.begins");
+    met_.txCommitted = reg.counter("tx.committed");
+    met_.abortConflict = reg.counter("tx.abort.conflict");
+    met_.abortCapacity = reg.counter("tx.abort.capacity");
+    met_.abortUnknown = reg.counter("tx.abort.unknown");
 }
 
 void
@@ -18,7 +24,7 @@ RaceTmPolicy::onTxBegin(Machine &m, Tid t, const ir::Instruction &)
     m.addCost(t, m.config().cost.txBeginCost, Bucket::Txn);
     m.htm().begin(t);
     m.context(t).takeSnapshot(m.context(t).pc + 1);
-    m.stats().add("tx.begins");
+    m.tel().registry.add(met_.txBegins);
 }
 
 void
@@ -28,7 +34,7 @@ RaceTmPolicy::onTxEnd(Machine &m, Tid t, const ir::Instruction &)
         return;
     m.commitTx(t);
     m.addCost(t, m.config().cost.txEndCost, Bucket::Txn);
-    m.stats().add("tx.committed");
+    m.tel().registry.add(met_.txCommitted);
     m.context(t).snap.valid = false;
 }
 
@@ -37,7 +43,7 @@ RaceTmPolicy::onThreadExit(Machine &m, Tid t)
 {
     if (m.htm().inTx(t)) {
         m.commitTx(t);
-        m.stats().add("tx.committed");
+        m.tel().registry.add(met_.txCommitted);
     }
 }
 
@@ -52,7 +58,7 @@ RaceTmPolicy::onMemAccess(Machine &m, Tid t, const ir::Instruction &ins,
     // exactly why RaceTM-style reporting carries false-sharing false
     // positives that TxRace's software slow path filters out.
     for (Tid v : res.victims) {
-        m.stats().add("tx.abort.conflict");
+        m.tel().registry.add(met_.abortConflict);
         ir::InstrId victim_instr = m.htm().lastConflictVictimInstr(v);
         if (victim_instr != ir::kNoInstr && ins.instrumented) {
             races_.record(victim_instr, ins.id,
@@ -68,7 +74,7 @@ RaceTmPolicy::onMemAccess(Machine &m, Tid t, const ir::Instruction &ins,
     }
     if (res.selfCapacity) {
         // No software path to fall back to: run the region bare.
-        m.stats().add("tx.abort.capacity");
+        m.tel().registry.add(met_.abortCapacity);
         m.rollback(t, Bucket::Capacity);
         m.context(t).snap.valid = false;
         return false;
@@ -80,7 +86,7 @@ RaceTmPolicy::onMemAccess(Machine &m, Tid t, const ir::Instruction &ins,
 void
 RaceTmPolicy::onInterruptAbort(Machine &m, Tid t)
 {
-    m.stats().add("tx.abort.unknown");
+    m.tel().registry.add(met_.abortUnknown);
     m.rollback(t, Bucket::Unknown);
     m.context(t).snap.valid = false;
 }

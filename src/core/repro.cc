@@ -138,7 +138,9 @@ configDigest(const RunConfig &cfg)
     d.u64(h.maxConcurrentTx);
     d.f64(h.capacityJitter);
     d.u64(h.trackInstructions ? 1 : 0);
-    d.u64(static_cast<uint64_t>(h.engine));
+    // Former conflict-engine selector, pinned at Directory's value so
+    // digests (and repro commands) from before its removal stay valid.
+    d.u64(0);
     d.u64(h.accessFilter ? 1 : 0);
     d.u64(h.versionLog ? 1 : 0);
     d.u64(h.versionLogEntries);

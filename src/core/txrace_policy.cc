@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/driver.hh"
 #include "support/log.hh"
 
 namespace txrace::core {
@@ -60,16 +61,17 @@ traceSlowEnd(Machine &m, Tid t, const char *outcome)
 
 } // namespace
 
-TxRacePolicy::TxRacePolicy(Scheme scheme, const LoopCutTable *preloaded,
-                           uint64_t dyn_initial, uint32_t max_retries,
-                           bool addr_hints, const GovernorConfig &gov,
-                           uint64_t gov_seed, const BudgetConfig &budget,
-                           SlowPathKind slowpath)
-    : scheme_(scheme), loopcuts_(dyn_initial),
-      maxRetries_(max_retries), addrHints_(addr_hints),
-      slowpath_(slowpath),
-      governor_(gov, gov_seed), budget_(budget, gov_seed)
+TxRacePolicy::TxRacePolicy(const RunConfig &cfg,
+                           const LoopCutTable *preloaded)
+    : loopCuts_(cfg.mode != RunMode::TxRaceNoOpt),
+      loopcuts_(cfg.dynLoopcutInitial),
+      addrHints_(cfg.conflictAddressHints), slowpath_(cfg.slowpath),
+      governor_(cfg.governor, cfg.machine.seed ^ 0x9075ea1ULL),
+      budget_(cfg.budget, cfg.machine.seed ^ 0x9075ea1ULL)
 {
+    if (!isTxRaceMode(cfg.mode))
+        fatal("TxRacePolicy: %s is not a TxRace mode",
+              runModeName(cfg.mode));
     if (preloaded) {
         for (const auto &[loop, entry] : preloaded->all())
             loopcuts_.preload(loop, entry.threshold);
@@ -341,7 +343,7 @@ TxRacePolicy::onTxEnd(Machine &m, Tid t, const ir::Instruction &)
         governor_.onCommit(t);
         if (m.events().enabled())
             m.events().record(m.currentStep(), t, "commit");
-        if (scheme_ != Scheme::NoOpt &&
+        if (loopCuts_ &&
             ctx.lastLoopCutId != ir::kNoInstr)
             loopcuts_.onCommit(ctx.lastLoopCutId);
         ctx.lastLoopCutId = ir::kNoInstr;
@@ -367,7 +369,7 @@ TxRacePolicy::onTxEnd(Machine &m, Tid t, const ir::Instruction &)
 void
 TxRacePolicy::onLoopCut(Machine &m, Tid t, const ir::Instruction &ins)
 {
-    if (scheme_ == Scheme::NoOpt || !m.htm().inTx(t))
+    if (!loopCuts_ || !m.htm().inTx(t))
         return;
     auto &ctx = m.context(t);
     if (ctx.loops.empty())
@@ -655,7 +657,7 @@ TxRacePolicy::handleSelfCapacity(Machine &m, Tid t, ir::InstrId site)
     // rolling back the loop stack (the stand-in for LBR attribution).
     uint64_t iters_in_tx = 0;
     uint64_t loop = innermostCutLoop(m, t, iters_in_tx);
-    if (scheme_ != Scheme::NoOpt && loop != kNoCutLoop) {
+    if (loopCuts_ && loop != kNoCutLoop) {
         // Governed = the transaction died before reaching this loop's
         // active cut point; only then is the threshold too large.
         uint64_t thr = loopcuts_.threshold(loop);
@@ -738,7 +740,7 @@ TxRacePolicy::onRetryAbort(Machine &m, Tid t)
     // (fault injection) exhausts the bounded retries below over and
     // over, and the governor is what keeps that from thrashing.
     governor_.onAbort(m, t, Bucket::Txn);
-    if (ctx.retryCount < maxRetries_ && m.htm().canBegin()) {
+    if (ctx.retryCount < kMaxRetries && m.htm().canBegin()) {
         ++ctx.retryCount;
         m.tel().registry.add(met_.retries);
         m.addCost(t, m.config().cost.txBeginCost, Bucket::Txn);

@@ -125,26 +125,6 @@ HbDetector::cellFor(Tid t, uint64_t granule)
     return cell;
 }
 
-StatSet
-HbDetector::stats() const
-{
-    StatSet out;
-    auto put = [&](const char *name, uint64_t v) {
-        if (v)
-            out.set(name, v);
-    };
-    put("detector.reads", counters_.reads);
-    put("detector.writes", counters_.writes);
-    put("detector.race_hits", counters_.raceHits);
-    put("detector.read_epoch_sufficient",
-        counters_.readEpochSufficient);
-    put("detector.read_vc_promoted", counters_.readVcPromoted);
-    put("detector.evictions", counters_.evictions);
-    put("detector.epoch_fast_hits", counters_.epochFastHits);
-    put("detector.replay_checks", counters_.replayChecks);
-    return out;
-}
-
 void
 HbDetector::read(Tid t, ir::Addr addr, ir::InstrId instr)
 {

@@ -36,7 +36,6 @@
 #include "detector/vectorclock.hh"
 #include "mem/layout.hh"
 #include "support/rng.hh"
-#include "support/stats.hh"
 
 namespace txrace::detector {
 
@@ -61,8 +60,8 @@ struct DetectorConfig
 /**
  * Fixed-layout detector counters. read()/write() run once per checked
  * access — the hottest detector code — so they bump plain integers;
- * stats() materializes the string-keyed view on demand (cold path:
- * result merging and dumps only).
+ * the machine publishes them into its metrics registry at the end of
+ * the run, under the detector.* names.
  */
 struct DetCounters
 {
@@ -160,11 +159,6 @@ class HbDetector
 
     /** Raw counters (checks performed, races, evictions). */
     const DetCounters &counters() const { return counters_; }
-
-    /** String-keyed view of counters() under the detector.* names
-     *  (compatibility surface for dumps and tests; zero-valued
-     *  counters are omitted, matching StatSet's first-touch shape). */
-    StatSet stats() const;
 
     /** Forget all shadow state but keep clocks (tests only). */
     void

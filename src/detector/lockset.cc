@@ -41,20 +41,6 @@ LocksetDetector::refine(Shadow &sh, Tid t)
     sh.candidates = std::move(intersection);
 }
 
-StatSet
-LocksetDetector::stats() const
-{
-    StatSet out;
-    auto put = [&](const char *name, uint64_t v) {
-        if (v)
-            out.set(name, v);
-    };
-    put("lockset.reads", counters_.reads);
-    put("lockset.writes", counters_.writes);
-    put("lockset.warnings", counters_.warnings);
-    return out;
-}
-
 void
 LocksetDetector::access(Tid t, ir::Addr addr, ir::InstrId instr,
                         bool is_write)

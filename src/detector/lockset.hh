@@ -31,13 +31,12 @@
 
 #include "detector/report.hh"
 #include "mem/layout.hh"
-#include "support/stats.hh"
 #include "support/types.hh"
 
 namespace txrace::detector {
 
-/** Fixed-layout counters for the lockset hot path; stats()
- *  materializes the string-keyed view on demand. */
+/** Fixed-layout counters for the lockset hot path; EraserPolicy
+ *  publishes them into the machine's metrics registry at run end. */
 struct LocksetCounters
 {
     uint64_t reads = 0;
@@ -70,10 +69,6 @@ class LocksetDetector
 
     /** Raw counters (checks, warnings). */
     const LocksetCounters &counters() const { return counters_; }
-
-    /** String-keyed view of counters() under the lockset.* names
-     *  (zero-valued counters omitted, matching first-touch shape). */
-    StatSet stats() const;
 
   private:
     enum class State : uint8_t {

@@ -6,8 +6,9 @@
  * The injector is advanced once per scheduler step. It maintains the
  * set of currently active episodes incrementally (O(1) per step away
  * from episode boundaries) and reports every begin/end transition so
- * the machine can record it in the EventLog and count it in StatSet —
- * injected events are first-class observable facts of a run.
+ * the machine can record it in the EventLog and count it in its
+ * metrics registry — injected events are first-class observable facts
+ * of a run.
  */
 
 #ifndef TXRACE_FAULT_INJECTOR_HH

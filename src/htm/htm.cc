@@ -42,9 +42,6 @@ HtmEngine::HtmEngine(const HtmConfig &cfg)
     if (cfg_.versionLog && cfg_.versionLogEntries == 0)
         fatal("HtmEngine: versionLogEntries must be nonzero when the "
               "version log is enabled");
-    if (cfg_.engine != ConflictEngine::Directory)
-        fatal("HtmEngine: the LegacyScan engine was removed; use "
-              "ConflictEngine::Directory");
     if (cfg_.l1Sets == 0 || (cfg_.l1Sets & (cfg_.l1Sets - 1)) != 0)
         fatal("HtmEngine: l1Sets must be a nonzero power of two");
     if (cfg_.l1Ways == 0)
@@ -65,23 +62,6 @@ HtmEngine::reset()
     inFlight_ = 0;
     counters_ = HtmCounters{};
     vlog_.reset();
-}
-
-StatSet
-HtmEngine::stats() const
-{
-    StatSet out;
-    auto put = [&](const char *name, uint64_t v) {
-        if (v)
-            out.set(name, v);
-    };
-    put("htm.begins", counters_.begins);
-    put("htm.commits", counters_.commits);
-    put("htm.aborts.conflict", counters_.abortsConflict);
-    put("htm.aborts.capacity", counters_.abortsCapacity);
-    put("htm.aborts.unknown", counters_.abortsUnknown);
-    put("htm.aborts.other", counters_.abortsOther);
-    return out;
 }
 
 bool

@@ -57,24 +57,11 @@
 #include "ir/instruction.hh"
 #include "mem/layout.hh"
 #include "support/rng.hh"
-#include "support/stats.hh"
 #include "support/types.hh"
 
 namespace txrace::htm {
 
 using ir::Addr;
-
-/** Which conflict-detection data structure the engine runs on. */
-enum class ConflictEngine : uint8_t {
-    /** Reverse line directory; O(1) per access. */
-    Directory,
-    /** Retired: the per-thread line-set scan oracle, deleted after
-     *  serving as the directory's differential baseline. Selecting it
-     *  is a configuration error (HtmEngine's constructor fatal()s)
-     *  kept as an enumerator so old configs fail loudly instead of
-     *  silently meaning something else. */
-    LegacyScan,
-};
 
 /** Geometry and limits of the modeled HTM. */
 struct HtmConfig
@@ -85,7 +72,9 @@ struct HtmConfig
     uint32_t l1Ways = 8;
     /** Total read-set lines trackable (secondary structure). */
     uint32_t readSetMaxLines = 4096;
-    /** Maximum concurrently open transactions (hardware threads). */
+    /** Maximum concurrently open transactions (hardware threads).
+     *  At most 64: the directory keeps one bitmask bit per in-flight
+     *  transaction, and the constructor fatal()s beyond that. */
     uint32_t maxConcurrentTx = 8;
     /**
      * Probability that a new write-set line finds one way of its set
@@ -105,13 +94,6 @@ struct HtmConfig
      * commodity model (real RTM exposes nothing).
      */
     bool trackInstructions = false;
-    /**
-     * Conflict-detection engine. Only Directory is implemented; it
-     * requires maxConcurrentTx <= 64 (one bitmask bit per in-flight
-     * transaction) and the constructor fatal()s on anything else —
-     * there is no silent fallback.
-     */
-    ConflictEngine engine = ConflictEngine::Directory;
     /**
      * Per-transaction owned-line filter: skip the directory probe for
      * repeat accesses to a line the transaction already holds in the
@@ -137,8 +119,9 @@ struct HtmConfig
 
 /**
  * Fixed-layout engine counters. The begin/commit/abort paths are the
- * hottest code in the model, so they bump plain integers; stats()
- * materializes the string-keyed compatibility view on demand.
+ * hottest code in the model, so they bump plain integers; the
+ * machine publishes them into its metrics registry at the end of the
+ * run, under the htm.* names.
  */
 struct HtmCounters
 {
@@ -149,9 +132,8 @@ struct HtmCounters
     uint64_t abortsUnknown = 0;
     uint64_t abortsOther = 0;
     /** Accesses answered by the owned-line filter (probe skipped).
-     *  Exported as htm.dir.filter_hit by the machine's run-end
-     *  telemetry transfer, NOT by stats() — the driver merges both
-     *  stats() and the machine export, and StatSet::merge sums. */
+     *  Published as htm.dir.filter_hit, next to the directory's
+     *  probe count. */
     uint64_t filterHits = 0;
 };
 
@@ -161,7 +143,7 @@ struct AccessResult
     /** The requesting transaction overflowed and must abort. */
     bool selfCapacity = false;
     /** Transactions aborted by this access (requester-wins),
-     *  ascending tid order under both engines. */
+     *  in ascending tid order. */
     std::vector<Tid> victims;
 };
 
@@ -280,18 +262,8 @@ class HtmEngine
     /** Raw engine counters (begins, commits, aborts by cause). */
     const HtmCounters &counters() const { return counters_; }
 
-    /** True when the reverse-directory engine is active (always, now
-     *  that the legacy scan oracle is gone; kept for call sites that
-     *  gate on engine kind). */
-    bool usesDirectory() const { return true; }
-
     /** The directory, for telemetry export and tests. */
     const LineDirectory *lineDirectory() const { return &dir_; }
-
-    /** String-keyed view of counters() under the htm.* names
-     *  (compatibility surface for dumps and tests; zero-valued
-     *  counters are omitted, matching StatSet's first-touch shape). */
-    StatSet stats() const;
 
   private:
     struct TxState
@@ -323,7 +295,7 @@ class HtmEngine
         std::array<uint8_t, kFilterSize> filterMode{};
         /** @} */
 
-        /** @name Epoch-stamped per-set write occupancy (both engines)
+        /** @name Epoch-stamped per-set write occupancy
          * Sized once at the thread's first begin; begin() bumps
          * occEpoch instead of zeroing the arrays, so the begin path
          * never allocates or memsets after warmup. */
@@ -357,7 +329,7 @@ class HtmEngine
     void release(TxState &s);
 
     /** Write-set ways available right now; consumes the jitter RNG
-     *  exactly when both engines would (new write line, jitter on). */
+     *  only for a new write line with jitter on. */
     uint32_t effectiveWays();
 
     /** Start a fresh occupancy epoch for @p s (no allocation after

@@ -607,36 +607,6 @@ Machine::pickRunnable()
     return runnable_[n == 1 ? 0 : schedRng_.below(n)];
 }
 
-Tid
-Machine::pickRunnableScan()
-{
-    uint32_t runnable = 0;
-    for (const auto &ctx : contexts_)
-        if (ctx.state == ThreadState::Runnable)
-            ++runnable;
-    if (runnable == 0)
-        return kNoTid;
-    uint64_t pick = schedRng_.below(runnable);
-    for (const auto &ctx : contexts_) {
-        if (ctx.state != ThreadState::Runnable)
-            continue;
-        if (pick == 0)
-            return ctx.tid;
-        --pick;
-    }
-    panic("Machine::pickRunnableScan: inconsistent runnable count");
-}
-
-uint32_t
-Machine::runnableThreadsScan() const
-{
-    uint32_t n = 0;
-    for (const auto &ctx : contexts_)
-        if (ctx.state == ThreadState::Runnable)
-            ++n;
-    return n;
-}
-
 void
 Machine::captureUnfinishedThreads()
 {
@@ -693,6 +663,54 @@ Machine::recordStop()
 }
 
 void
+Machine::publishCounters()
+{
+    // The HTM engine, line directory, version log and detector bump
+    // plain integers (their access paths are too hot for even an
+    // interned-id update); transfer them into the registry once, here.
+    auto &reg = tel_.registry;
+    const htm::HtmCounters &hc = htm_.counters();
+    reg.addNamed("htm.begins", hc.begins);
+    reg.addNamed("htm.commits", hc.commits);
+    reg.addNamed("htm.aborts.conflict", hc.abortsConflict);
+    reg.addNamed("htm.aborts.capacity", hc.abortsCapacity);
+    reg.addNamed("htm.aborts.unknown", hc.abortsUnknown);
+    reg.addNamed("htm.aborts.other", hc.abortsOther);
+
+    const htm::LineDirectory &dir = *htm_.lineDirectory();
+    const htm::LineDirStats &ds = dir.stats();
+    reg.set(reg.gauge("htm.dir.capacity"), dir.capacity());
+    reg.set(reg.gauge("htm.dir.occupied_peak"), ds.occupiedPeak);
+    reg.addNamed("htm.dir.epoch_clears", ds.epochClears);
+    reg.addNamed("htm.dir.line_walk_clears", ds.lineWalkClears);
+    reg.addNamed("htm.dir.rehashes", ds.rehashes);
+    reg.mergeHistogram(reg.histogram("htm.dir.probe_len"), ds.probeLen);
+    // Probe count plus the owned-line filter's skips: together they
+    // show how much directory traffic the filter removed.
+    reg.addNamed("htm.dir.probes", ds.probeLen.count());
+    reg.addNamed("htm.dir.filter_hit", hc.filterHits);
+
+    // Version log: windowed slow path only.
+    if (const htm::VersionLog *vl = htm_.versionLog()) {
+        const htm::VersionLogCounters &vc = vl->counters();
+        reg.addNamed("htm.vlog.entries", vc.entries);
+        reg.addNamed("htm.vlog.ring_overflows", vc.ringOverflows);
+        reg.addNamed("htm.vlog.published", vc.published);
+    }
+
+    const detector::DetCounters &dc = det_.counters();
+    reg.addNamed("detector.reads", dc.reads);
+    reg.addNamed("detector.writes", dc.writes);
+    reg.addNamed("detector.race_hits", dc.raceHits);
+    reg.addNamed("detector.read_epoch_sufficient",
+                 dc.readEpochSufficient);
+    reg.addNamed("detector.read_vc_promoted", dc.readVcPromoted);
+    reg.addNamed("detector.evictions", dc.evictions);
+    reg.addNamed("detector.epoch_fast_hits", dc.epochFastHits);
+    reg.addNamed("detector.replay_checks", dc.replayChecks);
+}
+
+void
 Machine::badAccess(Tid t, ir::Addr a)
 {
     // Structured error instead of process death: campaign and service
@@ -712,10 +730,8 @@ Machine::run()
     policy_.onRunStart(*this);
     det_.rootThread(0);
     policy_.onThreadStart(*this, 0);
-    if (cfg_.stepLoop == StepLoop::Classic) {
-        runClassic();
-    } else if (!faults_.empty() || cfg_.interruptPerStep > 0.0 ||
-               cfg_.retryAbortPerStep > 0.0) {
+    if (!faults_.empty() || cfg_.interruptPerStep > 0.0 ||
+        cfg_.retryAbortPerStep > 0.0) {
         runDecoded<true>();
     } else {
         // Hot lane: no fault plan and zero injection rates, so the
@@ -740,41 +756,7 @@ Machine::run()
     policy_.onRunEnd(*this);
     tel_.registry.set(met_.steps, steps_);
     tel_.trace.closeAll(steps_);
-    // Line-directory telemetry: the directory accumulates plain
-    // counters internally (the access path is too hot for even an
-    // interned-id update per probe); transfer them into the registry
-    // once, here, so --metrics-json shows the engine's behavior.
-    if (const htm::LineDirectory *dir = htm_.lineDirectory()) {
-        auto &reg = tel_.registry;
-        const htm::LineDirStats &ds = dir->stats();
-        reg.set(reg.gauge("htm.dir.capacity"), dir->capacity());
-        reg.set(reg.gauge("htm.dir.occupied_peak"), ds.occupiedPeak);
-        reg.add(reg.counter("htm.dir.epoch_clears"), ds.epochClears);
-        reg.add(reg.counter("htm.dir.line_walk_clears"),
-                ds.lineWalkClears);
-        reg.add(reg.counter("htm.dir.rehashes"), ds.rehashes);
-        reg.mergeHistogram(reg.histogram("htm.dir.probe_len"),
-                           ds.probeLen);
-        // Probe count plus the owned-line filter's skips: together
-        // they show how much directory traffic the filter removed.
-        reg.add(reg.counter("htm.dir.probes"), ds.probeLen.count());
-        reg.add(reg.counter("htm.dir.filter_hit"),
-                htm_.counters().filterHits);
-    }
-    // Version-log telemetry (windowed slow path only): same plain-
-    // counter transfer as the directory's.
-    if (const htm::VersionLog *vl = htm_.versionLog()) {
-        auto &reg = tel_.registry;
-        const htm::VersionLogCounters &vc = vl->counters();
-        reg.add(reg.counter("htm.vlog.entries"), vc.entries);
-        reg.add(reg.counter("htm.vlog.ring_overflows"),
-                vc.ringOverflows);
-        reg.add(reg.counter("htm.vlog.published"), vc.published);
-    }
-    // Compatibility export: every registry counter/gauge lands in the
-    // string-keyed StatSet under its registered name, so harnesses and
-    // determinism tests see the same dump shape as before.
-    tel_.registry.exportTo(stats_);
+    publishCounters();
     return error_;
 }
 
@@ -851,24 +833,6 @@ Machine::runDecoded()
     }
 }
 
-void
-Machine::runClassic()
-{
-    while (live_ > 0) {
-        if (steps_ >= cfg_.maxSteps) {
-            truncateRun();
-            return;
-        }
-        ++steps_;
-        if (!step())
-            return;
-        if (stopRequest_ != RunError::Kind::None) {
-            recordStop();
-            return;
-        }
-    }
-}
-
 bool
 Machine::advanceFaults()
 {
@@ -878,10 +842,11 @@ Machine::advanceFaults()
     bool ways_changed = false;
     for (const fault::FaultTransition &tr : transitions) {
         const fault::FaultEpisode &ep = *tr.episode;
-        stats_.add(tr.begin ? "fault.episodes_begun"
-                            : "fault.episodes_ended");
-        stats_.add(std::string("fault.") + fault::faultKindName(ep.kind)
-                   + (tr.begin ? ".begin" : ".end"));
+        tel_.registry.addNamed(tr.begin ? "fault.episodes_begun"
+                                        : "fault.episodes_ended");
+        tel_.registry.addNamed(std::string("fault.") +
+                               fault::faultKindName(ep.kind) +
+                               (tr.begin ? ".begin" : ".end"));
         if (events_.enabled())
             events_.record(steps_, 0,
                            tr.begin ? "fault-begin" : "fault-end",
@@ -947,56 +912,6 @@ Machine::injectAbort(Tid t)
     return false;
 }
 
-bool
-Machine::step()
-{
-    if (!faults_.empty())
-        advanceFaults();
-
-    Tid t = pickRunnableScan();
-    if (t == kNoTid) {
-        reportDeadlock();
-        return false;
-    }
-    schedHash_ = mixHash(schedHash_, steps_, t);
-
-    tel_.phases.note(t, phaseOf(t));
-
-    if (htm_.inTx(t) && injectAbort(t))
-        return true;
-
-    if (policy_.beforeStep(*this, t))
-        return true;
-
-    execInstr(t);
-    return true;
-}
-
-bool
-Machine::evalAddr(const ir::AddrExpr &expr, ThreadContext &ctx,
-                  ir::Addr &out)
-{
-    ir::Addr a = expr.base;
-    a += expr.threadStride * ctx.tid;
-    if (expr.loopStride != 0) {
-        if (expr.loopDepth >= ctx.loops.size())
-            fatal("Machine: loop-indexed address outside loop "
-                  "(depth %u, nesting %zu)", expr.loopDepth,
-                  ctx.loops.size());
-        const LoopFrame &frame =
-            ctx.loops[ctx.loops.size() - 1 - expr.loopDepth];
-        a += expr.loopStride * frame.index;
-    }
-    if (expr.randomCount != 0)
-        a += expr.randomStride * ctx.rng.below(expr.randomCount);
-    if (addrLimit_ > 0 && a >= addrLimit_) {
-        badAccess(ctx.tid, a);
-        return false;
-    }
-    out = a;
-    return true;
-}
-
 void
 Machine::finishThread(Tid t)
 {
@@ -1041,213 +956,6 @@ Machine::joinReady(const ir::Instruction &ins, Tid t,
         if (contexts_[target].state != ThreadState::Finished)
             return false;
     return true;
-}
-
-void
-Machine::execInstr(Tid t)
-{
-    ThreadContext &ctx = contexts_[t];
-    const auto &body = prog_.function(ctx.func).body;
-    if (ctx.pc >= body.size()) {
-        finishThread(t);
-        return;
-    }
-    const ir::Instruction &ins = body[ctx.pc];
-    const CostModel &cost = cfg_.cost;
-
-    switch (ins.op) {
-      case ir::OpCode::Nop:
-        ++ctx.pc;
-        break;
-
-      case ir::OpCode::Compute:
-        addCost(t, ins.arg0, Bucket::Base);
-        ++ctx.pc;
-        break;
-
-      case ir::OpCode::Syscall:
-        addCost(t, cost.syscallCost + ins.arg0, Bucket::Base);
-        tel_.registry.add(met_.syscalls);
-        ++ctx.pc;
-        break;
-
-      case ir::OpCode::Load:
-      case ir::OpCode::Store: {
-        bool is_write = ins.op == ir::OpCode::Store;
-        addCost(t, is_write ? cost.storeCost : cost.loadCost,
-                Bucket::Base);
-        ir::Addr addr;
-        if (!evalAddr(ins.addr, ctx, addr))
-            break;  // out of address space: BadAccess stop raised
-        if (policy_.onMemAccess(*this, t, ins, addr, is_write)) {
-            if (is_write) {
-                // Stores accumulate into their granule; inside a
-                // transaction they go to the speculative buffer.
-                uint64_t granule = mem::granuleOf(addr);
-                auto it = ctx.txStores.find(granule);
-                uint64_t old = it != ctx.txStores.end()
-                    ? it->second
-                    : mem_.load(addr);
-                uint64_t value = old + ins.arg0 + 1;
-                if (htm_.inTx(t))
-                    ctx.txStores[granule] = value;
-                else
-                    mem_.store(addr, value);
-            }
-            ++ctx.pc;
-        }
-        // else: the access capacity/conflict-aborted this thread's own
-        // transaction; the context has been rolled back.
-        break;
-      }
-
-      case ir::OpCode::LockAcquire:
-        addCost(t, cost.syncCost, Bucket::Base);
-        if (sync_.lockTryAcquire(t, ins.arg0)) {
-            policy_.onSyncPerformed(*this, t, ins);
-            ++ctx.pc;
-        } else {
-            sync_.lockEnqueue(t, ins.arg0);
-            makeUnrunnable(ctx, ThreadState::Blocked);
-        }
-        break;
-
-      case ir::OpCode::LockRelease: {
-        addCost(t, cost.syncCost, Bucket::Base);
-        policy_.onSyncPerformed(*this, t, ins);
-        Tid next = sync_.lockRelease(t, ins.arg0);
-        if (next != kNoTid) {
-            ThreadContext &nctx = contexts_[next];
-            const auto &nbody = prog_.function(nctx.func).body;
-            policy_.onSyncPerformed(*this, next, nbody[nctx.pc]);
-            makeRunnable(nctx);
-            ++nctx.pc;
-        }
-        ++ctx.pc;
-        break;
-      }
-
-      case ir::OpCode::CondSignal: {
-        addCost(t, cost.syncCost, Bucket::Base);
-        policy_.onSyncPerformed(*this, t, ins);
-        Tid woken = sync_.condSignal(ins.arg0);
-        if (woken != kNoTid) {
-            ThreadContext &wctx = contexts_[woken];
-            const auto &wbody = prog_.function(wctx.func).body;
-            policy_.onSyncPerformed(*this, woken, wbody[wctx.pc]);
-            makeRunnable(wctx);
-            ++wctx.pc;
-        }
-        ++ctx.pc;
-        break;
-      }
-
-      case ir::OpCode::CondWait:
-        addCost(t, cost.syncCost, Bucket::Base);
-        if (sync_.condTryWait(ins.arg0)) {
-            policy_.onSyncPerformed(*this, t, ins);
-            ++ctx.pc;
-        } else {
-            sync_.condEnqueue(t, ins.arg0);
-            makeUnrunnable(ctx, ThreadState::Blocked);
-        }
-        break;
-
-      case ir::OpCode::Barrier: {
-        addCost(t, cost.syncCost, Bucket::Base);
-        auto released = sync_.barrierArrive(t, ins.arg0, ins.arg1);
-        if (released.empty()) {
-            makeUnrunnable(ctx, ThreadState::Blocked);
-        } else {
-            policy_.onBarrierRelease(*this, released);
-            for (Tid p : released) {
-                ThreadContext &pctx = contexts_[p];
-                makeRunnable(pctx);
-                ++pctx.pc;
-            }
-        }
-        break;
-      }
-
-      case ir::OpCode::ThreadCreate: {
-        addCost(t, cost.threadOpCost, Bucket::Base);
-        Tid child = static_cast<Tid>(contexts_.size());
-        contexts_.emplace_back();
-        ThreadContext &cctx = contexts_.back();
-        cctx.tid = child;
-        cctx.func = static_cast<ir::FuncId>(ins.arg0);
-        cctx.rng = Rng(threadSeed(cfg_.seed, child));
-        bindCode(cctx);
-        spawned_.push_back(child);
-        ++live_;
-        enrollRunnable(cctx);
-        policy_.onThreadCreated(*this, t, child);
-        policy_.onThreadStart(*this, child);
-        tel_.registry.add(met_.threadsCreated);
-        ++ctx.pc;
-        break;
-      }
-
-      case ir::OpCode::ThreadJoin: {
-        std::vector<Tid> targets;
-        if (joinReady(ins, t, targets)) {
-            addCost(t, cost.threadOpCost, Bucket::Base);
-            for (Tid target : targets)
-                policy_.onThreadJoined(*this, t, target);
-            ++ctx.pc;
-        } else {
-            for (Tid target : targets)
-                if (contexts_[target].state != ThreadState::Finished)
-                    joinWaiters_[target].push_back(t);
-            makeUnrunnable(ctx, ThreadState::Blocked);
-        }
-        break;
-      }
-
-      case ir::OpCode::LoopBegin: {
-        uint64_t trips = ins.arg0;
-        if (ins.arg1 > 0)
-            trips += ctx.rng.below(ins.arg1 + 1);
-        if (trips == 0) {
-            // Dynamically empty loop: skip past the matching LoopEnd.
-            ctx.pc = static_cast<uint32_t>(ins.match) + 1;
-        } else {
-            ctx.loops.push_back(
-                LoopFrame{ctx.pc, 0, trips, 0});
-            ++ctx.pc;
-        }
-        break;
-      }
-
-      case ir::OpCode::LoopEnd: {
-        if (ctx.loops.empty())
-            panic("Machine: LoopEnd with empty loop stack");
-        LoopFrame &frame = ctx.loops.back();
-        ++frame.index;
-        if (frame.index < frame.total) {
-            ctx.pc = frame.beginPc + 1;
-        } else {
-            ctx.loops.pop_back();
-            ++ctx.pc;
-        }
-        break;
-      }
-
-      case ir::OpCode::TxBegin:
-        policy_.onTxBegin(*this, t, ins);
-        ++ctx.pc;
-        break;
-
-      case ir::OpCode::TxEnd:
-        policy_.onTxEnd(*this, t, ins);
-        ++ctx.pc;
-        break;
-
-      case ir::OpCode::LoopCut:
-        policy_.onLoopCut(*this, t, ins);
-        ++ctx.pc;
-        break;
-    }
 }
 
 } // namespace txrace::sim

@@ -32,25 +32,10 @@
 #include "sim/eventlog.hh"
 #include "sim/policy.hh"
 #include "support/rng.hh"
-#include "support/stats.hh"
 #include "sync/primitives.hh"
 #include "telemetry/telemetry.hh"
 
 namespace txrace::sim {
-
-/**
- * Which step-loop implementation run() uses. Decoded is the
- * threaded-code quantum loop over the pre-decoded program. Classic is
- * the pre-decode per-step loop (opcode switch, O(threads) runnable
- * scan, one pick per instruction), retained for one PR as
- * bench_simcore's reference lane and as a differential oracle — the
- * same role the LegacyScan conflict engine served — and slated for
- * removal. Both are seeded-deterministic; their schedules differ.
- */
-enum class StepLoop : uint8_t {
-    Decoded,
-    Classic,
-};
 
 /** Machine-level configuration. */
 struct MachineConfig
@@ -101,9 +86,6 @@ struct MachineConfig
      * different values produce different (equally valid) schedules.
      */
     uint32_t schedQuantum = 32;
-    /** Step-loop implementation (bench/differential knob; production
-     *  front ends never change it). */
-    StepLoop stepLoop = StepLoop::Decoded;
     /** Scheduled pathology episodes injected from the scheduler loop
      *  (empty = no injection). Part of the run's identity: identical
      *  (program, config incl. plan, seed) runs are byte-identical. */
@@ -205,8 +187,7 @@ class Machine
     /** Seeded-deterministic digest of the schedule: every scheduler
      *  pick folds (step, tid) into it. Two same-(program, config,
      *  policy) runs must agree; the golden determinism test asserts
-     *  it. Specific to the step-loop lane and quantum, like the
-     *  schedule itself. */
+     *  it. Specific to the quantum, like the schedule itself. */
     uint64_t scheduleHash() const { return schedHash_; }
 
     /** Charge @p c cost units to @p t under bucket @p b, attributed
@@ -263,15 +244,11 @@ class Machine
         return buckets_;
     }
 
-    /** Machine+policy counters. Cold-path/string-keyed compatibility
-     *  surface; hot-path counters live in tel().registry and are
-     *  exported into this set at the end of run(). */
-    StatSet &stats() { return stats_; }
-    const StatSet &stats() const { return stats_; }
-
     /** Telemetry bundle: typed metrics registry, phase profiler,
-     *  conflict attribution, trace spans. Policies intern their
-     *  metric ids here in onRunStart(). */
+     *  conflict attribution, trace spans. The registry is the only
+     *  place counters are written: policies intern their metric ids
+     *  here in onRunStart(), and run() publishes the HTM engine's and
+     *  detector's plain counters into it at the end of the run. */
     telemetry::Telemetry &tel() { return tel_; }
     const telemetry::Telemetry &tel() const { return tel_; }
 
@@ -302,16 +279,6 @@ class Machine
      *  the fault/interrupt machinery. Runs until the program ends or
      *  error_ is filled. */
     template <bool Injected> void runDecoded();
-    /** Classic per-step loop (see StepLoop::Classic). */
-    void runClassic();
-    /** Classic lane: one scheduler step; false = deadlock. */
-    bool step();
-    /** Classic lane: switch dispatch of one instruction. */
-    void execInstr(Tid t);
-    /** Evaluate an address expression; false = out of address space
-     *  (badAccess() raised, instruction incomplete). */
-    bool evalAddr(const ir::AddrExpr &expr, ThreadContext &ctx,
-                  ir::Addr &out);
     /** In-transaction interrupt/retry injection for one op; true =
      *  an abort was delivered (the step is consumed). */
     bool injectAbort(Tid t);
@@ -321,6 +288,9 @@ class Machine
     void truncateRun();
     /** Record a pending requestStop() as the run error. */
     void recordStop();
+    /** End of run: move the HTM engine's, line directory's, version
+     *  log's and detector's plain counters into the registry. */
+    void publishCounters();
     /** Point @p ctx at the decoded body of its function. */
     void bindCode(ThreadContext &ctx);
     void finishThread(Tid t);
@@ -332,10 +302,6 @@ class Machine
     /** Runnable -> @p to, dropping the dense-set entry (swap-remove). */
     void makeUnrunnable(ThreadContext &ctx, ThreadState to);
     Tid pickRunnable();
-    /** Classic lane: the original O(threads) scan pick. */
-    Tid pickRunnableScan();
-    /** Classic lane: the original O(threads) runnable count. */
-    uint32_t runnableThreadsScan() const;
     void reportDeadlock();
     /** Apply fault-plan transitions due at the current step; true =
      *  an episode edge was crossed (forced preemption point). */
@@ -389,7 +355,6 @@ class Machine
     uint64_t steps_ = 0;
     uint64_t totalCost_ = 0;
     std::array<uint64_t, kNumBuckets> buckets_{};
-    StatSet stats_;
     EventLog events_;
     RunError error_;
     RunError::Kind stopRequest_ = RunError::Kind::None;

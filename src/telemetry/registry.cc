@@ -69,6 +69,13 @@ MetricRegistry::find(const std::string &name) const
     return it == index_.end() ? kNoMetric : it->second;
 }
 
+void
+MetricRegistry::addNamed(const std::string &name, uint64_t delta)
+{
+    if (delta != 0)
+        add(counter(name), delta);
+}
+
 uint64_t
 MetricRegistry::valueByName(const std::string &name) const
 {

@@ -10,10 +10,11 @@
  * (machine, policy) setups produce identical id assignments across
  * runs — the determinism the byte-identical-stats tests rely on.
  *
- * The registry exports into the legacy string-keyed StatSet
- * (exportTo) so every existing consumer of RunResult::stats — the
- * bench harnesses, `txrace_run --stats`, the determinism tests —
- * keeps working unchanged, with identical counter names.
+ * The registry is the only place counters are written. The driver
+ * renders one string-keyed StatSet snapshot from it per run
+ * (exportTo) for every consumer of RunResult::stats — the bench
+ * harnesses, `txrace_run --stats`, `--metrics-json`, the determinism
+ * tests.
  */
 
 #ifndef TXRACE_TELEMETRY_REGISTRY_HH
@@ -67,6 +68,14 @@ class MetricRegistry
         values_[metrics_[id].slot] = value;
     }
 
+    /**
+     * Cold-path add by name: intern @p name as a counter and add
+     * @p delta; a zero delta registers nothing. For end-of-run
+     * transfers of counters kept outside the registry, and for events
+     * too rare to be worth a pre-interned id.
+     */
+    void addNamed(const std::string &name, uint64_t delta = 1);
+
     /** Record one observation into histogram @p id. */
     void
     observe(MetricId id, uint64_t value)
@@ -115,8 +124,8 @@ class MetricRegistry
     /**
      * Write every non-zero counter and gauge into @p out under its
      * registered name (set semantics: safe to call more than once).
-     * Zero-valued metrics are skipped so dumps keep the old StatSet
-     * "counters spring into existence at first touch" shape.
+     * Zero-valued metrics are skipped so dumps keep the "counters
+     * spring into existence at first touch" shape.
      */
     void exportTo(StatSet &out) const;
 

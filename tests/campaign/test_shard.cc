@@ -13,6 +13,7 @@
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "campaign/aggregate.hh"
 #include "campaign/campaign.hh"
@@ -289,12 +290,17 @@ TEST(Pool, StopAndJoinAbandonsQueuedJobsButFinishesRunning)
     for (size_t i = 0; i < jobs.size(); ++i)
         jobs[i].id = i;
     pool.submit(jobs);
-    pool.stopAndJoin();
-    pool.stopAndJoin();  // idempotent
+    // A running worker may be blocked pushing into the full 64-slot
+    // queue, so stopAndJoin() needs someone draining: join from a side
+    // thread while this one drains (the pool's documented contract).
+    std::thread joiner([&] {
+        pool.stopAndJoin();
+        pool.stopAndJoin();  // idempotent
+        queue.close();
+    });
 
     // Whatever was produced is a prefix-free subset of the 100 jobs;
     // each appears at most once and the queue is drainable.
-    queue.close();
     JobOutcome o;
     std::set<uint64_t> seen;
     size_t produced = 0;
@@ -302,6 +308,7 @@ TEST(Pool, StopAndJoinAbandonsQueuedJobsButFinishesRunning)
         EXPECT_TRUE(seen.insert(o.spec.id).second);
         ++produced;
     }
+    joiner.join();
     EXPECT_LE(produced, jobs.size());
 }
 

@@ -45,6 +45,10 @@ struct BudgetHarness
 
     void base(uint64_t c) { m.addCost(0, c, Bucket::Base); }
     void overhead(uint64_t c) { m.addCost(0, c, Bucket::Check); }
+
+    /** Intern @p b's counters in this machine's registry, as the
+     *  owning policy does at run start. */
+    void bind(BudgetController &b) { b.bindMetrics(m.tel().registry); }
 };
 
 /** windowBase 1000 at 5% -> hard 50, soft 30. */
@@ -65,6 +69,7 @@ TEST(Budget, DisabledAdmitsEverything)
 {
     BudgetHarness h;
     BudgetController b(BudgetConfig{}, 1);
+    h.bind(b);
     EXPECT_FALSE(b.enabled());
     h.overhead(100000);
     EXPECT_TRUE(b.admitRegion(h.m, 0));
@@ -76,6 +81,7 @@ TEST(Budget, WindowsCloseOnBaseCrossingsOnly)
 {
     BudgetHarness h;
     BudgetController b(smallConfig(), 1);
+    h.bind(b);
     b.onRunStart(h.m);
 
     // Overhead alone never closes a window: the clock is native time.
@@ -98,6 +104,7 @@ TEST(Budget, TrailingPartialWindowIsNotRecorded)
 {
     BudgetHarness h;
     BudgetController b(smallConfig(), 1);
+    h.bind(b);
     b.onRunStart(h.m);
     h.base(999);
     h.overhead(10000);
@@ -109,6 +116,7 @@ TEST(Budget, AdmissionGatesAtTheSoftLine)
 {
     BudgetHarness h;
     BudgetController b(smallConfig(), 1);
+    h.bind(b);
     b.onRunStart(h.m);
 
     h.overhead(29);  // below soft (30)
@@ -131,6 +139,7 @@ TEST(Budget, AdmissionIsProspective)
     // gate can refuse.
     BudgetHarness h;
     BudgetController b(smallConfig(), 1);
+    h.bind(b);
     b.onRunStart(h.m);
 
     EXPECT_FALSE(b.admitCheck(h.m, 0, 1, 31));  // 0 + 31 > soft 30
@@ -146,6 +155,7 @@ TEST(Budget, CutsDeepestSpenderFirstUntilExcessCovered)
     BudgetHarness h;
     BudgetConfig cfg = smallConfig();
     BudgetController b(cfg, 1);
+    h.bind(b);
     b.onRunStart(h.m);
 
     // Window overhead 60: excess over soft is 30. Site 5 spent 40 (it
@@ -169,6 +179,7 @@ TEST(Budget, RepeatedCutsClampAtTheFloor)
     BudgetHarness h;
     BudgetConfig cfg = smallConfig();
     BudgetController b(cfg, 1);
+    h.bind(b);
     b.onRunStart(h.m);
 
     for (int i = 0; i < 10; ++i) {
@@ -185,6 +196,7 @@ TEST(Budget, ProbeIntervalDoublesPerFailureAndCaps)
     BudgetHarness h;
     BudgetConfig cfg = smallConfig();
     BudgetController b(cfg, 1);
+    h.bind(b);
     b.onRunStart(h.m);
 
     auto stormWindow = [&] {
@@ -253,6 +265,9 @@ TEST(Budget, SamplingDrawsAreDeterministicPerSeed)
         h.base(1000);
         ctl.admitRegion(h.m, 0, 0);
     };
+    ha.bind(a);
+    hb.bind(b);
+    hc.bind(c);
     cutOnce(ha, a);
     cutOnce(hb, b);
     cutOnce(hc, c);
@@ -278,6 +293,7 @@ TEST(Budget, UnsatisfiableAfterConsecutiveHardRefusedWindows)
     BudgetHarness h;
     BudgetConfig cfg = smallConfig();
     BudgetController b(cfg, 1);
+    h.bind(b);
     b.onRunStart(h.m);
 
     // Un-gateable overhead alone blows the hard budget, window after
@@ -302,6 +318,7 @@ TEST(Budget, HardOverWithoutRefusalIsNotUnsatisfiable)
     BudgetHarness h;
     BudgetConfig cfg = smallConfig();
     BudgetController b(cfg, 1);
+    h.bind(b);
     b.onRunStart(h.m);
 
     for (uint32_t i = 0; i < 3 * cfg.unsatisfiableWindows; ++i) {
@@ -319,6 +336,7 @@ TEST(Budget, HardOverWithoutRefusalIsNotUnsatisfiable)
     // accumulate the consecutive streak either.
     BudgetHarness h2;
     BudgetController b2(cfg, 1);
+    h2.bind(b2);
     b2.onRunStart(h2.m);
     for (uint32_t i = 0; i < 3 * cfg.unsatisfiableWindows; ++i) {
         bool storm = i % 2 == 0;

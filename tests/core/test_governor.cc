@@ -42,7 +42,8 @@ enabledConfig()
     return cfg;
 }
 
-/** A machine we only use as a clock + stats + event sink. */
+/** A machine we only use as a clock + metrics registry + event
+ *  sink. */
 struct GovHarness
 {
     ir::Program prog = tinyProgram();
@@ -53,6 +54,17 @@ struct GovHarness
     GovHarness() : m(prog, mcfg, policy) {}
 
     void tick(uint64_t cost) { m.context(0).myCost += cost; }
+
+    /** Intern @p gov's counters in this machine's registry, as the
+     *  owning policy does at run start. */
+    void bind(FallbackGovernor &gov) { gov.bindMetrics(m.tel().registry); }
+
+    /** Current value of counter @p name. */
+    uint64_t
+    count(const char *name) const
+    {
+        return m.tel().registry.valueByName(name);
+    }
 };
 
 } // namespace
@@ -61,13 +73,14 @@ TEST(Governor, DisabledIsInert)
 {
     GovHarness h;
     FallbackGovernor gov(GovernorConfig{}, 1);
+    h.bind(gov);
     EXPECT_FALSE(gov.enabled());
     EXPECT_EQ(gov.levelForRegion(h.m, 0), FallbackGovernor::kFast);
     EXPECT_EQ(gov.onAbort(h.m, 0, Bucket::Unknown),
               GovernorAction::FallBack);
     EXPECT_EQ(gov.onAbort(h.m, 0, Bucket::Conflict),
               GovernorAction::FallBack);
-    EXPECT_EQ(h.m.stats().get("txrace.gov.demotions"), 0u);
+    EXPECT_EQ(h.count("txrace.gov.demotions"), 0u);
 }
 
 TEST(Governor, CapacityAbortRateDemotesToShortTx)
@@ -76,13 +89,14 @@ TEST(Governor, CapacityAbortRateDemotesToShortTx)
     GovernorConfig cfg = enabledConfig();
     cfg.maxBackoffRetries = 0;  // isolate the window logic
     FallbackGovernor gov(cfg, 1);
+    h.bind(gov);
 
     // demoteAbortsPerWindow aborts inside one window: demote. The
     // first rung for capacity pressure is shorter transactions.
     for (uint32_t i = 0; i < cfg.demoteAbortsPerWindow; ++i)
         gov.onAbort(h.m, 0, Bucket::Capacity);
     EXPECT_EQ(gov.level(0), FallbackGovernor::kShortTx);
-    EXPECT_EQ(h.m.stats().get("txrace.gov.demotions"), 1u);
+    EXPECT_EQ(h.count("txrace.gov.demotions"), 1u);
     EXPECT_EQ(gov.demoteReasonFor(0), Bucket::Capacity);
     EXPECT_EQ(gov.loopcutDivisorFor(0), 2u);
 }
@@ -95,6 +109,7 @@ TEST(Governor, UnknownAbortRateSkipsStraightToSlowStart)
     GovernorConfig cfg = enabledConfig();
     cfg.maxBackoffRetries = 0;
     FallbackGovernor gov(cfg, 1);
+    h.bind(gov);
 
     for (uint32_t i = 0; i < cfg.demoteAbortsPerWindow; ++i)
         gov.onAbort(h.m, 0, Bucket::Unknown);
@@ -111,6 +126,7 @@ TEST(Governor, ShortTxRungSkippedWithoutLoopCuts)
     GovernorConfig cfg = enabledConfig();
     cfg.maxBackoffRetries = 0;
     FallbackGovernor gov(cfg, 1);
+    h.bind(gov);
     gov.setShortTxUseful(false);
 
     for (uint32_t i = 0; i < cfg.demoteAbortsPerWindow; ++i)
@@ -124,6 +140,7 @@ TEST(Governor, SparseAbortsNeverDemote)
     GovernorConfig cfg = enabledConfig();
     cfg.maxBackoffRetries = 0;
     FallbackGovernor gov(cfg, 1);
+    h.bind(gov);
 
     // One abort per window, forever: the window keeps rolling over.
     for (int i = 0; i < 50; ++i) {
@@ -131,7 +148,7 @@ TEST(Governor, SparseAbortsNeverDemote)
         h.tick(cfg.windowCost + 1);
     }
     EXPECT_EQ(gov.level(0), FallbackGovernor::kFast);
-    EXPECT_EQ(h.m.stats().get("txrace.gov.demotions"), 0u);
+    EXPECT_EQ(h.count("txrace.gov.demotions"), 0u);
 }
 
 TEST(Governor, LivelockEscalatesStraightToSlowStart)
@@ -139,13 +156,14 @@ TEST(Governor, LivelockEscalatesStraightToSlowStart)
     GovHarness h;
     GovernorConfig cfg = enabledConfig();
     FallbackGovernor gov(cfg, 1);
+    h.bind(gov);
 
     for (uint32_t i = 0; i < cfg.livelockK; ++i) {
         gov.onAbort(h.m, 0, Bucket::Conflict, /*primary=*/true);
         h.tick(cfg.windowCost + 1);  // keep the rate window quiet
     }
     EXPECT_EQ(gov.level(0), FallbackGovernor::kSlowStart);
-    EXPECT_EQ(h.m.stats().get("txrace.gov.livelock_escalations"), 1u);
+    EXPECT_EQ(h.count("txrace.gov.livelock_escalations"), 1u);
     EXPECT_EQ(gov.demoteReasonFor(0), Bucket::Conflict);
 }
 
@@ -154,6 +172,7 @@ TEST(Governor, CommitResetsTheLivelockCounter)
     GovHarness h;
     GovernorConfig cfg = enabledConfig();
     FallbackGovernor gov(cfg, 1);
+    h.bind(gov);
 
     for (int round = 0; round < 5; ++round) {
         for (uint32_t i = 0; i + 1 < cfg.livelockK; ++i) {
@@ -163,7 +182,7 @@ TEST(Governor, CommitResetsTheLivelockCounter)
         gov.onCommit(0);  // a commit interrupts the streak
     }
     EXPECT_EQ(gov.level(0), FallbackGovernor::kFast);
-    EXPECT_EQ(h.m.stats().get("txrace.gov.livelock_escalations"), 0u);
+    EXPECT_EQ(h.count("txrace.gov.livelock_escalations"), 0u);
 }
 
 TEST(Governor, CollateralConflictsDoNotCountTowardLivelock)
@@ -171,6 +190,7 @@ TEST(Governor, CollateralConflictsDoNotCountTowardLivelock)
     GovHarness h;
     GovernorConfig cfg = enabledConfig();
     FallbackGovernor gov(cfg, 1);
+    h.bind(gov);
 
     // TxFail-broadcast victims (primary=false), spaced so the abort
     // window never trips either.
@@ -179,7 +199,7 @@ TEST(Governor, CollateralConflictsDoNotCountTowardLivelock)
         h.tick(cfg.windowCost + 1);
     }
     EXPECT_EQ(gov.level(0), FallbackGovernor::kFast);
-    EXPECT_EQ(h.m.stats().get("txrace.gov.livelock_escalations"), 0u);
+    EXPECT_EQ(h.count("txrace.gov.livelock_escalations"), 0u);
 }
 
 TEST(Governor, UnknownAbortsGetBoundedBackoffRetries)
@@ -188,6 +208,7 @@ TEST(Governor, UnknownAbortsGetBoundedBackoffRetries)
     GovernorConfig cfg = enabledConfig();
     cfg.maxBackoffRetries = 2;
     FallbackGovernor gov(cfg, 1);
+    h.bind(gov);
 
     uint64_t before = h.m.context(0).myCost;
     EXPECT_EQ(gov.onAbort(h.m, 0, Bucket::Unknown),
@@ -211,7 +232,7 @@ TEST(Governor, UnknownAbortsGetBoundedBackoffRetries)
     h.tick(cfg.windowCost + 1);
     EXPECT_EQ(gov.onAbort(h.m, 0, Bucket::Unknown),
               GovernorAction::FallBack);
-    EXPECT_EQ(h.m.stats().get("txrace.gov.backoff_retries"), 2u);
+    EXPECT_EQ(h.count("txrace.gov.backoff_retries"), 2u);
 
     // A commit refills the per-region budget.
     gov.onCommit(0);
@@ -224,6 +245,7 @@ TEST(Governor, ConflictAbortsNeverRetryInPlace)
 {
     GovHarness h;
     FallbackGovernor gov(enabledConfig(), 1);
+    h.bind(gov);
     // The TxFail protocol must run: both sides get re-checked.
     EXPECT_EQ(gov.onAbort(h.m, 0, Bucket::Conflict),
               GovernorAction::FallBack);
@@ -237,6 +259,7 @@ TEST(Governor, ReprobationClimbsAndBacksOffExponentially)
     GovernorConfig cfg = enabledConfig();
     cfg.maxBackoffRetries = 0;
     FallbackGovernor gov(cfg, 1);
+    h.bind(gov);
 
     auto demoteOnce = [&] {
         for (uint32_t i = 0; i < cfg.demoteAbortsPerWindow; ++i)
@@ -252,25 +275,25 @@ TEST(Governor, ReprobationClimbsAndBacksOffExponentially)
     // Cooldown elapsed: probes one level up.
     h.tick(2);
     EXPECT_EQ(gov.levelForRegion(h.m, 0), FallbackGovernor::kFast);
-    EXPECT_EQ(h.m.stats().get("txrace.gov.reprobations"), 1u);
+    EXPECT_EQ(h.count("txrace.gov.reprobations"), 1u);
 
     // The storm is still raging: the probe fails...
     demoteOnce();
     EXPECT_EQ(gov.level(0), FallbackGovernor::kShortTx);
-    EXPECT_EQ(h.m.stats().get("txrace.gov.failed_probes"), 1u);
+    EXPECT_EQ(h.count("txrace.gov.failed_probes"), 1u);
 
     // ...so the next probe needs twice the cooldown.
     h.tick(cfg.reprobateAfterCost + 1);
     EXPECT_EQ(gov.levelForRegion(h.m, 0), FallbackGovernor::kShortTx);
     h.tick(cfg.reprobateAfterCost);
     EXPECT_EQ(gov.levelForRegion(h.m, 0), FallbackGovernor::kFast);
-    EXPECT_EQ(h.m.stats().get("txrace.gov.reprobations"), 2u);
+    EXPECT_EQ(h.count("txrace.gov.reprobations"), 2u);
 
     // This time the storm has passed: two calm windows clear the
     // backoff entirely.
     h.tick(2 * cfg.windowCost);
     EXPECT_EQ(gov.levelForRegion(h.m, 0), FallbackGovernor::kFast);
-    EXPECT_EQ(h.m.stats().get("txrace.gov.probe_successes"), 1u);
+    EXPECT_EQ(h.count("txrace.gov.probe_successes"), 1u);
 }
 
 TEST(Governor, SlowCostBudgetDemotesToSampling)
@@ -278,6 +301,7 @@ TEST(Governor, SlowCostBudgetDemotesToSampling)
     GovHarness h;
     GovernorConfig cfg = enabledConfig();
     FallbackGovernor gov(cfg, 1);
+    h.bind(gov);
 
     // Reach slow-start via livelock.
     for (uint32_t i = 0; i < cfg.livelockK; ++i) {
@@ -304,6 +328,7 @@ TEST(Governor, QuietStalledSlowPathProbesBackUp)
     GovHarness h;
     GovernorConfig cfg = enabledConfig();
     FallbackGovernor gov(cfg, 1);
+    h.bind(gov);
 
     // Reach slow-start via livelock.
     for (uint32_t i = 0; i < cfg.livelockK; ++i) {
@@ -318,8 +343,8 @@ TEST(Governor, QuietStalledSlowPathProbesBackUp)
     h.tick(cfg.windowCost + 1);
     gov.onSlowCheckCost(h.m, 0, cfg.demoteSlowCostPerWindow);
     EXPECT_EQ(gov.level(0), FallbackGovernor::kShortTx);
-    EXPECT_EQ(h.m.stats().get("txrace.gov.stall_promotions"), 1u);
-    EXPECT_EQ(h.m.stats().get("txrace.gov.demotions"), 1u);  // livelock only
+    EXPECT_EQ(h.count("txrace.gov.stall_promotions"), 1u);
+    EXPECT_EQ(h.count("txrace.gov.demotions"), 1u);  // livelock only
 }
 
 TEST(Governor, SamplingDrawsAreDeterministicPerSeed)
@@ -347,6 +372,7 @@ TEST(Governor, ProbeIntervalExactlyDoublesUnderPersistentStorm)
     GovernorConfig cfg = enabledConfig();
     cfg.maxBackoffRetries = 0;
     FallbackGovernor gov(cfg, 1);
+    h.bind(gov);
 
     auto demoteOnce = [&] {
         for (uint32_t i = 0; i < cfg.demoteAbortsPerWindow; ++i)
@@ -399,6 +425,7 @@ TEST(Governor, EscalationIsDeterministicAcrossSeeds)
     for (uint64_t seed = 1; seed <= 10; ++seed) {
         GovHarness h;
         FallbackGovernor gov(cfg, seed);
+        h.bind(gov);
         std::vector<uint32_t> levels;
         for (int i = 0; i < 40; ++i) {
             Bucket reason = i % 3 == 0 ? Bucket::Unknown
@@ -427,12 +454,14 @@ TEST(Governor, BudgetPressureVetoesPromotions)
     GovernorConfig cfg = enabledConfig();
     cfg.maxBackoffRetries = 0;
     FallbackGovernor gov(cfg, 1);
+    h.bind(gov);
 
     core::BudgetConfig bcfg;
     bcfg.enabled = true;
     bcfg.budgetPct = 5.0;
     bcfg.windowBase = 1'000'000;  // one window spans the whole test
     core::BudgetController budget(bcfg, 1);
+    budget.bindMetrics(h.m.tel().registry);
     budget.onRunStart(h.m);
     gov.setBudget(&budget);
 
@@ -450,8 +479,8 @@ TEST(Governor, BudgetPressureVetoesPromotions)
     // promotion, and the veto restarts the cooldown.
     h.tick(cfg.reprobateAfterCost + 1);
     EXPECT_EQ(gov.levelForRegion(h.m, 0), FallbackGovernor::kShortTx);
-    EXPECT_EQ(h.m.stats().get("txrace.gov.budget_vetoes"), 1u);
-    EXPECT_EQ(h.m.stats().get("txrace.gov.reprobations"), 0u);
+    EXPECT_EQ(h.count("txrace.gov.budget_vetoes"), 1u);
+    EXPECT_EQ(h.count("txrace.gov.reprobations"), 0u);
 
     // Pressure clears with the next window roll (overhead stayed
     // below the soft level), and the deferred probe goes through.
@@ -460,7 +489,7 @@ TEST(Governor, BudgetPressureVetoesPromotions)
     EXPECT_FALSE(budget.underPressure());
     h.tick(cfg.reprobateAfterCost + 1);
     EXPECT_EQ(gov.levelForRegion(h.m, 0), FallbackGovernor::kFast);
-    EXPECT_EQ(h.m.stats().get("txrace.gov.reprobations"), 1u);
+    EXPECT_EQ(h.count("txrace.gov.reprobations"), 1u);
 }
 
 TEST(Governor, ThreadsAreIndependent)
@@ -469,6 +498,7 @@ TEST(Governor, ThreadsAreIndependent)
     GovernorConfig cfg = enabledConfig();
     cfg.maxBackoffRetries = 0;
     FallbackGovernor gov(cfg, 1);
+    h.bind(gov);
     for (uint32_t i = 0; i < cfg.demoteAbortsPerWindow; ++i)
         gov.onAbort(h.m, 0, Bucket::Capacity);
     EXPECT_EQ(gov.level(0), FallbackGovernor::kShortTx);

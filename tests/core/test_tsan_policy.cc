@@ -91,8 +91,8 @@ TEST(TsanPolicy, SamplingChecksApproximateRate)
     core::TsanPolicy policy(0.5, 9);
     Machine m(p, quietConfig(), policy);
     m.run();
-    uint64_t checked = m.det().stats().get("detector.reads") +
-                       m.det().stats().get("detector.writes");
+    uint64_t checked = m.det().counters().reads +
+                       m.det().counters().writes;
     // 60 instrumented accesses at 50%.
     EXPECT_GT(checked, 15u);
     EXPECT_LT(checked, 45u);
@@ -114,8 +114,8 @@ TEST(TsanPolicy, UninstrumentedAccessesAreFree)
     core::TsanPolicy policy(1.0, 9);
     Machine m(p, quietConfig(), policy);
     m.run();
-    EXPECT_EQ(m.det().stats().get("detector.reads"), 0u);
-    EXPECT_EQ(m.det().stats().get("detector.writes"), 0u);
+    EXPECT_EQ(m.det().counters().reads, 0u);
+    EXPECT_EQ(m.det().counters().writes, 0u);
 }
 
 TEST(TsanPolicy, SyncTrackingCostsGoToCheckBucket)

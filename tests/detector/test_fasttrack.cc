@@ -277,7 +277,7 @@ TEST(FastTrack, BoundedShadowCanMissRaces)
     det.write(0, 0x40, 9);
     // Only the surviving shadow entry can be reported.
     EXPECT_LE(det.races().count(), 2u);
-    EXPECT_GE(det.stats().get("detector.evictions"), 1u);
+    EXPECT_GE(det.counters().evictions, 1u);
 }
 
 TEST(FastTrack, StatsCountChecks)
@@ -286,9 +286,9 @@ TEST(FastTrack, StatsCountChecks)
     det.read(1, 0x40, 1);
     det.read(1, 0x48, 1);
     det.write(2, 0x40, 2);
-    EXPECT_EQ(det.stats().get("detector.reads"), 2u);
-    EXPECT_EQ(det.stats().get("detector.writes"), 1u);
-    EXPECT_EQ(det.stats().get("detector.race_hits"), 1u);
+    EXPECT_EQ(det.counters().reads, 2u);
+    EXPECT_EQ(det.counters().writes, 1u);
+    EXPECT_EQ(det.counters().raceHits, 1u);
 }
 
 TEST(FastTrack, DropShadowForgetsAccessesButKeepsClocks)
@@ -309,8 +309,8 @@ TEST(FastTrack, EpochSufficiencyStatistics)
     det.read(1, 0x40, 1);
     det.read(1, 0x40, 1);
     det.read(1, 0x40, 1);
-    EXPECT_EQ(det.stats().get("detector.read_epoch_sufficient"), 3u);
-    EXPECT_EQ(det.stats().get("detector.read_vc_promoted"), 0u);
+    EXPECT_EQ(det.counters().readEpochSufficient, 3u);
+    EXPECT_EQ(det.counters().readVcPromoted, 0u);
     det.read(2, 0x40, 2);  // concurrent second reader: promotion
-    EXPECT_EQ(det.stats().get("detector.read_vc_promoted"), 1u);
+    EXPECT_EQ(det.counters().readVcPromoted, 1u);
 }

@@ -193,6 +193,6 @@ TEST(Lockset, StatsCountAccesses)
     d.read(1, 0x40, 1);
     d.write(1, 0x48, 2);
     d.write(2, 0x48, 3);
-    EXPECT_EQ(d.stats().get("lockset.reads"), 1u);
-    EXPECT_EQ(d.stats().get("lockset.writes"), 2u);
+    EXPECT_EQ(d.counters().reads, 1u);
+    EXPECT_EQ(d.counters().writes, 2u);
 }

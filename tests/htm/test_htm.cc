@@ -38,8 +38,8 @@ TEST(Htm, BeginCommitLifecycle)
     h.commit(0);
     EXPECT_FALSE(h.inTx(0));
     EXPECT_EQ(h.inFlightCount(), 0u);
-    EXPECT_EQ(h.stats().get("htm.begins"), 1u);
-    EXPECT_EQ(h.stats().get("htm.commits"), 1u);
+    EXPECT_EQ(h.counters().begins, 1u);
+    EXPECT_EQ(h.counters().commits, 1u);
 }
 
 TEST(Htm, TracksReadAndWriteSets)
@@ -168,7 +168,7 @@ TEST(Htm, WriteCapacityPerSetAssociativity)
     EXPECT_TRUE(res.selfCapacity);
     EXPECT_FALSE(h.inTx(0));
     EXPECT_EQ(h.lastAbortStatus(0), kAbortCapacity);
-    EXPECT_EQ(h.stats().get("htm.aborts.capacity"), 1u);
+    EXPECT_EQ(h.counters().abortsCapacity, 1u);
 }
 
 TEST(Htm, WritesToDistinctSetsDoNotOverflow)
@@ -224,7 +224,7 @@ TEST(Htm, ExplicitAbortRecordsStatus)
     h.begin(0);
     h.abortTx(0, 0);  // unknown
     EXPECT_TRUE(isUnknownAbort(h.lastAbortStatus(0)));
-    EXPECT_EQ(h.stats().get("htm.aborts.unknown"), 1u);
+    EXPECT_EQ(h.counters().abortsUnknown, 1u);
 }
 
 TEST(Htm, ResetClearsEverything)
@@ -235,7 +235,7 @@ TEST(Htm, ResetClearsEverything)
     h.reset();
     EXPECT_FALSE(h.inTx(0));
     EXPECT_EQ(h.inFlightCount(), 0u);
-    EXPECT_EQ(h.stats().get("htm.begins"), 0u);
+    EXPECT_EQ(h.counters().begins, 0u);
 }
 
 TEST(Htm, InFlightTids)

@@ -96,9 +96,7 @@ allocationsDuring(Fn &&fn)
 TEST(HtmAllocation, WarmSteadyStateIsHeapFree)
 {
     HtmConfig cfg;
-    cfg.engine = ConflictEngine::Directory;
     HtmEngine h(cfg);
-    ASSERT_TRUE(h.usesDirectory());
 
     constexpr int kThreads = 8;
     constexpr int kLinesPerThread = 16;
@@ -129,7 +127,6 @@ TEST(HtmAllocation, WarmSteadyStateIsHeapFree)
 TEST(HtmAllocation, ConflictAbortPathAllocatesOnlyTheVictimList)
 {
     HtmConfig cfg;
-    cfg.engine = ConflictEngine::Directory;
     HtmEngine h(cfg);
 
     size_t victimTotal = 0;

@@ -75,7 +75,6 @@ TEST_P(HtmAgainstMirror, VictimsAndFootprintsMatch)
     cfg.maxConcurrentTx = 8;
     cfg.accessFilter = std::get<1>(GetParam());
     HtmEngine engine(cfg);
-    EXPECT_TRUE(engine.usesDirectory());
     Mirror mirror;
     Rng rng(std::get<0>(GetParam()));
 

@@ -122,9 +122,7 @@ TEST(HtmDirectoryEngine, VictimBitmaskWithTidsBeyondSlotCount)
     // bitmask bits — are found through the slot->tid mapping when a
     // fourth high-tid thread writes their line, in ascending order.
     HtmConfig cfg;
-    cfg.engine = ConflictEngine::Directory;
     HtmEngine h(cfg);
-    ASSERT_TRUE(h.usesDirectory());
     for (Tid t : {Tid{200}, Tid{70}, Tid{131}}) {
         h.begin(t);
         h.access(t, 0x1000, false);
@@ -163,7 +161,6 @@ TEST(HtmDirectoryEngine, SlotReuseAcrossTransactions)
 TEST(HtmDirectoryEngine, LastTxOutClearsViaEpochNotWalk)
 {
     HtmEngine h;
-    ASSERT_TRUE(h.usesDirectory());
     const LineDirectory *d = h.lineDirectory();
     ASSERT_NE(d, nullptr);
     h.begin(0);
@@ -196,13 +193,6 @@ TEST(HtmDirectoryEngine, RejectsConfigsBeyondSlotLimit)
     HtmConfig cfg;
     cfg.maxConcurrentTx = 65;
     EXPECT_DEATH(HtmEngine{cfg}, "maxConcurrentTx must be <= 64");
-}
-
-TEST(HtmDirectoryEngine, RejectsRetiredLegacyScanEnum)
-{
-    HtmConfig cfg;
-    cfg.engine = ConflictEngine::LegacyScan;
-    EXPECT_DEATH(HtmEngine{cfg}, "LegacyScan engine was removed");
 }
 
 TEST(HtmDirectoryEngine, ResetDropsDirectoryState)

@@ -209,7 +209,7 @@ TEST(Machine, ThreadCreateAndJoinAll)
     Machine m(p, quietConfig(), policy);
     m.run();
     EXPECT_EQ(m.numThreads(), 5u);
-    EXPECT_EQ(m.stats().get("machine.threads_created"), 4u);
+    EXPECT_EQ(m.tel().registry.valueByName("machine.threads_created"), 4u);
     // 4 workers x 100 + main's compute + thread ops.
     EXPECT_GE(m.totalCost(), 401u);
 }
@@ -315,7 +315,7 @@ TEST(Machine, DeadlockReturnsStructuredError)
     // Blocked-on state names the function and the offending wait.
     EXPECT_NE(err.threads[0].where.find("main"), std::string::npos);
     EXPECT_EQ(err.threads[0].state, ThreadState::Blocked);
-    EXPECT_EQ(m.stats().get("machine.deadlocks"), 1u);
+    EXPECT_EQ(m.tel().registry.valueByName("machine.deadlocks"), 1u);
     // The machine survives; error() returns the same report.
     EXPECT_EQ(m.error().kind, RunError::Kind::Deadlock);
 }
@@ -366,8 +366,8 @@ TEST(Machine, StepLimitTruncatesInsteadOfAborting)
     // The runaway thread is reported still runnable, mid-loop.
     ASSERT_EQ(err.threads.size(), 1u);
     EXPECT_EQ(err.threads[0].state, ThreadState::Runnable);
-    EXPECT_EQ(m.stats().get("machine.truncated"), 1u);
-    EXPECT_EQ(m.stats().get("machine.steps"), 100u);
+    EXPECT_EQ(m.tel().registry.valueByName("machine.truncated"), 1u);
+    EXPECT_EQ(m.tel().registry.valueByName("machine.steps"), 100u);
     // Partial cost accounting is still coherent.
     uint64_t sum = 0;
     for (uint64_t c : m.buckets())

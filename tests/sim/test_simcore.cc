@@ -2,10 +2,10 @@
  * @file
  * Contract tests for the decoded step loop (threaded-code dispatch,
  * quantum batching, O(1) runnable set): seeded determinism down to the
- * schedule hash and the full stats dump, agreement between the decoded
- * and classic lanes on schedule-independent outcomes, full-registry
- * ground-truth recall under the new scheduler, and structured
- * BadAccess errors instead of process death on malformed workloads.
+ * schedule hash and the full stats dump, exact final memory images
+ * (schedule-independent by construction), full-registry ground-truth
+ * recall under the quantum scheduler, and structured BadAccess errors
+ * instead of process death on malformed workloads.
  */
 
 #include <gtest/gtest.h>
@@ -22,17 +22,27 @@ using namespace txrace::workloads;
 
 namespace {
 
+/** Iterations of mixedProgram's worker loop. */
+constexpr uint64_t kMixedIters = 20;
+
 /** Two workers mixing shared, per-thread, and loop-indexed traffic —
- *  exercises every address shape the decoder specializes. */
+ *  exercises every address shape the decoder specializes. The shared
+ *  word's and slot array's addresses are returned through the
+ *  optional out-parameters. */
 ir::Program
-mixedProgram()
+mixedProgram(ir::Addr *shared_out = nullptr,
+             ir::Addr *slots_out = nullptr)
 {
     ir::ProgramBuilder b;
     ir::Addr shared = b.alloc("shared", 64, 64);
     ir::Addr slots = b.alloc("slots", 4 * 64, 64);
+    if (shared_out)
+        *shared_out = shared;
+    if (slots_out)
+        *slots_out = slots;
     ir::Addr table = b.alloc("table", 64 * 8);
     ir::FuncId worker = b.beginFunction("worker");
-    b.loop(20, [&] {
+    b.loop(kMixedIters, [&] {
         b.compute(3);
         b.store(ir::AddrExpr::perThread(slots, 64));
         b.loop(4, [&] {
@@ -103,26 +113,30 @@ TEST(SimCore, GoldenStatsDumpIsByteIdentical)
     EXPECT_EQ(a.totalCost, b.totalCost);
 }
 
-TEST(SimCore, ClassicAndDecodedAgreeOnFinalMemory)
+TEST(SimCore, DecodedFinalMemoryMatchesClosedForm)
 {
-    // Stores accumulate commutatively (granule += arg0 + 1), so final
-    // memory is schedule-independent: the classic and decoded lanes
-    // must agree exactly even though their schedules differ. This is
-    // the differential oracle for the decoded handlers' store path.
-    ir::Program p = mixedProgram();
-    auto finalMemory = [&](StepLoop lane) {
-        MachineConfig cfg = quietConfig();
-        cfg.stepLoop = lane;
+    // Stores accumulate commutatively (granule += arg0 + 1), so the
+    // final image of mixedProgram is known exactly whatever the
+    // schedule: each of the two workers (tids 1 and 2) stores once per
+    // iteration to its own slot and once to the shared word, and the
+    // loads leave memory alone. Every other granule stays zero. This
+    // pins the decoded store handlers for every address shape.
+    ir::Addr shared = 0, slots = 0;
+    ir::Program p = mixedProgram(&shared, &slots);
+    std::vector<uint64_t> want(p.addrSpaceSize() / 8, 0);
+    want[shared / 8] = 2 * kMixedIters;
+    for (Tid t : {Tid{1}, Tid{2}})
+        want[(slots + 64 * t) / 8] = kMixedIters;
+
+    for (uint64_t seed : {1ull, 2ull, 3ull}) {
         core::NativePolicy policy;
-        Machine m(p, cfg, policy);
+        Machine m(p, quietConfig(seed), policy);
         EXPECT_TRUE(m.run().ok());
         std::vector<uint64_t> image;
         for (ir::Addr a = 0; a < p.addrSpaceSize(); a += 8)
             image.push_back(m.memory().load(a));
-        return image;
-    };
-    EXPECT_EQ(finalMemory(StepLoop::Decoded),
-              finalMemory(StepLoop::Classic));
+        EXPECT_EQ(image, want) << "seed " << seed;
+    }
 }
 
 TEST(SimCore, QuantumIsBehaviorAffectingButDeterministic)
@@ -203,8 +217,12 @@ TEST(SimCore, BadAccessSurfacesThroughDriver)
     EXPECT_FALSE(r.error.threads.empty());
 }
 
-TEST(SimCore, ClassicLaneRaisesBadAccessToo)
+TEST(SimCore, LoopIndexedBadAccessIsStructured)
 {
+    // A loop-indexed address that leaves the address space on its
+    // second trip: the LoopIndexed handler's bounds check (distinct
+    // from the thread-strided one above) must raise the structured
+    // BadAccess stop, not read past the end.
     ir::ProgramBuilder b;
     ir::Addr small = b.alloc("small", 64, 64);
     b.beginFunction("main");
@@ -217,8 +235,8 @@ TEST(SimCore, ClassicLaneRaisesBadAccessToo)
     b.endFunction();
     ir::Program p = b.build();
     core::NativePolicy policy;
-    MachineConfig cfg = quietConfig();
-    cfg.stepLoop = StepLoop::Classic;
-    Machine m(p, cfg, policy);
-    EXPECT_EQ(m.run().kind, RunError::Kind::BadAccess);
+    Machine m(p, quietConfig(), policy);
+    const RunError &err = m.run();
+    EXPECT_EQ(err.kind, RunError::Kind::BadAccess);
+    EXPECT_FALSE(err.threads.empty());
 }

@@ -147,12 +147,16 @@ TEST(TxValues, AbortDiscardsSpeculativeStores)
         pc.insertLoopCuts = false;
         return pc;
     }());
-    core::TxRacePolicy policy(core::TxRacePolicy::Scheme::NoOpt);
+    // Built directly, the policy runs whatever slow path the config
+    // names; name it rather than lean on a default.
+    cfg.slowpath = core::SlowPathKind::Region;
+    core::TxRacePolicy policy(cfg);
     Machine m(prepared, cfg.machine, policy);
     m.run();
 
-    EXPECT_GE(m.stats().get("tx.abort.capacity") +
-                  m.htm().stats().get("htm.aborts.capacity"),
+    const auto &reg = m.tel().registry;
+    EXPECT_GE(reg.valueByName("tx.abort.capacity") +
+                  reg.valueByName("htm.aborts.capacity"),
               1u);
     // Every row was incremented exactly 4 times per worker despite
     // all the aborted attempts: no double-publish, no loss.
@@ -188,14 +192,29 @@ TEST(TxValues, ConflictVictimRepublishesExactlyOnce)
     Program p = b.build();
 
     ir::Program prepared = passes::preparedForTxRace(p);
-    core::TxRacePolicy policy(core::TxRacePolicy::Scheme::Dyn);
-    MachineConfig cfg = quietConfig(5);
-    Machine m(prepared, cfg, policy);
-    m.run();
-    EXPECT_GT(m.stats().get("tx.abort.conflict") +
-                  m.htm().stats().get("htm.aborts.conflict"),
-              0u);
-    EXPECT_EQ(m.memory().load(counter), 30u);
+    // Both conflict repairs must publish each increment exactly once:
+    // region re-execution, and the windowed replay's in-place
+    // re-begin (which needs the engine's version log).
+    for (core::SlowPathKind kind :
+         {core::SlowPathKind::Region, core::SlowPathKind::Window}) {
+        SCOPED_TRACE(core::slowPathKindName(kind));
+        core::RunConfig cfg;
+        cfg.mode = core::RunMode::TxRaceDynLoopcut;
+        cfg.slowpath = kind;
+        cfg.machine = quietConfig(5);
+        cfg.machine.htm.versionLog = kind == core::SlowPathKind::Window;
+        core::TxRacePolicy policy(cfg);
+        Machine m(prepared, cfg.machine, policy);
+        m.run();
+        const auto &reg = m.tel().registry;
+        EXPECT_GT(reg.valueByName("tx.abort.conflict") +
+                      reg.valueByName("htm.aborts.conflict"),
+                  0u);
+        if (kind == core::SlowPathKind::Window) {
+            EXPECT_GT(reg.valueByName("txrace.window.replays"), 0u);
+        }
+        EXPECT_EQ(m.memory().load(counter), 30u);
+    }
 }
 
 TEST(TxValues, TransactionReadsItsOwnBufferedValue)

@@ -155,6 +155,7 @@ TEST(PhaseProfiler, GovernorBackoffStallIsDegradedCost)
     cfg.enabled = true;
     cfg.maxBackoffRetries = 2;
     core::FallbackGovernor gov(cfg, 1);
+    gov.bindMetrics(m.tel().registry);
 
     ASSERT_EQ(m.tel().phases.costOf(Phase::Degraded), 0u);
     ASSERT_EQ(gov.onAbort(m, 0, sim::Bucket::Unknown),

@@ -2,7 +2,7 @@
  * @file
  * Unit tests of the typed metrics registry and the log-bucket
  * histogram: bucket boundaries, merging, interned-id determinism, and
- * the StatSet compatibility export.
+ * the StatSet snapshot export.
  */
 
 #include <gtest/gtest.h>
@@ -102,6 +102,21 @@ TEST(MetricRegistry, HotPathUpdatesAndLookup)
     EXPECT_EQ(reg.valueByName("nope"), 0u);
     EXPECT_EQ(reg.find("g"), g);
     EXPECT_EQ(reg.find("nope"), telemetry::kNoMetric);
+}
+
+TEST(MetricRegistry, AddNamedAccumulatesAndSkipsZero)
+{
+    MetricRegistry reg;
+    MetricId pre = reg.counter("pre");
+    reg.addNamed("pre", 2);
+    reg.addNamed("late", 3);
+    reg.addNamed("late");
+    reg.addNamed("zero", 0);
+    EXPECT_EQ(reg.value(pre), 2u);
+    EXPECT_EQ(reg.valueByName("late"), 4u);
+    // A zero delta registers nothing, so it cannot shift later ids.
+    EXPECT_EQ(reg.find("zero"), telemetry::kNoMetric);
+    EXPECT_EQ(reg.size(), 2u);
 }
 
 TEST(MetricRegistry, ExportSkipsZerosAndHistograms)
