@@ -5,13 +5,15 @@ Two independent checks over google-benchmark JSON output, plus an
 optional monitor-mode budget-compliance gate over txrace_run
 --metrics-json output (--monitor-metrics):
 
-1. Same-run ratio gate (always on): --ratio-fast must beat
-   --ratio-slow by at least --min-ratio. Both numbers come from the
-   same process on the same machine, so this gate is immune to
-   host-speed differences — it checks the *shape* of the performance,
-   not absolute throughput. The default pair holds the owned-line
-   filter strictly faster than the unfiltered probe path on a
-   line-reuse-heavy stream; CI also runs an elision pair (end-to-end
+1. Same-run ratio gate (--ratio-fast and --ratio-slow, given
+   together): the fast benchmark must beat the slow one by at least
+   --min-ratio. Both numbers come from the same process on the same machine, so
+   this gate is immune to host-speed differences — it checks the
+   *shape* of the performance, not absolute throughput. A named
+   benchmark missing from the results fails the gate. CI holds the
+   owned-line filter (BM_HtmFilterReuse/8) strictly faster than the
+   unfiltered probe path (BM_HtmNoFilterReuse/8) on a
+   line-reuse-heavy stream, and also runs an elision pair (end-to-end
    elide-on vs elide-off) against BENCH_elision.json.
 
 2. Baseline regression gate (--baseline FILE): every benchmark present
@@ -38,7 +40,7 @@ optional monitor-mode budget-compliance gate over txrace_run
 
 Usage:
   bench_compare.py [CURRENT.json] [--baseline BASELINE.json]
-                   [--ratio-fast NAME] [--ratio-slow NAME]
+                   [--ratio-fast NAME --ratio-slow NAME]
                    [--calibration NAME]
                    [--min-ratio 1.05] [--max-regress 0.25] [--summary]
                    [--monitor-metrics METRICS.json] [--budget-pct N]
@@ -51,8 +53,6 @@ import argparse
 import json
 import sys
 
-DEFAULT_RATIO_FAST = "BM_HtmFilterReuse/8"
-DEFAULT_RATIO_SLOW = "BM_HtmNoFilterReuse/8"
 DEFAULT_CALIBRATION = "BM_HtmDirConflictFree/1"
 
 
@@ -85,9 +85,9 @@ def check_ratio(cur, fast_name, slow_name, min_ratio):
     fast = cur.get(fast_name)
     slow = cur.get(slow_name)
     if fast is None or slow is None:
-        print(f"ratio gate: SKIPPED ({fast_name} or {slow_name} "
-              "not in results)")
-        return True
+        missing = fast_name if fast is None else slow_name
+        print(f"ratio gate: FAIL ({missing} not in results)")
+        return False
     ratio = fast / slow
     ok = ratio >= min_ratio
     print(f"ratio gate: {fast_name} {fast / 1e6:.1f} M/s vs "
@@ -220,9 +220,9 @@ def main():
                          "the monitor gate)")
     ap.add_argument("--baseline",
                     help="committed baseline JSON to regress against")
-    ap.add_argument("--ratio-fast", default=DEFAULT_RATIO_FAST,
+    ap.add_argument("--ratio-fast",
                     help="numerator benchmark of the same-run ratio")
-    ap.add_argument("--ratio-slow", default=DEFAULT_RATIO_SLOW,
+    ap.add_argument("--ratio-slow",
                     help="denominator benchmark of the same-run ratio")
     ap.add_argument("--calibration", default=DEFAULT_CALIBRATION,
                     help="host-speed anchor for the baseline gate")
@@ -247,6 +247,8 @@ def main():
             and not args.profile_metrics):
         ap.error("need CURRENT.json, --monitor-metrics, "
                  "and/or --profile-metrics")
+    if bool(args.ratio_fast) != bool(args.ratio_slow):
+        ap.error("--ratio-fast and --ratio-slow go together")
 
     ok = True
     if args.current:
@@ -255,8 +257,9 @@ def main():
             print(f"error: no benchmarks with items_per_second in "
                   f"{args.current}", file=sys.stderr)
             return 1
-        ok = check_ratio(cur, args.ratio_fast, args.ratio_slow,
-                         args.min_ratio)
+        if args.ratio_fast:
+            ok = check_ratio(cur, args.ratio_fast, args.ratio_slow,
+                             args.min_ratio)
         if args.baseline:
             base = load_items_per_second(args.baseline)
             ok = check_baseline(cur, base, args.calibration,

@@ -18,9 +18,9 @@ BudgetController::BudgetController(const BudgetConfig &cfg,
       }())
 {
     double hard =
-        cfg_.budgetPct / 100.0 * static_cast<double>(cfg_.windowBase);
+        cfg_.budgetPct / 100.0 * static_cast<double>(kWindowBase);
     hardAllowed_ = static_cast<uint64_t>(hard);
-    softAllowed_ = static_cast<uint64_t>(hard * cfg_.softFactor);
+    softAllowed_ = static_cast<uint64_t>(hard * kSoftFactor);
 }
 
 void
@@ -67,8 +67,8 @@ BudgetController::rollWindows(Machine &m)
     // Rollbacks can retroactively move Base cost into an abort bucket,
     // so the base clock may briefly read behind the window start;
     // windows only close on forward crossings.
-    while (baseNow(m) >= windowStartBase_ + cfg_.windowBase)
-        closeWindow(m, windowStartBase_ + cfg_.windowBase);
+    while (baseNow(m) >= windowStartBase_ + kWindowBase)
+        closeWindow(m, windowStartBase_ + kWindowBase);
 }
 
 void
@@ -79,7 +79,7 @@ BudgetController::closeWindow(Machine &m, uint64_t base_end)
         ? oh_now - windowStartOverhead_
         : 0;
     BudgetWindow w;
-    w.base = cfg_.windowBase;
+    w.base = kWindowBase;
     w.overhead = oh;
     w.hardOver = oh > hardAllowed_;
     w.refused = windowRefused_;
@@ -97,7 +97,7 @@ BudgetController::closeWindow(Machine &m, uint64_t base_end)
     // regions) alone exceeds the budget. Fail structurally instead of
     // thrashing forever.
     if (w.hardOver && w.refused) {
-        if (++consecUnsat_ >= cfg_.unsatisfiableWindows)
+        if (++consecUnsat_ >= kUnsatisfiableWindows)
             unsatisfiable_ = true;
     } else {
         consecUnsat_ = 0;
@@ -110,7 +110,7 @@ BudgetController::closeWindow(Machine &m, uint64_t base_end)
         uint64_t excess = oh - softAllowed_;
         std::vector<std::pair<ir::InstrId, uint64_t>> spenders;
         for (const auto &[site, s] : sites_)
-            if (s.windowCost > 0 && s.shift < cfg_.floorShift)
+            if (s.windowCost > 0 && s.shift < kFloorShift)
                 spenders.emplace_back(site, s.windowCost);
         std::sort(spenders.begin(), spenders.end(),
                   [](const auto &a, const auto &b) {
@@ -124,18 +124,13 @@ BudgetController::closeWindow(Machine &m, uint64_t base_end)
             if (s.probing) {
                 s.probing = false;
                 s.probeBackoffExp =
-                    std::min(s.probeBackoffExp + 1,
-                             cfg_.maxProbeBackoffExp);
+                    std::min(s.probeBackoffExp + 1, kMaxProbeBackoffExp);
                 count(met_.probeFailures);
             }
-            s.shift = std::min(s.shift + cfg_.cutShift,
-                               cfg_.floorShift);
+            s.shift = std::min(s.shift + kCutShift, kFloorShift);
             s.everCut = true;
-            uint64_t interval = static_cast<uint64_t>(
-                                    cfg_.reprobeWindows)
-                                << std::min(s.probeBackoffExp,
-                                            cfg_.maxProbeBackoffExp);
-            s.nextProbeWindow = windowIndex_ + interval;
+            s.nextProbeWindow = windowIndex_ + (uint64_t{kReprobeWindows}
+                                                << s.probeBackoffExp);
             ++siteCuts_;
             count(met_.siteCuts);
             if (m.events().enabled())
@@ -158,9 +153,7 @@ BudgetController::closeWindow(Machine &m, uint64_t base_end)
             if (s.shift > 0 && windowIndex_ >= s.nextProbeWindow) {
                 --s.shift;
                 s.probing = true;
-                s.nextProbeWindow =
-                    windowIndex_ +
-                    std::max<uint64_t>(cfg_.reprobeWindows, 1);
+                s.nextProbeWindow = windowIndex_ + kReprobeWindows;
                 ++siteProbes_;
                 count(met_.siteProbes);
                 if (m.events().enabled())
@@ -257,7 +250,7 @@ BudgetController::report() const
     BudgetReport r;
     r.enabled = cfg_.enabled;
     r.budgetPct = cfg_.budgetPct;
-    r.windowBase = cfg_.windowBase;
+    r.windowBase = kWindowBase;
     r.windows = windows_;
     for (const auto &[site, s] : sites_)
         if (s.everCut)

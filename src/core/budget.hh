@@ -8,12 +8,12 @@
  * give, because it reacts to abort storms, not to spend. The budget
  * controller closes that gap:
  *
- * - The run is divided into *windows* of `windowBase` units of native
+ * - The run is divided into *windows* of `kWindowBase` units of native
  *   virtual time (the Base cost bucket, which by the accounting
  *   invariant equals what an uninstrumented run would have paid).
  * - Within each window, detection overhead (total cost minus Base) is
- *   compared against the budget `budgetPct% × windowBase`. Admission
- *   is gated at a *soft* fraction of that (softFactor), leaving
+ *   compared against the budget `budgetPct% × kWindowBase`. Admission
+ *   is gated at a *soft* fraction of that (kSoftFactor), leaving
  *   headroom for overhead that cannot be refused mid-flight (sync
  *   happens-before tracking, regions already under way).
  * - Degradation is *per IR site*, not global: each instrumented
@@ -24,7 +24,7 @@
  *   deeper; cheap sites stay fully instrumented. Cut sites are
  *   periodically re-probed one step back up, with exponential backoff
  *   per failed probe, so recovery after a storm is automatic.
- * - If the budget is exceeded hard for `unsatisfiableWindows`
+ * - If the budget is exceeded hard for `kUnsatisfiableWindows`
  *   consecutive windows even while the controller is refusing all it
  *   can, the budget is declared unsatisfiable: the run ends with a
  *   structured RunError::Kind::Budget instead of silently thrashing.
@@ -49,7 +49,8 @@
 
 namespace txrace::core {
 
-/** Tunables of monitor mode (txrace_run --monitor --budget-pct). */
+/** Configuration of monitor mode (txrace_run --monitor --budget-pct);
+ *  the other tunables are BudgetController constants. */
 struct BudgetConfig
 {
     /** Master switch (txrace_run --monitor). */
@@ -57,28 +58,12 @@ struct BudgetConfig
     /** Hard overhead budget: detection cost per window must stay
      *  within this percentage of the window's native base cost. */
     double budgetPct = 5.0;
-    /** Window length in units of native (Base-bucket) virtual time. */
-    uint64_t windowBase = 20000;
-    /** Admission gates close at softFactor × budget, reserving the
-     *  rest for overhead that cannot be refused once started. */
-    double softFactor = 0.6;
-    /** Shift added to a site's sampling exponent per cut. */
-    uint32_t cutShift = 2;
-    /** Deepest sampling shift (floor rate = 2^-floorShift). */
-    uint32_t floorShift = 6;
-    /** Clean windows before a cut site is probed one step back up. */
-    uint32_t reprobeWindows = 3;
-    /** Cap on the per-site probe backoff (doublings of the interval). */
-    uint32_t maxProbeBackoffExp = 4;
-    /** Consecutive hard-over windows (while refusing work) that
-     *  declare the budget unsatisfiable. */
-    uint32_t unsatisfiableWindows = 6;
 };
 
 /** One closed budget window, for reports and the soak assertions. */
 struct BudgetWindow
 {
-    /** Native base cost spent in the window (== windowBase). */
+    /** Native base cost spent in the window (== kWindowBase). */
     uint64_t base = 0;
     /** Detection overhead accrued during the window. */
     uint64_t overhead = 0;
@@ -115,10 +100,27 @@ struct BudgetReport
 class BudgetController
 {
   public:
+    // Tunables of monitor mode (the budget itself is BudgetConfig's).
+    /** Window length in units of native (Base-bucket) virtual time. */
+    static constexpr uint64_t kWindowBase = 20000;
+    /** Admission gates close at kSoftFactor × budget, reserving the
+     *  rest for overhead that cannot be refused once started. */
+    static constexpr double kSoftFactor = 0.6;
+    /** Shift added to a site's sampling exponent per cut. */
+    static constexpr uint32_t kCutShift = 2;
+    /** Deepest sampling shift (floor rate = 2^-kFloorShift). */
+    static constexpr uint32_t kFloorShift = 6;
+    /** Clean windows before a cut site is probed one step back up. */
+    static constexpr uint32_t kReprobeWindows = 3;
+    /** Cap on the per-site probe backoff (doublings of the interval). */
+    static constexpr uint32_t kMaxProbeBackoffExp = 4;
+    /** Consecutive hard-over windows (while refusing work) that
+     *  declare the budget unsatisfiable. */
+    static constexpr uint32_t kUnsatisfiableWindows = 6;
+
     BudgetController(const BudgetConfig &cfg, uint64_t seed);
 
     bool enabled() const { return cfg_.enabled; }
-    const BudgetConfig &config() const { return cfg_; }
 
     /** Intern the controller's counters in @p reg. Must precede the
      *  first admission call: the owning policy calls it at run start,

@@ -91,7 +91,7 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
         sim::MachineConfig mcfg = cfg.machine;
         mcfg.htm.versionLog = cfg.slowpath == SlowPathKind::Window;
 
-        LoopCutTable profiled(cfg.dynLoopcutInitial);
+        LoopCutTable profiled;
         const bool prof = cfg.mode == RunMode::TxRaceProfLoopcut;
         if (prof) {
             // Offline profiling run on a "representative input"
@@ -105,7 +105,7 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
             prof_run.budget = {};
             TxRacePolicy profiler(prof_run);
             sim::MachineConfig prof_cfg = mcfg;
-            prof_cfg.seed ^= cfg.profileSeedDelta;
+            prof_cfg.seed ^= kProfileSeedDelta;
             sim::Machine machine(prepared, prof_cfg, profiler);
             machine.run();
             profiled = profiler.loopcuts();

@@ -22,6 +22,10 @@
 
 namespace txrace::core {
 
+/** Seed perturbation for the ProfLoopcut profiling pre-run
+ *  ("representative input" differs from the measured input). */
+inline constexpr uint64_t kProfileSeedDelta = 0x50f11eULL;
+
 /** Everything that defines one run. */
 struct RunConfig
 {
@@ -32,15 +36,10 @@ struct RunConfig
     sim::MachineConfig machine;
     /** Instrumentation-pass parameters. */
     passes::PassConfig passes;
-    /** Dyn loop-cut first-abort estimate (paper: 2). */
-    uint64_t dynLoopcutInitial = 2;
     /** Enable the §9 future-HTM extension: conflict-address hints
      *  restrict conflict-triggered slow episodes to the conflicting
      *  cache line (TxRace modes only). */
     bool conflictAddressHints = false;
-    /** Seed perturbation for the ProfLoopcut profiling pre-run
-     *  ("representative input" differs from the measured input). */
-    uint64_t profileSeedDelta = 0x50f11eULL;
     /** Adaptive fallback governor (TxRace modes only). Disabled by
      *  default: the paper's runtime answers every non-retry abort
      *  with an unconditional slow-path episode. Fault scenarios are

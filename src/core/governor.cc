@@ -10,12 +10,6 @@ namespace txrace::core {
 using sim::Bucket;
 using sim::Machine;
 
-FallbackGovernor::FallbackGovernor(const GovernorConfig &cfg,
-                                   uint64_t seed)
-    : cfg_(cfg), seed_(seed)
-{
-}
-
 void
 FallbackGovernor::bindMetrics(telemetry::MetricRegistry &reg)
 {
@@ -69,8 +63,8 @@ FallbackGovernor::demote(Machine &m, Tid t, uint32_t to,
     if (g.probing) {
         // The storm outlived our optimism: probe failed, back off.
         g.probing = false;
-        g.probeBackoffExp = std::min(g.probeBackoffExp + 1,
-                                     cfg_.maxProbeBackoffExp);
+        g.probeBackoffExp =
+            std::min(g.probeBackoffExp + 1, kMaxProbeBackoffExp);
         count(met_.failedProbes);
     }
     to = std::min(to, static_cast<uint32_t>(kSampling));
@@ -79,10 +73,7 @@ FallbackGovernor::demote(Machine &m, Tid t, uint32_t to,
     g.level = to;
     g.demoteReason = reason;
     g.lastTransition = now(m, t);
-    g.windowStart = g.lastTransition;
-    g.windowAborts = 0;
-    g.windowSlowCost = 0;
-    g.windowSlowChecks = 0;
+    g.restartWindow(g.lastTransition);
     count(met_.demotions);
     if (m.events().enabled())
         m.events().record(m.currentStep(), t, "gov-demote",
@@ -92,14 +83,14 @@ FallbackGovernor::demote(Machine &m, Tid t, uint32_t to,
 uint32_t
 FallbackGovernor::levelForRegion(Machine &m, Tid t)
 {
-    if (!cfg_.enabled)
+    if (!enabled_)
         return kFast;
     ThreadGov &g = state(t);
     uint64_t n = now(m, t);
 
     // A probe that survived two full windows without demotion is a
     // success: the storm has passed, forget the backoff.
-    if (g.probing && n - g.lastTransition >= 2 * cfg_.windowCost) {
+    if (g.probing && n - g.lastTransition >= 2 * kWindowCost) {
         g.probing = false;
         g.probeBackoffExp = 0;
         count(met_.probeSuccesses);
@@ -108,9 +99,7 @@ FallbackGovernor::levelForRegion(Machine &m, Tid t)
     // Re-probation: after a cooldown (exponentially longer for every
     // recently failed probe) optimistically climb one rung.
     if (g.level > kFast) {
-        uint64_t delay = cfg_.reprobateAfterCost
-                         << std::min(g.probeBackoffExp,
-                                     cfg_.maxProbeBackoffExp);
+        uint64_t delay = kReprobateAfterCost << g.probeBackoffExp;
         if (n - g.lastTransition >= delay &&
             budget_ && budget_->underPressure()) {
             // Monitor mode composes on top of the ladder: a promotion
@@ -122,10 +111,7 @@ FallbackGovernor::levelForRegion(Machine &m, Tid t)
         } else if (n - g.lastTransition >= delay) {
             --g.level;
             g.lastTransition = n;
-            g.windowStart = n;
-            g.windowAborts = 0;
-            g.windowSlowCost = 0;
-            g.windowSlowChecks = 0;
+            g.restartWindow(n);
             g.probing = true;
             count(met_.reprobations);
             if (m.events().enabled())
@@ -141,25 +127,21 @@ GovernorAction
 FallbackGovernor::onAbort(Machine &m, Tid t, Bucket reason,
                           bool primary)
 {
-    if (!cfg_.enabled)
+    if (!enabled_)
         return GovernorAction::FallBack;
     ThreadGov &g = state(t);
     uint64_t n = now(m, t);
 
     // Roll the abort-rate window.
-    if (n - g.windowStart > cfg_.windowCost) {
-        g.windowStart = n;
-        g.windowAborts = 0;
-        g.windowSlowCost = 0;
-        g.windowSlowChecks = 0;
-    }
+    if (n - g.windowStart > kWindowCost)
+        g.restartWindow(n);
     ++g.windowAborts;
 
     // Livelock: the same thread's regions conflict-abort over and
     // over — escalate straight to slow-start instead of ping-ponging
     // TxFail broadcasts through the whole machine.
     if (reason == Bucket::Conflict && primary) {
-        if (++g.consecConflicts >= cfg_.livelockK) {
+        if (++g.consecConflicts >= kLivelockK) {
             g.consecConflicts = 0;
             count(met_.livelockEscalations);
             if (m.events().enabled())
@@ -170,7 +152,7 @@ FallbackGovernor::onAbort(Machine &m, Tid t, Bucket reason,
         }
     }
 
-    if (g.windowAborts >= cfg_.demoteAbortsPerWindow) {
+    if (g.windowAborts >= kDemoteAbortsPerWindow) {
         // Which rung helps depends on what is killing us. Capacity
         // pressure shrinks with shorter transactions, so take one
         // step down the ladder. Interrupt-driven unknown aborts do
@@ -198,14 +180,13 @@ FallbackGovernor::onAbort(Machine &m, Tid t, Bucket reason,
     // the race gets re-checked.
     if (reason == Bucket::Unknown && g.level == kFast &&
         g.windowAborts <= 1 &&
-        g.backoffsUsed < cfg_.maxBackoffRetries) {
-        uint64_t stall = cfg_.backoffBaseCost << g.backoffsUsed;
+        g.backoffsUsed < kMaxBackoffRetries) {
         ++g.backoffsUsed;
         // The stall is degradation overhead, not fast-path work: the
         // thread reads as "fast" (its transaction is being re-armed)
         // but these cycles exist only because the governor chose to
         // wait, so budget accounting files them under degraded.
-        m.addCost(t, stall, reason, telemetry::Phase::Degraded);
+        m.addCost(t, kBackoffCost, reason, telemetry::Phase::Degraded);
         count(met_.backoffRetries);
         return GovernorAction::RetryBackoff;
     }
@@ -215,7 +196,7 @@ FallbackGovernor::onAbort(Machine &m, Tid t, Bucket reason,
 void
 FallbackGovernor::onCommit(Tid t)
 {
-    if (!cfg_.enabled || t >= threads_.size())
+    if (!enabled_ || t >= threads_.size())
         return;
     ThreadGov &g = threads_[t];
     g.consecConflicts = 0;
@@ -225,18 +206,14 @@ FallbackGovernor::onCommit(Tid t)
 void
 FallbackGovernor::onSlowCheckCost(Machine &m, Tid t, uint64_t cost)
 {
-    if (!cfg_.enabled)
+    if (!enabled_)
         return;
     ThreadGov &g = state(t);
     if (g.level != kSlowStart)
         return;
     uint64_t n = now(m, t);
-    if (n - g.windowStart > cfg_.windowCost) {
-        g.windowStart = n;
-        g.windowAborts = 0;
-        g.windowSlowCost = 0;
-        g.windowSlowChecks = 0;
-    }
+    if (n - g.windowStart > kWindowCost)
+        g.restartWindow(n);
     g.windowSlowCost += cost;
     ++g.windowSlowChecks;
     // Even the fallback can be pathological (slow-path stall fault):
@@ -245,7 +222,7 @@ FallbackGovernor::onSlowCheckCost(Machine &m, Tid t, uint64_t cost)
     // trips when the observed per-check cost is well above the
     // configured baseline -- i.e. the slow path itself is stalling.
     uint64_t base = m.config().cost.effectiveCheckCost();
-    if (g.windowSlowCost >= cfg_.demoteSlowCostPerWindow &&
+    if (g.windowSlowCost >= kDemoteSlowCostPerWindow &&
         g.windowSlowCost > 2 * base * g.windowSlowChecks) {
         if (g.windowAborts == 0) {
             // The slow path is the expensive part and the hardware
@@ -253,10 +230,7 @@ FallbackGovernor::onSlowCheckCost(Machine &m, Tid t, uint64_t cost)
             // UP the ladder, not further down it.
             --g.level;
             g.lastTransition = n;
-            g.windowStart = n;
-            g.windowAborts = 0;
-            g.windowSlowCost = 0;
-            g.windowSlowChecks = 0;
+            g.restartWindow(n);
             g.probing = true;
             count(met_.stallPromotions);
             if (m.events().enabled())
@@ -281,7 +255,7 @@ FallbackGovernor::demoteReasonFor(Tid t) const
 bool
 FallbackGovernor::sampleThisAccess(Tid t)
 {
-    return state(t).sampleRng.chance(cfg_.sampleRate);
+    return state(t).sampleRng.chance(kSampleRate);
 }
 
 uint64_t

@@ -44,48 +44,12 @@ namespace txrace::core {
 
 class BudgetController;
 
-/** Tunables of the degradation ladder. */
+/** Configuration of the degradation ladder. Its tunables are the
+ *  FallbackGovernor::k* constants. */
 struct GovernorConfig
 {
     /** Master switch; disabled reproduces the paper's behaviour. */
     bool enabled = false;
-
-    /** @name Bounded retry with backoff (retry/unknown aborts) */
-    /** @{ */
-    /** In-place re-executions of a region before falling back. */
-    uint32_t maxBackoffRetries = 1;
-    /** Stall cost of the first backoff; doubles per retry. */
-    uint64_t backoffBaseCost = 16;
-    /** @} */
-
-    /** @name Livelock detection */
-    /** @{ */
-    /** Consecutive conflict-aborted regions that escalate. */
-    uint32_t livelockK = 4;
-    /** @} */
-
-    /** @name Abort-rate-driven demotion */
-    /** @{ */
-    /** Virtual-time window (cost units) for the abort counter. */
-    uint64_t windowCost = 600;
-    /** Aborts within one window that trigger a demotion. */
-    uint32_t demoteAbortsPerWindow = 3;
-    /** Slow-path check cost within one window that demotes a
-     *  level-2 thread to sampling (level 3) -- but only when the
-     *  per-check cost is actually inflated (see onSlowCheckCost). */
-    uint64_t demoteSlowCostPerWindow = 500;
-    /** @} */
-
-    /** @name Re-probation */
-    /** @{ */
-    /** Virtual time at a degraded level before probing one level up. */
-    uint64_t reprobateAfterCost = 800;
-    /** Cap on the exponential probe backoff (doublings). */
-    uint32_t maxProbeBackoffExp = 3;
-    /** @} */
-
-    /** Fraction of accesses software-checked at level 3. */
-    double sampleRate = 0.25;
 };
 
 /** What the policy should do with an abort the governor examined. */
@@ -110,10 +74,33 @@ class FallbackGovernor
         kSampling = 3,
     };
 
-    FallbackGovernor(const GovernorConfig &cfg, uint64_t seed);
+    // Tunables of the degradation ladder.
+    /** In-place re-executions of a region before falling back. */
+    static constexpr uint32_t kMaxBackoffRetries = 1;
+    /** Stall cost of a backoff retry. */
+    static constexpr uint64_t kBackoffCost = 16;
+    /** Consecutive conflict-aborted regions that escalate
+     *  (livelock detection). */
+    static constexpr uint32_t kLivelockK = 4;
+    /** Virtual-time window (cost units) for the abort counter. */
+    static constexpr uint64_t kWindowCost = 600;
+    /** Aborts within one window that trigger a demotion. */
+    static constexpr uint32_t kDemoteAbortsPerWindow = 3;
+    /** Slow-path check cost within one window that demotes a
+     *  level-2 thread to sampling (level 3) -- but only when the
+     *  per-check cost is actually inflated (see onSlowCheckCost). */
+    static constexpr uint64_t kDemoteSlowCostPerWindow = 500;
+    /** Virtual time at a degraded level before probing one level up. */
+    static constexpr uint64_t kReprobateAfterCost = 800;
+    /** Cap on the exponential probe backoff (doublings). */
+    static constexpr uint32_t kMaxProbeBackoffExp = 3;
+    /** Fraction of accesses software-checked at level 3. */
+    static constexpr double kSampleRate = 0.25;
 
-    bool enabled() const { return cfg_.enabled; }
-    const GovernorConfig &config() const { return cfg_; }
+    FallbackGovernor(const GovernorConfig &cfg, uint64_t seed)
+        : enabled_(cfg.enabled), seed_(seed) {}
+
+    bool enabled() const { return enabled_; }
 
     /** The policy reports whether the program carries loop-cut
      *  instrumentation at all. Without it the ShortTx rung cannot
@@ -194,6 +181,16 @@ class FallbackGovernor
         sim::Bucket demoteReason = sim::Bucket::Unknown;
         Rng sampleRng{0};
         bool initialized = false;
+
+        /** Open a fresh abort-rate window at virtual time @p n. */
+        void
+        restartWindow(uint64_t n)
+        {
+            windowStart = n;
+            windowAborts = 0;
+            windowSlowCost = 0;
+            windowSlowChecks = 0;
+        }
     };
 
     ThreadGov &state(Tid t);
@@ -204,7 +201,7 @@ class FallbackGovernor
     /** Bump a transition counter (bindMetrics() came first). */
     void count(telemetry::MetricId id) { reg_->add(id); }
 
-    GovernorConfig cfg_;
+    bool enabled_;
     uint64_t seed_;
     bool shortTxUseful_ = true;
     const BudgetController *budget_ = nullptr;

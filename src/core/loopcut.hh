@@ -33,6 +33,8 @@ class LoopCutTable
 {
   public:
     static constexpr uint64_t kMaxThreshold = 1ull << 20;
+    /** The Dyn scheme's first-abort estimate (paper: 2). */
+    static constexpr uint64_t kDynInitial = 2;
 
     /** Learned state of one loop. */
     struct Entry
@@ -41,8 +43,8 @@ class LoopCutTable
         uint64_t ceiling = kMaxThreshold;
     };
 
-    /** @p initial is the Dyn scheme's first-abort estimate. */
-    explicit LoopCutTable(uint64_t initial = 2) : initial_(initial) {}
+    /** @p init is the first-abort estimate; tests vary it. */
+    explicit LoopCutTable(uint64_t init = kDynInitial) : initial_(init) {}
 
     /** Threshold for @p loop_id; 0 means "not cutting this loop". */
     uint64_t

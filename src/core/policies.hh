@@ -148,12 +148,12 @@ class TxRacePolicy : public sim::ExecutionPolicy
   public:
     /**
      * The policy takes its whole configuration from the run's:
-     * cfg.mode (a TxRace mode) picks the loop-cut scheme, and
-     * dynLoopcutInitial, conflictAddressHints, governor, budget and
-     * slowpath are used as given. The governor and budget controller
-     * share one sampling seed derived from cfg.machine.seed. Window
-     * slow path needs the machine's HtmConfig::versionLog on (the
-     * driver sets it from cfg.slowpath).
+     * cfg.mode (a TxRace mode) picks the loop-cut scheme (Dyn starts
+     * at LoopCutTable::kDynInitial), and conflictAddressHints,
+     * governor, budget and slowpath are used as given. The governor
+     * and budget controller share one sampling seed derived from
+     * cfg.machine.seed. Window slow path needs the machine's
+     * HtmConfig::versionLog on (the driver sets it from cfg.slowpath).
      *
      * @param preloaded profiled thresholds (Prof scheme); merged in
      */

@@ -1,9 +1,14 @@
 #include "core/repro.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <cinttypes>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
 #include "core/fingerprint.hh"
+#include "core/loopcut.hh"
 #include "support/log.hh"
 
 namespace txrace::core {
@@ -103,10 +108,10 @@ configDigest(const RunConfig &cfg)
     // Inert outside TSanSampling; hashing it anyway would make the
     // digest disagree between front ends that default it differently.
     d.f64(cfg.mode == RunMode::TSanSampling ? cfg.sampleRate : 1.0);
-    d.u64(cfg.dynLoopcutInitial);
+    d.u64(LoopCutTable::kDynInitial);
     d.u64(cfg.conflictAddressHints ? 1 : 0);
     d.u64(static_cast<uint64_t>(cfg.slowpath));
-    d.u64(cfg.profileSeedDelta);
+    d.u64(kProfileSeedDelta);
 
     const sim::MachineConfig &m = cfg.machine;
     d.u64(m.seed);
@@ -149,37 +154,39 @@ configDigest(const RunConfig &cfg)
     d.u64(det.maxShadowCells);
     d.u64(det.epochFastPath ? 1 : 0);
 
-    d.u64(cfg.passes.smallRegionK);
+    // Former fields, now constants, keep their places so digests (and
+    // repro commands) stay valid; retired always-on switches hash 1.
+    d.u64(passes::kSmallRegionK);
     d.u64(cfg.passes.insertLoopCuts ? 1 : 0);
-    d.u64(cfg.passes.removeUninstrumented ? 1 : 0);
+    d.u64(1);
     const passes::ElideConfig &e = cfg.passes.elide;
     d.u64(e.enabled ? 1 : 0);
     d.u64(e.dominance ? 1 : 0);
     d.u64(e.rawDowngrade ? 1 : 0);
-    d.u64(e.privatize ? 1 : 0);
+    d.u64(1);
 
-    const GovernorConfig &g = cfg.governor;
-    d.u64(g.enabled ? 1 : 0);
-    d.u64(g.maxBackoffRetries);
-    d.u64(g.backoffBaseCost);
-    d.u64(g.livelockK);
-    d.u64(g.windowCost);
-    d.u64(g.demoteAbortsPerWindow);
-    d.u64(g.demoteSlowCostPerWindow);
-    d.u64(g.reprobateAfterCost);
-    d.u64(g.maxProbeBackoffExp);
-    d.f64(g.sampleRate);
+    using Gov = FallbackGovernor;
+    using Budget = BudgetController;
+    d.u64(cfg.governor.enabled ? 1 : 0);
+    d.u64(Gov::kMaxBackoffRetries);
+    d.u64(Gov::kBackoffCost);
+    d.u64(Gov::kLivelockK);
+    d.u64(Gov::kWindowCost);
+    d.u64(Gov::kDemoteAbortsPerWindow);
+    d.u64(Gov::kDemoteSlowCostPerWindow);
+    d.u64(Gov::kReprobateAfterCost);
+    d.u64(Gov::kMaxProbeBackoffExp);
+    d.f64(Gov::kSampleRate);
 
-    const BudgetConfig &b = cfg.budget;
-    d.u64(b.enabled ? 1 : 0);
-    d.f64(b.budgetPct);
-    d.u64(b.windowBase);
-    d.f64(b.softFactor);
-    d.u64(b.cutShift);
-    d.u64(b.floorShift);
-    d.u64(b.reprobeWindows);
-    d.u64(b.maxProbeBackoffExp);
-    d.u64(b.unsatisfiableWindows);
+    d.u64(cfg.budget.enabled ? 1 : 0);
+    d.f64(cfg.budget.budgetPct);
+    d.u64(Budget::kWindowBase);
+    d.f64(Budget::kSoftFactor);
+    d.u64(Budget::kCutShift);
+    d.u64(Budget::kFloorShift);
+    d.u64(Budget::kReprobeWindows);
+    d.u64(Budget::kMaxProbeBackoffExp);
+    d.u64(Budget::kUnsatisfiableWindows);
 
     const fault::FaultPlan &plan = m.faults;
     d.str(plan.name);
@@ -232,6 +239,36 @@ reproCommand(const RunIdentity &id)
     return ss.str();
 }
 
+uint64_t
+parseUnsignedFlag(const char *flag, const std::string &text,
+                  uint64_t min, uint64_t max)
+{
+    errno = 0;
+    char *end = nullptr;
+    uint64_t v = std::strtoull(text.c_str(), &end, 10);
+    // strtoull skips leading blanks and accepts a sign (negating "-1"
+    // into 2^64-1), so the text must start with a digit.
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0')
+        fatal("%s: expected an unsigned integer, got '%s'", flag,
+              text.c_str());
+    if (errno == ERANGE || v < min || v > max)
+        fatal("%s: '%s' is out of range [%" PRIu64 ", %" PRIu64 "]",
+              flag, text.c_str(), min, max);
+    return v;
+}
+
+double
+parseDoubleFlag(const char *flag, const std::string &text)
+{
+    char *end = nullptr;
+    double v = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0')
+        fatal("%s: expected a number, got '%s'", flag, text.c_str());
+    if (!std::isfinite(v))
+        fatal("%s: '%s' is out of range", flag, text.c_str());
+    return v;
+}
+
 std::vector<uint64_t>
 parseSeedList(const std::string &list)
 {
@@ -241,18 +278,10 @@ parseSeedList(const std::string &list)
         size_t comma = list.find(',', pos);
         if (comma == std::string::npos)
             comma = list.size();
-        std::string item = list.substr(pos, comma - pos);
-        if (item.empty())
-            fatal("--seed-list: empty entry in '%s'", list.c_str());
-        char *end = nullptr;
-        uint64_t seed = std::strtoull(item.c_str(), &end, 10);
-        if (end == item.c_str() || *end != '\0')
-            fatal("--seed-list: bad seed '%s'", item.c_str());
-        seeds.push_back(seed);
+        seeds.push_back(parseUnsignedFlag(
+            "--seed-list", list.substr(pos, comma - pos)));
         pos = comma + 1;
     }
-    if (seeds.empty())
-        fatal("--seed-list: no seeds given");
     return seeds;
 }
 

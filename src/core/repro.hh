@@ -84,6 +84,15 @@ uint64_t configDigest(const RunConfig &cfg);
  */
 std::string reproCommand(const RunIdentity &id);
 
+/** Parse all of @p text as option @p flag's decimal value within
+ *  [@p min, @p max]; fatal()s naming the flag on junk or a sign. */
+uint64_t parseUnsignedFlag(const char *flag, const std::string &text,
+                           uint64_t min = 0,
+                           uint64_t max = UINT64_MAX);
+
+/** As parseUnsignedFlag, for a finite floating-point value. */
+double parseDoubleFlag(const char *flag, const std::string &text);
+
 /** Parse a comma-separated seed list ("1,2,9"); fatal()s on junk. */
 std::vector<uint64_t> parseSeedList(const std::string &list);
 

@@ -64,7 +64,6 @@ traceSlowEnd(Machine &m, Tid t, const char *outcome)
 TxRacePolicy::TxRacePolicy(const RunConfig &cfg,
                            const LoopCutTable *preloaded)
     : loopCuts_(cfg.mode != RunMode::TxRaceNoOpt),
-      loopcuts_(cfg.dynLoopcutInitial),
       addrHints_(cfg.conflictAddressHints), slowpath_(cfg.slowpath),
       governor_(cfg.governor, cfg.machine.seed ^ 0x9075ea1ULL),
       budget_(cfg.budget, cfg.machine.seed ^ 0x9075ea1ULL)

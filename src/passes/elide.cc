@@ -340,8 +340,7 @@ elide(Program &prog, const ElideConfig &cfg)
         if (cfg.dominance || cfg.rawDowngrade)
             elideDominated(fn, cfg, stats, fn_elided[f]);
     }
-    if (cfg.privatize)
-        elidePrivate(prog, stats, fn_elided);
+    elidePrivate(prog, stats, fn_elided);
 
     for (ir::FuncId f = 0; f < prog.numFunctions(); ++f)
         if (fn_elided[f] > 0)

@@ -49,7 +49,8 @@ namespace txrace::passes {
  */
 struct ElideConfig
 {
-    /** Master switch (txrace_run --no-elide clears it). */
+    /** Master switch (txrace_run --no-elide clears it); also gates
+     *  the thread-disjointness pass, which has no switch of its own. */
     bool enabled = true;
     /** Straight-line dominance elision: a second access with the same
      *  address expression, opcode, and tag inside one sync-free
@@ -63,24 +64,17 @@ struct ElideConfig
      *  empirically by the differential test rather than proven
      *  fingerprint-identical. */
     bool rawDowngrade = true;
-    /** Extended escape/privatization: elide accesses whose per-thread
-     *  footprints are provably disjoint across threads (granule-
-     *  aligned per-slot containment) and that share no granule with
-     *  any other instrumented access. Such accesses cannot race under
-     *  any schedule. */
-    bool privatize = true;
 };
+
+/** Regions with < K estimated dynamic instrumented accesses are
+ *  forced onto the slow path (paper §4.3, K = 5). */
+inline constexpr uint32_t kSmallRegionK = 5;
 
 /** Tunables of the instrumentation pipeline. */
 struct PassConfig
 {
-    /** Regions with < K estimated dynamic instrumented accesses are
-     *  forced onto the slow path (paper §4.3, K = 5). */
-    uint32_t smallRegionK = 5;
     /** Insert LoopCut instrumentation (off for TxRace-NoOpt). */
     bool insertLoopCuts = true;
-    /** Drop transactions around uninstrumented regions. */
-    bool removeUninstrumented = true;
     /** Static access-elision pipeline (TxRace modes only). */
     ElideConfig elide;
 };

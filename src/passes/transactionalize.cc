@@ -132,7 +132,7 @@ insertLoopCuts(ir::Function &fn)
  * back-edges.
  */
 void
-classifyRegions(ir::Function &fn, const PassConfig &cfg)
+classifyRegions(ir::Function &fn)
 {
     // Local loop matching on the current (post-insertion) body.
     std::vector<size_t> match_of(fn.body.size(), 0);
@@ -208,7 +208,7 @@ classifyRegions(ir::Function &fn, const PassConfig &cfg)
                     est += 1.0;
             }
             if (simple && closed &&
-                est < static_cast<double>(cfg.smallRegionK))
+                est < static_cast<double>(kSmallRegionK))
                 fn.body[i].arg1 = 1;  // force slow path
             continue;
         }
@@ -253,13 +253,13 @@ classifyRegions(ir::Function &fn, const PassConfig &cfg)
                 est += mult;
             }
         }
-        if (est == 0.0 && cfg.removeUninstrumented && end_depth == 0) {
+        if (est == 0.0 && end_depth == 0) {
             // Safe to drop only when the TxEnd sits at the TxBegin's
             // loop depth — otherwise the TxEnd also terminates the
             // wrap-around region entered over the loop back-edge.
             remove[i] = true;
             remove[end] = true;
-        } else if (est < static_cast<double>(cfg.smallRegionK)) {
+        } else if (est < static_cast<double>(kSmallRegionK)) {
             fn.body[i].arg1 = 1;  // force slow path
         }
     }
@@ -285,7 +285,7 @@ transactionalize(Program &prog, const PassConfig &cfg)
         removeAdjacentPairs(fn);
         if (cfg.insertLoopCuts)
             insertLoopCuts(fn);
-        classifyRegions(fn, cfg);
+        classifyRegions(fn);
     }
     prog.refinalize();
     std::string err = prog.checkTransactionalForm();

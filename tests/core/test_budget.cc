@@ -51,15 +51,24 @@ struct BudgetHarness
     void bind(BudgetController &b) { b.bindMetrics(m.tel().registry); }
 };
 
-/** windowBase 1000 at 5% -> hard 50, soft 30. */
+constexpr double kPct = 5.0;
+/** One window of native base time. */
+constexpr uint64_t kWindow = BudgetController::kWindowBase;
+/** Per-window hard budget and soft admission line, computed as the
+ *  controller computes them (1000 and 600 at 5%). */
+constexpr uint64_t kHard = static_cast<uint64_t>(
+    kPct / 100.0 * static_cast<double>(kWindow));
+constexpr uint64_t kSoft = static_cast<uint64_t>(
+    kPct / 100.0 * static_cast<double>(kWindow) *
+    BudgetController::kSoftFactor);
+static_assert(kSoft > 20 && kSoft < kHard);
+
 BudgetConfig
-smallConfig()
+monitorConfig()
 {
     BudgetConfig cfg;
     cfg.enabled = true;
-    cfg.budgetPct = 5.0;
-    cfg.windowBase = 1000;
-    cfg.softFactor = 0.6;
+    cfg.budgetPct = kPct;
     return cfg;
 }
 
@@ -80,21 +89,21 @@ TEST(Budget, DisabledAdmitsEverything)
 TEST(Budget, WindowsCloseOnBaseCrossingsOnly)
 {
     BudgetHarness h;
-    BudgetController b(smallConfig(), 1);
+    BudgetController b(monitorConfig(), 1);
     h.bind(b);
     b.onRunStart(h.m);
 
     // Overhead alone never closes a window: the clock is native time.
-    h.overhead(500);
+    h.overhead(10 * kHard);
     EXPECT_FALSE(b.admitRegion(h.m, 0, 0));  // way past soft, refused
     EXPECT_TRUE(b.report().windows.empty());
 
     // Two windows of base: both close, overhead lands in the first.
-    h.base(2000);
+    h.base(2 * kWindow);
     b.admitRegion(h.m, 0, 0);
     BudgetReport r = b.report();
     ASSERT_EQ(r.windows.size(), 2u);
-    EXPECT_EQ(r.windows[0].overhead, 500u);
+    EXPECT_EQ(r.windows[0].overhead, 10 * kHard);
     EXPECT_TRUE(r.windows[0].hardOver);
     EXPECT_EQ(r.windows[1].overhead, 0u);
     EXPECT_FALSE(r.windows[1].hardOver);
@@ -103,11 +112,11 @@ TEST(Budget, WindowsCloseOnBaseCrossingsOnly)
 TEST(Budget, TrailingPartialWindowIsNotRecorded)
 {
     BudgetHarness h;
-    BudgetController b(smallConfig(), 1);
+    BudgetController b(monitorConfig(), 1);
     h.bind(b);
     b.onRunStart(h.m);
-    h.base(999);
-    h.overhead(10000);
+    h.base(kWindow - 1);
+    h.overhead(10 * kWindow);
     b.admitRegion(h.m, 0, 0);
     EXPECT_TRUE(b.report().windows.empty());
 }
@@ -115,11 +124,11 @@ TEST(Budget, TrailingPartialWindowIsNotRecorded)
 TEST(Budget, AdmissionGatesAtTheSoftLine)
 {
     BudgetHarness h;
-    BudgetController b(smallConfig(), 1);
+    BudgetController b(monitorConfig(), 1);
     h.bind(b);
     b.onRunStart(h.m);
 
-    h.overhead(29);  // below soft (30)
+    h.overhead(kSoft - 1);  // below soft
     EXPECT_TRUE(b.admitCheck(h.m, 0, 1, 0));
     h.overhead(1);  // at soft
     EXPECT_FALSE(b.admitCheck(h.m, 0, 1, 0));
@@ -138,35 +147,36 @@ TEST(Budget, AdmissionIsProspective)
     // line. The whole soft-to-hard gap stays reserved for overhead no
     // gate can refuse.
     BudgetHarness h;
-    BudgetController b(smallConfig(), 1);
+    BudgetController b(monitorConfig(), 1);
     h.bind(b);
     b.onRunStart(h.m);
 
-    EXPECT_FALSE(b.admitCheck(h.m, 0, 1, 31));  // 0 + 31 > soft 30
-    EXPECT_TRUE(b.admitCheck(h.m, 0, 1, 30));
+    EXPECT_FALSE(b.admitCheck(h.m, 0, 1, kSoft + 1));  // 0 + it > soft
+    EXPECT_TRUE(b.admitCheck(h.m, 0, 1, kSoft));
     h.overhead(20);
-    EXPECT_FALSE(b.admitCheck(h.m, 0, 1, 11));  // 20 + 11 > 30
-    EXPECT_TRUE(b.admitCheck(h.m, 0, 1, 10));
-    EXPECT_FALSE(b.admitRegion(h.m, 0, 11));
+    const uint64_t left = kSoft - 20;
+    EXPECT_FALSE(b.admitCheck(h.m, 0, 1, left + 1));  // 20 + it > soft
+    EXPECT_TRUE(b.admitCheck(h.m, 0, 1, left));
+    EXPECT_FALSE(b.admitRegion(h.m, 0, left + 1));
 }
 
 TEST(Budget, CutsDeepestSpenderFirstUntilExcessCovered)
 {
     BudgetHarness h;
-    BudgetConfig cfg = smallConfig();
-    BudgetController b(cfg, 1);
+    BudgetController b(monitorConfig(), 1);
     h.bind(b);
     b.onRunStart(h.m);
 
-    // Window overhead 60: excess over soft is 30. Site 5 spent 40 (it
-    // alone covers the excess), site 9 spent 20: only 5 is cut.
-    h.overhead(60);
-    b.chargeSite(5, 40);
-    b.chargeSite(9, 20);
-    h.base(1000);
+    // Window overhead twice soft: the excess over soft is kSoft. Site
+    // 5 spent 4/3 of it (it alone covers the excess), site 9 the
+    // remaining 2/3: only 5 is cut.
+    h.overhead(2 * kSoft);
+    b.chargeSite(5, kSoft + kSoft / 3);
+    b.chargeSite(9, kSoft - kSoft / 3);
+    h.base(kWindow);
     b.admitRegion(h.m, 0, 0);
 
-    EXPECT_EQ(b.siteShift(5), cfg.cutShift);
+    EXPECT_EQ(b.siteShift(5), BudgetController::kCutShift);
     EXPECT_EQ(b.siteShift(9), 0u);
     BudgetReport r = b.report();
     EXPECT_EQ(r.siteCuts, 1u);
@@ -177,36 +187,34 @@ TEST(Budget, CutsDeepestSpenderFirstUntilExcessCovered)
 TEST(Budget, RepeatedCutsClampAtTheFloor)
 {
     BudgetHarness h;
-    BudgetConfig cfg = smallConfig();
-    BudgetController b(cfg, 1);
+    BudgetController b(monitorConfig(), 1);
     h.bind(b);
     b.onRunStart(h.m);
 
     for (int i = 0; i < 10; ++i) {
-        h.overhead(60);
-        b.chargeSite(5, 60);
-        h.base(1000);
+        h.overhead(2 * kSoft);
+        b.chargeSite(5, 2 * kSoft);
+        h.base(kWindow);
         b.admitRegion(h.m, 0, 0);
     }
-    EXPECT_EQ(b.siteShift(5), cfg.floorShift);
+    EXPECT_EQ(b.siteShift(5), BudgetController::kFloorShift);
 }
 
 TEST(Budget, ProbeIntervalDoublesPerFailureAndCaps)
 {
     BudgetHarness h;
-    BudgetConfig cfg = smallConfig();
-    BudgetController b(cfg, 1);
+    BudgetController b(monitorConfig(), 1);
     h.bind(b);
     b.onRunStart(h.m);
 
     auto stormWindow = [&] {
-        h.overhead(60);
-        b.chargeSite(5, 60);
-        h.base(1000);
+        h.overhead(2 * kSoft);
+        b.chargeSite(5, 2 * kSoft);
+        h.base(kWindow);
         b.admitRegion(h.m, 0, 0);
     };
     auto cleanWindow = [&] {
-        h.base(1000);
+        h.base(kWindow);
         b.admitRegion(h.m, 0, 0);
     };
     // Count the clean windows until the cut site is probed one step
@@ -224,45 +232,46 @@ TEST(Budget, ProbeIntervalDoublesPerFailureAndCaps)
     // Drive the site to the floor, then let every probe fail against
     // a persistent storm: the re-probe interval must double each time
     // until the backoff cap, and hold there.
+    const uint32_t floor = BudgetController::kFloorShift;
     for (int i = 0; i < 3; ++i)
         stormWindow();
-    ASSERT_EQ(b.siteShift(5), cfg.floorShift);
+    ASSERT_EQ(b.siteShift(5), floor);
 
     std::vector<int> gaps;
     for (int probe = 0; probe < 6; ++probe) {
-        gaps.push_back(windowsUntilProbe(cfg.floorShift));
+        gaps.push_back(windowsUntilProbe(floor));
         stormWindow();  // the probe window blows the budget: failure
-        ASSERT_EQ(b.siteShift(5), cfg.floorShift);
+        ASSERT_EQ(b.siteShift(5), floor);
     }
-    const int base = static_cast<int>(cfg.reprobeWindows);
+    const int base = static_cast<int>(BudgetController::kReprobeWindows);
     std::vector<int> expected;
     for (int probe = 0; probe < 6; ++probe) {
         uint32_t exp = std::min(static_cast<uint32_t>(probe),
-                                cfg.maxProbeBackoffExp);
+                                BudgetController::kMaxProbeBackoffExp);
         expected.push_back(base << exp);
     }
     EXPECT_EQ(gaps, expected);  // 3, 6, 12, 24, 48, 48
 
     // Storm over: one clean probe resets the backoff entirely and the
     // next probe comes at the base interval again.
-    windowsUntilProbe(cfg.floorShift);
-    ASSERT_EQ(b.siteShift(5), cfg.floorShift - 1);
+    windowsUntilProbe(floor);
+    ASSERT_EQ(b.siteShift(5), floor - 1);
     cleanWindow();  // probe survives: backoff forgotten
-    int gap = windowsUntilProbe(cfg.floorShift - 1);
+    int gap = windowsUntilProbe(floor - 1);
     EXPECT_LE(gap, base + 1);
 }
 
 TEST(Budget, SamplingDrawsAreDeterministicPerSeed)
 {
     BudgetHarness ha, hb, hc;
-    BudgetConfig cfg = smallConfig();
+    BudgetConfig cfg = monitorConfig();
     BudgetController a(cfg, 42), b(cfg, 42), c(cfg, 43);
 
     // Cut site 5 once in each controller so draws actually happen.
     auto cutOnce = [](BudgetHarness &h, BudgetController &ctl) {
-        h.overhead(60);
-        ctl.chargeSite(5, 60);
-        h.base(1000);
+        h.overhead(2 * kSoft);
+        ctl.chargeSite(5, 2 * kSoft);
+        h.base(kWindow);
         ctl.admitRegion(h.m, 0, 0);
     };
     ha.bind(a);
@@ -283,7 +292,8 @@ TEST(Budget, SamplingDrawsAreDeterministicPerSeed)
     }
     EXPECT_EQ(same, 512);
     EXPECT_LT(diffMatches, 512);  // different seed, different stream
-    // shift = cutShift (2): roughly one draw in four is admitted.
+    // shift = kCutShift (2): roughly one draw in four is admitted.
+    static_assert(BudgetController::kCutShift == 2);
     EXPECT_GT(admitted, 512 / 8);
     EXPECT_LT(admitted, 512 / 2);
 }
@@ -291,19 +301,19 @@ TEST(Budget, SamplingDrawsAreDeterministicPerSeed)
 TEST(Budget, UnsatisfiableAfterConsecutiveHardRefusedWindows)
 {
     BudgetHarness h;
-    BudgetConfig cfg = smallConfig();
-    BudgetController b(cfg, 1);
+    BudgetController b(monitorConfig(), 1);
     h.bind(b);
     b.onRunStart(h.m);
 
     // Un-gateable overhead alone blows the hard budget, window after
     // window, while the gate refuses all it can.
-    for (uint32_t i = 0; i < cfg.unsatisfiableWindows; ++i) {
+    for (uint32_t i = 0; i < BudgetController::kUnsatisfiableWindows;
+         ++i) {
         SCOPED_TRACE(i);
         EXPECT_FALSE(b.unsatisfiable());
-        h.overhead(100);
+        h.overhead(2 * kHard);
         EXPECT_FALSE(b.admitCheck(h.m, 0, 1, 0));  // refused
-        h.base(1000);
+        h.base(kWindow);
         b.admitRegion(h.m, 0, 0);
     }
     EXPECT_TRUE(b.unsatisfiable());
@@ -316,18 +326,19 @@ TEST(Budget, HardOverWithoutRefusalIsNotUnsatisfiable)
     // spent nothing) do not declare defeat: the controller was never
     // actually refusing work while the budget blew.
     BudgetHarness h;
-    BudgetConfig cfg = smallConfig();
+    BudgetConfig cfg = monitorConfig();
     BudgetController b(cfg, 1);
     h.bind(b);
     b.onRunStart(h.m);
 
-    for (uint32_t i = 0; i < 3 * cfg.unsatisfiableWindows; ++i) {
-        h.overhead(100);
-        h.base(1000);
+    constexpr uint32_t kStreak = BudgetController::kUnsatisfiableWindows;
+    for (uint32_t i = 0; i < 3 * kStreak; ++i) {
+        h.overhead(2 * kHard);
+        h.base(kWindow);
         b.admitRegion(h.m, 0, 0);  // closes the window, then admits
     }
     BudgetReport r = b.report();
-    ASSERT_GE(r.windows.size(), cfg.unsatisfiableWindows);
+    ASSERT_GE(r.windows.size(), kStreak);
     for (const core::BudgetWindow &w : r.windows)
         EXPECT_TRUE(w.hardOver);
     EXPECT_FALSE(b.unsatisfiable());
@@ -338,13 +349,13 @@ TEST(Budget, HardOverWithoutRefusalIsNotUnsatisfiable)
     BudgetController b2(cfg, 1);
     h2.bind(b2);
     b2.onRunStart(h2.m);
-    for (uint32_t i = 0; i < 3 * cfg.unsatisfiableWindows; ++i) {
+    for (uint32_t i = 0; i < 3 * kStreak; ++i) {
         bool storm = i % 2 == 0;
         if (storm) {
-            h2.overhead(100);
+            h2.overhead(2 * kHard);
             b2.admitCheck(h2.m, 0, 1, 0);
         }
-        h2.base(1000);
+        h2.base(kWindow);
         b2.admitRegion(h2.m, 0, 0);
     }
     EXPECT_FALSE(b2.unsatisfiable());

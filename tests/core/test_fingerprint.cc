@@ -182,3 +182,96 @@ TEST(Repro, ParseSeedList)
     EXPECT_EQ(core::parseSeedList("3,1,18446744073709551615"),
               (std::vector<uint64_t>{3, 1, 18446744073709551615ull}));
 }
+
+TEST(Repro, ParseUnsignedFlagTakesWholeDecimals)
+{
+    EXPECT_EQ(core::parseUnsignedFlag("--seed", "0"), 0u);
+    EXPECT_EQ(core::parseUnsignedFlag("--seed", "18446744073709551615"),
+              18446744073709551615ull);
+    EXPECT_EQ(core::parseUnsignedFlag("--seeds", "1", 1), 1u);
+    EXPECT_EQ(core::parseUnsignedFlag("--jobs", "4294967295", 0,
+                                      UINT32_MAX),
+              4294967295u);
+}
+
+TEST(Repro, ParseUnsignedFlagRejectsJunkSignsAndRange)
+{
+    using testing::ExitedWithCode;
+    EXPECT_EXIT(core::parseUnsignedFlag("--seed", "foo"),
+                ExitedWithCode(1), "--seed: expected an unsigned");
+    EXPECT_EXIT(core::parseUnsignedFlag("--seed", ""), ExitedWithCode(1),
+                "--seed: expected an unsigned");
+    EXPECT_EXIT(core::parseUnsignedFlag("--scale", "3x"),
+                ExitedWithCode(1), "--scale: expected an unsigned");
+    EXPECT_EXIT(core::parseUnsignedFlag("--fault-horizon", "-1"),
+                ExitedWithCode(1), "--fault-horizon: expected an unsigned");
+    EXPECT_EXIT(core::parseUnsignedFlag("--seed", "+1"),
+                ExitedWithCode(1), "--seed: expected an unsigned");
+    EXPECT_EXIT(core::parseUnsignedFlag("--seed", " 1"),
+                ExitedWithCode(1), "--seed: expected an unsigned");
+    EXPECT_EXIT(core::parseUnsignedFlag("--seed", "18446744073709551616"),
+                ExitedWithCode(1), "--seed: .* out of range");
+    EXPECT_EXIT(core::parseUnsignedFlag("--seeds", "0", 1),
+                ExitedWithCode(1), "--seeds: '0' is out of range");
+    EXPECT_EXIT(core::parseUnsignedFlag("--jobs", "4294967296", 0,
+                                        UINT32_MAX),
+                ExitedWithCode(1), "--jobs: .* out of range");
+}
+
+TEST(Repro, ParseDoubleFlagTakesWholeNumbers)
+{
+    EXPECT_EQ(core::parseDoubleFlag("--budget-pct", "3"), 3.0);
+    EXPECT_EQ(core::parseDoubleFlag("--irq-scale", "0.25"), 0.25);
+    EXPECT_EQ(core::parseDoubleFlag("--irq-scale", "-5"), -5.0);
+}
+
+TEST(Repro, ParseDoubleFlagRejectsJunk)
+{
+    using testing::ExitedWithCode;
+    EXPECT_EXIT(core::parseDoubleFlag("--budget-pct", "3x"),
+                ExitedWithCode(1), "--budget-pct: expected a number");
+    EXPECT_EXIT(core::parseDoubleFlag("--budget-pct", ""),
+                ExitedWithCode(1), "--budget-pct: expected a number");
+    EXPECT_EXIT(core::parseDoubleFlag("--rate", "nan"),
+                ExitedWithCode(1), "--rate: 'nan' is out of range");
+    EXPECT_EXIT(core::parseDoubleFlag("--rate", "1e999"),
+                ExitedWithCode(1), "--rate: '1e999' is out of range");
+}
+
+TEST(Repro, ParseSeedListRejectsJunk)
+{
+    using testing::ExitedWithCode;
+    EXPECT_EXIT(core::parseSeedList("1,,2"), ExitedWithCode(1),
+                "--seed-list: expected an unsigned integer, got ''");
+    EXPECT_EXIT(core::parseSeedList("1,x"), ExitedWithCode(1),
+                "--seed-list: expected an unsigned integer, got 'x'");
+    EXPECT_EXIT(core::parseSeedList("-3"), ExitedWithCode(1),
+                "--seed-list: expected an unsigned integer");
+}
+
+TEST(Repro, GoldenConfigDigests)
+{
+    // Pinned values: every digest, every `# config 0x...` repro line
+    // and every campaign identity must stay valid across refactors of
+    // RunConfig. A change here means old repro commands stop matching.
+    core::RunConfig def;
+    EXPECT_EQ(core::configDigest(def), 0x84b781f2ce62b997ull);
+
+    core::RunConfig gov;
+    gov.governor.enabled = true;
+    EXPECT_EQ(core::configDigest(gov), 0xbb19bd282fa91ee4ull);
+
+    core::RunConfig mon;
+    mon.governor.enabled = true;
+    mon.budget.enabled = true;
+    mon.budget.budgetPct = 5.0;
+    EXPECT_EQ(core::configDigest(mon), 0x26f5db4e4fe5118full);
+
+    core::RunConfig noopt;
+    noopt.mode = core::RunMode::TxRaceNoOpt;
+    EXPECT_EQ(core::configDigest(noopt), 0x484cc831febe2665ull);
+
+    core::RunConfig region;
+    region.slowpath = core::SlowPathKind::Region;
+    EXPECT_EQ(core::configDigest(region), 0x66f3d1e921f30f6cull);
+}

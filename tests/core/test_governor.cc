@@ -8,15 +8,22 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/budget.hh"
+#include "core/driver.hh"
+#include "core/fingerprint.hh"
 #include "core/governor.hh"
 #include "core/policies.hh"
+#include "fault/fault.hh"
 #include "ir/builder.hh"
+#include "workloads/workloads.hh"
 
 using namespace txrace;
 using core::FallbackGovernor;
+using Budget = core::BudgetController;
+using Gov = core::FallbackGovernor;
 using core::GovernorAction;
 using core::GovernorConfig;
 using sim::Bucket;
@@ -67,6 +74,20 @@ struct GovHarness
     }
 };
 
+/** FNV digest of everything a run reports: every counter, every race
+ *  fingerprint key, and the total cost. */
+uint64_t
+resultDigest(const ir::Program &prog, const core::RunResult &r)
+{
+    std::string s;
+    for (const auto &[name, value] : r.stats.all())
+        s += name + "=" + std::to_string(value) + "\n";
+    for (const auto &[sig, race] : core::fingerprintedRaces(prog, r.races))
+        s += sig.key + "\n";
+    s += std::to_string(r.totalCost);
+    return core::fnv1a64(s);
+}
+
 } // namespace
 
 TEST(Governor, DisabledIsInert)
@@ -86,14 +107,12 @@ TEST(Governor, DisabledIsInert)
 TEST(Governor, CapacityAbortRateDemotesToShortTx)
 {
     GovHarness h;
-    GovernorConfig cfg = enabledConfig();
-    cfg.maxBackoffRetries = 0;  // isolate the window logic
-    FallbackGovernor gov(cfg, 1);
+    FallbackGovernor gov(enabledConfig(), 1);
     h.bind(gov);
 
-    // demoteAbortsPerWindow aborts inside one window: demote. The
+    // kDemoteAbortsPerWindow aborts inside one window: demote. The
     // first rung for capacity pressure is shorter transactions.
-    for (uint32_t i = 0; i < cfg.demoteAbortsPerWindow; ++i)
+    for (uint32_t i = 0; i < Gov::kDemoteAbortsPerWindow; ++i)
         gov.onAbort(h.m, 0, Bucket::Capacity);
     EXPECT_EQ(gov.level(0), FallbackGovernor::kShortTx);
     EXPECT_EQ(h.count("txrace.gov.demotions"), 1u);
@@ -106,12 +125,10 @@ TEST(Governor, UnknownAbortRateSkipsStraightToSlowStart)
     // Interrupts strike per step no matter how short the transaction
     // is, so the ShortTx rung is skipped for unknown-dominated storms.
     GovHarness h;
-    GovernorConfig cfg = enabledConfig();
-    cfg.maxBackoffRetries = 0;
-    FallbackGovernor gov(cfg, 1);
+    FallbackGovernor gov(enabledConfig(), 1);
     h.bind(gov);
 
-    for (uint32_t i = 0; i < cfg.demoteAbortsPerWindow; ++i)
+    for (uint32_t i = 0; i < Gov::kDemoteAbortsPerWindow; ++i)
         gov.onAbort(h.m, 0, Bucket::Unknown);
     EXPECT_EQ(gov.level(0), FallbackGovernor::kSlowStart);
     EXPECT_EQ(gov.demoteReasonFor(0), Bucket::Unknown);
@@ -123,13 +140,11 @@ TEST(Governor, ShortTxRungSkippedWithoutLoopCuts)
     // nothing to shorten, so even capacity pressure lands on
     // slow-start directly.
     GovHarness h;
-    GovernorConfig cfg = enabledConfig();
-    cfg.maxBackoffRetries = 0;
-    FallbackGovernor gov(cfg, 1);
+    FallbackGovernor gov(enabledConfig(), 1);
     h.bind(gov);
     gov.setShortTxUseful(false);
 
-    for (uint32_t i = 0; i < cfg.demoteAbortsPerWindow; ++i)
+    for (uint32_t i = 0; i < Gov::kDemoteAbortsPerWindow; ++i)
         gov.onAbort(h.m, 0, Bucket::Capacity);
     EXPECT_EQ(gov.level(0), FallbackGovernor::kSlowStart);
 }
@@ -137,15 +152,13 @@ TEST(Governor, ShortTxRungSkippedWithoutLoopCuts)
 TEST(Governor, SparseAbortsNeverDemote)
 {
     GovHarness h;
-    GovernorConfig cfg = enabledConfig();
-    cfg.maxBackoffRetries = 0;
-    FallbackGovernor gov(cfg, 1);
+    FallbackGovernor gov(enabledConfig(), 1);
     h.bind(gov);
 
     // One abort per window, forever: the window keeps rolling over.
     for (int i = 0; i < 50; ++i) {
         gov.onAbort(h.m, 0, Bucket::Capacity);
-        h.tick(cfg.windowCost + 1);
+        h.tick(Gov::kWindowCost + 1);
     }
     EXPECT_EQ(gov.level(0), FallbackGovernor::kFast);
     EXPECT_EQ(h.count("txrace.gov.demotions"), 0u);
@@ -154,13 +167,12 @@ TEST(Governor, SparseAbortsNeverDemote)
 TEST(Governor, LivelockEscalatesStraightToSlowStart)
 {
     GovHarness h;
-    GovernorConfig cfg = enabledConfig();
-    FallbackGovernor gov(cfg, 1);
+    FallbackGovernor gov(enabledConfig(), 1);
     h.bind(gov);
 
-    for (uint32_t i = 0; i < cfg.livelockK; ++i) {
+    for (uint32_t i = 0; i < Gov::kLivelockK; ++i) {
         gov.onAbort(h.m, 0, Bucket::Conflict, /*primary=*/true);
-        h.tick(cfg.windowCost + 1);  // keep the rate window quiet
+        h.tick(Gov::kWindowCost + 1);  // keep the rate window quiet
     }
     EXPECT_EQ(gov.level(0), FallbackGovernor::kSlowStart);
     EXPECT_EQ(h.count("txrace.gov.livelock_escalations"), 1u);
@@ -170,14 +182,13 @@ TEST(Governor, LivelockEscalatesStraightToSlowStart)
 TEST(Governor, CommitResetsTheLivelockCounter)
 {
     GovHarness h;
-    GovernorConfig cfg = enabledConfig();
-    FallbackGovernor gov(cfg, 1);
+    FallbackGovernor gov(enabledConfig(), 1);
     h.bind(gov);
 
     for (int round = 0; round < 5; ++round) {
-        for (uint32_t i = 0; i + 1 < cfg.livelockK; ++i) {
+        for (uint32_t i = 0; i + 1 < Gov::kLivelockK; ++i) {
             gov.onAbort(h.m, 0, Bucket::Conflict, true);
-            h.tick(cfg.windowCost + 1);
+            h.tick(Gov::kWindowCost + 1);
         }
         gov.onCommit(0);  // a commit interrupts the streak
     }
@@ -188,15 +199,14 @@ TEST(Governor, CommitResetsTheLivelockCounter)
 TEST(Governor, CollateralConflictsDoNotCountTowardLivelock)
 {
     GovHarness h;
-    GovernorConfig cfg = enabledConfig();
-    FallbackGovernor gov(cfg, 1);
+    FallbackGovernor gov(enabledConfig(), 1);
     h.bind(gov);
 
     // TxFail-broadcast victims (primary=false), spaced so the abort
     // window never trips either.
     for (int i = 0; i < 20; ++i) {
         gov.onAbort(h.m, 0, Bucket::Conflict, /*primary=*/false);
-        h.tick(cfg.windowCost + 1);
+        h.tick(Gov::kWindowCost + 1);
     }
     EXPECT_EQ(gov.level(0), FallbackGovernor::kFast);
     EXPECT_EQ(h.count("txrace.gov.livelock_escalations"), 0u);
@@ -205,38 +215,30 @@ TEST(Governor, CollateralConflictsDoNotCountTowardLivelock)
 TEST(Governor, UnknownAbortsGetBoundedBackoffRetries)
 {
     GovHarness h;
-    GovernorConfig cfg = enabledConfig();
-    cfg.maxBackoffRetries = 2;
-    FallbackGovernor gov(cfg, 1);
+    FallbackGovernor gov(enabledConfig(), 1);
     h.bind(gov);
+    static_assert(Gov::kMaxBackoffRetries == 1);
 
     uint64_t before = h.m.context(0).myCost;
     EXPECT_EQ(gov.onAbort(h.m, 0, Bucket::Unknown),
               GovernorAction::RetryBackoff);
-    EXPECT_EQ(h.m.context(0).myCost - before, cfg.backoffBaseCost);
+    EXPECT_EQ(h.m.context(0).myCost - before, Gov::kBackoffCost);
 
     // A second abort in the SAME window is a storm, not a transient:
-    // the in-place retry is refused even with budget left.
+    // the in-place retry is refused.
     EXPECT_EQ(gov.onAbort(h.m, 0, Bucket::Unknown),
               GovernorAction::FallBack);
 
-    // Quiet window again: the second retry goes through, with the
-    // stall doubled.
-    h.tick(cfg.windowCost + 1);
-    before = h.m.context(0).myCost;
-    EXPECT_EQ(gov.onAbort(h.m, 0, Bucket::Unknown),
-              GovernorAction::RetryBackoff);
-    EXPECT_EQ(h.m.context(0).myCost - before, 2 * cfg.backoffBaseCost);
-
-    // Budget exhausted: surrender to the slow path.
-    h.tick(cfg.windowCost + 1);
+    // Quiet window again, but the region's one retry is spent:
+    // surrender to the slow path.
+    h.tick(Gov::kWindowCost + 1);
     EXPECT_EQ(gov.onAbort(h.m, 0, Bucket::Unknown),
               GovernorAction::FallBack);
-    EXPECT_EQ(h.count("txrace.gov.backoff_retries"), 2u);
+    EXPECT_EQ(h.count("txrace.gov.backoff_retries"), 1u);
 
     // A commit refills the per-region budget.
     gov.onCommit(0);
-    h.tick(cfg.windowCost + 1);
+    h.tick(Gov::kWindowCost + 1);
     EXPECT_EQ(gov.onAbort(h.m, 0, Bucket::Unknown),
               GovernorAction::RetryBackoff);
 }
@@ -256,20 +258,18 @@ TEST(Governor, ConflictAbortsNeverRetryInPlace)
 TEST(Governor, ReprobationClimbsAndBacksOffExponentially)
 {
     GovHarness h;
-    GovernorConfig cfg = enabledConfig();
-    cfg.maxBackoffRetries = 0;
-    FallbackGovernor gov(cfg, 1);
+    FallbackGovernor gov(enabledConfig(), 1);
     h.bind(gov);
 
     auto demoteOnce = [&] {
-        for (uint32_t i = 0; i < cfg.demoteAbortsPerWindow; ++i)
+        for (uint32_t i = 0; i < Gov::kDemoteAbortsPerWindow; ++i)
             gov.onAbort(h.m, 0, Bucket::Capacity);
     };
     demoteOnce();
     ASSERT_EQ(gov.level(0), FallbackGovernor::kShortTx);
 
     // Not yet cooled down: stays put.
-    h.tick(cfg.reprobateAfterCost - 1);
+    h.tick(Gov::kReprobateAfterCost - 1);
     EXPECT_EQ(gov.levelForRegion(h.m, 0), FallbackGovernor::kShortTx);
 
     // Cooldown elapsed: probes one level up.
@@ -283,15 +283,15 @@ TEST(Governor, ReprobationClimbsAndBacksOffExponentially)
     EXPECT_EQ(h.count("txrace.gov.failed_probes"), 1u);
 
     // ...so the next probe needs twice the cooldown.
-    h.tick(cfg.reprobateAfterCost + 1);
+    h.tick(Gov::kReprobateAfterCost + 1);
     EXPECT_EQ(gov.levelForRegion(h.m, 0), FallbackGovernor::kShortTx);
-    h.tick(cfg.reprobateAfterCost);
+    h.tick(Gov::kReprobateAfterCost);
     EXPECT_EQ(gov.levelForRegion(h.m, 0), FallbackGovernor::kFast);
     EXPECT_EQ(h.count("txrace.gov.reprobations"), 2u);
 
     // This time the storm has passed: two calm windows clear the
     // backoff entirely.
-    h.tick(2 * cfg.windowCost);
+    h.tick(2 * Gov::kWindowCost);
     EXPECT_EQ(gov.levelForRegion(h.m, 0), FallbackGovernor::kFast);
     EXPECT_EQ(h.count("txrace.gov.probe_successes"), 1u);
 }
@@ -299,14 +299,13 @@ TEST(Governor, ReprobationClimbsAndBacksOffExponentially)
 TEST(Governor, SlowCostBudgetDemotesToSampling)
 {
     GovHarness h;
-    GovernorConfig cfg = enabledConfig();
-    FallbackGovernor gov(cfg, 1);
+    FallbackGovernor gov(enabledConfig(), 1);
     h.bind(gov);
 
     // Reach slow-start via livelock.
-    for (uint32_t i = 0; i < cfg.livelockK; ++i) {
+    for (uint32_t i = 0; i < Gov::kLivelockK; ++i) {
         gov.onAbort(h.m, 0, Bucket::Conflict, true);
-        h.tick(cfg.windowCost + 1);
+        h.tick(Gov::kWindowCost + 1);
     }
     ASSERT_EQ(gov.level(0), FallbackGovernor::kSlowStart);
 
@@ -315,7 +314,7 @@ TEST(Governor, SlowCostBudgetDemotesToSampling)
     // ...and the slow path is stalling too (per-check cost far above
     // the configured baseline): cornered, so sampled checking is the
     // only bounded option left.
-    gov.onSlowCheckCost(h.m, 0, cfg.demoteSlowCostPerWindow - 1);
+    gov.onSlowCheckCost(h.m, 0, Gov::kDemoteSlowCostPerWindow - 1);
     EXPECT_EQ(gov.level(0), FallbackGovernor::kSlowStart);
     gov.onSlowCheckCost(h.m, 0, 1);
     EXPECT_EQ(gov.level(0), FallbackGovernor::kSampling);
@@ -326,22 +325,21 @@ TEST(Governor, SlowCostBudgetDemotesToSampling)
 TEST(Governor, QuietStalledSlowPathProbesBackUp)
 {
     GovHarness h;
-    GovernorConfig cfg = enabledConfig();
-    FallbackGovernor gov(cfg, 1);
+    FallbackGovernor gov(enabledConfig(), 1);
     h.bind(gov);
 
     // Reach slow-start via livelock.
-    for (uint32_t i = 0; i < cfg.livelockK; ++i) {
+    for (uint32_t i = 0; i < Gov::kLivelockK; ++i) {
         gov.onAbort(h.m, 0, Bucket::Conflict, true);
-        h.tick(cfg.windowCost + 1);
+        h.tick(Gov::kWindowCost + 1);
     }
     ASSERT_EQ(gov.level(0), FallbackGovernor::kSlowStart);
 
     // A stalled check with the hardware silent all window: the
     // expensive part is the fallback itself, so the governor climbs
     // back up rather than sinking to sampling.
-    h.tick(cfg.windowCost + 1);
-    gov.onSlowCheckCost(h.m, 0, cfg.demoteSlowCostPerWindow);
+    h.tick(Gov::kWindowCost + 1);
+    gov.onSlowCheckCost(h.m, 0, Gov::kDemoteSlowCostPerWindow);
     EXPECT_EQ(gov.level(0), FallbackGovernor::kShortTx);
     EXPECT_EQ(h.count("txrace.gov.stall_promotions"), 1u);
     EXPECT_EQ(h.count("txrace.gov.demotions"), 1u);  // livelock only
@@ -367,15 +365,13 @@ TEST(Governor, SamplingDrawsAreDeterministicPerSeed)
 TEST(Governor, ProbeIntervalExactlyDoublesUnderPersistentStorm)
 {
     // The full backoff staircase: every failed probe doubles the
-    // cooldown until maxProbeBackoffExp caps it, and the cap holds.
+    // cooldown until kMaxProbeBackoffExp caps it, and the cap holds.
     GovHarness h;
-    GovernorConfig cfg = enabledConfig();
-    cfg.maxBackoffRetries = 0;
-    FallbackGovernor gov(cfg, 1);
+    FallbackGovernor gov(enabledConfig(), 1);
     h.bind(gov);
 
     auto demoteOnce = [&] {
-        for (uint32_t i = 0; i < cfg.demoteAbortsPerWindow; ++i)
+        for (uint32_t i = 0; i < Gov::kDemoteAbortsPerWindow; ++i)
             gov.onAbort(h.m, 0, Bucket::Capacity);
     };
     // Count the ticks until the next probe fires, advancing one cost
@@ -383,7 +379,7 @@ TEST(Governor, ProbeIntervalExactlyDoublesUnderPersistentStorm)
     auto ticksUntilProbe = [&] {
         uint64_t n = 0;
         uint64_t limit =
-            2 * (cfg.reprobateAfterCost << cfg.maxProbeBackoffExp);
+            2 * (Gov::kReprobateAfterCost << Gov::kMaxProbeBackoffExp);
         while (gov.levelForRegion(h.m, 0) != FallbackGovernor::kFast) {
             h.tick(1);
             ++n;
@@ -398,7 +394,7 @@ TEST(Governor, ProbeIntervalExactlyDoublesUnderPersistentStorm)
 
     std::vector<uint64_t> delays;
     for (int probe = 0;
-         probe < static_cast<int>(cfg.maxProbeBackoffExp) + 2;
+         probe < static_cast<int>(Gov::kMaxProbeBackoffExp) + 2;
          ++probe) {
         delays.push_back(ticksUntilProbe());
         demoteOnce();  // the storm is still raging: probe fails
@@ -406,11 +402,11 @@ TEST(Governor, ProbeIntervalExactlyDoublesUnderPersistentStorm)
     }
     std::vector<uint64_t> expected;
     for (int probe = 0;
-         probe < static_cast<int>(cfg.maxProbeBackoffExp) + 2;
+         probe < static_cast<int>(Gov::kMaxProbeBackoffExp) + 2;
          ++probe) {
         uint32_t exp = std::min(static_cast<uint32_t>(probe),
-                                cfg.maxProbeBackoffExp);
-        expected.push_back(cfg.reprobateAfterCost << exp);
+                                Gov::kMaxProbeBackoffExp);
+        expected.push_back(Gov::kReprobateAfterCost << exp);
     }
     EXPECT_EQ(delays, expected);  // 800, 1600, 3200, 6400, 6400
 }
@@ -451,43 +447,43 @@ TEST(Governor, BudgetPressureVetoesPromotions)
     // is past its soft admission level, re-probation is deferred (and
     // counted), and resumes once the pressure clears.
     GovHarness h;
-    GovernorConfig cfg = enabledConfig();
-    cfg.maxBackoffRetries = 0;
-    FallbackGovernor gov(cfg, 1);
+    FallbackGovernor gov(enabledConfig(), 1);
     h.bind(gov);
 
+    // No test step adds Base cost before the explicit window roll
+    // below, so one budget window spans the veto phase.
     core::BudgetConfig bcfg;
     bcfg.enabled = true;
     bcfg.budgetPct = 5.0;
-    bcfg.windowBase = 1'000'000;  // one window spans the whole test
     core::BudgetController budget(bcfg, 1);
     budget.bindMetrics(h.m.tel().registry);
     budget.onRunStart(h.m);
     gov.setBudget(&budget);
 
-    for (uint32_t i = 0; i < cfg.demoteAbortsPerWindow; ++i)
+    for (uint32_t i = 0; i < Gov::kDemoteAbortsPerWindow; ++i)
         gov.onAbort(h.m, 0, Bucket::Capacity);
     ASSERT_EQ(gov.level(0), FallbackGovernor::kShortTx);
 
     // Refusing an over-budget check puts the window under pressure.
     uint64_t soft = static_cast<uint64_t>(
-        bcfg.budgetPct / 100.0 * bcfg.windowBase * bcfg.softFactor);
+        bcfg.budgetPct / 100.0 * Budget::kWindowBase *
+        Budget::kSoftFactor);
     EXPECT_FALSE(budget.admitCheck(h.m, 0, 1, soft + 1));
     ASSERT_TRUE(budget.underPressure());
 
     // Cooldown elapses, but the budget outranks the ladder: no
     // promotion, and the veto restarts the cooldown.
-    h.tick(cfg.reprobateAfterCost + 1);
+    h.tick(Gov::kReprobateAfterCost + 1);
     EXPECT_EQ(gov.levelForRegion(h.m, 0), FallbackGovernor::kShortTx);
     EXPECT_EQ(h.count("txrace.gov.budget_vetoes"), 1u);
     EXPECT_EQ(h.count("txrace.gov.reprobations"), 0u);
 
     // Pressure clears with the next window roll (overhead stayed
     // below the soft level), and the deferred probe goes through.
-    h.m.addCost(0, bcfg.windowBase, sim::Bucket::Base);
+    h.m.addCost(0, Budget::kWindowBase, sim::Bucket::Base);
     EXPECT_TRUE(budget.admitCheck(h.m, 0, 1, 0));
     EXPECT_FALSE(budget.underPressure());
-    h.tick(cfg.reprobateAfterCost + 1);
+    h.tick(Gov::kReprobateAfterCost + 1);
     EXPECT_EQ(gov.levelForRegion(h.m, 0), FallbackGovernor::kFast);
     EXPECT_EQ(h.count("txrace.gov.reprobations"), 1u);
 }
@@ -495,13 +491,33 @@ TEST(Governor, BudgetPressureVetoesPromotions)
 TEST(Governor, ThreadsAreIndependent)
 {
     GovHarness h;
-    GovernorConfig cfg = enabledConfig();
-    cfg.maxBackoffRetries = 0;
-    FallbackGovernor gov(cfg, 1);
+    FallbackGovernor gov(enabledConfig(), 1);
     h.bind(gov);
-    for (uint32_t i = 0; i < cfg.demoteAbortsPerWindow; ++i)
+    for (uint32_t i = 0; i < Gov::kDemoteAbortsPerWindow; ++i)
         gov.onAbort(h.m, 0, Bucket::Capacity);
     EXPECT_EQ(gov.level(0), FallbackGovernor::kShortTx);
     EXPECT_EQ(gov.level(1), FallbackGovernor::kFast);
     EXPECT_EQ(gov.loopcutDivisorFor(1), 1u);
+}
+
+TEST(Governor, GoldenChaosSoakDigest)
+{
+    // The CI chaos soak (vips, txrace-dyn, 8 workers, seed 7, chaos
+    // at horizon 30000, governor on): its counters, race keys and
+    // total cost are pinned, so any change to a governor constant
+    // shows up here.
+    workloads::WorkloadParams params;
+    params.nWorkers = 8;
+    workloads::AppModel app = workloads::makeApp("vips", params);
+    core::RunConfig cfg;
+    cfg.mode = core::RunMode::TxRaceDynLoopcut;
+    cfg.machine = app.machine;
+    cfg.machine.seed = 7;
+    cfg.machine.faults = fault::makeScenario("chaos", 30'000);
+    cfg.governor.enabled = true;
+    core::RunResult r = core::runProgram(app.program, cfg);
+    ASSERT_TRUE(r.error.ok());
+    EXPECT_EQ(r.totalCost, 9284329u);
+    EXPECT_EQ(r.races.count(), 112u);
+    EXPECT_EQ(resultDigest(app.program, r), 0x9363f90f11f64ed8ull);
 }

@@ -101,6 +101,20 @@ checkAcceptance(const workloads::AppModel &app,
         << "recall " << found.size() << "/" << truth.size();
 }
 
+/** FNV digest of everything a run reports: every counter, every race
+ *  fingerprint key, and the total cost. */
+uint64_t
+resultDigest(const ir::Program &prog, const core::RunResult &r)
+{
+    std::string s;
+    for (const auto &[name, value] : r.stats.all())
+        s += name + "=" + std::to_string(value) + "\n";
+    for (const auto &[sig, race] : core::fingerprintedRaces(prog, r.races))
+        s += sig.key + "\n";
+    s += std::to_string(r.totalCost);
+    return core::fnv1a64(s);
+}
+
 } // namespace
 
 TEST(Monitor, TSanFindsExactlyThePlantedStreamFamilies)
@@ -237,4 +251,19 @@ TEST(Monitor, DisabledBudgetLeavesTheRunUntouched)
     EXPECT_TRUE(a.budget.windows.empty());
     EXPECT_EQ(a.totalCost, b.totalCost);
     EXPECT_EQ(a.races.count(), b.races.count());
+}
+
+TEST(Monitor, GoldenStormDigest)
+{
+    // The CI monitor storm (apache-stream, 5%, slowpath-stall): its
+    // counters, race keys and total cost are pinned, so any change to
+    // a monitor or governor constant shows up here.
+    workloads::AppModel app = streamApp();
+    core::RunConfig cfg = monitorConfig(app, 1);
+    cfg.machine.faults = fault::makeScenario("slowpath-stall", 30'000);
+    core::RunResult r = core::runProgram(app.program, cfg);
+    ASSERT_TRUE(r.error.ok());
+    EXPECT_EQ(r.totalCost, 1833939u);
+    EXPECT_EQ(r.budget.windows.size(), 89u);
+    EXPECT_EQ(resultDigest(app.program, r), 0xd62bc0a551b8d868ull);
 }

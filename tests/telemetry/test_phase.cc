@@ -153,7 +153,6 @@ TEST(PhaseProfiler, GovernorBackoffStallIsDegradedCost)
 
     core::GovernorConfig cfg;
     cfg.enabled = true;
-    cfg.maxBackoffRetries = 2;
     core::FallbackGovernor gov(cfg, 1);
     gov.bindMetrics(m.tel().registry);
 
@@ -161,7 +160,7 @@ TEST(PhaseProfiler, GovernorBackoffStallIsDegradedCost)
     ASSERT_EQ(gov.onAbort(m, 0, sim::Bucket::Unknown),
               core::GovernorAction::RetryBackoff);
     EXPECT_EQ(m.tel().phases.costOf(Phase::Degraded),
-              cfg.backoffBaseCost);
+              core::FallbackGovernor::kBackoffCost);
     EXPECT_EQ(m.tel().phases.costOf(Phase::Fast), 0u);
 }
 

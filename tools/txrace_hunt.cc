@@ -221,21 +221,21 @@ main(int argc, char **argv)
         } else if (const char *v = value("--apps")) {
             apps_arg = v;
         } else if (const char *v1 = value("--seeds")) {
-            cfg.seedsPerApp = std::strtoull(v1, nullptr, 10);
+            cfg.seedsPerApp = core::parseUnsignedFlag("--seeds", v1, 1);
         } else if (const char *v2 = value("--jobs")) {
-            cfg.jobs =
-                static_cast<uint32_t>(std::strtoul(v2, nullptr, 10));
+            cfg.jobs = static_cast<uint32_t>(
+                core::parseUnsignedFlag("--jobs", v2, 0, UINT32_MAX));
         } else if (const char *v3 = value("--strategy")) {
             cfg.strategy = v3;
         } else if (const char *v4 = value("--mode")) {
             cfg.mode = parseMode(v4);
         } else if (const char *v5 = value("--workers")) {
-            cfg.workers =
-                static_cast<uint32_t>(std::strtoul(v5, nullptr, 10));
+            cfg.workers = static_cast<uint32_t>(
+                core::parseUnsignedFlag("--workers", v5, 0, UINT32_MAX));
         } else if (const char *v6 = value("--scale")) {
-            cfg.scale = std::strtoull(v6, nullptr, 10);
+            cfg.scale = core::parseUnsignedFlag("--scale", v6);
         } else if (const char *v7 = value("--master-seed")) {
-            cfg.masterSeed = std::strtoull(v7, nullptr, 10);
+            cfg.masterSeed = core::parseUnsignedFlag("--master-seed", v7);
         } else if (const char *v8 = value("--out")) {
             out_path = v8;
         } else if (const char *v9 = value("--profile-out")) {
@@ -243,20 +243,18 @@ main(int argc, char **argv)
         } else if (const char *v10 = value("--progress-json")) {
             progress_json_path = v10;
         } else if (const char *v11 = value("--progress-every")) {
-            cfg.progressEvery = std::strtoull(v11, nullptr, 10);
-            if (cfg.progressEvery == 0)
-                fatal("--progress-every must be positive");
+            cfg.progressEvery =
+                core::parseUnsignedFlag("--progress-every", v11, 1);
         } else if (const char *v12 = value("--trace-json")) {
             trace_json_path = v12;
         } else if (const char *v13 = value("--shards")) {
-            cfg.shards =
-                static_cast<uint32_t>(std::strtoul(v13, nullptr, 10));
-            if (cfg.shards == 0)
-                fatal("--shards must be positive");
+            cfg.shards = static_cast<uint32_t>(
+                core::parseUnsignedFlag("--shards", v13, 1, UINT32_MAX));
         } else if (const char *v14 = value("--state-dir")) {
             state_dir = v14;
         } else if (const char *v15 = value("--checkpoint-every")) {
-            checkpoint_every = std::strtoull(v15, nullptr, 10);
+            checkpoint_every =
+                core::parseUnsignedFlag("--checkpoint-every", v15);
         } else if (const char *v16 = value("--spool")) {
             spool_dir = v16;
         } else if (const char *v17 = value("--merge")) {

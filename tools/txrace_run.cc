@@ -146,6 +146,7 @@ main(int argc, char **argv)
     bool governor = false;
     bool monitor = false;
     double budget_pct = 5.0;
+    bool budget_pct_given = false;
     bool elide = true;
     bool explain = false;
     bool flightrec = true;
@@ -191,24 +192,26 @@ main(int argc, char **argv)
         } else if (const char *v2 = value("--mode")) {
             mode_name = v2;
         } else if (const char *v3 = value("--workers")) {
-            params.nWorkers =
-                static_cast<uint32_t>(std::strtoul(v3, nullptr, 10));
+            params.nWorkers = static_cast<uint32_t>(
+                core::parseUnsignedFlag("--workers", v3, 0, UINT32_MAX));
         } else if (const char *v4 = value("--scale")) {
-            params.scale = std::strtoull(v4, nullptr, 10);
+            params.scale = core::parseUnsignedFlag("--scale", v4);
         } else if (const char *v5 = value("--seed")) {
-            seed = std::strtoull(v5, nullptr, 10);
+            seed = core::parseUnsignedFlag("--seed", v5);
         } else if (const char *vsl = value("--seed-list")) {
             seed_list = vsl;
         } else if (const char *vis = value("--irq-scale")) {
-            irq_scale = std::strtod(vis, nullptr);
+            irq_scale = core::parseDoubleFlag("--irq-scale", vis);
+            if (irq_scale < 0.0)
+                fatal("--irq-scale must not be negative");
         } else if (const char *v6 = value("--rate")) {
-            rate = std::strtod(v6, nullptr);
+            rate = core::parseDoubleFlag("--rate", v6);
         } else if (const char *v7 = value("--trace")) {
-            trace = std::strtoull(v7, nullptr, 10);
+            trace = core::parseUnsignedFlag("--trace", v7);
         } else if (const char *v8 = value("--fault")) {
             fault_name = v8;
         } else if (const char *v9 = value("--fault-horizon")) {
-            fault_horizon = std::strtoull(v9, nullptr, 10);
+            fault_horizon = core::parseUnsignedFlag("--fault-horizon", v9);
         } else if (const char *vsp = value("--slowpath")) {
             slowpath_name = vsp;
         } else if (std::strcmp(argv[i], "--governor") == 0) {
@@ -216,7 +219,8 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--monitor") == 0) {
             monitor = true;
         } else if (const char *vb = value("--budget-pct")) {
-            budget_pct = std::strtod(vb, nullptr);
+            budget_pct = core::parseDoubleFlag("--budget-pct", vb);
+            budget_pct_given = true;
             if (budget_pct <= 0.0)
                 fatal("--budget-pct must be positive");
         } else if (std::strcmp(argv[i], "--no-elide") == 0) {
@@ -254,6 +258,8 @@ main(int argc, char **argv)
             !pattern_name.empty() >
         1)
         fatal("--app, --program and --pattern are mutually exclusive");
+    if (budget_pct_given && !monitor)
+        fatal("--budget-pct requires --monitor");
 
     core::RunConfig cfg;
     cfg.mode = parseMode(mode_name);
