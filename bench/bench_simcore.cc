@@ -10,6 +10,13 @@
  *    and per-op dispatch rather than batching.
  *  - tx-heavy: the full TxRace pipeline (transactions, conflict
  *    detection, aborts), dominated by the HTM engine and detector.
+ *  - native-app / tsan-app: the registry's apache-stream model at
+ *    scale 4 with its own machine config, under the Native baseline
+ *    and the TSan baseline — the lanes every overhead figure divides
+ *    by and the calibration pays for.
+ *
+ * Every probe goes through core::runProgram, so it measures the lane
+ * real runs take (registry interrupt rates included).
  *
  * Items/sec is scheduler steps/sec (actual steps executed, taken from
  * the run result), so the numbers compare across probes.
@@ -27,9 +34,8 @@
 #include <vector>
 
 #include "core/driver.hh"
-#include "core/policies.hh"
 #include "ir/builder.hh"
-#include "sim/machine.hh"
+#include "workloads/workloads.hh"
 
 using namespace txrace;
 
@@ -107,33 +113,15 @@ txProgram()
     return b.build();
 }
 
-/** Run @p prog bare (NativePolicy, zero injection rates — the hot
- *  lane) and count real steps/sec. */
+/** Run @p prog under @p mode with machine config @p machine (seed
+ *  varied per iteration) and count real steps/sec. */
 void
-runBare(benchmark::State &state, const ir::Program &prog)
-{
-    sim::MachineConfig cfg;
-    cfg.interruptPerStep = 0.0;
-    uint64_t steps = 0;
-    uint64_t seed = 1;
-    for (auto _ : state) {
-        cfg.seed = seed++;
-        core::NativePolicy policy;
-        sim::Machine m(prog, cfg, policy);
-        const sim::RunError &err = m.run();
-        benchmark::DoNotOptimize(err.kind);
-        steps += err.stepsExecuted;
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(steps));
-}
-
-/** Run @p prog through the full TxRace pipeline and count real
- *  steps/sec. */
-void
-runTx(benchmark::State &state, const ir::Program &prog)
+runMode(benchmark::State &state, const ir::Program &prog,
+        core::RunMode mode, const sim::MachineConfig &machine = {})
 {
     core::RunConfig cfg;
-    cfg.mode = core::RunMode::TxRaceNoOpt;
+    cfg.mode = mode;
+    cfg.machine = machine;
     uint64_t steps = 0;
     uint64_t seed = 1;
     for (auto _ : state) {
@@ -145,26 +133,55 @@ runTx(benchmark::State &state, const ir::Program &prog)
     state.SetItemsProcessed(static_cast<int64_t>(steps));
 }
 
+/** The registry's apache-stream model at scale 4 (calibrated, like
+ *  every registry run). */
+const workloads::AppModel &
+streamApp()
+{
+    static const workloads::AppModel app = [] {
+        workloads::WorkloadParams params;
+        params.scale = 4;
+        return workloads::makeApp("apache-stream", params);
+    }();
+    return app;
+}
+
 void
 BM_SimComputeDecoded(benchmark::State &state)
 {
-    runBare(state, computeProgram());
+    runMode(state, computeProgram(), core::RunMode::Native);
 }
 BENCHMARK(BM_SimComputeDecoded);
 
 void
 BM_SimSyncDecoded(benchmark::State &state)
 {
-    runBare(state, syncProgram());
+    runMode(state, syncProgram(), core::RunMode::Native);
 }
 BENCHMARK(BM_SimSyncDecoded);
 
 void
 BM_SimTxDecoded(benchmark::State &state)
 {
-    runTx(state, txProgram());
+    runMode(state, txProgram(), core::RunMode::TxRaceNoOpt);
 }
 BENCHMARK(BM_SimTxDecoded);
+
+void
+BM_SimNativeApp(benchmark::State &state)
+{
+    const workloads::AppModel &app = streamApp();
+    runMode(state, app.program, core::RunMode::Native, app.machine);
+}
+BENCHMARK(BM_SimNativeApp);
+
+void
+BM_SimTsanApp(benchmark::State &state)
+{
+    const workloads::AppModel &app = streamApp();
+    runMode(state, app.program, core::RunMode::TSan, app.machine);
+}
+BENCHMARK(BM_SimTsanApp);
 
 /** Host-speed anchor: a fixed mix of integer hashing, table loads and
  *  stores, and data-dependent branches over a 32 KiB table — the

@@ -64,14 +64,14 @@ struct ExecHandlers
     static void
     compute(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
-        m.addCost(ctx.tid, op.cost, Bucket::Base);
+        m.charge(ctx, op.cost, Bucket::Base);
         ++ctx.pc;
     }
 
     static void
     syscall(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
-        m.addCost(ctx.tid, op.cost, Bucket::Base);
+        m.charge(ctx, op.cost, Bucket::Base);
         m.tel_.registry.add(m.met_.syscalls);
         ++ctx.pc;
     }
@@ -88,7 +88,7 @@ struct ExecHandlers
     mem(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.addCost(t, op.cost, Bucket::Base);
+        m.charge(ctx, op.cost, Bucket::Base);
         ir::Addr addr = op.base;
         if constexpr (S != ir::AddrShape::Constant)
             addr += op.threadStride * t;
@@ -144,7 +144,7 @@ struct ExecHandlers
     static void
     memBad(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
-        m.addCost(ctx.tid, op.cost, Bucket::Base);
+        m.charge(ctx, op.cost, Bucket::Base);
         m.badAccess(ctx.tid, op.base);
     }
 
@@ -152,7 +152,7 @@ struct ExecHandlers
     lockAcquire(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.addCost(t, op.cost, Bucket::Base);
+        m.charge(ctx, op.cost, Bucket::Base);
         if (m.sync_.lockTryAcquire(t, op.arg0)) {
             m.policy_.onSyncPerformed(m, t, *op.ins);
             ++ctx.pc;
@@ -167,7 +167,7 @@ struct ExecHandlers
     lockRelease(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.addCost(t, op.cost, Bucket::Base);
+        m.charge(ctx, op.cost, Bucket::Base);
         m.policy_.onSyncPerformed(m, t, *op.ins);
         Tid next = m.sync_.lockRelease(t, op.arg0);
         if (next != kNoTid) {
@@ -185,7 +185,7 @@ struct ExecHandlers
     condSignal(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.addCost(t, op.cost, Bucket::Base);
+        m.charge(ctx, op.cost, Bucket::Base);
         m.policy_.onSyncPerformed(m, t, *op.ins);
         Tid woken = m.sync_.condSignal(op.arg0);
         if (woken != kNoTid) {
@@ -203,7 +203,7 @@ struct ExecHandlers
     condWait(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.addCost(t, op.cost, Bucket::Base);
+        m.charge(ctx, op.cost, Bucket::Base);
         if (m.sync_.condTryWait(op.arg0)) {
             m.policy_.onSyncPerformed(m, t, *op.ins);
             ++ctx.pc;
@@ -218,7 +218,7 @@ struct ExecHandlers
     barrier(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.addCost(t, op.cost, Bucket::Base);
+        m.charge(ctx, op.cost, Bucket::Base);
         auto released = m.sync_.barrierArrive(t, op.arg0, op.arg1);
         if (released.empty()) {
             m.makeUnrunnable(ctx, ThreadState::Blocked);
@@ -237,7 +237,7 @@ struct ExecHandlers
     threadCreate(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.addCost(t, op.cost, Bucket::Base);
+        m.charge(ctx, op.cost, Bucket::Base);
         Tid child = static_cast<Tid>(m.contexts_.size());
         m.contexts_.emplace_back();
         ThreadContext &cctx = m.contexts_.back();
@@ -261,7 +261,7 @@ struct ExecHandlers
         const Tid t = ctx.tid;
         std::vector<Tid> &targets = m.joinScratch_;
         if (m.joinReady(*op.ins, t, targets)) {
-            m.addCost(t, op.cost, Bucket::Base);
+            m.charge(ctx, op.cost, Bucket::Base);
             for (Tid target : targets)
                 m.policy_.onThreadJoined(m, t, target);
             ++ctx.pc;
@@ -470,24 +470,6 @@ Machine::context(Tid t) const
 }
 
 void
-Machine::addCost(Tid t, uint64_t c, Bucket b)
-{
-    addCost(t, c, b, phaseOf(t));
-}
-
-void
-Machine::addCost(Tid t, uint64_t c, Bucket b, telemetry::Phase p)
-{
-    totalCost_ += c;
-    buckets_[static_cast<size_t>(b)] += c;
-    tel_.phases.noteCost(t, p, c);
-    ThreadContext &ctx = contexts_[t];
-    ctx.myCost += c;
-    if (b == Bucket::Base && htm_.inTx(t))
-        ctx.baseSinceTxBegin += c;
-}
-
-void
 Machine::commitTx(Tid t)
 {
     htm_.commit(t);
@@ -547,20 +529,9 @@ Machine::currentSite(Tid t) const
 }
 
 telemetry::Phase
-Machine::phaseOfCtx(const ThreadContext &ctx) const
-{
-    if (ctx.path == PathMode::Slow)
-        return ctx.govForced ? telemetry::Phase::Degraded
-                             : telemetry::Phase::Slow;
-    if (htm_.inTx(ctx.tid))
-        return telemetry::Phase::Fast;
-    return telemetry::Phase::Native;
-}
-
-telemetry::Phase
 Machine::phaseOf(Tid t) const
 {
-    return phaseOfCtx(contexts_[t]);
+    return phaseFor(contexts_[t], htm_.inTx(t));
 }
 
 void
@@ -726,18 +697,16 @@ Machine::badAccess(Tid t, ir::Addr a)
 const RunError &
 Machine::run()
 {
+    // A second run would re-root thread 0 and publish every counter
+    // into the registry twice.
+    if (ran_)
+        panic("Machine::run: a Machine runs once; build a new one");
+    ran_ = true;
     error_ = RunError{};
     policy_.onRunStart(*this);
     det_.rootThread(0);
     policy_.onThreadStart(*this, 0);
-    if (!faults_.empty() || cfg_.interruptPerStep > 0.0 ||
-        cfg_.retryAbortPerStep > 0.0) {
-        runDecoded<true>();
-    } else {
-        // Hot lane: no fault plan and zero injection rates, so the
-        // per-op fault and interrupt machinery compiles out.
-        runDecoded<false>();
-    }
+    runDecoded();
     error_.stepsExecuted = steps_;
     // Abnormal end: drain every thread's flight window into a capture
     // so the structured error carries its own event context.
@@ -767,10 +736,11 @@ Machine::run()
  * (sync operations, transaction boundaries, memory accesses while any
  * transaction is in flight, thread lifecycle ops) so detection-
  * relevant interleavings keep per-op granularity. Within a quantum
- * the loop is: bounds check, fault/interrupt lane work (Injected lane
- * only), phase attribution, fetch, one indirect call.
+ * the loop is: bounds check, fault-episode advance, phase count,
+ * interrupt injection (transactional steps only), fetch, one indirect
+ * call. Zero injection rates draw no RNG (Rng::chance(0) returns
+ * before drawing), so no separate lane is needed without them.
  */
-template <bool Injected>
 void
 Machine::runDecoded()
 {
@@ -784,30 +754,31 @@ Machine::runDecoded()
         }
         schedHash_ = mixHash(schedHash_, steps_, t);
         ThreadContext &ctx = contexts_[t];
+        // This quantum's steps per phase, flushed into the profiler
+        // when the quantum ends (nothing reads them mid-run).
+        telemetry::PhaseProfiler::PerPhase phaseSteps{};
         uint32_t left = quantum;
         bool first = true;
         quantumBreak_ = false;
         while (true) {
             if (steps_ >= cfg_.maxSteps) {
+                tel_.phases.noteSteps(t, phaseSteps);
                 truncateRun();
                 return;
             }
             ++steps_;
-            if constexpr (Injected) {
-                // A fault-episode edge is a forced preemption point:
-                // its modifiers apply to this op, then re-pick.
-                if (!faults_.empty() && advanceFaults())
-                    left = 1;
-            }
+            // A fault-episode edge is a forced preemption point: its
+            // modifiers apply to this op, then re-pick.
+            if (!faults_.empty() && advanceFaults())
+                left = 1;
             // Attribute this step to the acting thread's current
             // detection mode (the Figure-10 breakdown). The profiler
-            // totals must equal steps executed, so this runs for
+            // totals must equal steps executed, so this counts
             // consumed steps (aborts, beforeStep) too.
-            tel_.phases.note(t, phaseOfCtx(ctx));
-            if constexpr (Injected) {
-                if (htm_.inTx(t) && injectAbort(t))
-                    break;  // the abort consumed this step
-            }
+            const bool in_tx = htm_.inTx(t);
+            ++phaseSteps[static_cast<size_t>(phaseFor(ctx, in_tx))];
+            if (in_tx && injectAbort(t))
+                break;  // the abort consumed this step
             if (first) {
                 // Policy pre-step hook, once per quantum (documented
                 // contract since quantum batching): a true return
@@ -826,6 +797,7 @@ Machine::runDecoded()
                 --left == 0 || stopRequest_ != RunError::Kind::None)
                 break;
         }
+        tel_.phases.noteSteps(t, phaseSteps);
         if (stopRequest_ != RunError::Kind::None) {
             recordStop();
             return;

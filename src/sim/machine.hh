@@ -152,7 +152,8 @@ class Machine
      * Execute until every thread finished, a deadlock is detected, or
      * the maxSteps guard trips. Abnormal ends are reported in the
      * returned RunError (also available via error()) — the process
-     * survives so harnesses can inspect the partial result.
+     * survives so harnesses can inspect the partial result. A Machine
+     * runs once: a second call panics.
      */
     const RunError &run();
 
@@ -192,12 +193,20 @@ class Machine
 
     /** Charge @p c cost units to @p t under bucket @p b, attributed
      *  to the phase the profiler would assign @p t right now. */
-    void addCost(Tid t, uint64_t c, Bucket b);
+    void
+    addCost(Tid t, uint64_t c, Bucket b)
+    {
+        charge(contexts_[t], c, b);
+    }
 
     /** Charge @p c cost units to @p t under bucket @p b with an
      *  explicit phase attribution (e.g. governor backoff stalls are
      *  degradation overhead even while the thread reads as fast). */
-    void addCost(Tid t, uint64_t c, Bucket b, telemetry::Phase p);
+    void
+    addCost(Tid t, uint64_t c, Bucket b, telemetry::Phase p)
+    {
+        book(contexts_[t], c, b, p, b == Bucket::Base && htm_.inTx(t));
+    }
 
     /**
      * Ask the run loop to end the run after the current step with the
@@ -275,10 +284,43 @@ class Machine
     /** Threaded-code handler bodies (defined in machine.cc). */
     friend struct ExecHandlers;
 
-    /** Decoded quantum loop; Injected selects the lane that carries
-     *  the fault/interrupt machinery. Runs until the program ends or
-     *  error_ is filled. */
-    template <bool Injected> void runDecoded();
+    /** Decoded quantum loop. Runs until the program ends or error_ is
+     *  filled. */
+    void runDecoded();
+
+    /** addCost for a caller already holding @p ctx: one inTx lookup
+     *  serves both the phase and the in-transaction base tally. */
+    void
+    charge(ThreadContext &ctx, uint64_t c, Bucket b)
+    {
+        const bool in_tx = htm_.inTx(ctx.tid);
+        book(ctx, c, b, phaseFor(ctx, in_tx), b == Bucket::Base && in_tx);
+    }
+
+    /** Book one charge. @p base_in_tx: Base cost inside a transaction
+     *  (rollback reclassifies it as wasted work). */
+    void
+    book(ThreadContext &ctx, uint64_t c, Bucket b, telemetry::Phase p,
+         bool base_in_tx)
+    {
+        totalCost_ += c;
+        buckets_[static_cast<size_t>(b)] += c;
+        tel_.phases.noteCost(ctx.tid, p, c);
+        ctx.myCost += c;
+        if (base_in_tx)
+            ctx.baseSinceTxBegin += c;
+    }
+
+    /** Phase of @p ctx given whether its thread is transactional. */
+    static telemetry::Phase
+    phaseFor(const ThreadContext &ctx, bool in_tx)
+    {
+        if (ctx.path == PathMode::Slow)
+            return ctx.govForced ? telemetry::Phase::Degraded
+                                 : telemetry::Phase::Slow;
+        return in_tx ? telemetry::Phase::Fast : telemetry::Phase::Native;
+    }
+
     /** In-transaction interrupt/retry injection for one op; true =
      *  an abort was delivered (the step is consumed). */
     bool injectAbort(Tid t);
@@ -308,7 +350,6 @@ class Machine
     bool advanceFaults();
     /** Fill error_.threads with every unfinished thread's state. */
     void captureUnfinishedThreads();
-    telemetry::Phase phaseOfCtx(const ThreadContext &ctx) const;
 
     /** Resolve a ThreadJoin target list; returns true when all
      *  targets are finished (join completes). */
@@ -358,6 +399,8 @@ class Machine
     EventLog events_;
     RunError error_;
     RunError::Kind stopRequest_ = RunError::Kind::None;
+    /** run() was called (a Machine runs once). */
+    bool ran_ = false;
 
     telemetry::Telemetry tel_;
     /** Pre-interned ids of the machine's own hot-path metrics. */

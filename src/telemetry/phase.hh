@@ -33,9 +33,10 @@ constexpr size_t kNumPhases = static_cast<size_t>(Phase::NumPhases);
 const char *phaseName(Phase p);
 
 /**
- * Per-thread step attribution. One note() per executed scheduler
- * step; the counts over all threads and phases sum to exactly the
- * number of steps noted (total()), which the accounting tests assert.
+ * Per-thread step attribution. Every executed scheduler step is
+ * noted exactly once, in per-quantum batches (noteSteps()); the counts
+ * over all threads and phases sum to exactly the number of steps
+ * noted (total()), which the accounting tests assert.
  *
  * A second, independent dimension attributes virtual *cost* the same
  * way (noteCost, fed from Machine::addCost): per-(thread, phase) cost
@@ -47,14 +48,22 @@ class PhaseProfiler
   public:
     using PerPhase = std::array<uint64_t, kNumPhases>;
 
-    /** Attribute one step of thread @p t to phase @p p. */
+    /** Attribute a batch of thread @p t's steps, @p counts[p] of
+     *  them to phase p (the step loop flushes once per quantum). A
+     *  batch with no steps leaves the per-thread rows untouched. */
     void
-    note(Tid t, Phase p)
+    noteSteps(Tid t, const PerPhase &counts)
     {
+        uint64_t n = 0;
+        for (uint64_t c : counts)
+            n += c;
+        if (n == 0)
+            return;
         if (t >= perThread_.size())
             perThread_.resize(t + 1);
-        ++perThread_[t][static_cast<size_t>(p)];
-        ++total_;
+        for (size_t p = 0; p < kNumPhases; ++p)
+            perThread_[t][p] += counts[p];
+        total_ += n;
     }
 
     /** Attribute @p c cost units of thread @p t to phase @p p. */

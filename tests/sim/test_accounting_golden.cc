@@ -1,0 +1,140 @@
+/**
+ * @file
+ * Golden accounting pins for the step loop. Every number a run
+ * accounts — total cost, the per-bucket split, every per-thread
+ * phase-profiler row (steps and cost), every exported counter and the
+ * reported race keys — is folded into one FNV digest per
+ * (app, mode), and the schedule hash of a directly constructed
+ * Machine is pinned under each policy. The loop's hot path may change
+ * how it charges and attributes; it may not change what it charges.
+ */
+
+#include <gtest/gtest.h>
+
+#include <string>
+
+#include "core/driver.hh"
+#include "core/fingerprint.hh"
+#include "core/policies.hh"
+#include "passes/passes.hh"
+#include "sim/machine.hh"
+#include "workloads/workloads.hh"
+
+using namespace txrace;
+
+namespace {
+
+/** Append one per-phase row to @p s. */
+void
+appendRow(std::string &s, const telemetry::PhaseProfiler::PerPhase &row)
+{
+    for (uint64_t v : row)
+        s += std::to_string(v) + ",";
+    s += "\n";
+}
+
+/** FNV digest of everything the run accounted. */
+uint64_t
+accountingDigest(const core::RunResult &r)
+{
+    std::string s = "cost=" + std::to_string(r.totalCost) + "\n";
+    for (uint64_t b : r.buckets)
+        s += std::to_string(b) + ",";
+    s += "\n";
+    const telemetry::PhaseProfiler &phases = r.telemetry.phases;
+    s += "steps.rows=" +
+         std::to_string(phases.perThread().size()) + "\n";
+    for (const auto &row : phases.perThread())
+        appendRow(s, row);
+    s += "cost.rows=" +
+         std::to_string(phases.perThreadCost().size()) + "\n";
+    for (const auto &row : phases.perThreadCost())
+        appendRow(s, row);
+    for (const auto &[name, value] : r.stats.all())
+        s += name + "=" + std::to_string(value) + "\n";
+    for (const auto &[a, b] : r.races.keys())
+        s += std::to_string(a) + "/" + std::to_string(b) + "\n";
+    return core::fnv1a64(s);
+}
+
+struct Golden
+{
+    const char *app;
+    core::RunMode mode;
+    uint64_t digest;
+};
+
+const Golden kGolden[] = {
+    {"vips", core::RunMode::Native,
+     0xc466463c99c9a59full},
+    {"vips", core::RunMode::TSan,
+     0x1450b917c1beb2cdull},
+    {"vips", core::RunMode::TxRaceDynLoopcut,
+     0x8a0b451bc69cfac1ull},
+    {"bodytrack", core::RunMode::Native,
+     0x7339205e3015eec0ull},
+    {"bodytrack", core::RunMode::TSan,
+     0x17e50c45e803cd7eull},
+    {"bodytrack", core::RunMode::TxRaceDynLoopcut,
+     0xbf919ecd532189b7ull},
+    {"apache-stream", core::RunMode::Native,
+     0xf54ab6f32396d877ull},
+    {"apache-stream", core::RunMode::TSan,
+     0xe4d3665c32bc8469ull},
+    {"apache-stream", core::RunMode::TxRaceDynLoopcut,
+     0x1a3a96a16b7a0956ull},
+};
+
+} // namespace
+
+TEST(AccountingGolden, RegistryRunsAccountExactly)
+{
+    for (const Golden &g : kGolden) {
+        workloads::AppModel app = workloads::makeApp(g.app);
+        core::RunConfig cfg;
+        cfg.mode = g.mode;
+        cfg.machine = app.machine;
+        cfg.machine.seed = 1;
+        core::RunResult r = core::runProgram(app.program, cfg);
+        ASSERT_TRUE(r.error.ok());
+        EXPECT_EQ(accountingDigest(r), g.digest)
+            << g.app << " " << core::runModeName(g.mode) << " 0x"
+            << std::hex << accountingDigest(r);
+    }
+}
+
+TEST(AccountingGolden, DirectMachineScheduleHashPerPolicy)
+{
+    // A Machine built directly (no driver) under each concrete policy
+    // runs the generic lane; its schedule and cost are pinned too. The
+    // TSan program instruments accesses only, so its schedule is
+    // Native's.
+    workloads::AppModel app = workloads::makeApp("vips");
+    sim::MachineConfig mcfg = app.machine;
+    mcfg.seed = 1;
+
+    core::NativePolicy native;
+    sim::Machine mn(app.program, mcfg, native);
+    ASSERT_TRUE(mn.run().ok());
+    EXPECT_EQ(mn.scheduleHash(), 0x60ef689e61937e15ull);
+    EXPECT_EQ(mn.totalCost(), 163736u);
+
+    ir::Program tsan_prog = passes::preparedForTSan(app.program);
+    core::TsanPolicy tsan(1.0, 7);
+    sim::Machine mt(tsan_prog, mcfg, tsan);
+    ASSERT_TRUE(mt.run().ok());
+    EXPECT_EQ(mt.scheduleHash(), 0x60ef689e61937e15ull);
+    EXPECT_EQ(mt.totalCost(), 195422360u);
+
+    core::RunConfig cfg;
+    cfg.mode = core::RunMode::TxRaceDynLoopcut;
+    cfg.machine = mcfg;
+    cfg.machine.htm.versionLog = true;
+    ir::Program tx_prog =
+        passes::preparedForTxRace(app.program, cfg.passes);
+    core::TxRacePolicy txrace(cfg);
+    sim::Machine mx(tx_prog, cfg.machine, txrace);
+    ASSERT_TRUE(mx.run().ok());
+    EXPECT_EQ(mx.scheduleHash(), 0xe5400a6c2203f92dull);
+    EXPECT_EQ(mx.totalCost(), 3737741u);
+}

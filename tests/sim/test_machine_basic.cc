@@ -386,3 +386,18 @@ TEST(MachineDeathTest, UnfinalizedProgramIsFatal)
     EXPECT_EXIT(Machine(p, quietConfig(), policy),
                 testing::ExitedWithCode(1), "not finalized");
 }
+
+TEST(MachineDeathTest, SecondRunPanics)
+{
+    // A Machine is single-use: a second run() would re-root thread 0
+    // and publish every HTM and detector counter a second time.
+    ProgramBuilder b;
+    b.beginFunction("main");
+    b.compute(1);
+    b.endFunction();
+    Program p = b.build();
+    core::NativePolicy policy;
+    Machine m(p, quietConfig(), policy);
+    ASSERT_TRUE(m.run().ok());
+    EXPECT_DEATH(m.run(), "runs once");
+}

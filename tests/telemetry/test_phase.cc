@@ -12,6 +12,7 @@
 #include "core/policies.hh"
 #include "ir/builder.hh"
 #include "telemetry/phase.hh"
+#include "workloads/workloads.hh"
 
 using namespace txrace;
 using telemetry::Phase;
@@ -67,10 +68,18 @@ cellSum(const telemetry::PhaseProfiler &phases)
 TEST(PhaseProfiler, NoteAccumulatesPerThreadAndPhase)
 {
     telemetry::PhaseProfiler p;
-    p.note(0, Phase::Fast);
-    p.note(0, Phase::Fast);
-    p.note(2, Phase::Slow);
-    p.note(1, Phase::Native);
+    auto batch = [](Phase ph, uint64_t n) {
+        telemetry::PhaseProfiler::PerPhase counts{};
+        counts[static_cast<size_t>(ph)] = n;
+        return counts;
+    };
+    p.noteSteps(0, batch(Phase::Fast, 1));
+    p.noteSteps(0, batch(Phase::Fast, 1));
+    p.noteSteps(2, batch(Phase::Slow, 1));
+    p.noteSteps(1, batch(Phase::Native, 1));
+    // An empty batch (a quantum cut before its first step) adds no
+    // row for a thread that has not stepped.
+    p.noteSteps(5, {});
     EXPECT_EQ(p.total(), 4u);
     EXPECT_EQ(p.count(Phase::Fast), 2u);
     EXPECT_EQ(p.count(Phase::Slow), 1u);
@@ -174,4 +183,113 @@ TEST(PhaseProfiler, NativeModeIsAllNative)
     EXPECT_EQ(phases.count(Phase::Fast), 0u);
     EXPECT_EQ(phases.count(Phase::Slow), 0u);
     EXPECT_EQ(phases.count(Phase::Degraded), 0u);
+}
+
+namespace {
+
+/** Checks the step partition of an abnormally ended run and returns
+ *  its per-thread row count. */
+size_t
+abnormalRows(const core::RunResult &r, sim::RunError::Kind kind)
+{
+    EXPECT_EQ(r.error.kind, kind);
+    const auto &phases = r.telemetry.phases;
+    EXPECT_EQ(phases.total(), r.error.stepsExecuted);
+    EXPECT_EQ(cellSum(phases), phases.total());
+    return phases.perThread().size();
+}
+
+} // namespace
+
+TEST(PhaseProfiler, StepsPartitionTruncationMidQuantum)
+{
+    // One thread, quantum 32: the guard trips on the 8th step of the
+    // second quantum.
+    ir::ProgramBuilder b;
+    b.beginFunction("main");
+    b.loop(100, [&] { b.compute(1); });
+    b.endFunction();
+    ir::Program prog = b.build();
+    for (core::RunMode mode :
+         {core::RunMode::Native, core::RunMode::TSan,
+          core::RunMode::TxRaceDynLoopcut}) {
+        core::RunConfig cfg = config(mode);
+        cfg.machine.maxSteps = 40;
+        core::RunResult r = core::runProgram(prog, cfg);
+        EXPECT_EQ(abnormalRows(r, sim::RunError::Kind::Truncated), 1u)
+            << core::runModeName(mode);
+        EXPECT_EQ(r.error.stepsExecuted, 40u);
+    }
+}
+
+TEST(PhaseProfiler, StepsPartitionTruncationOnAQuantumsFirstStep)
+{
+    // main spawns a worker, then blocks in join. Where the scheduler
+    // picks main first, the join takes step 2 and the guard trips
+    // before the worker's first step: the worker executed nothing and
+    // must get no per-thread row. Where it picks the worker first,
+    // the worker steps and the guard trips mid-quantum.
+    ir::ProgramBuilder b;
+    ir::FuncId worker = b.beginFunction("worker");
+    b.loop(10, [&] { b.compute(1); });
+    b.endFunction();
+    b.beginFunction("main");
+    b.spawn(worker, 1);
+    b.joinAll();
+    b.endFunction();
+    ir::Program prog = b.build();
+    int unstarted = 0;
+    for (uint64_t seed = 1; seed <= 16; ++seed) {
+        core::RunConfig cfg = config(core::RunMode::Native);
+        cfg.machine.seed = seed;
+        cfg.machine.maxSteps = 2;
+        core::RunResult r = core::runProgram(prog, cfg);
+        size_t rows = abnormalRows(r, sim::RunError::Kind::Truncated);
+        bool worker_unstarted = false;
+        for (const sim::BlockedThreadInfo &info : r.error.threads)
+            if (info.tid == 1 && info.where.rfind("worker:0 ", 0) == 0)
+                worker_unstarted = true;
+        unstarted += worker_unstarted;
+        EXPECT_EQ(rows, worker_unstarted ? 1u : 2u) << "seed " << seed;
+    }
+    EXPECT_GT(unstarted, 0);
+    EXPECT_LT(unstarted, 16);
+}
+
+TEST(PhaseProfiler, StepsPartitionBadAccessStop)
+{
+    // Workers whose thread-strided address walks off the end of the
+    // address space end the run with a BadAccess stop request.
+    ir::ProgramBuilder b;
+    ir::Addr small = b.alloc("small", 128, 64);
+    ir::FuncId worker = b.beginFunction("worker");
+    ir::AddrExpr e;
+    e.base = small;
+    e.threadStride = 4096;
+    b.load(e);
+    b.endFunction();
+    b.beginFunction("main");
+    b.spawn(worker, 3);
+    b.joinAll();
+    b.endFunction();
+    ir::Program prog = b.build();
+    core::RunResult r =
+        core::runProgram(prog, config(core::RunMode::TxRaceDynLoopcut));
+    EXPECT_EQ(abnormalRows(r, sim::RunError::Kind::BadAccess), 3u);
+}
+
+TEST(PhaseProfiler, StepsPartitionBudgetStop)
+{
+    // An unsatisfiable 0.5% monitor budget on the stream soak ends
+    // the run with the controller's Budget stop.
+    workloads::AppModel app = workloads::makeApp("apache-stream");
+    core::RunConfig cfg;
+    cfg.mode = core::RunMode::TxRaceProfLoopcut;
+    cfg.machine = app.machine;
+    cfg.machine.seed = 1;
+    cfg.governor.enabled = true;
+    cfg.budget.enabled = true;
+    cfg.budget.budgetPct = 0.5;
+    core::RunResult r = core::runProgram(app.program, cfg);
+    EXPECT_EQ(abnormalRows(r, sim::RunError::Kind::Budget), 5u);
 }
