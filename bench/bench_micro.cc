@@ -217,9 +217,8 @@ runFastTrackEpochHot(benchmark::State &state, bool fastPath)
     uint64_t i = 0;
     for (auto _ : state) {
         Tid t = static_cast<Tid>(i & 1);
-        // The +8 keeps the read and write granules in different
-        // direct-mapped cell-cache slots (both addresses & 63 would
-        // otherwise collide and thrash the cache).
+        // Writes and reads hit different granules on different
+        // shadow pages, so neither clears the other's entry.
         if (i & 2)
             det.write(t, 0x1008 + t * 64, 1);
         else
@@ -242,6 +241,39 @@ BM_FastTrackEpochHotOff(benchmark::State &state)
     runFastTrackEpochHot(state, false);
 }
 BENCHMARK(BM_FastTrackEpochHotOff);
+
+/**
+ * Concurrent readers of a shared set — swaptions' shape, where almost
+ * every read lands on a granule that the other workers also read, so
+ * the read state stays promoted (one entry per reader). Four threads
+ * each read a run of random granules of a 64-granule set in turn;
+ * every 4096 checks a barrier orders them and one thread writes a
+ * shared granule (a phase update: no race, it clears that read set).
+ */
+void
+BM_FastTrackSharedReads(benchmark::State &state)
+{
+    detector::HbDetector det;
+    det.rootThread(0);
+    const std::vector<Tid> workers = {1, 2, 3, 4};
+    for (Tid t : workers)
+        det.threadCreated(0, t);
+    Rng rng(5);
+    uint64_t i = 0;
+    for (auto _ : state) {
+        Tid t = workers[(i >> 4) & 3];  // runs of 16 checks per thread
+        if ((i & 4095) == 4095) {
+            det.barrierRelease(workers);
+            det.write(t, rng.below(64) * 8, 9);
+        } else {
+            det.read(t, rng.below(64) * 8, 10 + (i & 7));
+        }
+        ++i;
+    }
+    benchmark::DoNotOptimize(det.counters().readVcPromoted);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FastTrackSharedReads);
 
 void
 BM_EndToEndTxRace(benchmark::State &state)

@@ -42,6 +42,7 @@ class TsanPolicy : public sim::ExecutionPolicy
   public:
     explicit TsanPolicy(double sample_rate = 1.0, uint64_t seed = 7);
 
+    void onRunStart(sim::Machine &m) override;
     void onThreadCreated(sim::Machine &m, Tid parent,
                          Tid child) override;
     void onThreadJoined(sim::Machine &m, Tid joiner,
@@ -57,6 +58,9 @@ class TsanPolicy : public sim::ExecutionPolicy
   private:
     double sampleRate_;
     Rng rng_;
+    /** effectiveCheckCost() of the run's cost model, fixed at run
+     *  start (the per-access fault-stall multiply stays dynamic). */
+    uint64_t checkCost_ = 0;
 };
 
 /**

@@ -15,6 +15,12 @@ TsanPolicy::TsanPolicy(double sample_rate, uint64_t seed)
 }
 
 void
+TsanPolicy::onRunStart(Machine &m)
+{
+    checkCost_ = m.config().cost.effectiveCheckCost();
+}
+
+void
 TsanPolicy::onThreadCreated(Machine &m, Tid parent, Tid child)
 {
     m.det().threadCreated(parent, child);
@@ -69,7 +75,7 @@ TsanPolicy::onMemAccess(Machine &m, Tid t, const ir::Instruction &ins,
     if (sampleRate_ >= 1.0 || rng_.chance(sampleRate_)) {
         // Slow-path stall fault episodes inflate the check cost for
         // the software detector no matter which policy runs it.
-        uint64_t check = m.config().cost.effectiveCheckCost();
+        uint64_t check = checkCost_;
         double stall = m.faults().slowPathCostMult();
         if (stall > 1.0)
             check = static_cast<uint64_t>(

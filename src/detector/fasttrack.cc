@@ -1,8 +1,7 @@
 #include "detector/fasttrack.hh"
 
 #include <algorithm>
-
-#include "support/log.hh"
+#include <bit>
 
 namespace txrace::detector {
 
@@ -20,13 +19,6 @@ HbDetector::clock(Tid t)
     if (t >= clocks_.size())
         clocks_.resize(static_cast<size_t>(t) + 1);
     return clocks_[t];
-}
-
-const VectorClock &
-HbDetector::clockOf(Tid t) const
-{
-    static const VectorClock empty;
-    return t < clocks_.size() ? clocks_[t] : empty;
 }
 
 void
@@ -94,44 +86,26 @@ HbDetector::barrierRelease(const std::vector<Tid> &participants)
     }
 }
 
-HbDetector::ShadowCell &
-HbDetector::shadowCell(uint64_t granule)
+HbDetector::ShadowPage &
+HbDetector::newPage(uint64_t no)
 {
-    uint64_t pageNo = granule >> kShadowPageBits;
-    if (pageNo != cachedNo_) {
-        auto &slot = shadow_[pageNo];
-        if (!slot)
-            slot = std::make_unique<ShadowPage>();
-        cachedNo_ = pageNo;
-        cachedPage_ = slot.get();
-    }
-    return cachedPage_->cells[granule & kShadowPageMask];
-}
-
-HbDetector::ShadowCell &
-HbDetector::cellFor(Tid t, uint64_t granule)
-{
-    if (t >= cellCache_.size())
-        cellCache_.resize(static_cast<size_t>(t) + 1);
-    CellCache &cc = cellCache_[t];
-    const uint32_t idx = granule & (kCellCacheSize - 1);
-    // cell[idx] is null until first fill, so the zero-initialized
-    // granule entries cannot falsely match granule 0.
-    if (cc.granule[idx] == granule && cc.cell[idx])
-        return *cc.cell[idx];
-    ShadowCell &cell = shadowCell(granule);
-    cc.granule[idx] = granule;
-    cc.cell[idx] = &cell;
-    return cell;
+    if (no < kMaxDirectPages && no >= pages_.size())
+        pages_.resize(no + 1);
+    auto &slot = no < kMaxDirectPages ? pages_[no] : farPages_[no];
+    if (!slot)
+        slot = std::make_unique<ShadowPage>();
+    return *slot;
 }
 
 void
 HbDetector::read(Tid t, ir::Addr addr, ir::InstrId instr)
 {
     ++counters_.reads;
-    ShadowCell &cell = cellFor(t, mem::granuleOf(addr));
+    ShadowCell &cell = cellAt(mem::granuleOf(addr));
     const VectorClock &vc = clockOf(t);
-    const Epoch mine = vc.epochOf(t);
+    const Access mine{vc.get(t), t, instr};
+    Access *reads = cell.reads();
+    uint32_t &n = cell.nReads;
 
     // Same-epoch fast path: this thread already recorded this exact
     // read (same epoch, same instruction) as the sole read entry, and
@@ -139,48 +113,58 @@ HbDetector::read(Tid t, ir::Addr addr, ir::InstrId instr)
     // record no race). Then the full path is a provable no-op on the
     // shadow state — skip the prune/append scan. The epoch-sufficient
     // counter still moves: the full path would have counted it.
-    if (cfg_.epochFastPath && cell.reads.size() == 1 &&
-        cell.reads[0].epoch == mine && cell.reads[0].instr == instr &&
-        (cell.write.epoch.empty() || cell.write.epoch.tid == t ||
-         vc.covers(cell.write.epoch))) {
+    if (cfg_.epochFastPath && n == 1 && reads[0] == mine &&
+        !unordered(cell.write, t, vc)) {
         ++counters_.epochFastHits;
         ++counters_.readEpochSufficient;
         return;
     }
 
-    if (!cell.write.epoch.empty() && cell.write.epoch.tid != t &&
-        !vc.covers(cell.write.epoch)) {
+    if (unordered(cell.write, t, vc)) {
         reportRace(cell.write.instr, instr, RaceKind::WriteRead, addr, t,
-                   cell.write.epoch.tid);
+                   cell.write.tid);
         ++counters_.raceHits;
     }
 
     // Update the read set: replace this thread's entry, drop entries
     // that are now ordered before us (they can no longer race with any
-    // future access that we are ordered with), and append.
-    auto &reads = cell.reads;
-    for (size_t i = 0; i < reads.size();) {
-        if (reads[i].epoch.tid == t ||
-            (reads[i].epoch.tid != t && vc.covers(reads[i].epoch))) {
-            reads[i] = reads.back();
-            reads.pop_back();
-        } else {
-            ++i;
+    // future access that we are ordered with), and append. A
+    // branch-free scan finds the usual case, one entry (our own).
+    auto ordered = [&](const Access &r) {
+        return (r.tid == t) | (r.clock <= vc.get(r.tid));
+    };
+    uint64_t stale = n > 64 ? ~0ull : 0;  // bit i: entry i goes
+    for (uint32_t i = 0; i < n && i < 64; ++i)
+        stale |= uint64_t{ordered(reads[i])} << i;
+    if (stale && !(stale & (stale - 1))) {  // exactly one
+        reads[std::countr_zero(stale)] = reads[--n];
+    } else if (stale) {
+        for (uint32_t i = 0; i < n;) {
+            if (ordered(reads[i]))
+                reads[i] = reads[--n];
+            else
+                ++i;
         }
     }
-    reads.push_back({mine, instr});
+    if (n == std::max(cell.cap, 1u)) {  // full: move to a larger array
+        cell.cap = std::max(2 * cell.cap, 4u);
+        auto grown = std::make_unique<Access[]>(cell.cap);
+        std::copy_n(reads, n, grown.get());
+        cell.heap = std::move(grown);
+        reads = cell.heap.get();
+    }
+    reads[n++] = mine;
     // FastTrack's adaptive-representation statistic: when the read
     // state collapses to a single epoch, the O(1) fast path suffices;
     // multiple survivors mean a promoted vector clock (FastTrack
     // reports >99% of reads stay in the epoch case).
-    if (reads.size() == 1)
+    if (n == 1)
         ++counters_.readEpochSufficient;
     else
         ++counters_.readVcPromoted;
-    if (cfg_.maxShadowCells > 0 && reads.size() > cfg_.maxShadowCells) {
-        size_t victim = rng_.below(reads.size());
-        reads[victim] = reads.back();
-        reads.pop_back();
+    if (cfg_.maxShadowCells > 0 && n > cfg_.maxShadowCells) {
+        reads[rng_.below(n)] = reads[n - 1];
+        --n;
         ++counters_.evictions;
     }
 }
@@ -189,36 +173,35 @@ void
 HbDetector::write(Tid t, ir::Addr addr, ir::InstrId instr)
 {
     ++counters_.writes;
-    ShadowCell &cell = cellFor(t, mem::granuleOf(addr));
+    ShadowCell &cell = cellAt(mem::granuleOf(addr));
     const VectorClock &vc = clockOf(t);
-    const Epoch mine = vc.epochOf(t);
+    const Access mine{vc.get(t), t, instr};
 
     // Same-epoch fast path: this thread already owns the write entry
     // at this exact epoch and instruction and no reads are recorded —
     // the full path would find no race (write epoch is ours) and
     // store back the identical entry.
-    if (cfg_.epochFastPath && cell.write.epoch == mine &&
-        cell.write.instr == instr && cell.reads.empty()) {
+    if (cfg_.epochFastPath && cell.write == mine && cell.nReads == 0) {
         ++counters_.epochFastHits;
         return;
     }
 
-    if (!cell.write.epoch.empty() && cell.write.epoch.tid != t &&
-        !vc.covers(cell.write.epoch)) {
+    if (unordered(cell.write, t, vc)) {
         reportRace(cell.write.instr, instr, RaceKind::WriteWrite, addr,
-                   t, cell.write.epoch.tid);
+                   t, cell.write.tid);
         ++counters_.raceHits;
     }
-    for (const Access &r : cell.reads) {
-        if (r.epoch.tid != t && !vc.covers(r.epoch)) {
-            reportRace(r.instr, instr, RaceKind::ReadWrite, addr, t,
-                       r.epoch.tid);
+    const Access *reads = cell.reads();
+    for (uint32_t i = 0; i < cell.nReads; ++i) {
+        if (unordered(reads[i], t, vc)) {
+            reportRace(reads[i].instr, instr, RaceKind::ReadWrite, addr,
+                       t, reads[i].tid);
             ++counters_.raceHits;
         }
     }
 
-    cell.write = {mine, instr};
-    cell.reads.clear();
+    cell.write = mine;
+    cell.nReads = 0;
 }
 
 void

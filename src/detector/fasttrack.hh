@@ -155,7 +155,12 @@ class HbDetector
     void setRaceObserver(RaceObserver obs) { observer_ = std::move(obs); }
 
     /** Current clock of thread @p t (tests, runtime diagnostics). */
-    const VectorClock &clockOf(Tid t) const;
+    const VectorClock &
+    clockOf(Tid t) const
+    {
+        static const VectorClock empty;
+        return t < clocks_.size() ? clocks_[t] : empty;
+    }
 
     /** Raw counters (checks performed, races, evictions). */
     const DetCounters &counters() const { return counters_; }
@@ -164,62 +169,73 @@ class HbDetector
     void
     dropShadow()
     {
-        shadow_.clear();
-        cachedNo_ = kNoPage;
-        cachedPage_ = nullptr;
-        cellCache_.clear();  // cached ShadowCell pointers are dead
+        pages_.clear();
+        farPages_.clear();
     }
 
   private:
+    /** One recorded access: FastTrack's epoch and the instruction,
+     *  packed in 16 bytes. clock == 0 means "no access yet". */
     struct Access
     {
-        Epoch epoch;
+        uint64_t clock = 0;
+        Tid tid = 0;
         ir::InstrId instr = ir::kNoInstr;
+
+        bool operator==(const Access &other) const = default;
     };
 
+    /**
+     * A granule's last write and concurrent reads. The read set is
+     * inline while it holds one entry (FastTrack's epoch case, almost
+     * every read) and moves to a heap array the first time reads are
+     * concurrent. Entries leave by swap-remove, so their order — the
+     * order races are reported in, the indices eviction draws from —
+     * is a vector's.
+     */
     struct ShadowCell
     {
         Access write;
-        std::vector<Access> reads;
+        Access one;        ///< the read set until it first spills
+        uint32_t nReads = 0;
+        uint32_t cap = 0;  ///< 0 until spilled, then heap's capacity
+        std::unique_ptr<Access[]> heap;
+
+        Access *reads() { return cap ? heap.get() : &one; }
     };
 
     /**
-     * Shadow cells are paged like VirtualMemory: 128 granules (1 KiB
-     * of address space) per page, one hash lookup per page switch
-     * instead of per check. The slow path checks runs of neighboring
-     * granules, so the one-entry cache absorbs almost every lookup.
+     * Shadow cells are paged like VirtualMemory: 128 granules (1 KiB)
+     * per page, allocated on first touch, found through a page table
+     * indexed by page number (no hashing). Pages past kMaxDirectPages
+     * (wild addresses, no declared address space) go to a hash map.
      */
     static constexpr unsigned kShadowPageBits = 7;
-    static constexpr uint64_t kShadowPageGranules =
-        1ull << kShadowPageBits;
     static constexpr uint64_t kShadowPageMask =
-        kShadowPageGranules - 1;
-    static constexpr uint64_t kNoPage = ~0ull;
+        (1ull << kShadowPageBits) - 1;
+    static constexpr uint64_t kMaxDirectPages = 1ull << 16;
 
-    struct ShadowPage
+    using ShadowPage = std::array<ShadowCell, kShadowPageMask + 1>;
+
+    /** The shadow cell of @p granule (its page made on first touch). */
+    ShadowCell &
+    cellAt(uint64_t granule)
     {
-        std::array<ShadowCell, kShadowPageGranules> cells;
-    };
+        const uint64_t no = granule >> kShadowPageBits;
+        ShadowPage *page = no < pages_.size() ? pages_[no].get() : nullptr;
+        if (!page) [[unlikely]]
+            page = &newPage(no);
+        return (*page)[granule & kShadowPageMask];
+    }
+    ShadowPage &newPage(uint64_t no);
 
-    /** The shadow cell of @p granule (created on first touch). */
-    ShadowCell &shadowCell(uint64_t granule);
-
-    /**
-     * Per-thread direct-mapped granule -> ShadowCell* cache in front
-     * of shadowCell()'s page lookup. ShadowCell addresses are stable
-     * (fixed arrays inside heap-allocated ShadowPages that are never
-     * erased except by dropShadow(), which clears the cache), so a
-     * hit returns the pointer with no hashing at all. Per-thread
-     * because each thread's working set is what repeats; a shared
-     * cache would thrash under interleaving.
-     */
-    static constexpr uint32_t kCellCacheSize = 64;
-    struct CellCache
+    /** True if @p a is another thread's access that @p vc does not
+     *  cover (an empty entry, clock 0, always is): a race. */
+    static bool
+    unordered(const Access &a, Tid t, const VectorClock &vc)
     {
-        std::array<uint64_t, kCellCacheSize> granule{};
-        std::array<ShadowCell *, kCellCacheSize> cell{};
-    };
-    ShadowCell &cellFor(Tid t, uint64_t granule);
+        return a.tid != t && a.clock > vc.get(a.tid);
+    }
 
     VectorClock &clock(Tid t);
 
@@ -228,10 +244,8 @@ class HbDetector
     std::vector<VectorClock> clocks_;
     std::unordered_map<uint64_t, VectorClock> lockClocks_;
     std::unordered_map<uint64_t, VectorClock> condClocks_;
-    std::unordered_map<uint64_t, std::unique_ptr<ShadowPage>> shadow_;
-    uint64_t cachedNo_ = kNoPage;
-    ShadowPage *cachedPage_ = nullptr;
-    std::vector<CellCache> cellCache_;
+    std::vector<std::unique_ptr<ShadowPage>> pages_;
+    std::unordered_map<uint64_t, std::unique_ptr<ShadowPage>> farPages_;
     /** Record + notify helper shared by the three detection sites. */
     void reportRace(ir::InstrId a, ir::InstrId b, RaceKind kind,
                     ir::Addr addr, Tid current, Tid other);

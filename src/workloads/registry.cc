@@ -98,27 +98,26 @@ indexedPairs(std::vector<RaceLabel> &out, size_t count,
  * paper's measured overhead on this substrate. The check-cost
  * contribution is linear in checkScale, so one probe run at scale 1
  * suffices:   target * native = (tsan1 - C1) + C1 * scale.
+ * The probe's Base bucket is the Native run's total (tools add work,
+ * they never change the application's), so no Native run is needed.
  */
 double
 calibrateCheckScale(const ir::Program &prog,
                     const sim::MachineConfig &machine, double target)
 {
     core::RunConfig rc;
+    rc.mode = core::RunMode::TSan;
     rc.machine = machine;
     rc.machine.seed = 0xCA11Bull;
     rc.machine.cost.checkScale = 1.0;
-
-    rc.mode = core::RunMode::Native;
-    core::RunResult native = core::runProgram(prog, rc);
-
-    rc.mode = core::RunMode::TSan;
     core::RunResult tsan = core::runProgram(prog, rc);
 
     uint64_t checks = tsan.stats.get("detector.reads") +
                       tsan.stats.get("detector.writes");
     double c1 = static_cast<double>(checks) *
                 static_cast<double>(rc.machine.cost.checkCost);
-    double x = static_cast<double>(native.totalCost);
+    double x = static_cast<double>(
+        tsan.buckets[static_cast<size_t>(sim::Bucket::Base)]);
     double y1 = static_cast<double>(tsan.totalCost);
     if (c1 <= 0.0 || x <= 0.0)
         return 1.0;

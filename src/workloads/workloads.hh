@@ -37,7 +37,7 @@ struct WorkloadParams
     uint32_t nWorkers = 4;
     /** Work multiplier for longer runs (1 = default benchmark size). */
     uint64_t scale = 1;
-    /** Run the TSan-overhead calibration (costs two quick runs). */
+    /** Run the TSan-overhead calibration (costs one TSan run). */
     bool calibrate = true;
 };
 

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "detector/fasttrack.hh"
 
 using namespace txrace;
@@ -313,4 +316,154 @@ TEST(FastTrack, EpochSufficiencyStatistics)
     EXPECT_EQ(det.counters().readVcPromoted, 0u);
     det.read(2, 0x40, 2);  // concurrent second reader: promotion
     EXPECT_EQ(det.counters().readVcPromoted, 1u);
+}
+
+namespace {
+
+/**
+ * Observer log of a detector: one "first-second:current<-other" entry
+ * per new race, in detection order, then " | " and every race's
+ * "first-second*hits" in key order. The detection order follows the
+ * read set's internal order, so these strings pin it.
+ */
+struct RaceLog
+{
+    std::string events;
+
+    void
+    attach(HbDetector &det)
+    {
+        det.setRaceObserver([this](const Race &r, Tid cur, Tid other) {
+            char buf[64];
+            std::snprintf(buf, sizeof buf, "%u-%u:%u<-%u ", r.first,
+                          r.second, cur, other);
+            events += buf;
+        });
+    }
+
+    std::string
+    str(const HbDetector &det) const
+    {
+        std::string out = events + "|";
+        for (const Race &r : det.races().all()) {
+            char buf[64];
+            std::snprintf(buf, sizeof buf, " %u-%u*%llu", r.first,
+                          r.second,
+                          static_cast<unsigned long long>(r.hits));
+            out += buf;
+        }
+        return out;
+    }
+};
+
+/** Root thread 0 plus children 1..n, all concurrent. */
+HbDetector
+nThreads(Tid n, const DetectorConfig &cfg = {})
+{
+    HbDetector det(cfg);
+    det.rootThread(0);
+    for (Tid t = 1; t <= n; ++t)
+        det.threadCreated(0, t);
+    return det;
+}
+
+} // namespace
+
+TEST(FastTrack, ReadSetOrderPinnedThroughObserver)
+{
+    // Four concurrent readers, pruning by a lock edge and by a
+    // same-thread reread, then racing writes: the observer sees the
+    // read-write races in read-set order (swap-remove, then append).
+    HbDetector det = nThreads(6);
+    RaceLog log;
+    log.attach(det);
+    for (ir::Addr x : {ir::Addr{0x80}, ir::Addr{0x88}}) {
+        det.read(1, x, 11);
+        det.read(2, x, 12);
+        det.read(3, x, 13);
+        det.read(4, x, 14);
+        det.lockRelease(2, 7);
+        det.lockAcquire(4, 7);
+        det.read(4, x, 24);  // drops 4's own entry and 2's (ordered)
+        det.read(1, x, 21);  // replaces 1's entry
+        det.read(5, x, 15);
+        det.write(6, x, 60);  // races with every surviving read
+        det.read(3, x, 33);   // write-read with 60
+        det.read(2, x, 32);
+        det.write(1, x, 41);  // write-write with 60, read-write x2
+    }
+    EXPECT_EQ(log.str(det),
+              "24-60:6<-4 13-60:6<-3 21-60:6<-1 15-60:6<-5 "
+              "33-60:3<-6 32-60:2<-6 41-60:1<-6 33-41:1<-3 32-41:1<-2 "
+              "| 13-60*2 15-60*2 21-60*2 24-60*2 32-41*2 32-60*2 "
+              "33-41*2 33-60*2 41-60*2");
+    EXPECT_EQ(det.counters().raceHits, 18u);
+    EXPECT_EQ(det.counters().readVcPromoted, 14u);
+    EXPECT_EQ(det.counters().readEpochSufficient, 4u);
+}
+
+TEST(FastTrack, BoundedShadowEvictionOrderPinned)
+{
+    // maxShadowCells = 2: the RNG picks the victim index in the read
+    // set, so which races survive depends on the read-set order.
+    DetectorConfig cfg;
+    cfg.maxShadowCells = 2;
+    cfg.seed = 5;
+    HbDetector det = nThreads(6, cfg);
+    RaceLog log;
+    log.attach(det);
+    for (uint64_t g = 0; g < 6; ++g) {
+        ir::Addr x = 0x400 + g * 8;
+        for (Tid t = 1; t <= 5; ++t)
+            det.read(t, x, 10 * g + t);
+        det.read(2, x, 10 * g + 7);
+        det.write(6, x, 100 + g);
+    }
+    EXPECT_EQ(log.str(det),
+              "3-100:6<-3 5-100:6<-5 11-101:6<-1 15-101:6<-5 "
+              "27-102:6<-2 24-102:6<-4 31-103:6<-1 35-103:6<-5 "
+              "41-104:6<-1 45-104:6<-5 55-105:6<-5 54-105:6<-4 "
+              "| 3-100*1 5-100*1 11-101*1 15-101*1 24-102*1 27-102*1 "
+              "31-103*1 35-103*1 41-104*1 45-104*1 54-105*1 55-105*1");
+    EXPECT_EQ(det.counters().evictions, 24u);
+    EXPECT_EQ(det.counters().raceHits, 12u);
+}
+
+TEST(FastTrack, DropShadowThenReuse)
+{
+    // After dropShadow() the same granules, and pages, start empty
+    // and detect afresh; clocks survive.
+    HbDetector det = nThreads(3);
+    RaceLog log;
+    log.attach(det);
+    det.read(1, 0x40, 11);
+    det.read(2, 0x40, 12);
+    det.write(1, 0x2000, 13);
+    det.dropShadow();
+    det.write(3, 0x40, 30);     // the two reads are forgotten
+    det.read(2, 0x40, 22);      // write-read with 30
+    det.write(2, 0x2000, 23);   // 13 is forgotten
+    det.write(1, 0x2000, 33);   // write-write with 23
+    EXPECT_EQ(log.str(det), "22-30:2<-3 23-33:1<-2 | 22-30*1 23-33*1");
+    EXPECT_EQ(det.counters().raceHits, 2u);
+}
+
+TEST(FastTrack, AddressesPastThePageTableGetShadow)
+{
+    // The page table grows on demand, and an address far past any
+    // direct table still gets its own shadow.
+    HbDetector det = nThreads(2);
+    RaceLog log;
+    log.attach(det);
+    det.write(1, 0x1000, 9);  // the table now ends at page 4
+    const ir::Addr addrs[] = {0x1ff0, 0x2000, 0x40000, ir::Addr{1} << 40,
+                              ~ir::Addr{0} - 7};
+    for (ir::InstrId i = 0; i < 5; ++i) {
+        det.write(1, addrs[i], 10 + i);
+        det.read(2, addrs[i] + 8, 30 + i);  // next granule: no race
+        det.read(2, addrs[i], 20 + i);
+    }
+    EXPECT_EQ(log.str(det), "10-20:2<-1 11-21:2<-1 12-22:2<-1 "
+                            "13-23:2<-1 14-24:2<-1 "
+                            "| 10-20*1 11-21*1 12-22*1 13-23*1 14-24*1");
 }
