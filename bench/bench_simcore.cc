@@ -14,6 +14,10 @@
  *    scale 4 with its own machine config, under the Native baseline
  *    and the TSan baseline — the lanes every overhead figure divides
  *    by and the calibration pays for.
+ *  - txrace-app: the registry's vips model at scale 4 under
+ *    txrace-dyn, the lane fleet hunting runs.
+ *  - monitor-app: the apache-stream model under the production
+ *    monitor as --monitor sets it up (txrace, governor, 5% budget).
  *
  * Every probe goes through core::runProgram, so it measures the lane
  * real runs take (registry interrupt rates included).
@@ -113,15 +117,12 @@ txProgram()
     return b.build();
 }
 
-/** Run @p prog under @p mode with machine config @p machine (seed
- *  varied per iteration) and count real steps/sec. */
+/** Run @p prog under @p cfg (seed varied per iteration) and count
+ *  real steps/sec. */
 void
-runMode(benchmark::State &state, const ir::Program &prog,
-        core::RunMode mode, const sim::MachineConfig &machine = {})
+runConfig(benchmark::State &state, const ir::Program &prog,
+          core::RunConfig cfg)
 {
-    core::RunConfig cfg;
-    cfg.mode = mode;
-    cfg.machine = machine;
     uint64_t steps = 0;
     uint64_t seed = 1;
     for (auto _ : state) {
@@ -133,16 +134,31 @@ runMode(benchmark::State &state, const ir::Program &prog,
     state.SetItemsProcessed(static_cast<int64_t>(steps));
 }
 
-/** The registry's apache-stream model at scale 4 (calibrated, like
- *  every registry run). */
+/** runConfig under @p mode with machine config @p machine. */
+void
+runMode(benchmark::State &state, const ir::Program &prog,
+        core::RunMode mode, const sim::MachineConfig &machine = {})
+{
+    core::RunConfig cfg;
+    cfg.mode = mode;
+    cfg.machine = machine;
+    runConfig(state, prog, cfg);
+}
+
+/** The registry model @p name at scale 4 (calibrated, like every
+ *  registry run). */
+workloads::AppModel
+scaledApp(const char *name)
+{
+    workloads::WorkloadParams params;
+    params.scale = 4;
+    return workloads::makeApp(name, params);
+}
+
 const workloads::AppModel &
 streamApp()
 {
-    static const workloads::AppModel app = [] {
-        workloads::WorkloadParams params;
-        params.scale = 4;
-        return workloads::makeApp("apache-stream", params);
-    }();
+    static const workloads::AppModel app = scaledApp("apache-stream");
     return app;
 }
 
@@ -182,6 +198,29 @@ BM_SimTsanApp(benchmark::State &state)
     runMode(state, app.program, core::RunMode::TSan, app.machine);
 }
 BENCHMARK(BM_SimTsanApp);
+
+void
+BM_SimTxRaceApp(benchmark::State &state)
+{
+    static const workloads::AppModel app = scaledApp("vips");
+    runMode(state, app.program, core::RunMode::TxRaceDynLoopcut,
+            app.machine);
+}
+BENCHMARK(BM_SimTxRaceApp);
+
+void
+BM_SimMonitorApp(benchmark::State &state)
+{
+    const workloads::AppModel &app = streamApp();
+    core::RunConfig cfg;
+    cfg.mode = core::RunMode::TxRaceProfLoopcut;
+    cfg.machine = app.machine;
+    cfg.governor.enabled = true;
+    cfg.budget.enabled = true;
+    cfg.budget.budgetPct = 5.0;
+    runConfig(state, app.program, cfg);
+}
+BENCHMARK(BM_SimMonitorApp);
 
 /** Host-speed anchor: a fixed mix of integer hashing, table loads and
  *  stores, and data-dependent branches over a 32 KiB table — the

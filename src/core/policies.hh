@@ -27,6 +27,8 @@ struct RunConfig;
 /** No instrumentation at all: defines the overhead baseline. */
 class NativePolicy : public sim::ExecutionPolicy
 {
+  public:
+    bool observesAccesses() const override { return false; }
 };
 
 /**

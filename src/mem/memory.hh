@@ -44,16 +44,15 @@ class VirtualMemory
     void
     store(Addr addr, uint64_t value)
     {
-        uint64_t granule = granuleOf(addr);
-        Page &page = getPage(granule >> kPageGranuleBits);
-        size_t idx = granule & kPageGranuleMask;
-        page.cells[idx] = value;
-        uint64_t bit = uint64_t{1} << (idx & 63);
-        uint64_t &word = page.written[idx >> 6];
-        if (!(word & bit)) {
-            word |= bit;
-            ++footprint_;
-        }
+        cellForWrite(addr) = value;
+    }
+
+    /** Add @p delta to the granule containing @p addr: store(addr,
+     *  load(addr) + delta) with one page lookup. */
+    void
+    add(Addr addr, uint64_t delta)
+    {
+        cellForWrite(addr) += delta;
     }
 
     /** Number of granules ever written. */
@@ -83,6 +82,23 @@ class VirtualMemory
          *  toward the footprint, exactly as map insertion did. */
         std::array<uint64_t, kPageGranules / 64> written{};
     };
+
+    /** The cell of @p addr's granule, marked written (zero-valued
+     *  stores still count toward the footprint). */
+    uint64_t &
+    cellForWrite(Addr addr)
+    {
+        uint64_t granule = granuleOf(addr);
+        Page &page = getPage(granule >> kPageGranuleBits);
+        size_t idx = granule & kPageGranuleMask;
+        uint64_t bit = uint64_t{1} << (idx & 63);
+        uint64_t &word = page.written[idx >> 6];
+        if (!(word & bit)) {
+            word |= bit;
+            ++footprint_;
+        }
+        return page.cells[idx];
+    }
 
     const Page *
     findPage(uint64_t pageNo) const

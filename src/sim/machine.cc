@@ -51,7 +51,8 @@ runErrorKindName(RunError::Kind kind)
  * accesses additionally per address shape and direction), resolved
  * once at decode; the quantum loop is then an indirect call per op
  * with no opcode switch. Handlers that constitute forced preemption
- * points set quantumBreak_.
+ * points set quantumBreak_. Handlers add their op's Base cost to
+ * pendingBase_ and settle() it before calling any policy hook.
  */
 struct ExecHandlers
 {
@@ -64,14 +65,14 @@ struct ExecHandlers
     static void
     compute(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
-        m.charge(ctx, op.cost, Bucket::Base);
+        m.pendingBase_ += op.cost;
         ++ctx.pc;
     }
 
     static void
     syscall(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
-        m.charge(ctx, op.cost, Bucket::Base);
+        m.pendingBase_ += op.cost;
         m.tel_.registry.add(m.met_.syscalls);
         ++ctx.pc;
     }
@@ -82,13 +83,15 @@ struct ExecHandlers
      * instantiation computes exactly the terms its expression uses.
      * The bounds check is elided for constant shapes (checked at
      * decode; statically out-of-range constants get memBad instead).
+     * A policy that does not observe accesses (Native) gets no hook
+     * call, so its access neither settles nor dispatches virtually.
      */
     template <ir::AddrShape S, bool W>
     static void
     mem(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.charge(ctx, op.cost, Bucket::Base);
+        m.pendingBase_ += op.cost;
         ir::Addr addr = op.base;
         if constexpr (S != ir::AddrShape::Constant)
             addr += op.threadStride * t;
@@ -116,10 +119,23 @@ struct ExecHandlers
         // interleave per access, exactly like per-step scheduling.
         if (m.htm_.inFlightCount() > 0)
             m.quantumBreak_ = true;
-        if (m.policy_.onMemAccess(m, t, *op.ins, addr, W)) {
-            if constexpr (W) {
-                // Stores accumulate into their granule; inside a
-                // transaction they go to the speculative buffer.
+        if (m.observeAccesses_) {
+            m.settle(ctx);
+            if (!m.policy_.onMemAccess(m, t, *op.ins, addr, W)) {
+                // The access capacity/conflict-aborted this thread's
+                // own transaction; the context has been rolled back.
+                m.quantumBreak_ = true;
+                return;
+            }
+        }
+        if constexpr (W) {
+            // Stores accumulate into their granule; inside a
+            // transaction they go to the speculative buffer. A quantum
+            // that started outside a transaction stays outside it (tx
+            // begin ends the quantum).
+            if (!m.quantumInTx_ && ctx.txStores.empty()) {
+                m.mem_.add(addr, op.arg0 + 1);
+            } else {
                 uint64_t granule = mem::granuleOf(addr);
                 auto it = ctx.txStores.find(granule);
                 uint64_t old = it != ctx.txStores.end()
@@ -131,12 +147,8 @@ struct ExecHandlers
                 else
                     m.mem_.store(addr, value);
             }
-            ++ctx.pc;
-        } else {
-            // The access capacity/conflict-aborted this thread's own
-            // transaction; the context has been rolled back.
-            m.quantumBreak_ = true;
         }
+        ++ctx.pc;
     }
 
     /** Constant address statically outside the address space: raise
@@ -144,7 +156,7 @@ struct ExecHandlers
     static void
     memBad(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
-        m.charge(ctx, op.cost, Bucket::Base);
+        m.pendingBase_ += op.cost;
         m.badAccess(ctx.tid, op.base);
     }
 
@@ -152,7 +164,8 @@ struct ExecHandlers
     lockAcquire(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.charge(ctx, op.cost, Bucket::Base);
+        m.pendingBase_ += op.cost;
+        m.settle(ctx);
         if (m.sync_.lockTryAcquire(t, op.arg0)) {
             m.policy_.onSyncPerformed(m, t, *op.ins);
             ++ctx.pc;
@@ -167,7 +180,8 @@ struct ExecHandlers
     lockRelease(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.charge(ctx, op.cost, Bucket::Base);
+        m.pendingBase_ += op.cost;
+        m.settle(ctx);
         m.policy_.onSyncPerformed(m, t, *op.ins);
         Tid next = m.sync_.lockRelease(t, op.arg0);
         if (next != kNoTid) {
@@ -185,7 +199,8 @@ struct ExecHandlers
     condSignal(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.charge(ctx, op.cost, Bucket::Base);
+        m.pendingBase_ += op.cost;
+        m.settle(ctx);
         m.policy_.onSyncPerformed(m, t, *op.ins);
         Tid woken = m.sync_.condSignal(op.arg0);
         if (woken != kNoTid) {
@@ -203,7 +218,8 @@ struct ExecHandlers
     condWait(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.charge(ctx, op.cost, Bucket::Base);
+        m.pendingBase_ += op.cost;
+        m.settle(ctx);
         if (m.sync_.condTryWait(op.arg0)) {
             m.policy_.onSyncPerformed(m, t, *op.ins);
             ++ctx.pc;
@@ -218,7 +234,8 @@ struct ExecHandlers
     barrier(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.charge(ctx, op.cost, Bucket::Base);
+        m.pendingBase_ += op.cost;
+        m.settle(ctx);
         auto released = m.sync_.barrierArrive(t, op.arg0, op.arg1);
         if (released.empty()) {
             m.makeUnrunnable(ctx, ThreadState::Blocked);
@@ -237,7 +254,8 @@ struct ExecHandlers
     threadCreate(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
         const Tid t = ctx.tid;
-        m.charge(ctx, op.cost, Bucket::Base);
+        m.pendingBase_ += op.cost;
+        m.settle(ctx);
         Tid child = static_cast<Tid>(m.contexts_.size());
         m.contexts_.emplace_back();
         ThreadContext &cctx = m.contexts_.back();
@@ -261,7 +279,8 @@ struct ExecHandlers
         const Tid t = ctx.tid;
         std::vector<Tid> &targets = m.joinScratch_;
         if (m.joinReady(*op.ins, t, targets)) {
-            m.charge(ctx, op.cost, Bucket::Base);
+            m.pendingBase_ += op.cost;
+            m.settle(ctx);
             for (Tid target : targets)
                 m.policy_.onThreadJoined(m, t, target);
             ++ctx.pc;
@@ -307,6 +326,7 @@ struct ExecHandlers
     static void
     txBegin(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
+        m.settle(ctx);
         m.policy_.onTxBegin(m, ctx.tid, *op.ins);
         ++ctx.pc;
         m.quantumBreak_ = true;
@@ -315,6 +335,7 @@ struct ExecHandlers
     static void
     txEnd(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
+        m.settle(ctx);
         m.policy_.onTxEnd(m, ctx.tid, *op.ins);
         ++ctx.pc;
         m.quantumBreak_ = true;
@@ -323,6 +344,7 @@ struct ExecHandlers
     static void
     loopCut(Machine &m, ThreadContext &ctx, const DecodedOp &op)
     {
+        m.settle(ctx);
         m.policy_.onLoopCut(m, ctx.tid, *op.ins);
         ++ctx.pc;
         m.quantumBreak_ = true;
@@ -453,22 +475,6 @@ Machine::bindCode(ThreadContext &ctx)
     ctx.codeLen = static_cast<uint32_t>(fn.size());
 }
 
-ThreadContext &
-Machine::context(Tid t)
-{
-    if (t >= contexts_.size())
-        panic("Machine::context: bad tid %u", t);
-    return contexts_[t];
-}
-
-const ThreadContext &
-Machine::context(Tid t) const
-{
-    if (t >= contexts_.size())
-        panic("Machine::context: bad tid %u", t);
-    return contexts_[t];
-}
-
 void
 Machine::commitTx(Tid t)
 {
@@ -528,12 +534,6 @@ Machine::currentSite(Tid t) const
     return ctx.pc < body.size() ? body[ctx.pc].id : ir::kNoInstr;
 }
 
-telemetry::Phase
-Machine::phaseOf(Tid t) const
-{
-    return phaseFor(contexts_[t], htm_.inTx(t));
-}
-
 void
 Machine::enrollRunnable(ThreadContext &ctx)
 {
@@ -565,6 +565,7 @@ Machine::makeUnrunnable(ThreadContext &ctx, ThreadState to)
         runnablePos_[ctx.tid] = kNoPos;
     }
     ctx.state = to;
+    quantumBreak_ = true;
 }
 
 Tid
@@ -690,8 +691,7 @@ Machine::badAccess(Tid t, ir::Addr a)
          "0x%llx",
          t, static_cast<unsigned long long>(a),
          static_cast<unsigned long long>(addrLimit_));
-    stopRequest_ = RunError::Kind::BadAccess;
-    quantumBreak_ = true;
+    requestStop(RunError::Kind::BadAccess);
 }
 
 const RunError &
@@ -703,6 +703,7 @@ Machine::run()
         panic("Machine::run: a Machine runs once; build a new one");
     ran_ = true;
     error_ = RunError{};
+    observeAccesses_ = policy_.observesAccesses();
     policy_.onRunStart(*this);
     det_.rootThread(0);
     policy_.onThreadStart(*this, 0);
@@ -735,17 +736,28 @@ Machine::run()
  * early at every point where another thread's progress is observable
  * (sync operations, transaction boundaries, memory accesses while any
  * transaction is in flight, thread lifecycle ops) so detection-
- * relevant interleavings keep per-op granularity. Within a quantum
- * the loop is: bounds check, fault-episode advance, phase count,
- * interrupt injection (transactional steps only), fetch, one indirect
- * call. Zero injection rates draw no RNG (Rng::chance(0) returns
- * before drawing), so no separate lane is needed without them.
+ * relevant interleavings keep per-op granularity.
+ *
+ * Paid once per quantum: the pick, the maxSteps clamp, the phase and
+ * in-transaction lookup, the Base-cost booking (settle()) and the
+ * phase-profiler note. Paid per step: the fault-episode advance (only
+ * with a fault plan), interrupt injection (transactional quanta
+ * only), the fetch, one indirect call, and one break test. Zero
+ * injection rates draw no RNG (Rng::chance(0) returns before
+ * drawing), so no separate lane is needed without them.
+ *
+ * Two invariants make this exact. A quantum has one phase: a quantum
+ * that ends without a forced break ends in the phase it began in
+ * (checked, panics otherwise). Hooks see settled cost: pending Base
+ * cost is booked before every policy hook, so every mid-run reader
+ * sees the per-op totals.
  */
 void
 Machine::runDecoded()
 {
     const uint32_t quantum =
         cfg_.schedQuantum > 0 ? cfg_.schedQuantum : 1;
+    const bool faulty = !faults_.empty();
     while (live_ > 0) {
         Tid t = pickRunnable();
         if (t == kNoTid) {
@@ -753,51 +765,76 @@ Machine::runDecoded()
             return;
         }
         schedHash_ = mixHash(schedHash_, steps_, t);
+        if (steps_ >= cfg_.maxSteps) {
+            truncateRun();
+            return;
+        }
         ThreadContext &ctx = contexts_[t];
-        // This quantum's steps per phase, flushed into the profiler
-        // when the quantum ends (nothing reads them mid-run).
-        telemetry::PhaseProfiler::PerPhase phaseSteps{};
+        // Clamp the quantum to the runaway guard. A quantum cut short
+        // by the guard alone truncates the run where it stops, with
+        // no further pick (exactly where a per-step check trips).
+        const uint64_t room = cfg_.maxSteps - steps_;
         uint32_t left = quantum;
+        bool guard_cut = false;
+        if (room < quantum) {
+            left = static_cast<uint32_t>(room);
+            guard_cut = true;
+        }
+        // Every op that changes the thread's transaction state or path
+        // forces a quantum break, so these hold for the whole quantum.
+        const bool in_tx = htm_.inTx(t);
+        quantumInTx_ = in_tx;
+        quantumPhase_ = phaseFor(ctx, in_tx);
+        const uint64_t first_step = steps_;
+        // A stop requested outside any quantum (e.g. from onRunStart)
+        // still ends the run after one op.
+        quantumBreak_ = stopRequest_ != RunError::Kind::None;
         bool first = true;
-        quantumBreak_ = false;
         while (true) {
-            if (steps_ >= cfg_.maxSteps) {
-                tel_.phases.noteSteps(t, phaseSteps);
-                truncateRun();
-                return;
-            }
             ++steps_;
             // A fault-episode edge is a forced preemption point: its
             // modifiers apply to this op, then re-pick.
-            if (!faults_.empty() && advanceFaults())
+            if (faulty && advanceFaults()) {
                 left = 1;
-            // Attribute this step to the acting thread's current
-            // detection mode (the Figure-10 breakdown). The profiler
-            // totals must equal steps executed, so this counts
-            // consumed steps (aborts, beforeStep) too.
-            const bool in_tx = htm_.inTx(t);
-            ++phaseSteps[static_cast<size_t>(phaseFor(ctx, in_tx))];
+                guard_cut = false;
+            }
             if (in_tx && injectAbort(t))
                 break;  // the abort consumed this step
             if (first) {
                 // Policy pre-step hook, once per quantum (documented
                 // contract since quantum batching): a true return
-                // consumes the step and ends the quantum.
+                // consumes the step and ends the quantum. Nothing is
+                // pending yet, so the hook sees settled cost.
                 first = false;
                 if (policy_.beforeStep(*this, t))
                     break;
             }
             if (ctx.pc >= ctx.codeLen) {
+                settle(ctx);
                 finishThread(t);
                 break;
             }
             const DecodedOp &op = ctx.code[ctx.pc];
             op.fn(*this, ctx, op);
-            if (quantumBreak_ || ctx.state != ThreadState::Runnable ||
-                --left == 0 || stopRequest_ != RunError::Kind::None)
+            if (quantumBreak_ || --left == 0)
                 break;
         }
-        tel_.phases.noteSteps(t, phaseSteps);
+        settle(ctx);
+        // Every step of the quantum, consumed ones (aborts,
+        // beforeStep) included, in the quantum's phase: the profiler
+        // totals equal steps executed (the Figure-10 breakdown).
+        tel_.phases.noteSteps(t, quantumPhase_, steps_ - first_step);
+        // left is 0 only when the quantum ran out without a forced
+        // break (every break leaves it at 1 or more).
+        if (left == 0) {
+            if (phaseFor(ctx, htm_.inTx(t)) != quantumPhase_)
+                panic("Machine: thread %u changed phase inside a "
+                      "quantum without a forced break", t);
+            if (guard_cut) {
+                truncateRun();
+                return;
+            }
+        }
         if (stopRequest_ != RunError::Kind::None) {
             recordStop();
             return;
@@ -850,6 +887,7 @@ Machine::injectAbort(Tid t)
         p *= cfg_.oversubInterruptFactor;
     p = p * faults_.interruptMult() + faults_.interruptAdd();
     if (intrRng_.chance(p)) {
+        settle(contexts_[t]);
         htm_.abortTx(t, 0);
         tel_.registry.add(met_.interruptAborts);
         if (tel_.flight.enabled())
@@ -869,6 +907,7 @@ Machine::injectAbort(Tid t)
     }
     double pr = cfg_.retryAbortPerStep + faults_.retryAdd();
     if (pr > 0.0 && intrRng_.chance(pr)) {
+        settle(contexts_[t]);
         htm_.abortTx(t, htm::kAbortRetry);
         tel_.registry.add(met_.retryAborts);
         if (tel_.flight.enabled())

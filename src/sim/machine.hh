@@ -31,6 +31,7 @@
 #include "sim/decode.hh"
 #include "sim/eventlog.hh"
 #include "sim/policy.hh"
+#include "support/log.hh"
 #include "support/rng.hh"
 #include "sync/primitives.hh"
 #include "telemetry/telemetry.hh"
@@ -172,8 +173,20 @@ class Machine
     sync::SyncTables &syncTables() { return sync_; }
     const ir::Program &program() const { return prog_; }
     const MachineConfig &config() const { return cfg_; }
-    ThreadContext &context(Tid t);
-    const ThreadContext &context(Tid t) const;
+    ThreadContext &
+    context(Tid t)
+    {
+        if (t >= contexts_.size())
+            panic("Machine::context: bad tid %u", t);
+        return contexts_[t];
+    }
+    const ThreadContext &
+    context(Tid t) const
+    {
+        if (t >= contexts_.size())
+            panic("Machine::context: bad tid %u", t);
+        return contexts_[t];
+    }
     size_t numThreads() const { return contexts_.size(); }
     uint32_t liveThreads() const { return live_; }
 
@@ -196,7 +209,9 @@ class Machine
     void
     addCost(Tid t, uint64_t c, Bucket b)
     {
-        charge(contexts_[t], c, b);
+        const bool in_tx = htm_.inTx(t);
+        ThreadContext &ctx = contexts_[t];
+        book(ctx, c, b, phaseFor(ctx, in_tx), b == Bucket::Base && in_tx);
     }
 
     /** Charge @p c cost units to @p t under bucket @p b with an
@@ -213,7 +228,12 @@ class Machine
      * given structured error (used by the budget controller when the
      * overhead budget is unsatisfiable even at floor sampling).
      */
-    void requestStop(RunError::Kind kind) { stopRequest_ = kind; }
+    void
+    requestStop(RunError::Kind kind)
+    {
+        stopRequest_ = kind;
+        quantumBreak_ = true;
+    }
 
     /**
      * Commit @p t's transaction in the HTM engine and publish its
@@ -261,9 +281,6 @@ class Machine
     telemetry::Telemetry &tel() { return tel_; }
     const telemetry::Telemetry &tel() const { return tel_; }
 
-    /** Phase the profiler would attribute to @p t right now. */
-    telemetry::Phase phaseOf(Tid t) const;
-
     /** Structured event timeline (empty unless cfg.recordEvents). */
     EventLog &events() { return events_; }
     const EventLog &events() const { return events_; }
@@ -284,17 +301,30 @@ class Machine
     /** Threaded-code handler bodies (defined in machine.cc). */
     friend struct ExecHandlers;
 
-    /** Decoded quantum loop. Runs until the program ends or error_ is
-     *  filled. */
+    /**
+     * Decoded quantum loop. Runs until the program ends or error_ is
+     * filled. Bookkeeping is per quantum, not per op: the running
+     * thread's phase and in-transaction flag are read once when its
+     * quantum starts (every op that could change them forces a
+     * quantum break), its steps are noted once when the quantum ends,
+     * and handlers only add their Base cost to pendingBase_, which
+     * settle() books before any policy hook runs and at every exit
+     * of the quantum. Hooks and mid-run readers (totalCost(),
+     * buckets(), myCost, baseSinceTxBegin) therefore see exactly the
+     * per-op numbers.
+     */
     void runDecoded();
 
-    /** addCost for a caller already holding @p ctx: one inTx lookup
-     *  serves both the phase and the in-transaction base tally. */
+    /** Book the running thread's pending Base cost under its
+     *  quantum's phase and in-transaction flag. */
     void
-    charge(ThreadContext &ctx, uint64_t c, Bucket b)
+    settle(ThreadContext &ctx)
     {
-        const bool in_tx = htm_.inTx(ctx.tid);
-        book(ctx, c, b, phaseFor(ctx, in_tx), b == Bucket::Base && in_tx);
+        if (pendingBase_ == 0)
+            return;
+        book(ctx, pendingBase_, Bucket::Base, quantumPhase_,
+             quantumInTx_);
+        pendingBase_ = 0;
     }
 
     /** Book one charge. @p base_in_tx: Base cost inside a transaction
@@ -383,9 +413,18 @@ class Machine
      *  always exact. */
     std::vector<Tid> runnable_;
     std::vector<uint32_t> runnablePos_;
-    /** Set by handlers at forced preemption points (sync ops, tx
-     *  boundaries, contended memory ops): ends the current quantum. */
+    /** Set at forced preemption points (sync ops, tx boundaries,
+     *  contended memory ops, blocking, stop requests): ends the
+     *  current quantum. */
     bool quantumBreak_ = false;
+    /** Running thread's phase and in-transaction flag, read once
+     *  when its quantum starts. */
+    telemetry::Phase quantumPhase_ = telemetry::Phase::Native;
+    bool quantumInTx_ = false;
+    /** Running thread's Base cost not yet booked (see settle()). */
+    uint64_t pendingBase_ = 0;
+    /** policy_.observesAccesses(), asked once at run start. */
+    bool observeAccesses_ = true;
     /** Join-target scratch (avoids a per-join allocation). */
     std::vector<Tid> joinScratch_;
     uint64_t schedHash_ = 0x9e3779b97f4a7c15ULL;

@@ -42,9 +42,11 @@ class ExecutionPolicy
     virtual void onThreadExit(Machine &, Tid) {}
 
     /**
-     * Called once per scheduling step before the instruction fetch.
-     * Returning true consumes the step (used by TxRace for the
-     * deferred TxFail write after a conflict abort).
+     * Called once per scheduler quantum, on its first step, before the
+     * instruction fetch. Returning true consumes the step and ends the
+     * quantum (used by TxRace for the deferred TxFail write after a
+     * conflict abort); returning false must leave the thread's phase
+     * unchanged.
      */
     virtual bool beforeStep(Machine &, Tid) { return false; }
 
@@ -56,6 +58,11 @@ class ExecutionPolicy
 
     /** LoopCut instruction (end of an instrumented loop body). */
     virtual void onLoopCut(Machine &, Tid, const ir::Instruction &) {}
+
+    /** Whether this policy type wants onMemAccess at all. Asked once
+     *  per run; a policy that says no (Native) gets no call and its
+     *  accesses take the machine's plain load/store path. */
+    virtual bool observesAccesses() const { return true; }
 
     /**
      * A Load/Store with its resolved address. Return false if the

@@ -39,30 +39,27 @@ const char *phaseName(Phase p);
  * noted (total()), which the accounting tests assert.
  *
  * A second, independent dimension attributes virtual *cost* the same
- * way (noteCost, fed from Machine::addCost): per-(thread, phase) cost
- * cells partition the run's total cost exactly, so budget accounting
- * can ask "how much was spent while degraded" and trust the answer.
+ * way (noteCost, fed by every Machine cost booking): per-(thread,
+ * phase) cost cells partition the run's total cost exactly, so budget
+ * accounting can ask "how much was spent while degraded" and trust
+ * the answer.
  */
 class PhaseProfiler
 {
   public:
     using PerPhase = std::array<uint64_t, kNumPhases>;
 
-    /** Attribute a batch of thread @p t's steps, @p counts[p] of
-     *  them to phase p (the step loop flushes once per quantum). A
+    /** Attribute @p n steps of thread @p t to phase @p p (the step
+     *  loop notes each quantum once: a quantum runs in one phase). A
      *  batch with no steps leaves the per-thread rows untouched. */
     void
-    noteSteps(Tid t, const PerPhase &counts)
+    noteSteps(Tid t, Phase p, uint64_t n)
     {
-        uint64_t n = 0;
-        for (uint64_t c : counts)
-            n += c;
         if (n == 0)
             return;
         if (t >= perThread_.size())
             perThread_.resize(t + 1);
-        for (size_t p = 0; p < kNumPhases; ++p)
-            perThread_[t][p] += counts[p];
+        perThread_[t][static_cast<size_t>(p)] += n;
         total_ += n;
     }
 

@@ -16,6 +16,7 @@
 #include "core/driver.hh"
 #include "core/fingerprint.hh"
 #include "core/policies.hh"
+#include "fault/fault.hh"
 #include "passes/passes.hh"
 #include "sim/machine.hh"
 #include "workloads/workloads.hh"
@@ -57,12 +58,24 @@ accountingDigest(const core::RunResult &r)
     return core::fnv1a64(s);
 }
 
+/** One pinned run: the app under @p mode at seed 1, plus the few
+ *  RunConfig fields the rows vary (defaults give a plain run). */
 struct Golden
 {
     const char *app;
     core::RunMode mode;
     uint64_t digest;
+    uint32_t workers = 4;
+    /** Fault scenario name (horizon kFaultHorizon); null for none. */
+    const char *fault = nullptr;
+    bool governor = false;
+    /** Monitor budget in percent; 0 leaves the budget off. */
+    double budgetPct = 0.0;
+    core::SlowPathKind slowpath = core::SlowPathKind::Window;
+    double sampleRate = 1.0;
 };
+
+constexpr uint64_t kFaultHorizon = 30'000;
 
 const Golden kGolden[] = {
     {"vips", core::RunMode::Native,
@@ -83,20 +96,52 @@ const Golden kGolden[] = {
      0xe4d3665c32bc8469ull},
     {"apache-stream", core::RunMode::TxRaceDynLoopcut,
      0x1a3a96a16b7a0956ull},
+    // The rows below reach every point where the step loop settles
+    // pending cost before a hook: budget reads mid-run (monitor),
+    // interrupt/retry aborts and rollback (chaos + governor), region
+    // slow path, profiled loop-cuts and the other policies.
+    {.app = "apache-stream", .mode = core::RunMode::TxRaceProfLoopcut,
+     .digest = 0x6e0d6823039015efull, .governor = true, .budgetPct = 5.0},
+    {.app = "vips", .mode = core::RunMode::TxRaceDynLoopcut,
+     .digest = 0x3292bd14a5ac3208ull, .workers = 8, .fault = "chaos",
+     .governor = true},
+    {.app = "x264", .mode = core::RunMode::TxRaceDynLoopcut,
+     .digest = 0x37879c070c81b033ull, .slowpath = core::SlowPathKind::Region},
+    {"vips", core::RunMode::TxRaceProfLoopcut, 0x4cc8bb14422496caull},
+    {.app = "ferret", .mode = core::RunMode::TSanSampling,
+     .digest = 0x53b10f270af57ebdull, .sampleRate = 0.5},
+    {"canneal", core::RunMode::Eraser, 0x4fc2f8939c6964adull},
+    {"raytrace", core::RunMode::RaceTM, 0xf6f01689e1a538f6ull},
 };
+
+/** Run @p g's configuration. */
+core::RunResult
+runGolden(const Golden &g)
+{
+    workloads::WorkloadParams params;
+    params.nWorkers = g.workers;
+    workloads::AppModel app = workloads::makeApp(g.app, params);
+    core::RunConfig cfg;
+    cfg.mode = g.mode;
+    cfg.machine = app.machine;
+    cfg.machine.seed = 1;
+    if (g.fault)
+        cfg.machine.faults = fault::makeScenario(g.fault, kFaultHorizon);
+    cfg.governor.enabled = g.governor;
+    cfg.budget.enabled = g.budgetPct > 0.0;
+    cfg.budget.budgetPct = g.budgetPct;
+    cfg.slowpath = g.slowpath;
+    cfg.sampleRate = g.sampleRate;
+    return core::runProgram(app.program, cfg);
+}
 
 } // namespace
 
 TEST(AccountingGolden, RegistryRunsAccountExactly)
 {
     for (const Golden &g : kGolden) {
-        workloads::AppModel app = workloads::makeApp(g.app);
-        core::RunConfig cfg;
-        cfg.mode = g.mode;
-        cfg.machine = app.machine;
-        cfg.machine.seed = 1;
-        core::RunResult r = core::runProgram(app.program, cfg);
-        ASSERT_TRUE(r.error.ok());
+        core::RunResult r = runGolden(g);
+        ASSERT_TRUE(r.error.ok()) << g.app;
         EXPECT_EQ(accountingDigest(r), g.digest)
             << g.app << " " << core::runModeName(g.mode) << " 0x"
             << std::hex << accountingDigest(r);
@@ -137,4 +182,23 @@ TEST(AccountingGolden, DirectMachineScheduleHashPerPolicy)
     ASSERT_TRUE(mx.run().ok());
     EXPECT_EQ(mx.scheduleHash(), 0xe5400a6c2203f92dull);
     EXPECT_EQ(mx.totalCost(), 3737741u);
+}
+
+TEST(AccountingGolden, NativeTruncatedMidQuantum)
+{
+    // The runaway guard trips inside a quantum: the loop clamps the
+    // quantum to the guard and truncates where it stops. Cost,
+    // buckets and phase rows at the cut are pinned with the rest.
+    workloads::AppModel app = workloads::makeApp("vips");
+    core::RunConfig cfg;
+    cfg.mode = core::RunMode::Native;
+    cfg.machine = app.machine;
+    cfg.machine.seed = 1;
+    cfg.machine.maxSteps = 5'000;
+    core::RunResult r = core::runProgram(app.program, cfg);
+    ASSERT_TRUE(r.error.truncated());
+    EXPECT_EQ(r.error.stepsExecuted, 5'000u);
+    EXPECT_EQ(r.totalCost, 5407u);
+    EXPECT_EQ(accountingDigest(r), 0xd0e9f38379d74b5aull)
+        << "0x" << std::hex << accountingDigest(r);
 }

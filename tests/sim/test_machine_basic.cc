@@ -401,3 +401,36 @@ TEST(MachineDeathTest, SecondRunPanics)
     ASSERT_TRUE(m.run().ok());
     EXPECT_DEATH(m.run(), "runs once");
 }
+
+namespace {
+
+/** Moves its thread to the slow path on an access without ending
+ *  the quantum: a policy breaking the one-phase-per-quantum rule. */
+class PhaseFlipPolicy : public ExecutionPolicy
+{
+  public:
+    bool
+    onMemAccess(Machine &m, Tid t, const ir::Instruction &, ir::Addr,
+                bool) override
+    {
+        m.context(t).path = PathMode::Slow;
+        return true;
+    }
+};
+
+} // namespace
+
+TEST(MachineDeathTest, PhaseChangeInsideQuantumPanics)
+{
+    // The step loop reads the phase once per quantum, so a quantum
+    // that runs out without a forced break must end in its phase.
+    ProgramBuilder b;
+    Addr x = b.alloc("x", 64);
+    b.beginFunction("main");
+    b.loop(64, [&] { b.load(AddrExpr::absolute(x)); });
+    b.endFunction();
+    Program p = b.build();
+    PhaseFlipPolicy policy;
+    Machine m(p, quietConfig(), policy);
+    EXPECT_DEATH(m.run(), "changed phase inside a quantum");
+}

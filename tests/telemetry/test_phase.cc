@@ -68,18 +68,13 @@ cellSum(const telemetry::PhaseProfiler &phases)
 TEST(PhaseProfiler, NoteAccumulatesPerThreadAndPhase)
 {
     telemetry::PhaseProfiler p;
-    auto batch = [](Phase ph, uint64_t n) {
-        telemetry::PhaseProfiler::PerPhase counts{};
-        counts[static_cast<size_t>(ph)] = n;
-        return counts;
-    };
-    p.noteSteps(0, batch(Phase::Fast, 1));
-    p.noteSteps(0, batch(Phase::Fast, 1));
-    p.noteSteps(2, batch(Phase::Slow, 1));
-    p.noteSteps(1, batch(Phase::Native, 1));
+    p.noteSteps(0, Phase::Fast, 1);
+    p.noteSteps(0, Phase::Fast, 1);
+    p.noteSteps(2, Phase::Slow, 1);
+    p.noteSteps(1, Phase::Native, 1);
     // An empty batch (a quantum cut before its first step) adds no
     // row for a thread that has not stepped.
-    p.noteSteps(5, {});
+    p.noteSteps(5, Phase::Native, 0);
     EXPECT_EQ(p.total(), 4u);
     EXPECT_EQ(p.count(Phase::Fast), 2u);
     EXPECT_EQ(p.count(Phase::Slow), 1u);
