@@ -1,7 +1,7 @@
 /**
  * @file
  * A narrated reproduction of the paper's mechanism figures, using the
- * structured event log to show each protocol step actually happening.
+ * event timeline to show each protocol step actually happening.
  *
  *  - Figure 3: conflict -> rollback -> TxFail write -> artificial
  *    aborts -> slow path -> pinpointed race.
@@ -31,7 +31,7 @@ config(core::RunMode mode = core::RunMode::TxRaceDynLoopcut)
     cfg.mode = mode;
     cfg.machine.seed = 5;
     cfg.machine.interruptPerStep = 0.0;
-    cfg.machine.recordEvents = true;
+    cfg.machine.recordTimeline = true;
     return cfg;
 }
 
@@ -62,8 +62,10 @@ figure3()
     b.endFunction();
     Program p = b.build();
 
-    core::RunResult r = core::runProgram(p, config());
-    r.events.print(std::cout, 14);
+    core::RunConfig cfg = config();
+    core::RunResult r = core::runProgram(p, cfg);
+    core::printTimeline(r.telemetry.flight, cfg.machine.faults, std::cout,
+                        14);
     core::printRaceReport(p, r, std::cout);
     std::printf("\n");
 }
@@ -109,7 +111,7 @@ figure4()
         for (uint64_t seed = 1; seed <= 8; ++seed) {
             core::RunConfig cfg = config();
             cfg.machine.seed = seed;
-            cfg.machine.recordEvents = false;
+            cfg.machine.recordTimeline = false;
             found += core::runProgram(p, cfg).races.count();
         }
         std::printf("  %s transactions: race found in %zu of 8 runs\n",
@@ -153,7 +155,7 @@ figure5()
     Program p = b.build();
 
     core::RunConfig cfg = config(core::RunMode::TxRaceNoOpt);
-    cfg.machine.recordEvents = false;
+    cfg.machine.recordTimeline = false;
     size_t found = 0;
     for (uint64_t seed = 1; seed <= 8; ++seed) {
         cfg.machine.seed = seed;

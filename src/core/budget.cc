@@ -133,11 +133,9 @@ BudgetController::closeWindow(Machine &m, uint64_t base_end)
                                                 << s.probeBackoffExp);
             ++siteCuts_;
             count(met_.siteCuts);
-            if (m.events().enabled())
-                m.events().record(m.currentStep(), 0, "budget-cut",
-                                  strprintf("site %u to 1/%llu",
-                                            site,
-                                            1ULL << s.shift));
+            m.tel().flight.note(0, telemetry::FrKind::Control,
+                                m.currentStep(), site, s.shift,
+                                telemetry::FrControl::BudgetCut);
             covered += cost;
             if (covered >= excess)
                 break;
@@ -156,11 +154,9 @@ BudgetController::closeWindow(Machine &m, uint64_t base_end)
                 s.nextProbeWindow = windowIndex_ + kReprobeWindows;
                 ++siteProbes_;
                 count(met_.siteProbes);
-                if (m.events().enabled())
-                    m.events().record(
-                        m.currentStep(), 0, "budget-probe",
-                        strprintf("site %u to 1/%llu", site,
-                                  1ULL << s.shift));
+                m.tel().flight.note(0, telemetry::FrKind::Control,
+                                    m.currentStep(), site, s.shift,
+                                    telemetry::FrControl::BudgetProbe);
             }
         }
     }

@@ -55,7 +55,6 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
         result.totalCost = machine.totalCost();
         result.buckets = machine.buckets();
         result.races = policy.races();
-        result.events = std::move(machine.events());
         result.telemetry = std::move(machine.tel());
         break;
       }
@@ -127,7 +126,6 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
         for (const auto &[fn, n] : elision.perFunction)
             reg.addNamed("pass.elide.fn." + fn, n);
         result.races = machine.det().races();
-        result.events = std::move(machine.events());
         result.telemetry = std::move(machine.tel());
         break;
       }

@@ -16,7 +16,6 @@
 #include "detector/report.hh"
 #include "ir/program.hh"
 #include "passes/passes.hh"
-#include "sim/eventlog.hh"
 #include "sim/machine.hh"
 #include "support/stats.hh"
 
@@ -70,12 +69,9 @@ struct RunResult
     StatSet stats;
     /** Distinct static races reported. */
     detector::RaceSet races;
-    /** Structured event timeline (only populated when
-     *  machine.recordEvents was set). */
-    sim::EventLog events;
     /** Telemetry bundle: metric registry, per-thread phase breakdown,
-     *  conflict attribution, and (when machine.recordTrace was set)
-     *  the Chrome-trace span buffer. */
+     *  conflict attribution, and the event stream (its timeline is
+     *  filled when machine.recordTimeline was set). */
     telemetry::Telemetry telemetry;
     /** Abnormal-end report: deadlock or maxSteps truncation, with
      *  per-thread blocked-on state. error.ok() on a clean run. */

@@ -9,6 +9,8 @@ namespace txrace::core {
 
 using sim::Bucket;
 using sim::Machine;
+using telemetry::FrControl;
+using telemetry::FrKind;
 
 void
 FallbackGovernor::bindMetrics(telemetry::MetricRegistry &reg)
@@ -57,7 +59,7 @@ FallbackGovernor::level(Tid t) const
 
 void
 FallbackGovernor::demote(Machine &m, Tid t, uint32_t to,
-                         const char *why, Bucket reason)
+                         uint8_t why, Bucket reason)
 {
     ThreadGov &g = state(t);
     if (g.probing) {
@@ -75,9 +77,8 @@ FallbackGovernor::demote(Machine &m, Tid t, uint32_t to,
     g.lastTransition = now(m, t);
     g.restartWindow(g.lastTransition);
     count(met_.demotions);
-    if (m.events().enabled())
-        m.events().record(m.currentStep(), t, "gov-demote",
-                          strprintf("to level %u (%s)", to, why));
+    m.tel().flight.note(t, FrKind::Control, m.currentStep(), ~0u,
+                        to, why);
 }
 
 uint32_t
@@ -114,10 +115,8 @@ FallbackGovernor::levelForRegion(Machine &m, Tid t)
             g.restartWindow(n);
             g.probing = true;
             count(met_.reprobations);
-            if (m.events().enabled())
-                m.events().record(m.currentStep(), t, "gov-probe",
-                                  strprintf("probing level %u",
-                                            g.level));
+            m.tel().flight.note(t, FrKind::Control, m.currentStep(), ~0u,
+                                g.level, FrControl::GovProbe);
         }
     }
     return g.level;
@@ -144,10 +143,9 @@ FallbackGovernor::onAbort(Machine &m, Tid t, Bucket reason,
         if (++g.consecConflicts >= kLivelockK) {
             g.consecConflicts = 0;
             count(met_.livelockEscalations);
-            if (m.events().enabled())
-                m.events().record(m.currentStep(), t, "gov-livelock",
-                                  "K consecutive conflict aborts");
-            demote(m, t, kSlowStart, "livelock", reason);
+            m.tel().flight.note(t, FrKind::Control, m.currentStep(), ~0u,
+                                g.level, FrControl::GovLivelock);
+            demote(m, t, kSlowStart, FrControl::DemoteLivelock, reason);
             return GovernorAction::FallBack;
         }
     }
@@ -167,7 +165,7 @@ FallbackGovernor::onAbort(Machine &m, Tid t, Bucket reason,
             ? g.level + 1
             : std::max(g.level + 1,
                        static_cast<uint32_t>(kSlowStart));
-        demote(m, t, to, "abort rate", reason);
+        demote(m, t, to, FrControl::DemoteAbortRate, reason);
     }
 
     // Transient-looking aborts are worth riding out in place a
@@ -233,13 +231,12 @@ FallbackGovernor::onSlowCheckCost(Machine &m, Tid t, uint64_t cost)
             g.restartWindow(n);
             g.probing = true;
             count(met_.stallPromotions);
-            if (m.events().enabled())
-                m.events().record(m.currentStep(), t, "gov-probe",
-                                  "stalled slow path, probing up");
+            m.tel().flight.note(t, FrKind::Control, m.currentStep(), ~0u,
+                                g.level, FrControl::GovStallProbe);
         } else {
             // Aborting hardware AND a stalled slow path: cornered;
             // sampled checking is the only bounded option left.
-            demote(m, t, kSampling, "slow-path cost",
+            demote(m, t, kSampling, FrControl::DemoteSlowCost,
                    threads_[t].demoteReason);
         }
     }

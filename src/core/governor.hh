@@ -28,7 +28,8 @@
  * exponentially so a persistent storm is probed ever more rarely.
  *
  * All transitions are counted in the machine's metrics registry and
- * recorded in the EventLog, so `--trace` shows the ladder in action.
+ * recorded in the event stream, so `--trace` shows the ladder in
+ * action.
  */
 
 #ifndef TXRACE_CORE_GOVERNOR_HH
@@ -196,7 +197,8 @@ class FallbackGovernor
     ThreadGov &state(Tid t);
     /** Thread-time clock the windows are measured in. */
     uint64_t now(sim::Machine &m, Tid t) const;
-    void demote(sim::Machine &m, Tid t, uint32_t to, const char *why,
+    /** Demote @p t to level @p to; @p why is a FrControl demotion. */
+    void demote(sim::Machine &m, Tid t, uint32_t to, uint8_t why,
                 sim::Bucket reason);
     /** Bump a transition counter (bindMetrics() came first). */
     void count(telemetry::MetricId id) { reg_->add(id); }

@@ -332,17 +332,18 @@ writeMetricsJson(std::ostream &os, const MetricsMeta &meta,
     w.key("conflicts");
     writeConflicts(w, prog, result.telemetry.conflicts, 10);
 
-    // Event-log accounting: stored vs offered (high-water) is the
-    // datum ring/log capacities are sized from.
+    // Timeline accounting: stored vs offered (high-water) is the datum
+    // the stream's cap is sized from.
+    const telemetry::FlightRecorder &flight = result.telemetry.flight;
+    const uint64_t stored = flight.timeline().size();
     w.key("events");
     w.beginObject();
-    w.field("enabled", result.events.enabled());
+    w.field("enabled", meta.traceText);
     w.field("capacity",
-            static_cast<uint64_t>(sim::EventLog::kMaxEvents));
-    w.field("stored",
-            static_cast<uint64_t>(result.events.events().size()));
-    w.field("dropped", result.events.dropped());
-    w.field("high_water", result.events.highWater());
+            static_cast<uint64_t>(telemetry::FlightRecorder::kTimelineCap));
+    w.field("stored", stored);
+    w.field("dropped", flight.dropped());
+    w.field("high_water", stored + flight.dropped());
     w.endObject();
 
     // Forensics captures (flight-recorder drains at race detections

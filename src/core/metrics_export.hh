@@ -26,6 +26,8 @@ struct MetricsMeta
     uint64_t seed = 0;
     uint32_t workers = 0;
     uint64_t scale = 0;
+    /** The `--trace` text timeline was requested (events.enabled). */
+    bool traceText = false;
 };
 
 /**

@@ -214,8 +214,10 @@ class TxRacePolicy : public sim::ExecutionPolicy
     BudgetReport budgetReport() const { return budget_.report(); }
 
   private:
-    /** Begin a fast-path transaction at the current point. */
-    void enterFastTx(sim::Machine &m, Tid t, uint64_t segment_loop);
+    /** Begin a fast-path transaction at the current point;
+     *  @p begin_kind is the FrBegin flag its TxBegin event carries. */
+    void enterFastTx(sim::Machine &m, Tid t, uint64_t segment_loop,
+                     uint8_t begin_kind = telemetry::FrBegin::Plain);
 
     /** Conflict-abort handling for a victim of a real data conflict
      *  (region mode: roll back, then publish TxFail next step). */

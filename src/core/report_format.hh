@@ -2,7 +2,10 @@
  * @file
  * Human-readable rendering of race reports: the developer-facing
  * output a race detector ultimately exists for. Maps static
- * instruction ids back to their source tags and access kinds.
+ * instruction ids back to their source tags and access kinds. The
+ * run's other views live here too: the forensics captures
+ * (`--explain`) and the two renderings of the event timeline
+ * (`--trace`, `--trace-json`).
  */
 
 #ifndef TXRACE_CORE_REPORT_FORMAT_HH
@@ -14,7 +17,9 @@
 #include "core/driver.hh"
 #include "core/repro.hh"
 #include "detector/report.hh"
+#include "fault/fault.hh"
 #include "ir/program.hh"
+#include "telemetry/flightrec.hh"
 
 namespace txrace::core {
 
@@ -51,6 +56,29 @@ void printRaceReport(const ir::Program &prog, const RunResult &result,
  */
 void printForensics(const ir::Program &prog, const RunResult &result,
                     std::ostream &os);
+
+/**
+ * Render @p rec's timeline as the `--trace` text view: one
+ * "[step] tN kind: detail" line per event this view shows, at most
+ * @p limit (0 = all) then a "... (N more)" count, then a marker naming
+ * where recording stopped if the timeline hit its cap. Fault edges
+ * name their episode by its index in @p faults.
+ */
+void printTimeline(const telemetry::FlightRecorder &rec,
+                   const fault::FaultPlan &faults, std::ostream &os,
+                   size_t limit = 0);
+
+/**
+ * Render @p rec's timeline as a Chrome trace-event JSON array (steps
+ * are microseconds): thread-name metadata, transactions and slow-path
+ * episodes as complete ("X") spans emitted at their close, and aborts,
+ * loop cuts, TxFail writes and fault edges as instant ("i") events.
+ * Spans still open at @p final_step close there as "run-end". Returns
+ * the number of events written, metadata excluded.
+ */
+uint64_t writeChromeTrace(const telemetry::FlightRecorder &rec,
+                          const fault::FaultPlan &faults,
+                          uint64_t final_step, std::ostream &os);
 
 } // namespace txrace::core
 

@@ -16,12 +16,12 @@ namespace {
 /** Sentinel: the current transaction is not a loop segment. */
 constexpr uint64_t kNoCutLoop = ~0ull;
 
-using SpanKind = telemetry::TraceBuffer::SpanKind;
 using telemetry::FrAbort;
 using telemetry::FrBudget;
 using telemetry::FrKind;
+using telemetry::FrSlow;
 
-/** Flight-record helper; note() itself no-ops when disabled. */
+/** Event-stream helper; note() itself no-ops when nothing records. */
 void
 flightNote(Machine &m, Tid t, FrKind k, uint32_t site = ir::kNoInstr,
            uint64_t arg = 0, uint8_t flags = 0)
@@ -29,34 +29,12 @@ flightNote(Machine &m, Tid t, FrKind k, uint32_t site = ir::kNoInstr,
     m.tel().flight.note(t, k, m.currentStep(), site, arg, flags);
 }
 
-/** Open the thread's transaction span in the telemetry trace. */
+/** Note that @p t entered a slow-path episode for @p why. */
 void
-traceTxBegin(Machine &m, Tid t)
+noteSlowEnter(Machine &m, Tid t, uint32_t site, uint8_t why)
 {
-    m.tel().trace.beginSpan(t, SpanKind::Tx, m.currentStep(), "tx",
-                            "tx");
-}
-
-/** Close the thread's transaction span with an outcome label. */
-void
-traceTxEnd(Machine &m, Tid t, const char *outcome)
-{
-    m.tel().trace.endSpan(t, SpanKind::Tx, m.currentStep(), outcome);
-}
-
-/** Open a slow-path episode span; @p why must be a string literal. */
-void
-traceSlowBegin(Machine &m, Tid t, const char *why)
-{
-    m.tel().trace.beginSpan(t, SpanKind::Slow, m.currentStep(), why,
-                            "slow");
-}
-
-/** Close the thread's slow-path span. */
-void
-traceSlowEnd(Machine &m, Tid t, const char *outcome)
-{
-    m.tel().trace.endSpan(t, SpanKind::Slow, m.currentStep(), outcome);
+    flightNote(m, t, FrKind::SlowEnter, site,
+               static_cast<uint64_t>(m.context(t).slowReason), why);
 }
 
 } // namespace
@@ -135,7 +113,7 @@ TxRacePolicy::onRunStart(Machine &m)
     // involved threads' event windows at the instant the detector
     // reports a *new* static race. First-detection-only keeps the
     // capture set deterministic and bounded.
-    if (m.tel().flight.enabled())
+    if (m.tel().flight.ringEnabled())
         m.det().setRaceObserver(
             [this, &m](const detector::Race &race, Tid cur, Tid other) {
                 captureRaceForensics(m, race, cur, other);
@@ -211,7 +189,8 @@ TxRacePolicy::onRunEnd(Machine &m)
 }
 
 void
-TxRacePolicy::enterFastTx(Machine &m, Tid t, uint64_t segment_loop)
+TxRacePolicy::enterFastTx(Machine &m, Tid t, uint64_t segment_loop,
+                          uint8_t begin_kind)
 {
     auto &ctx = m.context(t);
     m.htm().begin(t);
@@ -231,8 +210,7 @@ TxRacePolicy::enterFastTx(Machine &m, Tid t, uint64_t segment_loop)
     // segments, and the in-place re-begins below — so it can never
     // undercount tx.committed (the profile invariant).
     m.tel().registry.add(met_.txBegins);
-    traceTxBegin(m, t);
-    flightNote(m, t, FrKind::TxBegin);
+    flightNote(m, t, FrKind::TxBegin, ir::kNoInstr, 0, begin_kind);
 }
 
 void
@@ -248,9 +226,7 @@ TxRacePolicy::onTxBegin(Machine &m, Tid t, const ir::Instruction &ins)
         ctx.path = PathMode::Slow;
         ctx.slowReason = Bucket::Txn;
         m.tel().registry.add(met_.smallSlowRegions);
-        traceSlowBegin(m, t, "slow:small-region");
-        flightNote(m, t, FrKind::SlowEnter, ins.id,
-                   static_cast<uint64_t>(ctx.slowReason));
+        noteSlowEnter(m, t, ins.id, FrSlow::SmallRegion);
         return;
     }
     if (m.liveThreads() <= 1) {
@@ -272,9 +248,6 @@ TxRacePolicy::onTxBegin(Machine &m, Tid t, const ir::Instruction &ins)
                        static_cast<uint64_t>(FrBudget::Unsatisfiable));
             m.requestStop(sim::RunError::Kind::Budget);
         }
-        if (m.events().enabled())
-            m.events().record(m.currentStep(), t, "budget-gate",
-                              "region admitted uninstrumented");
         return;
     }
     if (governor_.enabled()) {
@@ -291,15 +264,8 @@ TxRacePolicy::onTxBegin(Machine &m, Tid t, const ir::Instruction &ins)
             m.tel().registry.add(ctx.sampleMode
                                      ? met_.govSampledRegions
                                      : met_.govForcedSlowRegions);
-            traceSlowBegin(m, t, "slow:governor");
             flightNote(m, t, FrKind::Gov, ins.id, level);
-            flightNote(m, t, FrKind::SlowEnter, ins.id,
-                       static_cast<uint64_t>(ctx.slowReason));
-            if (m.events().enabled())
-                m.events().record(m.currentStep(), t, "slow-enter",
-                                  ctx.sampleMode
-                                      ? "governor: sampling mode"
-                                      : "governor: region demoted");
+            noteSlowEnter(m, t, ins.id, FrSlow::Governor);
             return;
         }
     }
@@ -313,19 +279,15 @@ TxRacePolicy::onTxBegin(Machine &m, Tid t, const ir::Instruction &ins)
         m.tel().registry.add(met_.hwlimitAborts);
         ctx.path = PathMode::Slow;
         ctx.slowReason = Bucket::Unknown;
-        traceSlowBegin(m, t, "slow:hwlimit");
         flightNote(m, t, FrKind::TxAbort, ins.id,
                    static_cast<uint64_t>(FrAbort::HwLimit));
-        flightNote(m, t, FrKind::SlowEnter, ins.id,
-                   static_cast<uint64_t>(ctx.slowReason));
+        noteSlowEnter(m, t, ins.id, FrSlow::HwLimit);
         return;
     }
     m.addCost(t, cost.txBeginCost, Bucket::Txn);
-    enterFastTx(m, t, kNoCutLoop);
+    enterFastTx(m, t, kNoCutLoop, telemetry::FrBegin::Region);
     ctx.takeSnapshot(ctx.pc + 1);
     ctx.retryCount = 0;
-    if (m.events().enabled())
-        m.events().record(m.currentStep(), t, "xbegin");
 }
 
 void
@@ -336,12 +298,9 @@ TxRacePolicy::onTxEnd(Machine &m, Tid t, const ir::Instruction &)
         m.commitTx(t);
         m.addCost(t, m.config().cost.txEndCost, Bucket::Txn);
         m.tel().registry.add(met_.txCommitted);
-        traceTxEnd(m, t, "commit");
         flightNote(m, t, FrKind::TxCommit, ir::kNoInstr,
                    ctx.baseSinceTxBegin);
         governor_.onCommit(t);
-        if (m.events().enabled())
-            m.events().record(m.currentStep(), t, "commit");
         if (loopCuts_ &&
             ctx.lastLoopCutId != ir::kNoInstr)
             loopcuts_.onCommit(ctx.lastLoopCutId);
@@ -356,11 +315,7 @@ TxRacePolicy::onTxEnd(Machine &m, Tid t, const ir::Instruction &)
         ctx.govForced = false;
         ctx.slowHintLine = htm::HtmEngine::kNoLine;
         m.tel().registry.add(met_.slowRegions);
-        traceSlowEnd(m, t, "region-end");
         flightNote(m, t, FrKind::SlowExit);
-        if (m.events().enabled())
-            m.events().record(m.currentStep(), t, "slow-exit",
-                              "region finished; back to fast path");
     }
     // else: region was elided (single-threaded mode).
 }
@@ -395,17 +350,13 @@ TxRacePolicy::onLoopCut(Machine &m, Tid t, const ir::Instruction &ins)
     m.commitTx(t);
     m.tel().registry.add(met_.txCommitted);
     m.tel().registry.add(met_.loopCuts);
-    traceTxEnd(m, t, "loop-cut");
-    flightNote(m, t, FrKind::TxCommit, ins.id, ctx.baseSinceTxBegin);
-    m.tel().trace.instant(t, m.currentStep(), "loop-cut", "tx");
+    flightNote(m, t, FrKind::TxCommit, ins.id, ctx.baseSinceTxBegin,
+               telemetry::FrCommit::LoopCut);
     debugLog("cut t%u loop=%llu at iters=%llu thr=%llu", t,
              (unsigned long long)ins.arg0,
              (unsigned long long)frame.itersInTx,
              (unsigned long long)thr);
     m.addCost(t, cost.txEndCost + cost.txBeginCost, Bucket::Txn);
-    if (m.events().enabled())
-        m.events().record(m.currentStep(), t, "loop-cut",
-                          "segment committed mid-loop");
     // Growth is credited once per region (at TxEnd), not per segment:
     // per-segment growth overshoots the capacity boundary every few
     // iterations and thrashes.
@@ -415,11 +366,9 @@ TxRacePolicy::onLoopCut(Machine &m, Tid t, const ir::Instruction &ins)
         m.tel().registry.add(met_.hwlimitAborts);
         ctx.path = PathMode::Slow;
         ctx.slowReason = Bucket::Unknown;
-        traceSlowBegin(m, t, "slow:hwlimit");
         flightNote(m, t, FrKind::TxAbort, ins.id,
                    static_cast<uint64_t>(FrAbort::HwLimit));
-        flightNote(m, t, FrKind::SlowEnter, ins.id,
-                   static_cast<uint64_t>(ctx.slowReason));
+        noteSlowEnter(m, t, ins.id, FrSlow::HwLimit);
         return;
     }
     enterFastTx(m, t, ins.arg0);
@@ -447,14 +396,9 @@ void
 TxRacePolicy::handleConflictVictim(Machine &m, Tid v)
 {
     m.tel().registry.add(met_.abortConflict);
-    traceTxEnd(m, v, "conflict");
     flightNote(m, v, FrKind::TxAbort, m.currentSite(v),
-               static_cast<uint64_t>(FrAbort::Conflict));
-    m.tel().trace.instant(v, m.currentStep(), "conflict-abort",
-                          "abort");
-    if (m.events().enabled())
-        m.events().record(m.currentStep(), v, "conflict-abort",
-                          "will publish TxFail");
+               static_cast<uint64_t>(FrAbort::Conflict),
+               telemetry::FrConflict::PublishTxFail);
     uint64_t hint = addrHints_ ? m.htm().lastConflictLine(v)
                                : htm::HtmEngine::kNoLine;
     m.rollback(v, Bucket::Conflict);
@@ -488,21 +432,18 @@ TxRacePolicy::handleConflictVictimWindowed(Machine &m, Tid v,
     // after the conflicting transaction commits.
     watchedLines_.insert(conflict_line);
     m.tel().registry.add(met_.abortConflict);
-    traceTxEnd(m, v, "conflict");
+    // No version log, or this attempt keeps getting hit: replaying the
+    // same window over and over is livelock, not repair.
+    const bool fallback = !vl || vctx.windowReplays >= kMaxWindowReplays;
     flightNote(m, v, FrKind::TxAbort, m.currentSite(v),
-               static_cast<uint64_t>(FrAbort::Conflict));
-    m.tel().trace.instant(v, m.currentStep(), "conflict-abort",
-                          "abort");
+               static_cast<uint64_t>(FrAbort::Conflict),
+               fallback ? telemetry::FrConflict::WindowFallback
+                        : telemetry::FrConflict::Replay);
 
-    if (!vl || vctx.windowReplays >= kMaxWindowReplays) {
-        // No version log, or this attempt keeps getting hit: replaying
-        // the same window over and over is livelock, not repair.
+    if (fallback) {
         // Surrender only THIS region to a solo slow episode — still no
         // TxFail broadcast, the concurrent fast+slow shape of Fig. 5.
         m.tel().registry.add(met_.windowFallbacks);
-        if (m.events().enabled())
-            m.events().record(m.currentStep(), v, "window-fallback",
-                              "replay cap hit; region goes slow");
         uint64_t hint = addrHints_ ? m.htm().lastConflictLine(v)
                                    : htm::HtmEngine::kNoLine;
         if (vl)
@@ -514,9 +455,7 @@ TxRacePolicy::handleConflictVictimWindowed(Machine &m, Tid v,
         vctx.lastLoopCutId = ir::kNoInstr;
         vctx.path = PathMode::Slow;
         vctx.slowReason = Bucket::Conflict;
-        traceSlowBegin(m, v, "slow:window-fallback");
-        flightNote(m, v, FrKind::SlowEnter, m.currentSite(v),
-                   static_cast<uint64_t>(vctx.slowReason));
+        noteSlowEnter(m, v, m.currentSite(v), FrSlow::WindowFallback);
         return;
     }
 
@@ -552,10 +491,6 @@ TxRacePolicy::handleConflictVictimWindowed(Machine &m, Tid v,
     if (req_site != ir::kNoInstr)
         ++m.tel().siteStats[req_site].windowReplays;
     flightNote(m, v, FrKind::WindowReplay, req_site, window.size());
-    if (m.events().enabled())
-        m.events().record(m.currentStep(), v, "window-replay",
-                          strprintf("%zu entries replayed",
-                                    window.size()));
 
     m.rollback(v, Bucket::Conflict);
     governor_.onAbort(m, v, Bucket::Conflict, /*primary=*/true);
@@ -577,7 +512,6 @@ TxRacePolicy::handleConflictVictimWindowed(Machine &m, Tid v,
     m.htm().access(v, Machine::kTxFailAddr, false);
     vctx.baseSinceTxBegin = 0;
     m.tel().registry.add(met_.txBegins);
-    traceTxBegin(m, v);
     flightNote(m, v, FrKind::TxBegin);
 }
 
@@ -597,10 +531,7 @@ TxRacePolicy::beforeStep(Machine &m, Tid t)
     }
     ctx.mustWriteTxFail = false;
     m.tel().registry.add(met_.txfailWrites);
-    m.tel().trace.instant(t, m.currentStep(), "txfail-write", "txfail");
-    if (m.events().enabled())
-        m.events().record(m.currentStep(), t, "txfail-write",
-                          "aborting all in-flight transactions");
+    flightNote(m, t, FrKind::TxFailWrite);
 
     // Non-transactional write to the TxFail flag: strong isolation
     // aborts every in-flight transaction (they all read the flag at
@@ -610,7 +541,6 @@ TxRacePolicy::beforeStep(Machine &m, Tid t)
     for (Tid v : res.victims) {
         m.tel().registry.add(met_.abortConflict);
         m.tel().registry.add(met_.artificialAborts);
-        traceTxEnd(m, v, "txfail");
         flightNote(m, v, FrKind::TxAbort, m.currentSite(v),
                    static_cast<uint64_t>(FrAbort::TxFail));
         m.rollback(v, Bucket::Conflict);
@@ -622,22 +552,15 @@ TxRacePolicy::beforeStep(Machine &m, Tid t)
         vctx.lastLoopCutId = ir::kNoInstr;
         vctx.path = PathMode::Slow;
         vctx.slowReason = Bucket::Conflict;
-        traceSlowBegin(m, v, "slow:txfail");
         // The future-HTM protocol shares the conflicting address with
         // everyone forced into the slow path.
         vctx.slowHintLine = ctx.slowHintLine;
-        flightNote(m, v, FrKind::SlowEnter, m.currentSite(v),
-                   static_cast<uint64_t>(vctx.slowReason));
-        if (m.events().enabled())
-            m.events().record(m.currentStep(), v, "slow-enter",
-                              "artificially aborted by TxFail");
+        noteSlowEnter(m, v, m.currentSite(v), FrSlow::TxFail);
     }
     m.addCost(t, m.config().cost.storeCost, Bucket::Conflict);
     ctx.path = PathMode::Slow;
     ctx.slowReason = Bucket::Conflict;
-    traceSlowBegin(m, t, "slow:conflict");
-    flightNote(m, t, FrKind::SlowEnter, m.currentSite(t),
-               static_cast<uint64_t>(ctx.slowReason));
+    noteSlowEnter(m, t, m.currentSite(t), FrSlow::Conflict);
     return true;
 }
 
@@ -647,11 +570,8 @@ TxRacePolicy::handleSelfCapacity(Machine &m, Tid t, ir::InstrId site)
     m.tel().registry.add(met_.abortCapacity);
     if (site != ir::kNoInstr)
         ++m.tel().siteStats[site].capacityAborts;
-    traceTxEnd(m, t, "capacity");
     flightNote(m, t, FrKind::TxAbort, site,
                static_cast<uint64_t>(FrAbort::Capacity));
-    m.tel().trace.instant(t, m.currentStep(), "capacity-abort",
-                          "abort");
     // Attribute the abort to the innermost loop-cut loop *before*
     // rolling back the loop stack (the stand-in for LBR attribution).
     uint64_t iters_in_tx = 0;
@@ -679,12 +599,7 @@ TxRacePolicy::handleSelfCapacity(Machine &m, Tid t, ir::InstrId site)
     // running (no TxFail write) — Fig. 5's concurrent fast+slow.
     ctx.path = PathMode::Slow;
     ctx.slowReason = Bucket::Capacity;
-    traceSlowBegin(m, t, "slow:capacity");
-    flightNote(m, t, FrKind::SlowEnter, site,
-               static_cast<uint64_t>(ctx.slowReason));
-    if (m.events().enabled())
-        m.events().record(m.currentStep(), t, "capacity-abort",
-                          "falling back to the slow path alone");
+    noteSlowEnter(m, t, site, FrSlow::Capacity);
 }
 
 void
@@ -707,11 +622,8 @@ TxRacePolicy::onInterruptAbort(Machine &m, Tid t)
         m.htm().access(t, Machine::kTxFailAddr, false);
         ctx.baseSinceTxBegin = 0;
         m.tel().registry.add(met_.txBegins);
-        traceTxBegin(m, t);
-        flightNote(m, t, FrKind::TxBegin);
-        if (m.events().enabled())
-            m.events().record(m.currentStep(), t, "gov-backoff",
-                              "retrying after unknown abort");
+        flightNote(m, t, FrKind::TxBegin, ir::kNoInstr, 0,
+                   telemetry::FrBegin::Backoff);
         return;
     }
     ctx.snap.valid = false;
@@ -719,9 +631,7 @@ TxRacePolicy::onInterruptAbort(Machine &m, Tid t)
     ctx.slowHintLine = htm::HtmEngine::kNoLine;
     ctx.path = PathMode::Slow;
     ctx.slowReason = Bucket::Unknown;
-    traceSlowBegin(m, t, "slow:interrupt");
-    flightNote(m, t, FrKind::SlowEnter, m.currentSite(t),
-               static_cast<uint64_t>(ctx.slowReason));
+    noteSlowEnter(m, t, m.currentSite(t), FrSlow::Interrupt);
 }
 
 void
@@ -749,7 +659,6 @@ TxRacePolicy::onRetryAbort(Machine &m, Tid t)
         m.htm().access(t, Machine::kTxFailAddr, false);
         ctx.baseSinceTxBegin = 0;
         m.tel().registry.add(met_.txBegins);
-        traceTxBegin(m, t);
         flightNote(m, t, FrKind::TxBegin);
         return;
     }
@@ -758,9 +667,7 @@ TxRacePolicy::onRetryAbort(Machine &m, Tid t)
     ctx.path = PathMode::Slow;
     ctx.slowReason = Bucket::Unknown;
     m.tel().registry.add(met_.retryExhausted);
-    traceSlowBegin(m, t, "slow:retry-exhausted");
-    flightNote(m, t, FrKind::SlowEnter, m.currentSite(t),
-               static_cast<uint64_t>(ctx.slowReason));
+    noteSlowEnter(m, t, m.currentSite(t), FrSlow::RetryExhausted);
 }
 
 bool
@@ -967,18 +874,22 @@ void
 TxRacePolicy::onThreadExit(Machine &m, Tid t)
 {
     auto &ctx = m.context(t);
+    uint8_t open = 0;
     if (m.htm().inTx(t)) {
         // The pass inserts TxEnd at every exit point, so this only
         // fires if a workload bypassed the pipeline.
         warn("TxRacePolicy: thread %u exiting inside a transaction", t);
         m.commitTx(t);
         m.tel().registry.add(met_.txCommitted);
-        traceTxEnd(m, t, "thread-exit");
+        open |= telemetry::FrOpen::Tx;
     }
     if (ctx.path == PathMode::Slow) {
         ctx.path = PathMode::Fast;
-        traceSlowEnd(m, t, "thread-exit");
+        open |= telemetry::FrOpen::Slow;
     }
+    if (open != 0)
+        flightNote(m, t, FrKind::RunEdge, ir::kNoInstr, open,
+                   telemetry::FrRunEdge::ThreadExit);
     ctx.sampleMode = false;
     ctx.govForced = false;
 }

@@ -39,7 +39,8 @@ FaultInjector::advance(uint64_t step)
         if (now != static_cast<bool>(active_[i])) {
             active_[i] = now;
             activeCount_ += now ? 1 : -1;
-            transitions_.push_back({&plan_.episodes[i], now});
+            transitions_.push_back(
+                {&plan_.episodes[i], static_cast<uint32_t>(i), now});
         }
         if (!now && step < ep.start)
             nextBoundary_ = std::min(nextBoundary_, ep.start);

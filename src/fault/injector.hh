@@ -6,7 +6,7 @@
  * The injector is advanced once per scheduler step. It maintains the
  * set of currently active episodes incrementally (O(1) per step away
  * from episode boundaries) and reports every begin/end transition so
- * the machine can record it in the EventLog and count it in its
+ * the machine can record it in the event stream and count it in its
  * metrics registry — injected events are first-class observable facts
  * of a run.
  */
@@ -25,6 +25,7 @@ namespace txrace::fault {
 struct FaultTransition
 {
     const FaultEpisode *episode = nullptr;
+    uint32_t index = 0;  ///< the episode's position in the plan
     bool begin = false;  ///< false = the episode just ended
 };
 

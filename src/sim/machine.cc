@@ -445,12 +445,10 @@ Machine::Machine(const ir::Program &prog, const MachineConfig &cfg,
     bindCode(main);
     live_ = 1;
     enrollRunnable(main);
-    if (cfg_.recordEvents)
-        events_.enable();
-    if (cfg_.recordTrace)
-        tel_.trace.enable();
+    if (cfg_.recordTimeline)
+        tel_.flight.enableTimeline();
     if (cfg_.recordFlight)
-        tel_.flight.enable();
+        tel_.flight.enableRing();
 
     // Intern the machine's hot-path metrics once; step-loop updates
     // are then plain vector indexing (no string map lookups).
@@ -604,9 +602,8 @@ Machine::reportDeadlock()
         warn("  thread %u state=%d at %s", info.tid,
              static_cast<int>(info.state), info.where.c_str());
     tel_.registry.add(met_.deadlocks);
-    if (events_.enabled())
-        events_.record(steps_, 0, "deadlock",
-                       strprintf("%u live threads blocked", live_));
+    tel_.flight.note(0, telemetry::FrKind::RunEdge, steps_, ~0u, live_,
+                     telemetry::FrRunEdge::Deadlock);
 }
 
 void
@@ -619,9 +616,8 @@ Machine::truncateRun()
     error_.kind = RunError::Kind::Truncated;
     captureUnfinishedThreads();
     tel_.registry.set(met_.truncated, 1);
-    if (events_.enabled())
-        events_.record(steps_, 0, "truncated",
-                       "maxSteps runaway guard tripped");
+    tel_.flight.note(0, telemetry::FrKind::RunEdge, steps_, ~0u, 0,
+                     telemetry::FrRunEdge::Truncated);
 }
 
 void
@@ -629,9 +625,9 @@ Machine::recordStop()
 {
     error_.kind = stopRequest_;
     captureUnfinishedThreads();
-    if (events_.enabled())
-        events_.record(steps_, 0, "stop-request",
-                       runErrorKindName(stopRequest_));
+    tel_.flight.note(0, telemetry::FrKind::RunEdge, steps_, ~0u,
+                     static_cast<uint64_t>(stopRequest_),
+                     telemetry::FrRunEdge::StopRequest);
 }
 
 void
@@ -712,7 +708,7 @@ Machine::run()
     // Abnormal end: drain every thread's flight window into a capture
     // so the structured error carries its own event context.
     if (error_.kind != RunError::Kind::None &&
-        tel_.flight.enabled() &&
+        tel_.flight.ringEnabled() &&
         tel_.forensics.size() < telemetry::Telemetry::kMaxForensics) {
         telemetry::ForensicsCapture cap;
         cap.trigger = runErrorKindName(error_.kind);
@@ -725,7 +721,6 @@ Machine::run()
     }
     policy_.onRunEnd(*this);
     tel_.registry.set(met_.steps, steps_);
-    tel_.trace.closeAll(steps_);
     publishCounters();
     return error_;
 }
@@ -856,17 +851,10 @@ Machine::advanceFaults()
         tel_.registry.addNamed(std::string("fault.") +
                                fault::faultKindName(ep.kind) +
                                (tr.begin ? ".begin" : ".end"));
-        if (events_.enabled())
-            events_.record(steps_, 0,
-                           tr.begin ? "fault-begin" : "fault-end",
-                           strprintf("%s x%.2g +%.2g param=%llu",
-                                     fault::faultKindName(ep.kind),
-                                     ep.magnitude, ep.addProb,
-                                     static_cast<unsigned long long>(
-                                         ep.param)));
-        tel_.trace.instant(0, steps_,
-                           tr.begin ? "fault-begin" : "fault-end",
-                           "fault", fault::faultKindName(ep.kind));
+        tel_.flight.note(0, telemetry::FrKind::RunEdge, steps_, ~0u,
+                         tr.index,
+                         tr.begin ? telemetry::FrRunEdge::FaultBegin
+                                  : telemetry::FrRunEdge::FaultEnd);
         if (ep.kind == fault::FaultKind::CapacityCliff)
             ways_changed = true;
     }
@@ -890,18 +878,9 @@ Machine::injectAbort(Tid t)
         settle(contexts_[t]);
         htm_.abortTx(t, 0);
         tel_.registry.add(met_.interruptAborts);
-        if (tel_.flight.enabled())
-            tel_.flight.note(
-                t, telemetry::FrKind::TxAbort, steps_,
-                currentSite(t),
-                static_cast<uint64_t>(
-                    telemetry::FrAbort::Interrupt));
-        if (events_.enabled())
-            events_.record(steps_, t, "interrupt",
-                           "unknown abort (preemption)");
-        tel_.trace.endSpan(t, telemetry::TraceBuffer::SpanKind::Tx,
-                           steps_, "interrupt");
-        tel_.trace.instant(t, steps_, "interrupt-abort", "abort");
+        tel_.flight.note(
+            t, telemetry::FrKind::TxAbort, steps_, currentSite(t),
+            static_cast<uint64_t>(telemetry::FrAbort::Interrupt));
         policy_.onInterruptAbort(*this, t);
         return true;
     }
@@ -910,13 +889,9 @@ Machine::injectAbort(Tid t)
         settle(contexts_[t]);
         htm_.abortTx(t, htm::kAbortRetry);
         tel_.registry.add(met_.retryAborts);
-        if (tel_.flight.enabled())
-            tel_.flight.note(
-                t, telemetry::FrKind::TxAbort, steps_,
-                currentSite(t),
-                static_cast<uint64_t>(telemetry::FrAbort::Retry));
-        tel_.trace.endSpan(t, telemetry::TraceBuffer::SpanKind::Tx,
-                           steps_, "retry");
+        tel_.flight.note(
+            t, telemetry::FrKind::TxAbort, steps_, currentSite(t),
+            static_cast<uint64_t>(telemetry::FrAbort::Retry));
         policy_.onRetryAbort(*this, t);
         return true;
     }

@@ -29,7 +29,6 @@
 #include "sim/context.hh"
 #include "sim/costmodel.hh"
 #include "sim/decode.hh"
-#include "sim/eventlog.hh"
 #include "sim/policy.hh"
 #include "support/log.hh"
 #include "support/rng.hh"
@@ -61,13 +60,11 @@ struct MachineConfig
      *  retryable abort (TLB shootdowns and similar glitches that set
      *  the RETRY bit without CONFLICT; rare on real parts). */
     double retryAbortPerStep = 0.0;
-    /** Record a structured event timeline (txrace_run --trace). */
-    bool recordEvents = false;
-    /** Record transaction/slow-path spans and abort instants into the
-     *  telemetry trace buffer (txrace_run --trace-json). */
-    bool recordTrace = false;
-    /** Enable the per-thread flight recorder (forensics captures on
-     *  race reports and structured run errors). Observe-only: never
+    /** Record the run-wide event timeline the `--trace` text view and
+     *  the `--trace-json` Chrome trace render from. Observe-only. */
+    bool recordTimeline = false;
+    /** Enable the per-thread flight-recorder rings (forensics captures
+     *  on race reports and structured run errors). Observe-only: never
      *  changes scheduling, cost, or detection. No-op in builds made
      *  with -DTXRACE_FLIGHTREC=OFF. */
     bool recordFlight = false;
@@ -274,16 +271,13 @@ class Machine
     }
 
     /** Telemetry bundle: typed metrics registry, phase profiler,
-     *  conflict attribution, trace spans. The registry is the only
+     *  conflict attribution, the event stream. The registry is the only
      *  place counters are written: policies intern their metric ids
      *  here in onRunStart(), and run() publishes the HTM engine's and
      *  detector's plain counters into it at the end of the run. */
     telemetry::Telemetry &tel() { return tel_; }
     const telemetry::Telemetry &tel() const { return tel_; }
 
-    /** Structured event timeline (empty unless cfg.recordEvents). */
-    EventLog &events() { return events_; }
-    const EventLog &events() const { return events_; }
     /** Current scheduler step (for event stamping). */
     uint64_t currentStep() const { return steps_; }
 
@@ -435,7 +429,6 @@ class Machine
     uint64_t steps_ = 0;
     uint64_t totalCost_ = 0;
     std::array<uint64_t, kNumBuckets> buckets_{};
-    EventLog events_;
     RunError error_;
     RunError::Kind stopRequest_ = RunError::Kind::None;
     /** run() was called (a Machine runs once). */

@@ -18,6 +18,9 @@ frKindName(FrKind kind)
       case FrKind::Gov:       return "gov";
       case FrKind::Budget:    return "budget";
       case FrKind::WindowReplay: return "window_replay";
+      case FrKind::TxFailWrite: return "txfail_write";
+      case FrKind::Control:   return "control";
+      case FrKind::RunEdge:   return "run_edge";
     }
     return "?";
 }
@@ -50,10 +53,6 @@ frBudgetName(FrBudget detail)
 std::vector<FrEvent>
 FlightRecorder::window(uint32_t tid) const
 {
-#ifdef TXRACE_NO_FLIGHTREC
-    (void)tid;
-    return {};
-#else
     std::vector<FrEvent> out;
     if (tid >= rings_.size())
         return out;
@@ -63,7 +62,17 @@ FlightRecorder::window(uint32_t tid) const
     for (uint64_t i = r.n - kept; i < r.n; ++i)
         out.push_back(r.ev[i & (kCapacity - 1)]);
     return out;
-#endif
+}
+
+void
+FlightRecorder::append(const FrEntry &entry)
+{
+    if (timeline_.size() >= kTimelineCap) {
+        if (dropped_++ == 0)
+            firstDropped_ = entry;
+        return;
+    }
+    timeline_.push_back(entry);
 }
 
 void
@@ -73,6 +82,8 @@ FlightRecorder::clear()
         r.ev.fill(FrEvent{});
         r.n = 0;
     }
+    timeline_.clear();
+    dropped_ = 0;
 }
 
 ForensicsThread

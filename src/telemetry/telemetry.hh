@@ -2,8 +2,8 @@
  * @file
  * The telemetry bundle a Machine owns and a RunResult carries out:
  * typed metrics registry, phase profiler, conflict-attribution map,
- * the trace-span buffer, the flight recorder with its drained
- * forensics captures, and per-site abort/slow-path statistics. One
+ * the event stream (flight recorder) with its drained forensics
+ * captures, and per-site abort/slow-path statistics. One
  * instance per run; the driver moves it from the machine into the
  * RunResult so exporters (metrics JSON, Chrome trace, forensics,
  * profiles) can read it after the machine is gone.
@@ -20,7 +20,6 @@
 #include "telemetry/flightrec.hh"
 #include "telemetry/phase.hh"
 #include "telemetry/registry.hh"
-#include "telemetry/trace.hh"
 
 namespace txrace::telemetry {
 
@@ -51,7 +50,6 @@ struct Telemetry
     MetricRegistry registry;
     PhaseProfiler phases;
     ConflictMap conflicts;
-    TraceBuffer trace;
     FlightRecorder flight;
     std::vector<ForensicsCapture> forensics;
     SiteStatsMap siteStats;

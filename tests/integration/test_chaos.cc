@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "core/driver.hh"
+#include "core/report_format.hh"
 #include "fault/fault.hh"
 #include "workloads/workloads.hh"
 
@@ -131,7 +132,7 @@ TEST(Chaos, GovernorActivityIsObservable)
     cfg.mode = core::RunMode::TxRaceDynLoopcut;
     cfg.machine = app.machine;
     cfg.machine.seed = 3;
-    cfg.machine.recordEvents = true;
+    cfg.machine.recordTimeline = true;
     cfg.machine.faults = fault::makeScenario("interrupt-storm", 20'000);
     cfg.governor.enabled = true;
     core::RunResult r = core::runProgram(app.program, cfg);
@@ -141,7 +142,8 @@ TEST(Chaos, GovernorActivityIsObservable)
     EXPECT_GE(r.stats.get("txrace.gov.backoff_retries"), 1u);
 
     std::ostringstream os;
-    r.events.print(os, 100000);
+    core::printTimeline(r.telemetry.flight, cfg.machine.faults, os,
+                        100000);
     std::string trace = os.str();
     EXPECT_NE(trace.find("fault-begin"), std::string::npos);
     EXPECT_NE(trace.find("fault-end"), std::string::npos);

@@ -12,11 +12,16 @@
 
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "campaign/campaign.hh"
 #include "core/driver.hh"
 #include "core/metrics_export.hh"
+#include "core/policies.hh"
 #include "core/report_format.hh"
+#include "fault/fault.hh"
+#include "passes/passes.hh"
 #include "telemetry/flightrec.hh"
 #include "telemetry/profile.hh"
 #include "workloads/workloads.hh"
@@ -139,25 +144,157 @@ TEST(Observability, ForensicsAreByteDeterministic)
     EXPECT_NE(e1.str().find("last-writer chain"), std::string::npos);
 }
 
-TEST(Observability, FlightRecorderIsObserveOnly)
+#endif // !TXRACE_NO_FLIGHTREC
+
+namespace {
+
+/** What a recorder must never change: the race keys, the full stats
+ *  dump, the schedule hash, and the virtual-time cost. */
+struct Observed
 {
-    // Toggling the recorder must not change detection or cost: the
-    // run is a pure function of (program, config, seed) and the
-    // recorder only watches.
-    workloads::AppModel app = apacheStream();
-    core::RunConfig on = flightConfig(app, 7);
-    core::RunConfig off = flightConfig(app, 7);
-    off.machine.recordFlight = false;
-    core::RunResult r_on = core::runProgram(app.program, on);
-    core::RunResult r_off = core::runProgram(app.program, off);
-    EXPECT_EQ(r_on.races.count(), r_off.races.count());
-    EXPECT_EQ(r_on.totalCost, r_off.totalCost);
-    EXPECT_EQ(r_on.stats.get("tx.committed"),
-              r_off.stats.get("tx.committed"));
-    EXPECT_TRUE(r_off.telemetry.forensics.empty());
+    std::vector<std::tuple<uint32_t, uint32_t, int>> raceKeys;
+    std::string stats;
+    uint64_t scheduleHash = 0;
+    uint64_t totalCost = 0;
+
+    bool
+    operator==(const Observed &o) const
+    {
+        return raceKeys == o.raceKeys && stats == o.stats &&
+               scheduleHash == o.scheduleHash &&
+               totalCost == o.totalCost;
+    }
+};
+
+/** Run @p cfg on a Machine built directly (the schedule hash lives on
+ *  the Machine) with the given recorder toggles. */
+Observed
+observe(const ir::Program &prog, core::RunConfig cfg, bool ring,
+        bool timeline)
+{
+    cfg.machine.recordFlight = ring;
+    cfg.machine.recordTimeline = timeline;
+    cfg.machine.htm.versionLog =
+        cfg.slowpath == core::SlowPathKind::Window;
+    ir::Program prepared = passes::preparedForTxRace(prog, cfg.passes);
+    core::TxRacePolicy policy(cfg);
+    sim::Machine m(prepared, cfg.machine, policy);
+    EXPECT_TRUE(m.run().ok());
+    Observed o;
+    for (const detector::Race &race : m.det().races().all())
+        o.raceKeys.emplace_back(race.first, race.second,
+                                static_cast<int>(race.kind));
+    StatSet stats;
+    m.tel().registry.exportTo(stats);
+    for (const auto &[name, v] : stats.all())
+        o.stats += name + "=" + std::to_string(v) + "\n";
+    o.scheduleHash = m.scheduleHash();
+    o.totalCost = m.totalCost();
+    if (!ring) {
+        EXPECT_TRUE(m.tel().forensics.empty());
+    }
+    EXPECT_EQ(m.tel().flight.timelineEnabled(), timeline);
+    EXPECT_EQ(m.tel().flight.ringEnabled(),
+              ring && telemetry::FlightRecorder::kCompiledIn);
+    return o;
 }
 
-#endif // !TXRACE_NO_FLIGHTREC
+/** The same observation through core::runProgram, so the toggles
+ *  also reach the driver's profiling run (ProfLoopcut), whose
+ *  loop-cut table feeds the measured run. The driver does not expose
+ *  the schedule hash; the direct-Machine rows cover it. */
+Observed
+observeDriver(const ir::Program &prog, core::RunConfig cfg, bool ring,
+              bool timeline)
+{
+    cfg.machine.recordFlight = ring;
+    cfg.machine.recordTimeline = timeline;
+    core::RunResult r = core::runProgram(prog, cfg);
+    EXPECT_TRUE(r.error.ok());
+    Observed o;
+    for (const detector::Race &race : r.races.all())
+        o.raceKeys.emplace_back(race.first, race.second,
+                                static_cast<int>(race.kind));
+    for (const auto &[name, v] : r.stats.all())
+        o.stats += name + "=" + std::to_string(v) + "\n";
+    o.totalCost = r.totalCost;
+    if (!ring) {
+        EXPECT_TRUE(r.telemetry.forensics.empty());
+    }
+    EXPECT_EQ(r.telemetry.flight.timeline().empty(), !timeline);
+    return o;
+}
+
+} // namespace
+
+TEST(Observability, FlightRecorderIsObserveOnly)
+{
+    // Toggling either recorder sink must not change detection, cost or
+    // scheduling: the run is a pure function of (program, config,
+    // seed) and the recorders only watch. In a build with the ring
+    // compiled out, its toggle is inert and the rows still must agree.
+    workloads::AppModel apache = apacheStream();
+    core::RunConfig racy = flightConfig(apache, 7);
+    racy.mode = core::RunMode::TxRaceDynLoopcut;
+
+    workloads::WorkloadParams params;
+    params.nWorkers = 8;
+    params.calibrate = false;
+    workloads::AppModel vips = workloads::makeApp("vips", params);
+    core::RunConfig storm;
+    storm.mode = core::RunMode::TxRaceDynLoopcut;
+    storm.machine = vips.machine;
+    storm.machine.seed = 3;
+    storm.machine.faults =
+        fault::makeScenario("interrupt-storm", 20'000);
+    storm.governor.enabled = true;
+
+    struct Scenario
+    {
+        const char *name;
+        const ir::Program &program;
+        core::RunConfig cfg;
+        bool racy;  ///< planted races: forensics captures fire
+    };
+    const Scenario scenarios[] = {
+        {"apache-stream", apache.program, racy, true},
+        {"vips-storm", vips.program, storm, false}};
+    for (const Scenario &sc : scenarios) {
+        const Observed base = observe(sc.program, sc.cfg, false, false);
+        if (sc.racy) {
+            EXPECT_FALSE(base.raceKeys.empty()) << sc.name;
+        }
+        for (bool ring : {false, true})
+            for (bool timeline : {false, true})
+                EXPECT_TRUE(observe(sc.program, sc.cfg, ring,
+                                    timeline) == base)
+                    << sc.name << " ring=" << ring
+                    << " timeline=" << timeline;
+    }
+
+    // Through the driver in ProfLoopcut mode (the default txrace_run
+    // mode), where the profiling run records too. apache-stream runs
+    // no transactions; vips learns a loop-cut table, so a recorder
+    // that perturbed the profiling run shows there.
+    const core::RunConfig vipsProf = flightConfig(vips, 3);
+    const Scenario driverScenarios[] = {
+        {"apache-stream", apache.program, flightConfig(apache, 7), true},
+        {"vips-prof", vips.program, vipsProf, false}};
+    for (const Scenario &sc : driverScenarios) {
+        ASSERT_EQ(sc.cfg.mode, core::RunMode::TxRaceProfLoopcut);
+        const Observed base =
+            observeDriver(sc.program, sc.cfg, false, false);
+        if (sc.racy) {
+            EXPECT_FALSE(base.raceKeys.empty()) << sc.name;
+        }
+        for (bool ring : {false, true})
+            for (bool timeline : {false, true})
+                EXPECT_TRUE(observeDriver(sc.program, sc.cfg, ring,
+                                          timeline) == base)
+                    << sc.name << " driver ring=" << ring
+                    << " timeline=" << timeline;
+    }
+}
 
 TEST(Observability, RunProfileMatchesRunCounters)
 {

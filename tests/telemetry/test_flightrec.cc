@@ -21,7 +21,7 @@ using telemetry::FrKind;
 TEST(FlightRec, DisabledRecordsNothing)
 {
     FlightRecorder rec;
-    EXPECT_FALSE(rec.enabled());
+    EXPECT_FALSE(rec.ringEnabled());
     rec.note(0, FrKind::Access, 1, 7, 0x40, 1);
     EXPECT_EQ(rec.threads(), 0u);
     EXPECT_EQ(rec.offered(0), 0u);
@@ -35,13 +35,13 @@ TEST(FlightRec, CompiledInMatchesBuildFlag)
 #ifdef TXRACE_NO_FLIGHTREC
     EXPECT_FALSE(FlightRecorder::kCompiledIn);
     FlightRecorder rec;
-    rec.enable();
-    EXPECT_FALSE(rec.enabled());
+    rec.enableRing();
+    EXPECT_FALSE(rec.ringEnabled());
 #else
     EXPECT_TRUE(FlightRecorder::kCompiledIn);
     FlightRecorder rec;
-    rec.enable();
-    EXPECT_TRUE(rec.enabled());
+    rec.enableRing();
+    EXPECT_TRUE(rec.ringEnabled());
 #endif
 }
 
@@ -50,7 +50,7 @@ TEST(FlightRec, CompiledInMatchesBuildFlag)
 TEST(FlightRec, WindowIsOldestFirst)
 {
     FlightRecorder rec;
-    rec.enable();
+    rec.enableRing();
     for (uint64_t i = 0; i < 10; ++i)
         rec.note(0, FrKind::Access, /*step=*/100 + i, /*site=*/7,
                  /*arg=*/i);
@@ -65,7 +65,7 @@ TEST(FlightRec, WindowIsOldestFirst)
 TEST(FlightRec, RingWrapsKeepingNewest)
 {
     FlightRecorder rec;
-    rec.enable();
+    rec.enableRing();
     const uint64_t total = FlightRecorder::kCapacity + 37;
     for (uint64_t i = 0; i < total; ++i)
         rec.note(0, FrKind::Access, i);
@@ -82,7 +82,7 @@ TEST(FlightRec, RingWrapsKeepingNewest)
 TEST(FlightRec, ThreadsGrowLazilyAndIndependently)
 {
     FlightRecorder rec;
-    rec.enable();
+    rec.enableRing();
     rec.note(3, FrKind::TxBegin, 5);
     EXPECT_EQ(rec.threads(), 4u);
     EXPECT_EQ(rec.offered(3), 1u);
@@ -98,7 +98,7 @@ TEST(FlightRec, ThreadsGrowLazilyAndIndependently)
 TEST(FlightRec, DrainThreadComputesFootprints)
 {
     FlightRecorder rec;
-    rec.enable();
+    rec.enableRing();
     // Reads on granules 0x40, 0x80 (0x40 twice); write on 0x80, 0xc0.
     rec.note(2, FrKind::Access, 1, 10, 0x40, 0);
     rec.note(2, FrKind::Access, 2, 11, 0x80, 0);
@@ -118,7 +118,7 @@ TEST(FlightRec, DrainThreadComputesFootprints)
 TEST(FlightRec, LastWriterChainStepOrderedAndCapped)
 {
     FlightRecorder rec;
-    rec.enable();
+    rec.enableRing();
     // Thread 0 writes granule 0x40 at steps 3, 9; thread 1 at step 6.
     rec.note(0, FrKind::Access, 3, 100, 0x40, 1);
     rec.note(0, FrKind::Access, 9, 101, 0x40, 1);

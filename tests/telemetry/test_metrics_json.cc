@@ -13,6 +13,7 @@
 
 #include "core/driver.hh"
 #include "core/metrics_export.hh"
+#include "core/report_format.hh"
 #include "ir/builder.hh"
 
 using namespace txrace;
@@ -43,13 +44,13 @@ racyProgram()
 }
 
 core::RunResult
-runTxRace(const ir::Program &prog, bool record_trace)
+runTxRace(const ir::Program &prog, bool record_timeline)
 {
     core::RunConfig cfg;
     cfg.mode = core::RunMode::TxRaceProfLoopcut;
     cfg.machine.seed = 11;
     cfg.machine.interruptPerStep = 0.0;
-    cfg.machine.recordTrace = record_trace;
+    cfg.machine.recordTimeline = record_timeline;
     return core::runProgram(prog, cfg);
 }
 
@@ -139,10 +140,12 @@ TEST(TraceJson, IsAChromeTraceEventArray)
     ir::Program prog = racyProgram();
     core::RunResult r = runTxRace(prog, true);
     ASSERT_TRUE(r.error.ok());
-    ASSERT_FALSE(r.telemetry.trace.events().empty());
+    ASSERT_FALSE(r.telemetry.flight.timeline().empty());
 
     std::ostringstream ss;
-    r.telemetry.trace.writeChromeTrace(ss);
+    uint64_t n = core::writeChromeTrace(r.telemetry.flight, {},
+                                        r.error.stepsExecuted, ss);
+    EXPECT_GT(n, 0u);
     std::string doc = ss.str();
 
     // A JSON array of event objects...
@@ -163,6 +166,10 @@ TEST(TraceJson, DisabledBufferRecordsNothing)
 {
     core::RunResult r = runTxRace(racyProgram(), false);
     ASSERT_TRUE(r.error.ok());
-    EXPECT_TRUE(r.telemetry.trace.events().empty());
-    EXPECT_EQ(r.telemetry.trace.dropped(), 0u);
+    EXPECT_TRUE(r.telemetry.flight.timeline().empty());
+    EXPECT_EQ(r.telemetry.flight.dropped(), 0u);
+    std::ostringstream ss;
+    EXPECT_EQ(core::writeChromeTrace(r.telemetry.flight, {},
+                                     r.error.stepsExecuted, ss),
+              0u);
 }

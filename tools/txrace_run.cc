@@ -287,8 +287,7 @@ main(int argc, char **argv)
     }();
     cfg.machine.seed = seed;
     cfg.machine.interruptPerStep *= irq_scale;
-    cfg.machine.recordEvents = trace > 0;
-    cfg.machine.recordTrace = !trace_json_path.empty();
+    cfg.machine.recordTimeline = trace > 0 || !trace_json_path.empty();
     cfg.machine.recordFlight = flightrec;
     if (!fault_name.empty())
         cfg.machine.faults =
@@ -412,7 +411,8 @@ main(int argc, char **argv)
 
     if (trace > 0) {
         std::cout << "\nevent timeline (first " << trace << "):\n";
-        result.events.print(std::cout, trace);
+        core::printTimeline(result.telemetry.flight, cfg.machine.faults,
+                            std::cout, trace);
     }
 
     if (dump_stats) {
@@ -439,6 +439,7 @@ main(int argc, char **argv)
         meta.seed = seed;
         meta.workers = params.nWorkers;
         meta.scale = params.scale;
+        meta.traceText = trace > 0;
         core::writeMetricsJson(out, meta, &prog, result);
         if (metrics_json_path != "-")
             std::cout << "metrics written to " << metrics_json_path
@@ -448,11 +449,12 @@ main(int argc, char **argv)
     if (!trace_json_path.empty()) {
         std::ofstream file;
         std::ostream &out = openOut(trace_json_path, file);
-        result.telemetry.trace.writeChromeTrace(out);
+        uint64_t n = core::writeChromeTrace(
+            result.telemetry.flight, cfg.machine.faults,
+            result.error.stepsExecuted, out);
         if (trace_json_path != "-")
             std::cout << "trace written to " << trace_json_path
-                      << " ("
-                      << result.telemetry.trace.events().size()
+                      << " (" << n
                       << " events; open in chrome://tracing or "
                          "Perfetto)\n";
     }
