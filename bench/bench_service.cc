@@ -1,27 +1,21 @@
 /**
  * @file
  * Service-layer microbenchmarks: what the fleet hunting service pays
- * to fold outcomes into the sharded aggregator, to collapse N shards
- * into the deterministic total, and to serialize/parse/union the
- * persistent findings store and checkpoint.
+ * to fold outcomes into the aggregator and to serialize/parse/union
+ * the persistent findings store and checkpoint.
  *
- * `bench_compare.py` gates on the collapse pair: merging 16 shards
- * must stay in the same ballpark as merging 1 — each shard holds a
- * disjoint slice of the findings, so total merge work is constant in
- * N and any superlinear blowup is a regression in the shard-merge
- * path. The ingest benchmarks anchor the baseline-regression gate.
+ * `bench_compare.py` regresses every lane against the committed
+ * baseline, normalized by the BM_ServiceIngest anchor.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "campaign/aggregate.hh"
 #include "campaign/campaign.hh"
-#include "campaign/shard.hh"
 #include "core/fingerprint.hh"
 #include "service/checkpoint.hh"
 #include "service/store.hh"
@@ -99,73 +93,21 @@ identity()
 constexpr uint64_t kJobs = 512;
 constexpr uint64_t kKeys = 64;
 
-/** Single-thread fold of a fixed batch into N shards. */
+/** Single-thread fold of a fixed batch into one aggregator. */
 void
 BM_ServiceIngest(benchmark::State &state)
 {
-    const uint32_t shards = static_cast<uint32_t>(state.range(0));
     const std::vector<JobOutcome> batch =
         syntheticOutcomes(kJobs, kKeys);
     for (auto _ : state) {
-        ShardedAggregator agg(shards);
+        Aggregator agg;
         for (const JobOutcome &o : batch)
             benchmark::DoNotOptimize(agg.add(o));
         benchmark::DoNotOptimize(agg.runs());
     }
     state.SetItemsProcessed(state.iterations() * kJobs);
 }
-BENCHMARK(BM_ServiceIngest)->Arg(1)->Arg(4)->Arg(16);
-
-/**
- * Four threads folding disjoint quarters of the batch into one
- * shared aggregator — the service's actual contention shape. On a
- * single-core host the threads serialize and this only measures
- * lock traffic; the cross-shard-count comparison is informational,
- * not gated.
- */
-void
-BM_ServiceIngestContended(benchmark::State &state)
-{
-    const uint32_t shards = static_cast<uint32_t>(state.range(0));
-    const std::vector<JobOutcome> batch =
-        syntheticOutcomes(kJobs, kKeys);
-    constexpr size_t kThreads = 4;
-    for (auto _ : state) {
-        ShardedAggregator agg(shards);
-        std::vector<std::thread> threads;
-        for (size_t t = 0; t < kThreads; ++t)
-            threads.emplace_back([&agg, &batch, t] {
-                const size_t chunk = batch.size() / kThreads;
-                for (size_t i = t * chunk; i < (t + 1) * chunk; ++i)
-                    agg.add(batch[i]);
-            });
-        for (std::thread &th : threads)
-            th.join();
-        benchmark::DoNotOptimize(agg.runs());
-    }
-    state.SetItemsProcessed(state.iterations() * kJobs);
-}
-BENCHMARK(BM_ServiceIngestContended)->Arg(1)->Arg(16);
-
-/**
- * Collapse N prefolded shards into the deterministic total. The
- * findings are disjoint across shards, so the merge work is constant
- * in N — `bench_compare.py` holds /16 within 2x of /1.
- */
-void
-BM_ShardCollapse(benchmark::State &state)
-{
-    const uint32_t shards = static_cast<uint32_t>(state.range(0));
-    ShardedAggregator agg(shards);
-    for (const JobOutcome &o : syntheticOutcomes(kJobs, kKeys))
-        agg.add(o);
-    for (auto _ : state) {
-        Aggregator total = agg.collapse();
-        benchmark::DoNotOptimize(total.runs());
-    }
-    state.SetItemsProcessed(state.iterations() * kJobs);
-}
-BENCHMARK(BM_ShardCollapse)->Arg(1)->Arg(4)->Arg(16);
+BENCHMARK(BM_ServiceIngest);
 
 /** Serialize a populated findings store (the checkpoint hot half). */
 void

@@ -8,6 +8,7 @@
 #include "support/log.hh"
 #include "telemetry/json.hh"
 #include "telemetry/jsonparse.hh"
+#include "workloads/workloads.hh"
 
 namespace txrace::campaign {
 
@@ -37,23 +38,28 @@ getStr(const telemetry::JsonValue &obj, std::string_view key)
 
 } // namespace
 
+GroundTruth
+groundTruthFor(const std::vector<std::string> &apps)
+{
+    GroundTruth truth;
+    for (const std::string &app : apps) {
+        std::set<std::string> &labels = truth[app];
+        for (const workloads::RaceLabel &label :
+             workloads::groundTruthRaces(app))
+            labels.insert(core::raceLabelKey(label.a, label.b));
+    }
+    return truth;
+}
+
 bool
-Aggregator::add(const JobOutcome &outcome)
+Aggregator::add(const JobOutcome &outcome,
+                std::vector<const FoundRace *> *newFindings)
 {
     // At-least-once delivery (service resume re-submits jobs whose
     // outcomes may already be checkpointed): a duplicate id folds
     // nothing.
     if (!seenJobs_.insert(outcome.spec.id).second)
         return false;
-    foldCounters(outcome);
-    for (const FoundRace &race : outcome.races)
-        foldRace(outcome, race);
-    return true;
-}
-
-void
-Aggregator::foldCounters(const JobOutcome &outcome)
-{
     ++runs_;
     maxRound_ = std::max<uint64_t>(maxRound_, outcome.spec.round);
     if (!outcome.ok)
@@ -69,6 +75,11 @@ Aggregator::foldCounters(const JobOutcome &outcome)
     va.rawReports += outcome.races.size();
     rawReports_ += outcome.races.size();
     profile_.merge(outcome.profile);
+
+    for (const FoundRace &race : outcome.races)
+        if (foldRace(outcome, race) && newFindings)
+            newFindings->push_back(&race);
+    return true;
 }
 
 bool
@@ -116,7 +127,7 @@ Aggregator::merge(const Aggregator &o)
     profile_.merge(o.profile_);
 
     // Deterministic total order on first-sighting metadata. In the
-    // shard/resume paths equal job ids carry identical metadata
+    // resume path equal job ids carry identical metadata
     // (job execution is a pure function of the spec), so the
     // fallthrough comparisons only matter for unions of unrelated
     // stores — there they keep merge commutative.
@@ -320,8 +331,7 @@ Aggregator::appsSeen() const
 
 CampaignResult
 Aggregator::finalize(const CampaignConfig &cfg,
-                     const std::map<std::string, std::set<std::string>>
-                         &groundTruth) const
+                     const GroundTruth &groundTruth) const
 {
     CampaignResult result;
     result.runs = runs_;
@@ -444,7 +454,7 @@ writeCampaignJson(std::ostream &os, const CampaignConfig &cfg,
     w.field("schema", "txrace-campaign-v1");
 
     // Campaign identity: everything that determines the report.
-    // Deliberately NOT here: jobs, shards, wall time, steals —
+    // Deliberately NOT here: jobs, wall time, steals —
     // execution facts that must not leak into the deterministic
     // artifact.
     w.key("campaign");

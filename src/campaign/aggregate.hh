@@ -16,9 +16,12 @@
  * layer re-submits jobs whose outcomes may or may not have been
  * checkpointed (at-least-once delivery across kill/resume), so a
  * duplicate fold must change nothing. State is also a commutative
- * monoid under merge(): shard aggregators and independently
- * produced findings stores union into the same bytes no matter the
- * merge order.
+ * monoid under merge(): independently produced findings stores
+ * union into the same bytes no matter the merge order.
+ *
+ * Not thread-safe. Both drivers (runCampaign and the hunting
+ * service) fold on the single thread that drains the result queue;
+ * pool workers never touch the aggregator.
  */
 
 #ifndef TXRACE_CAMPAIGN_AGGREGATE_HH
@@ -41,6 +44,15 @@ struct JsonValue;
 
 namespace txrace::campaign {
 
+/** App name -> the core::raceLabelKey() strings of its planted races. */
+using GroundTruth = std::map<std::string, std::set<std::string>>;
+
+/**
+ * Ground truth for every app of @p apps. fatal()s on an unknown app
+ * name, so drivers call it before any pool thread spawns.
+ */
+GroundTruth groundTruthFor(const std::vector<std::string> &apps);
+
 class Aggregator
 {
   public:
@@ -48,9 +60,13 @@ class Aggregator
      * Fold one outcome in. Any order; idempotent on the job id — a
      * second add of an id already folded (including via merge() of a
      * checkpointed state) is a no-op. Returns false for such
-     * duplicates, true when the outcome was folded.
+     * duplicates, true when the outcome was folded. When
+     * @p newFindings is non-null it receives pointers (into
+     * @p outcome) to the races that created a NEW finding — the
+     * service's incremental delta feed.
      */
-    bool add(const JobOutcome &outcome);
+    bool add(const JobOutcome &outcome,
+             std::vector<const FoundRace *> *newFindings = nullptr);
 
     /** Whether job @p id has already been folded in. */
     bool seen(uint64_t id) const { return seenJobs_.count(id) != 0; }
@@ -77,11 +93,10 @@ class Aggregator
      * Commutative, associative fold of another aggregator's state
      * into this one: counters sum, first sightings min-fold by job
      * id, variant and finding maps union, seen-job sets union. The
-     * shard merge and the cross-host findings-store union both rely
-     * on merge(A, B) == merge(B, A). Callers union states holding
-     * DISJOINT job sets (shards of one campaign, hosts covering
-     * different parts of a matrix); overlapping sets would double
-     * count the jobs both sides folded.
+     * cross-host findings-store union relies on merge(A, B) ==
+     * merge(B, A). Callers union states holding DISJOINT job sets
+     * (hosts covering different parts of a matrix); overlapping sets
+     * would double count the jobs both sides folded.
      */
     void merge(const Aggregator &o);
 
@@ -102,17 +117,13 @@ class Aggregator
 
     /**
      * Produce the deterministic result (no timing filled in).
-     * @p groundTruth maps app name -> set of raceLabelKey() strings;
-     * scoring uses cfg.apps order.
+     * @p groundTruth is groundTruthFor(cfg.apps); scoring uses
+     * cfg.apps order.
      */
     CampaignResult finalize(const CampaignConfig &cfg,
-                            const std::map<std::string,
-                                           std::set<std::string>>
-                                &groundTruth) const;
+                            const GroundTruth &groundTruth) const;
 
   private:
-    friend class ShardedAggregator;
-
     /** Accumulating state of one deduplicated race. */
     struct Acc
     {
@@ -129,8 +140,6 @@ class Aggregator
         std::string firstRepro;
     };
 
-    /** Job-level tallies of @p outcome (everything but the races). */
-    void foldCounters(const JobOutcome &outcome);
     /** One race report of @p outcome into the findings map. Returns
      *  true when the race key was new (a finding delta). */
     bool foldRace(const JobOutcome &outcome, const FoundRace &race);

@@ -3,48 +3,16 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <map>
-#include <set>
 
 #include "campaign/aggregate.hh"
 #include "campaign/execute.hh"
 #include "campaign/pool.hh"
 #include "campaign/progress.hh"
 #include "campaign/queue.hh"
-#include "campaign/shard.hh"
 #include "campaign/strategy.hh"
-#include "core/repro.hh"
 #include "support/log.hh"
-#include "workloads/workloads.hh"
 
 namespace txrace::campaign {
-
-namespace {
-
-void
-emitProgress(std::ostream &os, const char *event, uint64_t round,
-             uint64_t jobsTotal, uint64_t jobsDone,
-             const ShardedAggregator &agg,
-             const std::vector<uint64_t> &workerDone,
-             const std::vector<std::atomic<uint8_t>> &workerBusy)
-{
-    ProgressRecord rec;
-    rec.event = event;
-    rec.round = round;
-    rec.jobsTotal = jobsTotal;
-    rec.jobsDone = jobsDone;
-    rec.findings = agg.findingCount();
-    rec.rawReports = agg.rawReports();
-    rec.errors = agg.errorCount();
-    rec.variants = agg.variantCounters();
-    for (size_t i = 0; i < workerDone.size(); ++i)
-        rec.workers.emplace_back(
-            workerDone[i],
-            workerBusy[i].load(std::memory_order_relaxed) != 0);
-    writeProgressRecord(os, rec);
-}
-
-} // namespace
 
 CampaignResult
 runCampaign(const CampaignConfig &cfg, std::ostream *progress,
@@ -55,15 +23,8 @@ runCampaign(const CampaignConfig &cfg, std::ostream *progress,
     if (cfg.jobs == 0)
         fatal("runCampaign: need at least one job slot");
 
-    // Ground truth up front — also validates every app name before
-    // any thread spawns.
-    std::map<std::string, std::set<std::string>> groundTruth;
-    for (const std::string &app : cfg.apps) {
-        std::set<std::string> &labels = groundTruth[app];
-        for (const workloads::RaceLabel &label :
-             workloads::groundTruthRaces(app))
-            labels.insert(core::raceLabelKey(label.a, label.b));
-    }
+    // Before any thread spawns: bad app names fail fast.
+    const GroundTruth groundTruth = groundTruthFor(cfg.apps);
 
     std::vector<WorkerCache> caches(cfg.jobs);
     ResultQueue queue(cfg.queueCapacity);
@@ -91,12 +52,11 @@ runCampaign(const CampaignConfig &cfg, std::ostream *progress,
         queue);
 
     std::unique_ptr<Strategy> strategy = makeStrategy(cfg.strategy);
-    ShardedAggregator aggregator(cfg.shards);
+    Aggregator aggregator;
     std::vector<JobOutcome> history;
     uint64_t nextId = 0;
     uint64_t rounds = 0;
     uint64_t jobsTotal = 0;
-    uint64_t jobsDone = 0;
     std::vector<uint64_t> workerDone(cfg.jobs, 0);
 
     for (;;) {
@@ -118,14 +78,15 @@ runCampaign(const CampaignConfig &cfg, std::ostream *progress,
             aggregator.add(outcome);
             if (outcome.worker < workerDone.size())
                 ++workerDone[outcome.worker];
-            ++jobsDone;
             // Heartbeat on a job-count cadence — no wall clock, so
             // the number of records depends only on the config.
             if (progressJson && cfg.progressEvery > 0 &&
-                jobsDone % cfg.progressEvery == 0)
-                emitProgress(*progressJson, "progress", rounds,
-                             jobsTotal, jobsDone, aggregator,
-                             workerDone, workerBusy);
+                aggregator.runs() % cfg.progressEvery == 0)
+                writeProgressRecord(
+                    *progressJson,
+                    progressRecord("progress", rounds, jobsTotal,
+                                   aggregator, workerDone,
+                                   workerBusy));
             history.push_back(std::move(outcome));
         }
         // Strategies see id order, never completion order.
@@ -137,11 +98,12 @@ runCampaign(const CampaignConfig &cfg, std::ostream *progress,
     }
     auto wall1 = std::chrono::steady_clock::now();
     if (progressJson)
-        emitProgress(*progressJson, "end", rounds, jobsTotal, jobsDone,
-                     aggregator, workerDone, workerBusy);
+        writeProgressRecord(*progressJson,
+                            progressRecord("end", rounds, jobsTotal,
+                                           aggregator, workerDone,
+                                           workerBusy));
 
-    CampaignResult result =
-        aggregator.collapse().finalize(cfg, groundTruth);
+    CampaignResult result = aggregator.finalize(cfg, groundTruth);
     result.timing.wallSeconds =
         std::chrono::duration<double>(wall1 - wall0).count();
     result.timing.runsPerSec =

@@ -60,9 +60,6 @@ struct CampaignConfig
     uint64_t scale = 1;
     /** Pool threads (--jobs). Does not affect the report. */
     uint32_t jobs = 4;
-    /** Aggregation shards (--shards). Execution fact like jobs: the
-     *  report is byte-identical for any shard count. */
-    uint32_t shards = 1;
     /** Run the per-app TSan-overhead calibration (slower; race
      *  hunting does not need calibrated check costs). */
     bool calibrate = false;

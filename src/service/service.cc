@@ -15,9 +15,7 @@
 #include "campaign/pool.hh"
 #include "campaign/progress.hh"
 #include "campaign/queue.hh"
-#include "campaign/shard.hh"
 #include "campaign/strategy.hh"
-#include "core/repro.hh"
 #include "detector/report.hh"
 #include "service/checkpoint.hh"
 #include "service/ingest.hh"
@@ -25,7 +23,6 @@
 #include "support/log.hh"
 #include "telemetry/json.hh"
 #include "telemetry/servicestats.hh"
-#include "workloads/workloads.hh"
 
 namespace txrace::service {
 
@@ -74,9 +71,11 @@ class ServiceRunner
 
     ServiceOptions opt_;
     campaign::CampaignConfig cfg_;
-    std::map<std::string, std::set<std::string>> groundTruth_;
+    campaign::GroundTruth groundTruth_;
 
-    std::unique_ptr<campaign::ShardedAggregator> agg_;
+    /** Folded only on the runner thread (runBatch and the shutdown
+     *  drain); pool workers never touch it. */
+    campaign::Aggregator agg_;
     std::unique_ptr<campaign::Strategy> strategy_;
     std::vector<campaign::JobOutcome> history_;
     std::vector<OutcomeSummary> summaries_;
@@ -116,7 +115,7 @@ ServiceRunner::restoreOrInit()
         if (!Checkpoint::parse(text, ck, error))
             fatal("--resume: %s: %s", path.c_str(), error.c_str());
         // Identity comes from the checkpoint; execution knobs (jobs,
-        // shards, cadence) stay with the CLI.
+        // cadence) stay with the CLI.
         cfg_.masterSeed = ck.campaign.masterSeed;
         cfg_.strategy = ck.campaign.strategy;
         cfg_.mode = ck.campaign.mode;
@@ -133,10 +132,7 @@ ServiceRunner::restoreOrInit()
         plan_ = std::move(ck.plan);
         summaries_ = std::move(ck.history);
         spoolFirstId_ = std::move(ck.spoolFirstId);
-
-        agg_ = std::make_unique<campaign::ShardedAggregator>(
-            cfg_.shards);
-        agg_->seed(ck.aggregate);
+        agg_ = std::move(ck.aggregate);
 
         strategy_ = campaign::makeStrategy(cfg_.strategy);
         strategy_->restoreState(ck.strategyState);
@@ -154,19 +150,12 @@ ServiceRunner::restoreOrInit()
                           << ", " << plan_.size()
                           << " job(s) in the pending round\n";
     } else {
-        agg_ = std::make_unique<campaign::ShardedAggregator>(
-            cfg_.shards);
         strategy_ = campaign::makeStrategy(cfg_.strategy);
     }
 
     if (cfg_.apps.empty())
         fatal("--serve: no apps selected");
-    for (const std::string &app : cfg_.apps) {
-        std::set<std::string> &labels = groundTruth_[app];
-        for (const workloads::RaceLabel &label :
-             workloads::groundTruthRaces(app))
-            labels.insert(core::raceLabelKey(label.a, label.b));
-    }
+    groundTruth_ = campaign::groundTruthFor(cfg_.apps);
 }
 
 void
@@ -198,25 +187,14 @@ ServiceRunner::emitHeartbeat(const std::string &event)
 {
     if (!opt_.progressJson)
         return;
-    campaign::ProgressRecord rec;
-    rec.event = event;
-    rec.round = roundsDone_;
-    rec.jobsTotal = jobsTotal_;
-    rec.jobsDone = agg_->runs();
-    rec.findings = agg_->findingCount();
-    rec.rawReports = agg_->rawReports();
-    rec.errors = agg_->errorCount();
-    rec.variants = agg_->variantCounters();
-    for (size_t i = 0; i < workerDone_.size(); ++i)
-        rec.workers.emplace_back(
-            workerDone_[i],
-            busy_[i].load(std::memory_order_relaxed) != 0);
+    campaign::ProgressRecord rec = campaign::progressRecord(
+        event, roundsDone_, jobsTotal_, agg_, workerDone_, busy_);
     double secs = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - wall0_)
                       .count();
     uint64_t rate =
         secs > 0.0 ? uint64_t(double(jobsFolded_) / secs) : 0;
-    rec.service = stats_.gauges(agg_->shardDepths(), rate);
+    rec.service = stats_.gauges(rate);
     campaign::writeProgressRecord(*opt_.progressJson, rec);
 }
 
@@ -256,7 +234,7 @@ ServiceRunner::checkpointNow()
     ck.plan = plan_;
     ck.history = summaries_;
     ck.spoolFirstId = spoolFirstId_;
-    ck.aggregate = agg_->collapse();
+    ck.aggregate = agg_;
 
     std::ostringstream ss;
     ck.write(ss);
@@ -275,7 +253,7 @@ void
 ServiceRunner::foldOutcome(campaign::JobOutcome outcome)
 {
     std::vector<const campaign::FoundRace *> fresh;
-    if (!agg_->add(outcome, &fresh)) {
+    if (!agg_.add(outcome, &fresh)) {
         ++duplicates_;
         ++stats_.duplicatesSkipped;
         return;
@@ -314,7 +292,7 @@ ServiceRunner::runBatch(const std::vector<campaign::JobSpec> &batch)
 {
     std::vector<campaign::JobSpec> todo;
     for (const campaign::JobSpec &spec : batch) {
-        if (agg_->seen(spec.id)) {
+        if (agg_.seen(spec.id)) {
             ++duplicates_;
             ++stats_.duplicatesSkipped;
             continue;
@@ -421,7 +399,7 @@ ServiceRunner::streamLoop()
                 for (size_t i = 0; i < specs.size(); ++i) {
                     specs[i].id = base + i;
                     specs[i].round = uint32_t(roundsDone_);
-                    anyNew |= !agg_->seen(specs[i].id);
+                    anyNew |= !agg_.seen(specs[i].id);
                 }
                 if (!anyNew) {
                     // Redelivered batch, fully folded already (e.g.
@@ -511,8 +489,7 @@ ServiceRunner::streamLoop()
 void
 ServiceRunner::writeFinal(ServiceResult &res)
 {
-    campaign::Aggregator total = agg_->collapse();
-    res.report = total.finalize(cfg_, groundTruth_);
+    res.report = agg_.finalize(cfg_, groundTruth_);
     res.report.timing.wallSeconds =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - wall0_)
@@ -521,7 +498,7 @@ ServiceRunner::writeFinal(ServiceResult &res)
 
     FindingsStore store;
     store.campaign = cfg_;
-    store.aggregate = std::move(total);
+    store.aggregate = agg_;
     std::ostringstream fs;
     store.write(fs);
     std::string error;

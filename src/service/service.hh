@@ -9,8 +9,9 @@
  *   ingest   — jobs come from the campaign strategy (default), from
  *              NDJSON batches on stdin, or from a spool directory
  *              processed in sorted-filename order;
- *   shard    — outcomes fold into a ShardedAggregator (fingerprint-
- *              hash partitioned; N shards never change the bytes);
+ *   fold     — outcomes fold into one campaign::Aggregator on the
+ *              thread that drains the result queue (pool workers
+ *              never touch it);
  *   emit     — txrace-progress-v1 heartbeats with service gauges
  *              plus one `"event":"finding"` delta per NEW finding;
  *   checkpoint — txrace-checkpoint-v1 written atomically to the
@@ -26,7 +27,7 @@
  * Determinism: the final campaign report and findings store are a
  * pure function of the campaign identity (strategy mode) or of
  * identity + spool contents (stream mode). Kill points, `--jobs`,
- * `--shards`, and checkpoint cadence are invisible in the bytes.
+ * and checkpoint cadence are invisible in the bytes.
  */
 
 #ifndef TXRACE_SERVICE_SERVICE_HH
@@ -44,7 +45,7 @@ namespace txrace::service {
 
 struct ServiceOptions
 {
-    /** Campaign identity + execution knobs (jobs, shards, cadence).
+    /** Campaign identity + execution knobs (jobs, cadence).
      *  On resume the identity subset is REPLACED by the checkpoint's;
      *  execution knobs always come from here. */
     campaign::CampaignConfig cfg;

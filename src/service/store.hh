@@ -14,9 +14,9 @@
  * The campaign identity block holds exactly the fields that
  * determine the deterministic report — master seed, strategy, mode,
  * slow path, apps, seed budget, workers, scale, calibration — and
- * none of the execution facts (jobs, shards, state dir), so a store
- * written under `--jobs 8 --shards 16` is byte-identical to one
- * written under `--jobs 1 --shards 1`.
+ * none of the execution facts (jobs, state dir), so a store written
+ * under `--jobs 8` is byte-identical to one written under
+ * `--jobs 1`.
  */
 
 #ifndef TXRACE_SERVICE_STORE_HH
@@ -41,7 +41,7 @@ void writeCampaignIdentity(telemetry::JsonWriter &w,
 
 /**
  * Read identity fields written by writeCampaignIdentity into @p cfg
- * (execution knobs — jobs, shards, queue — are left untouched).
+ * (execution knobs — jobs, queue — are left untouched).
  */
 bool readCampaignIdentity(const telemetry::JsonValue &v,
                           campaign::CampaignConfig &cfg,

@@ -3,22 +3,13 @@
 namespace txrace::telemetry {
 
 std::vector<std::pair<std::string, uint64_t>>
-ServiceStats::gauges(const std::vector<uint64_t> &shardDepths,
-                     uint64_t ingestPerSec) const
+ServiceStats::gauges(uint64_t ingestPerSec) const
 {
-    uint64_t mn = 0, mx = 0;
-    if (!shardDepths.empty()) {
-        mn = *std::min_element(shardDepths.begin(), shardDepths.end());
-        mx = *std::max_element(shardDepths.begin(), shardDepths.end());
-    }
     return {
         {"jobs_ingested", jobsIngested},
         {"duplicates_skipped", duplicatesSkipped},
         {"batches", batches},
         {"ingest_per_sec", ingestPerSec},
-        {"shards", uint64_t(shardDepths.size())},
-        {"shard_depth_min", mn},
-        {"shard_depth_max", mx},
         {"checkpoints", checkpoints},
         {"checkpoint_last_us", checkpointLastMicros},
         {"checkpoint_max_us", checkpointMaxMicros},

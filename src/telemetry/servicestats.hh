@@ -42,12 +42,10 @@ struct ServiceStats
 
     /**
      * Render as ordered (name, value) gauges for a ProgressRecord.
-     * @p shardDepths is the per-shard finding count;
-     * @p ingestPerSec the jobs/s over the service's lifetime.
+     * @p ingestPerSec is the jobs/s over the service's lifetime.
      */
     std::vector<std::pair<std::string, uint64_t>>
-    gauges(const std::vector<uint64_t> &shardDepths,
-           uint64_t ingestPerSec) const;
+    gauges(uint64_t ingestPerSec) const;
 };
 
 } // namespace txrace::telemetry

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <sstream>
 
 #include "campaign/campaign.hh"
@@ -29,6 +31,18 @@ smallCampaign(const std::string &strategy)
     cfg.strategy = strategy;
     cfg.queueCapacity = 4;  // exercise backpressure
     return cfg;
+}
+
+JobOutcome
+outcome(uint64_t jobId, const std::string &app, uint64_t seed,
+        std::vector<FoundRace> races)
+{
+    JobOutcome o;
+    o.spec.id = jobId;
+    o.spec.app = app;
+    o.spec.seed = seed;
+    o.races = std::move(races);
+    return o;
 }
 
 std::string
@@ -141,6 +155,49 @@ TEST(Campaign, DeriveSeedIsStableAndSpreads)
     EXPECT_NE(s1, deriveSeed(1, "vips", 1, 0));
     EXPECT_NE(s1, deriveSeed(1, "x264", 0, 0));
     EXPECT_NE(s1, deriveSeed(2, "vips", 0, 0));
+}
+
+TEST(Strategy, SaveRestoreContinuesWhereTheOriginalStopped)
+{
+    CampaignConfig cfg;
+    cfg.apps = {"raytrace", "canneal"};
+    cfg.seedsPerApp = 4;
+    for (const std::string &name : strategyNames()) {
+        cfg.strategy = name;
+        std::unique_ptr<Strategy> original = makeStrategy(name);
+        uint64_t nextId = 0;
+        std::vector<JobOutcome> history;
+        std::vector<JobSpec> round0 =
+            original->nextRound(cfg, history, nextId);
+        ASSERT_FALSE(round0.empty()) << name;
+        for (const JobSpec &spec : round0) {
+            JobOutcome o = outcome(spec.id, spec.app, spec.seed, {});
+            o.spec = spec;
+            o.abortConflict = spec.id % 4;
+            history.push_back(o);
+        }
+
+        // Kill here: a resumed strategy must emit the same round 1.
+        std::map<std::string, uint64_t> state;
+        original->saveState(state);
+        std::unique_ptr<Strategy> resumed = makeStrategy(name);
+        resumed->restoreState(state);
+
+        uint64_t idA = nextId, idB = nextId;
+        std::vector<JobSpec> wantRound =
+            original->nextRound(cfg, history, idA);
+        std::vector<JobSpec> gotRound =
+            resumed->nextRound(cfg, history, idB);
+        EXPECT_EQ(idA, idB) << name;
+        ASSERT_EQ(wantRound.size(), gotRound.size()) << name;
+        for (size_t i = 0; i < wantRound.size(); ++i) {
+            EXPECT_EQ(wantRound[i].id, gotRound[i].id) << name;
+            EXPECT_EQ(wantRound[i].app, gotRound[i].app) << name;
+            EXPECT_EQ(wantRound[i].seed, gotRound[i].seed) << name;
+            EXPECT_EQ(wantRound[i].variant, gotRound[i].variant)
+                << name;
+        }
+    }
 }
 
 TEST(CampaignDeathTest, UnknownStrategyIsFatal)

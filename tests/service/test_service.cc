@@ -2,7 +2,7 @@
  * @file
  * End-to-end service tests: the kill-and-resume determinism contract
  * (an interrupted + resumed campaign emits byte-identical artifacts
- * to an uninterrupted one, for any --jobs and --shards), stream-mode
+ * to an uninterrupted one, for any --jobs), stream-mode
  * ingestion, cross-host store union, and the progress side channel.
  * In-process interruption uses the service's stop flag — the same
  * path the SIGTERM handler drives in txrace_hunt.
@@ -93,47 +93,41 @@ TEST(Service, KillAndResumeIsByteIdenticalForAnyJobsAndShards)
     const std::string wantCampaign = slurp(refDir + "/campaign.json");
     const std::string wantFindings = slurp(refDir + "/findings.json");
 
-    const uint32_t jobsChoices[] = {1, 8};
-    const uint32_t shardChoices[] = {1, 16};
-    for (uint32_t jobs : jobsChoices) {
-        for (uint32_t shards : shardChoices) {
-            campaign::CampaignConfig cfg = base;
-            cfg.jobs = jobs;
-            cfg.shards = shards;
-            const std::string dir = freshDir(
-                "resume_" + std::to_string(jobs) + "_" +
-                std::to_string(shards));
+    for (uint32_t jobs : {1u, 8u}) {
+        campaign::CampaignConfig cfg = base;
+        cfg.jobs = jobs;
+        const std::string dir =
+            freshDir("resume_" + std::to_string(jobs));
 
-            // Interrupt almost immediately: the stop flag is already
-            // raised, so the service folds one job, checkpoints, and
-            // shuts down — exactly the SIGTERM path.
-            std::atomic<bool> stop{true};
-            ServiceOptions opt;
-            opt.cfg = cfg;
-            opt.stateDir = dir;
-            opt.checkpointEvery = 1;
-            opt.stopFlag = &stop;
-            ServiceResult interrupted = runService(opt);
-            EXPECT_FALSE(interrupted.completed);
-            EXPECT_GT(interrupted.checkpoints, 0u);
-            ASSERT_TRUE(fs::exists(dir + "/checkpoint.json"));
+        // Interrupt almost immediately: the stop flag is already
+        // raised, so the service folds one job, checkpoints, and
+        // shuts down — exactly the SIGTERM path.
+        std::atomic<bool> stop{true};
+        ServiceOptions opt;
+        opt.cfg = cfg;
+        opt.stateDir = dir;
+        opt.checkpointEvery = 1;
+        opt.stopFlag = &stop;
+        ServiceResult interrupted = runService(opt);
+        EXPECT_FALSE(interrupted.completed);
+        EXPECT_GT(interrupted.checkpoints, 0u);
+        ASSERT_TRUE(fs::exists(dir + "/checkpoint.json"));
 
-            // A second interrupted leg: resume, fold a bit, die again.
-            opt.resume = true;
-            ServiceResult again = runService(opt);
-            EXPECT_FALSE(again.completed);
+        // A second interrupted leg: resume, fold a bit, die again.
+        opt.resume = true;
+        ServiceResult again = runService(opt);
+        EXPECT_FALSE(again.completed);
 
-            // Final leg completes.
-            stop.store(false);
-            ServiceResult done = runService(opt);
-            EXPECT_TRUE(done.completed);
+        // Final leg completes.
+        stop.store(false);
+        ServiceResult done = runService(opt);
+        EXPECT_TRUE(done.completed);
 
-            EXPECT_EQ(slurp(dir + "/campaign.json"), wantCampaign)
-                << "jobs=" << jobs << " shards=" << shards;
-            EXPECT_EQ(slurp(dir + "/findings.json"), wantFindings)
-                << "jobs=" << jobs << " shards=" << shards;
-            fs::remove_all(dir);
-        }
+        EXPECT_EQ(slurp(dir + "/campaign.json"), wantCampaign)
+            << "jobs=" << jobs;
+        EXPECT_EQ(slurp(dir + "/findings.json"), wantFindings)
+            << "jobs=" << jobs;
+        fs::remove_all(dir);
     }
     fs::remove_all(refDir);
 }
@@ -201,7 +195,6 @@ TEST(Service, SpoolIngestIsDeterministicAcrossJobsAndShards)
     std::string want;
     for (uint32_t pass = 0; pass < 2; ++pass) {
         cfg.jobs = pass == 0 ? 1 : 4;
-        cfg.shards = pass == 0 ? 1 : 8;
         const std::string dir =
             freshDir("spool_run" + std::to_string(pass));
         ServiceOptions opt;
@@ -369,23 +362,23 @@ TEST(Service, ProgressStreamCarriesGaugesAndFindingDeltas)
     fs::remove_all(dir);
 }
 
-TEST(ServiceE2E, AllWorkloadsShardDeterminism)
+TEST(ServiceE2E, AllWorkloadsJobsDeterminism)
 {
-    // The full registry x 10 seeds, byte-identical across shard
-    // counts — the heavyweight pin of the sharding contract.
+    // The full registry x 10 seeds, byte-identical across pool sizes
+    // — the heavyweight pin that completion order never reaches the
+    // report.
     campaign::CampaignConfig cfg;
     cfg.apps = workloads::appNames();
     cfg.seedsPerApp = 10;
     cfg.masterSeed = 3;
-    cfg.jobs = 4;
     std::string want;
-    for (uint32_t shards : {1u, 4u, 16u}) {
-        cfg.shards = shards;
+    for (uint32_t jobs : {1u, 4u}) {
+        cfg.jobs = jobs;
         campaign::CampaignResult result = campaign::runCampaign(cfg);
         std::ostringstream os;
         campaign::writeCampaignJson(os, cfg, result);
         if (want.empty())
             want = os.str();
-        EXPECT_EQ(os.str(), want) << shards << " shards";
+        EXPECT_EQ(os.str(), want) << jobs << " jobs";
     }
 }

@@ -39,8 +39,6 @@ usage()
         "  --seeds N        seed budget per app (default 4)\n"
         "  --jobs N         pool worker threads (default 4; never\n"
         "                   affects the report, only wall time)\n"
-        "  --shards N       aggregation shards (default 1; like\n"
-        "                   --jobs, never affects the report)\n"
         "  --strategy S     sweep | abort-guided | perturb\n"
         "                   (default sweep)\n"
         "  --mode M         detection mode (default txrace-dyn)\n"
@@ -247,20 +245,17 @@ main(int argc, char **argv)
                 core::parseUnsignedFlag("--progress-every", v11, 1);
         } else if (const char *v12 = value("--trace-json")) {
             trace_json_path = v12;
-        } else if (const char *v13 = value("--shards")) {
-            cfg.shards = static_cast<uint32_t>(
-                core::parseUnsignedFlag("--shards", v13, 1, UINT32_MAX));
-        } else if (const char *v14 = value("--state-dir")) {
-            state_dir = v14;
-        } else if (const char *v15 = value("--checkpoint-every")) {
+        } else if (const char *v13 = value("--state-dir")) {
+            state_dir = v13;
+        } else if (const char *v14 = value("--checkpoint-every")) {
             checkpoint_every =
-                core::parseUnsignedFlag("--checkpoint-every", v15);
-        } else if (const char *v16 = value("--spool")) {
-            spool_dir = v16;
-        } else if (const char *v17 = value("--merge")) {
-            merge_arg = v17;
-        } else if (const char *v18 = value("--findings-out")) {
-            findings_out_path = v18;
+                core::parseUnsignedFlag("--checkpoint-every", v14);
+        } else if (const char *v15 = value("--spool")) {
+            spool_dir = v15;
+        } else if (const char *v16 = value("--merge")) {
+            merge_arg = v16;
+        } else if (const char *v17 = value("--findings-out")) {
+            findings_out_path = v17;
         } else if (std::strcmp(argv[i], "--serve") == 0) {
             serve = true;
         } else if (std::strcmp(argv[i], "--resume") == 0) {
