@@ -73,6 +73,7 @@ struct Golden
     double budgetPct = 0.0;
     core::SlowPathKind slowpath = core::SlowPathKind::Window;
     double sampleRate = 1.0;
+    bool conflictAddressHints = false;
 };
 
 constexpr uint64_t kFaultHorizon = 30'000;
@@ -112,6 +113,21 @@ const Golden kGolden[] = {
      .digest = 0x53b10f270af57ebdull, .sampleRate = 0.5},
     {"canneal", core::RunMode::Eraser, 0x4fc2f8939c6964adull},
     {"raytrace", core::RunMode::RaceTM, 0xf6f01689e1a538f6ull},
+    // TxRace abort-dispatch paths the rows above leave unreached:
+    // hinted slow episodes in both slow-path modes, the no-loop-cut
+    // scheme, retry exhaustion without the governor's backoff, and a
+    // delayed TxFail publication in region mode.
+    {.app = "vips", .mode = core::RunMode::TxRaceDynLoopcut,
+     .digest = 0x6590dc8c9ec41be4ull, .conflictAddressHints = true},
+    {.app = "x264", .mode = core::RunMode::TxRaceDynLoopcut,
+     .digest = 0x1c187ce992a4eb54ull, .slowpath = core::SlowPathKind::Region,
+     .conflictAddressHints = true},
+    {"vips", core::RunMode::TxRaceNoOpt, 0x77cb2845c5b5af00ull},
+    {.app = "vips", .mode = core::RunMode::TxRaceDynLoopcut,
+     .digest = 0xd79dbf8c7e0861e8ull, .workers = 8, .fault = "retry-glitch"},
+    {.app = "x264", .mode = core::RunMode::TxRaceDynLoopcut,
+     .digest = 0x37d179fa6f6ac891ull, .workers = 8, .fault = "txfail-delay",
+     .slowpath = core::SlowPathKind::Region},
 };
 
 /** Run @p g's configuration. */
@@ -132,6 +148,7 @@ runGolden(const Golden &g)
     cfg.budget.budgetPct = g.budgetPct;
     cfg.slowpath = g.slowpath;
     cfg.sampleRate = g.sampleRate;
+    cfg.conflictAddressHints = g.conflictAddressHints;
     return core::runProgram(app.program, cfg);
 }
 
