@@ -1,9 +1,35 @@
 #include "core/driver.hh"
 
+#include <functional>
+
 #include "core/policies.hh"
 #include "support/log.hh"
 
 namespace txrace::core {
+
+namespace {
+
+/** Build the run's Machine over @p prog, run it under @p policy and
+ *  package the outcome — cost, buckets, the detector's races and the
+ *  telemetry — into @p result. @p finish runs just before the
+ *  telemetry moves out of the machine. Policies that report races
+ *  of their own overwrite result.races afterwards. */
+void
+runMachine(const ir::Program &prog, const sim::MachineConfig &mcfg,
+           sim::ExecutionPolicy &policy, RunResult &result,
+           const std::function<void(sim::Machine &)> &finish = {})
+{
+    sim::Machine machine(prog, mcfg, policy);
+    result.error = machine.run();
+    result.totalCost = machine.totalCost();
+    result.buckets = machine.buckets();
+    result.races = machine.det().races();
+    if (finish)
+        finish(machine);
+    result.telemetry = std::move(machine.tel());
+}
+
+} // namespace
 
 RunResult
 runProgram(const ir::Program &prog, const RunConfig &cfg)
@@ -17,23 +43,15 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
     switch (cfg.mode) {
       case RunMode::Native: {
         NativePolicy policy;
-        sim::Machine machine(prog, cfg.machine, policy);
-        result.error = machine.run();
-        result.totalCost = machine.totalCost();
-        result.buckets = machine.buckets();
-        result.telemetry = std::move(machine.tel());
+        runMachine(prog, cfg.machine, policy, result);
         break;
       }
 
       case RunMode::Eraser: {
         ir::Program prepared = passes::preparedForTSan(prog);
         EraserPolicy policy;
-        sim::Machine machine(prepared, cfg.machine, policy);
-        result.error = machine.run();
-        result.totalCost = machine.totalCost();
-        result.buckets = machine.buckets();
+        runMachine(prepared, cfg.machine, policy, result);
         result.races = policy.lockset().races();
-        result.telemetry = std::move(machine.tel());
         break;
       }
 
@@ -50,12 +68,8 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
         sim::MachineConfig mcfg = cfg.machine;
         mcfg.htm.trackInstructions = true;
         RaceTmPolicy policy;
-        sim::Machine machine(prepared, mcfg, policy);
-        result.error = machine.run();
-        result.totalCost = machine.totalCost();
-        result.buckets = machine.buckets();
+        runMachine(prepared, mcfg, policy, result);
         result.races = policy.races();
-        result.telemetry = std::move(machine.tel());
         break;
       }
 
@@ -65,12 +79,7 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
             cfg.mode == RunMode::TSan ? 1.0 : cfg.sampleRate;
         ir::Program prepared = passes::preparedForTSan(prog);
         TsanPolicy policy(rate, cfg.machine.seed ^ 0x7a57eULL);
-        sim::Machine machine(prepared, cfg.machine, policy);
-        result.error = machine.run();
-        result.totalCost = machine.totalCost();
-        result.buckets = machine.buckets();
-        result.races = machine.det().races();
-        result.telemetry = std::move(machine.tel());
+        runMachine(prepared, cfg.machine, policy, result);
         break;
       }
 
@@ -111,22 +120,19 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
         }
 
         TxRacePolicy policy(cfg, prof ? &profiled : nullptr);
-        sim::Machine machine(prepared, mcfg, policy);
-        result.error = machine.run();
+        runMachine(prepared, mcfg, policy, result, [&](sim::Machine &m) {
+            // Static-elision accounting.
+            auto &reg = m.tel().registry;
+            reg.addNamed("pass.elide.candidates", elision.candidates);
+            reg.addNamed("pass.elide.dominated", elision.dominated);
+            reg.addNamed("pass.elide.raw_downgraded",
+                         elision.rawDowngraded);
+            reg.addNamed("pass.elide.privatized", elision.privatized);
+            reg.addNamed("pass.elide.total", elision.elided());
+            for (const auto &[fn, n] : elision.perFunction)
+                reg.addNamed("pass.elide.fn." + fn, n);
+        });
         result.budget = policy.budgetReport();
-        result.totalCost = machine.totalCost();
-        result.buckets = machine.buckets();
-        // Static-elision accounting.
-        auto &reg = machine.tel().registry;
-        reg.addNamed("pass.elide.candidates", elision.candidates);
-        reg.addNamed("pass.elide.dominated", elision.dominated);
-        reg.addNamed("pass.elide.raw_downgraded", elision.rawDowngraded);
-        reg.addNamed("pass.elide.privatized", elision.privatized);
-        reg.addNamed("pass.elide.total", elision.elided());
-        for (const auto &[fn, n] : elision.perFunction)
-            reg.addNamed("pass.elide.fn." + fn, n);
-        result.races = machine.det().races();
-        result.telemetry = std::move(machine.tel());
         break;
       }
     }

@@ -32,19 +32,16 @@ class NativePolicy : public sim::ExecutionPolicy
 };
 
 /**
- * The TSan baseline (and its sampling variant): every instrumented
- * access is happens-before checked against shadow memory; sync ops
- * always maintain vector clocks. With sampleRate < 1, an access is
- * fully processed with that probability and otherwise only pays a
- * cheap sampling-branch cost — modeling LiteRace-style sampling the
- * paper compares against (§8.4).
+ * Happens-before sync tracking shared by the TSan and TxRace
+ * runtimes: every thread create/join, lock, condvar and barrier
+ * updates the detector's vector clocks, and each tracked op charges
+ * syncTrackCost to @p bucket (TSan's Check, TxRace's Txn).
  */
-class TsanPolicy : public sim::ExecutionPolicy
+class HbTrackingPolicy : public sim::ExecutionPolicy
 {
   public:
-    explicit TsanPolicy(double sample_rate = 1.0, uint64_t seed = 7);
+    explicit HbTrackingPolicy(sim::Bucket bucket) : bucket_(bucket) {}
 
-    void onRunStart(sim::Machine &m) override;
     void onThreadCreated(sim::Machine &m, Tid parent,
                          Tid child) override;
     void onThreadJoined(sim::Machine &m, Tid joiner,
@@ -53,6 +50,24 @@ class TsanPolicy : public sim::ExecutionPolicy
                          const ir::Instruction &ins) override;
     void onBarrierRelease(sim::Machine &m,
                           const std::vector<Tid> &parts) override;
+
+  private:
+    sim::Bucket bucket_;
+};
+
+/**
+ * The TSan baseline (and its sampling variant): every instrumented
+ * access is happens-before checked against shadow memory; sync ops
+ * always maintain vector clocks. With sampleRate < 1, an access is
+ * fully processed with that probability and otherwise only pays a
+ * cheap sampling-branch cost — modeling LiteRace-style sampling the
+ * paper compares against (§8.4).
+ */
+class TsanPolicy : public HbTrackingPolicy
+{
+  public:
+    explicit TsanPolicy(double sample_rate = 1.0, uint64_t seed = 7);
+
     bool onMemAccess(sim::Machine &m, Tid t,
                      const ir::Instruction &ins, ir::Addr addr,
                      bool is_write) override;
@@ -60,9 +75,6 @@ class TsanPolicy : public sim::ExecutionPolicy
   private:
     double sampleRate_;
     Rng rng_;
-    /** effectiveCheckCost() of the run's cost model, fixed at run
-     *  start (the per-access fault-stall multiply stays dynamic). */
-    uint64_t checkCost_ = 0;
 };
 
 /**
@@ -149,7 +161,7 @@ class RaceTmPolicy : public sim::ExecutionPolicy
  * Optimizations (§4.3): single-threaded elision, small regions
  * pre-marked slow by the pass, and the loop-cut schemes.
  */
-class TxRacePolicy : public sim::ExecutionPolicy
+class TxRacePolicy : public HbTrackingPolicy
 {
   public:
     /**
@@ -189,14 +201,9 @@ class TxRacePolicy : public sim::ExecutionPolicy
     bool onMemAccess(sim::Machine &m, Tid t,
                      const ir::Instruction &ins, ir::Addr addr,
                      bool is_write) override;
+    /** Notes the Sync event, then tracks it like TSan. */
     void onSyncPerformed(sim::Machine &m, Tid t,
                          const ir::Instruction &ins) override;
-    void onThreadCreated(sim::Machine &m, Tid parent,
-                         Tid child) override;
-    void onThreadJoined(sim::Machine &m, Tid joiner,
-                        Tid joined) override;
-    void onBarrierRelease(sim::Machine &m,
-                          const std::vector<Tid> &parts) override;
     void onInterruptAbort(sim::Machine &m, Tid t) override;
     void onRetryAbort(sim::Machine &m, Tid t) override;
 
@@ -214,10 +221,29 @@ class TxRacePolicy : public sim::ExecutionPolicy
     BudgetReport budgetReport() const { return budget_.report(); }
 
   private:
-    /** Begin a fast-path transaction at the current point;
-     *  @p begin_kind is the FrBegin flag its TxBegin event carries. */
-    void enterFastTx(sim::Machine &m, Tid t, uint64_t segment_loop,
+    /** The one transaction begin: xbegin, the TxFail read, and the
+     *  TxBegin event carrying FrBegin flag @p begin_kind. The caller
+     *  charges txBeginCost and has checked htm().canBegin(). */
+    void beginTx(sim::Machine &m, Tid t,
+                 uint8_t begin_kind = telemetry::FrBegin::Plain);
+
+    /** Pay an xbegin at region or loop-cut marker @p ins and begin a
+     *  fresh segment of loop @p segment_loop (kNoCutLoop: none) with
+     *  its snapshot; past the hardware-thread limit the xbegin aborts
+     *  and the region runs on the slow path instead. */
+    void enterFastTx(sim::Machine &m, Tid t, const ir::Instruction &ins,
+                     uint64_t segment_loop,
                      uint8_t begin_kind = telemetry::FrBegin::Plain);
+
+    /** The one software check of an instrumented access: price it at
+     *  m.checkCost(), ask the monitor budget, then charge the check to
+     *  @p bucket and its site, run the caller's @p tally(cost), and
+     *  feed the detector. A refused check pays only the one-unit gate
+     *  branch and returns false. */
+    template <class Tally>
+    bool softwareCheck(sim::Machine &m, Tid t, const ir::Instruction &ins,
+                       ir::Addr addr, bool is_write, sim::Bucket bucket,
+                       Tally tally);
 
     /** Conflict-abort handling for a victim of a real data conflict
      *  (region mode: roll back, then publish TxFail next step). */
@@ -250,9 +276,6 @@ class TxRacePolicy : public sim::ExecutionPolicy
      *  count (governance evidence for the learning rule). */
     uint64_t innermostCutLoop(sim::Machine &m, Tid t,
                               uint64_t &iters_in_tx) const;
-
-    /** Apply vector-clock updates for one sync instruction. */
-    void trackSync(sim::Machine &m, Tid t, const ir::Instruction &ins);
 
     /** Loop-cut scheme active (Dyn and Prof; NoOpt ignores LoopCut
      *  markers and learns nothing). */

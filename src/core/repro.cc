@@ -257,6 +257,17 @@ parseUnsignedFlag(const char *flag, const std::string &text,
     return v;
 }
 
+RunMode
+parseModeFlag(const std::string &text)
+{
+    RunMode mode = RunMode::TxRaceProfLoopcut;
+    if (text != "txrace-prof" && !cliModeFromName(text, mode))
+        fatal("unknown mode '%s' (native, tsan, sampling, eraser, "
+              "racetm, txrace, txrace-dyn, txrace-noopt)",
+              text.c_str());
+    return mode;
+}
+
 double
 parseDoubleFlag(const char *flag, const std::string &text)
 {

@@ -60,7 +60,7 @@ struct RunIdentity
     SlowPathKind slowpath = SlowPathKind::Window;
 };
 
-/** CLI mode token for @p mode (inverse of txrace_run's parseMode). */
+/** CLI mode token for @p mode (inverse of parseModeFlag). */
 const char *cliModeName(RunMode mode);
 
 /** Inverse of cliModeName; false (out untouched) on unknown tokens. */
@@ -89,6 +89,10 @@ std::string reproCommand(const RunIdentity &id);
 uint64_t parseUnsignedFlag(const char *flag, const std::string &text,
                            uint64_t min = 0,
                            uint64_t max = UINT64_MAX);
+
+/** Parse option --mode's token: a cliModeName, or the txrace-prof
+ *  alias of txrace; fatal()s listing the modes on anything else. */
+RunMode parseModeFlag(const std::string &text);
 
 /** As parseUnsignedFlag, for a finite floating-point value. */
 double parseDoubleFlag(const char *flag, const std::string &text);

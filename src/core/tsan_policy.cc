@@ -7,36 +7,23 @@ namespace txrace::core {
 using sim::Bucket;
 using sim::Machine;
 
-TsanPolicy::TsanPolicy(double sample_rate, uint64_t seed)
-    : sampleRate_(sample_rate), rng_(seed)
-{
-    if (sample_rate < 0.0 || sample_rate > 1.0)
-        fatal("TsanPolicy: sample rate %f out of [0,1]", sample_rate);
-}
-
 void
-TsanPolicy::onRunStart(Machine &m)
-{
-    checkCost_ = m.config().cost.effectiveCheckCost();
-}
-
-void
-TsanPolicy::onThreadCreated(Machine &m, Tid parent, Tid child)
+HbTrackingPolicy::onThreadCreated(Machine &m, Tid parent, Tid child)
 {
     m.det().threadCreated(parent, child);
-    m.addCost(parent, m.config().cost.syncTrackCost, Bucket::Check);
+    m.addCost(parent, m.config().cost.syncTrackCost, bucket_);
 }
 
 void
-TsanPolicy::onThreadJoined(Machine &m, Tid joiner, Tid joined)
+HbTrackingPolicy::onThreadJoined(Machine &m, Tid joiner, Tid joined)
 {
     m.det().threadJoined(joiner, joined);
-    m.addCost(joiner, m.config().cost.syncTrackCost, Bucket::Check);
+    m.addCost(joiner, m.config().cost.syncTrackCost, bucket_);
 }
 
 void
-TsanPolicy::onSyncPerformed(Machine &m, Tid t,
-                            const ir::Instruction &ins)
+HbTrackingPolicy::onSyncPerformed(Machine &m, Tid t,
+                                  const ir::Instruction &ins)
 {
     auto &det = m.det();
     switch (ins.op) {
@@ -53,17 +40,26 @@ TsanPolicy::onSyncPerformed(Machine &m, Tid t,
         det.condWait(t, ins.arg0);
         break;
       default:
-        panic("TsanPolicy: unexpected sync op %s", opName(ins.op));
+        panic("HbTrackingPolicy: unexpected sync op %s", opName(ins.op));
     }
-    m.addCost(t, m.config().cost.syncTrackCost, Bucket::Check);
+    m.addCost(t, m.config().cost.syncTrackCost, bucket_);
 }
 
 void
-TsanPolicy::onBarrierRelease(Machine &m, const std::vector<Tid> &parts)
+HbTrackingPolicy::onBarrierRelease(Machine &m,
+                                   const std::vector<Tid> &parts)
 {
     m.det().barrierRelease(parts);
     for (Tid p : parts)
-        m.addCost(p, m.config().cost.syncTrackCost, Bucket::Check);
+        m.addCost(p, m.config().cost.syncTrackCost, bucket_);
+}
+
+TsanPolicy::TsanPolicy(double sample_rate, uint64_t seed)
+    : HbTrackingPolicy(Bucket::Check), sampleRate_(sample_rate),
+      rng_(seed)
+{
+    if (sample_rate < 0.0 || sample_rate > 1.0)
+        fatal("TsanPolicy: sample rate %f out of [0,1]", sample_rate);
 }
 
 bool
@@ -73,14 +69,7 @@ TsanPolicy::onMemAccess(Machine &m, Tid t, const ir::Instruction &ins,
     if (!ins.instrumented)
         return true;
     if (sampleRate_ >= 1.0 || rng_.chance(sampleRate_)) {
-        // Slow-path stall fault episodes inflate the check cost for
-        // the software detector no matter which policy runs it.
-        uint64_t check = checkCost_;
-        double stall = m.faults().slowPathCostMult();
-        if (stall > 1.0)
-            check = static_cast<uint64_t>(
-                static_cast<double>(check) * stall);
-        m.addCost(t, check, Bucket::Check);
+        m.addCost(t, m.checkCost(), Bucket::Check);
         if (is_write)
             m.det().write(t, addr, ins.id);
         else

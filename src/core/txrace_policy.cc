@@ -29,19 +29,47 @@ flightNote(Machine &m, Tid t, FrKind k, uint32_t site = ir::kNoInstr,
     m.tel().flight.note(t, k, m.currentStep(), site, arg, flags);
 }
 
-/** Note that @p t entered a slow-path episode for @p why. */
+/**
+ * The one slow-path entry: @p t runs the rest of its region under the
+ * software detector, its overhead charged to @p reason. @p why
+ * (FrSlow) and @p site attribute the SlowEnter event; @p hint_line is
+ * the conflicting line a hinted episode checks (kNoLine: all lines).
+ * The region's snapshot and loop-cut segment die here, since a slow
+ * episode never rolls back; the region's TxEnd ends the episode.
+ */
 void
-noteSlowEnter(Machine &m, Tid t, uint32_t site, uint8_t why)
+enterSlow(Machine &m, Tid t, Bucket reason, uint32_t site, uint8_t why,
+          uint64_t hint_line = htm::HtmEngine::kNoLine)
 {
+    auto &ctx = m.context(t);
+    ctx.snap.valid = false;
+    ctx.lastLoopCutId = ir::kNoInstr;
+    ctx.slowHintLine = hint_line;
+    ctx.path = PathMode::Slow;
+    ctx.slowReason = reason;
     flightNote(m, t, FrKind::SlowEnter, site,
-               static_cast<uint64_t>(m.context(t).slowReason), why);
+               static_cast<uint64_t>(reason), why);
+}
+
+/** Monitor mode: end the run once even floor sampling cannot keep
+ *  the budget. */
+void
+stopIfUnsatisfiable(Machine &m, const BudgetController &budget, Tid t,
+                    uint32_t site)
+{
+    if (!budget.unsatisfiable())
+        return;
+    flightNote(m, t, FrKind::Budget, site,
+               static_cast<uint64_t>(FrBudget::Unsatisfiable));
+    m.requestStop(sim::RunError::Kind::Budget);
 }
 
 } // namespace
 
 TxRacePolicy::TxRacePolicy(const RunConfig &cfg,
                            const LoopCutTable *preloaded)
-    : loopCuts_(cfg.mode != RunMode::TxRaceNoOpt),
+    : HbTrackingPolicy(Bucket::Txn),
+      loopCuts_(cfg.mode != RunMode::TxRaceNoOpt),
       addrHints_(cfg.conflictAddressHints), slowpath_(cfg.slowpath),
       governor_(cfg.governor, cfg.machine.seed ^ 0x9075ea1ULL),
       budget_(cfg.budget, cfg.machine.seed ^ 0x9075ea1ULL)
@@ -189,16 +217,40 @@ TxRacePolicy::onRunEnd(Machine &m)
 }
 
 void
-TxRacePolicy::enterFastTx(Machine &m, Tid t, uint64_t segment_loop,
-                          uint8_t begin_kind)
+TxRacePolicy::beginTx(Machine &m, Tid t, uint8_t begin_kind)
 {
-    auto &ctx = m.context(t);
     m.htm().begin(t);
     // Every transaction reads TxFail right after xbegin so that a
     // non-transactional write to it aborts all in-flight transactions
     // (strong isolation + requester-wins).
     m.htm().access(t, Machine::kTxFailAddr, false);
-    ctx.baseSinceTxBegin = 0;
+    m.context(t).baseSinceTxBegin = 0;
+    // tx.begins counts every xbegin issued — region entries, loop-cut
+    // segments, and the in-place re-begins — so it can never
+    // undercount tx.committed (the profile invariant).
+    m.tel().registry.add(met_.txBegins);
+    flightNote(m, t, FrKind::TxBegin, ir::kNoInstr, 0, begin_kind);
+}
+
+void
+TxRacePolicy::enterFastTx(Machine &m, Tid t, const ir::Instruction &ins,
+                          uint64_t segment_loop, uint8_t begin_kind)
+{
+    // The xbegin is paid whether or not the hardware grants it.
+    m.addCost(t, m.config().cost.txBeginCost, Bucket::Txn);
+    if (!m.htm().canBegin()) {
+        // More live transactions than hardware threads: the xbegin
+        // aborts immediately with an unspecified status (§6, reason
+        // four). Fall back to the slow path for this region.
+        m.tel().registry.add(met_.abortUnknown);
+        m.tel().registry.add(met_.hwlimitAborts);
+        flightNote(m, t, FrKind::TxAbort, ins.id,
+                   static_cast<uint64_t>(FrAbort::HwLimit));
+        enterSlow(m, t, Bucket::Unknown, ins.id, FrSlow::HwLimit);
+        return;
+    }
+    beginTx(m, t, begin_kind);
+    auto &ctx = m.context(t);
     ctx.lastLoopCutId = segment_loop == kNoCutLoop
         ? ir::kNoInstr
         : static_cast<uint32_t>(segment_loop);
@@ -206,11 +258,7 @@ TxRacePolicy::enterFastTx(Machine &m, Tid t, uint64_t segment_loop,
     // re-begin after a replay deliberately does NOT go through here,
     // so repeated conflicts on one attempt still hit the cap).
     ctx.windowReplays = 0;
-    // tx.begins counts every xbegin issued — region entries, loop-cut
-    // segments, and the in-place re-begins below — so it can never
-    // undercount tx.committed (the profile invariant).
-    m.tel().registry.add(met_.txBegins);
-    flightNote(m, t, FrKind::TxBegin, ir::kNoInstr, 0, begin_kind);
+    ctx.takeSnapshot(ctx.pc + 1);
 }
 
 void
@@ -223,10 +271,8 @@ TxRacePolicy::onTxBegin(Machine &m, Tid t, const ir::Instruction &ins)
     if (ins.arg1 == 1) {
         // Small region (< K memory ops): the software check is
         // cheaper than transaction management (§4.3).
-        ctx.path = PathMode::Slow;
-        ctx.slowReason = Bucket::Txn;
         m.tel().registry.add(met_.smallSlowRegions);
-        noteSlowEnter(m, t, ins.id, FrSlow::SmallRegion);
+        enterSlow(m, t, Bucket::Txn, ins.id, FrSlow::SmallRegion);
         return;
     }
     if (m.liveThreads() <= 1) {
@@ -243,11 +289,7 @@ TxRacePolicy::onTxBegin(Machine &m, Tid t, const ir::Instruction &ins)
         // precision cannot be (we only ever skip work).
         flightNote(m, t, FrKind::Budget, ins.id,
                    static_cast<uint64_t>(FrBudget::RegionGated));
-        if (budget_.unsatisfiable()) {
-            flightNote(m, t, FrKind::Budget, ins.id,
-                       static_cast<uint64_t>(FrBudget::Unsatisfiable));
-            m.requestStop(sim::RunError::Kind::Budget);
-        }
+        stopIfUnsatisfiable(m, budget_, t, ins.id);
         return;
     }
     if (governor_.enabled()) {
@@ -257,37 +299,19 @@ TxRacePolicy::onTxBegin(Machine &m, Tid t, const ir::Instruction &ins)
             // (full detection, none of the xbegin/abort/rollback
             // churn the storm would turn into wasted work). Level 3
             // additionally samples the checks to bound their cost.
-            ctx.path = PathMode::Slow;
-            ctx.slowReason = governor_.demoteReasonFor(t);
             ctx.sampleMode = level >= FallbackGovernor::kSampling;
             ctx.govForced = true;
             m.tel().registry.add(ctx.sampleMode
                                      ? met_.govSampledRegions
                                      : met_.govForcedSlowRegions);
             flightNote(m, t, FrKind::Gov, ins.id, level);
-            noteSlowEnter(m, t, ins.id, FrSlow::Governor);
+            enterSlow(m, t, governor_.demoteReasonFor(t), ins.id,
+                      FrSlow::Governor);
             return;
         }
     }
-    const auto &cost = m.config().cost;
-    if (!m.htm().canBegin()) {
-        // More live transactions than hardware threads: the xbegin
-        // aborts immediately with an unspecified status (§6, reason
-        // four). Fall back to the slow path for this region.
-        m.addCost(t, cost.txBeginCost, Bucket::Txn);
-        m.tel().registry.add(met_.abortUnknown);
-        m.tel().registry.add(met_.hwlimitAborts);
-        ctx.path = PathMode::Slow;
-        ctx.slowReason = Bucket::Unknown;
-        flightNote(m, t, FrKind::TxAbort, ins.id,
-                   static_cast<uint64_t>(FrAbort::HwLimit));
-        noteSlowEnter(m, t, ins.id, FrSlow::HwLimit);
-        return;
-    }
-    m.addCost(t, cost.txBeginCost, Bucket::Txn);
-    enterFastTx(m, t, kNoCutLoop, telemetry::FrBegin::Region);
-    ctx.takeSnapshot(ctx.pc + 1);
     ctx.retryCount = 0;
+    enterFastTx(m, t, ins, kNoCutLoop, telemetry::FrBegin::Region);
 }
 
 void
@@ -346,7 +370,6 @@ TxRacePolicy::onLoopCut(Machine &m, Tid t, const ir::Instruction &ins)
 
     // Cut: end the transaction here and immediately start the next
     // segment, so the write set never reaches the capacity limit.
-    const auto &cost = m.config().cost;
     m.commitTx(t);
     m.tel().registry.add(met_.txCommitted);
     m.tel().registry.add(met_.loopCuts);
@@ -356,23 +379,12 @@ TxRacePolicy::onLoopCut(Machine &m, Tid t, const ir::Instruction &ins)
              (unsigned long long)ins.arg0,
              (unsigned long long)frame.itersInTx,
              (unsigned long long)thr);
-    m.addCost(t, cost.txEndCost + cost.txBeginCost, Bucket::Txn);
+    m.addCost(t, m.config().cost.txEndCost, Bucket::Txn);
     // Growth is credited once per region (at TxEnd), not per segment:
     // per-segment growth overshoots the capacity boundary every few
     // iterations and thrashes.
     frame.itersInTx = 0;
-    if (!m.htm().canBegin()) {
-        m.tel().registry.add(met_.abortUnknown);
-        m.tel().registry.add(met_.hwlimitAborts);
-        ctx.path = PathMode::Slow;
-        ctx.slowReason = Bucket::Unknown;
-        flightNote(m, t, FrKind::TxAbort, ins.id,
-                   static_cast<uint64_t>(FrAbort::HwLimit));
-        noteSlowEnter(m, t, ins.id, FrSlow::HwLimit);
-        return;
-    }
-    enterFastTx(m, t, ins.arg0);
-    ctx.takeSnapshot(ctx.pc + 1);
+    enterFastTx(m, t, ins, ins.arg0);
 }
 
 uint64_t
@@ -406,10 +418,10 @@ TxRacePolicy::handleConflictVictim(Machine &m, Tid v)
     // TxFail protocol always runs regardless (the other side of the
     // race must be re-checked).
     governor_.onAbort(m, v, Bucket::Conflict, /*primary=*/true);
+    // The victim holds the hint until it publishes TxFail and enters
+    // the slow path with it.
     auto &vctx = m.context(v);
     vctx.slowHintLine = hint;
-    vctx.snap.valid = false;
-    vctx.lastLoopCutId = ir::kNoInstr;
     // The victim publishes TxFail at its next step (§3 step 3); the
     // delay is what lets concurrent winners commit first and escape
     // re-execution — false-negative source two (§6). Fault injection
@@ -450,12 +462,8 @@ TxRacePolicy::handleConflictVictimWindowed(Machine &m, Tid v,
             vl->clear(v);
         m.rollback(v, Bucket::Conflict);
         governor_.onAbort(m, v, Bucket::Conflict, /*primary=*/true);
-        vctx.slowHintLine = hint;
-        vctx.snap.valid = false;
-        vctx.lastLoopCutId = ir::kNoInstr;
-        vctx.path = PathMode::Slow;
-        vctx.slowReason = Bucket::Conflict;
-        noteSlowEnter(m, v, m.currentSite(v), FrSlow::WindowFallback);
+        enterSlow(m, v, Bucket::Conflict, m.currentSite(v),
+                  FrSlow::WindowFallback, hint);
         return;
     }
 
@@ -508,11 +516,7 @@ TxRacePolicy::handleConflictVictimWindowed(Machine &m, Tid v,
     // freed by its abort, so begin() cannot hit the hardware limit.
     ++vctx.windowReplays;
     m.addCost(v, m.config().cost.txBeginCost, Bucket::Txn);
-    m.htm().begin(v);
-    m.htm().access(v, Machine::kTxFailAddr, false);
-    vctx.baseSinceTxBegin = 0;
-    m.tel().registry.add(met_.txBegins);
-    flightNote(m, v, FrKind::TxBegin);
+    beginTx(m, v);
 }
 
 bool
@@ -547,20 +551,14 @@ TxRacePolicy::beforeStep(Machine &m, Tid t)
         // Collateral casualties of the broadcast: they feed the abort
         // window but not the livelock detector.
         governor_.onAbort(m, v, Bucket::Conflict, /*primary=*/false);
-        auto &vctx = m.context(v);
-        vctx.snap.valid = false;
-        vctx.lastLoopCutId = ir::kNoInstr;
-        vctx.path = PathMode::Slow;
-        vctx.slowReason = Bucket::Conflict;
         // The future-HTM protocol shares the conflicting address with
         // everyone forced into the slow path.
-        vctx.slowHintLine = ctx.slowHintLine;
-        noteSlowEnter(m, v, m.currentSite(v), FrSlow::TxFail);
+        enterSlow(m, v, Bucket::Conflict, m.currentSite(v),
+                  FrSlow::TxFail, ctx.slowHintLine);
     }
     m.addCost(t, m.config().cost.storeCost, Bucket::Conflict);
-    ctx.path = PathMode::Slow;
-    ctx.slowReason = Bucket::Conflict;
-    noteSlowEnter(m, t, m.currentSite(t), FrSlow::Conflict);
+    enterSlow(m, t, Bucket::Conflict, m.currentSite(t), FrSlow::Conflict,
+              ctx.slowHintLine);
     return true;
 }
 
@@ -591,15 +589,9 @@ TxRacePolicy::handleSelfCapacity(Machine &m, Tid t, ir::InstrId site)
     // same wall), but they count toward the governor's abort rate —
     // a capacity cliff should demote just like an interrupt storm.
     governor_.onAbort(m, t, Bucket::Capacity);
-    auto &ctx = m.context(t);
-    ctx.snap.valid = false;
-    ctx.lastLoopCutId = ir::kNoInstr;
-    ctx.slowHintLine = htm::HtmEngine::kNoLine;
     // Only this thread falls back; concurrent transactions keep
     // running (no TxFail write) — Fig. 5's concurrent fast+slow.
-    ctx.path = PathMode::Slow;
-    ctx.slowReason = Bucket::Capacity;
-    noteSlowEnter(m, t, site, FrSlow::Capacity);
+    enterSlow(m, t, Bucket::Capacity, site, FrSlow::Capacity);
 }
 
 void
@@ -609,7 +601,6 @@ TxRacePolicy::onInterruptAbort(Machine &m, Tid t)
     if (ir::InstrId site = m.currentSite(t); site != ir::kNoInstr)
         ++m.tel().siteStats[site].otherAborts;
     m.rollback(t, Bucket::Unknown);
-    auto &ctx = m.context(t);
     if (governor_.enabled() && m.htm().canBegin() &&
         governor_.onAbort(m, t, Bucket::Unknown) ==
             GovernorAction::RetryBackoff) {
@@ -618,20 +609,10 @@ TxRacePolicy::onInterruptAbort(Machine &m, Tid t)
         // governor charged, instead of surrendering the whole region
         // to an expensive slow-path episode.
         m.addCost(t, m.config().cost.txBeginCost, Bucket::Txn);
-        m.htm().begin(t);
-        m.htm().access(t, Machine::kTxFailAddr, false);
-        ctx.baseSinceTxBegin = 0;
-        m.tel().registry.add(met_.txBegins);
-        flightNote(m, t, FrKind::TxBegin, ir::kNoInstr, 0,
-                   telemetry::FrBegin::Backoff);
+        beginTx(m, t, telemetry::FrBegin::Backoff);
         return;
     }
-    ctx.snap.valid = false;
-    ctx.lastLoopCutId = ir::kNoInstr;
-    ctx.slowHintLine = htm::HtmEngine::kNoLine;
-    ctx.path = PathMode::Slow;
-    ctx.slowReason = Bucket::Unknown;
-    noteSlowEnter(m, t, m.currentSite(t), FrSlow::Interrupt);
+    enterSlow(m, t, Bucket::Unknown, m.currentSite(t), FrSlow::Interrupt);
 }
 
 void
@@ -655,19 +636,41 @@ TxRacePolicy::onRetryAbort(Machine &m, Tid t)
         m.addCost(t, m.config().cost.txBeginCost, Bucket::Txn);
         // Re-enter at the restored resume point; the existing
         // snapshot still describes it.
-        m.htm().begin(t);
-        m.htm().access(t, Machine::kTxFailAddr, false);
-        ctx.baseSinceTxBegin = 0;
-        m.tel().registry.add(met_.txBegins);
-        flightNote(m, t, FrKind::TxBegin);
+        beginTx(m, t);
         return;
     }
-    ctx.snap.valid = false;
-    ctx.lastLoopCutId = ir::kNoInstr;
-    ctx.path = PathMode::Slow;
-    ctx.slowReason = Bucket::Unknown;
     m.tel().registry.add(met_.retryExhausted);
-    noteSlowEnter(m, t, m.currentSite(t), FrSlow::RetryExhausted);
+    enterSlow(m, t, Bucket::Unknown, m.currentSite(t),
+              FrSlow::RetryExhausted);
+}
+
+template <class Tally>
+bool
+TxRacePolicy::softwareCheck(Machine &m, Tid t, const ir::Instruction &ins,
+                            ir::Addr addr, bool is_write, Bucket bucket,
+                            Tally tally)
+{
+    // Priced before admission so the gate sees the true (possibly
+    // stall-inflated) cost.
+    uint64_t check = m.checkCost();
+    if (budget_.enabled() && !budget_.admitCheck(m, t, ins.id, check)) {
+        // Monitor mode: the window is out of admission budget, the
+        // check's cost would cross the hard line, or this site's
+        // deterministic sampling draw missed. Either way the access
+        // pays only the gate branch.
+        flightNote(m, t, FrKind::Budget, ins.id,
+                   static_cast<uint64_t>(FrBudget::CheckGated));
+        m.addCost(t, 1, bucket);
+        return false;
+    }
+    m.addCost(t, check, bucket);
+    budget_.chargeSite(ins.id, check);
+    tally(check);
+    if (is_write)
+        m.det().write(t, addr, ins.id);
+    else
+        m.det().read(t, addr, ins.id);
+    return true;
 }
 
 bool
@@ -740,46 +743,18 @@ TxRacePolicy::onMemAccess(Machine &m, Tid t, const ir::Instruction &ins,
             m.tel().registry.add(met_.govSampleSkipped);
             return true;
         }
-        // Slow-path stall episodes inflate the software check cost;
-        // computed before admission so the gate sees the true price.
-        uint64_t check = cost.effectiveCheckCost();
-        double stall = m.faults().slowPathCostMult();
-        if (stall > 1.0)
-            check = static_cast<uint64_t>(
-                static_cast<double>(check) * stall);
-        if (budget_.enabled() &&
-            !budget_.admitCheck(m, t, ins.id, check)) {
-            // Monitor mode: the window is out of admission budget,
-            // the check's (possibly storm-inflated) cost would cross
-            // the hard line, or this site's deterministic sampling
-            // draw missed. Either way the access pays only the gate
-            // branch.
-            flightNote(m, t, FrKind::Budget, ins.id,
-                       static_cast<uint64_t>(FrBudget::CheckGated));
-            if (budget_.unsatisfiable()) {
-                flightNote(m, t, FrKind::Budget, ins.id,
-                           static_cast<uint64_t>(
-                               FrBudget::Unsatisfiable));
-                m.requestStop(sim::RunError::Kind::Budget);
-            }
-            m.addCost(t, 1, ctx.slowReason);
-            return true;
-        }
-        m.addCost(t, check, ctx.slowReason);
-        budget_.chargeSite(ins.id, check);
-        {
+        auto tally = [&](uint64_t check) {
             auto &ss = m.tel().siteStats[ins.id];
             ++ss.slowChecks;
             ss.slowCost += check;
-        }
-        if (ctx.sampleMode)
-            m.tel().registry.add(met_.govSampledChecks);
-        else
-            governor_.onSlowCheckCost(m, t, check);
-        if (is_write)
-            m.det().write(t, addr, ins.id);
-        else
-            m.det().read(t, addr, ins.id);
+            if (ctx.sampleMode)
+                m.tel().registry.add(met_.govSampledChecks);
+            else
+                governor_.onSlowCheckCost(m, t, check);
+        };
+        if (!softwareCheck(m, t, ins, addr, is_write, ctx.slowReason,
+                           tally))
+            stopIfUnsatisfiable(m, budget_, t, ins.id);
     } else if (slowpath_ == SlowPathKind::Window && ins.instrumented &&
                !watchedLines_.empty() &&
                watchedLines_.count(mem::lineOf(addr)) != 0) {
@@ -789,51 +764,14 @@ TxRacePolicy::onMemAccess(Machine &m, Tid t, const ir::Instruction &ins,
         // covers everything after it — together they match region
         // mode's coverage at O(accesses-to-hot-lines) instead of
         // O(region) cost. Off-watch accesses (the common case) pay
-        // nothing here.
-        uint64_t check = cost.effectiveCheckCost();
-        double stall = m.faults().slowPathCostMult();
-        if (stall > 1.0)
-            check = static_cast<uint64_t>(
-                static_cast<double>(check) * stall);
-        if (budget_.enabled() &&
-            !budget_.admitCheck(m, t, ins.id, check)) {
-            flightNote(m, t, FrKind::Budget, ins.id,
-                       static_cast<uint64_t>(FrBudget::CheckGated));
-            m.addCost(t, 1, Bucket::Conflict);
-            return true;
-        }
-        m.addCost(t, check, Bucket::Conflict);
-        budget_.chargeSite(ins.id, check);
-        m.tel().registry.add(met_.windowWatchChecks);
-        if (is_write)
-            m.det().write(t, addr, ins.id);
-        else
-            m.det().read(t, addr, ins.id);
+        // nothing here. A refused watch check does not request the
+        // budget stop.
+        softwareCheck(m, t, ins, addr, is_write, Bucket::Conflict,
+                      [&](uint64_t) {
+                          m.tel().registry.add(met_.windowWatchChecks);
+                      });
     }
     return true;
-}
-
-void
-TxRacePolicy::trackSync(Machine &m, Tid t, const ir::Instruction &ins)
-{
-    auto &det = m.det();
-    switch (ins.op) {
-      case ir::OpCode::LockAcquire:
-        det.lockAcquire(t, ins.arg0);
-        break;
-      case ir::OpCode::LockRelease:
-        det.lockRelease(t, ins.arg0);
-        break;
-      case ir::OpCode::CondSignal:
-        det.condSignal(t, ins.arg0);
-        break;
-      case ir::OpCode::CondWait:
-        det.condWait(t, ins.arg0);
-        break;
-      default:
-        panic("TxRacePolicy: unexpected sync op %s", opName(ins.op));
-    }
-    m.addCost(t, m.config().cost.syncTrackCost, Bucket::Txn);
 }
 
 void
@@ -844,30 +782,7 @@ TxRacePolicy::onSyncPerformed(Machine &m, Tid t,
     // paths, so slow-path episodes never report stale false warnings
     // (§5, Figure 6).
     flightNote(m, t, FrKind::Sync, ins.id);
-    trackSync(m, t, ins);
-}
-
-void
-TxRacePolicy::onThreadCreated(Machine &m, Tid parent, Tid child)
-{
-    m.det().threadCreated(parent, child);
-    m.addCost(parent, m.config().cost.syncTrackCost, Bucket::Txn);
-}
-
-void
-TxRacePolicy::onThreadJoined(Machine &m, Tid joiner, Tid joined)
-{
-    m.det().threadJoined(joiner, joined);
-    m.addCost(joiner, m.config().cost.syncTrackCost, Bucket::Txn);
-}
-
-void
-TxRacePolicy::onBarrierRelease(Machine &m,
-                               const std::vector<Tid> &parts)
-{
-    m.det().barrierRelease(parts);
-    for (Tid p : parts)
-        m.addCost(p, m.config().cost.syncTrackCost, Bucket::Txn);
+    HbTrackingPolicy::onSyncPerformed(m, t, ins);
 }
 
 void

@@ -18,33 +18,37 @@
 
 namespace txrace::sim {
 
-/** Per-operation virtual-time costs (arbitrary units). */
+/**
+ * Per-operation virtual-time costs (arbitrary units). Every cost is a
+ * constant of the model except the two a run may set: checkScale
+ * (calibrated per application) and fastHookCost (an ablation knob).
+ */
 struct CostModel
 {
     /** @name Application costs (accrue in every run mode) */
     /** @{ */
-    uint64_t loadCost = 1;
-    uint64_t storeCost = 1;
-    uint64_t syncCost = 12;      ///< lock/unlock/signal/wait/barrier
-    uint64_t syscallCost = 6;    ///< added to the instruction's own cost
-    uint64_t threadOpCost = 60;  ///< create/join
+    static constexpr uint64_t loadCost = 1;
+    static constexpr uint64_t storeCost = 1;
+    static constexpr uint64_t syncCost = 12;      ///< lock/unlock/signal/wait/barrier
+    static constexpr uint64_t syscallCost = 6;    ///< added to the instruction's own cost
+    static constexpr uint64_t threadOpCost = 60;  ///< create/join
     /** @} */
 
     /** @name Tool costs */
     /** @{ */
     /** xbegin plus the instrumented TxFail read (fast path). */
-    uint64_t txBeginCost = 20;
+    static constexpr uint64_t txBeginCost = 20;
     /** xend. */
-    uint64_t txEndCost = 14;
+    static constexpr uint64_t txEndCost = 14;
     /** Fast-path per-access hook (the hook body does nothing). */
     uint64_t fastHookCost = 0;
     /** Happens-before tracking of one sync op (runs on both paths). */
-    uint64_t syncTrackCost = 4;
+    static constexpr uint64_t syncTrackCost = 4;
     /**
      * Software shadow check per instrumented access (slow path and
      * the TSan baseline). Scaled by checkScale.
      */
-    uint64_t checkCost = 9;
+    static constexpr uint64_t checkCost = 9;
     /**
      * Application-specific multiplier on checkCost modeling shadow
      * contention / locality effects — this is what makes TSan's
@@ -53,13 +57,13 @@ struct CostModel
      */
     double checkScale = 1.0;
     /** Flat penalty for processing one transactional abort. */
-    uint64_t rollbackCost = 30;
+    static constexpr uint64_t rollbackCost = 30;
     /**
      * Flat setup cost of one windowed replay: merging the victim and
      * requester version logs and priming the detector (the per-entry
      * replay checks are charged at effectiveCheckCost on top).
      */
-    uint64_t windowReplaySetupCost = 18;
+    static constexpr uint64_t windowReplaySetupCost = 18;
     /** @} */
 
     /** Effective per-access software check cost. */

@@ -426,7 +426,8 @@ Machine::Machine(const ir::Program &prog, const MachineConfig &cfg,
           d.seed = cfg.seed ^ 0xdecafbadULL;
           return d;
       }()),
-      faults_(cfg.faults), schedRng_(cfg.seed),
+      faults_(cfg.faults), checkCost_(cfg.cost.effectiveCheckCost()),
+      schedRng_(cfg.seed),
       intrRng_(cfg.seed ^ 0x5ca1ab1eULL)
 {
     if (!prog_.finalized())
@@ -511,13 +512,8 @@ uint64_t
 Machine::replayWindow(Tid payer,
                       const std::vector<htm::VersionLogEntry> &w)
 {
-    uint64_t check = cfg_.cost.effectiveCheckCost();
-    double stall = faults_.slowPathCostMult();
-    if (stall > 1.0)
-        check = static_cast<uint64_t>(
-            static_cast<double>(check) * stall);
     uint64_t total = cfg_.cost.windowReplaySetupCost +
-                     check * w.size();
+                     checkCost() * w.size();
     addCost(payer, total, Bucket::Conflict);
     for (const htm::VersionLogEntry &e : w)
         det_.replayAccess(e.tid, e.addr, e.site, e.isWrite);

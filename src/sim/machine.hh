@@ -249,14 +249,30 @@ class Machine
     void rollback(Tid t, Bucket reason);
 
     /**
+     * Cost of one software check right now: the cost model's
+     * effectiveCheckCost() (fixed at construction), inflated by any
+     * active slow-path-stall fault episode. Every software check —
+     * TSan, the TxRace slow path, watched lines, window replays —
+     * is charged at this price.
+     */
+    uint64_t
+    checkCost() const
+    {
+        double stall = faults_.slowPathCostMult();
+        if (stall > 1.0)
+            return static_cast<uint64_t>(
+                static_cast<double>(checkCost_) * stall);
+        return checkCost_;
+    }
+
+    /**
      * Windowed slow path: replay a merged version-log window through
      * the happens-before detector. Each entry is checked as its
      * owning thread (exact, because transactional regions are
      * synchronization-free — no clock moved since the access was
-     * logged). The whole replay — flat setup plus one software check
-     * per entry, inflated by any active slow-path-stall episode — is
-     * charged to @p payer under Bucket::Conflict. Returns the total
-     * cost charged.
+     * logged). The whole replay — flat setup plus one checkCost()
+     * per entry — is charged to @p payer under Bucket::Conflict.
+     * Returns the total cost charged.
      */
     uint64_t replayWindow(Tid payer,
                           const std::vector<htm::VersionLogEntry> &w);
@@ -389,6 +405,8 @@ class Machine
     sync::SyncTables sync_;
     mem::VirtualMemory mem_;
     fault::FaultInjector faults_;
+    /** cfg_.cost.effectiveCheckCost() (see checkCost()). */
+    const uint64_t checkCost_;
 
     /** Program decoded under this machine's cost model. */
     DecodedProgram decoded_;

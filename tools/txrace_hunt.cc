@@ -117,17 +117,6 @@ parseApps(const std::string &list)
     return apps;
 }
 
-core::RunMode
-parseMode(const std::string &name)
-{
-    for (int m = 0; m <= int(core::RunMode::TxRaceProfLoopcut); ++m)
-        if (name == core::cliModeName(core::RunMode(m)))
-            return core::RunMode(m);
-    if (name == "txrace-prof")
-        return core::RunMode::TxRaceProfLoopcut;
-    fatal("unknown mode '%s'", name.c_str());
-}
-
 /** Raised by SIGTERM/SIGINT; the service polls it between folds. */
 std::atomic<bool> g_stop{false};
 
@@ -226,7 +215,7 @@ main(int argc, char **argv)
         } else if (const char *v3 = value("--strategy")) {
             cfg.strategy = v3;
         } else if (const char *v4 = value("--mode")) {
-            cfg.mode = parseMode(v4);
+            cfg.mode = core::parseModeFlag(v4);
         } else if (const char *v5 = value("--workers")) {
             cfg.workers = static_cast<uint32_t>(
                 core::parseUnsignedFlag("--workers", v5, 0, UINT32_MAX));

@@ -26,29 +26,6 @@ using namespace txrace;
 
 namespace {
 
-core::RunMode
-parseMode(const std::string &name)
-{
-    if (name == "native")
-        return core::RunMode::Native;
-    if (name == "tsan")
-        return core::RunMode::TSan;
-    if (name == "sampling")
-        return core::RunMode::TSanSampling;
-    if (name == "eraser")
-        return core::RunMode::Eraser;
-    if (name == "racetm")
-        return core::RunMode::RaceTM;
-    if (name == "txrace" || name == "txrace-prof")
-        return core::RunMode::TxRaceProfLoopcut;
-    if (name == "txrace-dyn")
-        return core::RunMode::TxRaceDynLoopcut;
-    if (name == "txrace-noopt")
-        return core::RunMode::TxRaceNoOpt;
-    fatal("unknown mode '%s' (native, tsan, sampling, eraser, racetm, "
-          "txrace, txrace-dyn, txrace-noopt)", name.c_str());
-}
-
 /**
  * Resolve an output path for the JSON exporters: "-" means stdout,
  * anything else opens @p file for writing (fatal on failure).
@@ -262,13 +239,9 @@ main(int argc, char **argv)
         fatal("--budget-pct requires --monitor");
 
     core::RunConfig cfg;
-    cfg.mode = parseMode(mode_name);
+    cfg.mode = core::parseModeFlag(mode_name);
     cfg.sampleRate = rate;
-    if (slowpath_name == "window")
-        cfg.slowpath = core::SlowPathKind::Window;
-    else if (slowpath_name == "region")
-        cfg.slowpath = core::SlowPathKind::Region;
-    else
+    if (!core::slowPathKindFromName(slowpath_name, cfg.slowpath))
         fatal("unknown --slowpath '%s' (window, region)",
               slowpath_name.c_str());
     ir::Program prog = [&] {
