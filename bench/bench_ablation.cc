@@ -14,6 +14,11 @@
  *    producing false reports the TxRace slow path never does. For
  *    each application we count Eraser warnings that the
  *    happens-before ground truth refutes.
+ *
+ * 3. Slow-path repair: the default windowed repair (replay the
+ *    aborting window, watch the conflicting line) against the paper's
+ *    region repair (TxFail broadcast demotion, §4.2), per application
+ *    and as a geomean.
  */
 
 #include <iostream>
@@ -69,7 +74,9 @@ main(int argc, char **argv)
                    "false warnings", "Eraser ovh", "TxRace ovh"});
     Table hints({"application", "TxRace ovh", "with addr hints",
                  "races", "races w/ hints", "filtered checks"});
-    std::vector<double> g_commodity, g_ideal, g_hints;
+    Table repair({"application", "window ovh", "region ovh",
+                  "window races", "region races", "watch checks"});
+    std::vector<double> g_commodity, g_ideal, g_hints, g_region;
 
     for (const std::string &name : bench::selectedApps(opt)) {
         workloads::WorkloadParams params;
@@ -115,6 +122,20 @@ main(int argc, char **argv)
         hints.cell(static_cast<uint64_t>(txr.races.count()));
         hints.cell(static_cast<uint64_t>(hinted.races.count()));
         hints.cell(hinted.stats.get("txrace.hint_filtered"));
+
+        // Slow-path repair: the paper's region mode beside the default.
+        core::RunConfig rcfg = bench::configFor(
+            app, core::RunMode::TxRaceProfLoopcut, opt);
+        rcfg.slowpath = core::SlowPathKind::Region;
+        core::RunResult region = core::runProgram(app.program, rcfg);
+        g_region.push_back(region.overheadVs(native));
+        repair.newRow();
+        repair.cell(app.name);
+        repair.cellFactor(txr.overheadVs(native));
+        repair.cellFactor(region.overheadVs(native));
+        repair.cell(static_cast<uint64_t>(txr.races.count()));
+        repair.cell(static_cast<uint64_t>(region.races.count()));
+        repair.cell(txr.stats.get("txrace.window.watch_checks"));
 
         // Lockset comparison.
         core::RunResult tsan =
@@ -182,6 +203,15 @@ main(int argc, char **argv)
               << "x vs hinted " << geoMean(g_hints)
               << "x  (hinted slow episodes only re-check the "
                  "conflicting line)\n\n";
+
+    std::cout << "=== Slow-path repair: window vs region (paper §4.2) "
+                 "===\n";
+    if (opt.csv)
+        repair.printCsv(std::cout);
+    else
+        repair.print(std::cout);
+    std::cout << "\ngeomean: window " << geoMean(g_commodity)
+              << "x vs region " << geoMean(g_region) << "x\n\n";
 
     std::cout << "=== Lockset (Eraser) baseline (paper §9) ===\n";
     if (opt.csv)

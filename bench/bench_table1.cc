@@ -7,6 +7,10 @@
  * paper's runs execute up to 160M transactions; see DESIGN.md), but
  * the qualitative structure is preserved: which abort classes
  * dominate where, who finds which races, and the overhead ordering.
+ *
+ * The `--csv` output at the documented settings is pinned by the
+ * `bench_table1_golden` test (bench/golden/table1.csv);
+ * scripts/table1_markdown.py renders EXPERIMENTS.md's Table 1 from it.
  */
 
 #include <iostream>
@@ -24,7 +28,8 @@ main(int argc, char **argv)
 
     Table table({"application", "committed", "conflict", "capacity",
                  "unknown", "TSan-races", "TxRace-races", "TSan-ovh",
-                 "TxRace-ovh", "paper-TSan", "paper-TxRace"});
+                 "TxRace-ovh", "paper-TSan", "paper-TxRace",
+                 "paper-TSan-races", "paper-TxRace-races"});
     std::vector<double> tsan_ovh, txrace_ovh;
 
     for (const std::string &name : bench::selectedApps(opt)) {
@@ -83,6 +88,8 @@ main(int argc, char **argv)
         table.cellFactor(o_txr);
         table.cellFactor(app.paper.tsanOverhead);
         table.cellFactor(app.paper.txraceOverhead);
+        table.cell(app.paper.tsanRaces);
+        table.cell(app.paper.txraceRaces);
     }
 
     if (opt.csv)

@@ -9,7 +9,8 @@
 #define TXRACE_CORE_POLICIES_HH
 
 #include <set>
-#include <unordered_set>
+#include <unordered_map>
+#include <vector>
 
 #include "core/budget.hh"
 #include "core/governor.hh"
@@ -239,11 +240,16 @@ class TxRacePolicy : public HbTrackingPolicy
      *  m.checkCost(), ask the monitor budget, then charge the check to
      *  @p bucket and its site, run the caller's @p tally(cost), and
      *  feed the detector. A refused check pays only the one-unit gate
-     *  branch and returns false. */
+     *  branch, and ends the run if the budget is unsatisfiable. */
     template <class Tally>
-    bool softwareCheck(sim::Machine &m, Tid t, const ir::Instruction &ins,
+    void softwareCheck(sim::Machine &m, Tid t, const ir::Instruction &ins,
                        ir::Addr addr, bool is_write, sim::Bucket bucket,
                        Tally tally);
+
+    /** Windowed mode: @p t's access to @p addr is watch-checked — its
+     *  line is watched and @p t's region opened at or before the
+     *  line's latest conflict. */
+    bool watched(Tid t, ir::Addr addr) const;
 
     /** Conflict-abort handling for a victim of a real data conflict
      *  (region mode: roll back, then publish TxFail next step). */
@@ -255,7 +261,7 @@ class TxRacePolicy : public HbTrackingPolicy
      *  TxFail broadcast, no region demotion. Past kMaxWindowReplays
      *  (or without a version log) the victim falls back to a solo
      *  slow region instead. @p req_site attributes the replay and
-     *  @p conflict_line joins the watched-line set either way. */
+     *  @p conflict_line is watched either way. */
     void handleConflictVictimWindowed(sim::Machine &m, Tid v,
                                       Tid requester,
                                       ir::InstrId req_site,
@@ -291,15 +297,23 @@ class TxRacePolicy : public HbTrackingPolicy
     BudgetController budget_;
     /** Static loop ids that carry LoopCut instrumentation. */
     std::set<uint64_t> cutLoops_;
-    /** Windowed mode: cache lines that ever produced a conflict
-     *  abort. The replay covers the aborting window itself; keeping
-     *  the line software-checked afterwards covers the accesses that
-     *  region mode would have caught via its broadcast demotion —
-     *  third threads touching the same line after the conflicting
-     *  transaction committed. Lines never leave the set: a line that
-     *  conflicted once is exactly where a detector should keep
-     *  looking, and the set stays tiny (contended lines only). */
-    std::unordered_set<uint64_t> watchedLines_;
+    /** Windowed mode: each cache line whose conflict abort still has
+     *  a region in flight, mapped to the step of its latest conflict.
+     *  The replay covers the aborting window itself; the watch covers
+     *  what region mode's broadcast demotion would have caught after
+     *  it — later accesses to the line from any region that was open
+     *  at the conflict. Regions that open later run unwatched, as
+     *  they would run fast in region mode, and a line leaves the map
+     *  once no region open at its conflict is still open. */
+    std::unordered_map<uint64_t, uint64_t> watchedLines_;
+    /** Per thread: the step its current region opened (onTxBegin, on
+     *  every path), or kNoRegion between regions. */
+    std::vector<uint64_t> regionOpenedAt_;
+    static constexpr uint64_t kNoRegion = ~0ull;
+
+    /** Close @p t's region (kNoRegion) and drop every watched line
+     *  whose conflict no open region predates. */
+    void closeRegion(Tid t);
 
     /** Interned ids of the policy's hot-path counters (onRunStart
      *  registers them in the machine's metric registry; updates are

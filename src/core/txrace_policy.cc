@@ -267,6 +267,9 @@ TxRacePolicy::onTxBegin(Machine &m, Tid t, const ir::Instruction &ins)
     auto &ctx = m.context(t);
     if (ctx.path == PathMode::Slow)
         panic("TxRacePolicy: TxBegin while on the slow path");
+    if (t >= regionOpenedAt_.size())
+        regionOpenedAt_.resize(t + 1, kNoRegion);
+    regionOpenedAt_[t] = m.currentStep();
 
     if (ins.arg1 == 1) {
         // Small region (< K memory ops): the software check is
@@ -342,6 +345,31 @@ TxRacePolicy::onTxEnd(Machine &m, Tid t, const ir::Instruction &)
         flightNote(m, t, FrKind::SlowExit);
     }
     // else: region was elided (single-threaded mode).
+    closeRegion(t);
+}
+
+void
+TxRacePolicy::closeRegion(Tid t)
+{
+    if (t < regionOpenedAt_.size())
+        regionOpenedAt_[t] = kNoRegion;
+    if (watchedLines_.empty())
+        return;
+    const uint64_t oldest =
+        *std::min_element(regionOpenedAt_.begin(), regionOpenedAt_.end());
+    std::erase_if(watchedLines_, [oldest](const auto &line) {
+        return line.second < oldest;
+    });
+}
+
+bool
+TxRacePolicy::watched(Tid t, ir::Addr addr) const
+{
+    if (watchedLines_.empty())
+        return false;
+    auto it = watchedLines_.find(mem::lineOf(addr));
+    return it != watchedLines_.end() && t < regionOpenedAt_.size() &&
+           regionOpenedAt_[t] <= it->second;
 }
 
 void
@@ -438,11 +466,11 @@ TxRacePolicy::handleConflictVictimWindowed(Machine &m, Tid v,
 {
     auto &vctx = m.context(v);
     htm::VersionLog *vl = m.htm().versionLog();
-    // The conflicting line stays software-checked from here on (see
-    // watchedLines_): that is the scoped stand-in for region mode's
-    // broadcast demotion, catching third threads that touch the line
-    // after the conflicting transaction commits.
-    watchedLines_.insert(conflict_line);
+    // The conflicting line stays software-checked for every region in
+    // flight now (see watchedLines_): the scoped stand-in for region
+    // mode's broadcast demotion, catching third threads that touch the
+    // line after the conflicting transaction commits.
+    watchedLines_[conflict_line] = m.currentStep();
     m.tel().registry.add(met_.abortConflict);
     // No version log, or this attempt keeps getting hit: replaying the
     // same window over and over is livelock, not repair.
@@ -645,7 +673,7 @@ TxRacePolicy::onRetryAbort(Machine &m, Tid t)
 }
 
 template <class Tally>
-bool
+void
 TxRacePolicy::softwareCheck(Machine &m, Tid t, const ir::Instruction &ins,
                             ir::Addr addr, bool is_write, Bucket bucket,
                             Tally tally)
@@ -661,7 +689,8 @@ TxRacePolicy::softwareCheck(Machine &m, Tid t, const ir::Instruction &ins,
         flightNote(m, t, FrKind::Budget, ins.id,
                    static_cast<uint64_t>(FrBudget::CheckGated));
         m.addCost(t, 1, bucket);
-        return false;
+        stopIfUnsatisfiable(m, budget_, t, ins.id);
+        return;
     }
     m.addCost(t, check, bucket);
     budget_.chargeSite(ins.id, check);
@@ -670,7 +699,6 @@ TxRacePolicy::softwareCheck(Machine &m, Tid t, const ir::Instruction &ins,
         m.det().write(t, addr, ins.id);
     else
         m.det().read(t, addr, ins.id);
-    return true;
 }
 
 bool
@@ -752,20 +780,16 @@ TxRacePolicy::onMemAccess(Machine &m, Tid t, const ir::Instruction &ins,
             else
                 governor_.onSlowCheckCost(m, t, check);
         };
-        if (!softwareCheck(m, t, ins, addr, is_write, ctx.slowReason,
-                           tally))
-            stopIfUnsatisfiable(m, budget_, t, ins.id);
+        softwareCheck(m, t, ins, addr, is_write, ctx.slowReason, tally);
     } else if (slowpath_ == SlowPathKind::Window && ins.instrumented &&
-               !watchedLines_.empty() &&
-               watchedLines_.count(mem::lineOf(addr)) != 0) {
+               watched(t, addr)) {
         // Watched-line check: this line produced a conflict abort
-        // earlier, so fast-path accesses to it keep feeding the
-        // detector. Replays cover the aborting window; the watch
-        // covers everything after it — together they match region
-        // mode's coverage at O(accesses-to-hot-lines) instead of
-        // O(region) cost. Off-watch accesses (the common case) pay
-        // nothing here. A refused watch check does not request the
-        // budget stop.
+        // while this region was in flight, so its fast-path accesses
+        // to the line keep feeding the detector. Replays cover the
+        // aborting window; the watch covers the rest of every region
+        // region mode would have demoted — together they match its
+        // coverage at O(accesses-to-hot-lines) instead of O(region)
+        // cost. Off-watch accesses (the common case) pay nothing here.
         softwareCheck(m, t, ins, addr, is_write, Bucket::Conflict,
                       [&](uint64_t) {
                           m.tel().registry.add(met_.windowWatchChecks);
@@ -807,6 +831,7 @@ TxRacePolicy::onThreadExit(Machine &m, Tid t)
                    telemetry::FrRunEdge::ThreadExit);
     ctx.sampleMode = false;
     ctx.govForced = false;
+    closeRegion(t);
 }
 
 } // namespace txrace::core

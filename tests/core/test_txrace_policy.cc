@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/budget.hh"
 #include "core/driver.hh"
 #include "ir/builder.hh"
 #include "mem/layout.hh"
@@ -678,4 +679,157 @@ TEST(TxRace, RetryAbortsAreRetriedInPlaceThenFallBack)
     // Disjoint per-thread data: the slow-path re-checks stay quiet.
     EXPECT_EQ(r.races.count(), 0u);
     EXPECT_TRUE(r.error.ok());
+}
+
+namespace {
+
+/** Where the watch-scope program starts its third thread. */
+enum class Third { InFlight, AfterWriters, Absent };
+
+/**
+ * Two writers conflict on `x`. The third thread runs one long region:
+ * 400 loads of shared read-only data, then (if @p third_reads) one
+ * read of `x`. InFlight spawns it before the writers, so its region is
+ * open at their conflicts and its read lands long after they exit;
+ * AfterWriters spawns it once both writers are joined.
+ */
+Program
+watchScopeProgram(Third at, bool third_reads = true)
+{
+    ProgramBuilder b;
+    Addr data = b.alloc("data", 4096);
+    Addr x = b.alloc("x", 8);
+    FuncId writer = b.beginFunction("writer");
+    b.loop(20, [&] {
+        pad(b, data);
+        b.store(AddrExpr::absolute(x), "racy store");
+        b.syscall(1);
+    });
+    b.endFunction();
+    FuncId third = b.beginFunction("third");
+    b.loop(400, [&] { b.load(AddrExpr::absolute(data), "long region"); });
+    if (third_reads)
+        b.load(AddrExpr::absolute(x), "third read");
+    b.endFunction();
+    b.beginFunction("main");
+    if (at == Third::InFlight)
+        b.spawn(third);
+    b.spawn(writer, 2);
+    b.joinAll();
+    if (at == Third::AfterWriters) {
+        b.spawn(third);
+        b.joinAll();
+    }
+    b.endFunction();
+    return b.build();
+}
+
+/** Races that name the third thread's read of `x`. */
+size_t
+thirdReadRaces(const Program &p, const core::RunResult &r)
+{
+    size_t n = 0;
+    for (const detector::Race &race : r.races.all())
+        if (p.instr(race.first).tag == "third read" ||
+            p.instr(race.second).tag == "third read")
+            ++n;
+    return n;
+}
+
+} // namespace
+
+TEST(TxRace, WatchedLineChecksRegionsInFlightAtTheConflict)
+{
+    // Window mode: the third thread's region was open when the writers
+    // conflicted on x, so — as region mode's broadcast would have
+    // demoted it — its later read of x pays exactly one watch check
+    // and the race against the writers' stores is reported.
+    Program with = watchScopeProgram(Third::InFlight);
+    Program without = watchScopeProgram(Third::InFlight, false);
+    core::RunResult r = core::runProgram(with, txraceConfig());
+    core::RunResult base = core::runProgram(without, txraceConfig());
+    ASSERT_GE(r.stats.get("txrace.window.replays"), 1u);
+    EXPECT_EQ(r.stats.get("tx.abort.conflict"),
+              base.stats.get("tx.abort.conflict"));
+    EXPECT_EQ(r.stats.get("txrace.window.watch_checks"),
+              base.stats.get("txrace.window.watch_checks") + 1);
+    EXPECT_EQ(thirdReadRaces(with, r), 1u);
+
+    // Region mode demotes the same region and finds the same race.
+    core::RunConfig region = txraceConfig();
+    region.slowpath = core::SlowPathKind::Region;
+    EXPECT_EQ(thirdReadRaces(with, core::runProgram(with, region)), 1u);
+
+    // A repeat run is byte-identical.
+    core::RunResult again = core::runProgram(with, txraceConfig());
+    EXPECT_EQ(again.totalCost, r.totalCost);
+    EXPECT_EQ(again.buckets, r.buckets);
+    EXPECT_EQ(again.stats.all(), r.stats.all());
+    EXPECT_EQ(again.races.keys(), r.races.keys());
+}
+
+TEST(TxRace, WatchedLineSkipsRegionsOpenedAfterTheConflict)
+{
+    // The same read in a region that opens after every region open at
+    // the writers' conflicts has closed: region mode would run it fast,
+    // so it pays no watch check. The writers' own checks are the
+    // writers-only run's, check for check.
+    core::RunResult r =
+        core::runProgram(watchScopeProgram(Third::AfterWriters),
+                         txraceConfig());
+    core::RunResult writers =
+        core::runProgram(watchScopeProgram(Third::Absent), txraceConfig());
+    ASSERT_GE(writers.stats.get("txrace.window.watch_checks"), 1u);
+    EXPECT_EQ(r.stats.get("txrace.window.watch_checks"),
+              writers.stats.get("txrace.window.watch_checks"));
+}
+
+TEST(TxRace, RefusedWatchedLineCheckStopsAnUnsatisfiableMonitor)
+{
+    // A monitor run whose only refusals are watched-line checks. The
+    // writers conflict on x while the third thread's region is open;
+    // that region then reads x for many budget windows in one
+    // transaction (the version log is sized to hold it). Every window
+    // blows the hard line while refusing watch checks, so the budget
+    // is declared unsatisfiable, and the next refused watch check ends
+    // the run — the same rule as a refused slow-path check or a gated
+    // region.
+    ProgramBuilder b;
+    Addr data = b.alloc("data", 4096);
+    Addr x = b.alloc("x", 8);
+    FuncId writer = b.beginFunction("writer");
+    b.loop(20, [&] {
+        pad(b, data);
+        b.store(AddrExpr::absolute(x), "racy store");
+        b.syscall(1);
+    });
+    b.endFunction();
+    FuncId third = b.beginFunction("third");
+    b.loop(2000, [&] { b.compute(1); });
+    b.loop(200'000, [&] { b.load(AddrExpr::absolute(x), "watched read"); });
+    b.endFunction();
+    b.beginFunction("main");
+    b.spawn(third);
+    b.spawn(writer, 2);
+    b.joinAll();
+    b.endFunction();
+    Program p = b.build();
+
+    core::RunConfig cfg = txraceConfig();
+    cfg.machine.htm.versionLogEntries = 1u << 18;
+    cfg.budget.enabled = true;
+    cfg.budget.budgetPct = 50.0;
+    core::RunResult r = core::runProgram(p, cfg);
+    // No region was gated and nothing ran on the slow path: every
+    // refusal was a watched-line check.
+    EXPECT_EQ(r.budget.gatedRegions, 0u);
+    EXPECT_EQ(r.stats.get("txrace.small_slow_regions"), 0u);
+    EXPECT_EQ(r.stats.get("txrace.window.fallbacks"), 0u);
+    EXPECT_EQ(r.stats.get("tx.abort.capacity"), 0u);
+    EXPECT_GT(r.stats.get("txrace.window.watch_checks"), 0u);
+    EXPECT_GT(r.budget.gatedChecks, 0u);
+    // The run stops in the window after the declaration.
+    EXPECT_EQ(r.error.kind, sim::RunError::Kind::Budget);
+    EXPECT_EQ(r.budget.windows.size(),
+              core::BudgetController::kUnsatisfiableWindows);
 }

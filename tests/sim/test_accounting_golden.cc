@@ -90,7 +90,7 @@ const Golden kGolden[] = {
     {"bodytrack", core::RunMode::TSan,
      0x17e50c45e803cd7eull},
     {"bodytrack", core::RunMode::TxRaceDynLoopcut,
-     0xbf919ecd532189b7ull},
+     0x312fde7b48bed4c8ull},
     {"apache-stream", core::RunMode::Native,
      0xf54ab6f32396d877ull},
     {"apache-stream", core::RunMode::TSan,
