@@ -518,6 +518,11 @@ runEndToEndSlowpath(benchmark::State &state,
     });
     b.endFunction();
     b.beginFunction("main");
+    // Initialize the table before the spawn: written data keeps the
+    // workers' lookups instrumented (a never-written table is elided
+    // statically), so both repairs pay to re-check them. The writes
+    // happen before every lookup and add no race.
+    b.loop(1024, [&] { b.store(ir::AddrExpr::perIter(table, 8)); });
     b.spawn(worker, 8);
     b.joinAll();
     b.endFunction();

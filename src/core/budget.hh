@@ -150,6 +150,12 @@ class BudgetController
     bool admitCheck(sim::Machine &m, Tid t, ir::InstrId site,
                     uint64_t cost = 0);
 
+    /** Close every window boundary the base clock has crossed. The
+     *  admission calls roll first; the policy also rolls from its
+     *  per-access and per-sync hooks, so that where admissions are
+     *  sparse each window's overhead is still booked to that window. */
+    void rollWindows(sim::Machine &m);
+
     /** Attribute @p cost units of overhead to @p site (slow-path
      *  check cost; conflict-abort waste from the heatmap winner). */
     void chargeSite(ir::InstrId site, uint64_t cost);
@@ -190,8 +196,6 @@ class BudgetController
 
     uint64_t baseNow(const sim::Machine &m) const;
     uint64_t overheadNow(const sim::Machine &m) const;
-    /** Close every window boundary the base clock has crossed. */
-    void rollWindows(sim::Machine &m);
     void closeWindow(sim::Machine &m, uint64_t base_end);
     bool sampleDraw(SiteState &s, ir::InstrId site);
     /** Bump a counter (bindMetrics() came first). */

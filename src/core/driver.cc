@@ -127,6 +127,7 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
             reg.addNamed("pass.elide.dominated", elision.dominated);
             reg.addNamed("pass.elide.raw_downgraded",
                          elision.rawDowngraded);
+            reg.addNamed("pass.elide.read_only", elision.readOnly);
             reg.addNamed("pass.elide.privatized", elision.privatized);
             reg.addNamed("pass.elide.total", elision.elided());
             for (const auto &[fn, n] : elision.perFunction)

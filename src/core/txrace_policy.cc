@@ -706,6 +706,8 @@ TxRacePolicy::onMemAccess(Machine &m, Tid t, const ir::Instruction &ins,
                           ir::Addr addr, bool is_write)
 {
     const auto &cost = m.config().cost;
+    if (budget_.enabled())
+        budget_.rollWindows(m);
     m.tel().registry.add(ins.instrumented ? met_.accessInstrumented
                                           : met_.accessUninstrumented);
     if (ins.instrumented && cost.fastHookCost > 0)
@@ -804,7 +806,10 @@ TxRacePolicy::onSyncPerformed(Machine &m, Tid t,
 {
     // Happens-before order of synchronization is tracked on both
     // paths, so slow-path episodes never report stale false warnings
-    // (§5, Figure 6).
+    // (§5, Figure 6). The monitor books the tracking to the window
+    // its base clock is in.
+    if (budget_.enabled())
+        budget_.rollWindows(m);
     flightNote(m, t, FrKind::Sync, ins.id);
     HbTrackingPolicy::onSyncPerformed(m, t, ins);
 }

@@ -4,7 +4,7 @@
  * "Compiling Away the Overhead of Race Detection" / HardRace idea the
  * paper's §7 points at: most dynamic checks are statically redundant).
  *
- * Three passes, all running AFTER transactionalize() and all only
+ * Four passes, all running AFTER transactionalize() and all only
  * clearing `instrumented` bits — never inserting, removing, or
  * reordering instructions. That discipline is what keeps an elided
  * and a non-elided build schedule-identical (same step counts, same
@@ -33,7 +33,19 @@
  *    validated empirically by the differential test across every
  *    registry workload and seed.
  *
- * 3. Thread-disjointness (extended escape/privatization). The
+ * 3. Never-written elision. Every reported race pairs two accesses
+ *    to one granule, at least one of them a store that reached the
+ *    detector. A load whose whole-program footprint interval (pass 4's
+ *    geometry, over every thread the entry function can spawn)
+ *    overlaps the footprint of no still-instrumented store — in any
+ *    function, `main`'s pre-spawn initialization included — can
+ *    therefore never be a report endpoint, and is elided outright.
+ *    An unanalyzable store's footprint is the whole address space, so
+ *    it keeps every load; without a thread bound the pass does
+ *    nothing. It runs before pass 4 so that the loads it removes no
+ *    longer merge otherwise-disjoint slot families.
+ *
+ * 4. Thread-disjointness (extended escape/privatization). The
  *    simulator evaluates `addr = base + threadStride*tid +
  *    loopStride*loopIdx + randomStride*uniform`, so an access's
  *    dynamic footprint is a per-thread interval. If every access
@@ -150,6 +162,7 @@ struct Footprint
 {
     ir::FuncId func = 0;
     uint32_t pc = 0;
+    bool store = false;
     /** threadStride. */
     uint64_t ts = 0;
     uint64_t base = 0;
@@ -168,7 +181,7 @@ struct Footprint
  * with creations inside loops multiplied by the loops' maximum trip
  * counts. Returns 0 when no sound bound exists (thread creation
  * outside the entry function, or absurd loop products), which
- * disables the privatization pass.
+ * disables the never-written and privatization passes.
  */
 uint64_t
 maxThreadBound(const Program &prog)
@@ -206,22 +219,11 @@ maxThreadBound(const Program &prog)
     return total;
 }
 
-/**
- * Thread-disjointness elision. Collects the footprint of every still-
- * instrumented access, groups accesses whose global footprints can
- * overlap, and elides every member of a group proven per-thread
- * disjoint (see file comment). Sound regardless of schedule: the
- * detector can never pair two different threads on a common granule
- * of such a group, so removing the checks removes no race.
- */
-void
-elidePrivate(Program &prog, ElisionStats &stats,
-             std::vector<uint64_t> &fn_elided)
+/** The footprint of every still-instrumented access, for a program
+ *  of at most @p max_threads threads. */
+std::vector<Footprint>
+collectFootprints(const Program &prog, uint64_t max_threads)
 {
-    const uint64_t max_threads = maxThreadBound(prog);
-    if (max_threads == 0)
-        return;
-
     std::vector<Footprint> fps;
     for (ir::FuncId f = 0; f < prog.numFunctions(); ++f) {
         const ir::Function &fn = prog.function(f);
@@ -243,6 +245,7 @@ elidePrivate(Program &prog, ElisionStats &stats,
             Footprint fp;
             fp.func = f;
             fp.pc = pc;
+            fp.store = ins.op == OpCode::Store;
             fp.ts = ins.addr.threadStride;
             fp.base = ins.addr.base;
             uint64_t span = 0;
@@ -273,6 +276,73 @@ elidePrivate(Program &prog, ElisionStats &stats,
             fps.push_back(fp);
         }
     }
+    return fps;
+}
+
+/** Clear `instrumented` on the access @p fp describes (an outright
+ *  elision: no representative). */
+void
+elideOutright(Program &prog, const Footprint &fp, uint64_t &counter,
+              std::vector<uint64_t> &fn_elided)
+{
+    prog.function(fp.func).body[fp.pc].instrumented = false;
+    ++counter;
+    ++fn_elided[fp.func];
+}
+
+/**
+ * Never-written elision (see file comment): elides every load in
+ * @p fps whose footprint overlaps no store's, and drops it from
+ * @p fps so the privatization sweep no longer sees it.
+ */
+void
+elideReadOnly(Program &prog, std::vector<Footprint> &fps,
+              ElisionStats &stats, std::vector<uint64_t> &fn_elided)
+{
+    // Store footprints merged into disjoint intervals sorted by lo
+    // (hence by hi too).
+    std::vector<std::pair<uint64_t, uint64_t>> written;
+    for (const Footprint &fp : fps)
+        if (fp.store)
+            written.emplace_back(fp.lo, fp.hi);
+    std::sort(written.begin(), written.end());
+    size_t merged = 0;
+    for (const auto &[lo, hi] : written) {
+        if (merged > 0 && lo <= written[merged - 1].second)
+            written[merged - 1].second =
+                std::max(written[merged - 1].second, hi);
+        else
+            written[merged++] = {lo, hi};
+    }
+    written.resize(merged);
+
+    std::erase_if(fps, [&](const Footprint &fp) {
+        if (fp.store)
+            return false;
+        // The first written interval ending at or after fp.lo is the
+        // only one that can overlap [fp.lo, fp.hi].
+        auto it = std::lower_bound(
+            written.begin(), written.end(), fp.lo,
+            [](const auto &w, uint64_t lo) { return w.second < lo; });
+        if (it != written.end() && it->first <= fp.hi)
+            return false;
+        elideOutright(prog, fp, stats.readOnly, fn_elided);
+        return true;
+    });
+}
+
+/**
+ * Thread-disjointness elision. Groups the accesses of @p fps whose
+ * global footprints can overlap, and elides every member of a group
+ * proven per-thread disjoint (see file comment). Sound regardless of
+ * schedule: the detector can never pair two different threads on a
+ * common granule of such a group, so removing the checks removes no
+ * race.
+ */
+void
+elidePrivate(Program &prog, std::vector<Footprint> fps,
+             ElisionStats &stats, std::vector<uint64_t> &fn_elided)
+{
     if (fps.empty())
         return;
 
@@ -300,13 +370,8 @@ elidePrivate(Program &prog, ElisionStats &stats,
         }
         if (!safe)
             return;
-        for (size_t i = group_start; i < end; ++i) {
-            Instruction &ins = prog.function(fps[i].func)
-                                   .body[fps[i].pc];
-            ins.instrumented = false;
-            ++stats.privatized;
-            ++fn_elided[fps[i].func];
-        }
+        for (size_t i = group_start; i < end; ++i)
+            elideOutright(prog, fps[i], stats.privatized, fn_elided);
     };
     for (size_t i = 1; i < fps.size(); ++i) {
         if (fps[i].lo > group_hi) {
@@ -340,7 +405,11 @@ elide(Program &prog, const ElideConfig &cfg)
         if (cfg.dominance || cfg.rawDowngrade)
             elideDominated(fn, cfg, stats, fn_elided[f]);
     }
-    elidePrivate(prog, stats, fn_elided);
+    if (const uint64_t max_threads = maxThreadBound(prog)) {
+        std::vector<Footprint> fps = collectFootprints(prog, max_threads);
+        elideReadOnly(prog, fps, stats, fn_elided);
+        elidePrivate(prog, std::move(fps), stats, fn_elided);
+    }
 
     for (ir::FuncId f = 0; f < prog.numFunctions(); ++f)
         if (fn_elided[f] > 0)

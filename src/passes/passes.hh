@@ -50,7 +50,8 @@ namespace txrace::passes {
 struct ElideConfig
 {
     /** Master switch (txrace_run --no-elide clears it); also gates
-     *  the thread-disjointness pass, which has no switch of its own. */
+     *  the never-written and thread-disjointness passes, which have
+     *  no switches of their own. */
     bool enabled = true;
     /** Straight-line dominance elision: a second access with the same
      *  address expression, opcode, and tag inside one sync-free
@@ -88,6 +89,9 @@ struct ElisionStats
     uint64_t dominated = 0;
     /** Loads downgraded behind a dominating same-address store. */
     uint64_t rawDowngraded = 0;
+    /** Loads elided because no instrumented store can reach their
+     *  footprint (never written, so never a race endpoint). */
+    uint64_t readOnly = 0;
     /** Elided as provably thread-disjoint (cannot race). */
     uint64_t privatized = 0;
     /** Per-function elided counts, in function order. */
@@ -96,7 +100,7 @@ struct ElisionStats
     uint64_t
     elided() const
     {
-        return dominated + rawDowngraded + privatized;
+        return dominated + rawDowngraded + readOnly + privatized;
     }
 };
 
@@ -109,11 +113,12 @@ void transactionalize(ir::Program &prog, const PassConfig &cfg = {});
 
 /**
  * Static elision pipeline: dominance elision, read-after-write
- * downgrade, and the thread-disjointness (escape/privatization)
- * analysis, per @p cfg. Must run after transactionalize() — segment
- * boundaries include the inserted TxBegin/TxEnd/LoopCut markers, so
- * every slow-path re-execution replays the surviving representative
- * before any access elided under it. Only `instrumented` bits change.
+ * downgrade, never-written load elision, and the thread-disjointness
+ * (escape/privatization) analysis, per @p cfg. Must run after
+ * transactionalize() — segment boundaries include the inserted
+ * TxBegin/TxEnd/LoopCut markers, so every slow-path re-execution
+ * replays the surviving representative before any access elided
+ * under it. Only `instrumented` bits change.
  */
 ElisionStats elide(ir::Program &prog, const ElideConfig &cfg = {});
 

@@ -5,12 +5,16 @@
  * admission at the soft line, deepest-spender-first cuts, probe
  * backoff doubling, deterministic sampling draws, and the
  * unsatisfiable-budget declaration — driven against a machine that is
- * never run, by adding bucket cost by hand.
+ * never run, by adding bucket cost by hand — and, on a real run, the
+ * policy closing each window on time when admission calls are sparse.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/budget.hh"
+#include "core/driver.hh"
 #include "core/policies.hh"
 #include "ir/builder.hh"
 
@@ -359,4 +363,53 @@ TEST(Budget, HardOverWithoutRefusalIsNotUnsatisfiable)
         b2.admitRegion(h2.m, 0, 0);
     }
     EXPECT_FALSE(b2.unsatisfiable());
+}
+
+TEST(Budget, SparseAdmissionsStillBookEachWindowItsOwnOverhead)
+{
+    // Workers that only lock, compute and unlock have no instrumented
+    // access, so no transaction and no check: nothing asks the budget
+    // for admission until main's one slow-path check after the join.
+    // Their sync tracking is still overhead in every window. Rolled
+    // only from the admission calls, every window would close at that
+    // last check and the first would be booked the whole run's
+    // tracking; rolled from the sync and access hooks, each window
+    // books its own share.
+    ir::ProgramBuilder b;
+    ir::Addr x = b.alloc("x", 64);
+    ir::FuncId worker = b.beginFunction("worker");
+    b.loop(200, [&] {
+        b.lock(0);
+        b.compute(400);
+        b.unlock(0);
+    });
+    b.endFunction();
+    b.beginFunction("main");
+    b.spawn(worker, 2);
+    b.joinAll();
+    b.store(ir::AddrExpr::absolute(x), "after join");
+    b.endFunction();
+    ir::Program p = b.build();
+
+    core::RunConfig cfg;
+    cfg.mode = core::RunMode::TxRaceDynLoopcut;
+    cfg.budget = monitorConfig();
+    core::RunResult r = core::runProgram(p, cfg);
+    ASSERT_TRUE(r.error.ok());
+    ASSERT_EQ(r.budget.gatedRegions + r.budget.gatedChecks, 0u);
+
+    const uint64_t base = r.buckets[static_cast<size_t>(Bucket::Base)];
+    ASSERT_GE(base / kWindow, 4u);
+    ASSERT_EQ(r.budget.windows.size(), base / kWindow);
+    // A window holds about kWindow / 400 lock/unlock pairs; windows
+    // differ by at most a few sync ops' tracking at their edges.
+    uint64_t lo = ~0ull, hi = 0;
+    for (const core::BudgetWindow &w : r.budget.windows) {
+        lo = std::min(lo, w.overhead);
+        hi = std::max(hi, w.overhead);
+        EXPECT_FALSE(w.hardOver);
+    }
+    EXPECT_GT(lo, 0u);
+    EXPECT_LE(hi - lo, 8 * sim::CostModel::syncTrackCost)
+        << "windows booked " << lo << " to " << hi;
 }

@@ -583,6 +583,10 @@ TEST(TxRace, ConflictAddressHintsKeepTheTriggeringRace)
     });
     b.endFunction();
     b.beginFunction("main");
+    // Initialize the padding before the spawn: written data keeps its
+    // loads instrumented, so hinted episodes have accesses to filter.
+    for (int i = 0; i < 6; ++i)
+        b.store(AddrExpr::absolute(data + 8 * i), "init");
     b.spawn(worker, 3);
     b.joinAll();
     b.endFunction();

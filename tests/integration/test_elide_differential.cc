@@ -5,7 +5,10 @@
  * ground-truth races, plus the concurrency-pattern catalog) is run
  * with the full elision stack on and off — static elision, the HTM
  * owned-line filter, and the FastTrack same-epoch fast path, exactly
- * the set `txrace_run --no-elide` disables — across ten seeds each.
+ * the set `txrace_run --no-elide` disables — across ten seeds each,
+ * under both conflict repairs (`--slowpath window` and `region`):
+ * the static passes decide what the slow path checks, so each repair
+ * is its own consumer of the elided bits.
  *
  * The contract is byte-identical race-fingerprint sets per (workload,
  * seed): elision may change how much work finds a race, never which
@@ -22,6 +25,7 @@
 
 #include <set>
 #include <string>
+#include <utility>
 
 #include "core/driver.hh"
 #include "core/fingerprint.hh"
@@ -33,6 +37,11 @@ using namespace txrace;
 namespace {
 
 constexpr uint64_t kSeeds = 10;
+
+constexpr std::pair<core::SlowPathKind, const char *> kSlowPaths[] = {
+    {core::SlowPathKind::Window, "window"},
+    {core::SlowPathKind::Region, "region"},
+};
 
 std::set<std::string>
 fingerprintKeys(const ir::Program &prog, const core::RunResult &r)
@@ -50,12 +59,13 @@ fingerprintKeys(const ir::Program &prog, const core::RunResult &r)
 std::set<std::string>
 assertSeedIdentical(const ir::Program &prog,
                     const sim::MachineConfig &machine, uint64_t seed,
-                    const std::string &what)
+                    core::SlowPathKind slowpath, const std::string &what)
 {
     core::RunConfig on;
     on.mode = core::RunMode::TxRaceDynLoopcut;
     on.machine = machine;
     on.machine.seed = seed;
+    on.slowpath = slowpath;
 
     core::RunConfig off = on;
     off.passes.elide.enabled = false;
@@ -92,46 +102,51 @@ TEST_P(ElideDifferentialPerApp, FingerprintSetsIdenticalAcrossSeeds)
     params.calibrate = false;
     workloads::AppModel app = workloads::makeApp(GetParam(), params);
 
-    // Ground-truth label coverage accumulated across seeds must come
-    // out the same both ways; per-seed key equality implies it, but
-    // this is the quantity campaign recall is computed from, so pin
-    // it explicitly.
-    std::set<std::string> labels_on, labels_off;
-    for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
-        core::RunConfig on;
-        on.mode = core::RunMode::TxRaceDynLoopcut;
-        on.machine = app.machine;
-        on.machine.seed = seed;
-        core::RunConfig off = on;
-        off.passes.elide.enabled = false;
-        off.machine.htm.accessFilter = false;
-        off.machine.det.epochFastPath = false;
-
-        core::RunResult ron = core::runProgram(app.program, on);
-        core::RunResult roff = core::runProgram(app.program, off);
-        EXPECT_EQ(fingerprintKeys(app.program, ron),
-                  fingerprintKeys(app.program, roff))
-            << app.name << " seed " << seed;
-        EXPECT_EQ(ron.stats.get("machine.steps"),
-                  roff.stats.get("machine.steps"))
-            << app.name << " seed " << seed;
-        for (const auto &[sig, race] :
-             core::fingerprintedRaces(app.program, ron.races))
-            labels_on.insert(sig.label);
-        for (const auto &[sig, race] :
-             core::fingerprintedRaces(app.program, roff.races))
-            labels_off.insert(sig.label);
-    }
-    EXPECT_EQ(labels_on, labels_off) << app.name;
-
-    // Precision is pinned as well: everything either variant reports
-    // maps onto a planted ground-truth race.
     std::set<std::string> truth;
     for (const workloads::RaceLabel &label : app.groundTruth)
         truth.insert(core::raceLabelKey(label.a, label.b));
-    for (const std::string &label : labels_on)
-        EXPECT_TRUE(truth.count(label))
-            << app.name << ": unplanted race " << label;
+
+    for (const auto &[slowpath, mode] : kSlowPaths) {
+        const std::string what = app.name + " (" + mode + ")";
+        // Ground-truth label coverage accumulated across seeds must
+        // come out the same both ways; per-seed key equality implies
+        // it, but this is the quantity campaign recall is computed
+        // from, so pin it explicitly.
+        std::set<std::string> labels_on, labels_off;
+        for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+            core::RunConfig on;
+            on.mode = core::RunMode::TxRaceDynLoopcut;
+            on.machine = app.machine;
+            on.machine.seed = seed;
+            on.slowpath = slowpath;
+            core::RunConfig off = on;
+            off.passes.elide.enabled = false;
+            off.machine.htm.accessFilter = false;
+            off.machine.det.epochFastPath = false;
+
+            core::RunResult ron = core::runProgram(app.program, on);
+            core::RunResult roff = core::runProgram(app.program, off);
+            EXPECT_EQ(fingerprintKeys(app.program, ron),
+                      fingerprintKeys(app.program, roff))
+                << what << " seed " << seed;
+            EXPECT_EQ(ron.stats.get("machine.steps"),
+                      roff.stats.get("machine.steps"))
+                << what << " seed " << seed;
+            for (const auto &[sig, race] :
+                 core::fingerprintedRaces(app.program, ron.races))
+                labels_on.insert(sig.label);
+            for (const auto &[sig, race] :
+                 core::fingerprintedRaces(app.program, roff.races))
+                labels_off.insert(sig.label);
+        }
+        EXPECT_EQ(labels_on, labels_off) << what;
+
+        // Precision is pinned as well: everything either variant
+        // reports maps onto a planted ground-truth race.
+        for (const std::string &label : labels_on)
+            EXPECT_TRUE(truth.count(label))
+                << what << ": unplanted race " << label;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -154,8 +169,10 @@ TEST_P(ElideDifferentialPerPattern, FingerprintSetsIdentical)
 {
     workloads::Pattern pat = workloads::makePattern(GetParam());
     sim::MachineConfig machine;
-    for (uint64_t seed = 1; seed <= kSeeds; ++seed)
-        assertSeedIdentical(pat.program, machine, seed, pat.name);
+    for (const auto &[slowpath, mode] : kSlowPaths)
+        for (uint64_t seed = 1; seed <= kSeeds; ++seed)
+            assertSeedIdentical(pat.program, machine, seed, slowpath,
+                                pat.name + " (" + mode + ")");
 }
 
 INSTANTIATE_TEST_SUITE_P(

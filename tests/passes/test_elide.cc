@@ -2,8 +2,9 @@
  * @file
  * Unit tests for the static access-elision pipeline (passes/elide.cc):
  * dominance elision with its segment boundaries, read-after-write
- * downgrade, the thread-disjointness (privatization) analysis with its
- * slot-family safety conditions, elision statistics, and the
+ * downgrade, never-written load elision, the thread-disjointness
+ * (privatization) analysis with its slot-family safety conditions,
+ * elision statistics, and the
  * structural guarantee underpinning the soundness contract — elision
  * only ever clears `instrumented` bits, it never changes the
  * instruction stream.
@@ -51,12 +52,15 @@ TEST(Elide, DominanceElidesRepeatedAccess)
     b.load(AddrExpr::absolute(x), "first");
     b.compute(1);
     b.load(AddrExpr::absolute(x), "first");  // same expr, op, tag
+    // A later write keeps x racy, so the never-written pass leaves
+    // the loads to dominance.
+    b.store(AddrExpr::absolute(x), "later write");
     b.endFunction();
     Program p = b.build();
 
     ElisionStats stats = elide(p);
     EXPECT_EQ(stats.dominated, 1u);
-    EXPECT_EQ(stats.candidates, 2u);
+    EXPECT_EQ(stats.candidates, 3u);
     EXPECT_EQ(stats.elided(), 1u);
 
     const auto &body = p.function(0).body;
@@ -169,6 +173,170 @@ TEST(Elide, StoreAfterLoadIsNotDowngraded)
     ElisionStats stats = elide(p);
     EXPECT_EQ(stats.rawDowngraded, 0u);
     EXPECT_TRUE(byTag(p, "s").instrumented);
+}
+
+TEST(Elide, ReadOnlyElidesNeverWrittenLoads)
+{
+    // No store anywhere reaches the table, so no race can have a
+    // load of it as an endpoint: every such load is elided outright.
+    ProgramBuilder b;
+    Addr table = b.alloc("table", 1024, 64);
+    FuncId worker = b.beginFunction("worker");
+    b.load(AddrExpr::randomIn(table, 16, 64), "lookup");
+    b.loop(4, [&] { b.load(AddrExpr::perIter(table, 8), "scan"); });
+    b.endFunction();
+    b.beginFunction("main");
+    b.spawn(worker, 4);
+    b.joinAll();
+    b.endFunction();
+    Program p = b.build();
+
+    ElisionStats stats = elide(p);
+    EXPECT_EQ(stats.readOnly, 2u);
+    EXPECT_EQ(stats.elided(), 2u);
+    EXPECT_FALSE(byTag(p, "lookup").instrumented);
+    EXPECT_FALSE(byTag(p, "scan").instrumented);
+    EXPECT_EQ(byTag(p, "lookup").elisionRep, kNoInstr);
+}
+
+TEST(Elide, ReadOnlyKeptByAStoreInAnotherFunction)
+{
+    // The store that makes the load racy lives in a different
+    // function from the load: whole-program footprints still see it.
+    ProgramBuilder b;
+    Addr x = b.alloc("x", 64, 64);
+    FuncId reader = b.beginFunction("reader");
+    b.load(AddrExpr::absolute(x), "rd");
+    b.endFunction();
+    FuncId writer = b.beginFunction("writer");
+    b.store(AddrExpr::absolute(x), "wr");
+    b.endFunction();
+    b.beginFunction("main");
+    b.spawn(reader, 2);
+    b.spawn(writer, 1);
+    b.joinAll();
+    b.endFunction();
+    Program p = b.build();
+
+    ElisionStats stats = elide(p);
+    EXPECT_EQ(stats.readOnly, 0u);
+    EXPECT_TRUE(byTag(p, "rd").instrumented);
+    EXPECT_TRUE(byTag(p, "wr").instrumented);
+}
+
+TEST(Elide, ReadOnlyKeptByAPreSpawnStore)
+{
+    // `main`'s initialization before the spawn is a store like any
+    // other: the pass is flow-insensitive, so the workers' loads of
+    // the initialized data stay instrumented.
+    ProgramBuilder b;
+    Addr model = b.alloc("model", 256, 64);
+    FuncId worker = b.beginFunction("worker");
+    b.load(AddrExpr::absolute(model + 64), "rd");
+    b.endFunction();
+    b.beginFunction("main");
+    b.loop(4, [&] { b.store(AddrExpr::perIter(model, 64), "init"); });
+    b.spawn(worker, 4);
+    b.joinAll();
+    b.endFunction();
+    Program p = b.build();
+
+    ElisionStats stats = elide(p);
+    EXPECT_EQ(stats.readOnly, 0u);
+    EXPECT_TRUE(byTag(p, "rd").instrumented);
+}
+
+TEST(Elide, ReadOnlyBlockedByAnUnanalyzableStore)
+{
+    // A loop-indexed store outside any loop has no bounded footprint:
+    // it may write anywhere, so no load is provably never written.
+    ProgramBuilder b;
+    Addr a = b.alloc("a", 64, 64);
+    Addr far = b.alloc("far", 64, 4096);
+    AddrExpr wild = AddrExpr::perIter(a, 8);
+    FuncId worker = b.beginFunction("worker");
+    b.store(wild, "wild");
+    b.load(AddrExpr::absolute(far), "far rd");
+    b.endFunction();
+    b.beginFunction("main");
+    b.spawn(worker, 2);
+    b.joinAll();
+    b.load(AddrExpr::absolute(a), "a rd");
+    b.endFunction();
+    Program p = b.build();
+
+    ElisionStats stats = elide(p);
+    EXPECT_EQ(stats.readOnly, 0u);
+    EXPECT_TRUE(byTag(p, "far rd").instrumented);
+    EXPECT_TRUE(byTag(p, "a rd").instrumented);
+}
+
+TEST(Elide, ReadOnlyNeedsAThreadBound)
+{
+    // Transitive spawning defeats the thread bound, and without it
+    // no footprint is bounded: the pass stands down.
+    ProgramBuilder b;
+    Addr x = b.alloc("x", 64, 64);
+    FuncId leaf = b.beginFunction("leaf");
+    b.load(AddrExpr::absolute(x), "rd");
+    b.endFunction();
+    b.beginFunction("mid");
+    b.spawn(leaf, 2);
+    b.joinAll();
+    b.endFunction();
+    b.beginFunction("main");
+    b.spawn(1, 2);  // spawns "mid", which spawns again
+    b.joinAll();
+    b.endFunction();
+    Program p = b.build();
+
+    ElisionStats stats = elide(p);
+    EXPECT_EQ(stats.readOnly, 0u);
+    EXPECT_TRUE(byTag(p, "rd").instrumented);
+}
+
+TEST(Elide, ReadOnlyCountIsExact)
+{
+    // A per-thread store over 1 root + 4 workers covers granules
+    // [slots, slots + 5G). Loads inside that interval stay, down to
+    // a byte inside its last granule; the load of the next granule
+    // and the loads of the unwritten table go.
+    constexpr uint64_t G = mem::kGranuleSize;
+    ProgramBuilder b;
+    Addr slots = b.alloc("slots", 8 * G, 64);
+    Addr table = b.alloc("table", 256, 64);
+    FuncId worker = b.beginFunction("worker");
+    b.store(AddrExpr::perThread(slots, G), "own");
+    b.syscall(1);  // keep the loads out of the store's RAW segment
+    b.load(AddrExpr::absolute(slots), "first slot");
+    b.load(AddrExpr::absolute(slots + 4 * G), "last slot");
+    b.load(AddrExpr::absolute(slots + 4 * G + G / 2), "inside last slot");
+    b.load(AddrExpr::absolute(slots + 5 * G), "past the slots");
+    b.load(AddrExpr::absolute(table), "table a");
+    b.load(AddrExpr::absolute(table + 128), "table b");
+    b.endFunction();
+    b.beginFunction("main");
+    b.spawn(worker, 4);
+    b.joinAll();
+    b.load(AddrExpr::absolute(table + 64), "table c");
+    b.endFunction();
+    Program p = b.build();
+
+    ElisionStats stats = elide(p);
+    EXPECT_EQ(stats.candidates, 8u);
+    EXPECT_EQ(stats.readOnly, 4u);
+    EXPECT_EQ(stats.elided(), 4u);
+    EXPECT_TRUE(byTag(p, "own").instrumented);
+    EXPECT_TRUE(byTag(p, "first slot").instrumented);
+    EXPECT_TRUE(byTag(p, "last slot").instrumented);
+    EXPECT_TRUE(byTag(p, "inside last slot").instrumented);
+    EXPECT_FALSE(byTag(p, "past the slots").instrumented);
+    EXPECT_FALSE(byTag(p, "table a").instrumented);
+    EXPECT_FALSE(byTag(p, "table b").instrumented);
+    EXPECT_FALSE(byTag(p, "table c").instrumented);
+    ASSERT_EQ(stats.perFunction.size(), 2u);
+    EXPECT_EQ(stats.perFunction[0].second, 3u);
+    EXPECT_EQ(stats.perFunction[1].second, 1u);
 }
 
 TEST(Elide, PrivatizationElidesDisjointSlotFamily)
@@ -287,9 +455,11 @@ TEST(Elide, DisabledPipelineIsIdentity)
     ElisionStats stats = elide(p, cfg);
     EXPECT_EQ(stats.candidates, 0u);
     EXPECT_EQ(stats.elided(), 0u);
-    for (const Instruction &ins : p.function(0).body)
-        if (isMemAccess(ins.op))
+    for (const Instruction &ins : p.function(0).body) {
+        if (isMemAccess(ins.op)) {
             EXPECT_TRUE(ins.instrumented);
+        }
+    }
 }
 
 TEST(Elide, PerFunctionStatsNameTheFunctions)
@@ -301,6 +471,7 @@ TEST(Elide, PerFunctionStatsNameTheFunctions)
     b.load(AddrExpr::absolute(x), "w");
     b.endFunction();
     b.beginFunction("main");
+    b.store(AddrExpr::absolute(x), "init");  // x is written
     b.spawn(worker, 2);
     b.joinAll();
     b.load(AddrExpr::absolute(x), "m");
@@ -352,10 +523,11 @@ TEST_P(ElideStructure, OnlyInstrumentedBitsChange)
             ASSERT_TRUE(fa[i].addr == fb[i].addr);
             ASSERT_EQ(fa[i].tag, fb[i].tag);
             // Elision may only clear the bit, never set it.
-            if (fa[i].instrumented)
+            if (fa[i].instrumented) {
                 ASSERT_TRUE(fb[i].instrumented);
-            else if (fb[i].instrumented)
+            } else if (fb[i].instrumented) {
                 ++demoted;
+            }
         }
     }
     EXPECT_EQ(demoted, stats.elided());

@@ -90,19 +90,19 @@ const Golden kGolden[] = {
     {"bodytrack", core::RunMode::TSan,
      0x17e50c45e803cd7eull},
     {"bodytrack", core::RunMode::TxRaceDynLoopcut,
-     0x312fde7b48bed4c8ull},
+     0x36f625b4c3c28e1cull},
     {"apache-stream", core::RunMode::Native,
      0xf54ab6f32396d877ull},
     {"apache-stream", core::RunMode::TSan,
      0xe4d3665c32bc8469ull},
     {"apache-stream", core::RunMode::TxRaceDynLoopcut,
-     0x1a3a96a16b7a0956ull},
+     0x7e3e3d82ad9455bdull},
     // The rows below reach every point where the step loop settles
     // pending cost before a hook: budget reads mid-run (monitor),
     // interrupt/retry aborts and rollback (chaos + governor), region
     // slow path, profiled loop-cuts and the other policies.
     {.app = "apache-stream", .mode = core::RunMode::TxRaceProfLoopcut,
-     .digest = 0x6e0d6823039015efull, .governor = true, .budgetPct = 5.0},
+     .digest = 0x23038bafe9b5af04ull, .governor = true, .budgetPct = 5.0},
     {.app = "vips", .mode = core::RunMode::TxRaceDynLoopcut,
      .digest = 0x3292bd14a5ac3208ull, .workers = 8, .fault = "chaos",
      .governor = true},

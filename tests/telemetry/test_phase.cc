@@ -275,8 +275,9 @@ TEST(PhaseProfiler, StepsPartitionBadAccessStop)
 
 TEST(PhaseProfiler, StepsPartitionBudgetStop)
 {
-    // An unsatisfiable 0.5% monitor budget on the stream soak ends
-    // the run with the controller's Budget stop.
+    // An unsatisfiable 0.1% monitor budget on the stream soak ends
+    // the run with the controller's Budget stop, inside the first
+    // worker generation (main and its four workers).
     workloads::AppModel app = workloads::makeApp("apache-stream");
     core::RunConfig cfg;
     cfg.mode = core::RunMode::TxRaceProfLoopcut;
@@ -284,7 +285,7 @@ TEST(PhaseProfiler, StepsPartitionBudgetStop)
     cfg.machine.seed = 1;
     cfg.governor.enabled = true;
     cfg.budget.enabled = true;
-    cfg.budget.budgetPct = 0.5;
+    cfg.budget.budgetPct = 0.1;
     core::RunResult r = core::runProgram(app.program, cfg);
     EXPECT_EQ(abnormalRows(r, sim::RunError::Kind::Budget), 5u);
 }
