@@ -95,16 +95,26 @@ TEST_P(PerApp, TxRaceIsCompleteAndSubsetOfTSan)
 
 TEST_P(PerApp, TxRaceIsFasterThanTSan)
 {
+    // The paper's claim: TxRace beats TSan on every app. One seed is
+    // one schedule draw, so the claim is made on the mean overhead
+    // over seeds 1-10, with no slack.
+    constexpr uint64_t kSeeds = 10;
     WorkloadParams params;
     AppModel app = makeApp(GetParam(), params);  // calibrated
-    core::RunResult native = core::runProgram(
-        app.program, configFor(app, core::RunMode::Native));
-    core::RunResult tsan = core::runProgram(
-        app.program, configFor(app, core::RunMode::TSan));
-    core::RunResult txr = core::runProgram(
-        app.program, configFor(app, core::RunMode::TxRaceProfLoopcut));
-    EXPECT_LE(txr.overheadVs(native), tsan.overheadVs(native) * 1.05)
-        << app.name;
+    double tsan_sum = 0.0;
+    double txr_sum = 0.0;
+    for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+        core::RunResult native = core::runProgram(
+            app.program, configFor(app, core::RunMode::Native, seed));
+        core::RunResult tsan = core::runProgram(
+            app.program, configFor(app, core::RunMode::TSan, seed));
+        core::RunResult txr = core::runProgram(
+            app.program,
+            configFor(app, core::RunMode::TxRaceProfLoopcut, seed));
+        tsan_sum += tsan.overheadVs(native);
+        txr_sum += txr.overheadVs(native);
+    }
+    EXPECT_LT(txr_sum / kSeeds, tsan_sum / kSeeds) << app.name;
 }
 
 TEST_P(PerApp, CalibrationApproximatesPaperTSanOverhead)
