@@ -130,6 +130,7 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
             reg.addNamed("pass.elide.read_only", elision.readOnly);
             reg.addNamed("pass.elide.privatized", elision.privatized);
             reg.addNamed("pass.elide.total", elision.elided());
+            reg.addNamed("pass.elide.bare_regions", elision.bareRegions);
             for (const auto &[fn, n] : elision.perFunction)
                 reg.addNamed("pass.elide.fn." + fn, n);
         });

@@ -323,7 +323,8 @@ class TxRacePolicy : public HbTrackingPolicy
         telemetry::MetricId txBegins, txCommitted;
         telemetry::MetricId abortConflict, abortCapacity;
         telemetry::MetricId abortUnknown, abortRetry;
-        telemetry::MetricId smallSlowRegions, elided, slowRegions;
+        telemetry::MetricId smallSlowRegions, elided, bareRegions;
+        telemetry::MetricId slowRegions;
         telemetry::MetricId hwlimitAborts, loopCuts;
         telemetry::MetricId artificialAborts;
         telemetry::MetricId txfailDelaySteps, txfailWrites;

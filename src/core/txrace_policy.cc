@@ -106,6 +106,7 @@ TxRacePolicy::onRunStart(Machine &m)
     met_.abortRetry = reg.counter("tx.abort.retry");
     met_.smallSlowRegions = reg.counter("txrace.small_slow_regions");
     met_.elided = reg.counter("txrace.elided");
+    met_.bareRegions = reg.counter("txrace.bare_regions");
     met_.slowRegions = reg.counter("txrace.slow_regions");
     met_.hwlimitAborts = reg.counter("txrace.hwlimit_aborts");
     met_.loopCuts = reg.counter("txrace.loop_cuts");
@@ -267,11 +268,18 @@ TxRacePolicy::onTxBegin(Machine &m, Tid t, const ir::Instruction &ins)
     auto &ctx = m.context(t);
     if (ctx.path == PathMode::Slow)
         panic("TxRacePolicy: TxBegin while on the slow path");
+    if (ins.arg1 == ir::kRegionBare) {
+        // Nothing to check (elide.cc pass 5): no transaction, no slow
+        // path, no watch scope. The accesses still go through the
+        // HTM, so strong isolation aborts the transactions they hit.
+        m.tel().registry.add(met_.bareRegions);
+        return;
+    }
     if (t >= regionOpenedAt_.size())
         regionOpenedAt_.resize(t + 1, kNoRegion);
     regionOpenedAt_[t] = m.currentStep();
 
-    if (ins.arg1 == 1) {
+    if (ins.arg1 == ir::kRegionForcedSlow) {
         // Small region (< K memory ops): the software check is
         // cheaper than transaction management (§4.3).
         m.tel().registry.add(met_.smallSlowRegions);
@@ -344,7 +352,8 @@ TxRacePolicy::onTxEnd(Machine &m, Tid t, const ir::Instruction &)
         m.tel().registry.add(met_.slowRegions);
         flightNote(m, t, FrKind::SlowExit);
     }
-    // else: region was elided (single-threaded mode).
+    // else: the region ran without a transaction (bare, single-
+    // threaded or budget-gated).
     closeRegion(t);
 }
 

@@ -23,6 +23,14 @@ constexpr InstrId kNoInstr = ~0u;
 /** Function index within a Program. */
 using FuncId = uint32_t;
 
+/** TxBegin arg1: the region runs on the slow path from the start
+ *  (small-region heuristic, paper §4.3). */
+constexpr uint64_t kRegionForcedSlow = 1;
+
+/** TxBegin arg1: the region has nothing to check and runs without a
+ *  transaction (bare-region pass, passes/elide.cc). */
+constexpr uint64_t kRegionBare = 2;
+
 /** A static IR instruction. */
 struct Instruction
 {
@@ -42,8 +50,8 @@ struct Instruction
 
     /**
      * Second operand. LoopBegin: maximum random extra trips; Barrier:
-     * participant count; TxBegin: 1 forces the region onto the slow
-     * path (small-region heuristic).
+     * participant count; TxBegin: the region mark, 0 (regular),
+     * kRegionForcedSlow or kRegionBare.
      */
     uint64_t arg1 = 0;
 

@@ -32,7 +32,7 @@ enum class OpCode : uint8_t {
     Syscall,      ///< system call costing arg0 (forces privilege change)
     LoopBegin,    ///< loop with arg0 (+ up to arg1 random) iterations
     LoopEnd,      ///< back-edge of the matching LoopBegin
-    TxBegin,      ///< pass-inserted region begin (arg1: 1 = forced slow)
+    TxBegin,      ///< pass-inserted region begin (arg1: region mark)
     TxEnd,        ///< pass-inserted region end
     LoopCut,      ///< pass-inserted loop-cut check (arg0 = static loop id)
 };

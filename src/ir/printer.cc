@@ -65,8 +65,10 @@ formatInstr(const Instruction &ins)
             ss << "+rnd(" << ins.arg1 << ")";
         break;
       case OpCode::TxBegin:
-        if (ins.arg1)
+        if (ins.arg1 == kRegionForcedSlow)
             ss << " slow";
+        else if (ins.arg1 == kRegionBare)
+            ss << " bare";
         break;
       case OpCode::LoopCut:
         ss << " loop=" << ins.arg0;

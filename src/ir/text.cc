@@ -278,7 +278,9 @@ parseInstr(const std::string &mnemonic, LineCursor &cur)
         break;
       case OpCode::TxBegin:
         if (cur.accept("slow"))
-            ins.arg1 = 1;
+            ins.arg1 = kRegionForcedSlow;
+        else if (cur.accept("bare"))
+            ins.arg1 = kRegionBare;
         break;
       case OpCode::LoopCut:
         cur.expect("loop=");

@@ -4,12 +4,14 @@
  * "Compiling Away the Overhead of Race Detection" / HardRace idea the
  * paper's §7 points at: most dynamic checks are statically redundant).
  *
- * Four passes, all running AFTER transactionalize() and all only
- * clearing `instrumented` bits — never inserting, removing, or
- * reordering instructions. That discipline is what keeps an elided
- * and a non-elided build schedule-identical (same step counts, same
- * RNG draws, same transaction boundaries), so the differential
- * soundness test can assert byte-identical race-fingerprint sets.
+ * Five passes, all running AFTER transactionalize() and none
+ * inserting, removing, or reordering instructions: passes 1-4 only
+ * clear `instrumented` bits, and pass 5 only sets region marks. That
+ * discipline keeps an elided and a non-elided build position-for-
+ * position identical. With the same region marks the two builds are
+ * schedule-identical (same step counts, same RNG draws, same
+ * transaction boundaries), so the differential soundness test can
+ * assert byte-identical race-fingerprint sets per run.
  *
  * 1. Dominance elision. Within one *elision segment* — a maximal run
  *    of instructions free of synchronization, system calls, loop
@@ -56,6 +58,20 @@
  *    a common granule, under any schedule, so no member can ever
  *    race and all of them can be elided outright (no representative
  *    needed). This generalizes privatize.cc beyond declared ranges.
+ *
+ * 5. Bare regions. A TxBegin from which no instrumented access is
+ *    reachable before a TxEnd — following fall-through, loop
+ *    back-edges and the skip past a loop that can run zero trips, so
+ *    a region that wraps around a loop is judged on every path it can
+ *    take — is marked kRegionBare (overriding the small-region mark).
+ *    The region then runs with no transaction, no slow path and no
+ *    snapshot: it has nothing the detector would check, on the fast
+ *    path or on any slow path, so no report endpoint is lost. Its
+ *    accesses still reach the HTM, so strong isolation still aborts
+ *    the transactions they touch. Dropping the transaction also drops
+ *    the aborts it suffered and the TxFail demotions those caused in
+ *    other threads, so unlike passes 1-4 this changes the schedule:
+ *    per-run race sets may move, the race union over seeds may not.
  */
 
 #include <algorithm>
@@ -385,6 +401,46 @@ elidePrivate(Program &prog, std::vector<Footprint> fps,
     flush(fps.size());
 }
 
+/**
+ * Bare-region marking (see file comment): marks each TxBegin of @p fn
+ * from which no instrumented access is reachable before a TxEnd.
+ */
+void
+markBareRegions(ir::Function &fn, uint64_t &counter)
+{
+    const uint32_t n = static_cast<uint32_t>(fn.body.size());
+    // visited[pc] == the TxBegin pc whose walk last reached pc.
+    std::vector<uint32_t> visited(n, n);
+    std::vector<uint32_t> work;
+    for (uint32_t begin = 0; begin < n; ++begin) {
+        if (fn.body[begin].op != OpCode::TxBegin)
+            continue;
+        bool checks = false;
+        work.assign(1, begin + 1);
+        while (!work.empty() && !checks) {
+            const uint32_t pc = work.back();
+            work.pop_back();
+            if (pc >= n || visited[pc] == begin)
+                continue;
+            visited[pc] = begin;
+            const Instruction &ins = fn.body[pc];
+            if (ins.op == OpCode::TxEnd)
+                continue;
+            checks = ir::isMemAccess(ins.op) && ins.instrumented;
+            work.push_back(pc + 1);
+            // LoopEnd: the back-edge to the body's top. LoopBegin: a
+            // loop that can run zero trips skips past its LoopEnd.
+            if (ins.op == OpCode::LoopEnd ||
+                (ins.op == OpCode::LoopBegin && ins.arg0 == 0))
+                work.push_back(static_cast<uint32_t>(ins.match) + 1);
+        }
+        if (!checks) {
+            fn.body[begin].arg1 = ir::kRegionBare;
+            ++counter;
+        }
+    }
+}
+
 } // namespace
 
 ElisionStats
@@ -410,6 +466,8 @@ elide(Program &prog, const ElideConfig &cfg)
         elideReadOnly(prog, fps, stats, fn_elided);
         elidePrivate(prog, std::move(fps), stats, fn_elided);
     }
+    for (ir::FuncId f = 0; f < prog.numFunctions(); ++f)
+        markBareRegions(prog.function(f), stats.bareRegions);
 
     for (ir::FuncId f = 0; f < prog.numFunctions(); ++f)
         if (fn_elided[f] > 0)

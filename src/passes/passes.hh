@@ -41,17 +41,19 @@ namespace txrace::passes {
 
 /**
  * Tunables of the static elision pipeline (passes/elide.cc). All
- * elision passes run strictly after transactionalize() and only clear
- * `instrumented` bits: the instruction stream, region boundaries, and
- * every RNG draw are identical with elision on and off, which is what
- * makes the soundness contract ("elision never changes which races
- * are reported") checkable by a bitwise differential test.
+ * elision passes run strictly after transactionalize() and change no
+ * instruction's position: they clear `instrumented` bits and set
+ * region marks. Given the same region marks, the instruction stream,
+ * region boundaries and every RNG draw are identical with elision on
+ * and off, which is what makes the soundness contract ("elision never
+ * changes which races are reported") checkable by a bitwise
+ * differential test.
  */
 struct ElideConfig
 {
     /** Master switch (txrace_run --no-elide clears it); also gates
-     *  the never-written and thread-disjointness passes, which have
-     *  no switches of their own. */
+     *  the never-written, thread-disjointness and bare-region passes,
+     *  which have no switches of their own. */
     bool enabled = true;
     /** Straight-line dominance elision: a second access with the same
      *  address expression, opcode, and tag inside one sync-free
@@ -94,6 +96,10 @@ struct ElisionStats
     uint64_t readOnly = 0;
     /** Elided as provably thread-disjoint (cannot race). */
     uint64_t privatized = 0;
+    /** Regions marked bare: no instrumented access is reachable from
+     *  their TxBegin, so they run without a transaction. Not an
+     *  access count, so not part of elided(). */
+    uint64_t bareRegions = 0;
     /** Per-function elided counts, in function order. */
     std::vector<std::pair<std::string, uint64_t>> perFunction;
 
@@ -113,12 +119,13 @@ void transactionalize(ir::Program &prog, const PassConfig &cfg = {});
 
 /**
  * Static elision pipeline: dominance elision, read-after-write
- * downgrade, never-written load elision, and the thread-disjointness
- * (escape/privatization) analysis, per @p cfg. Must run after
- * transactionalize() — segment boundaries include the inserted
- * TxBegin/TxEnd/LoopCut markers, so every slow-path re-execution
- * replays the surviving representative before any access elided
- * under it. Only `instrumented` bits change.
+ * downgrade, never-written load elision, the thread-disjointness
+ * (escape/privatization) analysis, and bare-region marking, per
+ * @p cfg. Must run after transactionalize() — segment boundaries
+ * include the inserted TxBegin/TxEnd/LoopCut markers, so every
+ * slow-path re-execution replays the surviving representative before
+ * any access elided under it. Only `instrumented` bits and TxBegin
+ * region marks change.
  */
 ElisionStats elide(ir::Program &prog, const ElideConfig &cfg = {});
 

@@ -209,7 +209,7 @@ classifyRegions(ir::Function &fn)
             }
             if (simple && closed &&
                 est < static_cast<double>(kSmallRegionK))
-                fn.body[i].arg1 = 1;  // force slow path
+                fn.body[i].arg1 = ir::kRegionForcedSlow;
             continue;
         }
         if (end == fn.body.size())
@@ -260,7 +260,7 @@ classifyRegions(ir::Function &fn)
             remove[i] = true;
             remove[end] = true;
         } else if (est < static_cast<double>(kSmallRegionK)) {
-            fn.body[i].arg1 = 1;  // force slow path
+            fn.body[i].arg1 = ir::kRegionForcedSlow;
         }
     }
 
@@ -302,9 +302,9 @@ preparedForTxRace(const Program &prog, const PassConfig &cfg,
     privatize(copy);
     transactionalize(copy, cfg);
     // Elision runs last, on the final instruction stream: it only
-    // clears `instrumented` bits, so the prepared program is
-    // position-for-position identical with elision on and off (same
-    // ids, same region structure, same RNG consumption) — the
+    // clears `instrumented` bits and sets region marks, so the
+    // prepared program is position-for-position identical with
+    // elision on and off (same ids, same region structure) — the
     // property the differential soundness test rests on.
     ElisionStats stats = elide(copy, cfg.elide);
     if (elision)

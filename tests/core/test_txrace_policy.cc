@@ -35,6 +35,16 @@ pad(ProgramBuilder &b, Addr base)
         b.load(AddrExpr::absolute(base + 8 * i), "pad");
 }
 
+/** main's initialization of pad()'s words, before any spawn: without
+ *  a store that reaches them the never-written pass elides the pad
+ *  loads, and a region left with nothing to check runs bare (no
+ *  transaction). */
+void
+initPad(ProgramBuilder &b, Addr base)
+{
+    b.loop(6, [&] { b.store(AddrExpr::perIter(base, 8), "pad init"); });
+}
+
 } // namespace
 
 TEST(TxRace, CleanRunCommitsEverything)
@@ -49,6 +59,7 @@ TEST(TxRace, CleanRunCommitsEverything)
     });
     b.endFunction();
     b.beginFunction("main");
+    initPad(b, data);
     b.spawn(worker, 3);
     b.joinAll();
     b.endFunction();
@@ -113,6 +124,7 @@ TEST(TxRace, FalseSharingIsFilteredBySlowPath)
     });
     b.endFunction();
     b.beginFunction("main");
+    initPad(b, data);
     b.spawn(worker, 4);
     b.joinAll();
     b.endFunction();
@@ -222,6 +234,7 @@ TEST(TxRace, SingleThreadedExecutionIsElided)
     ProgramBuilder b;
     Addr data = b.alloc("data", 4096);
     b.beginFunction("main");
+    initPad(b, data);
     b.loop(50, [&] {
         pad(b, data);
         b.syscall(1);
@@ -265,6 +278,78 @@ TEST(TxRace, SmallRegionRunsOnSlowPath)
     EXPECT_EQ(r.races.count(), 1u);
 }
 
+TEST(TxRace, BareRegionRunsWithoutATransaction)
+{
+    // Nothing writes the pad words, so the workers' regions have
+    // nothing to check: no xbegin, no slow path, no check.
+    ProgramBuilder b;
+    Addr data = b.alloc("data", 4096);
+    FuncId worker = b.beginFunction("worker");
+    b.loop(10, [&] {
+        pad(b, data);
+        b.syscall(1);
+    });
+    b.endFunction();
+    b.beginFunction("main");
+    b.spawn(worker, 3);
+    b.joinAll();
+    b.endFunction();
+    Program p = b.build();
+
+    core::RunResult r = core::runProgram(p, txraceConfig());
+    EXPECT_EQ(r.stats.get("pass.elide.bare_regions"), 2u);
+    EXPECT_EQ(r.stats.get("txrace.bare_regions"), 33u);
+    EXPECT_EQ(r.stats.get("tx.begins"), 0u);
+    EXPECT_EQ(r.stats.get("txrace.slow_regions"), 0u);
+    EXPECT_EQ(r.stats.get("txrace.small_slow_regions"), 0u);
+    EXPECT_EQ(r.stats.get("detector.reads"), 0u);
+
+    // Without elision the same regions run as transactions.
+    core::RunConfig off = txraceConfig();
+    off.passes.elide.enabled = false;
+    core::RunResult roff = core::runProgram(p, off);
+    EXPECT_EQ(roff.stats.get("txrace.bare_regions"), 0u);
+    EXPECT_GE(roff.stats.get("tx.committed"), 33u);
+}
+
+TEST(TxRace, BareRegionAccessesStillAbortTransactions)
+{
+    // Strong isolation: the reader's word is never written, so its
+    // regions are bare, but it shares a cache line with the word the
+    // writer's transactions store to. The non-transactional loads
+    // still abort those transactions; no race exists to report.
+    ProgramBuilder b;
+    Addr data = b.alloc("data", 4096);
+    Addr line = b.alloc("line", 64, 64);
+    FuncId writer = b.beginFunction("writer");
+    b.loop(40, [&] {
+        pad(b, data);
+        b.store(AddrExpr::absolute(line), "writer word");
+        b.compute(40);
+        b.syscall(1);
+    });
+    b.endFunction();
+    FuncId reader = b.beginFunction("reader");
+    b.loop(200, [&] {
+        b.load(AddrExpr::absolute(line + 8), "reader word");
+        b.compute(4);
+        b.syscall(1);
+    });
+    b.endFunction();
+    b.beginFunction("main");
+    initPad(b, data);
+    b.spawn(writer, 1);
+    b.spawn(reader, 1);
+    b.joinAll();
+    b.endFunction();
+    Program p = b.build();
+
+    core::RunResult r = core::runProgram(p, txraceConfig());
+    EXPECT_GT(r.stats.get("txrace.bare_regions"), 0u);
+    EXPECT_GE(r.stats.get("tx.abort.conflict"), 1u);
+    EXPECT_EQ(r.races.count(), 0u);
+}
+
 TEST(TxRace, HardwareThreadLimitFallsBackToSlowPath)
 {
     ProgramBuilder b;
@@ -276,6 +361,7 @@ TEST(TxRace, HardwareThreadLimitFallsBackToSlowPath)
     });
     b.endFunction();
     b.beginFunction("main");
+    initPad(b, data);
     b.spawn(worker, 4);
     b.joinAll();
     b.endFunction();
@@ -483,6 +569,7 @@ TEST(TxRace, UnknownAbortsFallBackAndStayComplete)
     });
     b.endFunction();
     b.beginFunction("main");
+    initPad(b, data);
     b.spawn(worker, 3);
     b.joinAll();
     b.endFunction();
@@ -506,6 +593,7 @@ TEST(TxRace, RetryAbortsAreRetriedInPlace)
     });
     b.endFunction();
     b.beginFunction("main");
+    initPad(b, data);
     b.spawn(worker, 3);
     b.joinAll();
     b.endFunction();
@@ -553,6 +641,7 @@ TEST(TxRace, RetryBudgetExhaustionFallsBackToSlowPath)
     });
     b.endFunction();
     b.beginFunction("main");
+    initPad(b, data);
     b.spawn(worker, 2);
     b.joinAll();
     b.endFunction();
@@ -658,6 +747,7 @@ TEST(TxRace, RetryAbortsAreRetriedInPlaceThenFallBack)
     b.store(AddrExpr::perThread(data + 1024, 64), "own cell");
     b.endFunction();
     b.beginFunction("main");
+    initPad(b, data);
     b.spawn(worker, 2);
     b.joinAll();
     b.endFunction();

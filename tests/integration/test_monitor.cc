@@ -273,5 +273,5 @@ TEST(Monitor, GoldenStormDigest)
     ASSERT_TRUE(r.error.ok());
     EXPECT_EQ(r.totalCost, 1811395u);
     EXPECT_EQ(r.budget.windows.size(), 89u);
-    EXPECT_EQ(resultDigest(app.program, r), 0xab30d0922746e37cull);
+    EXPECT_EQ(resultDigest(app.program, r), 0x587ab9b5cf6fbffdull);
 }

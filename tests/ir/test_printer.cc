@@ -73,6 +73,9 @@ TEST(Printer, FormatsSyncAndControl)
     Instruction slow = make(OpCode::TxBegin);
     slow.arg1 = 1;
     EXPECT_EQ(formatInstr(slow), "tx.begin slow");
+    Instruction bare = make(OpCode::TxBegin);
+    bare.arg1 = kRegionBare;
+    EXPECT_EQ(formatInstr(bare), "tx.begin bare");
 
     Instruction cut = make(OpCode::LoopCut);
     cut.arg0 = 17;

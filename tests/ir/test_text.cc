@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 
 #include "ir/builder.hh"
@@ -156,16 +157,25 @@ TEST(TextFormat, RoundTripSmallProgram)
 
 TEST(TextFormat, RoundTripInstrumentedProgram)
 {
+    // Every region mark survives: the never-written table's region is
+    // bare, the store region is forced slow, the shared loads' region
+    // (main writes them before the spawn) is a regular one.
     ProgramBuilder b;
     Addr shared = b.alloc("s", 256);
+    Addr table = b.alloc("t", 256);
     FuncId worker = b.beginFunction("worker");
     b.loop(20, [&] {
         for (int i = 0; i < 6; ++i)
             b.load(AddrExpr::absolute(shared + 8 * i));
         b.syscall(1);
+        b.load(AddrExpr::absolute(table));
+        b.syscall(1);
+        b.store(AddrExpr::absolute(shared + 64));
+        b.syscall(1);
     });
     b.endFunction();
     b.beginFunction("main");
+    b.loop(6, [&] { b.store(AddrExpr::perIter(shared, 8)); });
     b.spawn(worker, 2);
     b.joinAll();
     b.endFunction();
@@ -173,6 +183,12 @@ TEST(TextFormat, RoundTripInstrumentedProgram)
     Program q = roundTrip(p);
     expectSamePrograms(p, q);
     EXPECT_EQ(q.checkTransactionalForm(), "");
+    std::set<uint64_t> marks;
+    for (const Instruction &ins : q.function(worker).body)
+        if (ins.op == OpCode::TxBegin)
+            marks.insert(ins.arg1);
+    EXPECT_EQ(marks, (std::set<uint64_t>{0, kRegionForcedSlow,
+                                         kRegionBare}));
 }
 
 TEST(TextFormat, RoundTripAllWorkloads)

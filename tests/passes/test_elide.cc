@@ -4,10 +4,10 @@
  * dominance elision with its segment boundaries, read-after-write
  * downgrade, never-written load elision, the thread-disjointness
  * (privatization) analysis with its slot-family safety conditions,
- * elision statistics, and the
+ * bare-region marking, elision statistics, and the
  * structural guarantee underpinning the soundness contract — elision
- * only ever clears `instrumented` bits, it never changes the
- * instruction stream.
+ * only clears `instrumented` bits and sets bare-region marks, it
+ * never changes the instruction stream.
  */
 
 #include <gtest/gtest.h>
@@ -486,6 +486,200 @@ TEST(Elide, PerFunctionStatsNameTheFunctions)
     EXPECT_EQ(stats.perFunction[1].second, 1u);
 }
 
+// --- Bare regions (pass 5) ---
+
+namespace {
+
+/** transactionalize() then elide(), as preparedForTxRace does (these
+ *  programs declare no private ranges). */
+ElisionStats
+prepare(Program &p, const ElideConfig &cfg = {})
+{
+    transactionalize(p);
+    return elide(p, cfg);
+}
+
+/** The region marks (TxBegin arg1) of function @p f, in order. */
+std::vector<uint64_t>
+regionMarks(const Program &p, FuncId f)
+{
+    std::vector<uint64_t> marks;
+    for (const Instruction &ins : p.function(f).body)
+        if (ins.op == OpCode::TxBegin)
+            marks.push_back(ins.arg1);
+    return marks;
+}
+
+constexpr uint64_t kFast = 0;
+constexpr uint64_t kSlow = kRegionForcedSlow;
+constexpr uint64_t kBare = kRegionBare;
+
+/** A worker whose region A (entry to the syscall inside the loop)
+ *  has nothing to check unless the loop can run zero trips, and whose
+ *  region B (syscall to exit) can leave the loop into a store. */
+Program
+loopExitProgram(uint64_t trips, uint64_t random_extra)
+{
+    ProgramBuilder b;
+    Addr x = b.alloc("x", 64, 64);
+    FuncId worker = b.beginFunction("worker");
+    b.loopJitter(trips, random_extra, [&] {
+        b.compute(1);
+        b.syscall(1);
+        b.compute(2);
+    });
+    b.store(AddrExpr::absolute(x), "exchange");
+    b.endFunction();
+    b.beginFunction("main");
+    b.spawn(worker, 2);
+    b.joinAll();
+    b.endFunction();
+    return b.build();
+}
+
+} // namespace
+
+TEST(Elide, RegionWithNothingToCheckIsBare)
+{
+    // The first region runs straight to its TxEnd past a load the
+    // never-written pass elided; the second keeps a racy store.
+    ProgramBuilder b;
+    Addr table = b.alloc("table", 1024, 64);
+    Addr x = b.alloc("x", 64, 64);
+    FuncId worker = b.beginFunction("worker");
+    b.load(AddrExpr::absolute(table), "lookup");
+    b.compute(5);
+    b.syscall(1);
+    b.store(AddrExpr::absolute(x), "racy");
+    b.endFunction();
+    b.beginFunction("main");
+    b.spawn(worker, 2);
+    b.joinAll();
+    b.endFunction();
+    Program p = b.build();
+
+    ElisionStats stats = prepare(p);
+    EXPECT_EQ(stats.readOnly, 1u);
+    EXPECT_EQ(stats.bareRegions, 1u);
+    EXPECT_EQ(regionMarks(p, worker),
+              (std::vector<uint64_t>{kBare, kSlow}));
+}
+
+TEST(Elide, WrapAroundRegionReachingACheckOverTheBackEdgeIsNotBare)
+{
+    // The region opened after the syscall reaches the racy store only
+    // by wrapping around the loop's back-edge.
+    ProgramBuilder b;
+    Addr x = b.alloc("x", 64, 64);
+    FuncId worker = b.beginFunction("worker");
+    b.loop(10, [&] {
+        b.store(AddrExpr::absolute(x), "racy");
+        b.syscall(1);
+        b.compute(2);
+    });
+    b.endFunction();
+    b.beginFunction("main");
+    b.spawn(worker, 2);
+    b.joinAll();
+    b.endFunction();
+    Program p = b.build();
+
+    ElisionStats stats = prepare(p);
+    EXPECT_EQ(stats.bareRegions, 0u);
+    EXPECT_EQ(regionMarks(p, worker),
+              (std::vector<uint64_t>{kSlow, kSlow}));
+}
+
+TEST(Elide, WrapAroundRegionThatCanLeaveTheLoopIntoACheckIsNotBare)
+{
+    // x264's shape: the region opened inside the loop wraps to the
+    // loop top, where it ends, or exits the loop into the store.
+    Program p = loopExitProgram(10, 0);
+    ElisionStats stats = prepare(p);
+    EXPECT_EQ(stats.bareRegions, 1u);
+    EXPECT_EQ(regionMarks(p, 0), (std::vector<uint64_t>{kBare, kSlow}));
+}
+
+TEST(Elide, ZeroTripLoopSkipReachesACheck)
+{
+    // With zero trips possible, the entry region can skip the loop and
+    // run on into the store: it is not bare either.
+    Program p = loopExitProgram(0, 2);
+    ElisionStats stats = prepare(p);
+    EXPECT_EQ(stats.bareRegions, 0u);
+    EXPECT_EQ(regionMarks(p, 0), (std::vector<uint64_t>{kSlow, kSlow}));
+}
+
+TEST(Elide, ForcedSlowRegionWithNothingToCheckBecomesBare)
+{
+    // Two accesses put the region below K, so transactionalize forces
+    // it slow; the never-written and thread-disjointness passes then
+    // leave it nothing to check, and the bare mark overrides.
+    constexpr uint64_t G = mem::kGranuleSize;
+    ProgramBuilder b;
+    Addr table = b.alloc("table", 1024, 64);
+    Addr slots = b.alloc("slots", 8 * G, 64);
+    FuncId worker = b.beginFunction("worker");
+    b.load(AddrExpr::absolute(table), "lookup");
+    b.store(AddrExpr::perThread(slots, G), "own");
+    b.endFunction();
+    b.beginFunction("main");
+    b.spawn(worker, 4);
+    b.joinAll();
+    b.endFunction();
+    Program p = b.build();
+
+    transactionalize(p);
+    ASSERT_EQ(regionMarks(p, worker), std::vector<uint64_t>{kSlow});
+    ElisionStats stats = elide(p);
+    EXPECT_EQ(stats.readOnly, 1u);
+    EXPECT_EQ(stats.privatized, 1u);
+    EXPECT_EQ(stats.bareRegions, 1u);
+    EXPECT_EQ(regionMarks(p, worker), std::vector<uint64_t>{kBare});
+}
+
+TEST(Elide, BareRegionCountIsExact)
+{
+    // worker: a bare region, a region above K with six stores, a bare
+    // region after it, then the loop-exit shape (one bare, one not).
+    ProgramBuilder b;
+    Addr table = b.alloc("table", 1024, 64);
+    Addr x = b.alloc("x", 64, 64);
+    FuncId worker = b.beginFunction("worker");
+    b.load(AddrExpr::absolute(table), "lookup a");
+    b.syscall(1);
+    for (int i = 0; i < 6; ++i)
+        b.store(AddrExpr::absolute(x + 8 * i), "x" + std::to_string(i));
+    b.syscall(1);
+    b.load(AddrExpr::absolute(table + 64), "lookup b");
+    b.syscall(1);
+    b.loop(3, [&] {
+        b.compute(1);
+        b.syscall(1);
+    });
+    b.store(AddrExpr::absolute(x), "exchange");
+    b.endFunction();
+    b.beginFunction("main");
+    b.spawn(worker, 2);
+    b.joinAll();
+    b.endFunction();
+    Program p = b.build();
+    Program off = p;
+
+    ElisionStats stats = prepare(p);
+    EXPECT_EQ(regionMarks(p, worker),
+              (std::vector<uint64_t>{kBare, kFast, kBare, kBare, kSlow}));
+    EXPECT_EQ(stats.bareRegions, 3u);
+
+    // --no-elide: no pass runs, so no region is bare.
+    ElideConfig disabled;
+    disabled.enabled = false;
+    ElisionStats none = prepare(off, disabled);
+    EXPECT_EQ(none.bareRegions, 0u);
+    for (uint64_t mark : regionMarks(off, worker))
+        EXPECT_NE(mark, kBare);
+}
+
 // --- The structural half of the soundness contract ---
 
 class ElideStructure : public ::testing::TestWithParam<std::string>
@@ -497,9 +691,10 @@ TEST_P(ElideStructure, OnlyInstrumentedBitsChange)
     // preparedForTxRace with and without elision must produce
     // position-for-position identical instruction streams — same ids,
     // opcodes, addresses, region structure — differing only in
-    // `instrumented`. This is what makes elided and non-elided runs
-    // schedule-identical (same steps, same RNG draws), which the
-    // behavioral differential test then builds on.
+    // `instrumented` and in bare-region marks. Given the same marks,
+    // elided and non-elided runs are schedule-identical (same steps,
+    // same RNG draws), which the behavioral differential test then
+    // builds on.
     workloads::WorkloadParams params;
     params.calibrate = false;
     workloads::AppModel app = workloads::makeApp(GetParam(), params);
@@ -513,6 +708,7 @@ TEST_P(ElideStructure, OnlyInstrumentedBitsChange)
 
     ASSERT_EQ(with.numFunctions(), without.numFunctions());
     uint64_t demoted = 0;
+    uint64_t bare = 0;
     for (FuncId f = 0; f < with.numFunctions(); ++f) {
         const auto &fa = with.function(f).body;
         const auto &fb = without.function(f).body;
@@ -522,6 +718,13 @@ TEST_P(ElideStructure, OnlyInstrumentedBitsChange)
             ASSERT_EQ(fa[i].op, fb[i].op);
             ASSERT_TRUE(fa[i].addr == fb[i].addr);
             ASSERT_EQ(fa[i].tag, fb[i].tag);
+            ASSERT_EQ(fa[i].arg0, fb[i].arg0);
+            // The only operand elision sets is the bare mark.
+            if (fa[i].arg1 != fb[i].arg1) {
+                ASSERT_EQ(fa[i].op, OpCode::TxBegin);
+                ASSERT_EQ(fa[i].arg1, kRegionBare);
+                ++bare;
+            }
             // Elision may only clear the bit, never set it.
             if (fa[i].instrumented) {
                 ASSERT_TRUE(fb[i].instrumented);
@@ -531,6 +734,7 @@ TEST_P(ElideStructure, OnlyInstrumentedBitsChange)
         }
     }
     EXPECT_EQ(demoted, stats.elided());
+    EXPECT_EQ(bare, stats.bareRegions);
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, ElideStructure,

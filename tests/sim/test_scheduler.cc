@@ -143,6 +143,9 @@ TEST(Scheduler, OversubscriptionScalesInterrupts)
         });
         b.endFunction();
         b.beginFunction("main");
+        // Written before the spawn, so the workers' loads stay
+        // instrumented and their regions stay transactional.
+        b.loop(64, [&] { b.store(AddrExpr::perIter(a, 8)); });
         b.spawn(worker, workers);
         b.joinAll();
         b.endFunction();

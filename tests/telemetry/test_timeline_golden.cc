@@ -179,18 +179,18 @@ using Kind = sim::RunError::Kind;
 constexpr Pin kPins[] = {
     {"txfail-region", 0x451059f2360b7387ull, 2481,
      0x6abb54609921cd39ull, 5610, 56, Kind::None},
-    {"vips-storm-governor", 0x3b4a13ebc40a631eull, 691191,
-     0x97abc835ecf06db1ull, 1468209, 14592, Kind::None},
-    {"apache-monitor-5", 0xd7dc3bb954ee2cf3ull, 330199,
-     0xbe7aaf13070e03d1ull, 681960, 5780, Kind::None},
-    {"apache-monitor-2", 0xa58c11918757cae9ull, 330320,
-     0xbe7aaf13070e03d1ull, 681960, 5780, Kind::None},
-    {"x264-monitor-1", 0x48a4ca2db0780109ull, 10570,
-     0xbf34fff128ed24feull, 686, 5, Kind::None},
-    {"vips-monitor-1", 0x9d1f5a177d009f86ull, 254113,
-     0x9fd6db39b757eff2ull, 2939, 27, Kind::Budget},
-    {"x264-window", 0xd63807040c51d849ull, 12738,
-     0x49b6a7b5271e6180ull, 35284, 362, Kind::None},
+    {"vips-storm-governor", 0x86f88ff9769e5163ull, 136419,
+     0x9b185e86845d5800ull, 305626, 3098, Kind::None},
+    {"apache-monitor-5", 0xa623eec03829e89eull, 21970,
+     0xf04ae2febef9d8f7ull, 46595, 384, Kind::None},
+    {"apache-monitor-2", 0x1ee149cb0c82cb04ull, 22091,
+     0xf04ae2febef9d8f7ull, 46595, 384, Kind::None},
+    {"x264-monitor-1", 0xa013a3e2c48e345aull, 9384,
+     0x5ad3fc2919ea4917ull, 681, 4, Kind::None},
+    {"vips-monitor-1", 0x2e2f5326554a633eull, 32303,
+     0x04042dd2766f5a61ull, 5930, 59, Kind::Budget},
+    {"x264-window", 0xddd5a250b7c53ad7ull, 13072,
+     0x2fce1ccf5b587d92ull, 36405, 374, Kind::None},
     {"deadlock", 0x37333894e7e040a6ull, 689,
      0xf8587665dd03196eull, 2195, 21, Kind::Deadlock},
     {"truncated", 0xaab572a0c03cf5c4ull, 554,
