@@ -1,7 +1,6 @@
 #include "campaign/aggregate.hh"
 
 #include <algorithm>
-#include <iomanip>
 #include <sstream>
 
 #include "core/repro.hh"
@@ -11,32 +10,6 @@
 #include "workloads/workloads.hh"
 
 namespace txrace::campaign {
-
-namespace {
-
-std::string
-hex64(uint64_t v)
-{
-    std::ostringstream ss;
-    ss << "0x" << std::hex << std::setfill('0') << std::setw(16) << v;
-    return ss.str();
-}
-
-uint64_t
-getU64(const telemetry::JsonValue &obj, std::string_view key)
-{
-    const telemetry::JsonValue *v = obj.find(key);
-    return v ? v->asU64() : 0;
-}
-
-std::string
-getStr(const telemetry::JsonValue &obj, std::string_view key)
-{
-    const telemetry::JsonValue *v = obj.find(key);
-    return v && v->isString() ? v->str : std::string();
-}
-
-} // namespace
 
 GroundTruth
 groundTruthFor(const std::vector<std::string> &apps)
@@ -490,7 +463,7 @@ writeCampaignJson(std::ostream &os, const CampaignConfig &cfg,
     w.beginArray();
     for (const Finding &f : result.findings) {
         w.beginObject();
-        w.field("fingerprint", hex64(f.sig.hash));
+        w.field("fingerprint", telemetry::hex64(f.sig.hash));
         w.field("app", f.app);
         w.field("a", f.sig.a);
         w.field("b", f.sig.b);
@@ -503,7 +476,7 @@ writeCampaignJson(std::ostream &os, const CampaignConfig &cfg,
         w.field("job", f.firstJob);
         w.field("seed", f.firstSeed);
         w.field("variant", f.firstVariant);
-        w.field("config", hex64(f.firstConfigDigest));
+        w.field("config", telemetry::hex64(f.firstConfigDigest));
         w.field("repro", f.repro);
         w.endObject();
         w.endObject();

@@ -2,12 +2,12 @@
  * @file
  * Job execution: one JobSpec in, one JobOutcome out.
  *
- * Extracted from the campaign loop so both drivers share it: the
- * one-shot campaign (campaign.cc) and the continuous hunting service
- * (src/service) execute jobs identically, which is what makes a
- * resumed service campaign reproduce the uninterrupted run — an
- * outcome is a pure function of its spec (plus the calibrate /
- * slow-path knobs that are part of the campaign identity).
+ * Only the round runner (runner.hh) calls it, so the one-shot
+ * campaign and the hunting service execute jobs identically, which
+ * is what makes a resumed service campaign reproduce the
+ * uninterrupted run: an outcome is a pure function of its spec (plus
+ * the calibrate / slow-path knobs that are part of the campaign
+ * identity).
  */
 
 #ifndef TXRACE_CAMPAIGN_EXECUTE_HH

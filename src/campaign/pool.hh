@@ -70,8 +70,6 @@ class WorkStealingPool
      */
     void submit(const std::vector<JobSpec> &jobs);
 
-    uint32_t workerCount() const { return uint32_t(workers_.size()); }
-
     /** Jobs executed by a thief rather than their home worker. */
     uint64_t steals() const { return steals_.load(); }
 

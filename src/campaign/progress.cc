@@ -1,31 +1,8 @@
 #include "campaign/progress.hh"
 
-#include "campaign/aggregate.hh"
 #include "telemetry/json.hh"
 
 namespace txrace::campaign {
-
-ProgressRecord
-progressRecord(std::string event, uint64_t round, uint64_t jobsTotal,
-               const Aggregator &agg,
-               const std::vector<uint64_t> &workerDone,
-               const std::vector<std::atomic<uint8_t>> &workerBusy)
-{
-    ProgressRecord rec;
-    rec.event = std::move(event);
-    rec.round = round;
-    rec.jobsTotal = jobsTotal;
-    rec.jobsDone = agg.runs();
-    rec.findings = agg.findingCount();
-    rec.rawReports = agg.rawReports();
-    rec.errors = agg.errorCount();
-    rec.variants = agg.variantCounters();
-    for (size_t i = 0; i < workerDone.size(); ++i)
-        rec.workers.emplace_back(
-            workerDone[i],
-            workerBusy[i].load(std::memory_order_relaxed) != 0);
-    return rec;
-}
 
 void
 writeProgressRecord(std::ostream &os, const ProgressRecord &rec)

@@ -7,8 +7,9 @@
  * business (the campaign emits every cfg.progressEvery completions;
  * the service also emits on batch boundaries and checkpoints); this
  * module owns the wire format and the core fields, so the two
- * producers cannot drift. Core fields are filled by one builder
- * from the aggregator and the pool's worker lanes; service-only
+ * producers cannot drift. Core fields are filled by one builder,
+ * RoundRunner::progress (runner.hh), from the aggregator and the
+ * round runner's worker lanes, which both drivers share; service-only
  * gauges ride in a trailing `service` object that one-shot campaigns
  * omit, keeping old consumers' field paths valid.
  */
@@ -16,7 +17,6 @@
 #ifndef TXRACE_CAMPAIGN_PROGRESS_HH
 #define TXRACE_CAMPAIGN_PROGRESS_HH
 
-#include <atomic>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -25,8 +25,6 @@
 #include <vector>
 
 namespace txrace::campaign {
-
-class Aggregator;
 
 /** One heartbeat. Plain data; fill and write. */
 struct ProgressRecord
@@ -49,18 +47,6 @@ struct ProgressRecord
      *  docs/OBSERVABILITY.md). */
     std::vector<std::pair<std::string, uint64_t>> service;
 };
-
-/**
- * The core fields both drivers share: `jobs_done` and the finding,
- * report, error and variant counters from @p agg, plus one worker
- * lane per entry of @p workerDone / @p workerBusy. Call it on the
- * thread that folds into @p agg.
- */
-ProgressRecord
-progressRecord(std::string event, uint64_t round, uint64_t jobsTotal,
-               const Aggregator &agg,
-               const std::vector<uint64_t> &workerDone,
-               const std::vector<std::atomic<uint8_t>> &workerBusy);
 
 /** Write @p rec as one txrace-progress-v1 NDJSON line (flushed). */
 void writeProgressRecord(std::ostream &os, const ProgressRecord &rec);

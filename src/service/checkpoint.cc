@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include "service/ingest.hh"
 #include "service/store.hh"
 #include "telemetry/json.hh"
 #include "telemetry/jsonparse.hh"
@@ -17,79 +18,18 @@ namespace {
 
 constexpr const char *kSchema = "txrace-checkpoint-v1";
 
-uint64_t
-getU64(const telemetry::JsonValue &obj, std::string_view key)
-{
-    const telemetry::JsonValue *v = obj.find(key);
-    return v ? v->asU64() : 0;
-}
-
-double
-getDouble(const telemetry::JsonValue &obj, std::string_view key,
-          double fallback)
-{
-    const telemetry::JsonValue *v = obj.find(key);
-    return v && v->isNumber() ? v->asDouble() : fallback;
-}
-
-std::string
-getStr(const telemetry::JsonValue &obj, std::string_view key)
-{
-    const telemetry::JsonValue *v = obj.find(key);
-    return v && v->isString() ? v->str : std::string();
-}
-
-bool
-getBool(const telemetry::JsonValue &obj, std::string_view key)
-{
-    const telemetry::JsonValue *v = obj.find(key);
-    return v && v->type == telemetry::JsonValue::Type::Bool &&
-           v->boolean;
-}
-
 void
-writeSpecFields(telemetry::JsonWriter &w, uint64_t id, uint32_t round,
-                const std::string &app, uint64_t seed,
-                const std::string &variant, uint32_t workers,
-                uint64_t scale, double irqScale, bool governor)
+writeSpecFields(telemetry::JsonWriter &w, const campaign::JobSpec &spec)
 {
-    w.field("id", id);
-    w.field("round", uint64_t(round));
-    w.field("app", app);
-    w.field("seed", seed);
-    w.field("variant", variant);
-    w.field("workers", uint64_t(workers));
-    w.field("scale", scale);
-    w.field("irq_scale", irqScale);
-    w.field("governor", governor);
-}
-
-bool
-readSpec(const telemetry::JsonValue &v,
-         const campaign::CampaignConfig &cfg, campaign::JobSpec &spec,
-         std::string &error)
-{
-    if (!v.isObject()) {
-        error = "checkpoint: plan entry is not an object";
-        return false;
-    }
-    spec.id = getU64(v, "id");
-    spec.round = uint32_t(getU64(v, "round"));
-    spec.app = getStr(v, "app");
-    if (spec.app.empty()) {
-        error = "checkpoint: plan entry without app";
-        return false;
-    }
-    spec.seed = getU64(v, "seed");
-    spec.variant = getStr(v, "variant");
-    if (spec.variant.empty())
-        spec.variant = "base";
-    spec.workers = uint32_t(getU64(v, "workers"));
-    spec.scale = getU64(v, "scale");
-    spec.interruptScale = getDouble(v, "irq_scale", 1.0);
-    spec.governor = getBool(v, "governor");
-    spec.mode = cfg.mode;
-    return true;
+    w.field("id", spec.id);
+    w.field("round", uint64_t(spec.round));
+    w.field("app", spec.app);
+    w.field("seed", spec.seed);
+    w.field("variant", spec.variant);
+    w.field("workers", uint64_t(spec.workers));
+    w.field("scale", spec.scale);
+    w.field("irq_scale", spec.interruptScale);
+    w.field("governor", spec.governor);
 }
 
 } // namespace
@@ -97,35 +37,14 @@ readSpec(const telemetry::JsonValue &v,
 OutcomeSummary
 OutcomeSummary::of(const campaign::JobOutcome &o)
 {
-    OutcomeSummary s;
-    s.id = o.spec.id;
-    s.round = o.spec.round;
-    s.app = o.spec.app;
-    s.seed = o.spec.seed;
-    s.variant = o.spec.variant;
-    s.workers = o.spec.workers;
-    s.scale = o.spec.scale;
-    s.irqScale = o.spec.interruptScale;
-    s.governor = o.spec.governor;
-    s.ok = o.ok;
-    s.abortConflict = o.abortConflict;
-    s.rawReports = o.races.size();
-    return s;
+    return {o.spec, o.ok, o.abortConflict, uint64_t(o.races.size())};
 }
 
 campaign::JobOutcome
 OutcomeSummary::toOutcome(const campaign::CampaignConfig &cfg) const
 {
     campaign::JobOutcome o;
-    o.spec.id = id;
-    o.spec.round = round;
-    o.spec.app = app;
-    o.spec.seed = seed;
-    o.spec.variant = variant;
-    o.spec.workers = workers;
-    o.spec.scale = scale;
-    o.spec.interruptScale = irqScale;
-    o.spec.governor = governor;
+    o.spec = spec;
     o.spec.mode = cfg.mode;
     o.ok = ok;
     o.abortConflict = abortConflict;
@@ -158,9 +77,7 @@ Checkpoint::write(std::ostream &os) const
     w.beginArray();
     for (const campaign::JobSpec &spec : plan) {
         w.beginObject();
-        writeSpecFields(w, spec.id, spec.round, spec.app, spec.seed,
-                        spec.variant, spec.workers, spec.scale,
-                        spec.interruptScale, spec.governor);
+        writeSpecFields(w, spec);
         w.endObject();
     }
     w.endArray();
@@ -173,13 +90,11 @@ Checkpoint::write(std::ostream &os) const
             sorted.push_back(&s);
         std::sort(sorted.begin(), sorted.end(),
                   [](const OutcomeSummary *x, const OutcomeSummary *y) {
-                      return x->id < y->id;
+                      return x->spec.id < y->spec.id;
                   });
         for (const OutcomeSummary *s : sorted) {
             w.beginObject();
-            writeSpecFields(w, s->id, s->round, s->app, s->seed,
-                            s->variant, s->workers, s->scale,
-                            s->irqScale, s->governor);
+            writeSpecFields(w, s->spec);
             w.field("ok", s->ok);
             w.field("abort_conflict", s->abortConflict);
             w.field("raw_reports", s->rawReports);
@@ -236,7 +151,7 @@ Checkpoint::parse(const std::string &text, Checkpoint &out,
     }
     for (const telemetry::JsonValue &entry : plan->array) {
         campaign::JobSpec spec;
-        if (!readSpec(entry, out.campaign, spec, error))
+        if (!readJobSpec(entry, out.campaign, spec, error))
             return false;
         out.plan.push_back(std::move(spec));
     }
@@ -247,19 +162,9 @@ Checkpoint::parse(const std::string &text, Checkpoint &out,
         return false;
     }
     for (const telemetry::JsonValue &entry : history->array) {
-        campaign::JobSpec spec;
-        if (!readSpec(entry, out.campaign, spec, error))
-            return false;
         OutcomeSummary s;
-        s.id = spec.id;
-        s.round = spec.round;
-        s.app = spec.app;
-        s.seed = spec.seed;
-        s.variant = spec.variant;
-        s.workers = spec.workers;
-        s.scale = spec.scale;
-        s.irqScale = spec.interruptScale;
-        s.governor = spec.governor;
+        if (!readJobSpec(entry, out.campaign, s.spec, error))
+            return false;
         s.ok = getBool(entry, "ok");
         s.abortConflict = getU64(entry, "abort_conflict");
         s.rawReports = getU64(entry, "raw_reports");

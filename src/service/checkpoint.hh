@@ -33,23 +33,15 @@
 namespace txrace::service {
 
 /**
- * What a checkpoint keeps of one folded outcome: the spec fields
- * plus the two outcome facts any strategy reads from history
- * (abort-guided reseeding weighs conflict aborts). Everything a
- * strategy is ALLOWED to see survives the round trip; everything
- * else (races, profiles) lives aggregated in the store.
+ * What a checkpoint keeps of one folded outcome: the spec plus the
+ * outcome facts any strategy reads from history (abort-guided
+ * reseeding weighs conflict aborts). Everything a strategy is
+ * ALLOWED to see survives the round trip; everything else (races,
+ * profiles) lives aggregated in the store.
  */
 struct OutcomeSummary
 {
-    uint64_t id = 0;
-    uint32_t round = 0;
-    std::string app;
-    uint64_t seed = 0;
-    std::string variant = "base";
-    uint32_t workers = 4;
-    uint64_t scale = 1;
-    double irqScale = 1.0;
-    bool governor = false;
+    campaign::JobSpec spec;
     bool ok = true;
     uint64_t abortConflict = 0;
     uint64_t rawReports = 0;

@@ -9,13 +9,10 @@
 namespace txrace::service {
 
 bool
-parseJobLine(const std::string &line,
-             const campaign::CampaignConfig &cfg,
-             campaign::JobSpec &spec, std::string &error)
+readJobSpec(const telemetry::JsonValue &doc,
+            const campaign::CampaignConfig &cfg, campaign::JobSpec &spec,
+            std::string &error)
 {
-    telemetry::JsonValue doc;
-    if (!telemetry::parseJson(line, doc, error))
-        return false;
     if (!doc.isObject()) {
         error = "job record is not an object";
         return false;
@@ -25,12 +22,13 @@ parseJobLine(const std::string &line,
     spec.workers = cfg.workers;
     spec.scale = cfg.scale;
 
-    const telemetry::JsonValue *app = doc.find("app");
-    if (!app || !app->isString() || app->str.empty()) {
+    spec.app = telemetry::getStr(doc, "app");
+    if (spec.app.empty()) {
         error = "job record without app";
         return false;
     }
-    spec.app = app->str;
+    spec.id = telemetry::getU64(doc, "id");
+    spec.round = uint32_t(telemetry::getU64(doc, "round"));
     if (const telemetry::JsonValue *v = doc.find("seed"))
         spec.seed = v->asU64();
     if (const telemetry::JsonValue *v = doc.find("variant");
@@ -43,10 +41,18 @@ parseJobLine(const std::string &line,
     if (const telemetry::JsonValue *v = doc.find("irq_scale");
         v && v->isNumber())
         spec.interruptScale = v->asDouble();
-    if (const telemetry::JsonValue *v = doc.find("governor"))
-        spec.governor =
-            v->type == telemetry::JsonValue::Type::Bool && v->boolean;
+    spec.governor = telemetry::getBool(doc, "governor");
     return true;
+}
+
+bool
+parseJobLine(const std::string &line,
+             const campaign::CampaignConfig &cfg,
+             campaign::JobSpec &spec, std::string &error)
+{
+    telemetry::JsonValue doc;
+    return telemetry::parseJson(line, doc, error) &&
+           readJobSpec(doc, cfg, spec, error);
 }
 
 bool

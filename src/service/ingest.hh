@@ -24,7 +24,22 @@
 #include "campaign/campaign.hh"
 #include "campaign/job.hh"
 
+namespace txrace::telemetry {
+struct JsonValue;
+} // namespace txrace::telemetry
+
 namespace txrace::service {
+
+/**
+ * Read one job record (a job line, or a checkpoint's plan or history
+ * entry) into @p spec. Only `app` is required; `id` and `round` are
+ * read when present, and the other fields default from @p cfg. False
+ * with a message in @p error when @p v is not an object or has no
+ * app.
+ */
+bool readJobSpec(const telemetry::JsonValue &v,
+                 const campaign::CampaignConfig &cfg,
+                 campaign::JobSpec &spec, std::string &error);
 
 /**
  * Parse one NDJSON job line into a spec (no id assigned; the service

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -11,10 +10,7 @@
 #include <thread>
 #include <vector>
 
-#include "campaign/execute.hh"
-#include "campaign/pool.hh"
-#include "campaign/progress.hh"
-#include "campaign/queue.hh"
+#include "campaign/runner.hh"
 #include "campaign/strategy.hh"
 #include "detector/report.hh"
 #include "service/checkpoint.hh"
@@ -28,16 +24,7 @@ namespace txrace::service {
 
 namespace {
 
-std::string
-hex64(uint64_t v)
-{
-    char buf[19];
-    std::snprintf(buf, sizeof buf, "0x%016llx",
-                  (unsigned long long)v);
-    return buf;
-}
-
-/** The whole service loop as one object so the batch runner, the
+/** The whole service loop as one object so the round body, the
  *  checkpointer, and the shutdown path share state naturally. */
 class ServiceRunner
 {
@@ -54,17 +41,16 @@ class ServiceRunner
     }
 
     void restoreOrInit();
-    void startPool();
-    /** Submit unseen jobs of @p batch and fold their outcomes.
-     *  Returns false when a stop was requested (shutdown already
-     *  checkpointed). */
-    bool runBatch(const std::vector<campaign::JobSpec> &batch);
-    void foldOutcome(campaign::JobOutcome outcome);
+    /** One round, from every ingest path: persist @p plan (not
+     *  empty) as the pending round, run its unseen jobs, close the
+     *  barrier. Returns false when a stop was requested (shutdown
+     *  already checkpointed). */
+    bool runRound(std::vector<campaign::JobSpec> plan);
+    void foldOutcome(const campaign::JobOutcome &outcome);
     void checkpointNow();
     void emitHeartbeat(const std::string &event);
     void emitDelta(const campaign::JobOutcome &outcome,
                    const campaign::FoundRace &race);
-    void shutdownPoolAndDrain();
     bool strategyLoop();
     bool streamLoop();
     void writeFinal(ServiceResult &res);
@@ -73,8 +59,8 @@ class ServiceRunner
     campaign::CampaignConfig cfg_;
     campaign::GroundTruth groundTruth_;
 
-    /** Folded only on the runner thread (runBatch and the shutdown
-     *  drain); pool workers never touch it. */
+    /** Folded only on this thread (rounds and the shutdown drain);
+     *  pool workers never touch it. */
     campaign::Aggregator agg_;
     std::unique_ptr<campaign::Strategy> strategy_;
     std::vector<campaign::JobOutcome> history_;
@@ -88,43 +74,27 @@ class ServiceRunner
     uint64_t nextId_ = 0;
     uint64_t roundsDone_ = 0;
     uint64_t jobsTotal_ = 0;
-    uint64_t jobsFolded_ = 0;
-    uint64_t duplicates_ = 0;
 
-    std::unique_ptr<campaign::ResultQueue> queue_;
-    std::unique_ptr<campaign::WorkStealingPool> pool_;
-    std::vector<campaign::WorkerCache> caches_;
-    std::vector<std::atomic<uint8_t>> busy_;
-    std::vector<uint64_t> workerDone_;
-
+    /** Built once the (possibly restored) campaign is known. */
+    std::unique_ptr<campaign::RoundRunner> runner_;
     telemetry::ServiceStats stats_;
-    std::chrono::steady_clock::time_point wall0_;
-    bool poolStopped_ = false;
 };
 
 void
 ServiceRunner::restoreOrInit()
 {
     cfg_ = opt_.cfg;
+    Checkpoint ck;
     if (opt_.resume) {
         const std::string path = opt_.stateDir + "/checkpoint.json";
         std::string text, error;
         if (!readFile(path, text, error))
             fatal("--resume: %s", error.c_str());
-        Checkpoint ck;
         if (!Checkpoint::parse(text, ck, error))
             fatal("--resume: %s: %s", path.c_str(), error.c_str());
         // Identity comes from the checkpoint; execution knobs (jobs,
         // cadence) stay with the CLI.
-        cfg_.masterSeed = ck.campaign.masterSeed;
-        cfg_.strategy = ck.campaign.strategy;
-        cfg_.mode = ck.campaign.mode;
-        cfg_.slowpath = ck.campaign.slowpath;
-        cfg_.apps = ck.campaign.apps;
-        cfg_.seedsPerApp = ck.campaign.seedsPerApp;
-        cfg_.workers = ck.campaign.workers;
-        cfg_.scale = ck.campaign.scale;
-        cfg_.calibrate = ck.campaign.calibrate;
+        adoptCampaignIdentity(cfg_, ck.campaign);
 
         nextId_ = ck.nextId;
         roundsDone_ = ck.roundsDone;
@@ -134,24 +104,19 @@ ServiceRunner::restoreOrInit()
         spoolFirstId_ = std::move(ck.spoolFirstId);
         agg_ = std::move(ck.aggregate);
 
-        strategy_ = campaign::makeStrategy(cfg_.strategy);
-        strategy_->restoreState(ck.strategyState);
         for (const OutcomeSummary &s : summaries_)
             history_.push_back(s.toOutcome(cfg_));
-        std::sort(history_.begin(), history_.end(),
-                  [](const campaign::JobOutcome &x,
-                     const campaign::JobOutcome &y) {
-                      return x.spec.id < y.spec.id;
-                  });
+        campaign::sortById(history_);
         ++stats_.resumes;
         if (opt_.chatter)
             *opt_.chatter << "resumed: " << summaries_.size()
                           << " outcome(s), next id " << nextId_
                           << ", " << plan_.size()
                           << " job(s) in the pending round\n";
-    } else {
-        strategy_ = campaign::makeStrategy(cfg_.strategy);
     }
+    // A fresh campaign restores the empty state: the strategy's start.
+    strategy_ = campaign::makeStrategy(cfg_.strategy);
+    strategy_->restoreState(ck.strategyState);
 
     if (cfg_.apps.empty())
         fatal("--serve: no apps selected");
@@ -159,41 +124,15 @@ ServiceRunner::restoreOrInit()
 }
 
 void
-ServiceRunner::startPool()
-{
-    caches_ = std::vector<campaign::WorkerCache>(cfg_.jobs);
-    busy_ = std::vector<std::atomic<uint8_t>>(cfg_.jobs);
-    workerDone_.assign(cfg_.jobs, 0);
-    queue_ = std::make_unique<campaign::ResultQueue>(
-        cfg_.queueCapacity);
-    const bool calibrate = cfg_.calibrate;
-    const core::SlowPathKind slowpath = cfg_.slowpath;
-    pool_ = std::make_unique<campaign::WorkStealingPool>(
-        cfg_.jobs,
-        [this, calibrate, slowpath](const campaign::JobSpec &spec,
-                                    uint32_t worker) {
-            busy_[worker].store(1, std::memory_order_relaxed);
-            campaign::JobOutcome outcome = campaign::executeJob(
-                spec, caches_[worker], calibrate, slowpath);
-            outcome.worker = worker;
-            busy_[worker].store(0, std::memory_order_relaxed);
-            return outcome;
-        },
-        *queue_);
-}
-
-void
 ServiceRunner::emitHeartbeat(const std::string &event)
 {
     if (!opt_.progressJson)
         return;
-    campaign::ProgressRecord rec = campaign::progressRecord(
-        event, roundsDone_, jobsTotal_, agg_, workerDone_, busy_);
-    double secs = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - wall0_)
-                      .count();
+    campaign::ProgressRecord rec =
+        runner_->progress(event, roundsDone_, jobsTotal_, agg_);
+    double secs = runner_->elapsedSeconds();
     uint64_t rate =
-        secs > 0.0 ? uint64_t(double(jobsFolded_) / secs) : 0;
+        secs > 0.0 ? uint64_t(double(stats_.jobsIngested) / secs) : 0;
     rec.service = stats_.gauges(rate);
     campaign::writeProgressRecord(*opt_.progressJson, rec);
 }
@@ -211,7 +150,7 @@ ServiceRunner::emitDelta(const campaign::JobOutcome &outcome,
     w.field("event", "finding");
     w.field("job", outcome.spec.id);
     w.field("app", outcome.spec.app);
-    w.field("fingerprint", hex64(race.sig.hash));
+    w.field("fingerprint", telemetry::hex64(race.sig.hash));
     w.field("kind", detector::raceKindName(race.kind));
     w.field("a", race.sig.a);
     w.field("b", race.sig.b);
@@ -250,85 +189,65 @@ ServiceRunner::checkpointNow()
 }
 
 void
-ServiceRunner::foldOutcome(campaign::JobOutcome outcome)
+ServiceRunner::foldOutcome(const campaign::JobOutcome &outcome)
 {
     std::vector<const campaign::FoundRace *> fresh;
     if (!agg_.add(outcome, &fresh)) {
-        ++duplicates_;
         ++stats_.duplicatesSkipped;
         return;
     }
-    ++jobsFolded_;
     ++stats_.jobsIngested;
-    if (outcome.worker < workerDone_.size())
-        ++workerDone_[outcome.worker];
     for (const campaign::FoundRace *race : fresh)
         emitDelta(outcome, *race);
     summaries_.push_back(OutcomeSummary::of(outcome));
+    // Strategies see the summary, exactly what a resume restores.
+    history_.push_back(summaries_.back().toOutcome(cfg_));
     if (opt_.progressJson && cfg_.progressEvery > 0 &&
-        jobsFolded_ % cfg_.progressEvery == 0)
+        stats_.jobsIngested % cfg_.progressEvery == 0)
         emitHeartbeat("progress");
-    history_.push_back(std::move(outcome));
-}
-
-void
-ServiceRunner::shutdownPoolAndDrain()
-{
-    // An in-flight worker may be blocked pushing into a full queue;
-    // join from the side while this thread keeps draining.
-    std::thread joiner([this] {
-        pool_->stopAndJoin();
-        queue_->close();
-    });
-    campaign::JobOutcome outcome;
-    while (queue_->pop(outcome))
-        foldOutcome(std::move(outcome));
-    joiner.join();
-    poolStopped_ = true;
 }
 
 bool
-ServiceRunner::runBatch(const std::vector<campaign::JobSpec> &batch)
+ServiceRunner::runRound(std::vector<campaign::JobSpec> plan)
 {
+    // Persist the plan before running it: a kill mid-round resumes
+    // THIS round, not a rederived one.
+    jobsTotal_ = std::max(jobsTotal_, plan.back().id + 1);
+    plan_ = std::move(plan);
+    checkpointNow();
     std::vector<campaign::JobSpec> todo;
-    for (const campaign::JobSpec &spec : batch) {
-        if (agg_.seen(spec.id)) {
-            ++duplicates_;
+    for (const campaign::JobSpec &spec : plan_)
+        if (agg_.seen(spec.id))
             ++stats_.duplicatesSkipped;
-            continue;
-        }
-        todo.push_back(spec);
-    }
-    if (!todo.empty())
-        pool_->submit(todo);
+        else
+            todo.push_back(spec);
 
     uint64_t sinceCkpt = 0;
-    for (size_t i = 0; i < todo.size(); ++i) {
-        campaign::JobOutcome outcome;
-        if (!queue_->pop(outcome))
-            fatal("service: result queue closed early");
-        foldOutcome(std::move(outcome));
-        ++sinceCkpt;
-        if (opt_.checkpointEvery > 0 &&
-            sinceCkpt >= opt_.checkpointEvery) {
-            checkpointNow();
-            sinceCkpt = 0;
-        }
-        if (stopRequested()) {
-            if (opt_.chatter)
-                *opt_.chatter
-                    << "stop requested: draining in-flight jobs\n";
-            shutdownPoolAndDrain();
-            checkpointNow();
-            emitHeartbeat("shutdown");
-            return false;
-        }
+    bool finished =
+        runner_->runRound(todo, [&](campaign::JobOutcome outcome) {
+            foldOutcome(outcome);
+            if (opt_.checkpointEvery > 0 &&
+                ++sinceCkpt >= opt_.checkpointEvery) {
+                checkpointNow();
+                sinceCkpt = 0;
+            }
+            return !stopRequested();
+        });
+    if (!finished) {
+        if (opt_.chatter)
+            *opt_.chatter << "stop requested: draining in-flight jobs\n";
+        runner_->stopAndDrain([this](campaign::JobOutcome outcome) {
+            foldOutcome(outcome);
+            return true;
+        });
+        checkpointNow();
+        emitHeartbeat("shutdown");
+        return false;
     }
-    std::sort(history_.begin(), history_.end(),
-              [](const campaign::JobOutcome &x,
-                 const campaign::JobOutcome &y) {
-                  return x.spec.id < y.spec.id;
-              });
+    campaign::sortById(history_);
+    plan_.clear();
+    ++roundsDone_;
+    checkpointNow();
     return true;
 }
 
@@ -337,29 +256,21 @@ ServiceRunner::strategyLoop()
 {
     // A pending plan from the checkpoint runs first; afterwards the
     // restored strategy state machine continues from its next round.
-    if (plan_.empty())
-        plan_ = strategy_->nextRound(cfg_, history_, nextId_);
-    while (!plan_.empty()) {
-        jobsTotal_ = std::max(
-            jobsTotal_,
-            plan_.empty() ? nextId_ : plan_.back().id + 1);
+    std::vector<campaign::JobSpec> plan =
+        plan_.empty() ? strategy_->nextRound(cfg_, history_, nextId_)
+                      : plan_;
+    while (!plan.empty()) {
         if (opt_.chatter)
             *opt_.chatter << "round " << roundsDone_ << ": "
-                          << plan_.size() << " job(s) ["
+                          << plan.size() << " job(s) ["
                           << strategy_->name() << "]\n";
-        // Persist the plan before running it: a kill mid-round
-        // resumes THIS round, not a rederived one.
-        checkpointNow();
-        if (!runBatch(plan_))
+        if (!runRound(std::move(plan)))
             return false;
-        ++roundsDone_;
-        plan_.clear();
-        checkpointNow();
         if (stopRequested()) {
             emitHeartbeat("shutdown");
             return false;
         }
-        plan_ = strategy_->nextRound(cfg_, history_, nextId_);
+        plan = strategy_->nextRound(cfg_, history_, nextId_);
     }
     return true;
 }
@@ -385,46 +296,40 @@ ServiceRunner::streamLoop()
                           error.c_str());
                 // Stable id assignment across resumes: the first id
                 // ever given to this file is recorded and reused.
-                auto it = spoolFirstId_.find(name);
-                uint64_t base;
-                if (it != spoolFirstId_.end()) {
-                    base = it->second;
-                } else {
-                    base = nextId_;
+                auto [first, fresh] =
+                    spoolFirstId_.try_emplace(name, nextId_);
+                if (fresh) {
                     nextId_ += specs.size();
-                    spoolFirstId_[name] = base;
                     ++stats_.batches;
                 }
+                const uint64_t base = first->second;
                 bool anyNew = false;
                 for (size_t i = 0; i < specs.size(); ++i) {
                     specs[i].id = base + i;
                     specs[i].round = uint32_t(roundsDone_);
                     anyNew |= !agg_.seen(specs[i].id);
                 }
-                if (!anyNew) {
+                // The pending round of the checkpoint we resumed from
+                // still needs its barrier, even when a stop drained
+                // every one of its jobs.
+                const bool pending = !specs.empty() && !plan_.empty() &&
+                                     plan_.front().id == base;
+                if (!anyNew && !pending) {
                     // Redelivered batch, fully folded already (e.g.
                     // before the checkpoint we resumed from): still
                     // duplicates from the ingest point of view.
-                    duplicates_ += specs.size();
                     stats_.duplicatesSkipped += specs.size();
                     spoolDrained_.insert(name);
                     continue;
                 }
                 ingested = true;
-                jobsTotal_ = std::max(jobsTotal_, nextId_);
                 if (opt_.chatter)
                     *opt_.chatter
                         << "spool batch " << name << ": "
                         << specs.size() << " job(s)\n";
-                plan_ = specs;
-                checkpointNow();
-                bool ok = runBatch(plan_);
-                plan_.clear();
-                if (!ok)
+                if (!runRound(std::move(specs)))
                     return false;
                 spoolDrained_.insert(name);
-                ++roundsDone_;
-                checkpointNow();
             }
         }
         if (opt_.jobStream) {
@@ -445,16 +350,7 @@ ServiceRunner::streamLoop()
                 }
                 ++stats_.batches;
                 ingested = true;
-                jobsTotal_ = std::max(jobsTotal_, nextId_);
-                plan_ = specs;
-                checkpointNow();
-                bool ok = runBatch(plan_);
-                plan_.clear();
-                if (!ok)
-                    return false;
-                ++roundsDone_;
-                checkpointNow();
-                return true;
+                return runRound(std::move(specs));
             };
             while (std::getline(*opt_.jobStream, line)) {
                 if (line.find_first_not_of(" \t\r") ==
@@ -489,12 +385,9 @@ ServiceRunner::streamLoop()
 void
 ServiceRunner::writeFinal(ServiceResult &res)
 {
+    res.cfg = cfg_;
     res.report = agg_.finalize(cfg_, groundTruth_);
-    res.report.timing.wallSeconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - wall0_)
-            .count();
-    res.report.timing.jobs = cfg_.jobs;
+    res.report.timing = runner_->timing();
 
     FindingsStore store;
     store.campaign = cfg_;
@@ -523,32 +416,24 @@ ServiceRunner::run()
 {
     if (opt_.stateDir.empty())
         fatal("--serve needs --state-dir");
-    if (opt_.cfg.jobs == 0)
-        fatal("--serve: need at least one job slot");
     std::error_code ec;
     std::filesystem::create_directories(opt_.stateDir, ec);
     if (ec)
         fatal("cannot create state dir %s", opt_.stateDir.c_str());
 
-    wall0_ = std::chrono::steady_clock::now();
     restoreOrInit();
-    startPool();
+    runner_ = std::make_unique<campaign::RoundRunner>(cfg_);
     emitHeartbeat(opt_.resume ? "resume" : "start");
 
     const bool stream =
         !opt_.spoolDir.empty() || opt_.jobStream != nullptr;
-    bool completed = stream ? streamLoop() : strategyLoop();
-
     ServiceResult res;
-    res.jobsFolded = jobsFolded_;
-    res.duplicatesSkipped = duplicates_;
-    res.completed = completed;
-    if (completed)
+    res.completed = stream ? streamLoop() : strategyLoop();
+    if (res.completed)
         writeFinal(res);
+    res.jobsFolded = stats_.jobsIngested;
+    res.duplicatesSkipped = stats_.duplicatesSkipped;
     res.checkpoints = stats_.checkpoints;
-
-    if (!poolStopped_)
-        shutdownPoolAndDrain();
     return res;
 }
 

@@ -9,9 +9,10 @@
  *   ingest   — jobs come from the campaign strategy (default), from
  *              NDJSON batches on stdin, or from a spool directory
  *              processed in sorted-filename order;
- *   fold     — outcomes fold into one campaign::Aggregator on the
- *              thread that drains the result queue (pool workers
- *              never touch it);
+ *   fold     — each round runs on the campaign::RoundRunner that
+ *              runCampaign also uses (runner.hh); outcomes fold into
+ *              one campaign::Aggregator on the thread that drains the
+ *              runner's result queue (pool workers never touch it);
  *   emit     — txrace-progress-v1 heartbeats with service gauges
  *              plus one `"event":"finding"` delta per NEW finding;
  *   checkpoint — txrace-checkpoint-v1 written atomically to the
@@ -23,6 +24,11 @@
  *              at-least-once delivery safe;
  *   merge    — the final findings store unions across hosts via
  *              FindingsStore::merge (commutative, `cmp`-testable).
+ *
+ * Every ingest path goes through one round body: persist the plan,
+ * run its unseen jobs, close the barrier, checkpoint. What the
+ * service adds over runCampaign is only restore, checkpoint, ingest,
+ * stop handling and the finding-delta feed.
  *
  * Determinism: the final campaign report and findings store are a
  * pure function of the campaign identity (strategy mode) or of
@@ -82,7 +88,11 @@ struct ServiceResult
     uint64_t jobsFolded = 0;
     uint64_t duplicatesSkipped = 0;
     uint64_t checkpoints = 0;
-    /** The deterministic report; only valid when completed. */
+    /** The campaign that ran: the checkpoint's identity on resume,
+     *  execution knobs from the options. Valid when completed. */
+    campaign::CampaignConfig cfg;
+    /** The report (deterministic but for `timing`, which covers the
+     *  jobs this process ran); only valid when completed. */
     campaign::CampaignResult report;
 };
 

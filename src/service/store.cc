@@ -1,5 +1,7 @@
 #include "service/store.hh"
 
+#include <tuple>
+
 #include "core/repro.hh"
 #include "telemetry/json.hh"
 #include "telemetry/jsonparse.hh"
@@ -9,6 +11,16 @@ namespace txrace::service {
 namespace {
 
 constexpr const char *kSchema = "txrace-findings-v1";
+
+/** The identity fields, as a tuple of references: one list for
+ *  comparison and adoption (the reader and writer name each field). */
+template <typename Config>
+auto
+identity(Config &c)
+{
+    return std::tie(c.masterSeed, c.strategy, c.mode, c.slowpath, c.apps,
+                    c.seedsPerApp, c.workers, c.scale, c.calibrate);
+}
 
 } // namespace
 
@@ -76,9 +88,7 @@ readCampaignIdentity(const telemetry::JsonValue &v,
         cfg.workers = uint32_t(n->asU64());
     if (const telemetry::JsonValue *n = v.find("scale"))
         cfg.scale = n->asU64();
-    if (const telemetry::JsonValue *c = v.find("calibrate"))
-        cfg.calibrate = c->type == telemetry::JsonValue::Type::Bool &&
-                        c->boolean;
+    cfg.calibrate = telemetry::getBool(v, "calibrate");
     return true;
 }
 
@@ -86,11 +96,14 @@ bool
 sameCampaignIdentity(const campaign::CampaignConfig &a,
                      const campaign::CampaignConfig &b)
 {
-    return a.masterSeed == b.masterSeed && a.strategy == b.strategy &&
-           a.mode == b.mode && a.slowpath == b.slowpath &&
-           a.apps == b.apps && a.seedsPerApp == b.seedsPerApp &&
-           a.workers == b.workers && a.scale == b.scale &&
-           a.calibrate == b.calibrate;
+    return identity(a) == identity(b);
+}
+
+void
+adoptCampaignIdentity(campaign::CampaignConfig &cfg,
+                      const campaign::CampaignConfig &from)
+{
+    identity(cfg) = identity(from);
 }
 
 void

@@ -51,6 +51,14 @@ bool readCampaignIdentity(const telemetry::JsonValue &v,
 bool sameCampaignIdentity(const campaign::CampaignConfig &a,
                           const campaign::CampaignConfig &b);
 
+/**
+ * Replace @p cfg's identity fields with @p from's (`--resume`: the
+ * checkpoint names the campaign). Execution knobs — jobs, queue,
+ * cadences — keep @p cfg's values.
+ */
+void adoptCampaignIdentity(campaign::CampaignConfig &cfg,
+                           const campaign::CampaignConfig &from);
+
 /** A findings store: campaign identity + accumulated aggregate. */
 struct FindingsStore
 {

@@ -1,6 +1,7 @@
 #include "telemetry/json.hh"
 
 #include <cmath>
+#include <cstdio>
 
 #include "support/log.hh"
 
@@ -186,6 +187,14 @@ JsonWriter::valueNull()
 {
     preValue();
     os_ << "null";
+}
+
+std::string
+hex64(uint64_t v)
+{
+    char buf[19];
+    std::snprintf(buf, sizeof buf, "0x%016llx", (unsigned long long)v);
+    return buf;
 }
 
 } // namespace txrace::telemetry

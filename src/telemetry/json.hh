@@ -81,6 +81,10 @@ class JsonWriter
     bool pendingKey_ = false;
 };
 
+/** @p v as "0x" plus 16 lower-case hex digits (fingerprints,
+ *  config digests). */
+std::string hex64(uint64_t v);
+
 } // namespace txrace::telemetry
 
 #endif // TXRACE_TELEMETRY_JSON_HH

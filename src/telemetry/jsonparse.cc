@@ -37,6 +37,27 @@ JsonValue::asDouble() const
     return std::strtod(number.c_str(), nullptr);
 }
 
+uint64_t
+getU64(const JsonValue &obj, std::string_view key)
+{
+    const JsonValue *v = obj.find(key);
+    return v ? v->asU64() : 0;
+}
+
+std::string
+getStr(const JsonValue &obj, std::string_view key)
+{
+    const JsonValue *v = obj.find(key);
+    return v && v->isString() ? v->str : std::string();
+}
+
+bool
+getBool(const JsonValue &obj, std::string_view key)
+{
+    const JsonValue *v = obj.find(key);
+    return v && v->type == JsonValue::Type::Bool && v->boolean;
+}
+
 namespace {
 
 class Parser

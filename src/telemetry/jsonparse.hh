@@ -55,6 +55,17 @@ struct JsonValue
     double asDouble() const;
 };
 
+/** Member @p key of @p obj as uint64_t (0 when absent or not a
+ *  non-negative integer). */
+uint64_t getU64(const JsonValue &obj, std::string_view key);
+
+/** Member @p key of @p obj as a string (empty when absent or not a
+ *  string). */
+std::string getStr(const JsonValue &obj, std::string_view key);
+
+/** Member @p key of @p obj as a bool (false unless it is `true`). */
+bool getBool(const JsonValue &obj, std::string_view key);
+
 /**
  * Parse @p text as one JSON document. Returns true and fills @p out
  * on success; returns false and describes the problem in @p error

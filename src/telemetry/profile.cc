@@ -15,13 +15,6 @@ namespace {
 /** Current (and only) schema identifier. */
 constexpr const char *kSchema = "txrace-profile-v1";
 
-uint64_t
-getU64(const JsonValue &obj, std::string_view key)
-{
-    const JsonValue *v = obj.find(key);
-    return v ? v->asU64() : 0;
-}
-
 } // namespace
 
 void

@@ -85,7 +85,7 @@ TEST(Service, CampaignJsonMatchesRunCampaignByteExactly)
     fs::remove_all(dir);
 }
 
-TEST(Service, KillAndResumeIsByteIdenticalForAnyJobsAndShards)
+TEST(Service, KillAndResumeIsByteIdenticalForAnyJobs)
 {
     campaign::CampaignConfig base = smallCampaign();
     const std::string refDir = freshDir("resume_ref");
@@ -114,14 +114,26 @@ TEST(Service, KillAndResumeIsByteIdenticalForAnyJobsAndShards)
         ASSERT_TRUE(fs::exists(dir + "/checkpoint.json"));
 
         // A second interrupted leg: resume, fold a bit, die again.
+        // On resume the identity comes from the checkpoint, whatever
+        // the options say; execution knobs come from the options.
         opt.resume = true;
+        opt.cfg.masterSeed = base.masterSeed + 1;
+        opt.cfg.apps = {"vips"};
+        opt.cfg.progressEvery = 1;
         ServiceResult again = runService(opt);
         EXPECT_FALSE(again.completed);
 
-        // Final leg completes.
+        // Final leg completes, under another pool size.
+        const uint32_t finalJobs = jobs == 1 ? 8 : 1;
+        opt.cfg.jobs = finalJobs;
         stop.store(false);
         ServiceResult done = runService(opt);
         EXPECT_TRUE(done.completed);
+        EXPECT_EQ(done.cfg.masterSeed, base.masterSeed);
+        EXPECT_EQ(done.cfg.apps, base.apps);
+        EXPECT_EQ(done.cfg.jobs, finalJobs);
+        EXPECT_EQ(done.cfg.progressEvery, 1u);
+        EXPECT_EQ(done.report.timing.jobs, finalJobs);
 
         EXPECT_EQ(slurp(dir + "/campaign.json"), wantCampaign)
             << "jobs=" << jobs;
@@ -130,6 +142,32 @@ TEST(Service, KillAndResumeIsByteIdenticalForAnyJobsAndShards)
         fs::remove_all(dir);
     }
     fs::remove_all(refDir);
+}
+
+TEST(Service, ReportCarriesOneSpanPerJob)
+{
+    campaign::CampaignConfig cfg = smallCampaign();
+    const std::string dir = freshDir("spans");
+    ServiceResult res = runToCompletion(cfg, dir);
+    const campaign::CampaignTiming &timing = res.report.timing;
+    ASSERT_EQ(timing.spans.size(), res.jobsFolded);
+    ASSERT_EQ(timing.spans.size(), res.report.runs);
+    // Id order: this campaign's job ids are 0..runs-1.
+    for (size_t i = 0; i < timing.spans.size(); ++i)
+        EXPECT_EQ(timing.spans[i].job, i);
+    EXPECT_EQ(timing.jobs, cfg.jobs);
+    EXPECT_GT(timing.runsPerSec, 0.0);
+
+    std::ostringstream ss;
+    campaign::writeCampaignTrace(ss, res.report);
+    const std::string trace = ss.str();
+    size_t spans = 0;
+    for (size_t pos = 0;
+         (pos = trace.find("\"ph\":\"X\"", pos)) != std::string::npos;
+         ++pos)
+        ++spans;
+    EXPECT_EQ(spans, res.report.runs);
+    fs::remove_all(dir);
 }
 
 TEST(Service, AdaptiveStrategySurvivesMidCampaignKill)
@@ -181,7 +219,7 @@ TEST(Service, ResumeAfterCompletionIsAnIdempotentNoOp)
     fs::remove_all(dir);
 }
 
-TEST(Service, SpoolIngestIsDeterministicAcrossJobsAndShards)
+TEST(Service, SpoolIngestIsDeterministicAcrossJobs)
 {
     const std::string spool = freshDir("spool_src");
     fs::create_directories(spool);
@@ -253,6 +291,45 @@ TEST(Service, SpoolResumeKeepsJobIdsStable)
     fs::remove_all(dir);
     fs::remove_all(refDir);
     fs::remove_all(spool);
+}
+
+TEST(Service, SpoolStopOnABatchEndKeepsTheRoundCount)
+{
+    // One job per batch: the pre-raised stop lands on the last job of
+    // the first batch, so the stopped leg has folded a whole round.
+    // Resume skips that fully seen batch and must still count it.
+    const std::string spool = freshDir("spool_edge_src");
+    fs::create_directories(spool);
+    std::ofstream(spool + "/001.ndjson")
+        << "{\"app\": \"raytrace\", \"seed\": 3}\n";
+    std::ofstream(spool + "/002.ndjson")
+        << "{\"app\": \"canneal\", \"seed\": 7}\n";
+
+    campaign::CampaignConfig cfg = smallCampaign();
+    cfg.jobs = 1;
+    const std::string refDir = freshDir("spool_edge_ref");
+    ServiceOptions opt;
+    opt.cfg = cfg;
+    opt.stateDir = refDir;
+    opt.spoolDir = spool;
+    EXPECT_TRUE(runService(opt).completed);
+
+    const std::string dir = freshDir("spool_edge_run");
+    std::atomic<bool> stop{true};
+    opt.stateDir = dir;
+    opt.stopFlag = &stop;
+    ServiceResult stopped = runService(opt);
+    EXPECT_FALSE(stopped.completed);
+    EXPECT_EQ(stopped.jobsFolded, 1u);
+    stop.store(false);
+    opt.resume = true;
+    EXPECT_TRUE(runService(opt).completed);
+
+    for (const char *file :
+         {"/campaign.json", "/findings.json", "/checkpoint.json"})
+        EXPECT_EQ(slurp(dir + file), slurp(refDir + file)) << file;
+    for (const std::string &d : {dir, refDir, spool})
+        fs::remove_all(d);
 }
 
 TEST(Service, StdinBatchesFoldLikeSpoolBatches)

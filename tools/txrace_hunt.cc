@@ -56,7 +56,8 @@ usage()
         "                   per-job spans (worker lanes)\n"
         "  --quiet          no per-round progress chatter\n"
         "\n"
-        "service mode (long-running, resumable):\n"
+        "service mode (long-running, resumable; the flags below\n"
+        "need --serve):\n"
         "  --serve          run as the hunting service: checkpoint to\n"
         "                   the state dir, fold idempotently, shut\n"
         "                   down cleanly on SIGTERM/SIGINT\n"
@@ -97,12 +98,11 @@ openOut(const std::string &path, std::ofstream &file)
     return file;
 }
 
+/** The entries of comma-separated @p list; an empty entry is fatal. */
 std::vector<std::string>
-parseApps(const std::string &list)
+splitList(const char *flag, const std::string &list)
 {
-    if (list == "all")
-        return workloads::appNames();
-    std::vector<std::string> apps;
+    std::vector<std::string> items;
     size_t pos = 0;
     while (pos <= list.size()) {
         size_t comma = list.find(',', pos);
@@ -110,11 +110,11 @@ parseApps(const std::string &list)
             comma = list.size();
         std::string item = list.substr(pos, comma - pos);
         if (item.empty())
-            fatal("--apps: empty entry in '%s'", list.c_str());
-        apps.push_back(item);
+            fatal("%s: empty entry in '%s'", flag, list.c_str());
+        items.push_back(item);
         pos = comma + 1;
     }
-    return apps;
+    return items;
 }
 
 /** Raised by SIGTERM/SIGINT; the service polls it between folds. */
@@ -126,28 +126,11 @@ onStopSignal(int)
     g_stop.store(true, std::memory_order_relaxed);
 }
 
-std::vector<std::string>
-splitCommas(const std::string &list)
-{
-    std::vector<std::string> items;
-    size_t pos = 0;
-    while (pos <= list.size()) {
-        size_t comma = list.find(',', pos);
-        if (comma == std::string::npos)
-            comma = list.size();
-        std::string item = list.substr(pos, comma - pos);
-        if (!item.empty())
-            items.push_back(item);
-        pos = comma + 1;
-    }
-    return items;
-}
-
 /** `--merge F1,F2,...`: union findings stores, write, exit. */
 int
 mergeStores(const std::string &list, const std::string &out_path)
 {
-    std::vector<std::string> paths = splitCommas(list);
+    std::vector<std::string> paths = splitList("--merge", list);
     if (paths.size() < 2)
         fatal("--merge needs at least two store files");
     service::FindingsStore total;
@@ -194,8 +177,17 @@ main(int argc, char **argv)
     std::string spool_dir;
     std::string merge_arg;
     std::string findings_out_path = "-";
+    // A service-only flag, if any was given: without --serve it is
+    // an error, not silently ignored.
+    const char *serve_only = nullptr;
+    const char *const serve_flags[] = {"--state-dir", "--resume",
+                                       "--spool", "--stdin-jobs",
+                                       "--follow", "--checkpoint-every"};
 
     for (int i = 1; i < argc; ++i) {
+        for (const char *flag : serve_flags)
+            if (std::strcmp(argv[i], flag) == 0)
+                serve_only = flag;
         auto value = [&](const char *flag) -> const char * {
             if (std::strcmp(argv[i], flag) != 0)
                 return nullptr;
@@ -211,7 +203,7 @@ main(int argc, char **argv)
             cfg.seedsPerApp = core::parseUnsignedFlag("--seeds", v1, 1);
         } else if (const char *v2 = value("--jobs")) {
             cfg.jobs = static_cast<uint32_t>(
-                core::parseUnsignedFlag("--jobs", v2, 0, UINT32_MAX));
+                core::parseUnsignedFlag("--jobs", v2, 1, UINT32_MAX));
         } else if (const char *v3 = value("--strategy")) {
             cfg.strategy = v3;
         } else if (const char *v4 = value("--mode")) {
@@ -259,6 +251,8 @@ main(int argc, char **argv)
             fatal("unknown option '%s' (try --help)", argv[i]);
         }
     }
+    if (serve_only && !serve)
+        fatal("%s requires --serve", serve_only);
     if (!merge_arg.empty())
         return mergeStores(merge_arg, findings_out_path);
 
@@ -266,14 +260,17 @@ main(int argc, char **argv)
     // only mandatory for fresh campaigns.
     if (apps_arg.empty() && !(serve && resume))
         usage();
-    if (!apps_arg.empty())
-        cfg.apps = parseApps(apps_arg);
+    if (apps_arg == "all")
+        cfg.apps = workloads::appNames();
+    else if (!apps_arg.empty())
+        cfg.apps = splitList("--apps", apps_arg);
 
     std::ofstream progress_file;
     std::ostream *progress_json = nullptr;
     if (!progress_json_path.empty())
         progress_json = &openOut(progress_json_path, progress_file);
 
+    campaign::CampaignResult result;
     if (serve) {
         std::signal(SIGTERM, onStopSignal);
         std::signal(SIGINT, onStopSignal);
@@ -302,11 +299,13 @@ main(int argc, char **argv)
         std::cout << "complete: report, findings store, and "
                      "checkpoint written to "
                   << state_dir << "\n";
-        return sres.report.errors == 0 ? 0 : 2;
+        // On --resume the identity came from the checkpoint.
+        cfg = sres.cfg;
+        result = std::move(sres.report);
+    } else {
+        result = campaign::runCampaign(
+            cfg, quiet ? nullptr : &std::cout, progress_json);
     }
-
-    campaign::CampaignResult result = campaign::runCampaign(
-        cfg, quiet ? nullptr : &std::cout, progress_json);
 
     std::cout << "campaign: " << result.runs << " runs, "
               << result.rounds << " round(s), " << result.errors

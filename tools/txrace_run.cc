@@ -409,7 +409,7 @@ main(int argc, char **argv)
                    : !pattern_name.empty() ? pattern_name
                                            : program_path;
         meta.mode = mode_name;
-        meta.seed = seed;
+        meta.seed = cfg.machine.seed; // the last --seed-list entry
         meta.workers = params.nWorkers;
         meta.scale = params.scale;
         meta.traceText = trace > 0;
