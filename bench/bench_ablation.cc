@@ -18,7 +18,9 @@
  * 3. Slow-path repair: the default windowed repair (replay the
  *    aborting window, watch the conflicting line) against the paper's
  *    region repair (TxFail broadcast demotion, §4.2), per application
- *    and as a geomean.
+ *    and as a geomean, with the detector checks each repair costs:
+ *    the window run's replay and watched-line checks and the total
+ *    checks of both runs.
  */
 
 #include <iostream>
@@ -61,6 +63,13 @@ doubleBufferScenario(uint32_t workers)
     return b.build();
 }
 
+/** Every access the run's detector checked, on any path. */
+uint64_t
+detectorChecks(const core::RunResult &r)
+{
+    return r.stats.get("detector.reads") + r.stats.get("detector.writes");
+}
+
 } // namespace
 
 int
@@ -75,7 +84,8 @@ main(int argc, char **argv)
     Table hints({"application", "TxRace ovh", "with addr hints",
                  "races", "races w/ hints", "filtered checks"});
     Table repair({"application", "window ovh", "region ovh",
-                  "window races", "region races", "watch checks"});
+                  "window races", "region races", "watch checks",
+                  "replay checks", "window checks", "region checks"});
     std::vector<double> g_commodity, g_ideal, g_hints, g_region;
 
     for (const std::string &name : bench::selectedApps(opt)) {
@@ -136,6 +146,9 @@ main(int argc, char **argv)
         repair.cell(static_cast<uint64_t>(txr.races.count()));
         repair.cell(static_cast<uint64_t>(region.races.count()));
         repair.cell(txr.stats.get("txrace.window.watch_checks"));
+        repair.cell(txr.stats.get("detector.replay_checks"));
+        repair.cell(detectorChecks(txr));
+        repair.cell(detectorChecks(region));
 
         // Lockset comparison.
         core::RunResult tsan =

@@ -60,10 +60,14 @@
  *    needed). This generalizes privatize.cc beyond declared ranges.
  *
  * 5. Bare regions. A TxBegin from which no instrumented access is
- *    reachable before a TxEnd — following fall-through, loop
- *    back-edges and the skip past a loop that can run zero trips, so
- *    a region that wraps around a loop is judged on every path it can
- *    take — is marked kRegionBare (overriding the small-region mark).
+ *    reachable before a TxEnd — following fall-through and loop
+ *    back-edges, so a region that wraps around a loop is judged on
+ *    every path it can take — is marked kRegionBare (overriding the
+ *    small-region mark). The skip past a loop that runs zero trips
+ *    needs no edge of its own: transactionalize() ends the region at
+ *    the exit of every loop that holds a boundary, so past such a loop
+ *    the skip lands on a TxEnd, and past any other loop it lands where
+ *    the body's fall-through does.
  *    The region then runs with no transaction, no slow path and no
  *    snapshot: it has nothing the detector would check, on the fast
  *    path or on any slow path, so no report endpoint is lost. Its
@@ -428,10 +432,8 @@ markBareRegions(ir::Function &fn, uint64_t &counter)
                 continue;
             checks = ir::isMemAccess(ins.op) && ins.instrumented;
             work.push_back(pc + 1);
-            // LoopEnd: the back-edge to the body's top. LoopBegin: a
-            // loop that can run zero trips skips past its LoopEnd.
-            if (ins.op == OpCode::LoopEnd ||
-                (ins.op == OpCode::LoopBegin && ins.arg0 == 0))
+            // LoopEnd: the back-edge to the body's top.
+            if (ins.op == OpCode::LoopEnd)
                 work.push_back(static_cast<uint32_t>(ins.match) + 1);
         }
         if (!checks) {

@@ -13,6 +13,9 @@
  *     TxEnd at thread exit points and before every synchronization
  *     operation or system call (system calls must not execute inside
  *     a transaction on RTM — privilege-level changes abort).
+ *     A loop whose body holds such a boundary also ends the region at
+ *     its exit, so the region opened inside the loop never runs on
+ *     into the code after it.
  *     Then, as the paper's optimizations:
  *       - drop transactions around regions with no instrumented
  *         memory operations (TSan would not instrument them either);

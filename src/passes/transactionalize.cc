@@ -27,20 +27,43 @@ isBoundary(OpCode op)
     return ir::isSyncOp(op) || op == OpCode::Syscall;
 }
 
-/** Phase 1: wrap everything, cutting at boundaries. */
+/**
+ * Phase 1: wrap everything, cutting at boundaries. A loop whose body
+ * holds a boundary (an inner loop's counts for its enclosing loops)
+ * also cuts at its exit: the region opened after the in-loop boundary
+ * then ends when the loop does instead of running on into the code
+ * after it, so that region covers only the back-edge path.
+ */
 void
 insertBoundaries(ir::Function &fn)
 {
     std::vector<Instruction> out;
     out.reserve(fn.body.size() + 16);
     out.push_back(makeOp(OpCode::TxBegin));
+    // One flag per open loop: does its body (so far) hold a boundary?
+    std::vector<bool> holds_boundary;
     for (auto &ins : fn.body) {
-        if (isBoundary(ins.op)) {
+        const OpCode op = ins.op;
+        if (isBoundary(op)) {
             out.push_back(makeOp(OpCode::TxEnd));
             out.push_back(std::move(ins));
             out.push_back(makeOp(OpCode::TxBegin));
-        } else {
-            out.push_back(std::move(ins));
+            if (!holds_boundary.empty())
+                holds_boundary.back() = true;
+            continue;
+        }
+        out.push_back(std::move(ins));
+        if (op == OpCode::LoopBegin) {
+            holds_boundary.push_back(false);
+        } else if (op == OpCode::LoopEnd) {
+            const bool split = holds_boundary.back();
+            holds_boundary.pop_back();
+            if (split) {
+                out.push_back(makeOp(OpCode::TxEnd));
+                out.push_back(makeOp(OpCode::TxBegin));
+                if (!holds_boundary.empty())
+                    holds_boundary.back() = true;
+            }
         }
     }
     out.push_back(makeOp(OpCode::TxEnd));

@@ -46,6 +46,15 @@ class ServiceRunner
      *  barrier. Returns false when a stop was requested (shutdown
      *  already checkpointed). */
     bool runRound(std::vector<campaign::JobSpec> plan);
+    /** What ingestBatch() did with a batch. */
+    enum class Batch { Duplicate, Folded, Stopped };
+    /** One batch from the spool or stdin, under @p key: a name that
+     *  stays the same when the batch is delivered again (the spool
+     *  file's name, or "/stdin/<n>" for the n-th stdin batch, which no
+     *  file name can be). The first id ever given to @p key is reused,
+     *  so a redelivered batch folds only the jobs not folded yet. */
+    Batch ingestBatch(const std::string &key,
+                      std::vector<campaign::JobSpec> specs);
     void foldOutcome(const campaign::JobOutcome &outcome);
     void checkpointNow();
     void emitHeartbeat(const std::string &event);
@@ -65,6 +74,8 @@ class ServiceRunner
     std::unique_ptr<campaign::Strategy> strategy_;
     std::vector<campaign::JobOutcome> history_;
     std::vector<OutcomeSummary> summaries_;
+    /** First job id of every spool file and stdin batch ever seen
+     *  (see ingestBatch), persisted in the checkpoint. */
     std::map<std::string, uint64_t> spoolFirstId_;
     /** Spool files fully folded by THIS process: skipped silently on
      *  re-scan so follow-mode polling doesn't re-count them as
@@ -275,6 +286,39 @@ ServiceRunner::strategyLoop()
     return true;
 }
 
+ServiceRunner::Batch
+ServiceRunner::ingestBatch(const std::string &key,
+                           std::vector<campaign::JobSpec> specs)
+{
+    auto [first, fresh] = spoolFirstId_.try_emplace(key, nextId_);
+    if (fresh) {
+        nextId_ += specs.size();
+        ++stats_.batches;
+    }
+    const uint64_t base = first->second;
+    bool anyNew = false;
+    for (size_t i = 0; i < specs.size(); ++i) {
+        specs[i].id = base + i;
+        specs[i].round = uint32_t(roundsDone_);
+        anyNew |= !agg_.seen(specs[i].id);
+    }
+    // The pending round of the checkpoint we resumed from still needs
+    // its barrier, even when a stop drained every one of its jobs.
+    const bool pending = !specs.empty() && !plan_.empty() &&
+                         plan_.front().id == base;
+    if (!anyNew && !pending) {
+        // Redelivered batch, fully folded already (e.g. before the
+        // checkpoint we resumed from): still duplicates from the
+        // ingest point of view.
+        stats_.duplicatesSkipped += specs.size();
+        return Batch::Duplicate;
+    }
+    if (opt_.chatter)
+        *opt_.chatter << "batch " << key << ": " << specs.size()
+                      << " job(s)\n";
+    return runRound(std::move(specs)) ? Batch::Folded : Batch::Stopped;
+}
+
 bool
 ServiceRunner::streamLoop()
 {
@@ -294,46 +338,18 @@ ServiceRunner::streamLoop()
                 if (!parseJobBatch(text, cfg_, specs, error))
                     fatal("spool: %s: %s", name.c_str(),
                           error.c_str());
-                // Stable id assignment across resumes: the first id
-                // ever given to this file is recorded and reused.
-                auto [first, fresh] =
-                    spoolFirstId_.try_emplace(name, nextId_);
-                if (fresh) {
-                    nextId_ += specs.size();
-                    ++stats_.batches;
-                }
-                const uint64_t base = first->second;
-                bool anyNew = false;
-                for (size_t i = 0; i < specs.size(); ++i) {
-                    specs[i].id = base + i;
-                    specs[i].round = uint32_t(roundsDone_);
-                    anyNew |= !agg_.seen(specs[i].id);
-                }
-                // The pending round of the checkpoint we resumed from
-                // still needs its barrier, even when a stop drained
-                // every one of its jobs.
-                const bool pending = !specs.empty() && !plan_.empty() &&
-                                     plan_.front().id == base;
-                if (!anyNew && !pending) {
-                    // Redelivered batch, fully folded already (e.g.
-                    // before the checkpoint we resumed from): still
-                    // duplicates from the ingest point of view.
-                    stats_.duplicatesSkipped += specs.size();
-                    spoolDrained_.insert(name);
-                    continue;
-                }
-                ingested = true;
-                if (opt_.chatter)
-                    *opt_.chatter
-                        << "spool batch " << name << ": "
-                        << specs.size() << " job(s)\n";
-                if (!runRound(std::move(specs)))
+                Batch b = ingestBatch(name, std::move(specs));
+                if (b == Batch::Stopped)
                     return false;
+                ingested |= b == Batch::Folded;
                 spoolDrained_.insert(name);
             }
         }
         if (opt_.jobStream) {
+            // A resumed service is re-fed the stream from its start:
+            // batch n keeps its key, hence its ids, across processes.
             std::string line, batchText;
+            uint64_t batchNo = 0;
             auto flush = [&]() -> bool {
                 if (batchText.empty())
                     return true;
@@ -344,15 +360,14 @@ ServiceRunner::streamLoop()
                 batchText.clear();
                 if (specs.empty())
                     return true;
-                for (campaign::JobSpec &spec : specs) {
-                    spec.id = nextId_++;
-                    spec.round = uint32_t(roundsDone_);
-                }
-                ++stats_.batches;
-                ingested = true;
-                return runRound(std::move(specs));
+                Batch b = ingestBatch(
+                    "/stdin/" + std::to_string(batchNo++),
+                    std::move(specs));
+                ingested |= b == Batch::Folded;
+                return b != Batch::Stopped;
             };
-            while (std::getline(*opt_.jobStream, line)) {
+            while (!stopRequested() &&
+                   std::getline(*opt_.jobStream, line)) {
                 if (line.find_first_not_of(" \t\r") ==
                     std::string::npos) {
                     if (!flush())
@@ -361,12 +376,14 @@ ServiceRunner::streamLoop()
                     batchText += line;
                     batchText += "\n";
                 }
-                if (stopRequested())
-                    break;
             }
-            if (!flush())
-                return false;
-            opt_.jobStream = nullptr; // EOF: stream is done
+            // A stop leaves the batch being read unrun: run in part,
+            // it would claim fewer ids than its re-fed whole needs.
+            if (!stopRequested()) {
+                if (!flush())
+                    return false;
+                opt_.jobStream = nullptr; // EOF: stream is done
+            }
         }
         if (stopRequested()) {
             checkpointNow();

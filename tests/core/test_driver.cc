@@ -90,9 +90,19 @@ TEST(Driver, AllModesFindOrMissTheRaceAsExpected)
     core::RunResult tsan =
         core::runProgram(p, config(core::RunMode::TSan));
     EXPECT_EQ(tsan.races.count(), 1u);
-    core::RunResult txr =
-        core::runProgram(p, config(core::RunMode::TxRaceDynLoopcut));
-    EXPECT_EQ(txr.races.count(), 1u);  // wide windows: found
+    // Wide windows: TxRace finds the race on most schedules. Whether
+    // one seed's conflict lands in an overlapping transaction is luck,
+    // so count seeds rather than pin one. The floor is the count of a
+    // pipeline that does not end regions at syscall-loop exits (11 of
+    // 20); the default finds 15.
+    int found = 0;
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+        core::RunResult txr = core::runProgram(
+            p, config(core::RunMode::TxRaceDynLoopcut, seed));
+        EXPECT_LE(txr.races.count(), 1u) << "seed " << seed;
+        found += txr.races.count() == 1;
+    }
+    EXPECT_GE(found, 11);
     core::RunResult none = core::runProgram(
         p, [] {
             core::RunConfig c = config(core::RunMode::TSanSampling);

@@ -271,7 +271,7 @@ TEST(Monitor, GoldenStormDigest)
     cfg.machine.faults = fault::makeScenario("slowpath-stall", 30'000);
     core::RunResult r = core::runProgram(app.program, cfg);
     ASSERT_TRUE(r.error.ok());
-    EXPECT_EQ(r.totalCost, 1811395u);
+    EXPECT_EQ(r.totalCost, 1811420u);
     EXPECT_EQ(r.budget.windows.size(), 89u);
-    EXPECT_EQ(resultDigest(app.program, r), 0x587ab9b5cf6fbffdull);
+    EXPECT_EQ(resultDigest(app.program, r), 0xe16c63c614ba9e14ull);
 }

@@ -514,9 +514,10 @@ constexpr uint64_t kFast = 0;
 constexpr uint64_t kSlow = kRegionForcedSlow;
 constexpr uint64_t kBare = kRegionBare;
 
-/** A worker whose region A (entry to the syscall inside the loop)
- *  has nothing to check unless the loop can run zero trips, and whose
- *  region B (syscall to exit) can leave the loop into a store. */
+/** x264's shape: a worker whose loop holds a syscall and whose code
+ *  after the loop stores. Region A runs from entry to the syscall,
+ *  region B from the syscall around the back-edge, and region C,
+ *  opened at the loop exit, holds the store. */
 Program
 loopExitProgram(uint64_t trips, uint64_t random_extra)
 {
@@ -590,24 +591,36 @@ TEST(Elide, WrapAroundRegionReachingACheckOverTheBackEdgeIsNotBare)
               (std::vector<uint64_t>{kSlow, kSlow}));
 }
 
-TEST(Elide, WrapAroundRegionThatCanLeaveTheLoopIntoACheckIsNotBare)
+TEST(Elide, RegionInsideABoundaryLoopEndsAtTheLoopExit)
 {
-    // x264's shape: the region opened inside the loop wraps to the
-    // loop top, where it ends, or exits the loop into the store.
+    // The region opened after the syscall ends at the loop exit
+    // instead of running on into the store, so it has nothing to
+    // check on its back-edge path and runs bare; the store keeps a
+    // region of its own.
     Program p = loopExitProgram(10, 0);
     ElisionStats stats = prepare(p);
-    EXPECT_EQ(stats.bareRegions, 1u);
-    EXPECT_EQ(regionMarks(p, 0), (std::vector<uint64_t>{kBare, kSlow}));
+    EXPECT_EQ(stats.bareRegions, 2u);
+    EXPECT_EQ(regionMarks(p, 0),
+              (std::vector<uint64_t>{kBare, kBare, kSlow}));
 }
 
-TEST(Elide, ZeroTripLoopSkipReachesACheck)
+TEST(Elide, ZeroTripLoopSkipLandsOnTheSplitTxEnd)
 {
-    // With zero trips possible, the entry region can skip the loop and
-    // run on into the store: it is not bare either.
+    // With zero trips possible, the entry region skips the loop, but
+    // the skip lands on the TxEnd that closes the loop: the entry
+    // region is bare whatever the trip count.
     Program p = loopExitProgram(0, 2);
     ElisionStats stats = prepare(p);
-    EXPECT_EQ(stats.bareRegions, 0u);
-    EXPECT_EQ(regionMarks(p, 0), (std::vector<uint64_t>{kSlow, kSlow}));
+    const auto &body = p.function(0).body;
+    for (size_t pc = 0; pc < body.size(); ++pc) {
+        if (body[pc].op == OpCode::LoopBegin) {
+            EXPECT_EQ(body[static_cast<size_t>(body[pc].match) + 1].op,
+                      OpCode::TxEnd);
+        }
+    }
+    EXPECT_EQ(stats.bareRegions, 2u);
+    EXPECT_EQ(regionMarks(p, 0),
+              (std::vector<uint64_t>{kBare, kBare, kSlow}));
 }
 
 TEST(Elide, ForcedSlowRegionWithNothingToCheckBecomesBare)
@@ -641,7 +654,8 @@ TEST(Elide, ForcedSlowRegionWithNothingToCheckBecomesBare)
 TEST(Elide, BareRegionCountIsExact)
 {
     // worker: a bare region, a region above K with six stores, a bare
-    // region after it, then the loop-exit shape (one bare, one not).
+    // region after it, then the loop-exit shape (the entry and in-loop
+    // regions bare, the store's region after the loop not).
     ProgramBuilder b;
     Addr table = b.alloc("table", 1024, 64);
     Addr x = b.alloc("x", 64, 64);
@@ -668,8 +682,9 @@ TEST(Elide, BareRegionCountIsExact)
 
     ElisionStats stats = prepare(p);
     EXPECT_EQ(regionMarks(p, worker),
-              (std::vector<uint64_t>{kBare, kFast, kBare, kBare, kSlow}));
-    EXPECT_EQ(stats.bareRegions, 3u);
+              (std::vector<uint64_t>{kBare, kFast, kBare, kBare, kBare,
+                                     kSlow}));
+    EXPECT_EQ(stats.bareRegions, 4u);
 
     // --no-elide: no pass runs, so no region is bare.
     ElideConfig disabled;

@@ -244,6 +244,163 @@ TEST(Transactionalize, WrapAroundTxEndIsPreserved)
     EXPECT_EQ(p.checkTransactionalForm(), "");
 }
 
+// ---- regions end at the exit of loops that hold a boundary ---------
+
+namespace {
+
+/** The opcodes that follow each LoopEnd of function @p f, in order
+ *  (Nop at the function's end). */
+std::vector<OpCode>
+afterLoopEnds(const Program &p, FuncId f)
+{
+    const auto &body = p.function(f).body;
+    std::vector<OpCode> out;
+    for (size_t i = 0; i < body.size(); ++i)
+        if (body[i].op == OpCode::LoopEnd)
+            out.push_back(i + 1 < body.size() ? body[i + 1].op
+                                              : OpCode::Nop);
+    return out;
+}
+
+} // namespace
+
+TEST(Transactionalize, SplitsAtTheExitOfASyscallLoopFollowedByCode)
+{
+    ProgramBuilder b;
+    Addr x = b.alloc("x", 64);
+    b.beginFunction("main");
+    b.loop(5, [&] {
+        bigWork(b, x);
+        b.syscall(1);
+    });
+    bigWork(b, x);
+    b.endFunction();
+    Program p = b.build();
+    transactionalize(p);
+    const auto &body = p.function(0).body;
+    size_t end = 0;
+    while (body[end].op != OpCode::LoopEnd)
+        ++end;
+    ASSERT_LT(end + 3, body.size());
+    EXPECT_EQ(body[end + 1].op, OpCode::TxEnd);
+    EXPECT_EQ(body[end + 2].op, OpCode::TxBegin);
+    EXPECT_EQ(body[end + 3].op, OpCode::Load);
+    EXPECT_EQ(p.checkTransactionalForm(), "");
+}
+
+TEST(Transactionalize, InnerBoundarySplitsTheOuterLoopExitToo)
+{
+    ProgramBuilder b;
+    Addr x = b.alloc("x", 64);
+    b.beginFunction("main");
+    b.loop(3, [&] {
+        b.loop(4, [&] {
+            bigWork(b, x);
+            b.syscall(1);
+        });
+        bigWork(b, x);
+    });
+    bigWork(b, x);
+    b.endFunction();
+    Program p = b.build();
+    transactionalize(p);
+    // Inner LoopEnd first, then the outer one: both exits split.
+    EXPECT_EQ(afterLoopEnds(p, 0),
+              (std::vector<OpCode>{OpCode::TxEnd, OpCode::TxEnd}));
+    EXPECT_EQ(p.checkTransactionalForm(), "");
+}
+
+TEST(Transactionalize, NoSplitPairWhenABoundaryOrTheEndFollowsTheLoop)
+{
+    ProgramBuilder b;
+    Addr x = b.alloc("x", 64);
+    b.beginFunction("main");
+    b.loop(5, [&] {
+        bigWork(b, x);
+        b.syscall(1);
+    });
+    b.lock(0);
+    bigWork(b, x);
+    b.unlock(0);
+    b.loop(5, [&] {
+        bigWork(b, x);
+        b.syscall(1);
+    });
+    b.endFunction();
+    Program p = b.build();
+    transactionalize(p);
+    // Each loop exit lands on the TxEnd that the next boundary or the
+    // function end needs anyway; no empty pair is left between them.
+    const auto &body = p.function(0).body;
+    for (size_t i = 0; i + 1 < body.size(); ++i)
+        EXPECT_FALSE(body[i].op == OpCode::TxBegin &&
+                     body[i + 1].op == OpCode::TxEnd);
+    EXPECT_EQ(afterLoopEnds(p, 0),
+              (std::vector<OpCode>{OpCode::TxEnd, OpCode::TxEnd}));
+    EXPECT_EQ(body[body.size() - 2].op, OpCode::LoopEnd);
+    size_t end = 0;
+    while (body[end].op != OpCode::LoopEnd)
+        ++end;
+    EXPECT_EQ(body[end + 2].op, OpCode::LockAcquire);
+    EXPECT_EQ(p.checkTransactionalForm(), "");
+}
+
+TEST(Transactionalize, NoSplitAfterABoundaryFreeLoop)
+{
+    ProgramBuilder b;
+    Addr x = b.alloc("x", 64);
+    b.beginFunction("main");
+    bigWork(b, x);
+    b.loop(5, [&] { b.load(AddrExpr::absolute(x)); });
+    bigWork(b, x);
+    b.endFunction();
+    Program p = b.build();
+    transactionalize(p);
+    EXPECT_EQ(afterLoopEnds(p, 0), std::vector<OpCode>{OpCode::Load});
+    size_t begins = 0;
+    for (const auto &ins : p.function(0).body)
+        begins += ins.op == OpCode::TxBegin;
+    EXPECT_EQ(begins, 1u);
+}
+
+TEST(Transactionalize, LoopExitShapeRunsTheInLoopRegionBare)
+{
+    // A syscall loop followed by a racy store: with the split, the
+    // region opened after the syscall only wraps the back-edge, so the
+    // full pipeline runs it bare, and the store gets a region of its
+    // own opened at the loop exit.
+    ProgramBuilder b;
+    Addr x = b.alloc("x", 64, 64);
+    FuncId worker = b.beginFunction("worker");
+    b.loop(10, [&] {
+        b.compute(1);
+        b.syscall(1);
+        b.compute(2);
+    });
+    b.store(AddrExpr::absolute(x), "exchange");
+    b.endFunction();
+    b.beginFunction("main");
+    b.spawn(worker, 2);
+    b.joinAll();
+    b.endFunction();
+    Program prepared = preparedForTxRace(b.build());
+
+    std::vector<uint64_t> marks;
+    const auto &body = prepared.function(worker).body;
+    for (size_t i = 0; i < body.size(); ++i) {
+        if (body[i].op != OpCode::TxBegin)
+            continue;
+        marks.push_back(body[i].arg1);
+        if (i > 0 && body[i - 1].op == OpCode::TxEnd) {
+            // The exit region holds exactly the store.
+            EXPECT_EQ(body[i + 1].op, OpCode::Store);
+            EXPECT_EQ(body[i + 2].op, OpCode::TxEnd);
+        }
+    }
+    EXPECT_EQ(marks, (std::vector<uint64_t>{kRegionBare, kRegionBare,
+                                            kRegionForcedSlow}));
+}
+
 TEST(Transactionalize, PreservesInstructionPayloads)
 {
     ProgramBuilder b;

@@ -358,6 +358,104 @@ TEST(Service, StdinBatchesFoldLikeSpoolBatches)
     fs::remove_all(dir);
 }
 
+namespace {
+
+/** A progress sink that raises @p stop once @p after "progress"
+ *  heartbeats have been written — a kill part-way through a round. */
+class StopAfterProgress : public std::streambuf
+{
+  public:
+    StopAfterProgress(std::atomic<bool> &stop, int after)
+        : stop_(stop), left_(after)
+    {
+    }
+
+  protected:
+    int_type
+    overflow(int_type c) override
+    {
+        if (c == '\n') {
+            if (line_.find("\"event\":\"progress\"") !=
+                    std::string::npos &&
+                --left_ == 0)
+                stop_.store(true);
+            line_.clear();
+        } else if (c != traits_type::eof()) {
+            line_ += traits_type::to_char_type(c);
+        }
+        return traits_type::not_eof(c);
+    }
+
+  private:
+    std::atomic<bool> &stop_;
+    int left_;
+    std::string line_;
+};
+
+} // namespace
+
+TEST(Service, StdinResumeFoldsEachJobOnce)
+{
+    // One 12-job batch and a 2-job batch on stdin. The first leg is
+    // stopped after 5 folds; the pool may finish more of the first
+    // batch before it drains, up to all of it. The resumed leg is
+    // re-fed the stream from its start and must fold exactly the jobs
+    // the first leg did not, wherever the stop landed.
+    std::string text;
+    for (uint64_t seed = 1; seed <= 12; ++seed)
+        text += "{\"app\": \"" +
+                std::string(seed % 2 ? "raytrace" : "canneal") +
+                "\", \"seed\": " + std::to_string(seed) + "}\n";
+    text += "\n{\"app\": \"raytrace\", \"seed\": 40}\n"
+            "{\"app\": \"canneal\", \"seed\": 41}\n";
+
+    campaign::CampaignConfig cfg = smallCampaign();
+    cfg.jobs = 1;
+    const std::string refDir = freshDir("stdin_resume_ref");
+    {
+        std::istringstream jobs(text);
+        ServiceOptions opt;
+        opt.cfg = cfg;
+        opt.stateDir = refDir;
+        opt.jobStream = &jobs;
+        ServiceResult res = runService(opt);
+        EXPECT_TRUE(res.completed);
+        EXPECT_EQ(res.jobsFolded, 14u);
+    }
+
+    const std::string dir = freshDir("stdin_resume_run");
+    std::atomic<bool> stop{false};
+    StopAfterProgress sink(stop, 5);
+    std::ostream progress(&sink);
+    std::istringstream first(text);
+    ServiceOptions opt;
+    opt.cfg = cfg;
+    opt.cfg.progressEvery = 1;
+    opt.stateDir = dir;
+    opt.jobStream = &first;
+    opt.progressJson = &progress;
+    opt.stopFlag = &stop;
+    ServiceResult killed = runService(opt);
+    EXPECT_FALSE(killed.completed);
+    EXPECT_GE(killed.jobsFolded, 5u);
+    EXPECT_LE(killed.jobsFolded, 12u);
+
+    stop.store(false);
+    std::istringstream again(text);
+    opt.jobStream = &again;
+    opt.progressJson = nullptr;
+    opt.resume = true;
+    ServiceResult resumed = runService(opt);
+    EXPECT_TRUE(resumed.completed);
+    EXPECT_EQ(killed.jobsFolded + resumed.jobsFolded, 14u);
+    EXPECT_EQ(resumed.duplicatesSkipped, killed.jobsFolded);
+
+    for (const char *file : {"/campaign.json", "/findings.json"})
+        EXPECT_EQ(slurp(dir + file), slurp(refDir + file)) << file;
+    fs::remove_all(dir);
+    fs::remove_all(refDir);
+}
+
 TEST(Service, CrossHostStoresUnionIdenticallyInBothOrders)
 {
     // Two hosts hunt disjoint halves of the same campaign via spools;

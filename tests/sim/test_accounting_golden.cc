@@ -84,31 +84,31 @@ const Golden kGolden[] = {
     {"vips", core::RunMode::TSan,
      0x1450b917c1beb2cdull},
     {"vips", core::RunMode::TxRaceDynLoopcut,
-     0xc2445680adef25f2ull},
+     0xb023b564ecca9f58ull},
     {"bodytrack", core::RunMode::Native,
      0x7339205e3015eec0ull},
     {"bodytrack", core::RunMode::TSan,
      0x17e50c45e803cd7eull},
     {"bodytrack", core::RunMode::TxRaceDynLoopcut,
-     0x6a1a98de50e62bd7ull},
+     0xf91cff82f83f76bcull},
     {"apache-stream", core::RunMode::Native,
      0xf54ab6f32396d877ull},
     {"apache-stream", core::RunMode::TSan,
      0xe4d3665c32bc8469ull},
     {"apache-stream", core::RunMode::TxRaceDynLoopcut,
-     0xf1b90cf26a49707eull},
+     0x798944ff52399717ull},
     // The rows below reach every point where the step loop settles
     // pending cost before a hook: budget reads mid-run (monitor),
     // interrupt/retry aborts and rollback (chaos + governor), region
     // slow path, profiled loop-cuts and the other policies.
     {.app = "apache-stream", .mode = core::RunMode::TxRaceProfLoopcut,
-     .digest = 0x80ff4cea8cc590cbull, .governor = true, .budgetPct = 5.0},
+     .digest = 0xe6de103b74ec7477ull, .governor = true, .budgetPct = 5.0},
     {.app = "vips", .mode = core::RunMode::TxRaceDynLoopcut,
-     .digest = 0x91d3090b11e4dde9ull, .workers = 8, .fault = "chaos",
+     .digest = 0x6632e9561e07e22bull, .workers = 8, .fault = "chaos",
      .governor = true},
     {.app = "x264", .mode = core::RunMode::TxRaceDynLoopcut,
-     .digest = 0x6d1470a7011c705bull, .slowpath = core::SlowPathKind::Region},
-    {"vips", core::RunMode::TxRaceProfLoopcut, 0xda5405dc6842586full},
+     .digest = 0x4099c7c46046df81ull, .slowpath = core::SlowPathKind::Region},
+    {"vips", core::RunMode::TxRaceProfLoopcut, 0x5b460a0fae8f096aull},
     {.app = "ferret", .mode = core::RunMode::TSanSampling,
      .digest = 0x53b10f270af57ebdull, .sampleRate = 0.5},
     {"canneal", core::RunMode::Eraser, 0x4fc2f8939c6964adull},
@@ -118,15 +118,15 @@ const Golden kGolden[] = {
     // scheme, retry exhaustion without the governor's backoff, and a
     // delayed TxFail publication in region mode.
     {.app = "vips", .mode = core::RunMode::TxRaceDynLoopcut,
-     .digest = 0xd7ecaba2fbab4c3bull, .conflictAddressHints = true},
+     .digest = 0xc089125f55135cfdull, .conflictAddressHints = true},
     {.app = "x264", .mode = core::RunMode::TxRaceDynLoopcut,
-     .digest = 0x7a1659c2a02ee4dfull, .slowpath = core::SlowPathKind::Region,
+     .digest = 0x20c27743acecf1e4ull, .slowpath = core::SlowPathKind::Region,
      .conflictAddressHints = true},
-    {"vips", core::RunMode::TxRaceNoOpt, 0x7e5ef719096c29faull},
+    {"vips", core::RunMode::TxRaceNoOpt, 0xc548addbababb29dull},
     {.app = "vips", .mode = core::RunMode::TxRaceDynLoopcut,
-     .digest = 0x996bcf50f11df500ull, .workers = 8, .fault = "retry-glitch"},
+     .digest = 0x5ac34dffb737c409ull, .workers = 8, .fault = "retry-glitch"},
     {.app = "x264", .mode = core::RunMode::TxRaceDynLoopcut,
-     .digest = 0x2f0f66516d8e2c56ull, .workers = 8, .fault = "txfail-delay",
+     .digest = 0x6bc5cdcaf2a93de9ull, .workers = 8, .fault = "txfail-delay",
      .slowpath = core::SlowPathKind::Region},
 };
 
@@ -197,8 +197,8 @@ TEST(AccountingGolden, DirectMachineScheduleHashPerPolicy)
     core::TxRacePolicy txrace(cfg);
     sim::Machine mx(tx_prog, cfg.machine, txrace);
     ASSERT_TRUE(mx.run().ok());
-    EXPECT_EQ(mx.scheduleHash(), 0x8bbdc729115aee3eull);
-    EXPECT_EQ(mx.totalCost(), 4080144u);
+    EXPECT_EQ(mx.scheduleHash(), 0x6cd02910f7be0445ull);
+    EXPECT_EQ(mx.totalCost(), 4228636u);
 }
 
 TEST(AccountingGolden, NativeTruncatedMidQuantum)

@@ -138,7 +138,9 @@ timelineRuns()
     // Monitor mode: budget cut / probe, the region gate, and (at a
     // budget vips cannot meet) the stop request.
     runs.push_back(monitorRun("apache-monitor-5", "apache-stream", 5.0));
-    runs.push_back(monitorRun("apache-monitor-2", "apache-stream", 2.0));
+    // 1.8%: apache-stream's one budget cut and two probes.
+    runs.push_back(
+        monitorRun("apache-monitor-1.8", "apache-stream", 1.8));
     runs.push_back(monitorRun("x264-monitor-1", "x264", 1.0));
     runs.push_back(monitorRun("vips-monitor-1", "vips", 1.0));
 
@@ -179,18 +181,18 @@ using Kind = sim::RunError::Kind;
 constexpr Pin kPins[] = {
     {"txfail-region", 0x451059f2360b7387ull, 2481,
      0x6abb54609921cd39ull, 5610, 56, Kind::None},
-    {"vips-storm-governor", 0x86f88ff9769e5163ull, 136419,
-     0x9b185e86845d5800ull, 305626, 3098, Kind::None},
-    {"apache-monitor-5", 0xa623eec03829e89eull, 21970,
-     0xf04ae2febef9d8f7ull, 46595, 384, Kind::None},
-    {"apache-monitor-2", 0x1ee149cb0c82cb04ull, 22091,
-     0xf04ae2febef9d8f7ull, 46595, 384, Kind::None},
-    {"x264-monitor-1", 0xa013a3e2c48e345aull, 9384,
-     0x5ad3fc2919ea4917ull, 681, 4, Kind::None},
-    {"vips-monitor-1", 0x2e2f5326554a633eull, 32303,
-     0x04042dd2766f5a61ull, 5930, 59, Kind::Budget},
-    {"x264-window", 0xddd5a250b7c53ad7ull, 13072,
-     0x2fce1ccf5b587d92ull, 36405, 374, Kind::None},
+    {"vips-storm-governor", 0xba3277e415ca8e26ull, 104248,
+     0xa688c5139488d746ull, 257800, 2664, Kind::None},
+    {"apache-monitor-5", 0x0f39dab3cf47b90dull, 21981,
+     0x3632de841a1037c3ull, 46602, 384, Kind::None},
+    {"apache-monitor-1.8", 0xeb9591c1f7369c74ull, 22102,
+     0x3632de841a1037c3ull, 46602, 384, Kind::None},
+    {"x264-monitor-1", 0x6aee1a6234b5cdd8ull, 3828,
+     0xf218b6016d4c4e5aull, 2007, 18, Kind::None},
+    {"vips-monitor-1", 0xbd472108679cf166ull, 20798,
+     0x1a48819b0980508full, 7109, 71, Kind::Budget},
+    {"x264-window", 0x5d430cc8eaa61a83ull, 9800,
+     0x69ac7f8534678987ull, 27284, 280, Kind::None},
     {"deadlock", 0x37333894e7e040a6ull, 689,
      0xf8587665dd03196eull, 2195, 21, Kind::Deadlock},
     {"truncated", 0xaab572a0c03cf5c4ull, 554,

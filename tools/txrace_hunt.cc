@@ -71,7 +71,8 @@ usage()
         "                   sorted-filename order instead of running\n"
         "                   the campaign strategy\n"
         "  --stdin-jobs     ingest blank-line-separated NDJSON job\n"
-        "                   batches from stdin\n"
+        "                   batches from stdin; with --resume, feed\n"
+        "                   the whole stream again from its start\n"
         "  --follow         with --spool: keep polling for new batch\n"
         "                   files until SIGTERM\n"
         "\n"
