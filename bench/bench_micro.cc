@@ -479,82 +479,6 @@ BM_ReuseNoFlightRec(benchmark::State &state)
 }
 BENCHMARK(BM_ReuseNoFlightRec);
 
-/**
- * Windowed-vs-region slow path on a conflict-heavy probe: long
- * transactions of useful disjoint work (random table reads,
- * per-thread slots) that all cross one contended flag. Every flag
- * collision costs region mode a broadcast demotion — the whole
- * remaining region of all eight threads runs software-checked —
- * while window mode replays just the logged window and resumes the
- * fast path.
- *
- * Unlike the other end-to-end pairs this one gates *simulated*
- * overhead, not harness wall time: each iteration reports the run's
- * modeled cost as manual time, so items/sec is work per unit of
- * modeled overhead — deterministic for fixed seeds, immune to CI
- * machine noise, and exactly the quantity the windowed repair
- * optimizes. The gate in BENCH_slowpath.json holds Window ≥ 1.3x
- * Region on this shape; this is the O(region) -> O(window) headline
- * number (DESIGN.md §8).
- */
-void
-runEndToEndSlowpath(benchmark::State &state,
-                    core::SlowPathKind slowpath)
-{
-    ir::ProgramBuilder b;
-    ir::Addr flag = b.alloc("flag", 64, 64);
-    ir::Addr table = b.alloc("t", 1024 * 8);
-    ir::Addr slots = b.alloc("slots", 10 * 64, 64);
-    ir::FuncId worker = b.beginFunction("worker");
-    b.loop(40, [&] {
-        b.loop(24, [&] {
-            b.load(ir::AddrExpr::randomIn(table, 1024, 8));
-            b.store(ir::AddrExpr::perThread(slots, 64));
-        });
-        // One contended store per region: transactions overlapping
-        // on it conflict, and the two repair strategies diverge.
-        b.store(ir::AddrExpr::absolute(flag));
-        b.syscall(1);
-    });
-    b.endFunction();
-    b.beginFunction("main");
-    // Initialize the table before the spawn: written data keeps the
-    // workers' lookups instrumented (a never-written table is elided
-    // statically), so both repairs pay to re-check them. The writes
-    // happen before every lookup and add no race.
-    b.loop(1024, [&] { b.store(ir::AddrExpr::perIter(table, 8)); });
-    b.spawn(worker, 8);
-    b.joinAll();
-    b.endFunction();
-    ir::Program prog = b.build();
-
-    core::RunConfig cfg;
-    cfg.mode = core::RunMode::TxRaceDynLoopcut;
-    cfg.slowpath = slowpath;
-    uint64_t seed = 1;
-    for (auto _ : state) {
-        cfg.machine.seed = seed++;
-        core::RunResult r = core::runProgram(prog, cfg);
-        state.SetIterationTime(static_cast<double>(r.totalCost) *
-                               1e-9);
-    }
-    state.SetItemsProcessed(state.iterations() * 40 * 24 * 8);
-}
-
-void
-BM_EndToEndSlowpathWindow(benchmark::State &state)
-{
-    runEndToEndSlowpath(state, core::SlowPathKind::Window);
-}
-BENCHMARK(BM_EndToEndSlowpathWindow)->UseManualTime();
-
-void
-BM_EndToEndSlowpathRegion(benchmark::State &state)
-{
-    runEndToEndSlowpath(state, core::SlowPathKind::Region);
-}
-BENCHMARK(BM_EndToEndSlowpathRegion)->UseManualTime();
-
 } // namespace
 
 /**

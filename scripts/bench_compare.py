@@ -156,7 +156,7 @@ def check_monitor(path, budget_pct):
 
 PROFILE_APP_COUNTERS = (
     "runs", "filter_hits", "tx_begins", "tx_committed", "slow_regions",
-    "window_replays", "window_fallbacks",
+    "window_replays",
     "monitor_site_cuts", "monitor_site_probes", "monitor_gated_checks",
     "monitor_sampled_skips",
 )

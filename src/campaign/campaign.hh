@@ -51,10 +51,10 @@ struct CampaignConfig
     /** Detection mode for every job. Dyn loop-cut by default: same
      *  detection power, no profiling pre-run per job. */
     core::RunMode mode = core::RunMode::TxRaceDynLoopcut;
-    /** Conflict-abort repair for every job (window = replay only the
-     *  aborting window; region = the paper's TxFail broadcast). Part
-     *  of each job's config digest and repro command. */
-    core::SlowPathKind slowpath = core::SlowPathKind::Window;
+    /** Conflict-abort repair for every job (RunConfig::slowpath).
+     *  Part of each job's config digest and of the campaign identity;
+     *  only tests leave the default. */
+    core::SlowPathKind slowpath = core::SlowPathKind::Replay;
     /** Simulated worker threads per run. */
     uint32_t workers = 4;
     uint64_t scale = 1;

@@ -49,7 +49,6 @@ executeJob(const JobSpec &spec, WorkerCache &cache, bool calibrate,
     identity.governor = spec.governor;
     identity.irqScale = spec.interruptScale;
     identity.calibrated = calibrate;
-    identity.slowpath = slowpath;
 
     JobOutcome outcome;
     outcome.spec = spec;

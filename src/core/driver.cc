@@ -93,11 +93,11 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
         ir::Program prepared =
             passes::preparedForTxRace(prog, pass_cfg, &elision);
 
-        // Windowed slow path needs the engine-side version log; the
+        // The winner replay needs the engine-side version log; the
         // flag is part of the run's identity (capacity model changes),
         // so it is set from the slowpath choice, never independently.
         sim::MachineConfig mcfg = cfg.machine;
-        mcfg.htm.versionLog = cfg.slowpath == SlowPathKind::Window;
+        mcfg.htm.versionLog = cfg.slowpath == SlowPathKind::Replay;
 
         LoopCutTable profiled;
         const bool prof = cfg.mode == RunMode::TxRaceProfLoopcut;

@@ -48,12 +48,11 @@ struct RunConfig
      *  default; txrace_run --monitor --budget-pct=N enables it and
      *  turns the governor on alongside (they compose). */
     BudgetConfig budget;
-    /** Conflict-abort repair (TxRace modes only). Window records a
-     *  per-line version log in the fast path and replays only the
-     *  aborting window through the detector; Region is the paper's
-     *  TxFail-broadcast whole-region re-execution, kept as the
-     *  differential oracle (txrace_run --slowpath=region). */
-    SlowPathKind slowpath = SlowPathKind::Window;
+    /** Conflict-abort repair (TxRace modes only). Replay keeps a
+     *  version log in the fast path so a conflict victim can replay
+     *  the winner's window before the TxFail protocol; TxFail is the
+     *  paper's protocol alone (no CLI flag: tests and ablations). */
+    SlowPathKind slowpath = SlowPathKind::Replay;
 };
 
 /** Results of one run. */

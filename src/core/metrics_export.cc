@@ -401,7 +401,6 @@ buildRunProfile(const std::string &app, const RunResult &result)
     a.txCommitted = result.stats.get("tx.committed");
     a.slowRegions = result.stats.get("txrace.slow_regions");
     a.windowReplays = result.stats.get("txrace.window.replays");
-    a.windowFallbacks = result.stats.get("txrace.window.fallbacks");
     if (result.budget.enabled) {
         a.monitorSiteCuts = result.budget.siteCuts;
         a.monitorSiteProbes = result.budget.siteProbes;

@@ -9,7 +9,6 @@
 #define TXRACE_CORE_POLICIES_HH
 
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "core/budget.hh"
@@ -148,11 +147,13 @@ class RaceTmPolicy : public sim::ExecutionPolicy
  * see correct happens-before order (§5, Fig. 6).
  *
  * Abort dispatch (§4.2):
- *  - conflict: roll back; the victim publishes TxFail (next step),
- *    whose strong-isolation write aborts all in-flight transactions;
- *    everyone re-executes their region on the slow path under the
- *    software detector, which pinpoints races and filters false
- *    sharing;
+ *  - conflict: the victim first replays the winner's pending
+ *    version-log window through the detector (the winner may commit
+ *    before TxFail lands, §6), then rolls back and publishes TxFail
+ *    (next step), whose strong-isolation write aborts all in-flight
+ *    transactions; everyone re-executes their region on the slow
+ *    path under the software detector, which pinpoints races and
+ *    filters false sharing;
  *  - capacity: only this thread falls back to the slow path
  *    (concurrent fast+slow, Fig. 5), with loop-cut learning;
  *  - unknown (interrupts): same fallback as capacity;
@@ -169,10 +170,11 @@ class TxRacePolicy : public HbTrackingPolicy
      * The policy takes its whole configuration from the run's:
      * cfg.mode (a TxRace mode) picks the loop-cut scheme (Dyn starts
      * at LoopCutTable::kDynInitial), and conflictAddressHints,
-     * governor, budget and slowpath are used as given. The governor
-     * and budget controller share one sampling seed derived from
-     * cfg.machine.seed. Window slow path needs the machine's
-     * HtmConfig::versionLog on (the driver sets it from cfg.slowpath).
+     * governor and budget are used as given. The governor and budget
+     * controller share one sampling seed derived from
+     * cfg.machine.seed. The winner replay runs whenever the machine's
+     * HtmConfig::versionLog is on (the driver sets it from
+     * cfg.slowpath).
      *
      * @param preloaded profiled thresholds (Prof scheme); merged in
      */
@@ -181,13 +183,6 @@ class TxRacePolicy : public HbTrackingPolicy
 
     /** Bound on retry-only re-executions of one transaction. */
     static constexpr uint32_t kMaxRetries = 4;
-
-    /** Windowed replays one transaction attempt may pay before the
-     *  policy surrenders the region to a solo slow episode. One: a
-     *  re-begun window that conflicts again is contending on a hot
-     *  line, and each further replay costs a rollback re-execution —
-     *  at that point a solo slow episode is strictly cheaper. */
-    static constexpr uint32_t kMaxWindowReplays = 1;
 
     void onRunStart(sim::Machine &m) override;
     void onRunEnd(sim::Machine &m) override;
@@ -236,36 +231,26 @@ class TxRacePolicy : public HbTrackingPolicy
                      uint64_t segment_loop,
                      uint8_t begin_kind = telemetry::FrBegin::Plain);
 
-    /** The one software check of an instrumented access: price it at
+    /** The one software check of a slow-path access: price it at
      *  m.checkCost(), ask the monitor budget, then charge the check to
-     *  @p bucket and its site, run the caller's @p tally(cost), and
-     *  feed the detector. A refused check pays only the one-unit gate
-     *  branch, and ends the run if the budget is unsatisfiable. */
-    template <class Tally>
+     *  the episode's bucket and its site, feed the governor (or the
+     *  sampled-check count) and the detector. A refused check pays
+     *  only the one-unit gate branch, and ends the run if the budget
+     *  is unsatisfiable. */
     void softwareCheck(sim::Machine &m, Tid t, const ir::Instruction &ins,
-                       ir::Addr addr, bool is_write, sim::Bucket bucket,
-                       Tally tally);
+                       ir::Addr addr, bool is_write);
 
-    /** Windowed mode: @p t's access to @p addr is watch-checked — its
-     *  line is watched and @p t's region opened at or before the
-     *  line's latest conflict. */
-    bool watched(Tid t, ir::Addr addr) const;
+    /** Winner replay: victim @p v pays to replay @p winner's pending
+     *  version-log window (its last entry is the conflicting access at
+     *  @p site when that access is instrumented) through the detector,
+     *  and the window is marked replayed. No-op without a version log, or when @p winner is
+     *  not transactional or has nothing pending. */
+    void replayWinnerWindow(sim::Machine &m, Tid v, Tid winner,
+                            ir::InstrId site);
 
-    /** Conflict-abort handling for a victim of a real data conflict
-     *  (region mode: roll back, then publish TxFail next step). */
+    /** Conflict-abort handling for a victim of a real data conflict:
+     *  roll back, then publish TxFail next step. */
     void handleConflictVictim(sim::Machine &m, Tid v);
-
-    /** Windowed mode: merge the victim's and requester's pending
-     *  version-log windows, replay them through the detector, roll
-     *  the victim back, and re-begin its transaction in place — no
-     *  TxFail broadcast, no region demotion. Past kMaxWindowReplays
-     *  (or without a version log) the victim falls back to a solo
-     *  slow region instead. @p req_site attributes the replay and
-     *  @p conflict_line is watched either way. */
-    void handleConflictVictimWindowed(sim::Machine &m, Tid v,
-                                      Tid requester,
-                                      ir::InstrId req_site,
-                                      uint64_t conflict_line);
 
     /** Capacity abort of @p t's own transaction; @p site is the
      *  access instruction that overflowed (abort attribution for the
@@ -291,29 +276,10 @@ class TxRacePolicy : public HbTrackingPolicy
      *  reported to the runtime, and conflict-triggered slow episodes
      *  only software-check accesses to that line. */
     bool addrHints_;
-    /** Conflict-abort repair (see RunConfig::slowpath). */
-    SlowPathKind slowpath_;
     FallbackGovernor governor_;
     BudgetController budget_;
     /** Static loop ids that carry LoopCut instrumentation. */
     std::set<uint64_t> cutLoops_;
-    /** Windowed mode: each cache line whose conflict abort still has
-     *  a region in flight, mapped to the step of its latest conflict.
-     *  The replay covers the aborting window itself; the watch covers
-     *  what region mode's broadcast demotion would have caught after
-     *  it — later accesses to the line from any region that was open
-     *  at the conflict. Regions that open later run unwatched, as
-     *  they would run fast in region mode, and a line leaves the map
-     *  once no region open at its conflict is still open. */
-    std::unordered_map<uint64_t, uint64_t> watchedLines_;
-    /** Per thread: the step its current region opened (onTxBegin, on
-     *  every path), or kNoRegion between regions. */
-    std::vector<uint64_t> regionOpenedAt_;
-    static constexpr uint64_t kNoRegion = ~0ull;
-
-    /** Close @p t's region (kNoRegion) and drop every watched line
-     *  whose conflict no open region predates. */
-    void closeRegion(Tid t);
 
     /** Interned ids of the policy's hot-path counters (onRunStart
      *  registers them in the machine's metric registry; updates are
@@ -336,11 +302,9 @@ class TxRacePolicy : public HbTrackingPolicy
          *  the static elision pipeline demoted — the "fraction of
          *  accesses monitored" statistic HardRace reports. */
         telemetry::MetricId accessInstrumented, accessUninstrumented;
-        /** Windowed slow path: replays performed, replay-cap (or
-         *  missing-log) fallbacks to a solo slow region, and the
-         *  window length / replay cost distributions. */
-        telemetry::MetricId windowReplays, windowFallbacks;
-        telemetry::MetricId windowWatchChecks;
+        /** Winner replays performed, and the window length / replay
+         *  cost distributions. */
+        telemetry::MetricId windowReplays;
         telemetry::MetricId windowLen, windowReplayCost;
     };
     Metrics met_{};

@@ -214,12 +214,8 @@ textEvent(const FrEntry &entry, const fault::FaultPlan &faults)
       case FrKind::TxAbort:
         if (static_cast<FrAbort>(e.arg) == FrAbort::Interrupt)
             return "interrupt: unknown abort (preemption)";
-        if (static_cast<FrAbort>(e.arg) != FrAbort::Conflict)
-            return "";
-        if (f == FrConflict::PublishTxFail)
+        if (static_cast<FrAbort>(e.arg) == FrAbort::Conflict)
             return "conflict-abort: will publish TxFail";
-        if (f == FrConflict::WindowFallback)
-            return "window-fallback: replay cap hit; region goes slow";
         return "";
       case FrKind::SlowEnter:
         if (f == FrSlow::TxFail)
@@ -376,8 +372,8 @@ class SpanReplay
 /** Span name of a slow-path episode, indexed by FrSlow. */
 constexpr const char *kSlowSpanName[] = {
     "slow:small-region", "slow:governor",  "slow:hwlimit",
-    "slow:window-fallback", "slow:txfail", "slow:conflict",
-    "slow:capacity",     "slow:interrupt", "slow:retry-exhausted"};
+    "slow:txfail",       "slow:conflict",  "slow:capacity",
+    "slow:interrupt",    "slow:retry-exhausted"};
 
 /** Feed one timeline entry to the Chrome span replay. */
 void

@@ -91,7 +91,7 @@ cliModeFromName(const std::string &name, RunMode &out)
 bool
 slowPathKindFromName(const std::string &name, SlowPathKind &out)
 {
-    for (SlowPathKind k : {SlowPathKind::Window, SlowPathKind::Region}) {
+    for (SlowPathKind k : {SlowPathKind::Replay, SlowPathKind::TxFail}) {
         if (name == slowPathKindName(k)) {
             out = k;
             return true;
@@ -234,8 +234,6 @@ reproCommand(const RunIdentity &id)
         ss << " --irq-scale " << id.irqScale;
     if (!id.calibrated && id.target == RunTarget::App)
         ss << " --no-calibrate";
-    if (id.slowpath == SlowPathKind::Region)
-        ss << " --slowpath region";
     return ss.str();
 }
 

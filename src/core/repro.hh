@@ -55,9 +55,6 @@ struct RunIdentity
     /** Whether the app model ran TSan-cost calibration (campaigns
      *  skip it; affects checkScale and hence schedules). */
     bool calibrated = true;
-    /** Conflict-abort repair scheme; renders --slowpath region when
-     *  not the default windowed mode. */
-    SlowPathKind slowpath = SlowPathKind::Window;
 };
 
 /** CLI mode token for @p mode (inverse of parseModeFlag). */

@@ -27,19 +27,19 @@ const char *runModeName(RunMode mode);
 
 /** How a conflict abort is repaired before the fast path resumes. */
 enum class SlowPathKind : uint8_t {
-    /** Replay only the aborting window (victim + requester version
-     *  logs) through the detector, then re-begin in place. */
-    Window,
-    /** Globally abort all in-flight transactions via the TxFail flag
-     *  and re-execute the whole region under FastTrack (the paper's
-     *  original scheme; kept as the differential oracle). */
-    Region,
+    /** The default: the victim first replays the winner's pending
+     *  version-log window through the detector (the winner may commit
+     *  before TxFail lands, §6), then runs the TxFail protocol. */
+    Replay,
+    /** The paper's protocol alone: TxFail demotes every in-flight
+     *  transaction to a slow region; no version log, no replay. */
+    TxFail,
 };
 
 constexpr const char *
 slowPathKindName(SlowPathKind k)
 {
-    return k == SlowPathKind::Window ? "window" : "region";
+    return k == SlowPathKind::Replay ? "replay" : "txfail";
 }
 
 /** True for the three TxRace variants. */

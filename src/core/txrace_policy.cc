@@ -70,7 +70,7 @@ TxRacePolicy::TxRacePolicy(const RunConfig &cfg,
                            const LoopCutTable *preloaded)
     : HbTrackingPolicy(Bucket::Txn),
       loopCuts_(cfg.mode != RunMode::TxRaceNoOpt),
-      addrHints_(cfg.conflictAddressHints), slowpath_(cfg.slowpath),
+      addrHints_(cfg.conflictAddressHints),
       governor_(cfg.governor, cfg.machine.seed ^ 0x9075ea1ULL),
       budget_(cfg.budget, cfg.machine.seed ^ 0x9075ea1ULL)
 {
@@ -127,8 +127,6 @@ TxRacePolicy::onRunStart(Machine &m)
     met_.accessUninstrumented =
         reg.counter("txrace.access.uninstrumented");
     met_.windowReplays = reg.counter("txrace.window.replays");
-    met_.windowFallbacks = reg.counter("txrace.window.fallbacks");
-    met_.windowWatchChecks = reg.counter("txrace.window.watch_checks");
     met_.windowLen = reg.histogram("slowpath.window.len");
     met_.windowReplayCost =
         reg.histogram("slowpath.window.replay_cost");
@@ -255,10 +253,6 @@ TxRacePolicy::enterFastTx(Machine &m, Tid t, const ir::Instruction &ins,
     ctx.lastLoopCutId = segment_loop == kNoCutLoop
         ? ir::kNoInstr
         : static_cast<uint32_t>(segment_loop);
-    // Fresh segment, fresh windowed-replay allowance (the in-place
-    // re-begin after a replay deliberately does NOT go through here,
-    // so repeated conflicts on one attempt still hit the cap).
-    ctx.windowReplays = 0;
     ctx.takeSnapshot(ctx.pc + 1);
 }
 
@@ -270,15 +264,11 @@ TxRacePolicy::onTxBegin(Machine &m, Tid t, const ir::Instruction &ins)
         panic("TxRacePolicy: TxBegin while on the slow path");
     if (ins.arg1 == ir::kRegionBare) {
         // Nothing to check (elide.cc pass 5): no transaction, no slow
-        // path, no watch scope. The accesses still go through the
-        // HTM, so strong isolation aborts the transactions they hit.
+        // path. The accesses still go through the HTM, so strong
+        // isolation aborts the transactions they hit.
         m.tel().registry.add(met_.bareRegions);
         return;
     }
-    if (t >= regionOpenedAt_.size())
-        regionOpenedAt_.resize(t + 1, kNoRegion);
-    regionOpenedAt_[t] = m.currentStep();
-
     if (ins.arg1 == ir::kRegionForcedSlow) {
         // Small region (< K memory ops): the software check is
         // cheaper than transaction management (§4.3).
@@ -354,31 +344,6 @@ TxRacePolicy::onTxEnd(Machine &m, Tid t, const ir::Instruction &)
     }
     // else: the region ran without a transaction (bare, single-
     // threaded or budget-gated).
-    closeRegion(t);
-}
-
-void
-TxRacePolicy::closeRegion(Tid t)
-{
-    if (t < regionOpenedAt_.size())
-        regionOpenedAt_[t] = kNoRegion;
-    if (watchedLines_.empty())
-        return;
-    const uint64_t oldest =
-        *std::min_element(regionOpenedAt_.begin(), regionOpenedAt_.end());
-    std::erase_if(watchedLines_, [oldest](const auto &line) {
-        return line.second < oldest;
-    });
-}
-
-bool
-TxRacePolicy::watched(Tid t, ir::Addr addr) const
-{
-    if (watchedLines_.empty())
-        return false;
-    auto it = watchedLines_.find(mem::lineOf(addr));
-    return it != watchedLines_.end() && t < regionOpenedAt_.size() &&
-           regionOpenedAt_[t] <= it->second;
 }
 
 void
@@ -442,12 +407,39 @@ TxRacePolicy::innermostCutLoop(Machine &m, Tid t,
 }
 
 void
+TxRacePolicy::replayWinnerWindow(Machine &m, Tid v, Tid winner,
+                                 ir::InstrId site)
+{
+    htm::VersionLog *vl = m.htm().versionLog();
+    if (!vl || !m.htm().inTx(winner))
+        return;
+    // The winner's pending window ends with the conflicting access
+    // itself (logged before victim handling). The winner keeps running
+    // fast and may commit before the victim publishes TxFail, so this
+    // is the one chance to check its side of the race (§6, false-
+    // negative source two). Replayed checks feed the same shadow state
+    // as slow-path checks; the victim's abort handler does the work
+    // and pays for it, under the Conflict bucket.
+    std::vector<htm::VersionLogEntry> window = vl->pendingWindow(winner);
+    if (window.empty())
+        return;
+    uint64_t replay_cost = m.replayWindow(v, window);
+    m.tel().registry.add(met_.windowReplays);
+    m.tel().registry.observe(met_.windowLen, window.size());
+    m.tel().registry.observe(met_.windowReplayCost, replay_cost);
+    ++m.tel().siteStats[site].windowReplays;
+    flightNote(m, v, FrKind::WindowReplay, site, window.size());
+    // A second victim of the same access, or a later conflict in the
+    // same transaction, replays only what the winner logs after this.
+    vl->markReplayed(winner);
+}
+
+void
 TxRacePolicy::handleConflictVictim(Machine &m, Tid v)
 {
     m.tel().registry.add(met_.abortConflict);
     flightNote(m, v, FrKind::TxAbort, m.currentSite(v),
-               static_cast<uint64_t>(FrAbort::Conflict),
-               telemetry::FrConflict::PublishTxFail);
+               static_cast<uint64_t>(FrAbort::Conflict));
     uint64_t hint = addrHints_ ? m.htm().lastConflictLine(v)
                                : htm::HtmEngine::kNoLine;
     m.rollback(v, Bucket::Conflict);
@@ -465,95 +457,6 @@ TxRacePolicy::handleConflictVictim(Machine &m, Tid v)
     // can stretch that delay further (TxFailDelay episodes).
     vctx.mustWriteTxFail = true;
     vctx.txFailDelay = m.faults().txFailDelaySteps();
-}
-
-void
-TxRacePolicy::handleConflictVictimWindowed(Machine &m, Tid v,
-                                           Tid requester,
-                                           ir::InstrId req_site,
-                                           uint64_t conflict_line)
-{
-    auto &vctx = m.context(v);
-    htm::VersionLog *vl = m.htm().versionLog();
-    // The conflicting line stays software-checked for every region in
-    // flight now (see watchedLines_): the scoped stand-in for region
-    // mode's broadcast demotion, catching third threads that touch the
-    // line after the conflicting transaction commits.
-    watchedLines_[conflict_line] = m.currentStep();
-    m.tel().registry.add(met_.abortConflict);
-    // No version log, or this attempt keeps getting hit: replaying the
-    // same window over and over is livelock, not repair.
-    const bool fallback = !vl || vctx.windowReplays >= kMaxWindowReplays;
-    flightNote(m, v, FrKind::TxAbort, m.currentSite(v),
-               static_cast<uint64_t>(FrAbort::Conflict),
-               fallback ? telemetry::FrConflict::WindowFallback
-                        : telemetry::FrConflict::Replay);
-
-    if (fallback) {
-        // Surrender only THIS region to a solo slow episode — still no
-        // TxFail broadcast, the concurrent fast+slow shape of Fig. 5.
-        m.tel().registry.add(met_.windowFallbacks);
-        uint64_t hint = addrHints_ ? m.htm().lastConflictLine(v)
-                                   : htm::HtmEngine::kNoLine;
-        if (vl)
-            vl->clear(v);
-        m.rollback(v, Bucket::Conflict);
-        governor_.onAbort(m, v, Bucket::Conflict, /*primary=*/true);
-        enterSlow(m, v, Bucket::Conflict, m.currentSite(v),
-                  FrSlow::WindowFallback, hint);
-        return;
-    }
-
-    // Reconstruct the inter-thread order of the aborting window: the
-    // victim's pending (not-yet-replayed) log merged with the
-    // requester's — which already contains the conflicting access
-    // itself, logged before victim handling. Sorting by (step, tid)
-    // is the offline infer-style merge; it is exact here because the
-    // scheduler serializes accesses, and the per-entry version stamps
-    // let offline consumers cross-check it.
-    std::vector<htm::VersionLogEntry> window = vl->pendingWindow(v);
-    const bool reqLogged = m.htm().inTx(requester);
-    if (reqLogged) {
-        auto rw = vl->pendingWindow(requester);
-        window.insert(window.end(), rw.begin(), rw.end());
-    }
-    std::sort(window.begin(), window.end(),
-              [](const htm::VersionLogEntry &a,
-                 const htm::VersionLogEntry &b) {
-                  return a.step != b.step ? a.step < b.step
-                                          : a.tid < b.tid;
-              });
-
-    // Replay only that window under the happens-before detector.
-    // Replayed checks feed the same persistent shadow state as slow-
-    // path checks, so detection accumulates across replays exactly as
-    // across regions. The victim pays the replay (its abort handler
-    // does the work), under the Conflict bucket.
-    uint64_t replay_cost = m.replayWindow(v, window);
-    m.tel().registry.add(met_.windowReplays);
-    m.tel().registry.observe(met_.windowLen, window.size());
-    m.tel().registry.observe(met_.windowReplayCost, replay_cost);
-    if (req_site != ir::kNoInstr)
-        ++m.tel().siteStats[req_site].windowReplays;
-    flightNote(m, v, FrKind::WindowReplay, req_site, window.size());
-
-    m.rollback(v, Bucket::Conflict);
-    governor_.onAbort(m, v, Bucket::Conflict, /*primary=*/true);
-
-    // The requester's entries (including the conflicting access) are
-    // now in the shadow; don't replay them again on a later abort.
-    // The victim's log restarts with its re-begun transaction.
-    if (reqLogged)
-        vl->markReplayed(requester);
-    vl->clear(v);
-
-    // Re-begin in place: the snapshot still describes the resume
-    // point, the region stays fast, and lastLoopCutId survives (the
-    // same segment re-executes). The victim's directory slot was
-    // freed by its abort, so begin() cannot hit the hardware limit.
-    ++vctx.windowReplays;
-    m.addCost(v, m.config().cost.txBeginCost, Bucket::Txn);
-    beginTx(m, v);
 }
 
 bool
@@ -681,12 +584,12 @@ TxRacePolicy::onRetryAbort(Machine &m, Tid t)
               FrSlow::RetryExhausted);
 }
 
-template <class Tally>
 void
 TxRacePolicy::softwareCheck(Machine &m, Tid t, const ir::Instruction &ins,
-                            ir::Addr addr, bool is_write, Bucket bucket,
-                            Tally tally)
+                            ir::Addr addr, bool is_write)
 {
+    auto &ctx = m.context(t);
+    const Bucket bucket = ctx.slowReason;
     // Priced before admission so the gate sees the true (possibly
     // stall-inflated) cost.
     uint64_t check = m.checkCost();
@@ -703,7 +606,13 @@ TxRacePolicy::softwareCheck(Machine &m, Tid t, const ir::Instruction &ins,
     }
     m.addCost(t, check, bucket);
     budget_.chargeSite(ins.id, check);
-    tally(check);
+    auto &ss = m.tel().siteStats[ins.id];
+    ++ss.slowChecks;
+    ss.slowCost += check;
+    if (ctx.sampleMode)
+        m.tel().registry.add(met_.govSampledChecks);
+    else
+        governor_.onSlowCheckCost(m, t, check);
     if (is_write)
         m.det().write(t, addr, ins.id);
     else
@@ -732,14 +641,13 @@ TxRacePolicy::onMemAccess(Machine &m, Tid t, const ir::Instruction &ins,
     // Route through the HTM: conflict detection for transactional
     // accesses, strong isolation for non-transactional ones.
     auto res = m.htm().access(t, addr, is_write);
-    // Windowed slow path: record the access into the requester's
-    // version log BEFORE victim handling, so the conflicting access
-    // itself is part of the merged replay window. The log's cache
-    // footprint counts against capacity; an overflow aborts this
-    // transaction exactly like a data-line overflow.
+    // Record the access into the requester's version log BEFORE
+    // victim handling, so the conflicting access itself is part of the
+    // window a victim replays. A full ring aborts this transaction
+    // exactly like a data-line overflow.
     bool log_overflow = false;
-    if (slowpath_ == SlowPathKind::Window && !res.selfCapacity &&
-        ins.instrumented && m.htm().versionLog() && m.htm().inTx(t)) {
+    if (!res.selfCapacity && ins.instrumented && m.htm().versionLog() &&
+        m.htm().inTx(t)) {
         log_overflow = !m.htm().logAccess(t, addr, ins.id,
                                           m.currentStep(), is_write);
     }
@@ -754,11 +662,8 @@ TxRacePolicy::onMemAccess(Machine &m, Tid t, const ir::Instruction &ins,
         // whose conflicts keep rolling transactions back is a spender
         // just like a hot slow-path site, and gets cut first.
         budget_.chargeSite(ins.id, cost.rollbackCost);
-        if (slowpath_ == SlowPathKind::Window)
-            handleConflictVictimWindowed(m, v, t, ins.id,
-                                         mem::lineOf(addr));
-        else
-            handleConflictVictim(m, v);
+        replayWinnerWindow(m, v, t, ins.id);
+        handleConflictVictim(m, v);
     }
     if (res.selfCapacity || log_overflow) {
         handleSelfCapacity(m, t, ins.id);
@@ -782,29 +687,7 @@ TxRacePolicy::onMemAccess(Machine &m, Tid t, const ir::Instruction &ins,
             m.tel().registry.add(met_.govSampleSkipped);
             return true;
         }
-        auto tally = [&](uint64_t check) {
-            auto &ss = m.tel().siteStats[ins.id];
-            ++ss.slowChecks;
-            ss.slowCost += check;
-            if (ctx.sampleMode)
-                m.tel().registry.add(met_.govSampledChecks);
-            else
-                governor_.onSlowCheckCost(m, t, check);
-        };
-        softwareCheck(m, t, ins, addr, is_write, ctx.slowReason, tally);
-    } else if (slowpath_ == SlowPathKind::Window && ins.instrumented &&
-               watched(t, addr)) {
-        // Watched-line check: this line produced a conflict abort
-        // while this region was in flight, so its fast-path accesses
-        // to the line keep feeding the detector. Replays cover the
-        // aborting window; the watch covers the rest of every region
-        // region mode would have demoted — together they match its
-        // coverage at O(accesses-to-hot-lines) instead of O(region)
-        // cost. Off-watch accesses (the common case) pay nothing here.
-        softwareCheck(m, t, ins, addr, is_write, Bucket::Conflict,
-                      [&](uint64_t) {
-                          m.tel().registry.add(met_.windowWatchChecks);
-                      });
+        softwareCheck(m, t, ins, addr, is_write);
     }
     return true;
 }
@@ -845,7 +728,6 @@ TxRacePolicy::onThreadExit(Machine &m, Tid t)
                    telemetry::FrRunEdge::ThreadExit);
     ctx.sampleMode = false;
     ctx.govForced = false;
-    closeRegion(t);
 }
 
 } // namespace txrace::core

@@ -77,7 +77,7 @@ struct DetCounters
     uint64_t evictions = 0;
     /** Checks answered by the same-epoch fast path (scan skipped). */
     uint64_t epochFastHits = 0;
-    /** Checks performed through the windowed-replay entry (also
+    /** Checks performed through the replay entry (also
      *  counted in reads/writes; this isolates replay volume). */
     uint64_t replayChecks = 0;
 };

@@ -106,7 +106,7 @@ struct HtmConfig
     bool accessFilter = true;
     /**
      * Record a per-thread version log inside transactions (the
-     * windowed slow path's replay substrate). The log streams into a
+     * winner replay's substrate). The log streams into a
      * dedicated per-thread ring — see logAccess() — whose fixed bound
      * (versionLogEntries) is a capacity limit of its own: overflowing
      * it aborts the transaction with kAbortCapacity.

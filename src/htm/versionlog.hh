@@ -1,19 +1,18 @@
 /**
  * @file
  * Per-thread version log recorded inside the HTM fast path, the
- * substrate of the windowed slow path (mem-record-rtmseq idiom:
- * version vectors stamped inside the transaction, bounded per-thread
- * ring, versions published at commit).
+ * substrate of the winner replay (mem-record-rtmseq idiom: version
+ * vectors stamped inside the transaction, bounded per-thread ring,
+ * versions published at commit).
  *
  * Each transactional access appends one 16-byte entry carrying the
  * address, static site, global step, and the line's last *published*
  * version — the version a committed writer stamped on it. On a
- * conflict abort the policy merges the victim's and requester's
- * pending windows by (step, tid) — the offline `infer`-style order
- * reconstruction, trivial here because the simulator's scheduler
- * already serializes accesses — and replays exactly that window under
- * the happens-before detector, then clears the logs and resumes the
- * fast path in place.
+ * conflict abort the victim replays the requester's pending window
+ * (oldest first, ending with the conflicting access) under the
+ * happens-before detector and advances the requester's watermark, so
+ * the winner's side of the race is checked even if it commits before
+ * the victim's TxFail write lands.
  *
  * The log streams into a dedicated per-thread ring (write-only
  * streaming stores the cache retires without holding the lines for
@@ -156,8 +155,7 @@ class VersionLog
         l.replayedUpTo = 0;
     }
 
-    /** Drop @p t's window without publishing (abort fully replayed,
-     *  or region-mode demotion took over). */
+    /** Drop @p t's window without publishing. */
     void
     clear(Tid t)
     {

@@ -106,10 +106,6 @@ struct ThreadContext
     /** With conflict-address hints enabled: the line whose conflict
      *  triggered the current slow episode (~0 = no hint, check all). */
     uint64_t slowHintLine = ~0ull;
-    /** Windowed slow path: replays already paid by the current
-     *  transaction attempt (bounds livelock; past the cap the policy
-     *  falls back to a solo slow region). */
-    uint32_t windowReplays = 0;
     /** @} */
 
     /** Speculative store buffer: granule -> value written inside the

@@ -59,9 +59,9 @@ struct CostModel
     /** Flat penalty for processing one transactional abort. */
     static constexpr uint64_t rollbackCost = 30;
     /**
-     * Flat setup cost of one windowed replay: merging the victim and
-     * requester version logs and priming the detector (the per-entry
-     * replay checks are charged at effectiveCheckCost on top).
+     * Flat setup cost of one winner replay: reading the requester's
+     * version log and priming the detector (the per-entry replay
+     * checks are charged at effectiveCheckCost on top).
      */
     static constexpr uint64_t windowReplaySetupCost = 18;
     /** @} */

@@ -654,7 +654,7 @@ Machine::publishCounters()
     reg.addNamed("htm.dir.probes", ds.probeLen.count());
     reg.addNamed("htm.dir.filter_hit", hc.filterHits);
 
-    // Version log: windowed slow path only.
+    // Version log: the winner replay's, off under the pure protocol.
     if (const htm::VersionLog *vl = htm_.versionLog()) {
         const htm::VersionLogCounters &vc = vl->counters();
         reg.addNamed("htm.vlog.entries", vc.entries);

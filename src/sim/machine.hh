@@ -252,8 +252,8 @@ class Machine
      * Cost of one software check right now: the cost model's
      * effectiveCheckCost() (fixed at construction), inflated by any
      * active slow-path-stall fault episode. Every software check —
-     * TSan, the TxRace slow path, watched lines, window replays —
-     * is charged at this price.
+     * TSan, the TxRace slow path, winner replays — is charged at
+     * this price.
      */
     uint64_t
     checkCost() const
@@ -266,8 +266,8 @@ class Machine
     }
 
     /**
-     * Windowed slow path: replay a merged version-log window through
-     * the happens-before detector. Each entry is checked as its
+     * Winner replay: replay a version-log window through the
+     * happens-before detector. Each entry is checked as its
      * owning thread (exact, because transactional regions are
      * synchronization-free — no clock moved since the access was
      * logged). The whole replay — flat setup plus one checkCost()

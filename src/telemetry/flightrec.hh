@@ -44,7 +44,8 @@ enum class FrKind : uint8_t {
     SlowExit,   ///< slow-path episode ended
     Gov,        ///< region demoted by the governor (arg = new level)
     Budget,     ///< budget gate fired (arg = FrBudget detail)
-    WindowReplay, ///< windowed slow path replayed (arg = entries)
+    WindowReplay, ///< a conflict victim replayed the winner's version-
+                  ///< log window (arg = entries)
     // Timeline-only kinds: no ring ever held them, so forensics
     // windows do not change with the timeline.
     TxFailWrite,  ///< the victim published the TxFail flag
@@ -80,15 +81,11 @@ enum class FrBudget : uint8_t {
 struct FrBegin { enum : uint8_t { Plain, Region, Backoff }; };
 /** FrKind::TxCommit: region end or a loop-cut segment. */
 struct FrCommit { enum : uint8_t { RegionEnd, LoopCut }; };
-/** FrKind::TxAbort (conflict): what the victim does next. */
-struct FrConflict {
-    enum : uint8_t { Replay, PublishTxFail, WindowFallback };
-};
 /** FrKind::SlowEnter: why the episode began. */
 struct FrSlow {
     enum : uint8_t {
-        SmallRegion, Governor, HwLimit, WindowFallback, TxFail,
-        Conflict, Capacity, Interrupt, RetryExhausted
+        SmallRegion, Governor, HwLimit, TxFail, Conflict, Capacity,
+        Interrupt, RetryExhausted
     };
 };
 /** FrKind::Control: the governor ladder step or budget site step. */

@@ -50,7 +50,6 @@ AppProfile::merge(const AppProfile &o)
     monitorGatedChecks += o.monitorGatedChecks;
     monitorSampledSkips += o.monitorSampledSkips;
     windowReplays += o.windowReplays;
-    windowFallbacks += o.windowFallbacks;
     for (const auto &[site, sp] : o.sites)
         sites[site].merge(sp);
 }
@@ -91,7 +90,6 @@ Profile::writeBody(JsonWriter &w) const
         w.field("monitor_gated_checks", app.monitorGatedChecks);
         w.field("monitor_sampled_skips", app.monitorSampledSkips);
         w.field("window_replays", app.windowReplays);
-        w.field("window_fallbacks", app.windowFallbacks);
         w.key("sites");
         w.beginObject();
         for (const auto &[site, sp] : app.sites) {
@@ -156,7 +154,6 @@ Profile::parseBody(const JsonValue &body, Profile &out,
         app.monitorGatedChecks = getU64(appv, "monitor_gated_checks");
         app.monitorSampledSkips = getU64(appv, "monitor_sampled_skips");
         app.windowReplays = getU64(appv, "window_replays");
-        app.windowFallbacks = getU64(appv, "window_fallbacks");
         const JsonValue *sites = appv.find("sites");
         if (!sites)
             continue;

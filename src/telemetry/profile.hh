@@ -49,7 +49,7 @@ struct SiteProfile
     /** Deepest monitor sampling shift ever applied (max-merged; a
      *  site that was ever cut to 1/2^k sampling keeps that mark). */
     uint64_t monitorShiftMax = 0;
-    /** Windowed replays this site triggered as the conflicting
+    /** Winner replays this site triggered as the conflicting
      *  requester (input for reshaping: a site that keeps forcing
      *  replays is a transaction-boundary candidate). */
     uint64_t windowReplays = 0;
@@ -70,8 +70,7 @@ struct AppProfile
     uint64_t monitorSiteProbes = 0;
     uint64_t monitorGatedChecks = 0;
     uint64_t monitorSampledSkips = 0;
-    uint64_t windowReplays = 0;   ///< windowed slow-path replays
-    uint64_t windowFallbacks = 0; ///< replay-cap solo-slow fallbacks
+    uint64_t windowReplays = 0;   ///< winner-window replays
     std::map<uint32_t, SiteProfile> sites;
 
     void merge(const AppProfile &o);

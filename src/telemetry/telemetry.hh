@@ -31,7 +31,7 @@ struct SiteStats
     uint64_t otherAborts = 0;
     uint64_t slowChecks = 0;
     uint64_t slowCost = 0;
-    /** Windowed replays triggered at this site (requester side). */
+    /** Winner replays triggered at this site (requester side). */
     uint64_t windowReplays = 0;
 };
 

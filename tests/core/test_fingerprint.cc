@@ -272,6 +272,6 @@ TEST(Repro, GoldenConfigDigests)
     EXPECT_EQ(core::configDigest(noopt), 0x484cc831febe2665ull);
 
     core::RunConfig region;
-    region.slowpath = core::SlowPathKind::Region;
+    region.slowpath = core::SlowPathKind::TxFail;
     EXPECT_EQ(core::configDigest(region), 0x66f3d1e921f30f6cull);
 }

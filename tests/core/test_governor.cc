@@ -517,7 +517,7 @@ TEST(Governor, GoldenChaosSoakDigest)
     cfg.governor.enabled = true;
     core::RunResult r = core::runProgram(app.program, cfg);
     ASSERT_TRUE(r.error.ok());
-    EXPECT_EQ(r.totalCost, 9505998u);
+    EXPECT_EQ(r.totalCost, 6577722u);
     EXPECT_EQ(r.races.count(), 112u);
-    EXPECT_EQ(resultDigest(app.program, r), 0x16769954b554cad5ull);
+    EXPECT_EQ(resultDigest(app.program, r), 0x0980fbd7651dd7bfull);
 }

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the per-thread version log behind the windowed slow
- * path: ring-overflow surfaces as a capacity abort (never silent
+ * Unit tests for the per-thread version log behind the winner replay:
+ * ring-overflow surfaces as a capacity abort (never silent
  * truncation), versions publish at commit, pending windows track the
  * replay watermark, and beginTx/clear reset per-thread state.
  */

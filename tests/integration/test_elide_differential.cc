@@ -6,7 +6,8 @@
  * registry workload (the Table-1 application models and the
  * monitor's apache-stream soak, with their planted ground-truth
  * races, plus the concurrency-pattern catalog) runs across ten seeds
- * under both conflict repairs (`--slowpath window` and `region`): the
+ * under both conflict repairs (the default winner replay and the
+ * pure TxFail protocol, RunConfig::slowpath): the
  * static passes decide what the slow path checks, so each repair is
  * its own consumer of the elided bits.
  *
@@ -54,8 +55,8 @@ namespace {
 constexpr uint64_t kSeeds = 10;
 
 constexpr std::pair<core::SlowPathKind, const char *> kSlowPaths[] = {
-    {core::SlowPathKind::Window, "window"},
-    {core::SlowPathKind::Region, "region"},
+    {core::SlowPathKind::Replay, "replay"},
+    {core::SlowPathKind::TxFail, "txfail"},
 };
 
 /** Every registry workload: the Table-1 apps and apache-stream. */
@@ -165,7 +166,7 @@ runPrepared(const ir::Program &prog, const ir::Program &prepared,
             const core::RunConfig &cfg)
 {
     sim::MachineConfig mcfg = cfg.machine;
-    mcfg.htm.versionLog = cfg.slowpath == core::SlowPathKind::Window;
+    mcfg.htm.versionLog = cfg.slowpath == core::SlowPathKind::Replay;
     core::TxRacePolicy policy(cfg);
     sim::Machine machine(prepared, mcfg, policy);
     EXPECT_TRUE(machine.run().ok());

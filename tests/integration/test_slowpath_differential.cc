@@ -1,30 +1,25 @@
 /**
  * @file
- * Behavioral soundness differential for the windowed slow path: every
+ * Behavioral soundness differential for the winner replay: every
  * registry workload (all application models with their planted
  * ground-truth races, plus the concurrency-pattern catalog) is run
- * under both conflict-repair modes — `--slowpath window` (replay only
- * the aborting window from the version log) and `--slowpath region`
- * (the paper's TxFail broadcast demotion) — across ten seeds each.
+ * with the default slow path (a conflict victim replays the winner's
+ * version-log window, then the TxFail protocol runs) and with the
+ * paper's pure TxFail protocol, the region repair of §4.2
+ * (SlowPathKind::TxFail), across ten seeds each.
  *
- * Unlike the elision differential, the two modes take different
- * control flow after a conflict (a replayed re-begin versus a
- * broadcast slow region), so schedules and step counts legitimately
- * diverge per seed. The contract is therefore on the detection
- * outcome: over the seed sweep the windowed mode must report every
- * race region mode reports (zero recall loss from windowing — the
- * acceptance bar), precision stays pinned to the planted ground
- * truth, and a campaign hunting in window mode produces the same
- * findings and the same precision/recall scores as one hunting in
- * region mode. The containment is allowed to be strict in one
- * direction only: window mode may find more. Over seeds 1-10 at
- * scale 1 it averages 107.8 vips races per seed against region mode's
- * 97.4, and finds facesim's ninth pair on one seed where region mode
- * finds 8 of 9 on every seed. Both counts are unchanged with the
- * watched-line check switched off, so the extra races come from the
- * window replays, not from the watch. Extra planted races are a
- * recall win, never a soundness hole, and the precision assertion
- * keeps them honest.
+ * The replay charges the victim and checks more accesses, so
+ * schedules and step counts legitimately diverge per seed. The
+ * contract is therefore on the detection outcome: over the seed sweep
+ * the default must report every race the pure protocol reports, the
+ * pattern catalog's unions must match exactly, precision stays pinned
+ * to the planted ground truth, and a campaign hunting with the
+ * default produces the same findings and precision/recall scores as
+ * one hunting with the pure protocol. The containment may be strict
+ * in one direction only: the default may find more, because the
+ * replay checks winners that commit before TxFail lands (§6, false-
+ * negative source two). Extra planted races are a recall win, never a
+ * soundness hole, and the precision assertion keeps them honest.
  */
 
 #include <gtest/gtest.h>
@@ -85,23 +80,23 @@ TEST_P(SlowpathDifferentialPerApp, SweepLosesNoRaceVsRegionMode)
     params.calibrate = false;
     workloads::AppModel app = workloads::makeApp(GetParam(), params);
 
-    std::set<std::string> window =
-        sweepKeys(app.program, app.machine, core::SlowPathKind::Window);
-    std::set<std::string> region =
-        sweepKeys(app.program, app.machine, core::SlowPathKind::Region);
-    for (const std::string &key : region)
-        EXPECT_TRUE(window.count(key))
-            << app.name << ": windowing lost a race region mode finds";
+    std::set<std::string> replay =
+        sweepKeys(app.program, app.machine, core::SlowPathKind::Replay);
+    std::set<std::string> pure =
+        sweepKeys(app.program, app.machine, core::SlowPathKind::TxFail);
+    for (const std::string &key : pure)
+        EXPECT_TRUE(replay.count(key))
+            << app.name << ": the default lost a race the pure protocol "
+                           "finds";
 
-    // Precision is pinned too: everything either mode reports maps
-    // onto a planted ground-truth annotation, so window mode cannot
-    // trade its speed for false positives.
+    // Precision is pinned too: everything the default reports maps
+    // onto a planted ground-truth annotation, so the replay cannot
+    // trade its recall for false positives.
     std::set<std::string> truth;
     for (const workloads::RaceLabel &label : app.groundTruth)
         truth.insert(core::raceLabelKey(label.a, label.b));
     core::RunConfig probe;
     probe.mode = core::RunMode::TxRaceDynLoopcut;
-    probe.slowpath = core::SlowPathKind::Window;
     probe.machine = app.machine;
     for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
         probe.machine.seed = seed;
@@ -134,8 +129,8 @@ TEST_P(SlowpathDifferentialPerPattern, SweepUnionIdenticalToRegionMode)
     workloads::Pattern pat = workloads::makePattern(GetParam());
     sim::MachineConfig machine;
     EXPECT_EQ(
-        sweepKeys(pat.program, machine, core::SlowPathKind::Window),
-        sweepKeys(pat.program, machine, core::SlowPathKind::Region))
+        sweepKeys(pat.program, machine, core::SlowPathKind::Replay),
+        sweepKeys(pat.program, machine, core::SlowPathKind::TxFail))
         << pat.name;
 }
 
@@ -152,46 +147,35 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SlowpathDifferential, CampaignOutputMatchesRegionMode)
 {
-    // The same hunt in both modes: identical findings (by
-    // fingerprint), identical ground-truth verdicts, identical
-    // precision/recall scores. Repro commands and per-mode stats
-    // legitimately differ (the config digest covers the slow path),
-    // so the comparison is struct-level, not byte-level.
+    // The same hunt with the default and with the pure protocol:
+    // identical findings (by fingerprint), identical ground-truth
+    // verdicts, identical precision/recall scores. Per-run stats and
+    // config digests legitimately differ (the digest covers the slow
+    // path), so the comparison is struct-level, not byte-level.
     campaign::CampaignConfig cfg;
     cfg.apps = {"raytrace", "canneal"};
     cfg.seedsPerApp = 2;
     cfg.masterSeed = 7;
 
-    cfg.slowpath = core::SlowPathKind::Window;
-    campaign::CampaignResult window = campaign::runCampaign(cfg);
-    cfg.slowpath = core::SlowPathKind::Region;
-    campaign::CampaignResult region = campaign::runCampaign(cfg);
+    campaign::CampaignResult replay = campaign::runCampaign(cfg);
+    cfg.slowpath = core::SlowPathKind::TxFail;
+    campaign::CampaignResult pure = campaign::runCampaign(cfg);
 
-    ASSERT_EQ(window.findings.size(), region.findings.size());
-    for (size_t i = 0; i < window.findings.size(); ++i) {
-        EXPECT_EQ(window.findings[i].sig.key, region.findings[i].sig.key);
-        EXPECT_EQ(window.findings[i].app, region.findings[i].app);
-        EXPECT_EQ(window.findings[i].inGroundTruth,
-                  region.findings[i].inGroundTruth);
+    ASSERT_EQ(replay.findings.size(), pure.findings.size());
+    for (size_t i = 0; i < replay.findings.size(); ++i) {
+        EXPECT_EQ(replay.findings[i].sig.key, pure.findings[i].sig.key);
+        EXPECT_EQ(replay.findings[i].app, pure.findings[i].app);
+        EXPECT_EQ(replay.findings[i].inGroundTruth,
+                  pure.findings[i].inGroundTruth);
     }
-    ASSERT_EQ(window.scores.size(), region.scores.size());
-    for (size_t i = 0; i < window.scores.size(); ++i) {
-        EXPECT_EQ(window.scores[i].app, region.scores[i].app);
-        EXPECT_EQ(window.scores[i].matched, region.scores[i].matched);
-        EXPECT_DOUBLE_EQ(window.scores[i].precision,
-                         region.scores[i].precision);
-        EXPECT_DOUBLE_EQ(window.scores[i].recall,
-                         region.scores[i].recall);
+    ASSERT_EQ(replay.scores.size(), pure.scores.size());
+    for (size_t i = 0; i < replay.scores.size(); ++i) {
+        EXPECT_EQ(replay.scores[i].app, pure.scores[i].app);
+        EXPECT_EQ(replay.scores[i].matched, pure.scores[i].matched);
+        EXPECT_DOUBLE_EQ(replay.scores[i].precision,
+                         pure.scores[i].precision);
+        EXPECT_DOUBLE_EQ(replay.scores[i].recall, pure.scores[i].recall);
     }
-    EXPECT_EQ(window.errors, 0u);
-    EXPECT_EQ(region.errors, 0u);
-
-    // The mode is part of each finding's repro line exactly when it
-    // is not the windowed default.
-    for (const campaign::Finding &f : region.findings)
-        EXPECT_NE(f.repro.find("--slowpath region"), std::string::npos)
-            << f.repro;
-    for (const campaign::Finding &f : window.findings)
-        EXPECT_EQ(f.repro.find("--slowpath"), std::string::npos)
-            << f.repro;
+    EXPECT_EQ(replay.errors, 0u);
+    EXPECT_EQ(pure.errors, 0u);
 }

@@ -71,7 +71,7 @@ struct Golden
     bool governor = false;
     /** Monitor budget in percent; 0 leaves the budget off. */
     double budgetPct = 0.0;
-    core::SlowPathKind slowpath = core::SlowPathKind::Window;
+    core::SlowPathKind slowpath = core::SlowPathKind::Replay;
     double sampleRate = 1.0;
     bool conflictAddressHints = false;
 };
@@ -84,13 +84,13 @@ const Golden kGolden[] = {
     {"vips", core::RunMode::TSan,
      0x1450b917c1beb2cdull},
     {"vips", core::RunMode::TxRaceDynLoopcut,
-     0xb023b564ecca9f58ull},
+     0xc0975fcd39ee2933ull},
     {"bodytrack", core::RunMode::Native,
      0x7339205e3015eec0ull},
     {"bodytrack", core::RunMode::TSan,
      0x17e50c45e803cd7eull},
     {"bodytrack", core::RunMode::TxRaceDynLoopcut,
-     0xf91cff82f83f76bcull},
+     0x837082ce7bd90783ull},
     {"apache-stream", core::RunMode::Native,
      0xf54ab6f32396d877ull},
     {"apache-stream", core::RunMode::TSan,
@@ -99,35 +99,35 @@ const Golden kGolden[] = {
      0x798944ff52399717ull},
     // The rows below reach every point where the step loop settles
     // pending cost before a hook: budget reads mid-run (monitor),
-    // interrupt/retry aborts and rollback (chaos + governor), region
-    // slow path, profiled loop-cuts and the other policies.
+    // interrupt/retry aborts and rollback (chaos + governor), the pure
+    // TxFail protocol, profiled loop-cuts and the other policies.
     {.app = "apache-stream", .mode = core::RunMode::TxRaceProfLoopcut,
      .digest = 0xe6de103b74ec7477ull, .governor = true, .budgetPct = 5.0},
     {.app = "vips", .mode = core::RunMode::TxRaceDynLoopcut,
-     .digest = 0x6632e9561e07e22bull, .workers = 8, .fault = "chaos",
+     .digest = 0x07e512b483bf60bbull, .workers = 8, .fault = "chaos",
      .governor = true},
     {.app = "x264", .mode = core::RunMode::TxRaceDynLoopcut,
-     .digest = 0x4099c7c46046df81ull, .slowpath = core::SlowPathKind::Region},
-    {"vips", core::RunMode::TxRaceProfLoopcut, 0x5b460a0fae8f096aull},
+     .digest = 0x4099c7c46046df81ull, .slowpath = core::SlowPathKind::TxFail},
+    {"vips", core::RunMode::TxRaceProfLoopcut, 0x1164f7c42c0d803full},
     {.app = "ferret", .mode = core::RunMode::TSanSampling,
      .digest = 0x53b10f270af57ebdull, .sampleRate = 0.5},
     {"canneal", core::RunMode::Eraser, 0x4fc2f8939c6964adull},
     {"raytrace", core::RunMode::RaceTM, 0xf6f01689e1a538f6ull},
     // TxRace abort-dispatch paths the rows above leave unreached:
-    // hinted slow episodes in both slow-path modes, the no-loop-cut
-    // scheme, retry exhaustion without the governor's backoff, and a
-    // delayed TxFail publication in region mode.
+    // hinted slow episodes with and without the winner replay, the
+    // no-loop-cut scheme, retry exhaustion without the governor's
+    // backoff, and a delayed TxFail publication in the pure protocol.
     {.app = "vips", .mode = core::RunMode::TxRaceDynLoopcut,
-     .digest = 0xc089125f55135cfdull, .conflictAddressHints = true},
+     .digest = 0xa74930c95ac24a2bull, .conflictAddressHints = true},
     {.app = "x264", .mode = core::RunMode::TxRaceDynLoopcut,
-     .digest = 0x20c27743acecf1e4ull, .slowpath = core::SlowPathKind::Region,
+     .digest = 0x20c27743acecf1e4ull, .slowpath = core::SlowPathKind::TxFail,
      .conflictAddressHints = true},
-    {"vips", core::RunMode::TxRaceNoOpt, 0xc548addbababb29dull},
+    {"vips", core::RunMode::TxRaceNoOpt, 0x5df1374e8d0157faull},
     {.app = "vips", .mode = core::RunMode::TxRaceDynLoopcut,
-     .digest = 0x5ac34dffb737c409ull, .workers = 8, .fault = "retry-glitch"},
+     .digest = 0x23601e3c1727356bull, .workers = 8, .fault = "retry-glitch"},
     {.app = "x264", .mode = core::RunMode::TxRaceDynLoopcut,
      .digest = 0x6bc5cdcaf2a93de9ull, .workers = 8, .fault = "txfail-delay",
-     .slowpath = core::SlowPathKind::Region},
+     .slowpath = core::SlowPathKind::TxFail},
 };
 
 /** Run @p g's configuration. */
@@ -197,8 +197,8 @@ TEST(AccountingGolden, DirectMachineScheduleHashPerPolicy)
     core::TxRacePolicy txrace(cfg);
     sim::Machine mx(tx_prog, cfg.machine, txrace);
     ASSERT_TRUE(mx.run().ok());
-    EXPECT_EQ(mx.scheduleHash(), 0x6cd02910f7be0445ull);
-    EXPECT_EQ(mx.totalCost(), 4228636u);
+    EXPECT_EQ(mx.scheduleHash(), 0x25661096e4d45293ull);
+    EXPECT_EQ(mx.totalCost(), 3202716u);
 }
 
 TEST(AccountingGolden, NativeTruncatedMidQuantum)

@@ -147,9 +147,8 @@ TEST(TxValues, AbortDiscardsSpeculativeStores)
         pc.insertLoopCuts = false;
         return pc;
     }());
-    // Built directly, the policy runs whatever slow path the config
-    // names; name it rather than lean on a default.
-    cfg.slowpath = core::SlowPathKind::Region;
+    // Built directly, the policy replays only when the machine keeps
+    // a version log; this one does not (the pure TxFail protocol).
     core::TxRacePolicy policy(cfg);
     Machine m(prepared, cfg.machine, policy);
     m.run();
@@ -193,16 +192,16 @@ TEST(TxValues, ConflictVictimRepublishesExactlyOnce)
 
     ir::Program prepared = passes::preparedForTxRace(p);
     // Both conflict repairs must publish each increment exactly once:
-    // region re-execution, and the windowed replay's in-place
-    // re-begin (which needs the engine's version log).
+    // the pure TxFail protocol, and the winner replay before it (which
+    // needs the engine's version log).
     for (core::SlowPathKind kind :
-         {core::SlowPathKind::Region, core::SlowPathKind::Window}) {
+         {core::SlowPathKind::TxFail, core::SlowPathKind::Replay}) {
         SCOPED_TRACE(core::slowPathKindName(kind));
         core::RunConfig cfg;
         cfg.mode = core::RunMode::TxRaceDynLoopcut;
         cfg.slowpath = kind;
         cfg.machine = quietConfig(5);
-        cfg.machine.htm.versionLog = kind == core::SlowPathKind::Window;
+        cfg.machine.htm.versionLog = kind == core::SlowPathKind::Replay;
         core::TxRacePolicy policy(cfg);
         Machine m(prepared, cfg.machine, policy);
         m.run();
@@ -210,7 +209,7 @@ TEST(TxValues, ConflictVictimRepublishesExactlyOnce)
         EXPECT_GT(reg.valueByName("tx.abort.conflict") +
                       reg.valueByName("htm.aborts.conflict"),
                   0u);
-        if (kind == core::SlowPathKind::Window) {
+        if (kind == core::SlowPathKind::Replay) {
             EXPECT_GT(reg.valueByName("txrace.window.replays"), 0u);
         }
         EXPECT_EQ(m.memory().load(counter), 30u);

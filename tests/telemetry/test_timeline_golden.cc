@@ -2,7 +2,7 @@
  * @file
  * The two timeline views, pinned: for a fixed set of runs covering
  * every protocol event (the TxFail sequence, fault edges, governor
- * and budget transitions, windowed replay and fallback, deadlock and
+ * and budget transitions, the winner replay, deadlock and
  * truncation), the `--trace` text and the `--trace-json` Chrome trace
  * rendered from the event stream must match these FNV-1a hashes and
  * lengths byte for byte. Also the event-log contract: off by default,
@@ -120,10 +120,11 @@ timelineRuns()
 {
     std::vector<TimelineRun> runs;
 
-    // Region mode on a conflicting loop: the TxFail sequence.
+    // The pure TxFail protocol on a conflicting loop: the TxFail
+    // sequence with no winner replay in it.
     TimelineRun txfail{"txfail-region", conflictingProgram(),
                        txraceConfig()};
-    txfail.cfg.slowpath = core::SlowPathKind::Region;
+    txfail.cfg.slowpath = core::SlowPathKind::TxFail;
     txfail.cfg.machine.interruptPerStep = 0.0;
     runs.push_back(std::move(txfail));
 
@@ -144,8 +145,8 @@ timelineRuns()
     runs.push_back(monitorRun("x264-monitor-1", "x264", 1.0));
     runs.push_back(monitorRun("vips-monitor-1", "vips", 1.0));
 
-    // Default windowed slow path: window-replay and window-fallback.
-    runs.push_back(appRun("x264-window", "x264", 4, 1));
+    // Default slow path: window-replay ahead of the TxFail sequence.
+    runs.push_back(appRun("x264-replay", "x264", 4, 1));
 
     // Abnormal ends: the deadlock and truncation markers, and spans
     // closed as run-end.
@@ -181,22 +182,22 @@ using Kind = sim::RunError::Kind;
 constexpr Pin kPins[] = {
     {"txfail-region", 0x451059f2360b7387ull, 2481,
      0x6abb54609921cd39ull, 5610, 56, Kind::None},
-    {"vips-storm-governor", 0xba3277e415ca8e26ull, 104248,
-     0xa688c5139488d746ull, 257800, 2664, Kind::None},
+    {"vips-storm-governor", 0xfc6b3581c6f0a072ull, 138606,
+     0x75bf9c7527d7cdb6ull, 239159, 2374, Kind::None},
     {"apache-monitor-5", 0x0f39dab3cf47b90dull, 21981,
      0x3632de841a1037c3ull, 46602, 384, Kind::None},
     {"apache-monitor-1.8", 0xeb9591c1f7369c74ull, 22102,
      0x3632de841a1037c3ull, 46602, 384, Kind::None},
-    {"x264-monitor-1", 0x6aee1a6234b5cdd8ull, 3828,
-     0xf218b6016d4c4e5aull, 2007, 18, Kind::None},
-    {"vips-monitor-1", 0xbd472108679cf166ull, 20798,
-     0x1a48819b0980508full, 7109, 71, Kind::Budget},
-    {"x264-window", 0x5d430cc8eaa61a83ull, 9800,
-     0x69ac7f8534678987ull, 27284, 280, Kind::None},
-    {"deadlock", 0x37333894e7e040a6ull, 689,
-     0xf8587665dd03196eull, 2195, 21, Kind::Deadlock},
-    {"truncated", 0xaab572a0c03cf5c4ull, 554,
-     0xa904423cce46d732ull, 1915, 18, Kind::Truncated},
+    {"x264-monitor-1", 0x89f6c017487c60caull, 3832,
+     0xc2b26a4c4121f052ull, 1292, 10, Kind::None},
+    {"vips-monitor-1", 0xa7a5adca27cb5fb5ull, 21251,
+     0xd6ffbb3e10e2bd1eull, 6033, 58, Kind::Budget},
+    {"x264-replay", 0x749af66fff6678b8ull, 8157,
+     0x3617fb781bd14fd2ull, 15450, 154, Kind::None},
+    {"deadlock", 0x57ff89040b04352dull, 1057,
+     0x25b74d63d68fb70aull, 2409, 23, Kind::Deadlock},
+    {"truncated", 0x3495f78a9ae19b1bull, 851,
+     0xb807ecdd6710749eull, 2031, 19, Kind::Truncated},
 };
 
 uint64_t
@@ -286,9 +287,9 @@ TEST(EventLog, RecordsTheTxFailProtocolSequence)
 {
     ir::Program p = conflictingProgram();
     core::RunConfig cfg = txraceConfig();
-    // The TxFail broadcast only exists in region mode; the windowed
-    // default answers conflicts with a log replay instead.
-    cfg.slowpath = core::SlowPathKind::Region;
+    // The paper's protocol alone: no winner replay between the abort
+    // and the TxFail write.
+    cfg.slowpath = core::SlowPathKind::TxFail;
     cfg.machine.interruptPerStep = 0.0;
     cfg.machine.recordTimeline = true;
     core::RunResult r = core::runProgram(p, cfg);

@@ -64,10 +64,6 @@ usage()
         "  --trace N      record and print the first N events\n"
         "  --fault NAME   inject a named fault scenario\n"
         "  --fault-horizon N  scale episode times to N steps\n"
-        "  --slowpath S   conflict-abort repair: window (replay only\n"
-        "                 the aborting window from the fast-path\n"
-        "                 version log; default) or region (the paper's\n"
-        "                 TxFail-broadcast whole-region re-execution)\n"
         "  --governor     enable the adaptive fallback governor\n"
         "  --monitor      production-monitor mode: enforce a hard\n"
         "                 overhead budget via per-site adaptive\n"
@@ -119,7 +115,6 @@ main(int argc, char **argv)
     size_t trace = 0;
     std::string fault_name;
     uint64_t fault_horizon = 200'000;
-    std::string slowpath_name = "window";
     bool governor = false;
     bool monitor = false;
     double budget_pct = 5.0;
@@ -189,8 +184,6 @@ main(int argc, char **argv)
             fault_name = v8;
         } else if (const char *v9 = value("--fault-horizon")) {
             fault_horizon = core::parseUnsignedFlag("--fault-horizon", v9);
-        } else if (const char *vsp = value("--slowpath")) {
-            slowpath_name = vsp;
         } else if (std::strcmp(argv[i], "--governor") == 0) {
             governor = true;
         } else if (std::strcmp(argv[i], "--monitor") == 0) {
@@ -241,9 +234,6 @@ main(int argc, char **argv)
     core::RunConfig cfg;
     cfg.mode = core::parseModeFlag(mode_name);
     cfg.sampleRate = rate;
-    if (!core::slowPathKindFromName(slowpath_name, cfg.slowpath))
-        fatal("unknown --slowpath '%s' (window, region)",
-              slowpath_name.c_str());
     ir::Program prog = [&] {
         if (!program_path.empty())
             return ir::loadProgramFile(program_path);
@@ -306,7 +296,6 @@ main(int argc, char **argv)
     identity.elide = elide;
     identity.irqScale = irq_scale;
     identity.calibrated = params.calibrate;
-    identity.slowpath = cfg.slowpath;
 
     std::vector<uint64_t> seeds = {seed};
     if (!seed_list.empty())
