@@ -47,16 +47,13 @@ BENCHMARK(BM_HtmAccess)->Arg(16)->Arg(256);
  * Engine-level conflict-detection benchmarks. `bench_compare.py`
  * gates on these — the conflict-free cases measure the per-access
  * cost as a function of in-flight transaction count (the directory's
- * whole point is making it flat), the conflict-heavy case measures
- * abort processing, and the reuse pair measures what the owned-line
- * filter saves on repeat accesses to held lines.
+ * whole point is making it flat), and the conflict-heavy case
+ * measures abort processing.
  */
 void
-runConflictFree(benchmark::State &state, bool filter)
+BM_HtmDirConflictFree(benchmark::State &state)
 {
-    htm::HtmConfig cfg;
-    cfg.accessFilter = filter;
-    htm::HtmEngine engine(cfg);
+    htm::HtmEngine engine;
     const uint32_t txs = static_cast<uint32_t>(state.range(0));
     for (Tid t = 0; t < txs; ++t)
         engine.begin(t);
@@ -79,62 +76,7 @@ runConflictFree(benchmark::State &state, bool filter)
     }
     state.SetItemsProcessed(state.iterations());
 }
-
-void
-BM_HtmDirConflictFree(benchmark::State &state)
-{
-    // The 32-line stride defeats the 16-entry filter on purpose: this
-    // measures the probe path (plus a filter miss), not filter hits.
-    runConflictFree(state, true);
-}
 BENCHMARK(BM_HtmDirConflictFree)->Arg(1)->Arg(4)->Arg(8);
-
-/**
- * Line-reuse-heavy stream: each transaction cycles over 8 lines of
- * its own, so after the first lap every access hits a line the
- * transaction already holds in the required mode. With the filter
- * these accesses skip the directory probe entirely; without it each
- * pays the full probe. The gate in BENCH_elision.json holds the
- * filtered case strictly faster.
- */
-void
-runLineReuse(benchmark::State &state, bool filter)
-{
-    htm::HtmConfig cfg;
-    cfg.accessFilter = filter;
-    htm::HtmEngine engine(cfg);
-    const uint32_t txs = static_cast<uint32_t>(state.range(0));
-    for (Tid t = 0; t < txs; ++t)
-        engine.begin(t);
-    constexpr uint64_t kLines = 8;  // < filter size: all-hit regime
-    Tid t = 0;
-    uint64_t lap = 0;
-    for (auto _ : state) {
-        uint64_t line = (t + 1) * 4096 + lap;
-        auto res = engine.access(t, line * 64, (lap & 3) == 3);
-        benchmark::DoNotOptimize(res.selfCapacity);
-        if (++t == txs) {
-            t = 0;
-            if (++lap == kLines)
-                lap = 0;
-        }
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-
-void
-BM_HtmFilterReuse(benchmark::State &state)
-{
-    runLineReuse(state, true);
-}
-BENCHMARK(BM_HtmFilterReuse)->Arg(8);
-
-void
-BM_HtmNoFilterReuse(benchmark::State &state)
-{
-    runLineReuse(state, false);
-}
-BENCHMARK(BM_HtmNoFilterReuse)->Arg(8);
 
 void
 runConflictHeavy(benchmark::State &state)
@@ -198,49 +140,6 @@ BM_FastTrackCheck(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FastTrackCheck);
-
-/**
- * Same-epoch hot stream: two threads hammer one write address and one
- * read address each, with a stable instruction id and no intervening
- * synchronization — exactly the shape the FastTrack same-epoch fast
- * path short-circuits. The Off variant runs the identical stream with
- * the fast path disabled; the gap is what the fast path saves.
- */
-void
-runFastTrackEpochHot(benchmark::State &state, bool fastPath)
-{
-    detector::DetectorConfig cfg;
-    cfg.epochFastPath = fastPath;
-    detector::HbDetector det(cfg);
-    det.rootThread(0);
-    det.threadCreated(0, 1);
-    uint64_t i = 0;
-    for (auto _ : state) {
-        Tid t = static_cast<Tid>(i & 1);
-        // Writes and reads hit different granules on different
-        // shadow pages, so neither clears the other's entry.
-        if (i & 2)
-            det.write(t, 0x1008 + t * 64, 1);
-        else
-            det.read(t, 0x2000 + t * 64, 2);
-        ++i;
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-
-void
-BM_FastTrackEpochHot(benchmark::State &state)
-{
-    runFastTrackEpochHot(state, true);
-}
-BENCHMARK(BM_FastTrackEpochHot);
-
-void
-BM_FastTrackEpochHotOff(benchmark::State &state)
-{
-    runFastTrackEpochHot(state, false);
-}
-BENCHMARK(BM_FastTrackEpochHotOff);
 
 /**
  * Concurrent readers of a shared set — swaptions' shape, where almost
@@ -310,9 +209,9 @@ BENCHMARK(BM_EndToEndTxRace);
 /**
  * End-to-end elision gate: a redundancy-heavy workload (dominated
  * re-loads of a shared cell, granule-aligned per-thread slots, tight
- * line reuse) run with the full elision stack on vs off. This is the
- * headline number for BENCH_elision.json — the stack must make the
- * whole pipeline measurably faster on the streams it targets.
+ * line reuse) run with the static elision passes on vs off. The
+ * gate in BENCH_elision.json holds the elided pipeline measurably
+ * faster on the streams it targets.
  */
 void
 runEndToEndElide(benchmark::State &state, bool elide)
@@ -351,11 +250,7 @@ runEndToEndElide(benchmark::State &state, bool elide)
 
     core::RunConfig cfg;
     cfg.mode = core::RunMode::TxRaceDynLoopcut;
-    if (!elide) {
-        cfg.passes.elide.enabled = false;
-        cfg.machine.htm.accessFilter = false;
-        cfg.machine.det.epochFastPath = false;
-    }
+    cfg.passes.elide.enabled = elide;
     uint64_t seed = 1;
     for (auto _ : state) {
         cfg.machine.seed = seed++;

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Gate bench_micro results: fast-path speedup and baseline regression.
+"""Gate bench_micro results: same-run speedup and baseline regression.
 
 Two independent checks over google-benchmark JSON output, plus an
 optional monitor-mode budget-compliance gate over txrace_run
@@ -11,10 +11,8 @@ optional monitor-mode budget-compliance gate over txrace_run
    this gate is immune to host-speed differences — it checks the
    *shape* of the performance, not absolute throughput. A named
    benchmark missing from the results fails the gate. CI holds the
-   owned-line filter (BM_HtmFilterReuse/8) strictly faster than the
-   unfiltered probe path (BM_HtmNoFilterReuse/8) on a
-   line-reuse-heavy stream, and also runs an elision pair (end-to-end
-   elide-on vs elide-off) against BENCH_elision.json.
+   end-to-end elision pair (BM_EndToEndElide vs BM_EndToEndNoElide)
+   and the flight-recorder pair to their ratios this way.
 
 2. Baseline regression gate (--baseline FILE): every benchmark present
    in both files is compared after normalizing by the --calibration
@@ -23,7 +21,9 @@ optional monitor-mode budget-compliance gate over txrace_run
    compared is each benchmark's cost relative to the calibration
    anchor. A normalized slowdown beyond --max-regress fails. CI gates
    bench_simcore this way against BENCH_simcore.json, normalized by
-   its BM_HostAnchor lane (host work that runs no simulator code).
+   its BM_HostAnchor lane (host work that runs no simulator code),
+   and bench_micro against BENCH_baseline.json and
+   BENCH_elision.json, normalized by BM_HtmDirConflictFree/1.
 
 3. Monitor budget gate (--monitor-metrics FILE): the file is a
    txrace_run --monitor --metrics-json dump; every complete window's
@@ -155,8 +155,7 @@ def check_monitor(path, budget_pct):
 
 
 PROFILE_APP_COUNTERS = (
-    "runs", "filter_hits", "tx_begins", "tx_committed", "slow_regions",
-    "window_replays",
+    "runs", "tx_begins", "tx_committed", "slow_regions", "window_replays",
     "monitor_site_cuts", "monitor_site_probes", "monitor_gated_checks",
     "monitor_sampled_skips",
 )

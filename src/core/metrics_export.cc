@@ -396,7 +396,6 @@ buildRunProfile(const std::string &app, const RunResult &result)
     telemetry::Profile p;
     telemetry::AppProfile &a = p.apps[app];
     a.runs = 1;
-    a.filterHits = result.stats.get("htm.dir.filter_hit");
     a.txBegins = result.stats.get("tx.begins");
     a.txCommitted = result.stats.get("tx.committed");
     a.slowRegions = result.stats.get("txrace.slow_regions");

@@ -41,8 +41,8 @@ void writeMetricsJson(std::ostream &os, const MetricsMeta &meta,
 /**
  * Fold one run's observability state into a single-app
  * telemetry::Profile keyed by @p app: per-site abort and slow-path
- * counters from the telemetry bundle, owned-line filter hits and
- * transaction totals from the merged stats, and monitor sampling
+ * counters from the telemetry bundle, transaction totals and winner
+ * replays from the merged stats, and monitor sampling
  * state from the budget report. Callers accumulate runs (and fleets)
  * with Profile::merge and serialize with Profile::write.
  */

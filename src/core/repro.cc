@@ -146,13 +146,17 @@ configDigest(const RunConfig &cfg)
     // Former conflict-engine selector, pinned at Directory's value so
     // digests (and repro commands) from before its removal stay valid.
     d.u64(0);
-    d.u64(h.accessFilter ? 1 : 0);
+    // Former owned-line filter switch. Every CLI path set it together
+    // with the elision passes, so hashing elide.enabled in its place
+    // keeps every digest (--no-elide included) valid.
+    d.u64(cfg.passes.elide.enabled ? 1 : 0);
     d.u64(h.versionLog ? 1 : 0);
     d.u64(h.versionLogEntries);
 
     const detector::DetectorConfig &det = m.det;
     d.u64(det.maxShadowCells);
-    d.u64(det.epochFastPath ? 1 : 0);
+    // Former same-epoch fast-path switch, kept the same way.
+    d.u64(cfg.passes.elide.enabled ? 1 : 0);
 
     // Former fields, now constants, keep their places so digests (and
     // repro commands) stay valid; retired always-on switches hash 1.

@@ -46,8 +46,8 @@ struct RunIdentity
      *  != 5.0, --budget-pct. */
     bool monitor = false;
     double budgetPct = 5.0;
-    /** Whether the access-elision stack (static passes, HTM filter,
-     *  detector fast paths) was on; false renders --no-elide. */
+    /** Whether the static access-elision passes were on; false
+     *  renders --no-elide. */
     bool elide = true;
     /** Multiplier on the app's interrupt rate (campaign perturbation
      *  variants; 1.0 = untouched). */

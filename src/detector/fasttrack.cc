@@ -107,19 +107,6 @@ HbDetector::read(Tid t, ir::Addr addr, ir::InstrId instr)
     Access *reads = cell.reads();
     uint32_t &n = cell.nReads;
 
-    // Same-epoch fast path: this thread already recorded this exact
-    // read (same epoch, same instruction) as the sole read entry, and
-    // no unordered remote write is pending (so the full path would
-    // record no race). Then the full path is a provable no-op on the
-    // shadow state — skip the prune/append scan. The epoch-sufficient
-    // counter still moves: the full path would have counted it.
-    if (cfg_.epochFastPath && n == 1 && reads[0] == mine &&
-        !unordered(cell.write, t, vc)) {
-        ++counters_.epochFastHits;
-        ++counters_.readEpochSufficient;
-        return;
-    }
-
     if (unordered(cell.write, t, vc)) {
         reportRace(cell.write.instr, instr, RaceKind::WriteRead, addr, t,
                    cell.write.tid);
@@ -176,15 +163,6 @@ HbDetector::write(Tid t, ir::Addr addr, ir::InstrId instr)
     ShadowCell &cell = cellAt(mem::granuleOf(addr));
     const VectorClock &vc = clockOf(t);
     const Access mine{vc.get(t), t, instr};
-
-    // Same-epoch fast path: this thread already owns the write entry
-    // at this exact epoch and instruction and no reads are recorded —
-    // the full path would find no race (write epoch is ours) and
-    // store back the identical entry.
-    if (cfg_.epochFastPath && cell.write == mine && cell.nReads == 0) {
-        ++counters_.epochFastHits;
-        return;
-    }
 
     if (unordered(cell.write, t, vc)) {
         reportRace(cell.write.instr, instr, RaceKind::WriteWrite, addr,

@@ -46,15 +46,6 @@ struct DetectorConfig
     uint32_t maxShadowCells = 0;
     /** Seed for the eviction RNG (only used when bounded). */
     uint64_t seed = 1;
-    /**
-     * FastTrack same-epoch fast paths: return before the shadow-cell
-     * scan when this thread already recorded an identical access (same
-     * epoch, same instruction) and the full path would provably change
-     * nothing — no race recorded, no shadow state changed, no
-     * counter other than the check count moved. Off only for ablation
-     * (txrace_run --no-elide) and the differential soundness test.
-     */
-    bool epochFastPath = true;
 };
 
 /**
@@ -75,8 +66,6 @@ struct DetCounters
     uint64_t readVcPromoted = 0;
     /** Bounded-shadow random evictions (maxShadowCells > 0 only). */
     uint64_t evictions = 0;
-    /** Checks answered by the same-epoch fast path (scan skipped). */
-    uint64_t epochFastHits = 0;
     /** Checks performed through the replay entry (also
      *  counted in reads/writes; this isolates replay volume). */
     uint64_t replayChecks = 0;
@@ -181,8 +170,6 @@ class HbDetector
         uint64_t clock = 0;
         Tid tid = 0;
         ir::InstrId instr = ir::kNoInstr;
-
-        bool operator==(const Access &other) const = default;
     };
 
     /**

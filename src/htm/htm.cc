@@ -35,7 +35,6 @@ abortToString(AbortStatus s)
 
 HtmEngine::HtmEngine(const HtmConfig &cfg)
     : cfg_(cfg),
-      filterEnabled_(cfg.accessFilter),
       rng_(cfg.seed ^ 0xca9ac117ULL),
       vlog_(cfg.versionLogEntries)
 {
@@ -87,10 +86,8 @@ HtmEngine::beginOccupancy(TxState &s)
     }
     if (++s.occEpoch == 0) {
         // Stamp wraparound: pay one memset every 2^32 transactions so
-        // pre-wrap stamps cannot read as current. The owned-line
-        // filter is stamped with the same epoch, so it wraps too.
+        // pre-wrap stamps cannot read as current.
         std::fill(s.setStamp.begin(), s.setStamp.end(), 0u);
-        s.filterStamp.fill(0u);
         s.occEpoch = 1;
     }
 }

@@ -31,16 +31,10 @@
  * intersection, O(1) in the number of open transactions. (The
  * original per-thread line-set scan survived PR 3 for one PR as the
  * differential-testing oracle and was removed once the directory
- * property/differential suite took over that role.)
- *
- * On top of the directory sits a per-transaction owned-line filter: a
- * small direct-mapped cache of lines the transaction already holds in
- * the required mode. A hit skips the probe entirely — while a
- * transaction holds a line, requester-wins guarantees no conflicting
- * remote holder can coexist (acquiring the line would have aborted
- * one side), so the probe, victim collection, capacity check, and set
- * update are all provably no-ops. Invalidated wholesale by the
- * occupancy-epoch bump at begin(); never allocates.
+ * property/differential suite took over that role.) Every access
+ * made while a transaction is in flight probes the directory;
+ * redundant accesses are removed statically, by the elision passes,
+ * before the program runs.
  */
 
 #ifndef TXRACE_HTM_HTM_HH
@@ -95,16 +89,6 @@ struct HtmConfig
      */
     bool trackInstructions = false;
     /**
-     * Per-transaction owned-line filter: skip the directory probe for
-     * repeat accesses to a line the transaction already holds in the
-     * required mode (read hits need the line read-held, write hits
-     * write-held — a read of a merely write-held line still probes,
-     * because it charges the read-set capacity bound). Behavior-
-     * identical to probing by the requester-wins invariant; off only
-     * for ablation (txrace_run --no-elide) and differential tests.
-     */
-    bool accessFilter = true;
-    /**
      * Record a per-thread version log inside transactions (the
      * winner replay's substrate). The log streams into a
      * dedicated per-thread ring — see logAccess() — whose fixed bound
@@ -131,10 +115,6 @@ struct HtmCounters
     uint64_t abortsCapacity = 0;
     uint64_t abortsUnknown = 0;
     uint64_t abortsOther = 0;
-    /** Accesses answered by the owned-line filter (probe skipped).
-     *  Published as htm.dir.filter_hit, next to the directory's
-     *  probe count. */
-    uint64_t filterHits = 0;
 };
 
 /** Outcome of routing one memory access through the HTM. */
@@ -281,20 +261,6 @@ class HtmEngine
         uint32_t writeLineCount = 0;
         /** @} */
 
-        /** @name Owned-line filter (direct-mapped, occEpoch-stamped)
-         * Entries are valid only when their stamp equals the current
-         * occupancy epoch, so begin() invalidates the whole filter
-         * with the same epoch bump that resets the occupancy table —
-         * no per-begin clearing, no allocation, ever. */
-        /** @{ */
-        static constexpr uint32_t kFilterSize = 16;
-        static constexpr uint8_t kFilterRead = 1;
-        static constexpr uint8_t kFilterWrite = 2;
-        std::array<uint64_t, kFilterSize> filterLine{};
-        std::array<uint32_t, kFilterSize> filterStamp{};
-        std::array<uint8_t, kFilterSize> filterMode{};
-        /** @} */
-
         /** @name Epoch-stamped per-set write occupancy
          * Sized once at the thread's first begin; begin() bumps
          * occEpoch instead of zeroing the arrays, so the begin path
@@ -354,7 +320,6 @@ class HtmEngine
     }
 
     HtmConfig cfg_;
-    bool filterEnabled_;
     Rng rng_;
     VersionLog vlog_;
     std::vector<TxState> tx_;
@@ -397,40 +362,7 @@ HtmEngine::access(Tid t, Addr addr, bool is_write)
     if (!self_tx && inFlight_ == 0)
         return result;
 
-    // Owned-line filter: while this transaction holds `line` in the
-    // required mode, requester-wins guarantees no conflicting remote
-    // holder exists and the directory entry already carries our bit,
-    // so the probe would change nothing. Read hits require the line
-    // read-held (a read of a write-held line still probes: the full
-    // path charges it against the read-set capacity bound).
-    if (self_tx && filterEnabled_) {
-        const uint32_t idx = line & (TxState::kFilterSize - 1);
-        if (self->filterStamp[idx] == self->occEpoch &&
-            self->filterLine[idx] == line &&
-            (self->filterMode[idx] &
-             (is_write ? TxState::kFilterWrite : TxState::kFilterRead))) {
-            ++counters_.filterHits;
-            return result;
-        }
-    }
-
     accessDirectory(line, is_write, self, self_tx, result);
-
-    // Record the now-held mode — only if the transaction survived the
-    // access (a selfCapacity abort clears `active` inside the call).
-    if (self_tx && filterEnabled_ && self->active) {
-        const uint32_t idx = line & (TxState::kFilterSize - 1);
-        const uint8_t mode =
-            is_write ? TxState::kFilterWrite : TxState::kFilterRead;
-        if (self->filterStamp[idx] == self->occEpoch &&
-            self->filterLine[idx] == line) {
-            self->filterMode[idx] |= mode;
-        } else {
-            self->filterStamp[idx] = self->occEpoch;
-            self->filterLine[idx] = line;
-            self->filterMode[idx] = mode;
-        }
-    }
     return result;
 }
 

@@ -649,10 +649,7 @@ Machine::publishCounters()
     reg.addNamed("htm.dir.line_walk_clears", ds.lineWalkClears);
     reg.addNamed("htm.dir.rehashes", ds.rehashes);
     reg.mergeHistogram(reg.histogram("htm.dir.probe_len"), ds.probeLen);
-    // Probe count plus the owned-line filter's skips: together they
-    // show how much directory traffic the filter removed.
     reg.addNamed("htm.dir.probes", ds.probeLen.count());
-    reg.addNamed("htm.dir.filter_hit", hc.filterHits);
 
     // Version log: the winner replay's, off under the pure protocol.
     if (const htm::VersionLog *vl = htm_.versionLog()) {
@@ -670,7 +667,6 @@ Machine::publishCounters()
                  dc.readEpochSufficient);
     reg.addNamed("detector.read_vc_promoted", dc.readVcPromoted);
     reg.addNamed("detector.evictions", dc.evictions);
-    reg.addNamed("detector.epoch_fast_hits", dc.epochFastHits);
     reg.addNamed("detector.replay_checks", dc.replayChecks);
 }
 

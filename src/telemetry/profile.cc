@@ -41,7 +41,6 @@ void
 AppProfile::merge(const AppProfile &o)
 {
     runs += o.runs;
-    filterHits += o.filterHits;
     txBegins += o.txBegins;
     txCommitted += o.txCommitted;
     slowRegions += o.slowRegions;
@@ -81,7 +80,6 @@ Profile::writeBody(JsonWriter &w) const
         w.key(name);
         w.beginObject();
         w.field("runs", app.runs);
-        w.field("filter_hits", app.filterHits);
         w.field("tx_begins", app.txBegins);
         w.field("tx_committed", app.txCommitted);
         w.field("slow_regions", app.slowRegions);
@@ -145,7 +143,6 @@ Profile::parseBody(const JsonValue &body, Profile &out,
         }
         AppProfile &app = out.apps[name];
         app.runs = getU64(appv, "runs");
-        app.filterHits = getU64(appv, "filter_hits");
         app.txBegins = getU64(appv, "tx_begins");
         app.txCommitted = getU64(appv, "tx_committed");
         app.slowRegions = getU64(appv, "slow_regions");

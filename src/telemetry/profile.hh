@@ -3,8 +3,8 @@
  * Persistent, mergeable per-site observability profiles.
  *
  * A Profile aggregates per-IR-site counters — conflict / capacity /
- * other aborts, slow-path entries and their cost, owned-line filter
- * hits, monitor sampling state — keyed by workload name, and merges
+ * other aborts, slow-path entries and their cost, monitor sampling
+ * state, winner replays — keyed by workload name, and merges
  * commutatively: every field is either a uint64 sum or a max, so
  * merge(A, B) == merge(B, A) and merging is associative. Combined
  * with sorted-map iteration and integer-only serialization, the
@@ -15,8 +15,7 @@
  *
  * This is the input contract for profile-guided transaction reshaping
  * (ROADMAP): the reshaping pass reads exactly this file to decide
- * which sites deserve widened windows, split transactions, or bigger
- * owned-line filters.
+ * which sites deserve widened windows or split transactions.
  *
  * Profiles carry only numeric site ids, not descriptions: ids are
  * stable for a given (workload, params) program build, and keeping
@@ -62,7 +61,6 @@ struct SiteProfile
 struct AppProfile
 {
     uint64_t runs = 0;            ///< runs folded into this entry
-    uint64_t filterHits = 0;      ///< owned-line filter hits (htm.dir.filter_hit)
     uint64_t txBegins = 0;
     uint64_t txCommitted = 0;
     uint64_t slowRegions = 0;

@@ -519,5 +519,5 @@ TEST(Governor, GoldenChaosSoakDigest)
     ASSERT_TRUE(r.error.ok());
     EXPECT_EQ(r.totalCost, 6577722u);
     EXPECT_EQ(r.races.count(), 112u);
-    EXPECT_EQ(resultDigest(app.program, r), 0x0980fbd7651dd7bfull);
+    EXPECT_EQ(resultDigest(app.program, r), 0x567e7ecbffa39187ull);
 }

@@ -126,7 +126,7 @@ TEST(TxRace, FalseSharingIsFilteredBySlowPath)
     b.endFunction();
     Program p = b.build();
 
-    // With the elision stack on, the per-thread slot store is proven
+    // With elision on, the per-thread slot store is proven
     // thread-disjoint statically and never reaches the detector: the
     // false-sharing conflict is filtered at compile time.
     for (uint64_t seed = 1; seed <= 5; ++seed) {
@@ -140,8 +140,6 @@ TEST(TxRace, FalseSharingIsFilteredBySlowPath)
     for (uint64_t seed = 1; seed <= 5; ++seed) {
         core::RunConfig cfg = txraceConfig(seed);
         cfg.passes.elide.enabled = false;
-        cfg.machine.htm.accessFilter = false;
-        cfg.machine.det.epochFastPath = false;
         core::RunResult r = core::runProgram(p, cfg);
         EXPECT_GE(r.stats.get("tx.abort.conflict"), 1u);
         EXPECT_EQ(r.races.count(), 0u) << "seed " << seed;

@@ -155,15 +155,13 @@ TEST(HtmAllocation, ConflictAbortPathAllocatesOnlyTheVictimList)
     EXPECT_LE(allocs, 400u) << "conflict abort internals are churning";
 }
 
-TEST(HtmAllocation, FilterHitPathIsHeapFree)
+TEST(HtmAllocation, HeldLineAccessPathIsHeapFree)
 {
-    // Repeat accesses to held lines are answered by the owned-line
-    // filter; the filter is fixed arrays in TxState, so a hit must
-    // not allocate — and neither may its occEpoch-based invalidation
-    // across begin/commit rounds.
-    HtmConfig cfg;
-    HtmEngine h(cfg);
-    ASSERT_TRUE(cfg.accessFilter);
+    // Repeat accesses to lines the transaction already holds probe the
+    // directory and find their own bit; neither that probe nor the
+    // occEpoch-based occupancy reset across begin/commit rounds may
+    // allocate.
+    HtmEngine h;
 
     auto oneRound = [&] {
         for (Tid t = 0; t < 4; ++t)
@@ -178,13 +176,18 @@ TEST(HtmAllocation, FilterHitPathIsHeapFree)
     };
     for (int i = 0; i < 3; ++i)
         oneRound();
-    const uint64_t hitsBefore = h.counters().filterHits;
+    const uint64_t probesBefore =
+        h.lineDirectory()->stats().probeLen.count();
 
     EXPECT_EQ(allocationsDuring([&] {
         for (int i = 0; i < 100; ++i)
             oneRound();
-    }), 0u) << "filter hit path must not allocate";
-    EXPECT_GT(h.counters().filterHits, hitsBefore);
+    }), 0u) << "held-line access path must not allocate";
+    // Each round probes once per access (4 txs x 8 reps x 4 lines)
+    // and once per line its first three commits walk (3 x 4); the
+    // last commit clears the directory by epoch bump.
+    EXPECT_EQ(h.lineDirectory()->stats().probeLen.count() - probesBefore,
+              100u * (128u + 12u));
 }
 
 } // namespace

@@ -1,8 +1,7 @@
 /**
  * @file
- * Behavioral soundness oracles for the elision stack: the static
- * passes, the HTM owned-line filter and the FastTrack same-epoch fast
- * path, exactly the set `txrace_run --no-elide` disables. Every
+ * Behavioral soundness oracles for the static elision passes, which
+ * `txrace_run --no-elide` disables. Every
  * registry workload (the Table-1 application models and the
  * monitor's apache-stream soak, with their planted ground-truth
  * races, plus the concurrency-pattern catalog) runs across ten seeds
@@ -106,13 +105,11 @@ elideOn(const sim::MachineConfig &machine, uint64_t seed,
     return cfg;
 }
 
-/** @p cfg with everything `--no-elide` disables switched off. */
+/** @p cfg as `--no-elide` builds it. */
 core::RunConfig
 elideOff(core::RunConfig cfg)
 {
     cfg.passes.elide.enabled = false;
-    cfg.machine.htm.accessFilter = false;
-    cfg.machine.det.epochFastPath = false;
     return cfg;
 }
 

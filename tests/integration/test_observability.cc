@@ -311,7 +311,7 @@ TEST(Observability, RunProfileMatchesRunCounters)
     EXPECT_EQ(a.runs, 1u);
     EXPECT_EQ(a.txBegins, result.stats.get("tx.begins"));
     EXPECT_EQ(a.txCommitted, result.stats.get("tx.committed"));
-    EXPECT_EQ(a.filterHits, result.stats.get("htm.dir.filter_hit"));
+    EXPECT_EQ(a.windowReplays, result.stats.get("txrace.window.replays"));
 }
 
 TEST(Observability, CampaignProfileIndependentOfJobs)

@@ -84,17 +84,17 @@ const Golden kGolden[] = {
     {"vips", core::RunMode::TSan,
      0x1450b917c1beb2cdull},
     {"vips", core::RunMode::TxRaceDynLoopcut,
-     0xc0975fcd39ee2933ull},
+     0xaf15f5adb810d128ull},
     {"bodytrack", core::RunMode::Native,
      0x7339205e3015eec0ull},
     {"bodytrack", core::RunMode::TSan,
-     0x17e50c45e803cd7eull},
+     0x4847efdf05557fceull},
     {"bodytrack", core::RunMode::TxRaceDynLoopcut,
-     0x837082ce7bd90783ull},
+     0x6be7037ef98c85edull},
     {"apache-stream", core::RunMode::Native,
      0xf54ab6f32396d877ull},
     {"apache-stream", core::RunMode::TSan,
-     0xe4d3665c32bc8469ull},
+     0xda5e5c84efabfb9aull},
     {"apache-stream", core::RunMode::TxRaceDynLoopcut,
      0x798944ff52399717ull},
     // The rows below reach every point where the step loop settles
@@ -104,29 +104,29 @@ const Golden kGolden[] = {
     {.app = "apache-stream", .mode = core::RunMode::TxRaceProfLoopcut,
      .digest = 0xe6de103b74ec7477ull, .governor = true, .budgetPct = 5.0},
     {.app = "vips", .mode = core::RunMode::TxRaceDynLoopcut,
-     .digest = 0x07e512b483bf60bbull, .workers = 8, .fault = "chaos",
+     .digest = 0xb39e20f65879aedfull, .workers = 8, .fault = "chaos",
      .governor = true},
     {.app = "x264", .mode = core::RunMode::TxRaceDynLoopcut,
-     .digest = 0x4099c7c46046df81ull, .slowpath = core::SlowPathKind::TxFail},
-    {"vips", core::RunMode::TxRaceProfLoopcut, 0x1164f7c42c0d803full},
+     .digest = 0xa0184eab9cbff87eull, .slowpath = core::SlowPathKind::TxFail},
+    {"vips", core::RunMode::TxRaceProfLoopcut, 0x3c79d83457b417faull},
     {.app = "ferret", .mode = core::RunMode::TSanSampling,
-     .digest = 0x53b10f270af57ebdull, .sampleRate = 0.5},
+     .digest = 0xe3b2e432426fd62full, .sampleRate = 0.5},
     {"canneal", core::RunMode::Eraser, 0x4fc2f8939c6964adull},
-    {"raytrace", core::RunMode::RaceTM, 0xf6f01689e1a538f6ull},
+    {"raytrace", core::RunMode::RaceTM, 0x29dabb7332e8dde7ull},
     // TxRace abort-dispatch paths the rows above leave unreached:
     // hinted slow episodes with and without the winner replay, the
     // no-loop-cut scheme, retry exhaustion without the governor's
     // backoff, and a delayed TxFail publication in the pure protocol.
     {.app = "vips", .mode = core::RunMode::TxRaceDynLoopcut,
-     .digest = 0xa74930c95ac24a2bull, .conflictAddressHints = true},
+     .digest = 0xa86b99e581411658ull, .conflictAddressHints = true},
     {.app = "x264", .mode = core::RunMode::TxRaceDynLoopcut,
-     .digest = 0x20c27743acecf1e4ull, .slowpath = core::SlowPathKind::TxFail,
+     .digest = 0x3e6463b17634979eull, .slowpath = core::SlowPathKind::TxFail,
      .conflictAddressHints = true},
-    {"vips", core::RunMode::TxRaceNoOpt, 0x5df1374e8d0157faull},
+    {"vips", core::RunMode::TxRaceNoOpt, 0x0ebb1171c5c4ceb0ull},
     {.app = "vips", .mode = core::RunMode::TxRaceDynLoopcut,
-     .digest = 0x23601e3c1727356bull, .workers = 8, .fault = "retry-glitch"},
+     .digest = 0xb9ea7fc81b1067bcull, .workers = 8, .fault = "retry-glitch"},
     {.app = "x264", .mode = core::RunMode::TxRaceDynLoopcut,
-     .digest = 0x6bc5cdcaf2a93de9ull, .workers = 8, .fault = "txfail-delay",
+     .digest = 0x973fde71aa1a967aull, .workers = 8, .fault = "txfail-delay",
      .slowpath = core::SlowPathKind::TxFail},
 };
 

@@ -33,7 +33,7 @@ sample(uint64_t salt)
     Profile p;
     AppProfile &a = p.apps["vips"];
     a.runs = 1;
-    a.filterHits = 1000 + salt;
+    a.windowReplays = 1000 + salt;
     a.txBegins = 500 + salt;
     a.txCommitted = 480 + salt;
     a.slowRegions = 20;
@@ -98,7 +98,7 @@ TEST(Profile, SumsAndMaxMergeSemantics)
     a.merge(b);
     const AppProfile &m = a.apps.at("vips");
     EXPECT_EQ(m.runs, 2u);
-    EXPECT_EQ(m.filterHits, 2002u);
+    EXPECT_EQ(m.windowReplays, 2002u);
     // Counters sum; the sampling shift keeps the deepest mark.
     EXPECT_EQ(m.sites.at(12).conflictAborts, 8u);
     EXPECT_EQ(m.sites.at(12).monitorShiftMax, 4u);
@@ -142,18 +142,34 @@ TEST(Profile, ParseRejectsWrongSchema)
     EXPECT_FALSE(Profile::parse("{\"apps\": {}}", out, error));
 }
 
+TEST(Profile, ParseSkipsRetiredKeys)
+{
+    // Files written before a counter was retired still load; the
+    // retired key is dropped on rewrite.
+    Profile out;
+    std::string error;
+    ASSERT_TRUE(Profile::parse(
+        "{\"schema\": \"txrace-profile-v1\", \"apps\": {\"vips\": "
+        "{\"runs\": 2, \"window_fallbacks\": 7, \"tx_begins\": 5}}}",
+        out, error))
+        << error;
+    EXPECT_EQ(out.apps.at("vips").runs, 2u);
+    EXPECT_EQ(out.apps.at("vips").txBegins, 5u);
+    EXPECT_EQ(bytes(out).find("window_fallbacks"), std::string::npos);
+}
+
 TEST(Profile, LargeCountersSurviveRoundTrip)
 {
     // Counters above 2^53 must not be squeezed through a double.
     Profile p;
     AppProfile &a = p.apps["big"];
     a.runs = 1;
-    a.filterHits = 0xFFFFFFFFFFFFFFFFull;
+    a.windowReplays = 0xFFFFFFFFFFFFFFFFull;
     a.sites[1].slowCost = (1ull << 60) + 12345;
     Profile back;
     std::string error;
     ASSERT_TRUE(Profile::parse(bytes(p), back, error)) << error;
-    EXPECT_EQ(back.apps.at("big").filterHits, 0xFFFFFFFFFFFFFFFFull);
+    EXPECT_EQ(back.apps.at("big").windowReplays, 0xFFFFFFFFFFFFFFFFull);
     EXPECT_EQ(back.apps.at("big").sites.at(1).slowCost,
               (1ull << 60) + 12345);
 }

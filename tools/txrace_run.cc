@@ -71,10 +71,10 @@ usage()
         "                 --governor)\n"
         "  --budget-pct N overhead budget as % of native virtual time\n"
         "                 per window (default 5)\n"
-        "  --no-elide     disable the access-elision stack (static\n"
-        "                 elision passes, the HTM owned-line filter,\n"
-        "                 and the detector same-epoch fast paths);\n"
-        "                 races reported must be identical either way\n"
+        "  --no-elide     disable the static access-elision passes\n"
+        "                 (every tracked access is instrumented); the\n"
+        "                 race union over seeds must be identical\n"
+        "                 either way\n"
         "  --no-calibrate skip the per-app TSan-cost calibration\n"
         "                 (matches campaign runs)\n"
         "  --stats [PREFIX]  dump counters (optionally only those\n"
@@ -268,14 +268,10 @@ main(int argc, char **argv)
         cfg.budget.enabled = true;
         cfg.budget.budgetPct = budget_pct;
     }
-    if (!elide) {
-        // All three elision layers off together: the ablation point is
-        // "no redundancy removal anywhere", and the differential
-        // soundness test compares against exactly this configuration.
+    // Elision is static only; the differential soundness test
+    // compares against exactly this configuration.
+    if (!elide)
         cfg.passes.elide.enabled = false;
-        cfg.machine.htm.accessFilter = false;
-        cfg.machine.det.epochFastPath = false;
-    }
 
     core::RunIdentity identity;
     identity.target = !program_path.empty()
