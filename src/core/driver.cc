@@ -129,6 +129,7 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
                          elision.rawDowngraded);
             reg.addNamed("pass.elide.read_only", elision.readOnly);
             reg.addNamed("pass.elide.privatized", elision.privatized);
+            reg.addNamed("pass.elide.locked", elision.locked);
             reg.addNamed("pass.elide.total", elision.elided());
             reg.addNamed("pass.elide.bare_regions", elision.bareRegions);
             for (const auto &[fn, n] : elision.perFunction)

@@ -47,17 +47,27 @@
  *    nothing. It runs before pass 4 so that the loads it removes no
  *    longer merge otherwise-disjoint slot families.
  *
- * 4. Thread-disjointness (extended escape/privatization). The
- *    simulator evaluates `addr = base + threadStride*tid +
- *    loopStride*loopIdx + randomStride*uniform`, so an access's
- *    dynamic footprint is a per-thread interval. If every access
- *    whose global footprint can overlap lives in the same
- *    "slot family" — common thread stride ts (granule-aligned), each
- *    member's in-slot extent contained in one slot, all members in
- *    the same slot phase — then two different threads can never touch
- *    a common granule, under any schedule, so no member can ever
- *    race and all of them can be elided outright (no representative
- *    needed). This generalizes privatize.cc beyond declared ranges.
+ * 4. Thread-disjointness (extended escape/privatization) and
+ *    locksets. The simulator evaluates `addr = base +
+ *    threadStride*tid + loopStride*loopIdx + randomStride*uniform`,
+ *    so an access's dynamic footprint is a per-thread interval. The
+ *    accesses whose global footprints transitively overlap form a
+ *    group; any two accesses that can touch one granule fall in one
+ *    group. If a group is one "slot family" — common thread stride ts
+ *    (granule-aligned), each member's in-slot extent contained in one
+ *    slot, all members in the same slot phase — then two different
+ *    threads can never touch a common granule, under any schedule, so
+ *    no member can ever race and all of them can be elided outright
+ *    (no representative needed). This generalizes privatize.cc beyond
+ *    declared ranges. Otherwise, if one mutex is held at every member,
+ *    that mutex's release→acquire edge orders every pair of them, and
+ *    the detector tracks lock edges on both paths, so again no member
+ *    can race and the group is elided outright. The held set comes
+ *    from a forward scan of each function: a thread starts with none,
+ *    LockAcquire adds its mutex, LockRelease removes it. Functions
+ *    branch only at loops, so that set holds on every path unless a
+ *    loop body ends holding a different set than it began with; such
+ *    a function gets empty sets throughout.
  *
  * 5. Bare regions. A TxBegin from which no instrumented access is
  *    reachable before a TxEnd — following fall-through and loop
@@ -70,7 +80,8 @@
  *    the body's fall-through does.
  *    The region then runs with no transaction, no slow path and no
  *    snapshot: it has nothing the detector would check, on the fast
- *    path or on any slow path, so no report endpoint is lost. Its
+ *    path or on any slow path, so no report endpoint is lost. A
+ *    critical section whose accesses the lock rule elided is one. Its
  *    accesses still reach the HTM, so strong isolation still aborts
  *    the transactions they touch. Dropping the transaction also drops
  *    the aborts it suffered and the TxFail demotions those caused in
@@ -194,6 +205,8 @@ struct Footprint
     /** False when the extent could not be bounded (unknown loop
      *  nesting); such an access blocks its whole overlap group. */
     bool analyzable = true;
+    /** Mutexes held at the access on every path, sorted. */
+    std::vector<uint64_t> locks;
 };
 
 /**
@@ -201,7 +214,8 @@ struct Footprint
  * with creations inside loops multiplied by the loops' maximum trip
  * counts. Returns 0 when no sound bound exists (thread creation
  * outside the entry function, or absurd loop products), which
- * disables the never-written and privatization passes.
+ * disables passes 3 and 4 (never-written, thread-disjointness and
+ * lockset).
  */
 uint64_t
 maxThreadBound(const Program &prog)
@@ -247,16 +261,38 @@ collectFootprints(const Program &prog, uint64_t max_threads)
     std::vector<Footprint> fps;
     for (ir::FuncId f = 0; f < prog.numFunctions(); ++f) {
         const ir::Function &fn = prog.function(f);
-        // Static stack of enclosing LoopBegin pcs while scanning.
+        const size_t first = fps.size();
+        // Static stack of enclosing LoopBegin pcs while scanning, and
+        // the mutexes held (sorted) here and at each enclosing
+        // LoopBegin. Every thread starts with no lock held.
         std::vector<uint32_t> loop_stack;
+        std::vector<uint64_t> held;
+        std::vector<std::vector<uint64_t>> loop_held;
+        bool balanced = true;
         for (uint32_t pc = 0; pc < fn.body.size(); ++pc) {
             const Instruction &ins = fn.body[pc];
             if (ins.op == OpCode::LoopBegin) {
                 loop_stack.push_back(pc);
+                loop_held.push_back(held);
                 continue;
             }
             if (ins.op == OpCode::LoopEnd) {
                 loop_stack.pop_back();
+                // A body that ends holding other locks than it began
+                // with holds different sets on different trips.
+                balanced = balanced && held == loop_held.back();
+                loop_held.pop_back();
+                continue;
+            }
+            if (ins.op == OpCode::LockAcquire ||
+                ins.op == OpCode::LockRelease) {
+                auto it =
+                    std::lower_bound(held.begin(), held.end(), ins.arg0);
+                const bool in = it != held.end() && *it == ins.arg0;
+                if (ins.op == OpCode::LockAcquire && !in)
+                    held.insert(it, ins.arg0);
+                else if (ins.op == OpCode::LockRelease && in)
+                    held.erase(it);
                 continue;
             }
             if (!ir::isMemAccess(ins.op) || !ins.instrumented)
@@ -293,8 +329,12 @@ collectFootprints(const Program &prog, uint64_t max_threads)
                 fp.lo = 0;
                 fp.hi = ~0ull;
             }
-            fps.push_back(fp);
+            fp.locks = held;
+            fps.push_back(std::move(fp));
         }
+        if (!balanced)
+            for (size_t i = first; i < fps.size(); ++i)
+                fps[i].locks.clear();
     }
     return fps;
 }
@@ -352,11 +392,13 @@ elideReadOnly(Program &prog, std::vector<Footprint> &fps,
 }
 
 /**
- * Thread-disjointness elision. Groups the accesses of @p fps whose
- * global footprints can overlap, and elides every member of a group
- * proven per-thread disjoint (see file comment). Sound regardless of
- * schedule: the detector can never pair two different threads on a
- * common granule of such a group, so removing the checks removes no
+ * Thread-disjointness and lockset elision. Groups the accesses of
+ * @p fps whose global footprints can overlap, and elides every member
+ * of a group proven per-thread disjoint or guarded throughout by one
+ * mutex (see file comment). Sound regardless of schedule: the
+ * detector can never pair two different threads on a common granule
+ * of the first kind, and orders every such pair of the second kind by
+ * the mutex's release→acquire edge, so removing the checks removes no
  * race.
  */
 void
@@ -388,10 +430,22 @@ elidePrivate(Program &prog, std::vector<Footprint> fps,
                    fp.base / ts == q0 &&
                    fp.base % ts + fp.span + mem::kGranuleSize <= ts;
         }
-        if (!safe)
-            return;
+        if (!safe) {
+            // Otherwise safe iff one mutex is held at every member.
+            std::vector<uint64_t> common = fps[group_start].locks;
+            for (size_t i = group_start + 1; !common.empty() && i < end;
+                 ++i) {
+                const std::vector<uint64_t> &l = fps[i].locks;
+                std::erase_if(common, [&](uint64_t m) {
+                    return !std::binary_search(l.begin(), l.end(), m);
+                });
+            }
+            if (common.empty())
+                return;
+        }
+        uint64_t &counter = safe ? stats.privatized : stats.locked;
         for (size_t i = group_start; i < end; ++i)
-            elideOutright(prog, fps[i], stats.privatized, fn_elided);
+            elideOutright(prog, fps[i], counter, fn_elided);
     };
     for (size_t i = 1; i < fps.size(); ++i) {
         if (fps[i].lo > group_hi) {

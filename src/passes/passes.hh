@@ -55,8 +55,8 @@ namespace txrace::passes {
 struct ElideConfig
 {
     /** Master switch (txrace_run --no-elide clears it); also gates
-     *  the never-written, thread-disjointness and bare-region passes,
-     *  which have no switches of their own. */
+     *  the never-written, thread-disjointness/lockset and bare-region
+     *  passes, which have no switches of their own. */
     bool enabled = true;
     /** Straight-line dominance elision: a second access with the same
      *  address expression, opcode, and tag inside one sync-free
@@ -99,6 +99,9 @@ struct ElisionStats
     uint64_t readOnly = 0;
     /** Elided as provably thread-disjoint (cannot race). */
     uint64_t privatized = 0;
+    /** Elided because every access that can share a granule with
+     *  them holds one common mutex (ordered, so cannot race). */
+    uint64_t locked = 0;
     /** Regions marked bare: no instrumented access is reachable from
      *  their TxBegin, so they run without a transaction. Not an
      *  access count, so not part of elided(). */
@@ -109,7 +112,7 @@ struct ElisionStats
     uint64_t
     elided() const
     {
-        return dominated + rawDowngraded + readOnly + privatized;
+        return dominated + rawDowngraded + readOnly + privatized + locked;
     }
 };
 
@@ -123,12 +126,13 @@ void transactionalize(ir::Program &prog, const PassConfig &cfg = {});
 /**
  * Static elision pipeline: dominance elision, read-after-write
  * downgrade, never-written load elision, the thread-disjointness
- * (escape/privatization) analysis, and bare-region marking, per
- * @p cfg. Must run after transactionalize() — segment boundaries
- * include the inserted TxBegin/TxEnd/LoopCut markers, so every
- * slow-path re-execution replays the surviving representative before
- * any access elided under it. Only `instrumented` bits and TxBegin
- * region marks change.
+ * (escape/privatization) analysis with its lockset rule (groups one
+ * mutex always guards), and bare-region marking, per @p cfg. Must
+ * run after transactionalize() — segment boundaries include the
+ * inserted TxBegin/TxEnd/LoopCut markers, so every slow-path
+ * re-execution replays the surviving representative before any
+ * access elided under it. Only `instrumented` bits and TxBegin region
+ * marks change.
  */
 ElisionStats elide(ir::Program &prog, const ElideConfig &cfg = {});
 

@@ -224,6 +224,26 @@ TEST(Workloads, BodytrackUnknownAbortsDominate)
               txr.stats.get("tx.abort.capacity"));
 }
 
+TEST(Workloads, FluidanimateConflictsDominateUnderThePaperInstrumentation)
+{
+    // Table 1's fingerprint: false sharing across stripe boundaries
+    // aborts the per-stripe critical sections. It belongs to the
+    // paper's instrumentation, so elision is off: by default the lock
+    // rule proves the stripes' cells race-free and the critical
+    // sections run bare, with no transaction to abort.
+    WorkloadParams params;
+    params.calibrate = false;
+    AppModel app = makeApp("fluidanimate", params);
+    core::RunConfig cfg =
+        configFor(app, core::RunMode::TxRaceProfLoopcut);
+    cfg.passes.elide.enabled = false;
+    core::RunResult txr = core::runProgram(app.program, cfg);
+    EXPECT_GT(txr.stats.get("tx.abort.conflict"),
+              txr.stats.get("tx.abort.unknown"));
+    EXPECT_GT(txr.stats.get("tx.abort.conflict"),
+              txr.stats.get("tx.abort.capacity"));
+}
+
 TEST(Workloads, StreamclusterConflictsWithoutRacesBeyondPlanted)
 {
     WorkloadParams params;
