@@ -49,8 +49,8 @@ struct RunConfig
      *  turns the governor on alongside (they compose). */
     BudgetConfig budget;
     /** Conflict-abort repair (TxRace modes only). Replay keeps a
-     *  version log in the fast path so a conflict victim can replay
-     *  the winner's window before the TxFail protocol; TxFail is the
+     *  version log in the fast path so a conflict winner that commits
+     *  before TxFail lands can replay its window; TxFail is the
      *  paper's protocol alone (no CLI flag: tests and ablations). */
     SlowPathKind slowpath = SlowPathKind::Replay;
 };

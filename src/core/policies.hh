@@ -147,13 +147,17 @@ class RaceTmPolicy : public sim::ExecutionPolicy
  * see correct happens-before order (§5, Fig. 6).
  *
  * Abort dispatch (§4.2):
- *  - conflict: the victim first replays the winner's pending
- *    version-log window through the detector (the winner may commit
- *    before TxFail lands, §6), then rolls back and publishes TxFail
- *    (next step), whose strong-isolation write aborts all in-flight
+ *  - conflict: the victim rolls back and publishes TxFail (next
+ *    step), whose strong-isolation write aborts all in-flight
  *    transactions; everyone re-executes their region on the slow
  *    path under the software detector, which pinpoints races and
- *    filters false sharing;
+ *    filters false sharing. The winner's version-log window up to
+ *    the conflicting access becomes owed: a winner that commits
+ *    before TxFail lands (§6) replays it through the detector right
+ *    after its commit, and one the broadcast aborts drops it, since
+ *    its slow re-execution checks those accesses again (an in-place
+ *    re-begin, a hinted episode or the monitor budget replays it at
+ *    the abort);
  *  - capacity: only this thread falls back to the slow path
  *    (concurrent fast+slow, Fig. 5), with loop-cut learning;
  *  - unknown (interrupts): same fallback as capacity;
@@ -240,13 +244,34 @@ class TxRacePolicy : public HbTrackingPolicy
     void softwareCheck(sim::Machine &m, Tid t, const ir::Instruction &ins,
                        ir::Addr addr, bool is_write);
 
-    /** Winner replay: victim @p v pays to replay @p winner's pending
-     *  version-log window (its last entry is the conflicting access at
-     *  @p site when that access is instrumented) through the detector,
-     *  and the window is marked replayed. No-op without a version log, or when @p winner is
-     *  not transactional or has nothing pending. */
-    void replayWinnerWindow(sim::Machine &m, Tid v, Tid winner,
-                            ir::InstrId site);
+    /** The one transaction commit: commit @p t, count it, note the
+     *  TxCommit event (@p site, FrCommit flag @p commit_kind), then
+     *  replay the window @p t owes as @p t. */
+    void commitTx(sim::Machine &m, Tid t, ir::InstrId site,
+                  uint8_t commit_kind);
+
+    /** @p winner's access at @p site aborted a victim: its version-log
+     *  window so far (the last entry is that access when it is
+     *  instrumented) is owed a replay at its commit. No-op without a
+     *  version log, or when @p winner is not transactional. */
+    void markWinnerWindowOwed(sim::Machine &m, Tid winner,
+                              ir::InstrId site);
+
+    /** Winner replay: @p t pays to replay its owed window @p w through
+     *  the detector (Conflict bucket), attributed to the conflicting
+     *  site. No-op when @p w is empty. */
+    void replayOwedWindow(sim::Machine &m, Tid t,
+                          const std::vector<htm::VersionLogEntry> &w);
+
+    /** @p t's transaction aborted: drop its version log. An owed
+     *  window is dropped too when @p rechecked (the slow path re-runs
+     *  and checks every access in it), and replayed first otherwise. */
+    void settleAbortedWindow(sim::Machine &m, Tid t, bool rechecked);
+
+    /** The one slow-path entry (see txrace_policy.cc). */
+    void enterSlow(sim::Machine &m, Tid t, sim::Bucket reason,
+                   uint32_t site, uint8_t why,
+                   uint64_t hint_line = htm::HtmEngine::kNoLine);
 
     /** Conflict-abort handling for a victim of a real data conflict:
      *  roll back, then publish TxFail next step. */

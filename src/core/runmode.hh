@@ -27,9 +27,10 @@ const char *runModeName(RunMode mode);
 
 /** How a conflict abort is repaired before the fast path resumes. */
 enum class SlowPathKind : uint8_t {
-    /** The default: the victim first replays the winner's pending
-     *  version-log window through the detector (the winner may commit
-     *  before TxFail lands, §6), then runs the TxFail protocol. */
+    /** The default: the TxFail protocol, plus a version log whose
+     *  window up to a won conflict the winner replays through the
+     *  detector right after it commits, in case it committed before
+     *  TxFail landed (§6). */
     Replay,
     /** The paper's protocol alone: TxFail demotes every in-flight
      *  transaction to a slow region; no version log, no replay. */

@@ -29,28 +29,6 @@ flightNote(Machine &m, Tid t, FrKind k, uint32_t site = ir::kNoInstr,
     m.tel().flight.note(t, k, m.currentStep(), site, arg, flags);
 }
 
-/**
- * The one slow-path entry: @p t runs the rest of its region under the
- * software detector, its overhead charged to @p reason. @p why
- * (FrSlow) and @p site attribute the SlowEnter event; @p hint_line is
- * the conflicting line a hinted episode checks (kNoLine: all lines).
- * The region's snapshot and loop-cut segment die here, since a slow
- * episode never rolls back; the region's TxEnd ends the episode.
- */
-void
-enterSlow(Machine &m, Tid t, Bucket reason, uint32_t site, uint8_t why,
-          uint64_t hint_line = htm::HtmEngine::kNoLine)
-{
-    auto &ctx = m.context(t);
-    ctx.snap.valid = false;
-    ctx.lastLoopCutId = ir::kNoInstr;
-    ctx.slowHintLine = hint_line;
-    ctx.path = PathMode::Slow;
-    ctx.slowReason = reason;
-    flightNote(m, t, FrKind::SlowEnter, site,
-               static_cast<uint64_t>(reason), why);
-}
-
 /** Monitor mode: end the run once even floor sampling cannot keep
  *  the budget. */
 void
@@ -215,9 +193,41 @@ TxRacePolicy::onRunEnd(Machine &m)
     reg.set(reg.gauge("budget.headroom"), headroom);
 }
 
+/**
+ * The one slow-path entry: @p t runs the rest of its region under the
+ * software detector, its overhead charged to @p reason. @p why
+ * (FrSlow) and @p site attribute the SlowEnter event; @p hint_line is
+ * the conflicting line a hinted episode checks (kNoLine: all lines).
+ * The region's snapshot and loop-cut segment die here, since a slow
+ * episode never rolls back; the region's TxEnd ends the episode. An
+ * aborted transaction's owed window is settled first: dropped when the
+ * episode checks every access again, replayed when a hint narrows the
+ * episode or the monitor budget may gate its checks.
+ */
+void
+TxRacePolicy::enterSlow(Machine &m, Tid t, Bucket reason, uint32_t site,
+                        uint8_t why, uint64_t hint_line)
+{
+    settleAbortedWindow(m, t,
+                        hint_line == htm::HtmEngine::kNoLine &&
+                            !budget_.enabled());
+    auto &ctx = m.context(t);
+    ctx.snap.valid = false;
+    ctx.lastLoopCutId = ir::kNoInstr;
+    ctx.slowHintLine = hint_line;
+    ctx.path = PathMode::Slow;
+    ctx.slowReason = reason;
+    flightNote(m, t, FrKind::SlowEnter, site,
+               static_cast<uint64_t>(reason), why);
+}
+
 void
 TxRacePolicy::beginTx(Machine &m, Tid t, uint8_t begin_kind)
 {
+    // A transaction re-begun in place after an abort re-runs its
+    // accesses on the fast path, where nothing checks them: a window
+    // the aborted one still owes is replayed now.
+    settleAbortedWindow(m, t, /*rechecked=*/false);
     m.htm().begin(t);
     // Every transaction reads TxFail right after xbegin so that a
     // non-transactional write to it aborts all in-flight transactions
@@ -320,11 +330,8 @@ TxRacePolicy::onTxEnd(Machine &m, Tid t, const ir::Instruction &)
 {
     auto &ctx = m.context(t);
     if (m.htm().inTx(t)) {
-        m.commitTx(t);
+        commitTx(m, t, ir::kNoInstr, telemetry::FrCommit::RegionEnd);
         m.addCost(t, m.config().cost.txEndCost, Bucket::Txn);
-        m.tel().registry.add(met_.txCommitted);
-        flightNote(m, t, FrKind::TxCommit, ir::kNoInstr,
-                   ctx.baseSinceTxBegin);
         governor_.onCommit(t);
         if (loopCuts_ &&
             ctx.lastLoopCutId != ir::kNoInstr)
@@ -372,11 +379,8 @@ TxRacePolicy::onLoopCut(Machine &m, Tid t, const ir::Instruction &ins)
 
     // Cut: end the transaction here and immediately start the next
     // segment, so the write set never reaches the capacity limit.
-    m.commitTx(t);
-    m.tel().registry.add(met_.txCommitted);
+    commitTx(m, t, ins.id, telemetry::FrCommit::LoopCut);
     m.tel().registry.add(met_.loopCuts);
-    flightNote(m, t, FrKind::TxCommit, ins.id, ctx.baseSinceTxBegin,
-               telemetry::FrCommit::LoopCut);
     debugLog("cut t%u loop=%llu at iters=%llu thr=%llu", t,
              (unsigned long long)ins.arg0,
              (unsigned long long)frame.itersInTx,
@@ -407,31 +411,66 @@ TxRacePolicy::innermostCutLoop(Machine &m, Tid t,
 }
 
 void
-TxRacePolicy::replayWinnerWindow(Machine &m, Tid v, Tid winner,
-                                 ir::InstrId site)
+TxRacePolicy::commitTx(Machine &m, Tid t, ir::InstrId site,
+                       uint8_t commit_kind)
+{
+    htm::VersionLog *vl = m.htm().versionLog();
+    std::vector<htm::VersionLogEntry> owed;
+    if (vl)
+        owed = vl->owedWindow(t);
+    m.commitTx(t);
+    m.tel().registry.add(met_.txCommitted);
+    flightNote(m, t, FrKind::TxCommit, site,
+               m.context(t).baseSinceTxBegin, commit_kind);
+    // The winner escaped every TxFail broadcast (one would have
+    // aborted it), so nothing else checks its side of the conflicts it
+    // won (§6, false-negative source two). Still exact: a transaction
+    // holds no sync op, so t's clock has not moved since it logged the
+    // window, and the sync that follows this commit has not run yet.
+    replayOwedWindow(m, t, owed);
+}
+
+void
+TxRacePolicy::markWinnerWindowOwed(Machine &m, Tid winner,
+                                   ir::InstrId site)
 {
     htm::VersionLog *vl = m.htm().versionLog();
     if (!vl || !m.htm().inTx(winner))
         return;
-    // The winner's pending window ends with the conflicting access
-    // itself (logged before victim handling). The winner keeps running
-    // fast and may commit before the victim publishes TxFail, so this
-    // is the one chance to check its side of the race (§6, false-
-    // negative source two). Replayed checks feed the same shadow state
-    // as slow-path checks; the victim's abort handler does the work
-    // and pays for it, under the Conflict bucket.
-    std::vector<htm::VersionLogEntry> window = vl->pendingWindow(winner);
-    if (window.empty())
+    // The window ends with the conflicting access itself (logged
+    // before victim handling). It is replayed only if the winner
+    // commits; most winners are still in flight when the victim
+    // publishes TxFail, and the slow path re-checks them anyway.
+    vl->markOwed(winner);
+    m.context(winner).owedSite = site;
+}
+
+void
+TxRacePolicy::replayOwedWindow(Machine &m, Tid t,
+                               const std::vector<htm::VersionLogEntry> &w)
+{
+    if (w.empty())
         return;
-    uint64_t replay_cost = m.replayWindow(v, window);
+    const ir::InstrId site = m.context(t).owedSite;
+    uint64_t replay_cost = m.replayWindow(t, w);
     m.tel().registry.add(met_.windowReplays);
-    m.tel().registry.observe(met_.windowLen, window.size());
+    m.tel().registry.observe(met_.windowLen, w.size());
     m.tel().registry.observe(met_.windowReplayCost, replay_cost);
     ++m.tel().siteStats[site].windowReplays;
-    flightNote(m, v, FrKind::WindowReplay, site, window.size());
-    // A second victim of the same access, or a later conflict in the
-    // same transaction, replays only what the winner logs after this.
-    vl->markReplayed(winner);
+    flightNote(m, t, FrKind::WindowReplay, site, w.size());
+}
+
+void
+TxRacePolicy::settleAbortedWindow(Machine &m, Tid t, bool rechecked)
+{
+    htm::VersionLog *vl = m.htm().versionLog();
+    if (!vl)
+        return;
+    if (!rechecked) {
+        replayOwedWindow(m, t, vl->owedWindow(t));
+        vl->settleOwed(t);
+    }
+    vl->clear(t);
 }
 
 void
@@ -643,7 +682,7 @@ TxRacePolicy::onMemAccess(Machine &m, Tid t, const ir::Instruction &ins,
     auto res = m.htm().access(t, addr, is_write);
     // Record the access into the requester's version log BEFORE
     // victim handling, so the conflicting access itself is part of the
-    // window a victim replays. A full ring aborts this transaction
+    // window the requester owes. A full ring aborts this transaction
     // exactly like a data-line overflow.
     bool log_overflow = false;
     if (!res.selfCapacity && ins.instrumented && m.htm().versionLog() &&
@@ -662,7 +701,7 @@ TxRacePolicy::onMemAccess(Machine &m, Tid t, const ir::Instruction &ins,
         // whose conflicts keep rolling transactions back is a spender
         // just like a hot slow-path site, and gets cut first.
         budget_.chargeSite(ins.id, cost.rollbackCost);
-        replayWinnerWindow(m, v, t, ins.id);
+        markWinnerWindowOwed(m, t, ins.id);
         handleConflictVictim(m, v);
     }
     if (res.selfCapacity || log_overflow) {
@@ -715,8 +754,7 @@ TxRacePolicy::onThreadExit(Machine &m, Tid t)
         // The pass inserts TxEnd at every exit point, so this only
         // fires if a workload bypassed the pipeline.
         warn("TxRacePolicy: thread %u exiting inside a transaction", t);
-        m.commitTx(t);
-        m.tel().registry.add(met_.txCommitted);
+        commitTx(m, t, ir::kNoInstr, telemetry::FrCommit::RegionEnd);
         open |= telemetry::FrOpen::Tx;
     }
     if (ctx.path == PathMode::Slow) {

@@ -7,12 +7,14 @@
  *
  * Each transactional access appends one 16-byte entry carrying the
  * address, static site, global step, and the line's last *published*
- * version — the version a committed writer stamped on it. On a
- * conflict abort the victim replays the requester's pending window
- * (oldest first, ending with the conflicting access) under the
- * happens-before detector and advances the requester's watermark, so
- * the winner's side of the race is checked even if it commits before
- * the victim's TxFail write lands.
+ * version — the version a committed writer stamped on it. A conflict
+ * marks the requester's window so far (oldest first, ending with the
+ * conflicting access) as *owed*. The winner replays its owed window
+ * under the happens-before detector right after it commits, so its
+ * side of the race is checked even though it escaped the victim's
+ * TxFail broadcast. A winner that aborts instead re-executes those
+ * accesses, and when the slow path checks them again the owed window
+ * is dropped unreplayed (counted as owedDropped).
  *
  * The log streams into a dedicated per-thread ring (write-only
  * streaming stores the cache retires without holding the lines for
@@ -60,12 +62,16 @@ struct VersionLogCounters
     uint64_t ringOverflows = 0;
     /** Line versions published by committing writers. */
     uint64_t published = 0;
+    /** Owed windows dropped unreplayed because the winner aborted and
+     *  its slow-path re-execution checks those accesses again. */
+    uint64_t owedDropped = 0;
 };
 
 /**
  * The per-thread rings plus the shared published-version table.
  * Owned by HtmEngine when HtmConfig::versionLog is set; the policy
- * reads pending windows through the engine on conflict aborts.
+ * marks a winner's window owed on a conflict and replays it at the
+ * winner's commit.
  */
 class VersionLog
 {
@@ -75,13 +81,13 @@ class VersionLog
     {
     }
 
-    /** Start @p t's window: clear its ring and replay watermark. */
+    /** Start @p t's window: clear its ring and owed watermark. */
     void
     beginTx(Tid t)
     {
         ThreadLog &l = log(t);
         l.entries.clear();
-        l.replayedUpTo = 0;
+        l.owedUpTo = 0;
     }
 
     /**
@@ -117,26 +123,33 @@ class VersionLog
         return t < logs_.size() ? logs_[t].entries.size() : 0;
     }
 
-    /** @p t's not-yet-replayed window, oldest first. */
+    /** A conflict: @p t won it, so everything @p t has logged so far
+     *  (ending with the conflicting access) is owed a replay. A later
+     *  conflict in the same transaction extends the owed window. */
+    void
+    markOwed(Tid t)
+    {
+        ThreadLog &l = log(t);
+        l.owedUpTo = l.entries.size();
+    }
+
+    /** @p t's owed window, oldest first (empty when nothing is owed). */
     std::vector<VersionLogEntry>
-    pendingWindow(Tid t) const
+    owedWindow(Tid t) const
     {
         if (t >= logs_.size())
             return {};
         const ThreadLog &l = logs_[t];
-        return {l.entries.begin() +
-                    static_cast<ptrdiff_t>(l.replayedUpTo),
-                l.entries.end()};
+        return {l.entries.begin(),
+                l.entries.begin() + static_cast<ptrdiff_t>(l.owedUpTo)};
     }
 
-    /** Advance @p t's watermark past everything logged so far (its
-     *  window was just replayed; keep the entries so a later abort in
-     *  the same transaction does not re-replay them). */
+    /** @p t's owed window was replayed at an abort (the re-run might
+     *  not check it again): nothing is owed any more. */
     void
-    markReplayed(Tid t)
+    settleOwed(Tid t)
     {
-        ThreadLog &l = log(t);
-        l.replayedUpTo = l.entries.size();
+        log(t).owedUpTo = 0;
     }
 
     /** Commit: publish new versions for every written line, then
@@ -152,17 +165,21 @@ class VersionLog
             ++counters_.published;
         }
         l.entries.clear();
-        l.replayedUpTo = 0;
+        l.owedUpTo = 0;
     }
 
-    /** Drop @p t's window without publishing. */
+    /** Drop @p t's window without publishing (its transaction
+     *  aborted); an owed part counts as owedDropped. */
     void
     clear(Tid t)
     {
-        if (t < logs_.size()) {
-            logs_[t].entries.clear();
-            logs_[t].replayedUpTo = 0;
-        }
+        if (t >= logs_.size())
+            return;
+        ThreadLog &l = logs_[t];
+        if (l.owedUpTo > 0)
+            ++counters_.owedDropped;
+        l.entries.clear();
+        l.owedUpTo = 0;
     }
 
     /** Published version of @p line (0 until a writer commits). */
@@ -188,9 +205,9 @@ class VersionLog
     struct ThreadLog
     {
         std::vector<VersionLogEntry> entries;
-        /** Entries below this index were already replayed through the
-         *  detector by an earlier abort of the same transaction. */
-        size_t replayedUpTo = 0;
+        /** Entries below this index are owed a replay: the
+         *  transaction won a conflict after logging them. */
+        size_t owedUpTo = 0;
     };
 
     ThreadLog &

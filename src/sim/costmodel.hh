@@ -59,7 +59,7 @@ struct CostModel
     /** Flat penalty for processing one transactional abort. */
     static constexpr uint64_t rollbackCost = 30;
     /**
-     * Flat setup cost of one winner replay: reading the requester's
+     * Flat setup cost of one winner replay: reading the winner's
      * version log and priming the detector (the per-entry replay
      * checks are charged at effectiveCheckCost on top).
      */

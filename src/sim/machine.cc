@@ -657,6 +657,7 @@ Machine::publishCounters()
         reg.addNamed("htm.vlog.entries", vc.entries);
         reg.addNamed("htm.vlog.ring_overflows", vc.ringOverflows);
         reg.addNamed("htm.vlog.published", vc.published);
+        reg.addNamed("htm.vlog.owed_dropped", vc.owedDropped);
     }
 
     const detector::DetCounters &dc = det_.counters();

@@ -271,7 +271,8 @@ class Machine
      * owning thread (exact, because transactional regions are
      * synchronization-free — no clock moved since the access was
      * logged). The whole replay — flat setup plus one checkCost()
-     * per entry — is charged to @p payer under Bucket::Conflict.
+     * per entry — is charged to @p payer (the winner itself) under
+     * Bucket::Conflict.
      * Returns the total cost charged.
      */
     uint64_t replayWindow(Tid payer,

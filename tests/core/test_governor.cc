@@ -517,7 +517,7 @@ TEST(Governor, GoldenChaosSoakDigest)
     cfg.governor.enabled = true;
     core::RunResult r = core::runProgram(app.program, cfg);
     ASSERT_TRUE(r.error.ok());
-    EXPECT_EQ(r.totalCost, 6577722u);
+    EXPECT_EQ(r.totalCost, 6039450u);
     EXPECT_EQ(r.races.count(), 112u);
-    EXPECT_EQ(resultDigest(app.program, r), 0x567e7ecbffa39187ull);
+    EXPECT_EQ(resultDigest(app.program, r), 0xa9b91d285bae7dbaull);
 }

@@ -9,6 +9,7 @@
 
 #include "core/budget.hh"
 #include "core/driver.hh"
+#include "fault/fault.hh"
 #include "ir/builder.hh"
 #include "mem/layout.hh"
 #include "workloads/workloads.hh"
@@ -816,9 +817,11 @@ TEST(TxRace, WinnerReplayFindsTheRaceOfAWinnerThatCommitsFirst)
     // §6 false-negative source two: the winner commits before the
     // victim publishes TxFail (the broadcast aborts nobody), so the
     // pure protocol re-checks only the victim's store and misses the
-    // race. The winner replay checks the winner's logged window first,
-    // and the victim's slow-path store then races it. Where the
-    // broadcast still catches the winner in flight, both find it.
+    // race. The winner replays the window it owes right after its
+    // commit, and the victim's slow-path store then races it. Where
+    // the broadcast still catches the winner in flight, the winner
+    // drops its owed window unreplayed and its slow re-execution finds
+    // the race, as the pure protocol's does.
     Program p = winnerEscapesProgram();
     size_t escaped = 0, caught = 0;
     for (uint64_t seed = 1; seed <= 20; ++seed) {
@@ -836,7 +839,6 @@ TEST(TxRace, WinnerReplayFindsTheRaceOfAWinnerThatCommitsFirst)
             continue;
         }
         ASSERT_EQ(conflictVictims(pure), 1u);
-        EXPECT_EQ(r.stats.get("txrace.window.replays"), 1u);
         ASSERT_EQ(r.races.count(), 1u);
         detector::Race race = r.races.all()[0];
         EXPECT_EQ(p.instr(race.first).tag, "racy store");
@@ -844,9 +846,17 @@ TEST(TxRace, WinnerReplayFindsTheRaceOfAWinnerThatCommitsFirst)
         if (pure.stats.get("txrace.artificial_aborts") == 0) {
             ++escaped;
             EXPECT_EQ(pure.races.count(), 0u);
+            EXPECT_EQ(r.stats.get("txrace.window.replays"), 1u);
+            EXPECT_EQ(r.stats.get("detector.replay_checks"),
+                      histogramSum(r, "slowpath.window.len"));
+            EXPECT_GT(r.stats.get("detector.replay_checks"), 0u);
+            EXPECT_EQ(r.stats.get("htm.vlog.owed_dropped"), 0u);
         } else {
             ++caught;
             EXPECT_EQ(pure.races.count(), 1u);
+            EXPECT_EQ(r.stats.get("txrace.window.replays"), 0u);
+            EXPECT_EQ(r.stats.get("detector.replay_checks"), 0u);
+            EXPECT_EQ(r.stats.get("htm.vlog.owed_dropped"), 1u);
         }
     }
     // Seeds 1-20 hold both shapes (at this change: 2 escapes and 3
@@ -858,9 +868,10 @@ TEST(TxRace, WinnerReplayFindsTheRaceOfAWinnerThatCommitsFirst)
 TEST(TxRace, TwoVictimsOfOneWinnerReplayItsWindowOnce)
 {
     // Two readers hold `x` in their read sets when the writer stores
-    // to it: one access, two victims. The first victim replays the
-    // writer's window and marks it replayed; the second finds nothing
-    // pending, so every replayed entry is checked exactly once.
+    // to it: one access, two victims. Both mark the same window owed,
+    // so the writer replays it at most once (when it commits before
+    // either TxFail lands), and every replayed entry is checked
+    // exactly once.
     ProgramBuilder b;
     Addr data = b.alloc("data", 4096);
     Addr x = b.alloc("x", 8);
@@ -886,12 +897,215 @@ TEST(TxRace, TwoVictimsOfOneWinnerReplayItsWindowOnce)
     b.endFunction();
     Program p = b.build();
 
-    core::RunResult r = core::runProgram(p, txraceConfig());
-    EXPECT_EQ(conflictVictims(r), 2u);
-    EXPECT_EQ(r.stats.get("txrace.window.replays"), 1u);
-    const uint64_t window = histogramSum(r, "slowpath.window.len");
-    EXPECT_GT(window, 0u);
-    EXPECT_EQ(r.stats.get("detector.replay_checks"), window);
+    size_t two_victims = 0, replayed = 0;
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE(seed);
+        core::RunResult r = core::runProgram(p, txraceConfig(seed));
+        if (conflictVictims(r) != 2)
+            continue;
+        ++two_victims;
+        const uint64_t replays = r.stats.get("txrace.window.replays");
+        EXPECT_LE(replays, 1u);
+        const uint64_t window = histogramSum(r, "slowpath.window.len");
+        EXPECT_EQ(window > 0, replays == 1);
+        EXPECT_EQ(r.stats.get("detector.replay_checks"), window);
+        replayed += replays;
+    }
+    // At this change: 12 of seeds 1-20 have both victims, and the
+    // writer escaped TxFail (and replayed) on 5 of them.
+    EXPECT_GE(two_victims, 1u);
+    EXPECT_GE(replayed, 1u);
+}
+
+TEST(TxRace, WinnerReplayUsesTheClockOfTheCommitNotOfTheNextSync)
+{
+    // The winner stores `x` under mutex 0, and that store aborts the
+    // victim by false sharing (`y` is another granule of x's line).
+    // The winner commits, releases the mutex, and a third thread then
+    // acquires it and stores `x` in a small (always checked) region.
+    // The two stores of `x` are ordered by the mutex, so nothing
+    // races. The winner's replay has to run as of its commit: with the
+    // clock it has after the release, the guarded store would look
+    // concurrent with the replayed one.
+    ProgramBuilder b;
+    Addr data = b.alloc("data", 4096);
+    Addr line = b.alloc("line", 64);
+    const Addr x = line, y = line + 8;
+    FuncId winner = b.beginFunction("winner");
+    b.barrier(0, 2);
+    b.lock(0);
+    pad(b, data);
+    b.loop(40, [&] { b.compute(1); });
+    b.store(AddrExpr::absolute(x), "winner store");
+    b.unlock(0);
+    b.endFunction();
+    FuncId victim = b.beginFunction("victim");
+    b.barrier(0, 2);
+    pad(b, data);
+    b.store(AddrExpr::absolute(y), "false sharing");
+    b.loop(200, [&] { b.compute(1); });
+    b.syscall(1);
+    b.endFunction();
+    FuncId guarded = b.beginFunction("guarded");
+    b.loop(400, [&] { b.compute(1); });
+    b.lock(0);
+    b.store(AddrExpr::absolute(x), "guarded store");
+    b.unlock(0);
+    b.endFunction();
+    b.beginFunction("main");
+    initPad(b, data);
+    b.spawn(winner);
+    b.spawn(victim);
+    b.spawn(guarded);
+    b.joinAll();
+    b.endFunction();
+    Program p = b.build();
+
+    size_t replayed = 0;
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE(seed);
+        core::RunConfig cfg = txraceConfig(seed);
+        // Every store of `x` stays checked (the lockset pass would
+        // otherwise elide the two guarded ones).
+        cfg.passes.elide.enabled = false;
+        core::RunResult r = core::runProgram(p, cfg);
+        EXPECT_EQ(r.races.count(), 0u);
+        const uint64_t replays = r.stats.get("txrace.window.replays");
+        EXPECT_LE(replays, 1u);
+        replayed += replays;
+    }
+    // At this change the winner escaped TxFail and replayed on 5 of
+    // seeds 1-20; replaying after the release reports a race on each.
+    EXPECT_GE(replayed, 1u);
+}
+
+TEST(TxRace, WinnerThatRetriesInPlaceReplaysItsWindowFirst)
+{
+    // The winner's region goes on computing after the racy store, and
+    // retry-bit aborts are frequent, so the winner often aborts after
+    // winning the conflict and re-begins in place. Its re-run is fast
+    // and, with TxFail's publication delayed, commits before the
+    // broadcast: only the replay at the re-begin checks its store.
+    ProgramBuilder b;
+    Addr data = b.alloc("data", 4096);
+    Addr x = b.alloc("x", 8);
+    FuncId writer = b.beginFunction("writer");
+    b.barrier(0, 2);
+    pad(b, data);
+    b.store(AddrExpr::absolute(x), "racy store");
+    for (int i = 0; i < 60; ++i)
+        b.compute(1);
+    b.syscall(1);
+    b.endFunction();
+    b.beginFunction("main");
+    initPad(b, data);
+    b.spawn(writer, 2);
+    b.joinAll();
+    b.endFunction();
+    Program p = b.build();
+
+    size_t conflicted = 0;
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE(seed);
+        core::RunConfig cfg = txraceConfig(seed);
+        cfg.machine.retryAbortPerStep = 0.02;
+        fault::FaultEpisode delay;
+        delay.kind = fault::FaultKind::TxFailDelay;
+        delay.duration = ~0ull >> 1;
+        delay.param = 400;
+        cfg.machine.faults.add(delay);
+        core::RunResult r = core::runProgram(p, cfg);
+        if (conflictVictims(r) == 0)
+            continue;
+        ++conflicted;
+        EXPECT_EQ(r.races.count(), 1u);
+    }
+    // At this change 10 of seeds 1-20 conflict, and dropping the owed
+    // window at the retry abort loses the race on 5 of them.
+    EXPECT_GE(conflicted, 1u);
+}
+
+TEST(TxRace, HintedEpisodeReplaysTheWindowItDoesNotRecheck)
+{
+    // With conflict-address hints a slow episode re-checks only the
+    // publisher's conflicting line. The writer wins two conflicts on
+    // two lines; the first victim's broadcast catches it with that
+    // victim's line as the hint, so its re-run skips the other line,
+    // and the second victim's race is found only because the writer
+    // replays the window it owes when it enters that episode.
+    ProgramBuilder b;
+    Addr data = b.alloc("data", 4096);
+    Addr x1 = b.alloc("x1", 8);
+    Addr x2 = b.alloc("x2", 8);
+    auto victim = [&](const char *name, Addr x, const char *tag) {
+        FuncId f = b.beginFunction(name);
+        b.barrier(0, 3);
+        pad(b, data);
+        b.store(AddrExpr::absolute(x), tag);
+        b.loop(200, [&] { b.compute(1); });
+        b.syscall(1);
+        b.endFunction();
+        return f;
+    };
+    FuncId v1 = victim("victim1", x1, "victim store 1");
+    FuncId v2 = victim("victim2", x2, "victim store 2");
+    FuncId writer = b.beginFunction("writer");
+    b.barrier(0, 3);
+    pad(b, data);
+    b.loop(40, [&] { b.compute(1); });
+    b.store(AddrExpr::absolute(x1), "writer store 1");
+    b.store(AddrExpr::absolute(x2), "writer store 2");
+    b.loop(200, [&] { b.compute(1); });
+    b.syscall(1);
+    b.endFunction();
+    b.beginFunction("main");
+    initPad(b, data);
+    b.spawn(v1);
+    b.spawn(v2);
+    b.spawn(writer);
+    b.joinAll();
+    b.endFunction();
+    Program p = b.build();
+
+    size_t both = 0;
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE(seed);
+        core::RunConfig cfg = txraceConfig(seed);
+        cfg.conflictAddressHints = true;
+        core::RunResult r = core::runProgram(p, cfg);
+        if (conflictVictims(r) != 2)
+            continue;
+        ++both;
+        EXPECT_EQ(r.races.count(), 2u);
+    }
+    // At this change 3 of seeds 1-20 abort both victims, and dropping
+    // the owed window at the hinted episode loses a race on each.
+    EXPECT_GE(both, 1u);
+}
+
+TEST(TxRace, MonitorModeReplaysTheWindowOfAWinnerItAborts)
+{
+    // Under the monitor budget a slow episode's checks may be gated or
+    // sampled out, so an aborted winner's re-execution does not
+    // reliably check its owed window again: the winner replays it at
+    // the abort. At seed 3 with a 5% budget, bodytrack and canneal each
+    // find one race only through those replays.
+    for (const char *name : {"bodytrack", "canneal"}) {
+        SCOPED_TRACE(name);
+        workloads::AppModel app = workloads::makeApp(name);
+        core::RunConfig cfg;
+        cfg.mode = core::RunMode::TxRaceDynLoopcut;
+        cfg.machine = app.machine;
+        cfg.machine.seed = 3;
+        cfg.governor.enabled = true;
+        cfg.budget.enabled = true;
+        cfg.budget.budgetPct = 5.0;
+        core::RunResult r = core::runProgram(app.program, cfg);
+        EXPECT_TRUE(r.error.ok());
+        EXPECT_EQ(r.races.count(), 1u);
+        EXPECT_EQ(r.stats.get("htm.vlog.owed_dropped"), 0u);
+        EXPECT_GT(r.stats.get("txrace.window.replays"), 0u);
+    }
 }
 
 TEST(TxRace, PureTxFailProtocolKeepsNoVersionLog)

@@ -2,8 +2,9 @@
  * @file
  * Unit tests for the per-thread version log behind the winner replay:
  * ring-overflow surfaces as a capacity abort (never silent
- * truncation), versions publish at commit, pending windows track the
- * replay watermark, and beginTx/clear reset per-thread state.
+ * truncation), versions publish at commit, a conflict marks the
+ * window owed (a second one extends it), and beginTx, commitTx and
+ * clear reset the owed watermark.
  */
 
 #include <gtest/gtest.h>
@@ -33,8 +34,9 @@ TEST(VersionLog, AppendsCarrySiteStepAndOrder)
     vl.beginTx(0);
     ASSERT_TRUE(vl.append(0, 0x100, 7, 10, false));
     ASSERT_TRUE(vl.append(0, 0x140, 8, 11, true));
+    vl.markOwed(0);
 
-    auto win = vl.pendingWindow(0);
+    auto win = vl.owedWindow(0);
     ASSERT_EQ(win.size(), 2u);
     EXPECT_EQ(win[0].addr, 0x100u);
     EXPECT_EQ(win[0].site, 7u);
@@ -55,7 +57,7 @@ TEST(VersionLog, RingFullRefusesInsteadOfTruncating)
     // The fourth append is refused — not dropped: the window keeps
     // exactly the three accepted entries, and the refusal is counted.
     EXPECT_FALSE(vl.append(0, 0x0c0, 4, 4, true));
-    EXPECT_EQ(vl.pendingWindow(0).size(), 3u);
+    EXPECT_EQ(vl.entryCount(0), 3u);
     EXPECT_EQ(vl.counters().ringOverflows, 1u);
     EXPECT_EQ(vl.counters().entries, 3u);
 }
@@ -71,6 +73,7 @@ TEST(VersionLog, CommitPublishesVersionsForWrittenLinesOnly)
     ASSERT_TRUE(vl.append(0, 0x100, 1, 1, true));   // write a
     ASSERT_TRUE(vl.append(0, 0x104, 2, 2, true));   // write a again
     ASSERT_TRUE(vl.append(0, 0x140, 3, 3, false));  // read b
+    vl.markOwed(0);
     vl.commitTx(0);
 
     // Every logged write bumps its line (seqlock-style stamp); reads
@@ -78,31 +81,52 @@ TEST(VersionLog, CommitPublishesVersionsForWrittenLinesOnly)
     EXPECT_EQ(vl.versionOf(line_a), 2u);
     EXPECT_EQ(vl.versionOf(line_b), 0u);
     EXPECT_EQ(vl.counters().published, 2u);
-    EXPECT_TRUE(vl.pendingWindow(0).empty());
+    EXPECT_EQ(vl.entryCount(0), 0u);
+    // Commit resets the owed watermark: the caller took the window
+    // before committing, and nothing is owed afterwards.
+    EXPECT_TRUE(vl.owedWindow(0).empty());
+    EXPECT_EQ(vl.counters().owedDropped, 0u);
 
     // A later transaction's entries stamp the published version.
     vl.beginTx(1);
     ASSERT_TRUE(vl.append(1, 0x108, 4, 5, false));
-    auto win = vl.pendingWindow(1);
+    vl.markOwed(1);
+    auto win = vl.owedWindow(1);
     ASSERT_EQ(win.size(), 1u);
     EXPECT_EQ(win[0].version, 2u);
 }
 
-TEST(VersionLog, MarkReplayedAdvancesTheWatermark)
+TEST(VersionLog, ConflictsSetAndExtendTheOwedWatermark)
 {
     VersionLog vl(16);
     vl.beginTx(0);
     ASSERT_TRUE(vl.append(0, 0x100, 1, 1, true));
-    ASSERT_TRUE(vl.append(0, 0x140, 2, 2, true));
-    vl.markReplayed(0);
+    // Nothing is owed until the transaction wins a conflict.
+    EXPECT_TRUE(vl.owedWindow(0).empty());
 
-    // Replayed entries stay in the ring (they still bound capacity and
-    // publish at commit) but leave the pending window.
-    EXPECT_TRUE(vl.pendingWindow(0).empty());
-    ASSERT_TRUE(vl.append(0, 0x180, 3, 3, true));
-    auto win = vl.pendingWindow(0);
-    ASSERT_EQ(win.size(), 1u);
-    EXPECT_EQ(win[0].addr, 0x180u);
+    ASSERT_TRUE(vl.append(0, 0x140, 2, 2, true));
+    vl.markOwed(0);
+    // Entries logged after the conflict are not owed...
+    ASSERT_TRUE(vl.append(0, 0x180, 3, 3, false));
+    auto win = vl.owedWindow(0);
+    ASSERT_EQ(win.size(), 2u);
+    EXPECT_EQ(win[0].addr, 0x100u);
+    EXPECT_EQ(win[1].addr, 0x140u);
+
+    // ...until a second conflict extends the window over them: the
+    // window stays one prefix, replayed once at commit.
+    ASSERT_TRUE(vl.append(0, 0x1c0, 4, 4, true));
+    vl.markOwed(0);
+    win = vl.owedWindow(0);
+    ASSERT_EQ(win.size(), 4u);
+    EXPECT_EQ(win[3].addr, 0x1c0u);
+    EXPECT_EQ(win[3].site, 4u);
+
+    // Settling (a replay outside a commit) clears the watermark but
+    // keeps the entries for the rest of the transaction.
+    vl.settleOwed(0);
+    EXPECT_TRUE(vl.owedWindow(0).empty());
+    EXPECT_EQ(vl.entryCount(0), 4u);
 }
 
 TEST(VersionLog, BeginTxAndClearDropTheWindow)
@@ -110,18 +134,36 @@ TEST(VersionLog, BeginTxAndClearDropTheWindow)
     VersionLog vl(16);
     vl.beginTx(0);
     ASSERT_TRUE(vl.append(0, 0x100, 1, 1, true));
+    vl.markOwed(0);
     vl.beginTx(0);
-    EXPECT_TRUE(vl.pendingWindow(0).empty());
+    EXPECT_EQ(vl.entryCount(0), 0u);
+    EXPECT_TRUE(vl.owedWindow(0).empty());
 
-    // clear() drops without publishing (abort fully replayed).
+    // clear() drops without publishing (the transaction aborted), and
+    // counts an owed window it drops; one with nothing owed is not.
     ASSERT_TRUE(vl.append(0, 0x140, 2, 2, true));
     vl.clear(0);
-    EXPECT_TRUE(vl.pendingWindow(0).empty());
+    EXPECT_EQ(vl.counters().owedDropped, 0u);
+    ASSERT_TRUE(vl.append(0, 0x140, 2, 2, true));
+    vl.markOwed(0);
+    vl.clear(0);
+    EXPECT_EQ(vl.counters().owedDropped, 1u);
+    EXPECT_EQ(vl.entryCount(0), 0u);
+    EXPECT_TRUE(vl.owedWindow(0).empty());
     EXPECT_EQ(vl.versionOf(mem::lineOf(0x140)), 0u);
 
+    // A settled window was replayed, so clearing it drops nothing.
+    ASSERT_TRUE(vl.append(0, 0x180, 3, 3, true));
+    vl.markOwed(0);
+    vl.settleOwed(0);
+    vl.clear(0);
+    EXPECT_EQ(vl.counters().owedDropped, 1u);
+
     // An unknown thread has an empty window, not UB.
-    EXPECT_TRUE(vl.pendingWindow(9).empty());
+    EXPECT_TRUE(vl.owedWindow(9).empty());
     EXPECT_EQ(vl.entryCount(9), 0u);
+    vl.clear(9);
+    EXPECT_EQ(vl.counters().owedDropped, 1u);
 }
 
 TEST(VersionLog, EngineAbortsWithCapacityWhenTheRingFills)

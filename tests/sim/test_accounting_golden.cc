@@ -84,13 +84,13 @@ const Golden kGolden[] = {
     {"vips", core::RunMode::TSan,
      0x1450b917c1beb2cdull},
     {"vips", core::RunMode::TxRaceDynLoopcut,
-     0xaf15f5adb810d128ull},
+     0xd14ab76de5105da9ull},
     {"bodytrack", core::RunMode::Native,
      0x7339205e3015eec0ull},
     {"bodytrack", core::RunMode::TSan,
      0x4847efdf05557fceull},
     {"bodytrack", core::RunMode::TxRaceDynLoopcut,
-     0x6be7037ef98c85edull},
+     0xeb1ba9b194f2830dull},
     {"apache-stream", core::RunMode::Native,
      0xf54ab6f32396d877ull},
     {"apache-stream", core::RunMode::TSan,
@@ -104,11 +104,11 @@ const Golden kGolden[] = {
     {.app = "apache-stream", .mode = core::RunMode::TxRaceProfLoopcut,
      .digest = 0xe6de103b74ec7477ull, .governor = true, .budgetPct = 5.0},
     {.app = "vips", .mode = core::RunMode::TxRaceDynLoopcut,
-     .digest = 0xb39e20f65879aedfull, .workers = 8, .fault = "chaos",
+     .digest = 0xfec1b4b84a6b98afull, .workers = 8, .fault = "chaos",
      .governor = true},
     {.app = "x264", .mode = core::RunMode::TxRaceDynLoopcut,
      .digest = 0xa0184eab9cbff87eull, .slowpath = core::SlowPathKind::TxFail},
-    {"vips", core::RunMode::TxRaceProfLoopcut, 0x3c79d83457b417faull},
+    {"vips", core::RunMode::TxRaceProfLoopcut, 0xaf1d74e9770a1f36ull},
     {.app = "ferret", .mode = core::RunMode::TSanSampling,
      .digest = 0xe3b2e432426fd62full, .sampleRate = 0.5},
     {"canneal", core::RunMode::Eraser, 0x4fc2f8939c6964adull},
@@ -118,13 +118,13 @@ const Golden kGolden[] = {
     // no-loop-cut scheme, retry exhaustion without the governor's
     // backoff, and a delayed TxFail publication in the pure protocol.
     {.app = "vips", .mode = core::RunMode::TxRaceDynLoopcut,
-     .digest = 0xa86b99e581411658ull, .conflictAddressHints = true},
+     .digest = 0x7035c251e6bd1f39ull, .conflictAddressHints = true},
     {.app = "x264", .mode = core::RunMode::TxRaceDynLoopcut,
      .digest = 0x3e6463b17634979eull, .slowpath = core::SlowPathKind::TxFail,
      .conflictAddressHints = true},
-    {"vips", core::RunMode::TxRaceNoOpt, 0x0ebb1171c5c4ceb0ull},
+    {"vips", core::RunMode::TxRaceNoOpt, 0xad608db7aa2922c0ull},
     {.app = "vips", .mode = core::RunMode::TxRaceDynLoopcut,
-     .digest = 0xb9ea7fc81b1067bcull, .workers = 8, .fault = "retry-glitch"},
+     .digest = 0x30b68af794bd2693ull, .workers = 8, .fault = "retry-glitch"},
     {.app = "x264", .mode = core::RunMode::TxRaceDynLoopcut,
      .digest = 0x973fde71aa1a967aull, .workers = 8, .fault = "txfail-delay",
      .slowpath = core::SlowPathKind::TxFail},
@@ -198,7 +198,7 @@ TEST(AccountingGolden, DirectMachineScheduleHashPerPolicy)
     sim::Machine mx(tx_prog, cfg.machine, txrace);
     ASSERT_TRUE(mx.run().ok());
     EXPECT_EQ(mx.scheduleHash(), 0x25661096e4d45293ull);
-    EXPECT_EQ(mx.totalCost(), 3202716u);
+    EXPECT_EQ(mx.totalCost(), 2803308u);
 }
 
 TEST(AccountingGolden, NativeTruncatedMidQuantum)

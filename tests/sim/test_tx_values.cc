@@ -192,8 +192,8 @@ TEST(TxValues, ConflictVictimRepublishesExactlyOnce)
 
     ir::Program prepared = passes::preparedForTxRace(p);
     // Both conflict repairs must publish each increment exactly once:
-    // the pure TxFail protocol, and the winner replay before it (which
-    // needs the engine's version log).
+    // the pure TxFail protocol, and the default that adds the winner
+    // replay (which needs the engine's version log).
     for (core::SlowPathKind kind :
          {core::SlowPathKind::TxFail, core::SlowPathKind::Replay}) {
         SCOPED_TRACE(core::slowPathKindName(kind));
@@ -210,7 +210,14 @@ TEST(TxValues, ConflictVictimRepublishesExactlyOnce)
                       reg.valueByName("htm.aborts.conflict"),
                   0u);
         if (kind == core::SlowPathKind::Replay) {
-            EXPECT_GT(reg.valueByName("txrace.window.replays"), 0u);
+            // Three requester-wins conflicts, and the TxFail broadcast
+            // caught each winner in flight: every owed window was
+            // dropped for the slow re-execution, none replayed.
+            EXPECT_EQ(reg.valueByName("tx.abort.conflict") -
+                          reg.valueByName("txrace.artificial_aborts"),
+                      3u);
+            EXPECT_EQ(reg.valueByName("htm.vlog.owed_dropped"), 3u);
+            EXPECT_EQ(reg.valueByName("txrace.window.replays"), 0u);
         }
         EXPECT_EQ(m.memory().load(counter), 30u);
     }
