@@ -57,18 +57,15 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
 
       case RunMode::RaceTM: {
         // RaceTM needs the transactionalized program (it uses the
-        // same region markers) and the extended debug-bit hardware.
-        // The elision pipeline stays off: RaceTM detects races from
-        // raw HTM conflicts, and its comparison point is the paper's
-        // unmodified instrumentation.
+        // same region markers). The elision pipeline stays off:
+        // RaceTM detects races from raw HTM conflicts, and its
+        // comparison point is the paper's unmodified instrumentation.
         passes::PassConfig pass_cfg = cfg.passes;
         pass_cfg.elide.enabled = false;
         ir::Program prepared =
             passes::preparedForTxRace(prog, pass_cfg);
-        sim::MachineConfig mcfg = cfg.machine;
-        mcfg.htm.trackInstructions = true;
         RaceTmPolicy policy;
-        runMachine(prepared, mcfg, policy, result);
+        runMachine(prepared, cfg.machine, policy, result);
         result.races = policy.races();
         break;
       }
@@ -93,12 +90,6 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
         ir::Program prepared =
             passes::preparedForTxRace(prog, pass_cfg, &elision);
 
-        // The winner replay needs the engine-side version log; the
-        // flag is part of the run's identity (capacity model changes),
-        // so it is set from the slowpath choice, never independently.
-        sim::MachineConfig mcfg = cfg.machine;
-        mcfg.htm.versionLog = cfg.slowpath == SlowPathKind::Replay;
-
         LoopCutTable profiled;
         const bool prof = cfg.mode == RunMode::TxRaceProfLoopcut;
         if (prof) {
@@ -112,7 +103,7 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
             prof_run.governor = {};
             prof_run.budget = {};
             TxRacePolicy profiler(prof_run);
-            sim::MachineConfig prof_cfg = mcfg;
+            sim::MachineConfig prof_cfg = cfg.machine;
             prof_cfg.seed ^= kProfileSeedDelta;
             sim::Machine machine(prepared, prof_cfg, profiler);
             machine.run();
@@ -120,7 +111,8 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
         }
 
         TxRacePolicy policy(cfg, prof ? &profiled : nullptr);
-        runMachine(prepared, mcfg, policy, result, [&](sim::Machine &m) {
+        runMachine(prepared, cfg.machine, policy, result,
+                   [&](sim::Machine &m) {
             // Static-elision accounting.
             auto &reg = m.tel().registry;
             reg.addNamed("pass.elide.candidates", elision.candidates);

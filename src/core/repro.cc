@@ -9,6 +9,7 @@
 
 #include "core/fingerprint.hh"
 #include "core/loopcut.hh"
+#include "core/versionlog.hh"
 #include "support/log.hh"
 
 namespace txrace::core {
@@ -142,7 +143,9 @@ configDigest(const RunConfig &cfg)
     d.u64(h.readSetMaxLines);
     d.u64(h.maxConcurrentTx);
     d.f64(h.capacityJitter);
-    d.u64(h.trackInstructions ? 1 : 0);
+    // Former RaceTM debug-bit switch, never set on a RunConfig (the
+    // driver set it on its own copy): pinned at 0.
+    d.u64(0);
     // Former conflict-engine selector, pinned at Directory's value so
     // digests (and repro commands) from before its removal stay valid.
     d.u64(0);
@@ -150,8 +153,11 @@ configDigest(const RunConfig &cfg)
     // with the elision passes, so hashing elide.enabled in its place
     // keeps every digest (--no-elide included) valid.
     d.u64(cfg.passes.elide.enabled ? 1 : 0);
-    d.u64(h.versionLog ? 1 : 0);
-    d.u64(h.versionLogEntries);
+    // Former version-log switch and ring bound, kept the same way:
+    // the switch was only ever set on the driver's copy, and the
+    // bound is now VersionLog::kRingEntries.
+    d.u64(0);
+    d.u64(VersionLog::kRingEntries);
 
     const detector::DetectorConfig &det = m.det;
     d.u64(det.maxShadowCells);

@@ -34,13 +34,8 @@ abortToString(AbortStatus s)
 }
 
 HtmEngine::HtmEngine(const HtmConfig &cfg)
-    : cfg_(cfg),
-      rng_(cfg.seed ^ 0xca9ac117ULL),
-      vlog_(cfg.versionLogEntries)
+    : cfg_(cfg), rng_(cfg.seed ^ 0xca9ac117ULL)
 {
-    if (cfg_.versionLog && cfg_.versionLogEntries == 0)
-        fatal("HtmEngine: versionLogEntries must be nonzero when the "
-              "version log is enabled");
     if (cfg_.l1Sets == 0 || (cfg_.l1Sets & (cfg_.l1Sets - 1)) != 0)
         fatal("HtmEngine: l1Sets must be a nonzero power of two");
     if (cfg_.l1Ways == 0)
@@ -60,7 +55,6 @@ HtmEngine::reset()
     slotsUsed_ = 0;
     inFlight_ = 0;
     counters_ = HtmCounters{};
-    vlog_.reset();
 }
 
 bool
@@ -110,8 +104,6 @@ HtmEngine::begin(Tid t)
     s.readLineCount = 0;
     s.writeLineCount = 0;
     beginOccupancy(s);
-    if (cfg_.versionLog)
-        vlog_.beginTx(t);
     ++inFlight_;
     ++counters_.begins;
 }
@@ -131,20 +123,6 @@ HtmEngine::effectiveWays()
         ways -= 1 + static_cast<uint32_t>(rng_.below(2));
     }
     return ways;
-}
-
-void
-HtmEngine::abortVictim(Tid u, uint64_t line)
-{
-    ir::InstrId victim_instr = ir::kNoInstr;
-    if (cfg_.trackInstructions) {
-        auto it = tx_[u].lineInstr.find(line);
-        if (it != tx_[u].lineInstr.end())
-            victim_instr = it->second;
-    }
-    abortTx(u, kAbortConflict | kAbortRetry);
-    tx_[u].lastConflictLine = line;
-    tx_[u].lastConflictInstr = victim_instr;
 }
 
 void
@@ -194,7 +172,7 @@ HtmEngine::accessDirectory(uint64_t line, bool is_write, TxState *self,
             // Deterministic ascending tid order.
             std::sort(result.victims.begin(), result.victims.end());
             for (Tid u : result.victims)
-                abortVictim(u, line);
+                abortTx(u, kAbortConflict | kAbortRetry);
         }
     }
 
@@ -235,8 +213,6 @@ HtmEngine::release(TxState &s)
     s.lines.clear();
     s.readLineCount = 0;
     s.writeLineCount = 0;
-    if (cfg_.trackInstructions)
-        s.lineInstr.clear();
 }
 
 void
@@ -247,31 +223,7 @@ HtmEngine::commit(Tid t)
         panic("HtmEngine::commit: thread %u not transactional", t);
     s.active = false;
     release(s);
-    if (cfg_.versionLog)
-        vlog_.commitTx(t);
     ++counters_.commits;
-}
-
-bool
-HtmEngine::logAccess(Tid t, Addr addr, ir::InstrId site,
-                     uint64_t step, bool is_write)
-{
-    TxState &s = state(t);
-    if (!s.active)
-        panic("HtmEngine::logAccess: thread %u not transactional", t);
-    // The log rides in a dedicated per-thread ring (mem-record
-    // style), not in the transactional write set: log lines are
-    // write-only streaming stores the cache can retire without
-    // holding them for conflict detection. The ring is still a hard
-    // capacity bound — filling it aborts the transaction exactly
-    // like an overflowing write set. It must never truncate: a
-    // truncated window would replay an incomplete access order and
-    // silently miss races.
-    if (!vlog_.append(t, addr, site, step, is_write)) {
-        abortTx(t, kAbortCapacity);
-        return false;
-    }
-    return true;
 }
 
 void
@@ -298,30 +250,6 @@ HtmEngine::lastAbortStatus(Tid t) const
 {
     const TxState *s = stateIfAny(t);
     return s ? s->lastAbort : 0;
-}
-
-uint64_t
-HtmEngine::lastConflictLine(Tid t) const
-{
-    const TxState *s = stateIfAny(t);
-    return s ? s->lastConflictLine : kNoLine;
-}
-
-ir::InstrId
-HtmEngine::lastConflictVictimInstr(Tid t) const
-{
-    const TxState *s = stateIfAny(t);
-    return s ? s->lastConflictInstr : ir::kNoInstr;
-}
-
-void
-HtmEngine::noteAccessInstr(Tid t, Addr addr, ir::InstrId instr)
-{
-    if (!cfg_.trackInstructions)
-        return;
-    TxState *s = t < tx_.size() ? &tx_[t] : nullptr;
-    if (s && s->active)
-        s->lineInstr[mem::lineOf(addr)] = instr;
 }
 
 std::vector<Tid>

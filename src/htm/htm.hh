@@ -20,6 +20,13 @@
  *    of hardware threads;
  *  - an Intel-style abort status word, with all-zero meaning unknown.
  *
+ * That status word is all the model reports, as on commodity RTM: no
+ * conflict address, no per-line debug bits, no logging hardware. The
+ * extensions the paper discusses live in the policies that read them
+ * (core/): the winner replay's version log is the TxRace runtime's own
+ * stores, conflict-address hints are read at the conflicting access,
+ * and RaceTM's debug bits are the RaceTM policy's per-thread map.
+ *
  * The engine tracks read/write line ownership and decides who aborts;
  * the simulator performs the actual rollback of thread state (the
  * write buffering lives in the interpreter's transactional store
@@ -42,13 +49,11 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "htm/abort.hh"
 #include "htm/linedir.hh"
-#include "htm/versionlog.hh"
-#include "ir/instruction.hh"
+#include "ir/addr.hh"
 #include "mem/layout.hh"
 #include "support/rng.hh"
 #include "support/types.hh"
@@ -81,24 +86,6 @@ struct HtmConfig
     double capacityJitter = 0.0;
     /** Seed for the jitter RNG (set from the machine seed). */
     uint64_t seed = 1;
-    /**
-     * Track the last instruction that touched each line of every
-     * transaction — RaceTM's proposed per-line debug-bit extension
-     * (§9), used by the RaceTM comparison policy. Off for the
-     * commodity model (real RTM exposes nothing).
-     */
-    bool trackInstructions = false;
-    /**
-     * Record a per-thread version log inside transactions (the
-     * winner replay's substrate). The log streams into a
-     * dedicated per-thread ring — see logAccess() — whose fixed bound
-     * (versionLogEntries) is a capacity limit of its own: overflowing
-     * it aborts the transaction with kAbortCapacity.
-     */
-    bool versionLog = false;
-    /** Per-thread ring bound (entries); a window that would exceed it
-     *  aborts with CapacityAbort rather than truncate. */
-    uint32_t versionLogEntries = 1024;
 };
 
 /**
@@ -169,56 +156,18 @@ class HtmEngine
      */
     AccessResult access(Tid t, Addr addr, bool is_write);
 
-    /**
-     * Append one instrumented access to @p t's version log (valid
-     * only while inTx(t), with versionLog configured). Returns false
-     * when the per-thread ring is full — the transaction has already
-     * been aborted with kAbortCapacity and the caller must take the
-     * abort path. The ring never truncates: a truncated window would
-     * replay an incomplete access order and silently miss races.
-     */
-    bool logAccess(Tid t, Addr addr, ir::InstrId site, uint64_t step,
-                   bool is_write);
-
-    /** The version log, or nullptr when not configured. */
-    VersionLog *versionLog()
-    {
-        return cfg_.versionLog ? &vlog_ : nullptr;
-    }
-    const VersionLog *
-    versionLog() const
-    {
-        return cfg_.versionLog ? &vlog_ : nullptr;
-    }
-
     /** Commit @p t's transaction. Panics if none is open. */
     void commit(Tid t);
 
     /**
      * Abort @p t's transaction with @p status (used by the simulator
-     * for interrupt-induced unknown aborts and by access() internally).
+     * for interrupt-induced unknown aborts, by policies for aborts of
+     * their own making, and by access() internally).
      */
     void abortTx(Tid t, AbortStatus status);
 
     /** Status recorded at @p t's most recent abort. */
     AbortStatus lastAbortStatus(Tid t) const;
-
-    /** Cache line whose conflict caused @p t's most recent conflict
-     *  abort (kNoLine otherwise). Commodity RTM does not expose this;
-     *  it models the TxIntro-style hint the paper's §9 envisions for
-     *  a cheaper slow path. */
-    static constexpr uint64_t kNoLine = ~0ull;
-    uint64_t lastConflictLine(Tid t) const;
-
-    /** With trackInstructions: the instructions that last accessed
-     *  @p line in @p t's transaction at its most recent conflict
-     *  abort, and the requester instruction that hit it (RaceTM's
-     *  extended report). kNoInstr when unavailable. */
-    ir::InstrId lastConflictVictimInstr(Tid t) const;
-
-    /** Record the requester-side instruction for attribution (called
-     *  by the access path's caller, which knows the instruction). */
-    void noteAccessInstr(Tid t, Addr addr, ir::InstrId instr);
 
     /**
      * Make @p penalty L1d ways transiently unavailable to
@@ -272,10 +221,6 @@ class HtmEngine
         /** @} */
 
         AbortStatus lastAbort = 0;
-        uint64_t lastConflictLine = kNoLine;
-        ir::InstrId lastConflictInstr = ir::kNoInstr;
-        /** line -> last instruction of THIS tx touching it (RaceTM). */
-        std::unordered_map<uint64_t, ir::InstrId> lineInstr;
     };
 
     TxState &state(Tid t);
@@ -284,9 +229,6 @@ class HtmEngine
     /** Directory access body (probe + bitmask intersection). */
     void accessDirectory(uint64_t line, bool is_write, TxState *self,
                          bool self_tx, AccessResult &result);
-
-    /** Mark one conflict victim aborted and record the blame line. */
-    void abortVictim(Tid u, uint64_t line);
 
     /** Tear down @p s's line footprint (commit or abort). Decrements
      *  inFlight_ and, in directory mode, frees the slot and clears
@@ -321,7 +263,6 @@ class HtmEngine
 
     HtmConfig cfg_;
     Rng rng_;
-    VersionLog vlog_;
     std::vector<TxState> tx_;
     LineDirectory dir_;
     /** In-use directory slot bits; slot i belongs to slotTid_[i]. */

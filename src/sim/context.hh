@@ -106,10 +106,6 @@ struct ThreadContext
     /** With conflict-address hints enabled: the line whose conflict
      *  triggered the current slow episode (~0 = no hint, check all). */
     uint64_t slowHintLine = ~0ull;
-    /** Access site of the latest conflict the current transaction
-     *  won: its owed version-log window ends there (attribution for
-     *  the winner replay). */
-    uint32_t owedSite = ir::kNoInstr;
     /** @} */
 
     /** Speculative store buffer: granule -> value written inside the

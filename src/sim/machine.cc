@@ -508,18 +508,6 @@ Machine::rollback(Tid t, Bucket reason)
     tel_.registry.observe(met_.txWasted, wasted);
 }
 
-uint64_t
-Machine::replayWindow(Tid payer,
-                      const std::vector<htm::VersionLogEntry> &w)
-{
-    uint64_t total = cfg_.cost.windowReplaySetupCost +
-                     checkCost() * w.size();
-    addCost(payer, total, Bucket::Conflict);
-    for (const htm::VersionLogEntry &e : w)
-        det_.replayAccess(e.tid, e.addr, e.site, e.isWrite);
-    return total;
-}
-
 ir::InstrId
 Machine::currentSite(Tid t) const
 {
@@ -629,9 +617,9 @@ Machine::recordStop()
 void
 Machine::publishCounters()
 {
-    // The HTM engine, line directory, version log and detector bump
-    // plain integers (their access paths are too hot for even an
-    // interned-id update); transfer them into the registry once, here.
+    // The HTM engine, line directory and detector bump plain integers
+    // (their access paths are too hot for even an interned-id
+    // update); transfer them into the registry once, here.
     auto &reg = tel_.registry;
     const htm::HtmCounters &hc = htm_.counters();
     reg.addNamed("htm.begins", hc.begins);
@@ -650,15 +638,6 @@ Machine::publishCounters()
     reg.addNamed("htm.dir.rehashes", ds.rehashes);
     reg.mergeHistogram(reg.histogram("htm.dir.probe_len"), ds.probeLen);
     reg.addNamed("htm.dir.probes", ds.probeLen.count());
-
-    // Version log: the winner replay's, off under the pure protocol.
-    if (const htm::VersionLog *vl = htm_.versionLog()) {
-        const htm::VersionLogCounters &vc = vl->counters();
-        reg.addNamed("htm.vlog.entries", vc.entries);
-        reg.addNamed("htm.vlog.ring_overflows", vc.ringOverflows);
-        reg.addNamed("htm.vlog.published", vc.published);
-        reg.addNamed("htm.vlog.owed_dropped", vc.owedDropped);
-    }
 
     const detector::DetCounters &dc = det_.counters();
     reg.addNamed("detector.reads", dc.reads);

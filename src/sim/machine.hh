@@ -265,19 +265,6 @@ class Machine
         return checkCost_;
     }
 
-    /**
-     * Winner replay: replay a version-log window through the
-     * happens-before detector. Each entry is checked as its
-     * owning thread (exact, because transactional regions are
-     * synchronization-free — no clock moved since the access was
-     * logged). The whole replay — flat setup plus one checkCost()
-     * per entry — is charged to @p payer (the winner itself) under
-     * Bucket::Conflict.
-     * Returns the total cost charged.
-     */
-    uint64_t replayWindow(Tid payer,
-                          const std::vector<htm::VersionLogEntry> &w);
-
     /** Total virtual cost so far. */
     uint64_t totalCost() const { return totalCost_; }
 
@@ -371,8 +358,8 @@ class Machine
     void truncateRun();
     /** Record a pending requestStop() as the run error. */
     void recordStop();
-    /** End of run: move the HTM engine's, line directory's, version
-     *  log's and detector's plain counters into the registry. */
+    /** End of run: move the HTM engine's, line directory's and
+     *  detector's plain counters into the registry. */
     void publishCounters();
     /** Point @p ctx at the decoded body of its function. */
     void bindCode(ThreadContext &ctx);

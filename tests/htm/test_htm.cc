@@ -290,39 +290,3 @@ TEST(AbortStatus, ToString)
     EXPECT_EQ(abortToString(kAbortExplicit), "explicit");
 }
 
-TEST(Htm, InstructionTrackingOffByDefault)
-{
-    HtmEngine h;
-    h.begin(0);
-    h.noteAccessInstr(0, 0x100, 42);
-    h.begin(1);
-    h.access(1, 0x100, true);  // aborts 0
-    EXPECT_EQ(h.lastConflictVictimInstr(0), ir::kNoInstr);
-}
-
-TEST(Htm, InstructionTrackingNamesTheVictimInstr)
-{
-    HtmConfig cfg;
-    cfg.trackInstructions = true;
-    HtmEngine h(cfg);
-    h.begin(0);
-    h.access(0, 0x100, false);
-    h.noteAccessInstr(0, 0x100, 42);
-    h.access(0, 0x140, true);
-    h.noteAccessInstr(0, 0x140, 43);
-    // Conflict on the first line names instruction 42, not 43.
-    auto res = h.access(1, 0x100, true);
-    ASSERT_EQ(res.victims.size(), 1u);
-    EXPECT_EQ(h.lastConflictVictimInstr(0), 42u);
-    EXPECT_EQ(h.lastConflictLine(0), mem::lineOf(0x100));
-}
-
-TEST(Htm, ConflictLineRecordedPerVictim)
-{
-    HtmEngine h;
-    h.begin(0);
-    h.access(0, 0x200, false);
-    h.access(1, 0x200, true);
-    EXPECT_EQ(h.lastConflictLine(0), mem::lineOf(0x200));
-    EXPECT_EQ(h.lastConflictLine(5), HtmEngine::kNoLine);
-}

@@ -162,10 +162,8 @@ Outcome
 runPrepared(const ir::Program &prog, const ir::Program &prepared,
             const core::RunConfig &cfg)
 {
-    sim::MachineConfig mcfg = cfg.machine;
-    mcfg.htm.versionLog = cfg.slowpath == core::SlowPathKind::Replay;
     core::TxRacePolicy policy(cfg);
-    sim::Machine machine(prepared, mcfg, policy);
+    sim::Machine machine(prepared, cfg.machine, policy);
     EXPECT_TRUE(machine.run().ok());
     StatSet stats;
     machine.tel().registry.exportTo(stats);

@@ -174,8 +174,6 @@ observe(const ir::Program &prog, core::RunConfig cfg, bool ring,
 {
     cfg.machine.recordFlight = ring;
     cfg.machine.recordTimeline = timeline;
-    cfg.machine.htm.versionLog =
-        cfg.slowpath == core::SlowPathKind::Replay;
     ir::Program prepared = passes::preparedForTxRace(prog, cfg.passes);
     core::TxRacePolicy policy(cfg);
     sim::Machine m(prepared, cfg.machine, policy);
