@@ -519,5 +519,5 @@ TEST(Governor, GoldenChaosSoakDigest)
     ASSERT_TRUE(r.error.ok());
     EXPECT_EQ(r.totalCost, 6039450u);
     EXPECT_EQ(r.races.count(), 112u);
-    EXPECT_EQ(resultDigest(app.program, r), 0xa9b91d285bae7dbaull);
+    EXPECT_EQ(resultDigest(app.program, r), 0x479d3f9ac953f359ull);
 }
