@@ -112,6 +112,41 @@ TEST(Driver, AllModesFindOrMissTheRaceAsExpected)
     EXPECT_EQ(none.races.count(), 0u);
 }
 
+TEST(Driver, RaceTmNamesTheVictimInstructionForTheConflictingLine)
+{
+    // Each worker's region stores the shared line, then moves on to
+    // loads of its own line. When the other worker's store hits the
+    // shared line, the victim's debug bits must name its store to that
+    // line, not the private load it executed last.
+    ProgramBuilder b;
+    Addr shared = b.alloc("shared", 64);
+    Addr own = b.alloc("own", 4 * 64);
+    FuncId worker = b.beginFunction("worker");
+    b.store(AddrExpr::absolute(shared), "shared store");
+    b.loop(30, [&] { b.load(AddrExpr::perThread(own, 64), "own load"); });
+    b.endFunction();
+    b.beginFunction("main");
+    b.spawn(worker, 2);
+    b.joinAll();
+    b.endFunction();
+    Program p = b.build();
+
+    core::RunConfig cfg;
+    cfg.mode = core::RunMode::RaceTM;
+    cfg.machine.interruptPerStep = 0.0;
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE(seed);
+        cfg.machine.seed = seed;
+        core::RunResult r = core::runProgram(p, cfg);
+        ASSERT_TRUE(r.error.ok());
+        ASSERT_GT(r.stats.get("tx.abort.conflict"), 0u);
+        ASSERT_EQ(r.races.count(), 1u);
+        const detector::Race race = r.races.all().front();
+        EXPECT_EQ(p.instr(race.first).tag, "shared store");
+        EXPECT_EQ(p.instr(race.second).tag, "shared store");
+    }
+}
+
 TEST(Driver, SamplingRateInterpolatesCost)
 {
     Program p = benchmarkProgram();

@@ -1132,3 +1132,48 @@ TEST(TxRace, PureTxFailProtocolKeepsNoVersionLog)
         EXPECT_EQ(r.stats.get("txrace.window.replays"), 0u);
     }
 }
+
+TEST(TxRace, FullVersionLogRingAbortsWithCapacity)
+{
+    // Each worker's first region logs an entry per instrumented access,
+    // and 1100 loads of one line overflow the 1024-entry ring long
+    // before the read set fills. The full ring aborts the transaction
+    // with a capacity status instead of truncating the window. Without
+    // the replay there is no log, so nothing overflows. The second
+    // region is long enough for the workers' racy accesses to overlap,
+    // and both slow paths find the same races there.
+    ProgramBuilder b;
+    Addr hot = b.alloc("hot", 4 * 64);
+    Addr shared = b.alloc("shared", 64);
+    FuncId worker = b.beginFunction("worker");
+    b.loop(1100,
+           [&] { b.load(AddrExpr::perThread(hot, 64), "hot load"); });
+    b.syscall(1);
+    b.store(AddrExpr::absolute(shared), "racy store");
+    b.loop(200,
+           [&] { b.load(AddrExpr::perThread(hot, 64), "cold load"); });
+    b.load(AddrExpr::absolute(shared), "racy load");
+    b.endFunction();
+    b.beginFunction("main");
+    b.spawn(worker, 2);
+    b.joinAll();
+    b.endFunction();
+    Program p = b.build();
+
+    for (core::SlowPathKind kind :
+         {core::SlowPathKind::Replay, core::SlowPathKind::TxFail}) {
+        SCOPED_TRACE(core::slowPathKindName(kind));
+        core::RunConfig cfg = txraceConfig();
+        cfg.mode = core::RunMode::TxRaceNoOpt;
+        cfg.passes.elide.enabled = false;
+        cfg.slowpath = kind;
+        core::RunResult r = core::runProgram(p, cfg);
+        ASSERT_TRUE(r.error.ok());
+        const uint64_t overflows =
+            kind == core::SlowPathKind::Replay ? 2 : 0;
+        EXPECT_EQ(r.stats.get("htm.vlog.ring_overflows"), overflows);
+        EXPECT_EQ(r.stats.get("tx.abort.capacity"), overflows);
+        EXPECT_EQ(r.stats.get("htm.aborts.capacity"), overflows);
+        EXPECT_EQ(r.races.count(), 2u);
+    }
+}
