@@ -83,12 +83,10 @@ main(int argc, char **argv)
                  "TxRace (ideal HTM)", "capacity+unknown aborts"});
     Table lockset({"application", "TSan races", "Eraser warnings",
                    "false warnings", "Eraser ovh", "TxRace ovh"});
-    Table hints({"application", "TxRace ovh", "with addr hints",
-                 "races", "races w/ hints", "filtered checks"});
     Table repair({"application", "default ovh", "txfail ovh",
                   "default races", "txfail races", "replay checks",
                   "owed dropped", "default checks", "txfail checks"});
-    std::vector<double> g_commodity, g_ideal, g_hints, g_txfail;
+    std::vector<double> g_commodity, g_ideal, g_txfail;
 
     for (const std::string &name : bench::selectedApps(opt)) {
         workloads::WorkloadParams params;
@@ -120,20 +118,6 @@ main(int argc, char **argv)
         ideal.cellFactor(ideal_run.overheadVs(native));
         ideal.cell(txr.stats.get("tx.abort.capacity") +
                    txr.stats.get("tx.abort.unknown"));
-
-        // Conflict-address hints (the paper's §9 TxIntro idea).
-        core::RunConfig hcfg = bench::configFor(
-            app, core::RunMode::TxRaceProfLoopcut, opt);
-        hcfg.conflictAddressHints = true;
-        core::RunResult hinted = core::runProgram(app.program, hcfg);
-        g_hints.push_back(hinted.overheadVs(native));
-        hints.newRow();
-        hints.cell(app.name);
-        hints.cellFactor(txr.overheadVs(native));
-        hints.cellFactor(hinted.overheadVs(native));
-        hints.cell(static_cast<uint64_t>(txr.races.count()));
-        hints.cell(static_cast<uint64_t>(hinted.races.count()));
-        hints.cell(hinted.stats.get("txrace.hint_filtered"));
 
         // Slow-path repair: the paper's pure protocol beside the default.
         core::RunConfig pcfg = bench::configFor(
@@ -208,16 +192,6 @@ main(int argc, char **argv)
     std::cout.precision(2);
     std::cout << geoMean(g_commodity) << "x vs ideal "
               << geoMean(g_ideal) << "x\n\n";
-
-    std::cout << "=== Conflict-address hints (paper §9, TxIntro) ===\n";
-    if (opt.csv)
-        hints.printCsv(std::cout);
-    else
-        hints.print(std::cout);
-    std::cout << "\ngeomean: plain " << geoMean(g_commodity)
-              << "x vs hinted " << geoMean(g_hints)
-              << "x  (hinted slow episodes only re-check the "
-                 "conflicting line)\n\n";
 
     std::cout << "=== Slow-path repair: winner replay + TxFail vs TxFail "
                  "alone (paper §4.2, §6) ===\n";

@@ -131,7 +131,6 @@ BudgetController::closeWindow(Machine &m, uint64_t base_end)
             s.everCut = true;
             s.nextProbeWindow = windowIndex_ + (uint64_t{kReprobeWindows}
                                                 << s.probeBackoffExp);
-            ++siteCuts_;
             count(met_.siteCuts);
             m.tel().flight.note(0, telemetry::FrKind::Control,
                                 m.currentStep(), site, s.shift,
@@ -152,7 +151,6 @@ BudgetController::closeWindow(Machine &m, uint64_t base_end)
                 --s.shift;
                 s.probing = true;
                 s.nextProbeWindow = windowIndex_ + kReprobeWindows;
-                ++siteProbes_;
                 count(met_.siteProbes);
                 m.tel().flight.note(0, telemetry::FrKind::Control,
                                     m.currentStep(), site, s.shift,
@@ -180,7 +178,6 @@ BudgetController::admitRegion(Machine &m, Tid t, uint64_t cost)
     if (spent >= softAllowed_ || spent + cost > softAllowed_) {
         pressure_ = true;
         windowRefused_ = true;
-        ++gatedRegions_;
         count(met_.gatedRegions);
         return false;
     }
@@ -199,7 +196,6 @@ BudgetController::admitCheck(Machine &m, Tid t, ir::InstrId site,
     if (spent >= softAllowed_ || spent + cost > softAllowed_) {
         pressure_ = true;
         windowRefused_ = true;
-        ++gatedChecks_;
         count(met_.gatedChecks);
         return false;
     }
@@ -207,7 +203,6 @@ BudgetController::admitCheck(Machine &m, Tid t, ir::InstrId site,
     if (s.shift == 0)
         return true;
     if (!sampleDraw(s, site)) {
-        ++sampledSkips_;
         count(met_.sampledSkips);
         return false;
     }
@@ -251,11 +246,11 @@ BudgetController::report() const
     for (const auto &[site, s] : sites_)
         if (s.everCut)
             r.siteShifts.emplace_back(site, s.shift);
-    r.gatedRegions = gatedRegions_;
-    r.gatedChecks = gatedChecks_;
-    r.sampledSkips = sampledSkips_;
-    r.siteCuts = siteCuts_;
-    r.siteProbes = siteProbes_;
+    r.gatedRegions = reg_->value(met_.gatedRegions);
+    r.gatedChecks = reg_->value(met_.gatedChecks);
+    r.sampledSkips = reg_->value(met_.sampledSkips);
+    r.siteCuts = reg_->value(met_.siteCuts);
+    r.siteProbes = reg_->value(met_.siteProbes);
     return r;
 }
 

@@ -172,7 +172,8 @@ class BudgetController
     uint32_t siteShift(ir::InstrId site) const;
 
     /** Close the books (no trailing partial window is recorded) and
-     *  return the report. */
+     *  return the report. Its event counts are read from the registry
+     *  bindMetrics() interned them in, which must still be alive. */
     BudgetReport report() const;
 
   private:
@@ -218,12 +219,6 @@ class BudgetController
     /** std::map: deterministic iteration order for cut decisions. */
     std::map<ir::InstrId, SiteState> sites_;
     std::vector<BudgetWindow> windows_;
-
-    uint64_t gatedRegions_ = 0;
-    uint64_t gatedChecks_ = 0;
-    uint64_t sampledSkips_ = 0;
-    uint64_t siteCuts_ = 0;
-    uint64_t siteProbes_ = 0;
 
     struct Metrics
     {

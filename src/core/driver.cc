@@ -99,7 +99,6 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
             // measured run, as in the paper.
             RunConfig prof_run = cfg;
             prof_run.mode = RunMode::TxRaceDynLoopcut;
-            prof_run.conflictAddressHints = false;
             prof_run.governor = {};
             prof_run.budget = {};
             TxRacePolicy profiler(prof_run);
@@ -126,8 +125,8 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
             reg.addNamed("pass.elide.bare_regions", elision.bareRegions);
             for (const auto &[fn, n] : elision.perFunction)
                 reg.addNamed("pass.elide.fn." + fn, n);
+            result.budget = policy.budgetReport();
         });
-        result.budget = policy.budgetReport();
         break;
       }
     }

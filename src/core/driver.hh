@@ -35,10 +35,6 @@ struct RunConfig
     sim::MachineConfig machine;
     /** Instrumentation-pass parameters. */
     passes::PassConfig passes;
-    /** Enable the §9 future-HTM extension: conflict-address hints
-     *  restrict conflict-triggered slow episodes to the conflicting
-     *  cache line (TxRace modes only). */
-    bool conflictAddressHints = false;
     /** Adaptive fallback governor (TxRace modes only). Disabled by
      *  default: the paper's runtime answers every non-retry abort
      *  with an unconditional slow-path episode. Fault scenarios are

@@ -141,11 +141,19 @@ class RaceTmPolicy : public sim::ExecutionPolicy
      *  since RaceTM has no software path to fall back to. */
     void rerunBare(sim::Machine &m, Tid t, sim::Bucket reason);
 
+    /** One line's debug bits: the open transaction's last store to
+     *  the line if it wrote it, otherwise its last load. */
+    struct LineBits
+    {
+        ir::InstrId instr = ir::kNoInstr;
+        bool wrote = false;
+    };
+
     detector::RaceSet races_;
-    /** The debug bits: per thread, line -> the last instruction of
-     *  its open transaction that touched it. Written only in a
-     *  transaction; cleared at every commit and abort. */
-    std::vector<std::unordered_map<uint64_t, ir::InstrId>> lineInstr_;
+    /** The debug bits: per thread, line -> LineBits of its open
+     *  transaction. Written only in a transaction; cleared at every
+     *  commit and abort. */
+    std::vector<std::unordered_map<uint64_t, LineBits>> lineInstr_;
     /** Interned transaction-outcome counter ids (onRunStart). */
     struct Metrics
     {
@@ -174,8 +182,7 @@ class RaceTmPolicy : public sim::ExecutionPolicy
  *    before TxFail lands (§6) replays it through the detector right
  *    after its commit, and one the broadcast aborts drops it, since
  *    its slow re-execution checks those accesses again (an in-place
- *    re-begin, a hinted episode or the monitor budget replays it at
- *    the abort);
+ *    re-begin or the monitor budget replays it at the abort);
  *  - capacity: only this thread falls back to the slow path
  *    (concurrent fast+slow, Fig. 5), with loop-cut learning;
  *  - unknown (interrupts): same fallback as capacity;
@@ -191,10 +198,9 @@ class TxRacePolicy : public HbTrackingPolicy
     /**
      * The policy takes its whole configuration from the run's:
      * cfg.mode (a TxRace mode) picks the loop-cut scheme (Dyn starts
-     * at LoopCutTable::kDynInitial), and conflictAddressHints,
-     * governor and budget are used as given. The governor and budget
-     * controller share one sampling seed derived from
-     * cfg.machine.seed. cfg.slowpath == SlowPathKind::Replay keeps
+     * at LoopCutTable::kDynInitial), and governor and budget are
+     * used as given. The governor and budget controller share one
+     * sampling seed derived from cfg.machine.seed. cfg.slowpath == SlowPathKind::Replay keeps
      * the version log and runs the winner replay.
      *
      * @param preloaded profiled thresholds (Prof scheme); merged in
@@ -234,7 +240,7 @@ class TxRacePolicy : public HbTrackingPolicy
     const BudgetController &budget() const { return budget_; }
 
     /** End-of-run budget summary (the driver copies it into
-     *  RunResult when monitor mode is on). */
+     *  RunResult while the machine that ran the policy is alive). */
     BudgetReport budgetReport() const { return budget_.report(); }
 
   private:
@@ -292,13 +298,11 @@ class TxRacePolicy : public HbTrackingPolicy
 
     /** The one slow-path entry (see txrace_policy.cc). */
     void enterSlow(sim::Machine &m, Tid t, sim::Bucket reason,
-                   uint32_t site, uint8_t why,
-                   uint64_t hint_line = kNoLine);
+                   uint32_t site, uint8_t why);
 
-    /** Conflict-abort handling for a victim of a real data conflict
-     *  on cache line @p line: roll back, then publish TxFail next
-     *  step. */
-    void handleConflictVictim(sim::Machine &m, Tid v, uint64_t line);
+    /** Conflict-abort handling for a victim of a real data conflict:
+     *  roll back, then publish TxFail next step. */
+    void handleConflictVictim(sim::Machine &m, Tid v);
 
     /** Capacity abort of @p t's own transaction; @p site is the
      *  access instruction that overflowed (abort attribution for the
@@ -316,17 +320,10 @@ class TxRacePolicy : public HbTrackingPolicy
     uint64_t innermostCutLoop(sim::Machine &m, Tid t,
                               uint64_t &iters_in_tx) const;
 
-    /** Slow-episode hint line meaning "no hint: check every line". */
-    static constexpr uint64_t kNoLine = ~0ull;
-
     /** Loop-cut scheme active (Dyn and Prof; NoOpt ignores LoopCut
      *  markers and learns nothing). */
     bool loopCuts_;
     LoopCutTable loopcuts_;
-    /** §9 "future HTM" extension: the conflicting cache line is
-     *  reported to the runtime, and conflict-triggered slow episodes
-     *  only software-check accesses to that line. */
-    bool addrHints_;
     /** The winner replay's version log: the runtime's own stores
      *  inside each transaction. Present iff the run's slow path is
      *  SlowPathKind::Replay. */
@@ -349,7 +346,7 @@ class TxRacePolicy : public HbTrackingPolicy
         telemetry::MetricId hwlimitAborts, loopCuts;
         telemetry::MetricId artificialAborts;
         telemetry::MetricId txfailDelaySteps, txfailWrites;
-        telemetry::MetricId retries, retryExhausted, hintFiltered;
+        telemetry::MetricId retries, retryExhausted;
         telemetry::MetricId govSampledRegions, govForcedSlowRegions;
         telemetry::MetricId govSampleSkipped, govSampledChecks;
         telemetry::MetricId govTightenedCuts;

@@ -75,19 +75,22 @@ RaceTmPolicy::onMemAccess(Machine &m, Tid t, const ir::Instruction &ins,
     // victim's debug bits name its instruction for the line, and we
     // are the requester. Report at cache-line granularity — which is
     // exactly why RaceTM-style reporting carries false-sharing false
-    // positives that TxRace's software slow path filters out.
+    // positives that TxRace's software slow path filters out. A
+    // victim that only read the line conflicts only with a store.
     for (Tid v : res.victims) {
         m.tel().registry.add(met_.abortConflict);
-        ir::InstrId victim_instr = ir::kNoInstr;
+        LineBits victim;
         if (v < lineInstr_.size()) {
             auto it = lineInstr_[v].find(line);
             if (it != lineInstr_[v].end())
-                victim_instr = it->second;
+                victim = it->second;
         }
-        if (victim_instr != ir::kNoInstr && ins.instrumented) {
-            races_.record(victim_instr, ins.id,
-                          is_write ? detector::RaceKind::WriteWrite
-                                   : detector::RaceKind::WriteRead,
+        if (victim.instr != ir::kNoInstr && ins.instrumented) {
+            using detector::RaceKind;
+            races_.record(victim.instr, ins.id,
+                          !victim.wrote ? RaceKind::ReadWrite
+                          : is_write    ? RaceKind::WriteWrite
+                                        : RaceKind::WriteRead,
                           addr);
         }
         rerunBare(m, v, Bucket::Conflict);
@@ -100,7 +103,10 @@ RaceTmPolicy::onMemAccess(Machine &m, Tid t, const ir::Instruction &ins,
     if (m.htm().inTx(t)) {
         if (t >= lineInstr_.size())
             lineInstr_.resize(t + 1);
-        lineInstr_[t][line] = ins.id;
+        LineBits &bits = lineInstr_[t][line];
+        if (is_write || !bits.wrote)
+            bits.instr = ins.id;
+        bits.wrote |= is_write;
     }
     return true;
 }

@@ -110,14 +110,17 @@ configDigest(const RunConfig &cfg)
     // digest disagree between front ends that default it differently.
     d.f64(cfg.mode == RunMode::TSanSampling ? cfg.sampleRate : 1.0);
     d.u64(LoopCutTable::kDynInitial);
-    d.u64(cfg.conflictAddressHints ? 1 : 0);
+    // Former conflict-address hint switch, off on every front end.
+    d.u64(0);
     d.u64(static_cast<uint64_t>(cfg.slowpath));
     d.u64(kProfileSeedDelta);
 
     const sim::MachineConfig &m = cfg.machine;
     d.u64(m.seed);
     d.u64(m.nCores);
-    d.u64(m.hwThreads);
+    // Former hardware-thread count, which the machine copied over
+    // htm.maxConcurrentTx; the one field left hashes in both slots.
+    d.u64(m.htm.maxConcurrentTx);
     d.f64(m.interruptPerStep);
     d.f64(m.oversubInterruptFactor);
     d.f64(m.retryAbortPerStep);
@@ -169,10 +172,9 @@ configDigest(const RunConfig &cfg)
     d.u64(passes::kSmallRegionK);
     d.u64(cfg.passes.insertLoopCuts ? 1 : 0);
     d.u64(1);
-    const passes::ElideConfig &e = cfg.passes.elide;
-    d.u64(e.enabled ? 1 : 0);
-    d.u64(e.dominance ? 1 : 0);
-    d.u64(e.rawDowngrade ? 1 : 0);
+    d.u64(cfg.passes.elide.enabled ? 1 : 0);
+    d.u64(1);  // dominance
+    d.u64(1);  // read-after-write downgrade
     d.u64(1);
 
     using Gov = FallbackGovernor;

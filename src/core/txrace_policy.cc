@@ -48,7 +48,6 @@ TxRacePolicy::TxRacePolicy(const RunConfig &cfg,
                            const LoopCutTable *preloaded)
     : HbTrackingPolicy(Bucket::Txn),
       loopCuts_(cfg.mode != RunMode::TxRaceNoOpt),
-      addrHints_(cfg.conflictAddressHints),
       governor_(cfg.governor, cfg.machine.seed ^ 0x9075ea1ULL),
       budget_(cfg.budget, cfg.machine.seed ^ 0x9075ea1ULL)
 {
@@ -95,7 +94,6 @@ TxRacePolicy::onRunStart(Machine &m)
     met_.txfailWrites = reg.counter("txrace.txfail_writes");
     met_.retries = reg.counter("txrace.retries");
     met_.retryExhausted = reg.counter("txrace.retry_exhausted");
-    met_.hintFiltered = reg.counter("txrace.hint_filtered");
     met_.govSampledRegions = reg.counter("txrace.gov.sampled_regions");
     met_.govForcedSlowRegions =
         reg.counter("txrace.gov.forced_slow_regions");
@@ -204,23 +202,21 @@ TxRacePolicy::onRunEnd(Machine &m)
 /**
  * The one slow-path entry: @p t runs the rest of its region under the
  * software detector, its overhead charged to @p reason. @p why
- * (FrSlow) and @p site attribute the SlowEnter event; @p hint_line is
- * the conflicting line a hinted episode checks (kNoLine: all lines).
- * The region's snapshot and loop-cut segment die here, since a slow
- * episode never rolls back; the region's TxEnd ends the episode. An
- * aborted transaction's owed window is settled first: dropped when the
- * episode checks every access again, replayed when a hint narrows the
- * episode or the monitor budget may gate its checks.
+ * (FrSlow) and @p site attribute the SlowEnter event. The region's
+ * snapshot and loop-cut segment die here, since a slow episode never
+ * rolls back; the region's TxEnd ends the episode. An aborted
+ * transaction's owed window is settled first: dropped when the episode
+ * checks every access again, replayed when the monitor budget may gate
+ * its checks.
  */
 void
 TxRacePolicy::enterSlow(Machine &m, Tid t, Bucket reason, uint32_t site,
-                        uint8_t why, uint64_t hint_line)
+                        uint8_t why)
 {
-    settleAbortedWindow(m, t, hint_line == kNoLine && !budget_.enabled());
+    settleAbortedWindow(m, t, /*rechecked=*/!budget_.enabled());
     auto &ctx = m.context(t);
     ctx.snap.valid = false;
     ctx.lastLoopCutId = ir::kNoInstr;
-    ctx.slowHintLine = hint_line;
     ctx.path = PathMode::Slow;
     ctx.slowReason = reason;
     flightNote(m, t, FrKind::SlowEnter, site,
@@ -353,7 +349,6 @@ TxRacePolicy::onTxEnd(Machine &m, Tid t, const ir::Instruction &)
         ctx.path = PathMode::Fast;
         ctx.sampleMode = false;
         ctx.govForced = false;
-        ctx.slowHintLine = kNoLine;
         m.tel().registry.add(met_.slowRegions);
         flightNote(m, t, FrKind::SlowExit);
     }
@@ -484,21 +479,17 @@ TxRacePolicy::settleAbortedWindow(Machine &m, Tid t, bool rechecked)
 }
 
 void
-TxRacePolicy::handleConflictVictim(Machine &m, Tid v, uint64_t line)
+TxRacePolicy::handleConflictVictim(Machine &m, Tid v)
 {
     m.tel().registry.add(met_.abortConflict);
     flightNote(m, v, FrKind::TxAbort, m.currentSite(v),
                static_cast<uint64_t>(FrAbort::Conflict));
-    uint64_t hint = addrHints_ ? line : kNoLine;
     m.rollback(v, Bucket::Conflict);
     // Feed the governor's abort window and livelock detector; the
     // TxFail protocol always runs regardless (the other side of the
     // race must be re-checked).
     governor_.onAbort(m, v, Bucket::Conflict, /*primary=*/true);
-    // The victim holds the hint until it publishes TxFail and enters
-    // the slow path with it.
     auto &vctx = m.context(v);
-    vctx.slowHintLine = hint;
     // The victim publishes TxFail at its next step (§3 step 3); the
     // delay is what lets concurrent winners commit first and escape
     // re-execution — false-negative source two (§6). Fault injection
@@ -539,14 +530,11 @@ TxRacePolicy::beforeStep(Machine &m, Tid t)
         // Collateral casualties of the broadcast: they feed the abort
         // window but not the livelock detector.
         governor_.onAbort(m, v, Bucket::Conflict, /*primary=*/false);
-        // The future-HTM protocol shares the conflicting address with
-        // everyone forced into the slow path.
         enterSlow(m, v, Bucket::Conflict, m.currentSite(v),
-                  FrSlow::TxFail, ctx.slowHintLine);
+                  FrSlow::TxFail);
     }
     m.addCost(t, m.config().cost.storeCost, Bucket::Conflict);
-    enterSlow(m, t, Bucket::Conflict, m.currentSite(t), FrSlow::Conflict,
-              ctx.slowHintLine);
+    enterSlow(m, t, Bucket::Conflict, m.currentSite(t), FrSlow::Conflict);
     return true;
 }
 
@@ -713,7 +701,7 @@ TxRacePolicy::onMemAccess(Machine &m, Tid t, const ir::Instruction &ins,
         // just like a hot slow-path site, and gets cut first.
         budget_.chargeSite(ins.id, cost.rollbackCost);
         markWinnerWindowOwed(m, t, ins.id);
-        handleConflictVictim(m, v, mem::lineOf(addr));
+        handleConflictVictim(m, v);
     }
     if (res.selfCapacity || log_overflow) {
         handleSelfCapacity(m, t, ins.id);
@@ -722,14 +710,6 @@ TxRacePolicy::onMemAccess(Machine &m, Tid t, const ir::Instruction &ins,
 
     auto &ctx = m.context(t);
     if (ctx.path == PathMode::Slow && ins.instrumented) {
-        if (addrHints_ && ctx.slowHintLine != kNoLine &&
-            mem::lineOf(addr) != ctx.slowHintLine) {
-            // Hinted episode: accesses off the conflicting line only
-            // pay a cheap filter.
-            m.addCost(t, 1, ctx.slowReason);
-            m.tel().registry.add(met_.hintFiltered);
-            return true;
-        }
         if (ctx.sampleMode && !governor_.sampleThisAccess(t)) {
             // Level-3 degradation: unsampled accesses only pay the
             // sampling branch.

@@ -47,16 +47,6 @@ HtmEngine::HtmEngine(const HtmConfig &cfg)
               "directory bitmask bit per in-flight transaction)");
 }
 
-void
-HtmEngine::reset()
-{
-    tx_.clear();
-    dir_ = LineDirectory();
-    slotsUsed_ = 0;
-    inFlight_ = 0;
-    counters_ = HtmCounters{};
-}
-
 bool
 HtmEngine::canBegin() const
 {

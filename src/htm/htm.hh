@@ -24,8 +24,9 @@
  * conflict address, no per-line debug bits, no logging hardware. The
  * extensions the paper discusses live in the policies that read them
  * (core/): the winner replay's version log is the TxRace runtime's own
- * stores, conflict-address hints are read at the conflicting access,
- * and RaceTM's debug bits are the RaceTM policy's per-thread map.
+ * stores, and RaceTM's debug bits are the RaceTM policy's per-thread
+ * map. The §9 conflict-address hint needs hardware that reports the
+ * conflicting line, so it has no counterpart here.
  *
  * The engine tracks read/write line ownership and decides who aborts;
  * the simulator performs the actual rollback of thread state (the
@@ -71,7 +72,8 @@ struct HtmConfig
     uint32_t l1Ways = 8;
     /** Total read-set lines trackable (secondary structure). */
     uint32_t readSetMaxLines = 4096;
-    /** Maximum concurrently open transactions (hardware threads).
+    /** Maximum concurrently open transactions: the hardware threads
+     *  (8 with hyperthreading on the paper's quad-core testbed).
      *  At most 64: the directory keeps one bitmask bit per in-flight
      *  transaction, and the constructor fatal()s beyond that. */
     uint32_t maxConcurrentTx = 8;
@@ -123,9 +125,6 @@ class HtmEngine
   public:
     explicit HtmEngine(const HtmConfig &cfg = {});
 
-    /** Forget all transactional state (new run). */
-    void reset();
-
     /** True if a new transaction may begin (hardware-thread limit). */
     bool canBegin() const;
 
@@ -176,7 +175,6 @@ class HtmEngine
      * to capacity checks from now on, including open transactions.
      */
     void setWaysPenalty(uint32_t penalty) { waysPenalty_ = penalty; }
-    uint32_t waysPenalty() const { return waysPenalty_; }
 
     /** Number of currently open transactions. */
     size_t inFlightCount() const { return inFlight_; }

@@ -71,21 +71,6 @@ isSyncOp(OpCode op)
     }
 }
 
-/** True for sync ops that can block the executing thread. */
-constexpr bool
-isBlockingOp(OpCode op)
-{
-    switch (op) {
-      case OpCode::LockAcquire:
-      case OpCode::CondWait:
-      case OpCode::Barrier:
-      case OpCode::ThreadJoin:
-        return true;
-      default:
-        return false;
-    }
-}
-
 } // namespace txrace::ir
 
 #endif // TXRACE_IR_OPCODE_HH

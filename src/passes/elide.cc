@@ -125,11 +125,24 @@ isSegmentBoundary(OpCode op)
     }
 }
 
-/** Straight-line dominance + read-after-write downgrade over one
- *  function. Returns via @p stats. */
+/**
+ * Straight-line dominance + read-after-write downgrade over one
+ * function, counted into @p stats.
+ *
+ * Dominance: a second access with the same address expression, opcode
+ * and tag inside one sync-free segment is redundant — the surviving
+ * first access reaches the detector in the same epoch and reproduces
+ * every race pair.
+ *
+ * Read-after-write downgrade: a load dominated by a store to the same
+ * address in the same segment. Any race with the load is also a race
+ * with the store on the same variable, but the reported endpoint moves
+ * to the store, so this rule is validated empirically by the
+ * differential test rather than proven fingerprint-identical.
+ */
 void
-elideDominated(ir::Function &fn, const ElideConfig &cfg,
-               ElisionStats &stats, uint64_t &fn_elided)
+elideDominated(ir::Function &fn, ElisionStats &stats,
+               uint64_t &fn_elided)
 {
     struct Rep
     {
@@ -170,14 +183,14 @@ elideDominated(ir::Function &fn, const ElideConfig &cfg,
                 store_rep = &r;
         }
 
-        if (cfg.dominance && same_op) {
+        if (same_op) {
             ins.instrumented = false;
             ins.elisionRep = same_op->id;
             ++stats.dominated;
             ++fn_elided;
             continue;
         }
-        if (cfg.rawDowngrade && ins.op == OpCode::Load && store_rep) {
+        if (ins.op == OpCode::Load && store_rep) {
             ins.instrumented = false;
             ins.elisionRep = store_rep->id;
             ++stats.rawDowngraded;
@@ -514,8 +527,7 @@ elide(Program &prog, const ElideConfig &cfg)
         for (const Instruction &ins : fn.body)
             if (ir::isMemAccess(ins.op) && ins.instrumented)
                 ++stats.candidates;
-        if (cfg.dominance || cfg.rawDowngrade)
-            elideDominated(fn, cfg, stats, fn_elided[f]);
+        elideDominated(fn, stats, fn_elided[f]);
     }
     if (const uint64_t max_threads = maxThreadBound(prog)) {
         std::vector<Footprint> fps = collectFootprints(prog, max_threads);

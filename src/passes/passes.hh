@@ -43,7 +43,7 @@
 namespace txrace::passes {
 
 /**
- * Tunables of the static elision pipeline (passes/elide.cc). All
+ * Configuration of the static elision pipeline (passes/elide.cc). All
  * elision passes run strictly after transactionalize() and change no
  * instruction's position: they clear `instrumented` bits and set
  * region marks. Given the same region marks, the instruction stream,
@@ -54,22 +54,9 @@ namespace txrace::passes {
  */
 struct ElideConfig
 {
-    /** Master switch (txrace_run --no-elide clears it); also gates
-     *  the never-written, thread-disjointness/lockset and bare-region
-     *  passes, which have no switches of their own. */
+    /** Master switch (txrace_run --no-elide clears it); gates every
+     *  pass, none of which has a switch of its own. */
     bool enabled = true;
-    /** Straight-line dominance elision: a second access with the same
-     *  address expression, opcode, and tag inside one sync-free
-     *  segment is redundant — the surviving first access reaches the
-     *  detector in the same epoch and reproduces every race pair. */
-    bool dominance = true;
-    /** Read-after-write downgrade: a load dominated by a store to the
-     *  same address in the same segment. Any race with the load is
-     *  also a race with the store on the same variable, but the
-     *  reported endpoint moves to the store, so this is validated
-     *  empirically by the differential test rather than proven
-     *  fingerprint-identical. */
-    bool rawDowngrade = true;
 };
 
 /** Regions with < K estimated dynamic instrumented accesses are

@@ -103,9 +103,6 @@ struct ThreadContext
      *  tx (capacity attribution for the loop-cut optimizer);
      *  ir::kNoInstr when none. */
     uint32_t lastLoopCutId = ir::kNoInstr;
-    /** With conflict-address hints enabled: the line whose conflict
-     *  triggered the current slow episode (~0 = no hint, check all). */
-    uint64_t slowHintLine = ~0ull;
     /** @} */
 
     /** Speculative store buffer: granule -> value written inside the

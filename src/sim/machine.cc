@@ -417,7 +417,6 @@ Machine::Machine(const ir::Program &prog, const MachineConfig &cfg,
     : prog_(prog), cfg_(cfg), policy_(policy),
       htm_([&] {
           htm::HtmConfig h = cfg.htm;
-          h.maxConcurrentTx = cfg.hwThreads;
           h.seed = cfg.seed ^ 0x7c3a11edULL;
           return h;
       }()),
@@ -432,7 +431,7 @@ Machine::Machine(const ir::Program &prog, const MachineConfig &cfg,
 {
     if (!prog_.finalized())
         fatal("Machine: program not finalized");
-    if (cfg_.nCores == 0 || cfg_.hwThreads == 0)
+    if (cfg_.nCores == 0 || cfg_.htm.maxConcurrentTx == 0)
         fatal("Machine: need at least one core and hardware thread");
 
     decoded_ = decodeProgram(prog_, cfg_.cost);

@@ -44,11 +44,6 @@ struct MachineConfig
     uint64_t seed = 1;
     /** Physical cores (the paper's testbed: quad-core i7-4790). */
     uint32_t nCores = 4;
-    /**
-     * Hardware threads = max concurrent transactions (8 with
-     * hyperthreading on the testbed). Propagated into the HTM config.
-     */
-    uint32_t hwThreads = 8;
     /** Per-step probability a transactional thread takes an interrupt
      *  (OS context switches etc. — the source of unknown aborts). */
     double interruptPerStep = 1.0 / 20000.0;
@@ -167,7 +162,6 @@ class Machine
     mem::VirtualMemory &memory() { return mem_; }
     const mem::VirtualMemory &memory() const { return mem_; }
     detector::HbDetector &det() { return det_; }
-    sync::SyncTables &syncTables() { return sync_; }
     const ir::Program &program() const { return prog_; }
     const MachineConfig &config() const { return cfg_; }
     ThreadContext &

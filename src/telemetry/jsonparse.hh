@@ -40,7 +40,6 @@ struct JsonValue
     std::vector<std::pair<std::string, JsonValue>> object;
     std::vector<JsonValue> array;
 
-    bool isNull() const { return type == Type::Null; }
     bool isObject() const { return type == Type::Object; }
     bool isArray() const { return type == Type::Array; }
     bool isString() const { return type == Type::String; }

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/driver.hh"
 #include "ir/builder.hh"
+#include "ir/text.hh"
 
 using namespace txrace;
 using namespace txrace::ir;
@@ -144,6 +147,42 @@ TEST(Driver, RaceTmNamesTheVictimInstructionForTheConflictingLine)
         const detector::Race race = r.races.all().front();
         EXPECT_EQ(p.instr(race.first).tag, "shared store");
         EXPECT_EQ(p.instr(race.second).tag, "shared store");
+    }
+}
+
+TEST(Driver, RaceTmNamesAReadOnlyVictimsRaceReadWrite)
+{
+    // The reader's transaction only loads the shared line before the
+    // writer's store aborts it. The race is read-write: the
+    // requester's store does not make the victim a writer.
+    std::istringstream text(R"(
+func @reader
+  load [0x40]
+  loop.begin trips=30
+    load [0x1000 + i0*64]
+  loop.end
+end
+func @writer
+  compute cost=20
+  store [0x40]
+end
+func @main
+  create fn=0
+  create fn=1
+  join all
+end
+entry @main
+)");
+    Program p = parseProgramText(text);
+    core::RunConfig cfg;
+    cfg.mode = core::RunMode::RaceTM;
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE(seed);
+        cfg.machine.seed = seed;
+        core::RunResult r = core::runProgram(p, cfg);
+        ASSERT_EQ(r.races.count(), 1u);
+        const detector::Race race = r.races.all().front();
+        EXPECT_EQ(race.kind, detector::RaceKind::ReadWrite);
     }
 }
 

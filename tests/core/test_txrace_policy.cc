@@ -363,7 +363,7 @@ TEST(TxRace, HardwareThreadLimitFallsBackToSlowPath)
     Program p = b.build();
 
     core::RunConfig cfg = txraceConfig();
-    cfg.machine.hwThreads = 2;  // only two concurrent transactions
+    cfg.machine.htm.maxConcurrentTx = 2;  // only two concurrent txs
     core::RunResult r = core::runProgram(p, cfg);
     EXPECT_GE(r.stats.get("txrace.hwlimit_aborts"), 1u);
     EXPECT_GT(r.stats.get("tx.committed"), 0u);
@@ -650,48 +650,10 @@ TEST(TxRace, RetryBudgetExhaustionFallsBackToSlowPath)
     EXPECT_EQ(r.races.count(), 0u);
 }
 
-TEST(TxRace, ConflictAddressHintsKeepTheTriggeringRace)
+TEST(TxRace, CapacityEpisodeChecksTheWholeRegion)
 {
-    // §9 extension: with address hints the slow path only re-checks
-    // the conflicting line. The race that caused the episode is on
-    // that line, so it must still be found — while the bulk of the
-    // region's accesses are only filter-checked.
-    ProgramBuilder b;
-    Addr data = b.alloc("data", 4096);
-    Addr racy = b.alloc("racy", 8);
-    FuncId worker = b.beginFunction("worker");
-    b.loop(20, [&] {
-        pad(b, data);
-        b.store(AddrExpr::absolute(racy), "hinted racy store");
-        b.syscall(1);
-    });
-    b.endFunction();
-    b.beginFunction("main");
-    // Initialize the padding before the spawn: written data keeps its
-    // loads instrumented, so hinted episodes have accesses to filter.
-    for (int i = 0; i < 6; ++i)
-        b.store(AddrExpr::absolute(data + 8 * i), "init");
-    b.spawn(worker, 3);
-    b.joinAll();
-    b.endFunction();
-    Program p = b.build();
-
-    core::RunResult r_plain = core::runProgram(p, txraceConfig());
-
-    core::RunConfig hinted = txraceConfig();
-    hinted.conflictAddressHints = true;
-    core::RunResult r_hint = core::runProgram(p, hinted);
-
-    EXPECT_EQ(r_plain.races.count(), 1u);
-    EXPECT_EQ(r_hint.races.count(), 1u);
-    EXPECT_GT(r_hint.stats.get("txrace.hint_filtered"), 0u);
-    EXPECT_LE(r_hint.totalCost, r_plain.totalCost);
-}
-
-TEST(TxRace, HintsDoNotLeakIntoCapacityEpisodes)
-{
-    // Capacity/unknown fallbacks carry no conflict address, so they
-    // must keep checking the whole region even with hints enabled.
+    // A capacity fallback re-runs its whole region on the slow path,
+    // so a race anywhere in the overflowing region is found.
     ProgramBuilder b;
     Addr data = b.alloc("data", 4096);
     Addr wide = b.alloc("wide", 16 * 4096 + 1024, 64);
@@ -718,7 +680,6 @@ TEST(TxRace, HintsDoNotLeakIntoCapacityEpisodes)
 
     core::RunConfig cfg = txraceConfig();
     cfg.mode = core::RunMode::TxRaceNoOpt;  // capacity abort each time
-    cfg.conflictAddressHints = true;
     core::RunResult r = core::runProgram(p, cfg);
     EXPECT_GE(r.stats.get("tx.abort.capacity"), 8u);
     EXPECT_EQ(r.races.count(), 1u);
@@ -1023,64 +984,6 @@ TEST(TxRace, WinnerThatRetriesInPlaceReplaysItsWindowFirst)
     // At this change 10 of seeds 1-20 conflict, and dropping the owed
     // window at the retry abort loses the race on 5 of them.
     EXPECT_GE(conflicted, 1u);
-}
-
-TEST(TxRace, HintedEpisodeReplaysTheWindowItDoesNotRecheck)
-{
-    // With conflict-address hints a slow episode re-checks only the
-    // publisher's conflicting line. The writer wins two conflicts on
-    // two lines; the first victim's broadcast catches it with that
-    // victim's line as the hint, so its re-run skips the other line,
-    // and the second victim's race is found only because the writer
-    // replays the window it owes when it enters that episode.
-    ProgramBuilder b;
-    Addr data = b.alloc("data", 4096);
-    Addr x1 = b.alloc("x1", 8);
-    Addr x2 = b.alloc("x2", 8);
-    auto victim = [&](const char *name, Addr x, const char *tag) {
-        FuncId f = b.beginFunction(name);
-        b.barrier(0, 3);
-        pad(b, data);
-        b.store(AddrExpr::absolute(x), tag);
-        b.loop(200, [&] { b.compute(1); });
-        b.syscall(1);
-        b.endFunction();
-        return f;
-    };
-    FuncId v1 = victim("victim1", x1, "victim store 1");
-    FuncId v2 = victim("victim2", x2, "victim store 2");
-    FuncId writer = b.beginFunction("writer");
-    b.barrier(0, 3);
-    pad(b, data);
-    b.loop(40, [&] { b.compute(1); });
-    b.store(AddrExpr::absolute(x1), "writer store 1");
-    b.store(AddrExpr::absolute(x2), "writer store 2");
-    b.loop(200, [&] { b.compute(1); });
-    b.syscall(1);
-    b.endFunction();
-    b.beginFunction("main");
-    initPad(b, data);
-    b.spawn(v1);
-    b.spawn(v2);
-    b.spawn(writer);
-    b.joinAll();
-    b.endFunction();
-    Program p = b.build();
-
-    size_t both = 0;
-    for (uint64_t seed = 1; seed <= 20; ++seed) {
-        SCOPED_TRACE(seed);
-        core::RunConfig cfg = txraceConfig(seed);
-        cfg.conflictAddressHints = true;
-        core::RunResult r = core::runProgram(p, cfg);
-        if (conflictVictims(r) != 2)
-            continue;
-        ++both;
-        EXPECT_EQ(r.races.count(), 2u);
-    }
-    // At this change 3 of seeds 1-20 abort both victims, and dropping
-    // the owed window at the hinted episode loses a race on each.
-    EXPECT_GE(both, 1u);
 }
 
 TEST(TxRace, MonitorModeReplaysTheWindowOfAWinnerItAborts)

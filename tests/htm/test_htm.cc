@@ -227,17 +227,6 @@ TEST(Htm, ExplicitAbortRecordsStatus)
     EXPECT_EQ(h.counters().abortsUnknown, 1u);
 }
 
-TEST(Htm, ResetClearsEverything)
-{
-    HtmEngine h;
-    h.begin(0);
-    h.access(0, 0x100, true);
-    h.reset();
-    EXPECT_FALSE(h.inTx(0));
-    EXPECT_EQ(h.inFlightCount(), 0u);
-    EXPECT_EQ(h.counters().begins, 0u);
-}
-
 TEST(Htm, InFlightTids)
 {
     HtmEngine h;

@@ -194,18 +194,3 @@ TEST(HtmDirectoryEngine, RejectsConfigsBeyondSlotLimit)
     cfg.maxConcurrentTx = 65;
     EXPECT_DEATH(HtmEngine{cfg}, "maxConcurrentTx must be <= 64");
 }
-
-TEST(HtmDirectoryEngine, ResetDropsDirectoryState)
-{
-    HtmEngine h;
-    h.begin(0);
-    h.access(0, 0x100, true);
-    h.reset();
-    EXPECT_EQ(h.inFlightCount(), 0u);
-    EXPECT_EQ(h.lineDirectory()->stats().probeLen.count(), 0u);
-    // No stale write bit from before the reset.
-    h.begin(1);
-    EXPECT_TRUE(h.access(1, 0x100, false).victims.empty());
-    h.begin(0);
-    EXPECT_TRUE(h.access(0, 0x100, false).victims.empty());
-}

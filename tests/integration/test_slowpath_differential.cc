@@ -3,23 +3,22 @@
  * Behavioral soundness differential for the winner replay: every
  * registry workload (all application models with their planted
  * ground-truth races, plus the concurrency-pattern catalog) is run
- * with the default slow path (a conflict victim replays the winner's
- * version-log window, then the TxFail protocol runs) and with the
+ * with the default slow path (the TxFail protocol, plus a replay of
+ * the version-log window a conflict winner owes when it commits
+ * before TxFail lands) and with the
  * paper's pure TxFail protocol, the region repair of §4.2
  * (SlowPathKind::TxFail), across ten seeds each.
  *
- * The replay charges the victim and checks more accesses, so
- * schedules and step counts legitimately diverge per seed. The
- * contract is therefore on the detection outcome: over the seed sweep
- * the default must report every race the pure protocol reports, the
- * pattern catalog's unions must match exactly, precision stays pinned
- * to the planted ground truth, and a campaign hunting with the
+ * The replay charges the winner and checks more accesses, so
+ * schedules and step counts legitimately diverge per seed, and a
+ * single run of the default may find races the pure protocol misses
+ * on that seed (it checks winners that commit before TxFail lands,
+ * §6, false-negative source two). The contract is therefore on the
+ * detection outcome over the seed sweep: the application models' and
+ * the pattern catalog's unions must match exactly, precision stays
+ * pinned to the planted ground truth, and a campaign hunting with the
  * default produces the same findings and precision/recall scores as
- * one hunting with the pure protocol. The containment may be strict
- * in one direction only: the default may find more, because the
- * replay checks winners that commit before TxFail lands (§6, false-
- * negative source two). Extra planted races are a recall win, never a
- * soundness hole, and the precision assertion keeps them honest.
+ * one hunting with the pure protocol.
  */
 
 #include <gtest/gtest.h>
@@ -84,10 +83,9 @@ TEST_P(SlowpathDifferentialPerApp, SweepLosesNoRaceVsRegionMode)
         sweepKeys(app.program, app.machine, core::SlowPathKind::Replay);
     std::set<std::string> pure =
         sweepKeys(app.program, app.machine, core::SlowPathKind::TxFail);
-    for (const std::string &key : pure)
-        EXPECT_TRUE(replay.count(key))
-            << app.name << ": the default lost a race the pure protocol "
-                           "finds";
+    // Equal, not merely containing: the replay adds per-run recall
+    // only, and the ten-seed sweep finds the rest either way.
+    EXPECT_EQ(replay, pure) << app.name;
 
     // Precision is pinned too: everything the default reports maps
     // onto a planted ground-truth annotation, so the replay cannot

@@ -145,22 +145,6 @@ TEST(Elide, RawDowngradeElidesLoadBehindStore)
               byTag(p, "the store").id);
 }
 
-TEST(Elide, RawDowngradeRespectsItsSwitch)
-{
-    ProgramBuilder b;
-    Addr x = b.alloc("x", 64);
-    b.beginFunction("main");
-    b.store(AddrExpr::absolute(x), "s");
-    b.load(AddrExpr::absolute(x), "l");
-    b.endFunction();
-    Program p = b.build();
-    ElideConfig cfg;
-    cfg.rawDowngrade = false;
-    ElisionStats stats = elide(p, cfg);
-    EXPECT_EQ(stats.rawDowngraded, 0u);
-    EXPECT_TRUE(byTag(p, "l").instrumented);
-}
-
 TEST(Elide, StoreAfterLoadIsNotDowngraded)
 {
     // The reverse direction is not sound: the store creates the write
@@ -345,12 +329,13 @@ TEST(Elide, PrivatizationElidesDisjointSlotFamily)
 {
     // Granule-aligned per-thread slots, every access contained in its
     // own slot: no two threads can ever touch a common granule, so
-    // the whole family is elided outright.
+    // the whole family is elided outright. The load comes first, so
+    // no store dominates it and the pass is the only one that fires.
     ProgramBuilder b;
     Addr slots = b.alloc("slots", 64, 64);
     FuncId worker = b.beginFunction("worker");
-    b.store(AddrExpr::perThread(slots, mem::kGranuleSize), "own");
     b.load(AddrExpr::perThread(slots, mem::kGranuleSize), "own rd");
+    b.store(AddrExpr::perThread(slots, mem::kGranuleSize), "own");
     b.endFunction();
     b.beginFunction("main");
     b.spawn(worker, 4);
@@ -358,12 +343,7 @@ TEST(Elide, PrivatizationElidesDisjointSlotFamily)
     b.endFunction();
     Program p = b.build();
 
-    // Isolate the pass: with dominance/RAW on, the slot load would be
-    // downgraded behind the slot store before privatization runs.
-    ElideConfig cfg;
-    cfg.dominance = false;
-    cfg.rawDowngrade = false;
-    ElisionStats stats = elide(p, cfg);
+    ElisionStats stats = elide(p);
     EXPECT_EQ(stats.privatized, 2u);
     EXPECT_FALSE(byTag(p, "own").instrumented);
     EXPECT_FALSE(byTag(p, "own rd").instrumented);

@@ -73,7 +73,6 @@ struct Golden
     double budgetPct = 0.0;
     core::SlowPathKind slowpath = core::SlowPathKind::Replay;
     double sampleRate = 1.0;
-    bool conflictAddressHints = false;
 };
 
 constexpr uint64_t kFaultHorizon = 30'000;
@@ -114,14 +113,8 @@ const Golden kGolden[] = {
     {"canneal", core::RunMode::Eraser, 0x4fc2f8939c6964adull},
     {"raytrace", core::RunMode::RaceTM, 0x29dabb7332e8dde7ull},
     // TxRace abort-dispatch paths the rows above leave unreached:
-    // hinted slow episodes with and without the winner replay, the
-    // no-loop-cut scheme, retry exhaustion without the governor's
+    // the no-loop-cut scheme, retry exhaustion without the governor's
     // backoff, and a delayed TxFail publication in the pure protocol.
-    {.app = "vips", .mode = core::RunMode::TxRaceDynLoopcut,
-     .digest = 0x9aeda1815e2b0e54ull, .conflictAddressHints = true},
-    {.app = "x264", .mode = core::RunMode::TxRaceDynLoopcut,
-     .digest = 0x3e6463b17634979eull, .slowpath = core::SlowPathKind::TxFail,
-     .conflictAddressHints = true},
     {"vips", core::RunMode::TxRaceNoOpt, 0xf661ff876c71dbbeull},
     {.app = "vips", .mode = core::RunMode::TxRaceDynLoopcut,
      .digest = 0x3c8d2f067a22c462ull, .workers = 8, .fault = "retry-glitch"},
@@ -148,7 +141,6 @@ runGolden(const Golden &g)
     cfg.budget.budgetPct = g.budgetPct;
     cfg.slowpath = g.slowpath;
     cfg.sampleRate = g.sampleRate;
-    cfg.conflictAddressHints = g.conflictAddressHints;
     return core::runProgram(app.program, cfg);
 }
 
