@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "core/repro.hh"
 #include "core/runmode.hh"
 #include "support/log.hh"
 #include "telemetry/json.hh"
@@ -121,15 +122,15 @@ parseOptions(int argc, char **argv)
             return argv[++i];
         };
         if (const char *v = want("--workers")) {
-            opt.workers = static_cast<uint32_t>(std::strtoul(
-                v, nullptr, 10));
+            opt.workers = static_cast<uint32_t>(
+                core::parseUnsignedFlag("--workers", v, 2, UINT32_MAX));
         } else if (const char *v2 = want("--scale")) {
-            opt.scale = std::strtoull(v2, nullptr, 10);
+            opt.scale = core::parseUnsignedFlag("--scale", v2, 1);
         } else if (const char *v3 = want("--seed")) {
-            opt.seed = std::strtoull(v3, nullptr, 10);
+            opt.seed = core::parseUnsignedFlag("--seed", v3);
         } else if (const char *vr = want("--runs")) {
             opt.runs = static_cast<uint32_t>(
-                std::strtoul(vr, nullptr, 10));
+                core::parseUnsignedFlag("--runs", vr, 1, UINT32_MAX));
         } else if (const char *v4 = want("--app")) {
             opt.only = v4;
         } else if (const char *vj = want("--json")) {

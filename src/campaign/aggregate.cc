@@ -296,12 +296,6 @@ Aggregator::variantCounters() const
     return out;
 }
 
-std::vector<std::string>
-Aggregator::appsSeen() const
-{
-    return std::vector<std::string>(apps_.begin(), apps_.end());
-}
-
 CampaignResult
 Aggregator::finalize(const CampaignConfig &cfg,
                      const GroundTruth &groundTruth) const

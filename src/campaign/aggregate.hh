@@ -86,8 +86,6 @@ class Aggregator
     /** Per-variant (runs, raw reports) so far, name-ordered. */
     std::vector<std::tuple<std::string, uint64_t, uint64_t>>
     variantCounters() const;
-    /** Apps that contributed at least one outcome, sorted. */
-    std::vector<std::string> appsSeen() const;
 
     /**
      * Commutative, associative fold of another aggregator's state

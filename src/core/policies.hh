@@ -191,6 +191,11 @@ class RaceTmPolicy : public sim::ExecutionPolicy
  *
  * Optimizations (§4.3): single-threaded elision, small regions
  * pre-marked slow by the pass, and the loop-cut schemes.
+ *
+ * The per-thread protocol state (a pending TxFail publication, the
+ * bounded retries, the loop-cut segment, the slow episode's bucket)
+ * is this policy's own; the machine's ThreadContext keeps only the
+ * path and cost fields it reads itself.
  */
 class TxRacePolicy : public HbTrackingPolicy
 {
@@ -320,6 +325,33 @@ class TxRacePolicy : public HbTrackingPolicy
     uint64_t innermostCutLoop(sim::Machine &m, Tid t,
                               uint64_t &iters_in_tx) const;
 
+    /** TxRace's per-thread protocol state (§4.2). Lives outside the
+     *  thread's rollback image, as the paper's runtime keeps it
+     *  outside transactions, so a rollback keeps it. */
+    struct ThreadTx
+    {
+        /** Reason bucket for the current/pending slow episode. */
+        sim::Bucket slowReason = sim::Bucket::Base;
+        /** The thread was conflict-aborted and must publish TxFail. */
+        bool mustWriteTxFail = false;
+        /** Steps the pending TxFail publication is still delayed
+         *  (fault injection: TxFail-flag publication delay). */
+        uint64_t txFailDelay = 0;
+        /** Governor level-3 degradation: the region runs untransacted
+         *  with sampled software checks instead of full slow-path
+         *  checking. */
+        bool sampleMode = false;
+        /** Consecutive retry-aborts of the current region. */
+        uint32_t retryCount = 0;
+        /** Static loop id of the innermost loop-cut loop in the
+         *  current tx (capacity attribution for the loop-cut
+         *  optimizer); ir::kNoInstr when none. */
+        uint32_t lastLoopCutId = ir::kNoInstr;
+    };
+
+    /** @p t's protocol state, grown on demand. */
+    ThreadTx &state(Tid t);
+
     /** Loop-cut scheme active (Dyn and Prof; NoOpt ignores LoopCut
      *  markers and learns nothing). */
     bool loopCuts_;
@@ -332,6 +364,7 @@ class TxRacePolicy : public HbTrackingPolicy
     BudgetController budget_;
     /** Static loop ids that carry LoopCut instrumentation. */
     std::set<uint64_t> cutLoops_;
+    std::vector<ThreadTx> threads_;
 
     /** Interned ids of the policy's hot-path counters (onRunStart
      *  registers them in the machine's metric registry; updates are

@@ -117,13 +117,17 @@ configDigest(const RunConfig &cfg)
 
     const sim::MachineConfig &m = cfg.machine;
     d.u64(m.seed);
-    d.u64(m.nCores);
+    // Former core count, now Machine::kCores.
+    d.u64(sim::Machine::kCores);
     // Former hardware-thread count, which the machine copied over
     // htm.maxConcurrentTx; the one field left hashes in both slots.
     d.u64(m.htm.maxConcurrentTx);
     d.f64(m.interruptPerStep);
-    d.f64(m.oversubInterruptFactor);
-    d.f64(m.retryAbortPerStep);
+    // Former oversubscription factor, now a Machine constant, and
+    // former retry-abort rate, 0 on every front end (retry glitches
+    // come from the fault plan, hashed below).
+    d.f64(sim::Machine::kOversubInterruptFactor);
+    d.f64(0.0);
     d.u64(m.maxSteps);
 
     const sim::CostModel &c = m.cost;

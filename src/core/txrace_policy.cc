@@ -62,6 +62,14 @@ TxRacePolicy::TxRacePolicy(const RunConfig &cfg,
     }
 }
 
+TxRacePolicy::ThreadTx &
+TxRacePolicy::state(Tid t)
+{
+    if (t >= threads_.size())
+        threads_.resize(t + 1);
+    return threads_[t];
+}
+
 void
 TxRacePolicy::onRunStart(Machine &m)
 {
@@ -216,9 +224,10 @@ TxRacePolicy::enterSlow(Machine &m, Tid t, Bucket reason, uint32_t site,
     settleAbortedWindow(m, t, /*rechecked=*/!budget_.enabled());
     auto &ctx = m.context(t);
     ctx.snap.valid = false;
-    ctx.lastLoopCutId = ir::kNoInstr;
     ctx.path = PathMode::Slow;
-    ctx.slowReason = reason;
+    ThreadTx &tx = state(t);
+    tx.lastLoopCutId = ir::kNoInstr;
+    tx.slowReason = reason;
     flightNote(m, t, FrKind::SlowEnter, site,
                static_cast<uint64_t>(reason), why);
 }
@@ -263,10 +272,10 @@ TxRacePolicy::enterFastTx(Machine &m, Tid t, const ir::Instruction &ins,
         return;
     }
     beginTx(m, t, begin_kind);
-    auto &ctx = m.context(t);
-    ctx.lastLoopCutId = segment_loop == kNoCutLoop
+    state(t).lastLoopCutId = segment_loop == kNoCutLoop
         ? ir::kNoInstr
         : static_cast<uint32_t>(segment_loop);
+    auto &ctx = m.context(t);
     ctx.takeSnapshot(ctx.pc + 1);
 }
 
@@ -314,18 +323,18 @@ TxRacePolicy::onTxBegin(Machine &m, Tid t, const ir::Instruction &ins)
             // (full detection, none of the xbegin/abort/rollback
             // churn the storm would turn into wasted work). Level 3
             // additionally samples the checks to bound their cost.
-            ctx.sampleMode = level >= FallbackGovernor::kSampling;
+            bool sampled = level >= FallbackGovernor::kSampling;
+            state(t).sampleMode = sampled;
             ctx.govForced = true;
-            m.tel().registry.add(ctx.sampleMode
-                                     ? met_.govSampledRegions
-                                     : met_.govForcedSlowRegions);
+            m.tel().registry.add(sampled ? met_.govSampledRegions
+                                         : met_.govForcedSlowRegions);
             flightNote(m, t, FrKind::Gov, ins.id, level);
             enterSlow(m, t, governor_.demoteReasonFor(t), ins.id,
                       FrSlow::Governor);
             return;
         }
     }
-    ctx.retryCount = 0;
+    state(t).retryCount = 0;
     enterFastTx(m, t, ins, kNoCutLoop, telemetry::FrBegin::Region);
 }
 
@@ -333,21 +342,21 @@ void
 TxRacePolicy::onTxEnd(Machine &m, Tid t, const ir::Instruction &)
 {
     auto &ctx = m.context(t);
+    ThreadTx &tx = state(t);
     if (m.htm().inTx(t)) {
         commitTx(m, t, ir::kNoInstr, telemetry::FrCommit::RegionEnd);
         m.addCost(t, m.config().cost.txEndCost, Bucket::Txn);
         governor_.onCommit(t);
-        if (loopCuts_ &&
-            ctx.lastLoopCutId != ir::kNoInstr)
-            loopcuts_.onCommit(ctx.lastLoopCutId);
-        ctx.lastLoopCutId = ir::kNoInstr;
+        if (loopCuts_ && tx.lastLoopCutId != ir::kNoInstr)
+            loopcuts_.onCommit(tx.lastLoopCutId);
+        tx.lastLoopCutId = ir::kNoInstr;
         ctx.snap.valid = false;
         ctx.baseSinceTxBegin = 0;
     } else if (ctx.path == PathMode::Slow) {
         // The slow-path episode covered the whole region; resume the
         // fast path for the next region.
         ctx.path = PathMode::Fast;
-        ctx.sampleMode = false;
+        tx.sampleMode = false;
         ctx.govForced = false;
         m.tel().registry.add(met_.slowRegions);
         flightNote(m, t, FrKind::SlowExit);
@@ -489,30 +498,30 @@ TxRacePolicy::handleConflictVictim(Machine &m, Tid v)
     // TxFail protocol always runs regardless (the other side of the
     // race must be re-checked).
     governor_.onAbort(m, v, Bucket::Conflict, /*primary=*/true);
-    auto &vctx = m.context(v);
     // The victim publishes TxFail at its next step (§3 step 3); the
     // delay is what lets concurrent winners commit first and escape
     // re-execution — false-negative source two (§6). Fault injection
     // can stretch that delay further (TxFailDelay episodes).
-    vctx.mustWriteTxFail = true;
-    vctx.txFailDelay = m.faults().txFailDelaySteps();
+    ThreadTx &vtx = state(v);
+    vtx.mustWriteTxFail = true;
+    vtx.txFailDelay = m.faults().txFailDelaySteps();
 }
 
 bool
 TxRacePolicy::beforeStep(Machine &m, Tid t)
 {
-    auto &ctx = m.context(t);
-    if (!ctx.mustWriteTxFail)
+    ThreadTx &tx = state(t);
+    if (!tx.mustWriteTxFail)
         return false;
-    if (ctx.txFailDelay > 0) {
+    if (tx.txFailDelay > 0) {
         // Injected publication delay: the flag write has not become
         // visible yet; the victim stalls while concurrent winners get
         // more room to commit and escape re-execution.
-        --ctx.txFailDelay;
+        --tx.txFailDelay;
         m.tel().registry.add(met_.txfailDelaySteps);
         return true;
     }
-    ctx.mustWriteTxFail = false;
+    tx.mustWriteTxFail = false;
     m.tel().registry.add(met_.txfailWrites);
     flightNote(m, t, FrKind::TxFailWrite);
 
@@ -600,14 +609,14 @@ TxRacePolicy::onRetryAbort(Machine &m, Tid t)
     m.tel().registry.add(met_.abortRetry);
     if (ir::InstrId site = m.currentSite(t); site != ir::kNoInstr)
         ++m.tel().siteStats[site].otherAborts;
-    auto &ctx = m.context(t);
     m.rollback(t, Bucket::Txn);
     // Retry-bit glitches feed the abort-rate window: a sticky glitch
     // (fault injection) exhausts the bounded retries below over and
     // over, and the governor is what keeps that from thrashing.
     governor_.onAbort(m, t, Bucket::Txn);
-    if (ctx.retryCount < kMaxRetries && m.htm().canBegin()) {
-        ++ctx.retryCount;
+    ThreadTx &tx = state(t);
+    if (tx.retryCount < kMaxRetries && m.htm().canBegin()) {
+        ++tx.retryCount;
         m.tel().registry.add(met_.retries);
         m.addCost(t, m.config().cost.txBeginCost, Bucket::Txn);
         // Re-enter at the restored resume point; the existing
@@ -624,8 +633,8 @@ void
 TxRacePolicy::softwareCheck(Machine &m, Tid t, const ir::Instruction &ins,
                             ir::Addr addr, bool is_write)
 {
-    auto &ctx = m.context(t);
-    const Bucket bucket = ctx.slowReason;
+    const ThreadTx &tx = state(t);
+    const Bucket bucket = tx.slowReason;
     // Priced before admission so the gate sees the true (possibly
     // stall-inflated) cost.
     uint64_t check = m.checkCost();
@@ -645,7 +654,7 @@ TxRacePolicy::softwareCheck(Machine &m, Tid t, const ir::Instruction &ins,
     auto &ss = m.tel().siteStats[ins.id];
     ++ss.slowChecks;
     ss.slowCost += check;
-    if (ctx.sampleMode)
+    if (tx.sampleMode)
         m.tel().registry.add(met_.govSampledChecks);
     else
         governor_.onSlowCheckCost(m, t, check);
@@ -708,12 +717,12 @@ TxRacePolicy::onMemAccess(Machine &m, Tid t, const ir::Instruction &ins,
         return false;  // the access did not complete
     }
 
-    auto &ctx = m.context(t);
-    if (ctx.path == PathMode::Slow && ins.instrumented) {
-        if (ctx.sampleMode && !governor_.sampleThisAccess(t)) {
+    if (m.context(t).path == PathMode::Slow && ins.instrumented) {
+        const ThreadTx &tx = state(t);
+        if (tx.sampleMode && !governor_.sampleThisAccess(t)) {
             // Level-3 degradation: unsampled accesses only pay the
             // sampling branch.
-            m.addCost(t, 1, ctx.slowReason);
+            m.addCost(t, 1, tx.slowReason);
             m.tel().registry.add(met_.govSampleSkipped);
             return true;
         }
@@ -755,7 +764,7 @@ TxRacePolicy::onThreadExit(Machine &m, Tid t)
     if (open != 0)
         flightNote(m, t, FrKind::RunEdge, ir::kNoInstr, open,
                    telemetry::FrRunEdge::ThreadExit);
-    ctx.sampleMode = false;
+    state(t).sampleMode = false;
     ctx.govForced = false;
 }
 

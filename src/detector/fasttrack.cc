@@ -5,8 +5,8 @@
 
 namespace txrace::detector {
 
-HbDetector::HbDetector(const DetectorConfig &cfg)
-    : cfg_(cfg), rng_(cfg.seed)
+HbDetector::HbDetector(const DetectorConfig &cfg, uint64_t seed)
+    : cfg_(cfg), rng_(seed)
 {
 }
 

@@ -44,8 +44,6 @@ struct DetectorConfig
 {
     /** 0 = unbounded (sound); N > 0 caps read epochs per granule. */
     uint32_t maxShadowCells = 0;
-    /** Seed for the eviction RNG (only used when bounded). */
-    uint64_t seed = 1;
 };
 
 /**
@@ -75,7 +73,9 @@ struct DetCounters
 class HbDetector
 {
   public:
-    explicit HbDetector(const DetectorConfig &cfg = {});
+    /** @p seed seeds the bounded-shadow eviction RNG; the machine
+     *  derives it from its own seed. */
+    explicit HbDetector(const DetectorConfig &cfg = {}, uint64_t seed = 1);
 
     /** @name Thread lifecycle */
     /** @{ */

@@ -33,8 +33,8 @@ abortToString(AbortStatus s)
     return out;
 }
 
-HtmEngine::HtmEngine(const HtmConfig &cfg)
-    : cfg_(cfg), rng_(cfg.seed ^ 0xca9ac117ULL)
+HtmEngine::HtmEngine(const HtmConfig &cfg, uint64_t seed)
+    : cfg_(cfg), rng_(seed ^ 0xca9ac117ULL)
 {
     if (cfg_.l1Sets == 0 || (cfg_.l1Sets & (cfg_.l1Sets - 1)) != 0)
         fatal("HtmEngine: l1Sets must be a nonzero power of two");
@@ -240,16 +240,6 @@ HtmEngine::lastAbortStatus(Tid t) const
 {
     const TxState *s = stateIfAny(t);
     return s ? s->lastAbort : 0;
-}
-
-std::vector<Tid>
-HtmEngine::inFlightTids() const
-{
-    std::vector<Tid> out;
-    for (Tid t = 0; t < tx_.size(); ++t)
-        if (tx_[t].active)
-            out.push_back(t);
-    return out;
 }
 
 size_t

@@ -86,8 +86,6 @@ struct HtmConfig
      * aborts. 0 = deterministic boundary (unit tests).
      */
     double capacityJitter = 0.0;
-    /** Seed for the jitter RNG (set from the machine seed). */
-    uint64_t seed = 1;
 };
 
 /**
@@ -123,7 +121,9 @@ struct AccessResult
 class HtmEngine
 {
   public:
-    explicit HtmEngine(const HtmConfig &cfg = {});
+    /** @p seed seeds the capacity-jitter RNG; the machine derives it
+     *  from its own seed. */
+    explicit HtmEngine(const HtmConfig &cfg = {}, uint64_t seed = 1);
 
     /** True if a new transaction may begin (hardware-thread limit). */
     bool canBegin() const;
@@ -178,9 +178,6 @@ class HtmEngine
 
     /** Number of currently open transactions. */
     size_t inFlightCount() const { return inFlight_; }
-
-    /** All threads with open transactions. */
-    std::vector<Tid> inFlightTids() const;
 
     /** Read/write set sizes of @p t's open transaction (lines). */
     size_t readSetLines(Tid t) const;

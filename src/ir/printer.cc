@@ -81,24 +81,4 @@ formatInstr(const Instruction &ins)
     return ss.str();
 }
 
-void
-printProgram(const Program &prog, std::ostream &os)
-{
-    for (FuncId f = 0; f < prog.numFunctions(); ++f) {
-        const auto &fn = prog.function(f);
-        os << "func @" << fn.name << " (#" << f << ")"
-           << (f == prog.entry() ? " [entry]" : "") << "\n";
-        int indent = 1;
-        for (const auto &ins : fn.body) {
-            if (ins.op == OpCode::LoopEnd)
-                --indent;
-            for (int i = 0; i < indent; ++i)
-                os << "  ";
-            os << formatInstr(ins) << "\n";
-            if (ins.op == OpCode::LoopBegin)
-                ++indent;
-        }
-    }
-}
-
 } // namespace txrace::ir

@@ -1,12 +1,12 @@
 /**
  * @file
- * Textual dumping of mini-IR programs for debugging and golden tests.
+ * Textual rendering of mini-IR instructions, shared by the text
+ * format's writer (ir/text.hh), debugging output and golden tests.
  */
 
 #ifndef TXRACE_IR_PRINTER_HH
 #define TXRACE_IR_PRINTER_HH
 
-#include <ostream>
 #include <string>
 
 #include "ir/program.hh"
@@ -15,9 +15,6 @@ namespace txrace::ir {
 
 /** Render one instruction as a single line (no trailing newline). */
 std::string formatInstr(const Instruction &ins);
-
-/** Dump @p prog, one indented instruction per line, to @p os. */
-void printProgram(const Program &prog, std::ostream &os);
 
 } // namespace txrace::ir
 

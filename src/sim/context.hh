@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "ir/program.hh"
-#include "sim/costmodel.hh"
 #include "support/rng.hh"
 #include "support/types.hh"
 
@@ -76,33 +75,18 @@ struct ThreadContext
     Rng rng;
     ThreadState state = ThreadState::Runnable;
 
-    /** @name Policy scratch (owned by the active ExecutionPolicy) */
+    /** @name Phase and cost attribution (the machine reads these; the
+     *  active ExecutionPolicy sets path and govForced) */
     /** @{ */
     PathMode path = PathMode::Fast;
-    /** Reason bucket for the current/pending slow episode. */
-    Bucket slowReason = Bucket::Base;
-    /** The thread was conflict-aborted and must publish TxFail. */
-    bool mustWriteTxFail = false;
-    /** Steps the pending TxFail publication is still delayed (fault
-     *  injection: TxFail-flag publication delay). */
-    uint64_t txFailDelay = 0;
-    /** Governor level-3 degradation: regions run untransacted with
-     *  sampled software checks instead of full slow-path checking. */
-    bool sampleMode = false;
     /** The current slow episode was forced by the governor's
      *  degradation ladder rather than by an abort (phase-profiler
      *  attribution: degraded vs genuine slow-path time). */
     bool govForced = false;
-    /** Consecutive retry-aborts of the current region. */
-    uint32_t retryCount = 0;
     /** This thread's accumulated virtual cost. */
     uint64_t myCost = 0;
     /** Base-bucket cost accrued since the current tx began. */
     uint64_t baseSinceTxBegin = 0;
-    /** Static loop id of the innermost loop-cut loop in the current
-     *  tx (capacity attribution for the loop-cut optimizer);
-     *  ir::kNoInstr when none. */
-    uint32_t lastLoopCutId = ir::kNoInstr;
     /** @} */
 
     /** Speculative store buffer: granule -> value written inside the
@@ -124,8 +108,9 @@ struct ThreadContext
         snap.valid = true;
     }
 
-    /** Restore the snapshot image. Keeps policy scratch counters that
-     *  the paper keeps outside transactions (retryCount, cost). */
+    /** Restore the snapshot image. The cost counters above stay, as
+     *  does the policy's own per-thread state: the paper keeps both
+     *  outside transactions. */
     void
     restoreSnapshot()
     {

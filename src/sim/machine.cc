@@ -415,24 +415,16 @@ resolveHandler(const ir::Instruction &ins, ir::AddrShape shape,
 Machine::Machine(const ir::Program &prog, const MachineConfig &cfg,
                  ExecutionPolicy &policy)
     : prog_(prog), cfg_(cfg), policy_(policy),
-      htm_([&] {
-          htm::HtmConfig h = cfg.htm;
-          h.seed = cfg.seed ^ 0x7c3a11edULL;
-          return h;
-      }()),
-      det_([&] {
-          detector::DetectorConfig d = cfg.det;
-          d.seed = cfg.seed ^ 0xdecafbadULL;
-          return d;
-      }()),
+      htm_(cfg.htm, cfg.seed ^ 0x7c3a11edULL),
+      det_(cfg.det, cfg.seed ^ 0xdecafbadULL),
       faults_(cfg.faults), checkCost_(cfg.cost.effectiveCheckCost()),
       schedRng_(cfg.seed),
       intrRng_(cfg.seed ^ 0x5ca1ab1eULL)
 {
     if (!prog_.finalized())
         fatal("Machine: program not finalized");
-    if (cfg_.nCores == 0 || cfg_.htm.maxConcurrentTx == 0)
-        fatal("Machine: need at least one core and hardware thread");
+    if (cfg_.htm.maxConcurrentTx == 0)
+        fatal("Machine: need at least one hardware thread");
 
     decoded_ = decodeProgram(prog_, cfg_.cost);
     addrLimit_ = prog_.addrSpaceSize();
@@ -698,7 +690,7 @@ Machine::run()
 
 /**
  * The decoded step loop. One scheduler pick runs a quantum of up to
- * schedQuantum decoded ops back-to-back; handlers end the quantum
+ * kSchedQuantum decoded ops back-to-back; handlers end the quantum
  * early at every point where another thread's progress is observable
  * (sync operations, transaction boundaries, memory accesses while any
  * transaction is in flight, thread lifecycle ops) so detection-
@@ -721,8 +713,6 @@ Machine::run()
 void
 Machine::runDecoded()
 {
-    const uint32_t quantum =
-        cfg_.schedQuantum > 0 ? cfg_.schedQuantum : 1;
     const bool faulty = !faults_.empty();
     while (live_ > 0) {
         Tid t = pickRunnable();
@@ -740,9 +730,9 @@ Machine::runDecoded()
         // by the guard alone truncates the run where it stops, with
         // no further pick (exactly where a per-step check trips).
         const uint64_t room = cfg_.maxSteps - steps_;
-        uint32_t left = quantum;
+        uint32_t left = kSchedQuantum;
         bool guard_cut = false;
-        if (room < quantum) {
+        if (room < kSchedQuantum) {
             left = static_cast<uint32_t>(room);
             guard_cut = true;
         }
@@ -842,8 +832,8 @@ Machine::injectAbort(Tid t)
     // the machine is oversubscribed (paper §8.2, Figure 8). Fault
     // episodes (interrupt storms, retry glitches) modulate the rates.
     double p = cfg_.interruptPerStep;
-    if (runnable_.size() > cfg_.nCores)
-        p *= cfg_.oversubInterruptFactor;
+    if (runnable_.size() > kCores)
+        p *= kOversubInterruptFactor;
     p = p * faults_.interruptMult() + faults_.interruptAdd();
     if (intrRng_.chance(p)) {
         settle(contexts_[t]);
@@ -855,7 +845,7 @@ Machine::injectAbort(Tid t)
         policy_.onInterruptAbort(*this, t);
         return true;
     }
-    double pr = cfg_.retryAbortPerStep + faults_.retryAdd();
+    double pr = faults_.retryAdd();
     if (pr > 0.0 && intrRng_.chance(pr)) {
         settle(contexts_[t]);
         htm_.abortTx(t, htm::kAbortRetry);

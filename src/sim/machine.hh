@@ -42,19 +42,9 @@ struct MachineConfig
 {
     /** Master seed: scheduling, interrupts, per-thread streams. */
     uint64_t seed = 1;
-    /** Physical cores (the paper's testbed: quad-core i7-4790). */
-    uint32_t nCores = 4;
     /** Per-step probability a transactional thread takes an interrupt
      *  (OS context switches etc. — the source of unknown aborts). */
     double interruptPerStep = 1.0 / 20000.0;
-    /** Interrupt multiplier once live threads exceed physical cores
-     *  (hyperthread contention; drives the paper's 8-thread spike in
-     *  unknown aborts, Figure 8). */
-    double oversubInterruptFactor = 8.0;
-    /** Per-step probability a transactional thread takes a transient
-     *  retryable abort (TLB shootdowns and similar glitches that set
-     *  the RETRY bit without CONFLICT; rare on real parts). */
-    double retryAbortPerStep = 0.0;
     /** Record the run-wide event timeline the `--trace` text view and
      *  the `--trace-json` Chrome trace render from. Observe-only. */
     bool recordTimeline = false;
@@ -66,19 +56,6 @@ struct MachineConfig
     /** Hard cap on scheduler steps (runaway guard). Exceeding it ends
      *  the run with RunError::Kind::Truncated, not process death. */
     uint64_t maxSteps = 500'000'000;
-    /**
-     * Scheduler quantum: how many decoded ops a picked thread may run
-     * back-to-back before the scheduler re-picks. Forced preemption
-     * points end a quantum early regardless: sync operations,
-     * transaction boundaries, any memory access while a transaction
-     * is in flight (so transactional phases still interleave per op
-     * and conflict-based detection sees the same granularity as
-     * per-step scheduling), thread create/join, and fault-episode
-     * edges. 1 reproduces per-instruction scheduling. Behaviour-
-     * affecting like the seed: runs are deterministic per value, and
-     * different values produce different (equally valid) schedules.
-     */
-    uint32_t schedQuantum = 32;
     /** Scheduled pathology episodes injected from the scheduler loop
      *  (empty = no injection). Part of the run's identity: identical
      *  (program, config incl. plan, seed) runs are byte-identical. */
@@ -137,6 +114,26 @@ class Machine
      *  threads write: the paper's TxFail flag. Lives below the
      *  builder's allocation floor so no program data shares its line. */
     static constexpr ir::Addr kTxFailAddr = 8;
+
+    /** Physical cores (the paper's testbed: quad-core i7-4790). */
+    static constexpr uint32_t kCores = 4;
+
+    /** Interrupt multiplier once runnable threads exceed kCores
+     *  (hyperthread contention; drives the paper's 8-thread spike in
+     *  unknown aborts, Figure 8). */
+    static constexpr double kOversubInterruptFactor = 8.0;
+
+    /**
+     * Scheduler quantum: how many decoded ops a picked thread may run
+     * back-to-back before the scheduler re-picks. Forced preemption
+     * points end a quantum early regardless: sync operations,
+     * transaction boundaries, any memory access while a transaction
+     * is in flight (so transactional phases still interleave per op
+     * and conflict-based detection sees the same granularity as
+     * per-step scheduling), thread create/join, and fault-episode
+     * edges.
+     */
+    static constexpr uint32_t kSchedQuantum = 32;
 
     Machine(const ir::Program &prog, const MachineConfig &cfg,
             ExecutionPolicy &policy);

@@ -182,13 +182,6 @@ JsonWriter::value(bool b)
     os_ << (b ? "true" : "false");
 }
 
-void
-JsonWriter::valueNull()
-{
-    preValue();
-    os_ << "null";
-}
-
 std::string
 hex64(uint64_t v)
 {

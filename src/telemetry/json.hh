@@ -52,7 +52,6 @@ class JsonWriter
     void value(int v) { value(static_cast<int64_t>(v)); }
     void value(double v);
     void value(bool b);
-    void valueNull();
 
     /** Shorthand: key + value. */
     template <typename T>

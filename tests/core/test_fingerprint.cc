@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "core/fingerprint.hh"
 #include "core/repro.hh"
 #include "ir/builder.hh"
@@ -102,34 +104,85 @@ TEST(Repro, DigestStableAndSeedSensitive)
     EXPECT_NE(core::configDigest(a), core::configDigest(b));
 }
 
-TEST(Repro, DigestSeesEveryLayer)
+TEST(Repro, DigestSeesEverySettableValue)
 {
+    // One row per settable value in the RunConfig tree: perturbing it
+    // alone must move the digest, or two different runs would share
+    // one identity. A new field needs a row here.
+    struct Row
+    {
+        const char *name;
+        std::function<void(core::RunConfig &)> perturb;
+        /** The mode of the base config; sampleRate is hashed only
+         *  under TSanSampling. */
+        core::RunMode mode = core::RunMode::TxRaceProfLoopcut;
+    };
+    using C = core::RunConfig &;
+    const Row rows[] = {
+        {"mode", [](C c) { c.mode = core::RunMode::TxRaceNoOpt; }},
+        {"sampleRate", [](C c) { c.sampleRate = 0.5; },
+         core::RunMode::TSanSampling},
+        {"slowpath", [](C c) { c.slowpath = core::SlowPathKind::TxFail; }},
+        {"machine.seed", [](C c) { c.machine.seed = 2; }},
+        {"machine.interruptPerStep",
+         [](C c) { c.machine.interruptPerStep *= 2.0; }},
+        {"machine.maxSteps", [](C c) { c.machine.maxSteps = 1000; }},
+        {"machine.faults.name", [](C c) { c.machine.faults.name = "x"; }},
+        {"machine.faults.episodes",
+         [](C c) { c.machine.faults.add(fault::FaultEpisode{}); }},
+        {"episode.kind",
+         [](C c) {
+             c.machine.faults.episodes[0].kind =
+                 fault::FaultKind::RetryGlitch;
+         }},
+        {"episode.start",
+         [](C c) { c.machine.faults.episodes[0].start = 7; }},
+        {"episode.duration",
+         [](C c) { c.machine.faults.episodes[0].duration = 7; }},
+        {"episode.magnitude",
+         [](C c) { c.machine.faults.episodes[0].magnitude = 2.0; }},
+        {"episode.addProb",
+         [](C c) { c.machine.faults.episodes[0].addProb = 0.5; }},
+        {"episode.param",
+         [](C c) { c.machine.faults.episodes[0].param = 7; }},
+        {"machine.cost.fastHookCost",
+         [](C c) { c.machine.cost.fastHookCost = 1; }},
+        {"machine.cost.checkScale",
+         [](C c) { c.machine.cost.checkScale = 2.0; }},
+        {"machine.htm.l1Sets", [](C c) { c.machine.htm.l1Sets = 32; }},
+        {"machine.htm.l1Ways", [](C c) { c.machine.htm.l1Ways = 4; }},
+        {"machine.htm.readSetMaxLines",
+         [](C c) { c.machine.htm.readSetMaxLines = 64; }},
+        {"machine.htm.maxConcurrentTx",
+         [](C c) { c.machine.htm.maxConcurrentTx = 4; }},
+        {"machine.htm.capacityJitter",
+         [](C c) { c.machine.htm.capacityJitter = 0.5; }},
+        {"machine.det.maxShadowCells",
+         [](C c) { c.machine.det.maxShadowCells = 2; }},
+        {"passes.insertLoopCuts",
+         [](C c) { c.passes.insertLoopCuts = false; }},
+        {"passes.elide.enabled",
+         [](C c) { c.passes.elide.enabled = false; }},
+        {"governor.enabled", [](C c) { c.governor.enabled = true; }},
+        {"budget.enabled", [](C c) { c.budget.enabled = true; }},
+        {"budget.budgetPct", [](C c) { c.budget.budgetPct = 3.0; }},
+    };
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.name);
+        core::RunConfig base;
+        base.mode = row.mode;
+        base.machine.faults.add(fault::FaultEpisode{});
+        core::RunConfig changed = base;
+        row.perturb(changed);
+        EXPECT_NE(core::configDigest(changed), core::configDigest(base));
+    }
+
+    // Observe-only switches are not part of the run's identity.
     core::RunConfig base;
-    uint64_t d0 = core::configDigest(base);
-
-    core::RunConfig m = base;
-    m.mode = core::RunMode::TSan;
-    EXPECT_NE(core::configDigest(m), d0);
-
-    core::RunConfig irq = base;
-    irq.machine.interruptPerStep *= 2.0;
-    EXPECT_NE(core::configDigest(irq), d0);
-
-    core::RunConfig htm = base;
-    htm.machine.htm.l1Ways += 1;
-    EXPECT_NE(core::configDigest(htm), d0);
-
-    core::RunConfig pass = base;
-    pass.passes.insertLoopCuts = false;
-    EXPECT_NE(core::configDigest(pass), d0);
-
-    core::RunConfig gov = base;
-    gov.governor.enabled = true;
-    EXPECT_NE(core::configDigest(gov), d0);
-
-    core::RunConfig flt = base;
-    flt.machine.faults.name = "storm";
-    EXPECT_NE(core::configDigest(flt), d0);
+    core::RunConfig observed = base;
+    observed.machine.recordTimeline = true;
+    observed.machine.recordFlight = true;
+    EXPECT_EQ(core::configDigest(observed), core::configDigest(base));
 }
 
 TEST(Repro, SampleRateInertOutsideSampling)

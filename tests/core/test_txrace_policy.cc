@@ -37,6 +37,18 @@ pad(ProgramBuilder &b, Addr base)
         b.load(AddrExpr::absolute(base + 8 * i), "pad");
 }
 
+/** A retry-glitch episode over the whole run: each transactional step
+ *  takes a RETRY-only abort with probability @p rate. */
+fault::FaultEpisode
+retryGlitch(double rate)
+{
+    fault::FaultEpisode ep;
+    ep.kind = fault::FaultKind::RetryGlitch;
+    ep.duration = ~0ull >> 1;
+    ep.addProb = rate;
+    return ep;
+}
+
 /** main's initialization of pad()'s words, before any spawn: without
  *  a store that reaches them the never-written pass elides the pad
  *  loads, and a region left with nothing to check runs bare (no
@@ -595,7 +607,7 @@ TEST(TxRace, RetryAbortsAreRetriedInPlace)
     Program p = b.build();
 
     core::RunConfig cfg = txraceConfig();
-    cfg.machine.retryAbortPerStep = 0.02;
+    cfg.machine.faults.add(retryGlitch(0.02));
     core::RunResult r = core::runProgram(p, cfg);
     EXPECT_GE(r.stats.get("tx.abort.retry"), 5u);
     EXPECT_GE(r.stats.get("txrace.retries"), 5u);
@@ -643,7 +655,7 @@ TEST(TxRace, RetryBudgetExhaustionFallsBackToSlowPath)
     Program p = b.build();
 
     core::RunConfig cfg = txraceConfig();
-    cfg.machine.retryAbortPerStep = 0.6;  // hopeless glitch storm
+    cfg.machine.faults.add(retryGlitch(0.6));  // hopeless glitch storm
     core::RunResult r = core::runProgram(p, cfg);
     EXPECT_GE(r.stats.get("txrace.retry_exhausted"), 1u);
     // The run still terminates and reports nothing false.
@@ -687,7 +699,7 @@ TEST(TxRace, CapacityEpisodeChecksTheWholeRegion)
 
 TEST(TxRace, RetryAbortsAreRetriedInPlaceThenFallBack)
 {
-    // retryAbortPerStep = 1.0: every transactional step raises a
+    // A certain retry glitch: every transactional step raises a
     // RETRY-only abort, so each non-elided region burns its full
     // in-place retry budget (maxRetries = 4) and then falls back to
     // the slow path like an unknown abort (§4.2).
@@ -705,7 +717,7 @@ TEST(TxRace, RetryAbortsAreRetriedInPlaceThenFallBack)
     Program p = b.build();
 
     core::RunConfig cfg = txraceConfig();
-    cfg.machine.retryAbortPerStep = 1.0;
+    cfg.machine.faults.add(retryGlitch(1.0));
     core::RunResult r = core::runProgram(p, cfg);
 
     uint64_t exhausted = r.stats.get("txrace.retry_exhausted");
@@ -969,7 +981,7 @@ TEST(TxRace, WinnerThatRetriesInPlaceReplaysItsWindowFirst)
     for (uint64_t seed = 1; seed <= 20; ++seed) {
         SCOPED_TRACE(seed);
         core::RunConfig cfg = txraceConfig(seed);
-        cfg.machine.retryAbortPerStep = 0.02;
+        cfg.machine.faults.add(retryGlitch(0.02));
         fault::FaultEpisode delay;
         delay.kind = fault::FaultKind::TxFailDelay;
         delay.duration = ~0ull >> 1;

@@ -270,8 +270,7 @@ TEST(FastTrack, BoundedShadowCanMissRaces)
     // modeling stock TSan's bounded shadow cells (§5).
     DetectorConfig cfg;
     cfg.maxShadowCells = 1;
-    cfg.seed = 3;
-    HbDetector det(cfg);
+    HbDetector det(cfg, /*seed=*/3);
     det.rootThread(0);
     for (Tid t = 1; t <= 4; ++t)
         det.threadCreated(0, t);
@@ -358,9 +357,9 @@ struct RaceLog
 
 /** Root thread 0 plus children 1..n, all concurrent. */
 HbDetector
-nThreads(Tid n, const DetectorConfig &cfg = {})
+nThreads(Tid n, const DetectorConfig &cfg = {}, uint64_t seed = 1)
 {
-    HbDetector det(cfg);
+    HbDetector det(cfg, seed);
     det.rootThread(0);
     for (Tid t = 1; t <= n; ++t)
         det.threadCreated(0, t);
@@ -408,8 +407,7 @@ TEST(FastTrack, BoundedShadowEvictionOrderPinned)
     // set, so which races survive depends on the read-set order.
     DetectorConfig cfg;
     cfg.maxShadowCells = 2;
-    cfg.seed = 5;
-    HbDetector det = nThreads(6, cfg);
+    HbDetector det = nThreads(6, cfg, /*seed=*/5);
     RaceLog log;
     log.attach(det);
     for (uint64_t g = 0; g < 6; ++g) {

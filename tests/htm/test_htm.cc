@@ -227,17 +227,6 @@ TEST(Htm, ExplicitAbortRecordsStatus)
     EXPECT_EQ(h.counters().abortsUnknown, 1u);
 }
 
-TEST(Htm, InFlightTids)
-{
-    HtmEngine h;
-    h.begin(0);
-    h.begin(2);
-    auto tids = h.inFlightTids();
-    ASSERT_EQ(tids.size(), 2u);
-    EXPECT_EQ(tids[0], 0u);
-    EXPECT_EQ(tids[1], 2u);
-}
-
 TEST(HtmDeathTest, DoubleBeginPanics)
 {
     HtmEngine h;

@@ -73,7 +73,7 @@ class SlowpathDifferentialPerApp
 {
 };
 
-TEST_P(SlowpathDifferentialPerApp, SweepLosesNoRaceVsRegionMode)
+TEST_P(SlowpathDifferentialPerApp, SweepUnionEqualsTxFail)
 {
     workloads::WorkloadParams params;
     params.calibrate = false;
@@ -122,7 +122,7 @@ class SlowpathDifferentialPerPattern
 {
 };
 
-TEST_P(SlowpathDifferentialPerPattern, SweepUnionIdenticalToRegionMode)
+TEST_P(SlowpathDifferentialPerPattern, SweepUnionEqualsTxFail)
 {
     workloads::Pattern pat = workloads::makePattern(GetParam());
     sim::MachineConfig machine;
@@ -143,7 +143,7 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
-TEST(SlowpathDifferential, CampaignOutputMatchesRegionMode)
+TEST(SlowpathDifferential, CampaignOutputMatchesTxFail)
 {
     // The same hunt with the default and with the pure protocol:
     // identical findings (by fingerprint), identical ground-truth

@@ -9,6 +9,7 @@
 
 #include "ir/builder.hh"
 #include "ir/printer.hh"
+#include "ir/text.hh"
 
 using namespace txrace;
 using namespace txrace::ir;
@@ -103,10 +104,11 @@ TEST(Printer, ProgramDumpHasStructure)
     Program p = b.build();
 
     std::ostringstream os;
-    printProgram(p, os);
+    writeProgramText(p, os);
     std::string out = os.str();
-    EXPECT_NE(out.find("func @worker (#0)"), std::string::npos);
-    EXPECT_NE(out.find("func @main (#1) [entry]"), std::string::npos);
-    // Loop body is indented one extra level.
-    EXPECT_NE(out.find("    compute cost=1"), std::string::npos);
+    EXPECT_NE(out.find("func @worker\n"), std::string::npos);
+    EXPECT_NE(out.find("entry @main\n"), std::string::npos);
+    // Loop body is indented one extra level; its end closes the level.
+    EXPECT_NE(out.find("\n    compute cost=1\n  loop.end"),
+              std::string::npos);
 }

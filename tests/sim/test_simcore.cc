@@ -139,33 +139,6 @@ TEST(SimCore, DecodedFinalMemoryMatchesClosedForm)
     }
 }
 
-TEST(SimCore, QuantumIsBehaviorAffectingButDeterministic)
-{
-    // schedQuantum is part of the run's identity like the seed: each
-    // value is deterministic, different values give different (valid)
-    // schedules, and final memory agrees regardless.
-    ir::Program p = mixedProgram();
-    auto run = [&](uint32_t quantum) {
-        MachineConfig cfg = quietConfig();
-        cfg.schedQuantum = quantum;
-        core::NativePolicy policy;
-        Machine m(p, cfg, policy);
-        EXPECT_TRUE(m.run().ok());
-        std::vector<uint64_t> image;
-        for (ir::Addr a = 0; a < p.addrSpaceSize(); a += 8)
-            image.push_back(m.memory().load(a));
-        return std::pair<uint64_t, std::vector<uint64_t>>(
-            m.scheduleHash(), image);
-    };
-    auto [h1a, mem1a] = run(1);
-    auto [h1b, mem1b] = run(1);
-    auto [h32, mem32] = run(32);
-    EXPECT_EQ(h1a, h1b);
-    EXPECT_EQ(mem1a, mem1b);
-    EXPECT_NE(h1a, h32);
-    EXPECT_EQ(mem1a, mem32);
-}
-
 TEST(SimCore, GroundTruthRecallAcrossRegistry)
 {
     // The always-on happens-before baseline must still find exactly

@@ -247,7 +247,11 @@ TEST(TxValues, RaceTmRetryAbortsKeepCountersExact)
     pc.elide.enabled = false;
     ir::Program prepared = passes::preparedForTxRace(p, pc);
     MachineConfig cfg = quietConfig(3);
-    cfg.retryAbortPerStep = 0.05;
+    fault::FaultEpisode glitch;
+    glitch.kind = fault::FaultKind::RetryGlitch;
+    glitch.duration = ~0ull >> 1;
+    glitch.addProb = 0.05;
+    cfg.faults.add(glitch);
     core::RaceTmPolicy policy;
     Machine m(prepared, cfg, policy);
     ASSERT_TRUE(m.run().ok());
