@@ -53,12 +53,18 @@
  *    so an access's dynamic footprint is a per-thread interval. The
  *    accesses whose global footprints transitively overlap form a
  *    group; any two accesses that can touch one granule fall in one
- *    group. If a group is one "slot family" — common thread stride ts
- *    (granule-aligned), each member's in-slot extent contained in one
- *    slot, all members in the same slot phase — then two different
- *    threads can never touch a common granule, under any schedule, so
- *    no member can ever race and all of them can be elided outright
- *    (no representative needed). This generalizes privatize.cc beyond
+ *    group. Count slots of the common thread stride ts from the
+ *    group's origin, its lowest footprint address rounded down to a
+ *    granule. If a group is one "slot family" — ts granule-aligned,
+ *    and every member's extent (base − origin + span + one granule)
+ *    inside the first slot — then thread t only ever touches slot t,
+ *    whose bounds are granule-aligned, so two different threads can
+ *    never touch a common granule, under any schedule. No member can
+ *    ever race and all of them can be elided outright (no
+ *    representative needed). Counting from the origin rather than
+ *    from address 0 accepts every family a slot grid anchored at 0
+ *    would, plus those, like facesim's per-thread mesh, that start
+ *    part-way into such a slot. This generalizes privatize.cc beyond
  *    declared ranges. Otherwise, if one mutex is held at every member,
  *    that mutex's release→acquire edge orders every pair of them, and
  *    the detector tracks lock edges on both paths, so again no member
@@ -86,7 +92,9 @@
  *    the transactions they touch. Dropping the transaction also drops
  *    the aborts it suffered and the TxFail demotions those caused in
  *    other threads, so unlike passes 1-4 this changes the schedule:
- *    per-run race sets may move, the race union over seeds may not.
+ *    per-run race sets may move. The race union over seeds may only
+ *    grow, and only by initialization-idiom pairs (§8.3), which
+ *    overlap detection catches or misses by schedule luck.
  */
 
 #include <algorithm>
@@ -430,18 +438,22 @@ elidePrivate(Program &prog, std::vector<Footprint> fps,
     size_t group_start = 0;
     uint64_t group_hi = fps[0].hi;
     auto flush = [&](size_t end) {
-        // Safe iff all members form one slot family: common
-        // granule-aligned thread stride, each member's in-slot extent
-        // contained in a single slot, and a common slot phase (equal
-        // base/ts), so thread t only ever touches slot block t+q.
+        // Safe iff all members form one slot family: a common
+        // granule-aligned thread stride ts, and slots counted from the
+        // group's origin (its lowest lo, rounded down to a granule)
+        // with every member's extent inside the first one. Thread t
+        // then only ever touches slot t, whose bounds are
+        // granule-aligned. (The member holding the lowest lo starts
+        // within a granule of the origin, so a common slot phase is
+        // the same thing as "starts in slot 0".)
         const uint64_t ts = fps[group_start].ts;
+        const uint64_t origin =
+            fps[group_start].lo / mem::kGranuleSize * mem::kGranuleSize;
         bool safe = ts > 0 && ts % mem::kGranuleSize == 0;
-        uint64_t q0 = safe ? fps[group_start].base / ts : 0;
         for (size_t i = group_start; safe && i < end; ++i) {
             const Footprint &fp = fps[i];
             safe = fp.analyzable && fp.ts == ts &&
-                   fp.base / ts == q0 &&
-                   fp.base % ts + fp.span + mem::kGranuleSize <= ts;
+                   fp.base - origin + fp.span + mem::kGranuleSize <= ts;
         }
         if (!safe) {
             // Otherwise safe iff one mutex is held at every member.

@@ -1028,13 +1028,15 @@ TEST(TxRace, PureTxFailProtocolKeepsNoVersionLog)
     // Without the replay nothing reads the version log, so it stays
     // off and its ring never bounds a transaction: the capacity aborts
     // are the paper protocol's (pinned at the change that made the
-    // replay the default, from the region-repair mode it replaced).
+    // replay the default, from the region-repair mode it replaced;
+    // facesim's fell from 47 when its thread-disjoint mesh regions
+    // started running bare).
     struct Pin
     {
         const char *app;
         uint64_t capacityAborts;
     };
-    for (const Pin &pin : {Pin{"swaptions", 48}, Pin{"facesim", 47}}) {
+    for (const Pin &pin : {Pin{"swaptions", 48}, Pin{"facesim", 42}}) {
         SCOPED_TRACE(pin.app);
         workloads::AppModel app = workloads::makeApp(pin.app);
         core::RunConfig cfg;

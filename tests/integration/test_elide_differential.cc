@@ -24,8 +24,11 @@
  *    runProgram. Running a region without a transaction changes the
  *    schedule (no aborts, no TxFail demotions), so per-run race sets
  *    may differ; every run must stay precise and above the recall
- *    floor, and the race union over the ten seeds must equal the
- *    `--no-elide` union.
+ *    floor, and the race union over the ten seeds must hold the
+ *    `--no-elide` union. Anything only the elided build found must
+ *    be a planted initialization-idiom pair (§8.3), the class overlap
+ *    detection catches or misses by schedule luck; for every other
+ *    race the two unions are equal.
  *  - TSanEndpointOracle: no endpoint of a race TSan reports may be an
  *    access the TxRace pipeline elided outright (uninstrumented with
  *    no representative). This checks the never-written and
@@ -35,6 +38,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -117,7 +121,8 @@ elideOff(core::RunConfig cfg)
  *  (instruction ids survive the pipeline). */
 struct Outcome
 {
-    std::set<std::string> keys;
+    /** Race key → its ground-truth label. */
+    std::map<std::string, std::string> keys;
     std::set<std::string> labels;
     uint64_t steps = 0;
     uint64_t conflictAborts = 0;
@@ -129,7 +134,7 @@ outcomeOf(const ir::Program &prog, const detector::RaceSet &races,
 {
     Outcome out;
     for (const auto &[sig, race] : core::fingerprintedRaces(prog, races)) {
-        out.keys.insert(sig.key);
+        out.keys.emplace(sig.key, sig.label);
         out.labels.insert(sig.label);
     }
     out.steps = stats.get("machine.steps");
@@ -196,27 +201,36 @@ assertSharedMarkIdentical(const ir::Program &prog,
     return ron;
 }
 
+/** The label keys of @p labels; only the initialization-idiom ones
+ *  when @p init_idiom_only. */
 std::set<std::string>
-truthOf(const std::vector<workloads::RaceLabel> &labels)
+truthOf(const std::vector<workloads::RaceLabel> &labels,
+        bool init_idiom_only = false)
 {
     std::set<std::string> truth;
     for (const workloads::RaceLabel &label : labels)
-        truth.insert(core::raceLabelKey(label.a, label.b));
+        if (label.initIdiom || !init_idiom_only)
+            truth.insert(core::raceLabelKey(label.a, label.b));
     return truth;
 }
 
 /** The end-to-end differential over ten seeds of one slow path, in
  *  perfbench's `table1` lane (ProfLoopcut): every run precise,
- *  elide-on runs at or above @p floor, and equal race unions both
- *  ways. */
+ *  elide-on runs at or above the recall floor, the elide-on race
+ *  union holds the `--no-elide` one, and what only the elide-on
+ *  union holds is planted initialization-idiom pairs. Adds the
+ *  elide-on union's labels to @p labels_on. */
 void
-assertUnionMatchesNoElide(const ir::Program &prog,
-                          const sim::MachineConfig &machine,
-                          const std::set<std::string> &truth,
-                          double floor, core::SlowPathKind slowpath,
-                          const std::string &what)
+assertUnionCoversNoElide(const ir::Program &prog,
+                         const sim::MachineConfig &machine,
+                         const std::vector<workloads::RaceLabel> &labels,
+                         double floor, core::SlowPathKind slowpath,
+                         const std::string &what,
+                         std::set<std::string> &labels_on)
 {
-    std::set<std::string> union_on, union_off;
+    const std::set<std::string> truth = truthOf(labels);
+    const std::set<std::string> init_idiom = truthOf(labels, true);
+    std::map<std::string, std::string> union_on, union_off;
     for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
         core::RunConfig on = elideOn(machine, seed, slowpath,
                                      core::RunMode::TxRaceProfLoopcut);
@@ -239,7 +253,15 @@ assertUnionMatchesNoElide(const ir::Program &prog,
         union_on.insert(oon.keys.begin(), oon.keys.end());
         union_off.insert(ooff.keys.begin(), ooff.keys.end());
     }
-    EXPECT_EQ(union_on, union_off) << what;
+    for (const auto &[key, label] : union_off)
+        EXPECT_TRUE(union_on.count(key))
+            << what << ": elision lost the race " << key;
+    for (const auto &[key, label] : union_on) {
+        labels_on.insert(label);
+        EXPECT_TRUE(union_off.count(key) || init_idiom.count(label))
+            << what << ": only the elided build found " << key
+            << ", which is no initialization-idiom pair";
+    }
 }
 
 } // namespace
@@ -311,11 +333,21 @@ TEST_P(BareRegionDifferentialPerApp, RaceUnionMatchesNoElide)
     // long enough for every planted race to recur.
     params.scale = 16;
     workloads::AppModel app = workloads::makeApp(GetParam(), params);
-    for (const auto &[slowpath, mode] : kSlowPaths)
-        assertUnionMatchesNoElide(app.program, app.machine,
-                                  truthOf(app.groundTruth),
-                                  recallFloor(app.name), slowpath,
-                                  app.name + " (" + mode + ")");
+    for (const auto &[slowpath, mode] : kSlowPaths) {
+        const std::string what = app.name + " (" + mode + ")";
+        std::set<std::string> labels_on;
+        assertUnionCoversNoElide(app.program, app.machine,
+                                 app.groundTruth, recallFloor(app.name),
+                                 slowpath, what, labels_on);
+        // facesim's mesh runs bare, and the schedule that leaves
+        // catches its initialization-idiom pair on some seeds: pin
+        // that the relaxed oracle above is exercised.
+        if (app.name == "facesim") {
+            EXPECT_TRUE(labels_on.count(core::raceLabelKey(
+                "init-idiom write 0", "init-idiom late read 0")))
+                << what;
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -333,10 +365,11 @@ TEST_P(BareRegionDifferentialPerPattern, RaceUnionMatchesNoElide)
     // Patterns carry no recall floor: overlap-based detection misses
     // some of them by design (the catalog's Expectation column).
     workloads::Pattern pat = workloads::makePattern(GetParam());
+    std::set<std::string> labels_on;
     for (const auto &[slowpath, mode] : kSlowPaths)
-        assertUnionMatchesNoElide(pat.program, sim::MachineConfig{},
-                                  truthOf(pat.groundTruth), 0.0,
-                                  slowpath, pat.name + " (" + mode + ")");
+        assertUnionCoversNoElide(pat.program, sim::MachineConfig{},
+                                 pat.groundTruth, 0.0, slowpath,
+                                 pat.name + " (" + mode + ")", labels_on);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -13,12 +13,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "core/driver.hh"
 #include "ir/builder.hh"
 #include "mem/layout.hh"
 #include "passes/passes.hh"
+#include "support/rng.hh"
 #include "workloads/workloads.hh"
 
 using namespace txrace;
@@ -420,6 +425,221 @@ TEST(Elide, PrivatizationBlockedByTransitiveSpawning)
     ElisionStats stats = elide(p);
     EXPECT_EQ(stats.privatized, 0u);
     EXPECT_TRUE(byTag(p, "own").instrumented);
+}
+
+namespace {
+
+/** One store of a slot-family test program, in its own loop of
+ *  @p trips trips (so no two members share an elision segment). */
+struct SlotMember
+{
+    AddrExpr addr;
+    uint64_t trips = 1;
+};
+
+/** A program whose @p workers workers each run @p members, with the
+ *  address space padded so its first free byte is @p first_free. */
+Program
+slotProgram(uint64_t first_free, const std::vector<SlotMember> &members,
+            uint64_t workers)
+{
+    ProgramBuilder b;
+    // The builder hands out addresses from 64 up.
+    if (first_free > 64)
+        b.alloc("pad", first_free - 64, 1);
+    b.alloc("slots", 1 << 16, 1);
+    FuncId worker = b.beginFunction("worker");
+    for (size_t i = 0; i < members.size(); ++i)
+        b.loop(members[i].trips, [&] {
+            b.store(members[i].addr, "m" + std::to_string(i));
+        });
+    b.endFunction();
+    b.beginFunction("main");
+    b.spawn(worker, workers);
+    b.joinAll();
+    b.endFunction();
+    return b.build();
+}
+
+/** facesim's mesh access: base + tid*2048 + rnd(256)*8. */
+AddrExpr
+meshAccess(Addr base)
+{
+    AddrExpr e = AddrExpr::randomIn(base, 256, 8);
+    e.threadStride = 2048;
+    return e;
+}
+
+} // namespace
+
+TEST(Elide, PrivatizationMeasuresSlotPhaseFromTheGroupOrigin)
+{
+    // facesim's mesh geometry: base 5248 sits 1152 bytes into a
+    // 2048-byte slot counted from address 0, so its 2048-byte reach
+    // crosses that slot's end. Counted from the mesh's own start,
+    // every thread keeps to its own slot.
+    constexpr Addr kMesh = 5248;
+    ProgramBuilder b;
+    b.alloc("pad", kMesh - 64, 1);
+    ASSERT_EQ(b.alloc("face-mesh", 5 * 2048, 8), kMesh);
+    FuncId worker = b.beginFunction("worker");
+    b.loop(6, [&] {
+        b.load(meshAccess(kMesh), "node rd");
+        b.store(meshAccess(kMesh), "node wr");
+    });
+    b.endFunction();
+    b.beginFunction("main");
+    b.spawn(worker, 4);
+    b.load(meshAccess(kMesh), "main node rd");
+    b.joinAll();
+    b.endFunction();
+    Program p = b.build();
+
+    ElisionStats stats = elide(p);
+    EXPECT_EQ(stats.privatized, 3u);
+    for (const char *tag : {"node rd", "node wr", "main node rd"}) {
+        EXPECT_FALSE(byTag(p, tag).instrumented) << tag;
+        EXPECT_EQ(byTag(p, tag).elisionRep, kNoInstr) << tag;
+    }
+}
+
+TEST(Elide, PrivatizationKeepsMembersAtDifferentSlotPhases)
+{
+    // The second member starts one slot past the origin: thread t's
+    // m1 touches what thread t+1's m0 does.
+    Program p = slotProgram(
+        96, {{AddrExpr::perThread(96, 64)}, {AddrExpr::perThread(160, 64)}},
+        3);
+    ElisionStats stats = elide(p);
+    EXPECT_EQ(stats.privatized, 0u);
+    EXPECT_TRUE(byTag(p, "m0").instrumented);
+    EXPECT_TRUE(byTag(p, "m1").instrumented);
+}
+
+TEST(Elide, PrivatizationKeepsAMemberCrossingASlotBoundary)
+{
+    // Slots count from the origin, 96. m1 starts 32 bytes into the
+    // first one, and its last random pick reaches byte 167, a granule
+    // into the next thread's slot.
+    AddrExpr crossing = AddrExpr::randomIn(128, 5, 8);
+    crossing.threadStride = 64;
+    Program p = slotProgram(96, {{AddrExpr::perThread(96, 64)}, {crossing}},
+                            3);
+    ElisionStats stats = elide(p);
+    EXPECT_EQ(stats.privatized, 0u);
+    EXPECT_TRUE(byTag(p, "m1").instrumented);
+
+    // One pick fewer and it ends at the slot's last byte, 159.
+    crossing.randomCount = 4;
+    p = slotProgram(96, {{AddrExpr::perThread(96, 64)}, {crossing}}, 3);
+    EXPECT_EQ(elide(p).privatized, 2u);
+}
+
+TEST(Elide, PrivatizationRoundsAnUnalignedOriginDown)
+{
+    // The lowest base, 100, is not granule-aligned, so the origin is
+    // 96 and the first slot ends at 160. The pass counts an access as
+    // reaching a granule past its address: m1 at 156 reaches byte
+    // 163, past that end, and keeps the group. Counted from 100 it
+    // would have fit.
+    Program p = slotProgram(
+        96, {{AddrExpr::perThread(100, 64)}, {AddrExpr::perThread(156, 64)}},
+        3);
+    EXPECT_EQ(elide(p).privatized, 0u);
+
+    // At 152 it ends at the slot's last byte, 159.
+    p = slotProgram(
+        96, {{AddrExpr::perThread(100, 64)}, {AddrExpr::perThread(152, 64)}},
+        3);
+    EXPECT_EQ(elide(p).privatized, 2u);
+}
+
+TEST(Elide, PrivatizedGroupsShareNoGranuleAcrossThreads)
+{
+    // Brute force over small random groups: enumerate every shadow
+    // granule (the detector's unit) each thread's stores can touch.
+    // Whenever the pass privatizes a member, no granule it touches
+    // may be touched by two threads; and every group whose members
+    // share one slot counted from address 0 (the rule this pass
+    // refines) must be privatized.
+    constexpr uint64_t G = mem::kGranuleSize;
+    Rng rng(2016);
+    uint64_t privatized = 0, kept = 0, beyond_address_zero = 0;
+    for (int round = 0; round < 4000; ++round) {
+        const uint64_t workers = 1 + rng.below(3);
+        const uint64_t ts = rng.below(8) == 0 ? 12 : G * (1 + rng.below(4));
+        const uint64_t first = 64 + G * rng.below(16);
+        std::vector<SlotMember> members(1 + rng.below(3));
+        for (SlotMember &m : members) {
+            m.addr.base = first + rng.below(2 * ts);
+            m.addr.threadStride = rng.below(6) == 0 ? ts + G : ts;
+            if (rng.below(2)) {
+                m.addr.loopStride = 4 * rng.below(4);
+                m.trips = 1 + rng.below(3);
+            }
+            if (rng.below(2)) {
+                m.addr.randomCount = 1 + rng.below(3);
+                m.addr.randomStride = 4 * rng.below(3);
+            }
+        }
+        Program p = slotProgram(first, members, workers);
+        const uint64_t n = elide(p).privatized;
+
+        // Threads 0..workers, as the pass bounds them; granule →
+        // mask of the threads that can touch it.
+        std::map<uint64_t, uint64_t> touched;
+        auto granules = [&](const SlotMember &m, uint64_t t, auto &&visit) {
+            const uint64_t nr = std::max<uint64_t>(m.addr.randomCount, 1);
+            for (uint64_t i = 0; i < m.trips; ++i)
+                for (uint64_t r = 0; r < nr; ++r) {
+                    const uint64_t a = m.addr.base + m.addr.threadStride * t +
+                                       m.addr.loopStride * i +
+                                       m.addr.randomStride * r;
+                    visit(mem::granuleOf(a));
+                }
+        };
+        for (const SlotMember &m : members)
+            for (uint64_t t = 0; t <= workers; ++t)
+                granules(m, t, [&](uint64_t g) { touched[g] |= 1ull << t; });
+
+        bool same_slot = ts % G == 0;
+        for (size_t i = 0; i < members.size(); ++i) {
+            const SlotMember &m = members[i];
+            const uint64_t span = m.addr.loopStride * (m.trips - 1) +
+                                  m.addr.randomStride *
+                                      (std::max<uint64_t>(
+                                           m.addr.randomCount, 1) -
+                                       1);
+            same_slot = same_slot && m.addr.threadStride == ts &&
+                        m.addr.base / ts == members[0].addr.base / ts &&
+                        m.addr.base % ts + span + G <= ts;
+            if (byTag(p, "m" + std::to_string(i)).instrumented)
+                continue;
+            // A member reaching past its own slot counted from address
+            // 0 was out of the address-0 rule's reach, in any group.
+            const uint64_t mts = m.addr.threadStride;
+            beyond_address_zero += m.addr.base % mts + span + G > mts;
+            for (uint64_t t = 0; t <= workers; ++t)
+                granules(m, t, [&](uint64_t g) {
+                    EXPECT_EQ(std::popcount(touched[g]), 1)
+                        << "round " << round << ": m" << i
+                        << " privatized but granule " << g
+                        << " is shared";
+                });
+        }
+        if (same_slot) {
+            EXPECT_EQ(n, members.size()) << "round " << round;
+        }
+        privatized += n > 0;
+        kept += n == 0;
+        if (HasFailure())
+            break;
+    }
+    // Both outcomes, and members only the origin rule privatizes,
+    // occur.
+    EXPECT_GT(privatized, 0u);
+    EXPECT_GT(kept, 0u);
+    EXPECT_GT(beyond_address_zero, 0u);
 }
 
 TEST(Elide, DisabledPipelineIsIdentity)

@@ -213,7 +213,7 @@ main(int argc, char **argv)
             cfg.workers = static_cast<uint32_t>(
                 core::parseUnsignedFlag("--workers", v5, 0, UINT32_MAX));
         } else if (const char *v6 = value("--scale")) {
-            cfg.scale = core::parseUnsignedFlag("--scale", v6);
+            cfg.scale = core::parseUnsignedFlag("--scale", v6, 1);
         } else if (const char *v7 = value("--master-seed")) {
             cfg.masterSeed = core::parseUnsignedFlag("--master-seed", v7);
         } else if (const char *v8 = value("--out")) {

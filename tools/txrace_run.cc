@@ -73,8 +73,8 @@ usage()
         "                 per window (default 5)\n"
         "  --no-elide     disable the static access-elision passes\n"
         "                 (every tracked access is instrumented); the\n"
-        "                 race union over seeds must be identical\n"
-        "                 either way\n"
+        "                 race union over seeds with elision holds the\n"
+        "                 one without, plus at most init-idiom races\n"
         "  --no-calibrate skip the per-app TSan-cost calibration\n"
         "                 (matches campaign runs)\n"
         "  --stats [PREFIX]  dump counters (optionally only those\n"
@@ -167,7 +167,7 @@ main(int argc, char **argv)
             params.nWorkers = static_cast<uint32_t>(
                 core::parseUnsignedFlag("--workers", v3, 0, UINT32_MAX));
         } else if (const char *v4 = value("--scale")) {
-            params.scale = core::parseUnsignedFlag("--scale", v4);
+            params.scale = core::parseUnsignedFlag("--scale", v4, 1);
         } else if (const char *v5 = value("--seed")) {
             seed = core::parseUnsignedFlag("--seed", v5);
         } else if (const char *vsl = value("--seed-list")) {
