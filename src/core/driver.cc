@@ -121,6 +121,7 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
             reg.addNamed("pass.elide.read_only", elision.readOnly);
             reg.addNamed("pass.elide.privatized", elision.privatized);
             reg.addNamed("pass.elide.locked", elision.locked);
+            reg.addNamed("pass.elide.pre_spawn", elision.preSpawn);
             reg.addNamed("pass.elide.total", elision.elided());
             reg.addNamed("pass.elide.bare_regions", elision.bareRegions);
             for (const auto &[fn, n] : elision.perFunction)

@@ -38,7 +38,9 @@ class NativePolicy : public sim::ExecutionPolicy
  * Happens-before sync tracking shared by the TSan and TxRace
  * runtimes: every thread create/join, lock, condvar and barrier
  * updates the detector's vector clocks, and each tracked op charges
- * syncTrackCost to @p bucket (TSan's Check, TxRace's Txn).
+ * syncTrackCost to @p bucket (TSan's Check, TxRace's Txn). A subclass
+ * that knows no clock will ever be read clears tracking_, and the
+ * hooks then do nothing.
  */
 class HbTrackingPolicy : public sim::ExecutionPolicy
 {
@@ -53,6 +55,10 @@ class HbTrackingPolicy : public sim::ExecutionPolicy
                          const ir::Instruction &ins) override;
     void onBarrierRelease(sim::Machine &m,
                           const std::vector<Tid> &parts) override;
+
+  protected:
+    /** Sync ops update the detector and charge syncTrackCost. */
+    bool tracking_ = true;
 
   private:
     sim::Bucket bucket_;

@@ -10,6 +10,8 @@ using sim::Machine;
 void
 HbTrackingPolicy::onThreadCreated(Machine &m, Tid parent, Tid child)
 {
+    if (!tracking_)
+        return;
     m.det().threadCreated(parent, child);
     m.addCost(parent, m.config().cost.syncTrackCost, bucket_);
 }
@@ -17,6 +19,8 @@ HbTrackingPolicy::onThreadCreated(Machine &m, Tid parent, Tid child)
 void
 HbTrackingPolicy::onThreadJoined(Machine &m, Tid joiner, Tid joined)
 {
+    if (!tracking_)
+        return;
     m.det().threadJoined(joiner, joined);
     m.addCost(joiner, m.config().cost.syncTrackCost, bucket_);
 }
@@ -25,6 +29,8 @@ void
 HbTrackingPolicy::onSyncPerformed(Machine &m, Tid t,
                                   const ir::Instruction &ins)
 {
+    if (!tracking_)
+        return;
     auto &det = m.det();
     switch (ins.op) {
       case ir::OpCode::LockAcquire:
@@ -49,6 +55,8 @@ void
 HbTrackingPolicy::onBarrierRelease(Machine &m,
                                    const std::vector<Tid> &parts)
 {
+    if (!tracking_)
+        return;
     m.det().barrierRelease(parts);
     for (Tid p : parts)
         m.addCost(p, m.config().cost.syncTrackCost, bucket_);

@@ -73,11 +73,19 @@ TxRacePolicy::state(Tid t)
 void
 TxRacePolicy::onRunStart(Machine &m)
 {
+    // A program whose passes left no access instrumented runs no
+    // transaction, no slow path and no check, so no vector clock is
+    // ever read: its sync ops need no happens-before tracking.
     const auto &prog = m.program();
-    for (ir::FuncId f = 0; f < prog.numFunctions(); ++f)
-        for (const auto &ins : prog.function(f).body)
+    bool checks = false;
+    for (ir::FuncId f = 0; f < prog.numFunctions(); ++f) {
+        for (const auto &ins : prog.function(f).body) {
             if (ins.op == ir::OpCode::LoopCut)
                 cutLoops_.insert(ins.arg0);
+            checks = checks || (ir::isMemAccess(ins.op) && ins.instrumented);
+        }
+    }
+    tracking_ = checks;
     governor_.setShortTxUseful(!cutLoops_.empty());
 
     // Intern every hot-path counter once; the per-access and

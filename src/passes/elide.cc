@@ -35,17 +35,27 @@
  *    validated empirically by the differential test across every
  *    registry workload and seed.
  *
- * 3. Never-written elision. Every reported race pairs two accesses
- *    to one granule, at least one of them a store that reached the
- *    detector. A load whose whole-program footprint interval (pass 4's
- *    geometry, over every thread the entry function can spawn)
- *    overlaps the footprint of no still-instrumented store — in any
- *    function, `main`'s pre-spawn initialization included — can
+ * 3. Pre-spawn and never-written elision. Thread creation orders
+ *    every access the entry function makes before its first
+ *    ThreadCreate ahead of every other thread's accesses (the
+ *    single-threaded elision of §4.3, decided statically), so none of
+ *    them can race. The cut-off is that create, or the outermost loop
+ *    around it, since the loop's later trips run after the spawn. Each
+ *    access before it is elided outright and joins no footprint. The
+ *    rule needs an entry function that no ThreadCreate runs, and a
+ *    program that never spawns is pre-spawn throughout.
+ *    Then: every reported race pairs two accesses to one granule, at
+ *    least one of them a store that reached the detector. A load
+ *    whose whole-program footprint interval (pass 4's geometry, over
+ *    every thread the entry function can spawn) overlaps the
+ *    footprint of no still-instrumented store, in any function, can
  *    therefore never be a report endpoint, and is elided outright.
- *    An unanalyzable store's footprint is the whole address space, so
- *    it keeps every load; without a thread bound the pass does
- *    nothing. It runs before pass 4 so that the loads it removes no
- *    longer merge otherwise-disjoint slot families.
+ *    So `main`'s set-up stores keep none of the loads of the data they
+ *    initialize. An unanalyzable store's footprint is the whole
+ *    address space, so it keeps every load; without a thread bound
+ *    neither rule does anything. Both run before pass 4, so that the
+ *    accesses they remove no longer merge otherwise-disjoint slot
+ *    families or break a group's common mutex.
  *
  * 4. Thread-disjointness (extended escape/privatization) and
  *    locksets. The simulator evaluates `addr = base +
@@ -235,8 +245,8 @@ struct Footprint
  * with creations inside loops multiplied by the loops' maximum trip
  * counts. Returns 0 when no sound bound exists (thread creation
  * outside the entry function, or absurd loop products), which
- * disables passes 3 and 4 (never-written, thread-disjointness and
- * lockset).
+ * disables passes 3 and 4 (pre-spawn, never-written,
+ * thread-disjointness and lockset).
  */
 uint64_t
 maxThreadBound(const Program &prog)
@@ -274,14 +284,61 @@ maxThreadBound(const Program &prog)
     return total;
 }
 
-/** The footprint of every still-instrumented access, for a program
- *  of at most @p max_threads threads. */
-std::vector<Footprint>
-collectFootprints(const Program &prog, uint64_t max_threads)
+/**
+ * The pc of the entry function before which its accesses precede
+ * every other thread's: its first ThreadCreate, or the outermost
+ * LoopBegin around that create (a later trip runs after the spawn).
+ * The whole body when the entry spawns nothing, and 0 when a
+ * ThreadCreate runs the entry function itself.
+ */
+uint32_t
+preSpawnEnd(const Program &prog)
 {
+    const ir::Function &fn = prog.function(prog.entry());
+    uint32_t end = static_cast<uint32_t>(fn.body.size());
+    uint32_t outer = 0;
+    size_t depth = 0;
+    for (uint32_t pc = 0; pc < fn.body.size(); ++pc) {
+        const Instruction &ins = fn.body[pc];
+        if (ins.op == OpCode::LoopBegin) {
+            if (depth++ == 0)
+                outer = pc;
+        } else if (ins.op == OpCode::LoopEnd) {
+            --depth;
+        } else if (ins.op == OpCode::ThreadCreate) {
+            if (ins.arg0 == prog.entry())
+                return 0;
+            end = std::min(end, depth > 0 ? outer : pc);
+        }
+    }
+    return end;
+}
+
+/** Clear `instrumented` on access @p pc of @p f (an outright
+ *  elision: no representative). */
+void
+elideOutright(Program &prog, ir::FuncId f, uint32_t pc,
+              uint64_t &counter, std::vector<uint64_t> &fn_elided)
+{
+    prog.function(f).body[pc].instrumented = false;
+    ++counter;
+    ++fn_elided[f];
+}
+
+/**
+ * The footprint of every still-instrumented access, for a program
+ * of at most @p max_threads threads. The entry function's pre-spawn
+ * accesses (see file comment) are elided outright here instead, so
+ * they join no footprint.
+ */
+std::vector<Footprint>
+collectFootprints(Program &prog, uint64_t max_threads,
+                  ElisionStats &stats, std::vector<uint64_t> &fn_elided)
+{
+    const uint32_t pre_spawn_end = preSpawnEnd(prog);
     std::vector<Footprint> fps;
     for (ir::FuncId f = 0; f < prog.numFunctions(); ++f) {
-        const ir::Function &fn = prog.function(f);
+        ir::Function &fn = prog.function(f);
         const size_t first = fps.size();
         // Static stack of enclosing LoopBegin pcs while scanning, and
         // the mutexes held (sorted) here and at each enclosing
@@ -318,6 +375,10 @@ collectFootprints(const Program &prog, uint64_t max_threads)
             }
             if (!ir::isMemAccess(ins.op) || !ins.instrumented)
                 continue;
+            if (f == prog.entry() && pc < pre_spawn_end) {
+                elideOutright(prog, f, pc, stats.preSpawn, fn_elided);
+                continue;
+            }
 
             Footprint fp;
             fp.func = f;
@@ -360,17 +421,6 @@ collectFootprints(const Program &prog, uint64_t max_threads)
     return fps;
 }
 
-/** Clear `instrumented` on the access @p fp describes (an outright
- *  elision: no representative). */
-void
-elideOutright(Program &prog, const Footprint &fp, uint64_t &counter,
-              std::vector<uint64_t> &fn_elided)
-{
-    prog.function(fp.func).body[fp.pc].instrumented = false;
-    ++counter;
-    ++fn_elided[fp.func];
-}
-
 /**
  * Never-written elision (see file comment): elides every load in
  * @p fps whose footprint overlaps no store's, and drops it from
@@ -407,7 +457,7 @@ elideReadOnly(Program &prog, std::vector<Footprint> &fps,
             [](const auto &w, uint64_t lo) { return w.second < lo; });
         if (it != written.end() && it->first <= fp.hi)
             return false;
-        elideOutright(prog, fp, stats.readOnly, fn_elided);
+        elideOutright(prog, fp.func, fp.pc, stats.readOnly, fn_elided);
         return true;
     });
 }
@@ -470,7 +520,8 @@ elidePrivate(Program &prog, std::vector<Footprint> fps,
         }
         uint64_t &counter = safe ? stats.privatized : stats.locked;
         for (size_t i = group_start; i < end; ++i)
-            elideOutright(prog, fps[i], counter, fn_elided);
+            elideOutright(prog, fps[i].func, fps[i].pc, counter,
+                          fn_elided);
     };
     for (size_t i = 1; i < fps.size(); ++i) {
         if (fps[i].lo > group_hi) {
@@ -542,7 +593,8 @@ elide(Program &prog, const ElideConfig &cfg)
         elideDominated(fn, stats, fn_elided[f]);
     }
     if (const uint64_t max_threads = maxThreadBound(prog)) {
-        std::vector<Footprint> fps = collectFootprints(prog, max_threads);
+        std::vector<Footprint> fps =
+            collectFootprints(prog, max_threads, stats, fn_elided);
         elideReadOnly(prog, fps, stats, fn_elided);
         elidePrivate(prog, std::move(fps), stats, fn_elided);
     }

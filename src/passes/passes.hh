@@ -89,6 +89,9 @@ struct ElisionStats
     /** Elided because every access that can share a granule with
      *  them holds one common mutex (ordered, so cannot race). */
     uint64_t locked = 0;
+    /** Elided because the entry function makes them before its first
+     *  spawn, which orders them before every other thread. */
+    uint64_t preSpawn = 0;
     /** Regions marked bare: no instrumented access is reachable from
      *  their TxBegin, so they run without a transaction. Not an
      *  access count, so not part of elided(). */
@@ -99,7 +102,8 @@ struct ElisionStats
     uint64_t
     elided() const
     {
-        return dominated + rawDowngraded + readOnly + privatized + locked;
+        return dominated + rawDowngraded + readOnly + privatized + locked +
+               preSpawn;
     }
 };
 
@@ -112,7 +116,8 @@ void transactionalize(ir::Program &prog, const PassConfig &cfg = {});
 
 /**
  * Static elision pipeline: dominance elision, read-after-write
- * downgrade, never-written load elision, the thread-disjointness
+ * downgrade, pre-spawn elision (the entry function's accesses before
+ * its first spawn), never-written load elision, the thread-disjointness
  * (escape/privatization) analysis with its lockset rule (groups one
  * mutex always guards), and bare-region marking, per @p cfg. Must
  * run after transactionalize() — segment boundaries include the

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "telemetry/jsonparse.hh"
+#include "workloads/workloads.hh"
 
 namespace txrace::service {
 
@@ -42,7 +43,11 @@ readJobSpec(const telemetry::JsonValue &doc,
         v && v->isNumber())
         spec.interruptScale = v->asDouble();
     spec.governor = telemetry::getBool(doc, "governor");
-    return true;
+    workloads::WorkloadParams params;
+    params.nWorkers = spec.workers;
+    params.scale = spec.scale;
+    error = workloads::appParamsError(spec.app, params);
+    return error.empty();
 }
 
 bool
@@ -63,18 +68,21 @@ parseJobBatch(const std::string &text,
     std::istringstream in(text);
     std::string line;
     size_t lineNo = 0;
+    error.clear();
     while (std::getline(in, line)) {
         ++lineNo;
         if (line.find_first_not_of(" \t\r") == std::string::npos)
             continue;
         campaign::JobSpec spec;
-        if (!parseJobLine(line, cfg, spec, error)) {
-            error = "line " + std::to_string(lineNo) + ": " + error;
-            return false;
+        std::string why;
+        if (!parseJobLine(line, cfg, spec, why)) {
+            error += (error.empty() ? "line " : "; line ") +
+                     std::to_string(lineNo) + ": " + why;
+            continue;
         }
         specs.push_back(std::move(spec));
     }
-    return true;
+    return error.empty();
 }
 
 std::vector<std::string>

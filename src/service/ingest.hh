@@ -34,8 +34,9 @@ namespace txrace::service {
  * Read one job record (a job line, or a checkpoint's plan or history
  * entry) into @p spec. Only `app` is required; `id` and `round` are
  * read when present, and the other fields default from @p cfg. False
- * with a message in @p error when @p v is not an object or has no
- * app.
+ * with a message in @p error when @p v is not an object, has no app,
+ * or names an app, worker count or scale that
+ * workloads::appParamsError() refuses.
  */
 bool readJobSpec(const telemetry::JsonValue &v,
                  const campaign::CampaignConfig &cfg,
@@ -44,15 +45,18 @@ bool readJobSpec(const telemetry::JsonValue &v,
 /**
  * Parse one NDJSON job line into a spec (no id assigned; the service
  * allocates ids in ingest order). Defaults come from @p cfg. False
- * with a message in @p error on malformed input or a missing app.
+ * with a message in @p error on malformed input or a record
+ * readJobSpec() refuses.
  */
 bool parseJobLine(const std::string &line,
                   const campaign::CampaignConfig &cfg,
                   campaign::JobSpec &spec, std::string &error);
 
 /**
- * Parse a whole NDJSON batch (blank lines skipped). False on the
- * first bad line; @p error includes the 1-based line number.
+ * Parse a whole NDJSON batch (blank lines skipped) into @p specs, one
+ * per good line. A bad line is refused, not fatal: the good lines
+ * around it are still parsed. False when any line was refused; @p
+ * error then names each by its 1-based line number.
  */
 bool parseJobBatch(const std::string &text,
                    const campaign::CampaignConfig &cfg,

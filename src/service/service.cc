@@ -336,8 +336,8 @@ ServiceRunner::streamLoop()
                     fatal("spool: %s", error.c_str());
                 std::vector<campaign::JobSpec> specs;
                 if (!parseJobBatch(text, cfg_, specs, error))
-                    fatal("spool: %s: %s", name.c_str(),
-                          error.c_str());
+                    warn("spool: %s: refused %s", name.c_str(),
+                         error.c_str());
                 Batch b = ingestBatch(name, std::move(specs));
                 if (b == Batch::Stopped)
                     return false;
@@ -356,7 +356,7 @@ ServiceRunner::streamLoop()
                 std::vector<campaign::JobSpec> specs;
                 std::string error;
                 if (!parseJobBatch(batchText, cfg_, specs, error))
-                    fatal("stdin batch: %s", error.c_str());
+                    warn("stdin batch: refused %s", error.c_str());
                 batchText.clear();
                 if (specs.empty())
                     return true;

@@ -70,14 +70,21 @@ const Spec kStreamSpec = {
     {1.15, 1.08, 24, 24}, 24, 0,
 };
 
-const Spec &
-findSpec(const std::string &name)
+/** The spec named @p name; nullptr when there is none. */
+const Spec *
+lookupSpec(const std::string &name)
 {
     for (const Spec &s : kSpecs)
         if (name == s.name)
-            return s;
-    if (name == kStreamSpec.name)
-        return kStreamSpec;
+            return &s;
+    return name == kStreamSpec.name ? &kStreamSpec : nullptr;
+}
+
+const Spec &
+findSpec(const std::string &name)
+{
+    if (const Spec *s = lookupSpec(name))
+        return *s;
     fatal("unknown workload '%s'", name.c_str());
 }
 
@@ -188,11 +195,24 @@ appNames()
     return names;
 }
 
+std::string
+appParamsError(const std::string &name, const WorkloadParams &params)
+{
+    if (!lookupSpec(name))
+        return "unknown workload '" + name + "'";
+    if (params.nWorkers < 2)
+        return "need at least two workers";
+    if (params.scale == 0)
+        return "scale must be at least 1";
+    return "";
+}
+
 AppModel
 makeApp(const std::string &name, const WorkloadParams &params)
 {
-    if (params.nWorkers < 2)
-        fatal("makeApp(%s): need at least two workers", name.c_str());
+    if (const std::string error = appParamsError(name, params);
+        !error.empty())
+        fatal("makeApp(%s): %s", name.c_str(), error.c_str());
     const Spec &spec = findSpec(name);
 
     AppModel m;

@@ -96,7 +96,14 @@ std::vector<RaceLabel> groundTruthRaces(const std::string &name);
 /** All application names, in the paper's Table 1 order. */
 const std::vector<std::string> &appNames();
 
-/** Build one application model. fatal()s on unknown names. */
+/** Why makeApp(@p name, @p params) cannot build, or "" when it can:
+ *  an unknown name, fewer than two workers, or a scale of 0. Front
+ *  ends that must keep running on bad input check this first. */
+std::string appParamsError(const std::string &name,
+                           const WorkloadParams &params);
+
+/** Build one application model. fatal()s with appParamsError()'s
+ *  message on what it refuses. */
 AppModel makeApp(const std::string &name,
                  const WorkloadParams &params = {});
 

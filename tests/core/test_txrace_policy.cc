@@ -9,6 +9,7 @@
 
 #include "core/budget.hh"
 #include "core/driver.hh"
+#include "core/policies.hh"
 #include "fault/fault.hh"
 #include "ir/builder.hh"
 #include "mem/layout.hh"
@@ -49,14 +50,16 @@ retryGlitch(double rate)
     return ep;
 }
 
-/** main's initialization of pad()'s words, before any spawn: without
+/** main's stores to pad()'s words after it joins the workers: without
  *  a store that reaches them the never-written pass elides the pad
  *  loads, and a region left with nothing to check runs bare (no
- *  transaction). */
+ *  transaction). The join orders these stores after every load, so
+ *  they race with nothing. A store before the first spawn would not
+ *  do: it precedes every other thread, so the passes elide it. */
 void
-initPad(ProgramBuilder &b, Addr base)
+writePad(ProgramBuilder &b, Addr base)
 {
-    b.loop(6, [&] { b.store(AddrExpr::perIter(base, 8), "pad init"); });
+    b.loop(6, [&] { b.store(AddrExpr::perIter(base, 8), "pad write"); });
 }
 
 } // namespace
@@ -73,9 +76,9 @@ TEST(TxRace, CleanRunCommitsEverything)
     });
     b.endFunction();
     b.beginFunction("main");
-    initPad(b, data);
     b.spawn(worker, 3);
     b.joinAll();
+    writePad(b, data);
     b.endFunction();
     Program p = b.build();
 
@@ -133,9 +136,9 @@ TEST(TxRace, FalseSharingIsFilteredBySlowPath)
     });
     b.endFunction();
     b.beginFunction("main");
-    initPad(b, data);
     b.spawn(worker, 4);
     b.joinAll();
+    writePad(b, data);
     b.endFunction();
     Program p = b.build();
 
@@ -238,10 +241,18 @@ TEST(TxRace, DynLoopcutEliminatesRepeatedCapacityAborts)
 
 TEST(TxRace, SingleThreadedExecutionIsElided)
 {
+    // main's regions after the join run while it is the only live
+    // thread, so the runtime skips their transactions (§4.3). They
+    // come after a spawn, so the passes keep their accesses checked.
     ProgramBuilder b;
     Addr data = b.alloc("data", 4096);
+    FuncId worker = b.beginFunction("worker");
+    b.compute(10);
+    b.endFunction();
     b.beginFunction("main");
-    initPad(b, data);
+    b.spawn(worker);
+    b.joinAll();
+    writePad(b, data);
     b.loop(50, [&] {
         pad(b, data);
         b.syscall(1);
@@ -259,6 +270,68 @@ TEST(TxRace, SingleThreadedExecutionIsElided)
     core::RunResult n = core::runProgram(p, native);
     // Elision makes TxRace nearly free here.
     EXPECT_LT(r.overheadVs(n), 1.05);
+}
+
+TEST(TxRace, NothingLeftToCheckRunsUntracked)
+{
+    // freqmine and apache keep no instrumented access once elided:
+    // such a run has no transaction, no slow path and no check, so
+    // its sync ops skip happens-before tracking and it costs exactly
+    // Native. fluidanimate keeps one checked store, so it still
+    // tracks; TSan always does. The TSan totals are those at seed 1
+    // uncalibrated, which the untracked TxRace runs must not move.
+    struct Case
+    {
+        const char *app;
+        bool untracked;
+        uint64_t tsanTotal;
+    };
+    for (const Case &c : {Case{"freqmine", true, 41012},
+                          Case{"apache", true, 32972},
+                          Case{"fluidanimate", false, 148532}}) {
+        SCOPED_TRACE(c.app);
+        workloads::WorkloadParams params;
+        params.calibrate = false;
+        workloads::AppModel app = workloads::makeApp(c.app, params);
+        core::RunConfig cfg;
+        cfg.mode = core::RunMode::TxRaceProfLoopcut;
+        cfg.machine = app.machine;
+        cfg.machine.seed = 1;
+        core::RunConfig native = cfg;
+        native.mode = core::RunMode::Native;
+        core::RunConfig tsan = cfg;
+        tsan.mode = core::RunMode::TSan;
+
+        core::RunResult r = core::runProgram(app.program, cfg);
+        const uint64_t n = core::runProgram(app.program, native).totalCost;
+        const uint64_t txn =
+            r.buckets[static_cast<size_t>(sim::Bucket::Txn)];
+        EXPECT_EQ(core::runProgram(app.program, tsan).totalCost,
+                  c.tsanTotal);
+
+        // The policy on the prepared build, to read the detector
+        // afterwards: untracked, no clock moved past its start.
+        ir::Program prepared = passes::preparedForTxRace(app.program);
+        core::TxRacePolicy policy(cfg);
+        sim::Machine m(prepared, cfg.machine, policy);
+        ASSERT_TRUE(m.run().ok());
+        detector::HbDetector fresh;
+        fresh.rootThread(0);
+        const bool moved =
+            m.det().clockOf(0).get(0) != fresh.clockOf(0).get(0) ||
+            m.det().clockOf(1).get(1) != 0;
+        if (c.untracked) {
+            EXPECT_EQ(txn, 0u);
+            EXPECT_EQ(r.totalCost, n);
+            EXPECT_FALSE(moved);
+        } else {
+            // Each create alone books syncTrackCost to the Txn bucket.
+            EXPECT_GE(txn, cfg.machine.cost.syncTrackCost *
+                               r.stats.get("machine.threads_created"));
+            EXPECT_GT(r.totalCost, n);
+            EXPECT_TRUE(moved);
+        }
+    }
 }
 
 TEST(TxRace, SmallRegionRunsOnSlowPath)
@@ -344,10 +417,10 @@ TEST(TxRace, BareRegionAccessesStillAbortTransactions)
     });
     b.endFunction();
     b.beginFunction("main");
-    initPad(b, data);
     b.spawn(writer, 1);
     b.spawn(reader, 1);
     b.joinAll();
+    writePad(b, data);
     b.endFunction();
     Program p = b.build();
 
@@ -368,9 +441,9 @@ TEST(TxRace, HardwareThreadLimitFallsBackToSlowPath)
     });
     b.endFunction();
     b.beginFunction("main");
-    initPad(b, data);
     b.spawn(worker, 4);
     b.joinAll();
+    writePad(b, data);
     b.endFunction();
     Program p = b.build();
 
@@ -576,9 +649,9 @@ TEST(TxRace, UnknownAbortsFallBackAndStayComplete)
     });
     b.endFunction();
     b.beginFunction("main");
-    initPad(b, data);
     b.spawn(worker, 3);
     b.joinAll();
+    writePad(b, data);
     b.endFunction();
     Program p = b.build();
 
@@ -600,9 +673,9 @@ TEST(TxRace, RetryAbortsAreRetriedInPlace)
     });
     b.endFunction();
     b.beginFunction("main");
-    initPad(b, data);
     b.spawn(worker, 3);
     b.joinAll();
+    writePad(b, data);
     b.endFunction();
     Program p = b.build();
 
@@ -648,9 +721,9 @@ TEST(TxRace, RetryBudgetExhaustionFallsBackToSlowPath)
     });
     b.endFunction();
     b.beginFunction("main");
-    initPad(b, data);
     b.spawn(worker, 2);
     b.joinAll();
+    writePad(b, data);
     b.endFunction();
     Program p = b.build();
 
@@ -710,9 +783,9 @@ TEST(TxRace, RetryAbortsAreRetriedInPlaceThenFallBack)
     b.store(AddrExpr::perThread(data + 1024, 64), "own cell");
     b.endFunction();
     b.beginFunction("main");
-    initPad(b, data);
     b.spawn(worker, 2);
     b.joinAll();
+    writePad(b, data);
     b.endFunction();
     Program p = b.build();
 
@@ -759,9 +832,9 @@ winnerEscapesProgram()
     b.syscall(1);
     b.endFunction();
     b.beginFunction("main");
-    initPad(b, data);
     b.spawn(writer, 2);
     b.joinAll();
+    writePad(b, data);
     b.endFunction();
     return b.build();
 }
@@ -862,11 +935,11 @@ TEST(TxRace, TwoVictimsOfOneWinnerReplayItsWindowOnce)
     b.syscall(1);
     b.endFunction();
     b.beginFunction("main");
-    initPad(b, data);
-    initPad(b, data + 64);
     b.spawn(reader, 2);
     b.spawn(writer);
     b.joinAll();
+    writePad(b, data);
+    writePad(b, data + 64);
     b.endFunction();
     Program p = b.build();
 
@@ -926,11 +999,11 @@ TEST(TxRace, WinnerReplayUsesTheClockOfTheCommitNotOfTheNextSync)
     b.unlock(0);
     b.endFunction();
     b.beginFunction("main");
-    initPad(b, data);
     b.spawn(winner);
     b.spawn(victim);
     b.spawn(guarded);
     b.joinAll();
+    writePad(b, data);
     b.endFunction();
     Program p = b.build();
 
@@ -971,9 +1044,9 @@ TEST(TxRace, WinnerThatRetriesInPlaceReplaysItsWindowFirst)
     b.syscall(1);
     b.endFunction();
     b.beginFunction("main");
-    initPad(b, data);
     b.spawn(writer, 2);
     b.joinAll();
+    writePad(b, data);
     b.endFunction();
     Program p = b.build();
 

@@ -159,7 +159,7 @@ TEST(TextFormat, RoundTripInstrumentedProgram)
 {
     // Every region mark survives: the never-written table's region is
     // bare, the store region is forced slow, the shared loads' region
-    // (main writes them before the spawn) is a regular one.
+    // (main writes them after the join) is a regular one.
     ProgramBuilder b;
     Addr shared = b.alloc("s", 256);
     Addr table = b.alloc("t", 256);
@@ -175,9 +175,9 @@ TEST(TextFormat, RoundTripInstrumentedProgram)
     });
     b.endFunction();
     b.beginFunction("main");
-    b.loop(6, [&] { b.store(AddrExpr::perIter(shared, 8)); });
     b.spawn(worker, 2);
     b.joinAll();
+    b.loop(6, [&] { b.store(AddrExpr::perIter(shared, 8)); });
     b.endFunction();
     Program p = passes::preparedForTxRace(b.build());
     Program q = roundTrip(p);

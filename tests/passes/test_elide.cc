@@ -16,10 +16,12 @@
 #include <algorithm>
 #include <bit>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "core/driver.hh"
+#include "core/fingerprint.hh"
 #include "ir/builder.hh"
 #include "mem/layout.hh"
 #include "passes/passes.hh"
@@ -49,13 +51,25 @@ byTag(const Program &p, const std::string &tag)
     return *found;
 }
 
+/** A main that spawns @p worker once and joins it: the worker's
+ *  accesses come after a spawn, so the pre-spawn rule leaves them to
+ *  the pass under test. */
+void
+spawnOnce(ProgramBuilder &b, FuncId worker)
+{
+    b.beginFunction("main");
+    b.spawn(worker);
+    b.joinAll();
+    b.endFunction();
+}
+
 } // namespace
 
 TEST(Elide, DominanceElidesRepeatedAccess)
 {
     ProgramBuilder b;
     Addr x = b.alloc("x", 64);
-    b.beginFunction("main");
+    FuncId worker = b.beginFunction("worker");
     b.load(AddrExpr::absolute(x), "first");
     b.compute(1);
     b.load(AddrExpr::absolute(x), "first");  // same expr, op, tag
@@ -63,6 +77,7 @@ TEST(Elide, DominanceElidesRepeatedAccess)
     // the loads to dominance.
     b.store(AddrExpr::absolute(x), "later write");
     b.endFunction();
+    spawnOnce(b, worker);
     Program p = b.build();
 
     ElisionStats stats = elide(p);
@@ -136,10 +151,11 @@ TEST(Elide, RawDowngradeElidesLoadBehindStore)
 {
     ProgramBuilder b;
     Addr x = b.alloc("x", 64);
-    b.beginFunction("main");
+    FuncId worker = b.beginFunction("worker");
     b.store(AddrExpr::absolute(x), "the store");
     b.load(AddrExpr::absolute(x), "the load");
     b.endFunction();
+    spawnOnce(b, worker);
     Program p = b.build();
 
     ElisionStats stats = elide(p);
@@ -156,10 +172,11 @@ TEST(Elide, StoreAfterLoadIsNotDowngraded)
     // entry every later conflicting access is checked against.
     ProgramBuilder b;
     Addr x = b.alloc("x", 64);
-    b.beginFunction("main");
+    FuncId worker = b.beginFunction("worker");
     b.load(AddrExpr::absolute(x), "l");
     b.store(AddrExpr::absolute(x), "s");
     b.endFunction();
+    spawnOnce(b, worker);
     Program p = b.build();
     ElisionStats stats = elide(p);
     EXPECT_EQ(stats.rawDowngraded, 0u);
@@ -215,11 +232,12 @@ TEST(Elide, ReadOnlyKeptByAStoreInAnotherFunction)
     EXPECT_TRUE(byTag(p, "wr").instrumented);
 }
 
-TEST(Elide, ReadOnlyKeptByAPreSpawnStore)
+TEST(Elide, ReadOnlyElidesLoadsOnlyAPreSpawnStoreWrites)
 {
-    // `main`'s initialization before the spawn is a store like any
-    // other: the pass is flow-insensitive, so the workers' loads of
-    // the initialized data stay instrumented.
+    // `main`'s initialization before the spawn precedes every worker,
+    // so its stores are elided and join no footprint: the workers'
+    // loads of the initialized data are never written by anything
+    // that can race, and are elided too.
     ProgramBuilder b;
     Addr model = b.alloc("model", 256, 64);
     FuncId worker = b.beginFunction("worker");
@@ -233,8 +251,95 @@ TEST(Elide, ReadOnlyKeptByAPreSpawnStore)
     Program p = b.build();
 
     ElisionStats stats = elide(p);
+    EXPECT_EQ(stats.preSpawn, 1u);
+    EXPECT_EQ(stats.readOnly, 1u);
+    EXPECT_FALSE(byTag(p, "init").instrumented);
+    EXPECT_FALSE(byTag(p, "rd").instrumented);
+}
+
+TEST(Elide, ReadOnlyKeptByAStoreAfterTheSpawn)
+{
+    // The same store made once the workers run can race with their
+    // loads: it stays checked, and so do they.
+    ProgramBuilder b;
+    Addr model = b.alloc("model", 256, 64);
+    FuncId worker = b.beginFunction("worker");
+    b.load(AddrExpr::absolute(model + 64), "rd");
+    b.endFunction();
+    b.beginFunction("main");
+    b.spawn(worker, 4);
+    b.loop(4, [&] { b.store(AddrExpr::perIter(model, 64), "update"); });
+    b.joinAll();
+    b.endFunction();
+    Program p = b.build();
+
+    ElisionStats stats = elide(p);
+    EXPECT_EQ(stats.preSpawn, 0u);
     EXPECT_EQ(stats.readOnly, 0u);
+    EXPECT_TRUE(byTag(p, "update").instrumented);
     EXPECT_TRUE(byTag(p, "rd").instrumented);
+}
+
+TEST(Elide, PreSpawnEndsAtTheOutermostLoopAroundTheFirstSpawn)
+{
+    // A later trip of a loop that spawns runs after the spawn, so the
+    // cut-off is that loop's begin, even with the create nested.
+    ProgramBuilder b;
+    Addr x = b.alloc("x", 64, 64);
+    FuncId worker = b.beginFunction("worker");
+    b.load(AddrExpr::absolute(x), "rd");
+    b.endFunction();
+    b.beginFunction("main");
+    b.store(AddrExpr::absolute(x), "before");
+    b.loop(2, [&] {
+        b.store(AddrExpr::absolute(x + 8), "in loop");
+        b.loop(2, [&] { b.spawn(worker); });
+    });
+    b.joinAll();
+    b.endFunction();
+    Program p = b.build();
+
+    ElisionStats stats = elide(p);
+    EXPECT_EQ(stats.preSpawn, 1u);
+    EXPECT_FALSE(byTag(p, "before").instrumented);
+    EXPECT_TRUE(byTag(p, "in loop").instrumented);
+}
+
+TEST(Elide, PreSpawnCoversAProgramThatNeverSpawns)
+{
+    // With no other thread, every access of `main` is pre-spawn.
+    ProgramBuilder b;
+    Addr x = b.alloc("x", 64);
+    b.beginFunction("main");
+    b.store(AddrExpr::absolute(x), "s");
+    b.loop(3, [&] { b.load(AddrExpr::absolute(x), "l"); });
+    b.endFunction();
+    Program p = b.build();
+
+    ElisionStats stats = elide(p);
+    EXPECT_EQ(stats.preSpawn, 2u);
+    EXPECT_EQ(stats.elided(), 2u);
+}
+
+TEST(Elide, PreSpawnNeedsAnEntryNoThreadRuns)
+{
+    // A thread that runs the entry function itself repeats its
+    // "pre-spawn" accesses concurrently with the rest of main: the
+    // rule does not apply.
+    ProgramBuilder b;
+    Addr x = b.alloc("x", 64);
+    FuncId main_fn = b.beginFunction("main");
+    b.store(AddrExpr::absolute(x), "s");
+    Instruction create;
+    create.op = OpCode::ThreadCreate;
+    create.arg0 = main_fn;
+    b.raw(create);
+    b.endFunction();
+    Program p = b.build();
+
+    ElisionStats stats = elide(p);
+    EXPECT_EQ(stats.preSpawn, 0u);
+    EXPECT_TRUE(byTag(p, "s").instrumented);
 }
 
 TEST(Elide, ReadOnlyBlockedByAnUnanalyzableStore)
@@ -642,6 +747,130 @@ TEST(Elide, PrivatizedGroupsShareNoGranuleAcrossThreads)
     EXPECT_GT(beyond_address_zero, 0u);
 }
 
+TEST(Elide, PreSpawnElisionKeepsEveryRace)
+{
+    // Brute force over seeded random programs: main stores before,
+    // between and after its spawns (some spawns sit in loops, some
+    // after a join), and two worker functions load and store the same
+    // few words. Every main store is tagged with whether it lies
+    // before the cut-off: its first spawn, or the outermost loop
+    // around it. The pass must elide exactly those as pre-spawn, and
+    // the elided build's race union over ten seeds must equal the
+    // `--no-elide` union. Each access is followed by a boundary, so
+    // every region is small and runs checked on the slow path: the
+    // unions then follow from happens-before alone, not from overlap
+    // luck.
+    constexpr uint64_t kWords = 6;
+    Rng rng(36);
+    uint64_t pre_total = 0, post_total = 0, loop_spawns = 0, races = 0;
+    for (int round = 0; round < 200; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        ProgramBuilder b;
+        Addr pool = b.alloc("pool", 8 * kWords, 64);
+        auto word = [&] {
+            return AddrExpr::absolute(pool + 8 * rng.below(kWords));
+        };
+        std::vector<FuncId> workers;
+        for (int w = 0; w < 2; ++w) {
+            const std::string fn = "worker" + std::to_string(w);
+            workers.push_back(b.beginFunction(fn));
+            const uint64_t n = 1 + rng.below(3);
+            for (uint64_t i = 0; i < n; ++i) {
+                const std::string tag = fn + " " + std::to_string(i);
+                if (rng.below(2))
+                    b.store(word(), tag + " store");
+                else
+                    b.load(word(), tag + " load");
+                b.syscall(1);
+            }
+            b.endFunction();
+        }
+
+        std::vector<std::string> pre, post;
+        bool spawned = false;
+        auto main_store = [&](bool before_cut) {
+            const std::string tag = "main " +
+                                    std::to_string(pre.size() + post.size());
+            b.store(word(), tag);
+            (before_cut ? pre : post).push_back(tag);
+            b.syscall(1);
+        };
+        auto spawn = [&] { b.spawn(workers[rng.below(2)]); };
+        b.beginFunction("main");
+        const uint64_t events = 3 + rng.below(6);
+        for (uint64_t e = 0; e < events; ++e) {
+            switch (rng.below(5)) {
+              case 0:
+                main_store(!spawned);
+                break;
+              case 1:
+                b.loop(2, [&] { main_store(!spawned); });
+                break;
+              case 2:
+                spawn();
+                spawned = true;
+                break;
+              case 3:
+                // Every store in a loop that spawns runs after the
+                // spawn on a later trip, so none is pre-spawn.
+                b.loop(2, [&] {
+                    if (rng.below(2))
+                        main_store(false);
+                    spawn();
+                    if (rng.below(2))
+                        main_store(false);
+                });
+                spawned = true;
+                ++loop_spawns;
+                break;
+              default:
+                b.joinAll();
+                break;
+            }
+        }
+        b.joinAll();
+        b.endFunction();
+        Program p = b.build();
+
+        ElisionStats stats;
+        Program on = preparedForTxRace(p, {}, &stats);
+        EXPECT_EQ(stats.preSpawn, pre.size());
+        for (const std::string &tag : pre)
+            EXPECT_FALSE(byTag(on, tag).instrumented) << tag;
+        for (const std::string &tag : post)
+            EXPECT_TRUE(byTag(on, tag).instrumented) << tag;
+        pre_total += pre.size();
+        post_total += post.size();
+
+        std::set<std::string> union_on, union_off;
+        for (uint64_t seed = 1; seed <= 10; ++seed) {
+            core::RunConfig cfg;
+            cfg.mode = core::RunMode::TxRaceDynLoopcut;
+            cfg.machine.seed = seed;
+            core::RunConfig off = cfg;
+            off.passes.elide.enabled = false;
+            for (auto [c, u] : {std::pair{&cfg, &union_on},
+                                std::pair{&off, &union_off}}) {
+                core::RunResult r = core::runProgram(p, *c);
+                ASSERT_TRUE(r.error.ok());
+                for (const auto &[sig, race] :
+                     core::fingerprintedRaces(p, r.races))
+                    u->insert(sig.key);
+            }
+        }
+        EXPECT_EQ(union_on, union_off);
+        races += union_off.size();
+        if (HasFailure())
+            break;
+    }
+    // Stores on both sides of the cut-off, spawns in loops, and races
+    // all occur.
+    EXPECT_GT(pre_total, 0u);
+    EXPECT_GT(post_total, 0u);
+    EXPECT_GT(loop_spawns, 0u);
+    EXPECT_GT(races, 0u);
+}
+
 TEST(Elide, DisabledPipelineIsIdentity)
 {
     ProgramBuilder b;
@@ -673,11 +902,11 @@ TEST(Elide, PerFunctionStatsNameTheFunctions)
     b.load(AddrExpr::absolute(x), "w");
     b.endFunction();
     b.beginFunction("main");
-    b.store(AddrExpr::absolute(x), "init");  // x is written
     b.spawn(worker, 2);
     b.joinAll();
     b.load(AddrExpr::absolute(x), "m");
     b.load(AddrExpr::absolute(x), "m");
+    b.store(AddrExpr::absolute(x), "update");  // x is written
     b.endFunction();
     Program p = b.build();
     ElisionStats stats = elide(p);

@@ -358,6 +358,36 @@ TEST(Service, StdinBatchesFoldLikeSpoolBatches)
     fs::remove_all(dir);
 }
 
+TEST(Service, StdinRefusesBadRecordsAndKeepsServing)
+{
+    // Each of the first four records names something the workload
+    // registry cannot build (or no app at all). The service refuses
+    // them with a warning instead of exiting, and the good job after
+    // them still folds.
+    campaign::CampaignConfig cfg = smallCampaign();
+    const std::string dir = freshDir("stdin_refuse");
+    std::istringstream jobs("{\"app\": \"raytrace\", \"scale\": 0}\n"
+                            "{\"app\": \"raytrace\", \"workers\": 1}\n"
+                            "{\"app\": \"nosuch\"}\n"
+                            "{\"seed\": 3}\n"
+                            "{\"app\": \"raytrace\", \"seed\": 5}\n");
+    ServiceOptions opt;
+    opt.cfg = cfg;
+    opt.stateDir = dir;
+    opt.jobStream = &jobs;
+    ServiceResult res = runService(opt);
+    EXPECT_TRUE(res.completed);
+    EXPECT_EQ(res.jobsFolded, 1u);
+
+    FindingsStore store;
+    std::string error;
+    ASSERT_TRUE(FindingsStore::parse(slurp(dir + "/findings.json"),
+                                     store, error))
+        << error;
+    EXPECT_EQ(store.aggregate.runs(), 1u);
+    fs::remove_all(dir);
+}
+
 namespace {
 
 /** A progress sink that raises @p stop once @p after "progress"

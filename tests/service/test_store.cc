@@ -379,6 +379,26 @@ TEST(Ingest, BadLinesReportTheLineNumber)
     EXPECT_NE(error.find("line 2"), std::string::npos) << error;
 }
 
+TEST(Ingest, RecordsTheRegistryCannotBuildAreRefused)
+{
+    // An unknown app, one worker and scale 0 are refused with the
+    // registry's reason; the good lines around them still parse.
+    campaign::CampaignConfig cfg = identity();
+    std::vector<campaign::JobSpec> specs;
+    std::string error;
+    EXPECT_FALSE(parseJobBatch("{\"app\": \"nosuch\"}\n"
+                               "{\"app\": \"raytrace\", \"seed\": 2}\n"
+                               "{\"app\": \"raytrace\", \"workers\": 1}\n"
+                               "{\"app\": \"vips\", \"scale\": 0}\n",
+                               cfg, specs, error));
+    ASSERT_EQ(specs.size(), 1u);
+    EXPECT_EQ(specs[0].seed, 2u);
+    for (const char *why : {"line 1: unknown workload 'nosuch'",
+                            "line 3: need at least two workers",
+                            "line 4: scale must be at least 1"})
+        EXPECT_NE(error.find(why), std::string::npos) << error;
+}
+
 TEST(Ingest, SpoolListingIsSortedAndSkipsTempFiles)
 {
     namespace fs = std::filesystem;

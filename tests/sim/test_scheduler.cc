@@ -85,12 +85,13 @@ TEST(Scheduler, InterleavingIsFineGrained)
     });
     b.endFunction();
     b.beginFunction("main");
-    // Single-threaded, so untransacted: quanta batch these stores.
-    // Written before the spawn, so the workers' loads stay
-    // instrumented and their regions stay transactional.
-    b.loop(64, [&] { b.store(AddrExpr::perIter(a, 8)); });
     b.spawn(worker, 2);
     b.joinAll();
+    // Single-threaded, so untransacted: quanta batch these stores.
+    // Written after a spawn, so the workers' loads stay instrumented
+    // and their regions stay transactional (the passes elide a store
+    // made before the first spawn).
+    b.loop(64, [&] { b.store(AddrExpr::perIter(a, 8)); });
     b.endFunction();
     // No loop cuts: a cut marker is a forced preemption point too.
     passes::PassConfig pc;
@@ -207,11 +208,11 @@ TEST(Scheduler, OversubscriptionScalesInterrupts)
         });
         b.endFunction();
         b.beginFunction("main");
-        // Written before the spawn, so the workers' loads stay
-        // instrumented and their regions stay transactional.
-        b.loop(64, [&] { b.store(AddrExpr::perIter(a, 8)); });
         b.spawn(worker, workers);
         b.joinAll();
+        // Written after a spawn, so the workers' loads stay
+        // instrumented and their regions stay transactional.
+        b.loop(64, [&] { b.store(AddrExpr::perIter(a, 8)); });
         b.endFunction();
         Program p = b.build();
 
