@@ -19,6 +19,7 @@
 #include "detector/lockset.hh"
 #include "core/runmode.hh"
 #include "core/versionlog.hh"
+#include "passes/passes.hh"
 #include "sim/machine.hh"
 #include "sim/policy.hh"
 #include "support/rng.hh"
@@ -39,8 +40,9 @@ class NativePolicy : public sim::ExecutionPolicy
  * runtimes: every thread create/join, lock, condvar and barrier
  * updates the detector's vector clocks, and each tracked op charges
  * syncTrackCost to @p bucket (TSan's Check, TxRace's Txn). A subclass
- * that knows no clock will ever be read clears tracking_, and the
- * hooks then do nothing.
+ * that knows which clocks its checks can read narrows hb_, and an op
+ * on any other object then does nothing, counted in untracked_ once
+ * that is bound.
  */
 class HbTrackingPolicy : public sim::ExecutionPolicy
 {
@@ -57,10 +59,17 @@ class HbTrackingPolicy : public sim::ExecutionPolicy
                           const std::vector<Tid> &parts) override;
 
   protected:
-    /** Sync ops update the detector and charge syncTrackCost. */
-    bool tracking_ = true;
+    /** The sync ops that update the detector and charge
+     *  syncTrackCost (default: every one). */
+    passes::HbRelevance hb_;
+    /** Counts each syncTrackCost an untracked op did not charge. */
+    telemetry::MetricId untracked_ = telemetry::kNoMetric;
 
   private:
+    /** @p yes, after counting @p ops untracked ones when it is
+     *  false. */
+    bool tracked(sim::Machine &m, bool yes, uint64_t ops = 1);
+
     sim::Bucket bucket_;
 };
 
@@ -176,7 +185,9 @@ class RaceTmPolicy : public sim::ExecutionPolicy
  * Fast path: synchronization-free regions run as transactions in the
  * HTM model; every transaction reads the TxFail flag at begin. Sync
  * operations keep updating vector clocks so later slow-path episodes
- * see correct happens-before order (§5, Fig. 6).
+ * see correct happens-before order (§5, Fig. 6); with the elision
+ * pipeline on, only those on objects that can order two checked
+ * accesses do (passes::hbRelevance).
  *
  * Abort dispatch (§4.2):
  *  - conflict: the victim rolls back and publishes TxFail (next
@@ -361,6 +372,9 @@ class TxRacePolicy : public HbTrackingPolicy
     /** Loop-cut scheme active (Dyn and Prof; NoOpt ignores LoopCut
      *  markers and learns nothing). */
     bool loopCuts_;
+    /** Track happens-before per object (the elision pipeline is on),
+     *  not on every lock and condvar. */
+    bool perObjectHb_;
     LoopCutTable loopcuts_;
     /** The winner replay's version log: the runtime's own stores
      *  inside each transaction. Present iff the run's slow path is

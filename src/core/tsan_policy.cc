@@ -7,10 +7,18 @@ namespace txrace::core {
 using sim::Bucket;
 using sim::Machine;
 
+bool
+HbTrackingPolicy::tracked(Machine &m, bool yes, uint64_t ops)
+{
+    if (!yes && untracked_ != telemetry::kNoMetric)
+        m.tel().registry.add(untracked_, ops);
+    return yes;
+}
+
 void
 HbTrackingPolicy::onThreadCreated(Machine &m, Tid parent, Tid child)
 {
-    if (!tracking_)
+    if (!tracked(m, hb_.checks))
         return;
     m.det().threadCreated(parent, child);
     m.addCost(parent, m.config().cost.syncTrackCost, bucket_);
@@ -19,7 +27,7 @@ HbTrackingPolicy::onThreadCreated(Machine &m, Tid parent, Tid child)
 void
 HbTrackingPolicy::onThreadJoined(Machine &m, Tid joiner, Tid joined)
 {
-    if (!tracking_)
+    if (!tracked(m, hb_.checks))
         return;
     m.det().threadJoined(joiner, joined);
     m.addCost(joiner, m.config().cost.syncTrackCost, bucket_);
@@ -29,7 +37,7 @@ void
 HbTrackingPolicy::onSyncPerformed(Machine &m, Tid t,
                                   const ir::Instruction &ins)
 {
-    if (!tracking_)
+    if (!tracked(m, hb_.tracks(ins)))
         return;
     auto &det = m.det();
     switch (ins.op) {
@@ -55,7 +63,7 @@ void
 HbTrackingPolicy::onBarrierRelease(Machine &m,
                                    const std::vector<Tid> &parts)
 {
-    if (!tracking_)
+    if (!tracked(m, hb_.checks, parts.size()))
         return;
     m.det().barrierRelease(parts);
     for (Tid p : parts)

@@ -48,6 +48,7 @@ TxRacePolicy::TxRacePolicy(const RunConfig &cfg,
                            const LoopCutTable *preloaded)
     : HbTrackingPolicy(Bucket::Txn),
       loopCuts_(cfg.mode != RunMode::TxRaceNoOpt),
+      perObjectHb_(cfg.passes.elide.enabled),
       governor_(cfg.governor, cfg.machine.seed ^ 0x9075ea1ULL),
       budget_(cfg.budget, cfg.machine.seed ^ 0x9075ea1ULL)
 {
@@ -73,20 +74,17 @@ TxRacePolicy::state(Tid t)
 void
 TxRacePolicy::onRunStart(Machine &m)
 {
-    // A program whose passes left no access instrumented runs no
-    // transaction, no slow path and no check, so no vector clock is
-    // ever read: its sync ops need no happens-before tracking.
     const auto &prog = m.program();
-    bool checks = false;
-    for (ir::FuncId f = 0; f < prog.numFunctions(); ++f) {
-        for (const auto &ins : prog.function(f).body) {
+    for (ir::FuncId f = 0; f < prog.numFunctions(); ++f)
+        for (const auto &ins : prog.function(f).body)
             if (ins.op == ir::OpCode::LoopCut)
                 cutLoops_.insert(ins.arg0);
-            checks = checks || (ir::isMemAccess(ins.op) && ins.instrumented);
-        }
-    }
-    tracking_ = checks;
     governor_.setShortTxUseful(!cutLoops_.empty());
+    // Track only the sync ops whose clocks a check can read: none in
+    // a program with no instrumented access, and with the elision
+    // pipeline on, only the locks and condvars that can order two
+    // checked accesses (passes::hbRelevance).
+    hb_ = passes::hbRelevance(prog, perObjectHb_);
 
     // Intern every hot-path counter once; the per-access and
     // per-abort paths below then update by integer id. Registration
@@ -129,6 +127,7 @@ TxRacePolicy::onRunStart(Machine &m)
     if (budget_.enabled())
         governor_.setBudget(&budget_);
     budget_.onRunStart(m);
+    untracked_ = reg.counter("txrace.hb.untracked");
 
     // Forensics hook: when the flight recorder is live, drain the
     // involved threads' event windows at the instant the detector
@@ -745,8 +744,8 @@ TxRacePolicy::onSyncPerformed(Machine &m, Tid t,
 {
     // Happens-before order of synchronization is tracked on both
     // paths, so slow-path episodes never report stale false warnings
-    // (§5, Figure 6). The monitor books the tracking to the window
-    // its base clock is in.
+    // (§5, Figure 6); onRunStart chose the objects that need it. The
+    // monitor books the tracking to the window its base clock is in.
     if (budget_.enabled())
         budget_.rollWindows(m);
     flightNote(m, t, FrKind::Sync, ins.id);

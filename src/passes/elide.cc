@@ -6,7 +6,9 @@
  *
  * Five passes, all running AFTER transactionalize() and none
  * inserting, removing, or reordering instructions: passes 1-4 only
- * clear `instrumented` bits, and pass 5 only sets region marks. That
+ * clear `instrumented` bits, and pass 5 only sets region marks. Rule 6
+ * changes no instruction at all: the TxRace runtime applies it to the
+ * prepared program (hbrelevance.cc). That
  * discipline keeps an elided and a non-elided build position-for-
  * position identical. With the same region marks the two builds are
  * schedule-identical (same step counts, same RNG draws, same
@@ -105,6 +107,30 @@
  *    per-run race sets may move. The race union over seeds may only
  *    grow, and only by initialization-idiom pairs (§8.3), which
  *    overlap detection catches or misses by schedule luck.
+ *
+ * 6. Happens-before relevance. A check reads only the clock entries
+ *    of threads that run checked code, and only to order two accesses
+ *    of different threads, so a lock or condvar whose edges lie on no
+ *    path between two such accesses needs no tracking. The graph's
+ *    nodes are functions and lock, condvar and barrier ids. A release
+ *    or post adds an edge from its function to the object, an acquire
+ *    or wait one from the object to its function, and a barrier both.
+ *    A create adds an edge from the parent to the child's function. A
+ *    join adds an edge from every spawned function (a join names a
+ *    spawn index, not a function) to the joiner, but only when the
+ *    joiner releases, posts, meets a barrier, creates or makes an
+ *    instrumented access after it: later in body order, or anywhere
+ *    in the outermost loop around the join (a later trip). A lock or
+ *    condvar is tracked iff it lies on a path from a function holding
+ *    an instrumented access to such a function, the two not both the
+ *    entry function when no ThreadCreate runs it (one thread then
+ *    runs it, and one thread's accesses never race). Barriers,
+ *    creates and joins stay tracked whenever any access is
+ *    instrumented; a program with none tracks nothing. Untracked ops
+ *    skip the detector and syncTrackCost, and ordering between checked
+ *    accesses is unchanged: each tracked release still ticks its
+ *    thread's clock before any later access. Only the elided build
+ *    applies the rule; `--no-elide` tracks every object.
  */
 
 #include <algorithm>

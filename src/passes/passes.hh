@@ -107,6 +107,37 @@ struct ElisionStats
     }
 };
 
+/**
+ * Which sync ops the TxRace runtime must track for its checks to see
+ * the exact happens-before order (hbRelevance(); the rule is item 6
+ * of elide.cc's pass list). The default tracks every op.
+ */
+struct HbRelevance
+{
+    /** Some access is still instrumented. Without one no check runs,
+     *  so no op is tracked; with one, every barrier, create and join
+     *  is. */
+    bool checks = true;
+    /** Every lock and condvar is tracked, not just those listed. */
+    bool everyObject = true;
+    /** The tracked lock and condvar ids, sorted (when !everyObject). */
+    std::vector<uint64_t> locks;
+    std::vector<uint64_t> conds;
+
+    /** Whether sync op @p ins (lock, condvar, barrier, create or
+     *  join) updates the detector's clocks. */
+    bool tracks(const ir::Instruction &ins) const;
+};
+
+/**
+ * The happens-before relevance of @p prog's sync objects: with
+ * @p per_object, only the lock and condvar ids that can lie on a
+ * happens-before path between two checked accesses of different
+ * threads; otherwise every one. Reads `instrumented` bits, so it runs
+ * on the prepared program. Linear in the program's size.
+ */
+HbRelevance hbRelevance(const ir::Program &prog, bool per_object);
+
 /** Clear `instrumented` on accesses inside declared private ranges. */
 void privatize(ir::Program &prog);
 

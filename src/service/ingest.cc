@@ -60,14 +60,14 @@ parseJobLine(const std::string &line,
            readJobSpec(doc, cfg, spec, error);
 }
 
-bool
+size_t
 parseJobBatch(const std::string &text,
               const campaign::CampaignConfig &cfg,
               std::vector<campaign::JobSpec> &specs, std::string &error)
 {
     std::istringstream in(text);
     std::string line;
-    size_t lineNo = 0;
+    size_t lineNo = 0, refused = 0;
     error.clear();
     while (std::getline(in, line)) {
         ++lineNo;
@@ -78,11 +78,12 @@ parseJobBatch(const std::string &text,
         if (!parseJobLine(line, cfg, spec, why)) {
             error += (error.empty() ? "line " : "; line ") +
                      std::to_string(lineNo) + ": " + why;
+            ++refused;
             continue;
         }
         specs.push_back(std::move(spec));
     }
-    return error.empty();
+    return refused;
 }
 
 std::vector<std::string>

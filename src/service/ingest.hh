@@ -55,13 +55,13 @@ bool parseJobLine(const std::string &line,
 /**
  * Parse a whole NDJSON batch (blank lines skipped) into @p specs, one
  * per good line. A bad line is refused, not fatal: the good lines
- * around it are still parsed. False when any line was refused; @p
- * error then names each by its 1-based line number.
+ * around it are still parsed. Returns the number of lines refused;
+ * @p error then names each by its 1-based line number.
  */
-bool parseJobBatch(const std::string &text,
-                   const campaign::CampaignConfig &cfg,
-                   std::vector<campaign::JobSpec> &specs,
-                   std::string &error);
+size_t parseJobBatch(const std::string &text,
+                     const campaign::CampaignConfig &cfg,
+                     std::vector<campaign::JobSpec> &specs,
+                     std::string &error);
 
 /** Regular files in @p dir, sorted by name (the spool order). */
 std::vector<std::string> listSpoolFiles(const std::string &dir);

@@ -335,9 +335,12 @@ ServiceRunner::streamLoop()
                               error))
                     fatal("spool: %s", error.c_str());
                 std::vector<campaign::JobSpec> specs;
-                if (!parseJobBatch(text, cfg_, specs, error))
+                if (const size_t refused =
+                        parseJobBatch(text, cfg_, specs, error)) {
+                    stats_.jobsRefused += refused;
                     warn("spool: %s: refused %s", name.c_str(),
                          error.c_str());
+                }
                 Batch b = ingestBatch(name, std::move(specs));
                 if (b == Batch::Stopped)
                     return false;
@@ -355,8 +358,11 @@ ServiceRunner::streamLoop()
                     return true;
                 std::vector<campaign::JobSpec> specs;
                 std::string error;
-                if (!parseJobBatch(batchText, cfg_, specs, error))
+                if (const size_t refused =
+                        parseJobBatch(batchText, cfg_, specs, error)) {
+                    stats_.jobsRefused += refused;
                     warn("stdin batch: refused %s", error.c_str());
+                }
                 batchText.clear();
                 if (specs.empty())
                     return true;

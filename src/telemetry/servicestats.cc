@@ -15,6 +15,7 @@ ServiceStats::gauges(uint64_t ingestPerSec) const
         {"checkpoint_max_us", checkpointMaxMicros},
         {"deltas_emitted", deltasEmitted},
         {"resumes", resumes},
+        {"jobs_refused", jobsRefused},
     };
 }
 

@@ -25,6 +25,7 @@ struct ServiceStats
 {
     uint64_t jobsIngested = 0;      ///< outcomes folded
     uint64_t duplicatesSkipped = 0; ///< seen-set hits (resume overlap)
+    uint64_t jobsRefused = 0;       ///< stream records ingest refused
     uint64_t batches = 0;           ///< spool files / stdin batches
     uint64_t checkpoints = 0;
     uint64_t checkpointLastMicros = 0;

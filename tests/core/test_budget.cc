@@ -374,7 +374,9 @@ TEST(Budget, SparseAdmissionsStillBookEachWindowItsOwnOverhead)
     // only from the admission calls, every window would close at that
     // last check and the first would be booked the whole run's
     // tracking; rolled from the sync and access hooks, each window
-    // books its own share.
+    // books its own share. The lock orders no two checked accesses,
+    // so the elided build would not track it at all: the paper
+    // pipeline (no elision) tracks every lock.
     ir::ProgramBuilder b;
     ir::Addr x = b.alloc("x", 64);
     ir::FuncId worker = b.beginFunction("worker");
@@ -394,6 +396,7 @@ TEST(Budget, SparseAdmissionsStillBookEachWindowItsOwnOverhead)
     core::RunConfig cfg;
     cfg.mode = core::RunMode::TxRaceDynLoopcut;
     cfg.budget = monitorConfig();
+    cfg.passes.elide.enabled = false;
     core::RunResult r = core::runProgram(p, cfg);
     ASSERT_TRUE(r.error.ok());
     ASSERT_EQ(r.budget.gatedRegions + r.budget.gatedChecks, 0u);

@@ -362,8 +362,8 @@ TEST(Service, StdinRefusesBadRecordsAndKeepsServing)
 {
     // Each of the first four records names something the workload
     // registry cannot build (or no app at all). The service refuses
-    // them with a warning instead of exiting, and the good job after
-    // them still folds.
+    // them with a warning instead of exiting, counts them in its
+    // heartbeat gauges, and the good job after them still folds.
     campaign::CampaignConfig cfg = smallCampaign();
     const std::string dir = freshDir("stdin_refuse");
     std::istringstream jobs("{\"app\": \"raytrace\", \"scale\": 0}\n"
@@ -371,13 +371,21 @@ TEST(Service, StdinRefusesBadRecordsAndKeepsServing)
                             "{\"app\": \"nosuch\"}\n"
                             "{\"seed\": 3}\n"
                             "{\"app\": \"raytrace\", \"seed\": 5}\n");
+    std::ostringstream progress;
     ServiceOptions opt;
     opt.cfg = cfg;
     opt.stateDir = dir;
     opt.jobStream = &jobs;
+    opt.progressJson = &progress;
     ServiceResult res = runService(opt);
     EXPECT_TRUE(res.completed);
     EXPECT_EQ(res.jobsFolded, 1u);
+    // The closing heartbeat carries all four refusals.
+    const std::string stream = progress.str();
+    const size_t end = stream.rfind("\"event\":\"end\"");
+    ASSERT_NE(end, std::string::npos) << stream;
+    const std::string last = stream.substr(stream.rfind('\n', end) + 1);
+    EXPECT_NE(last.find("\"jobs_refused\":4"), std::string::npos) << last;
 
     FindingsStore store;
     std::string error;

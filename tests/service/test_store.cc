@@ -369,13 +369,15 @@ TEST(Ingest, BadLinesReportTheLineNumber)
     campaign::CampaignConfig cfg = identity();
     std::vector<campaign::JobSpec> specs;
     std::string error;
-    EXPECT_FALSE(parseJobBatch(
-        "{\"app\": \"raytrace\"}\n{\"seed\": 3}\n", cfg, specs,
-        error));
+    EXPECT_EQ(parseJobBatch(
+                  "{\"app\": \"raytrace\"}\n{\"seed\": 3}\n", cfg,
+                  specs, error),
+              1u);
     EXPECT_NE(error.find("line 2"), std::string::npos) << error;
 
-    EXPECT_FALSE(parseJobBatch("{\"app\": \"raytrace\"}\nnot json\n",
-                               cfg, specs, error));
+    EXPECT_EQ(parseJobBatch("{\"app\": \"raytrace\"}\nnot json\n",
+                            cfg, specs, error),
+              1u);
     EXPECT_NE(error.find("line 2"), std::string::npos) << error;
 }
 
@@ -386,11 +388,12 @@ TEST(Ingest, RecordsTheRegistryCannotBuildAreRefused)
     campaign::CampaignConfig cfg = identity();
     std::vector<campaign::JobSpec> specs;
     std::string error;
-    EXPECT_FALSE(parseJobBatch("{\"app\": \"nosuch\"}\n"
-                               "{\"app\": \"raytrace\", \"seed\": 2}\n"
-                               "{\"app\": \"raytrace\", \"workers\": 1}\n"
-                               "{\"app\": \"vips\", \"scale\": 0}\n",
-                               cfg, specs, error));
+    EXPECT_EQ(parseJobBatch("{\"app\": \"nosuch\"}\n"
+                            "{\"app\": \"raytrace\", \"seed\": 2}\n"
+                            "{\"app\": \"raytrace\", \"workers\": 1}\n"
+                            "{\"app\": \"vips\", \"scale\": 0}\n",
+                            cfg, specs, error),
+              3u);
     ASSERT_EQ(specs.size(), 1u);
     EXPECT_EQ(specs[0].seed, 2u);
     for (const char *why : {"line 1: unknown workload 'nosuch'",

@@ -210,8 +210,7 @@ main(int argc, char **argv)
         } else if (const char *v4 = value("--mode")) {
             cfg.mode = core::parseModeFlag(v4);
         } else if (const char *v5 = value("--workers")) {
-            cfg.workers = static_cast<uint32_t>(
-                core::parseUnsignedFlag("--workers", v5, 0, UINT32_MAX));
+            cfg.workers = workloads::parseWorkersFlag(v5);
         } else if (const char *v6 = value("--scale")) {
             cfg.scale = core::parseUnsignedFlag("--scale", v6, 1);
         } else if (const char *v7 = value("--master-seed")) {

@@ -164,8 +164,7 @@ main(int argc, char **argv)
         } else if (const char *v2 = value("--mode")) {
             mode_name = v2;
         } else if (const char *v3 = value("--workers")) {
-            params.nWorkers = static_cast<uint32_t>(
-                core::parseUnsignedFlag("--workers", v3, 0, UINT32_MAX));
+            params.nWorkers = workloads::parseWorkersFlag(v3);
         } else if (const char *v4 = value("--scale")) {
             params.scale = core::parseUnsignedFlag("--scale", v4, 1);
         } else if (const char *v5 = value("--seed")) {
