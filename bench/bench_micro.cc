@@ -207,9 +207,9 @@ BM_EndToEndTxRace(benchmark::State &state)
 BENCHMARK(BM_EndToEndTxRace);
 
 /**
- * End-to-end elision gate: a redundancy-heavy workload (dominated
- * re-loads of a shared cell, granule-aligned per-thread slots, tight
- * line reuse) run with the static elision passes on vs off. The
+ * End-to-end elision gate: a redundancy-heavy workload (re-loads of
+ * a shared cell nothing writes, granule-aligned per-thread slots,
+ * tight line reuse) run with the static elision passes on vs off. The
  * gate in BENCH_elision.json holds the elided pipeline measurably
  * faster on the streams it targets.
  */
@@ -233,9 +233,9 @@ runEndToEndElide(benchmark::State &state, bool elide)
             b.load(ir::AddrExpr::perThread(slots, 64));
             b.store(ir::AddrExpr::perThread(slots, 64));
             // Contended flag: forces conflict aborts and therefore
-            // slow-path episodes, where the dominated loads and
-            // privatized slots save real detector work — seven
-            // accesses, two surviving elision.
+            // slow-path episodes, where the never-written loads and
+            // privatized slots save real detector work — eight
+            // accesses, one surviving elision.
             b.store(ir::AddrExpr::absolute(flag));
             b.compute(2);
         });

@@ -122,8 +122,7 @@ parseOptions(int argc, char **argv)
             return argv[++i];
         };
         if (const char *v = want("--workers")) {
-            opt.workers = static_cast<uint32_t>(
-                core::parseUnsignedFlag("--workers", v, 2, UINT32_MAX));
+            opt.workers = workloads::parseWorkersFlag(v);
         } else if (const char *v2 = want("--scale")) {
             opt.scale = core::parseUnsignedFlag("--scale", v2, 1);
         } else if (const char *v3 = want("--seed")) {
@@ -142,6 +141,16 @@ parseOptions(int argc, char **argv)
                   "--seed N --runs N --app NAME --csv --json FILE)",
                   argv[i]);
         }
+    }
+    if (!opt.only.empty()) {
+        // The counts are already checked, so only the name can fail.
+        workloads::WorkloadParams params;
+        params.nWorkers = opt.workers;
+        params.scale = opt.scale;
+        if (const std::string error =
+                workloads::appParamsError(opt.only, params);
+            !error.empty())
+            fatal("--app: %s", error.c_str());
     }
     if (!opt.jsonPath.empty() && g_jsonPath.empty()) {
         g_jsonPath = opt.jsonPath;

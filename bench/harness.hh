@@ -32,7 +32,7 @@ struct Options
 
 /** Parse --workers/--scale/--seed/--runs/--csv/--app/--json from
  *  argv. A malformed or out-of-range number (--workers < 2, --scale or
- *  --runs 0) is a fatal naming its flag. */
+ *  --runs 0) or an unknown --app name is a fatal naming its flag. */
 Options parseOptions(int argc, char **argv);
 
 /** Applications to run given the options (all, or the one chosen). */

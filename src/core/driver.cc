@@ -115,9 +115,6 @@ runProgram(const ir::Program &prog, const RunConfig &cfg)
             // Static-elision accounting.
             auto &reg = m.tel().registry;
             reg.addNamed("pass.elide.candidates", elision.candidates);
-            reg.addNamed("pass.elide.dominated", elision.dominated);
-            reg.addNamed("pass.elide.raw_downgraded",
-                         elision.rawDowngraded);
             reg.addNamed("pass.elide.read_only", elision.readOnly);
             reg.addNamed("pass.elide.privatized", elision.privatized);
             reg.addNamed("pass.elide.locked", elision.locked);

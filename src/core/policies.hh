@@ -369,9 +369,6 @@ class TxRacePolicy : public HbTrackingPolicy
     /** @p t's protocol state, grown on demand. */
     ThreadTx &state(Tid t);
 
-    /** Loop-cut scheme active (Dyn and Prof; NoOpt ignores LoopCut
-     *  markers and learns nothing). */
-    bool loopCuts_;
     /** Track happens-before per object (the elision pipeline is on),
      *  not on every lock and condvar. */
     bool perObjectHb_;
@@ -382,7 +379,8 @@ class TxRacePolicy : public HbTrackingPolicy
     std::optional<VersionLog> vlog_;
     FallbackGovernor governor_;
     BudgetController budget_;
-    /** Static loop ids that carry LoopCut instrumentation. */
+    /** Static loop ids that carry LoopCut instrumentation. A NoOpt
+     *  build inserts no LoopCut, so NoOpt neither cuts nor learns. */
     std::set<uint64_t> cutLoops_;
     std::vector<ThreadTx> threads_;
 

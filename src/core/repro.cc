@@ -177,8 +177,8 @@ configDigest(const RunConfig &cfg)
     d.u64(cfg.passes.insertLoopCuts ? 1 : 0);
     d.u64(1);
     d.u64(cfg.passes.elide.enabled ? 1 : 0);
-    d.u64(1);  // dominance
-    d.u64(1);  // read-after-write downgrade
+    d.u64(1);  // former dominance pass
+    d.u64(1);  // former read-after-write downgrade
     d.u64(1);
 
     using Gov = FallbackGovernor;

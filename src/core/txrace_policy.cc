@@ -47,7 +47,6 @@ stopIfUnsatisfiable(Machine &m, const BudgetController &budget, Tid t,
 TxRacePolicy::TxRacePolicy(const RunConfig &cfg,
                            const LoopCutTable *preloaded)
     : HbTrackingPolicy(Bucket::Txn),
-      loopCuts_(cfg.mode != RunMode::TxRaceNoOpt),
       perObjectHb_(cfg.passes.elide.enabled),
       governor_(cfg.governor, cfg.machine.seed ^ 0x9075ea1ULL),
       budget_(cfg.budget, cfg.machine.seed ^ 0x9075ea1ULL)
@@ -293,7 +292,7 @@ TxRacePolicy::onTxBegin(Machine &m, Tid t, const ir::Instruction &ins)
     if (ctx.path == PathMode::Slow)
         panic("TxRacePolicy: TxBegin while on the slow path");
     if (ins.arg1 == ir::kRegionBare) {
-        // Nothing to check (elide.cc pass 5): no transaction, no slow
+        // Nothing to check (elide.cc pass 3): no transaction, no slow
         // path. The accesses still go through the HTM, so strong
         // isolation aborts the transactions they hit.
         m.tel().registry.add(met_.bareRegions);
@@ -354,7 +353,7 @@ TxRacePolicy::onTxEnd(Machine &m, Tid t, const ir::Instruction &)
         commitTx(m, t, ir::kNoInstr, telemetry::FrCommit::RegionEnd);
         m.addCost(t, m.config().cost.txEndCost, Bucket::Txn);
         governor_.onCommit(t);
-        if (loopCuts_ && tx.lastLoopCutId != ir::kNoInstr)
+        if (tx.lastLoopCutId != ir::kNoInstr)
             loopcuts_.onCommit(tx.lastLoopCutId);
         tx.lastLoopCutId = ir::kNoInstr;
         ctx.snap.valid = false;
@@ -375,7 +374,7 @@ TxRacePolicy::onTxEnd(Machine &m, Tid t, const ir::Instruction &)
 void
 TxRacePolicy::onLoopCut(Machine &m, Tid t, const ir::Instruction &ins)
 {
-    if (!loopCuts_ || !m.htm().inTx(t))
+    if (!m.htm().inTx(t))
         return;
     auto &ctx = m.context(t);
     if (ctx.loops.empty())
@@ -566,7 +565,7 @@ TxRacePolicy::handleSelfCapacity(Machine &m, Tid t, ir::InstrId site)
     // rolling back the loop stack (the stand-in for LBR attribution).
     uint64_t iters_in_tx = 0;
     uint64_t loop = innermostCutLoop(m, t, iters_in_tx);
-    if (loopCuts_ && loop != kNoCutLoop) {
+    if (loop != kNoCutLoop) {
         // Governed = the transaction died before reaching this loop's
         // active cut point; only then is the threshold too large.
         uint64_t thr = loopcuts_.threshold(loop);

@@ -117,7 +117,7 @@ HbDetector::read(Tid t, ir::Addr addr, ir::InstrId instr)
     // that are now ordered before us (they can no longer race with any
     // future access that we are ordered with), and append. A
     // branch-free scan finds the usual case, one entry (our own).
-    auto ordered = [&](const Access &r) {
+    auto ordered = [&](const Access &r) -> bool {
         return (r.tid == t) | (r.clock <= vc.get(r.tid));
     };
     uint64_t stale = n > 64 ? ~0ull : 0;  // bit i: entry i goes

@@ -70,19 +70,9 @@ struct Instruction
      * accesses falling entirely inside regions declared thread-private,
      * mirroring TSan's static race-free elision that the paper reuses;
      * the elision pipeline (passes/elide.cc) clears it for accesses it
-     * proves redundant or thread-disjoint.
+     * proves can never be a race endpoint.
      */
     bool instrumented = true;
-
-    /**
-     * When the elision pipeline demoted this access because an earlier
-     * access in the same sync-free segment dominates it, the id of
-     * that surviving representative: any race the elided access could
-     * have exhibited is reported against the representative instead.
-     * kNoInstr for accesses that are instrumented, or that were elided
-     * as provably race-free (no representative needed).
-     */
-    InstrId elisionRep = kNoInstr;
 
     /** Optional human-readable source tag (for race reports). */
     std::string tag;

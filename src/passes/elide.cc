@@ -4,9 +4,9 @@
  * "Compiling Away the Overhead of Race Detection" / HardRace idea the
  * paper's §7 points at: most dynamic checks are statically redundant).
  *
- * Five passes, all running AFTER transactionalize() and none
- * inserting, removing, or reordering instructions: passes 1-4 only
- * clear `instrumented` bits, and pass 5 only sets region marks. Rule 6
+ * Three passes, all running AFTER transactionalize() and none
+ * inserting, removing, or reordering instructions: passes 1-2 only
+ * clear `instrumented` bits, and pass 3 only sets region marks. Rule 4
  * changes no instruction at all: the TxRace runtime applies it to the
  * prepared program (hbrelevance.cc). That
  * discipline keeps an elided and a non-elided build position-for-
@@ -15,51 +15,29 @@
  * transaction boundaries), so the differential soundness test can
  * assert byte-identical race-fingerprint sets per run.
  *
- * 1. Dominance elision. Within one *elision segment* — a maximal run
- *    of instructions free of synchronization, system calls, loop
- *    boundaries, loop cuts, and transaction markers — a second access
- *    with the same address expression, opcode, and source tag is
- *    redundant: the surviving first access (the representative)
- *    executes at the same vector-clock epoch and therefore records
- *    exactly the same race pairs, and slow-path episodes always
- *    re-execute from a segment boundary (TxBegin and LoopCut both
- *    snapshot at boundary positions), so the representative is never
- *    skipped. Elided accesses carry `elisionRep` pointing at their
- *    representative; its fingerprint (func|op|tag) equals theirs, so
- *    the report the developer sees is unchanged.
- *
- * 2. Read-after-write downgrade. A load dominated by a *store* to the
- *    same address in the same segment adds no new racy location: the
- *    store's shadow-cell write entry is checked by every subsequent
- *    conflicting access at the same epoch. The racing *endpoint* can
- *    move from the load to the store (the opcode differs), so unlike
- *    pass 1 this is not fingerprint-identical by construction; it is
- *    validated empirically by the differential test across every
- *    registry workload and seed.
- *
- * 3. Pre-spawn and never-written elision. Thread creation orders
+ * 1. Pre-spawn and never-written elision. Thread creation orders
  *    every access the entry function makes before its first
  *    ThreadCreate ahead of every other thread's accesses (the
  *    single-threaded elision of §4.3, decided statically), so none of
  *    them can race. The cut-off is that create, or the outermost loop
  *    around it, since the loop's later trips run after the spawn. Each
- *    access before it is elided outright and joins no footprint. The
+ *    access before it is elided and joins no footprint. The
  *    rule needs an entry function that no ThreadCreate runs, and a
  *    program that never spawns is pre-spawn throughout.
  *    Then: every reported race pairs two accesses to one granule, at
  *    least one of them a store that reached the detector. A load
- *    whose whole-program footprint interval (pass 4's geometry, over
+ *    whose whole-program footprint interval (pass 2's geometry, over
  *    every thread the entry function can spawn) overlaps the
  *    footprint of no still-instrumented store, in any function, can
- *    therefore never be a report endpoint, and is elided outright.
+ *    therefore never be a report endpoint, and is elided.
  *    So `main`'s set-up stores keep none of the loads of the data they
  *    initialize. An unanalyzable store's footprint is the whole
  *    address space, so it keeps every load; without a thread bound
- *    neither rule does anything. Both run before pass 4, so that the
+ *    neither rule does anything. Both run before pass 2, so that the
  *    accesses they remove no longer merge otherwise-disjoint slot
  *    families or break a group's common mutex.
  *
- * 4. Thread-disjointness (extended escape/privatization) and
+ * 2. Thread-disjointness (extended escape/privatization) and
  *    locksets. The simulator evaluates `addr = base +
  *    threadStride*tid + loopStride*loopIdx + randomStride*uniform`,
  *    so an access's dynamic footprint is a per-thread interval. The
@@ -72,22 +50,21 @@
  *    inside the first slot — then thread t only ever touches slot t,
  *    whose bounds are granule-aligned, so two different threads can
  *    never touch a common granule, under any schedule. No member can
- *    ever race and all of them can be elided outright (no
- *    representative needed). Counting from the origin rather than
- *    from address 0 accepts every family a slot grid anchored at 0
- *    would, plus those, like facesim's per-thread mesh, that start
- *    part-way into such a slot. This generalizes privatize.cc beyond
+ *    ever race and all of them can be elided. Counting from the
+ *    origin rather than from address 0 accepts every family a slot
+ *    grid anchored at 0 would, plus those, like facesim's per-thread
+ *    mesh, that start part-way into such a slot. This generalizes privatize.cc beyond
  *    declared ranges. Otherwise, if one mutex is held at every member,
  *    that mutex's release→acquire edge orders every pair of them, and
  *    the detector tracks lock edges on both paths, so again no member
- *    can race and the group is elided outright. The held set comes
+ *    can race and the group is elided. The held set comes
  *    from a forward scan of each function: a thread starts with none,
  *    LockAcquire adds its mutex, LockRelease removes it. Functions
  *    branch only at loops, so that set holds on every path unless a
  *    loop body ends holding a different set than it began with; such
  *    a function gets empty sets throughout.
  *
- * 5. Bare regions. A TxBegin from which no instrumented access is
+ * 3. Bare regions. A TxBegin from which no instrumented access is
  *    reachable before a TxEnd — following fall-through and loop
  *    back-edges, so a region that wraps around a loop is judged on
  *    every path it can take — is marked kRegionBare (overriding the
@@ -103,12 +80,12 @@
  *    accesses still reach the HTM, so strong isolation still aborts
  *    the transactions they touch. Dropping the transaction also drops
  *    the aborts it suffered and the TxFail demotions those caused in
- *    other threads, so unlike passes 1-4 this changes the schedule:
+ *    other threads, so unlike passes 1-2 this changes the schedule:
  *    per-run race sets may move. The race union over seeds may only
  *    grow, and only by initialization-idiom pairs (§8.3), which
  *    overlap detection catches or misses by schedule luck.
  *
- * 6. Happens-before relevance. A check reads only the clock entries
+ * 4. Happens-before relevance. A check reads only the clock entries
  *    of threads that run checked code, and only to order two accesses
  *    of different threads, so a lock or condvar whose edges lie on no
  *    path between two such accesses needs no tracking. The graph's
@@ -143,107 +120,11 @@
 
 namespace txrace::passes {
 
-using ir::AddrExpr;
 using ir::Instruction;
 using ir::OpCode;
 using ir::Program;
 
 namespace {
-
-/** Opcodes that end an elision segment. Everything the runtime can
- *  resume, re-execute, or synchronize at is a boundary; Compute and
- *  Nop are transparent. */
-bool
-isSegmentBoundary(OpCode op)
-{
-    switch (op) {
-      case OpCode::Syscall:
-      case OpCode::LoopBegin:
-      case OpCode::LoopEnd:
-      case OpCode::LoopCut:
-      case OpCode::TxBegin:
-      case OpCode::TxEnd:
-        return true;
-      default:
-        return ir::isSyncOp(op);
-    }
-}
-
-/**
- * Straight-line dominance + read-after-write downgrade over one
- * function, counted into @p stats.
- *
- * Dominance: a second access with the same address expression, opcode
- * and tag inside one sync-free segment is redundant — the surviving
- * first access reaches the detector in the same epoch and reproduces
- * every race pair.
- *
- * Read-after-write downgrade: a load dominated by a store to the same
- * address in the same segment. Any race with the load is also a race
- * with the store on the same variable, but the reported endpoint moves
- * to the store, so this rule is validated empirically by the
- * differential test rather than proven fingerprint-identical.
- */
-void
-elideDominated(ir::Function &fn, ElisionStats &stats,
-               uint64_t &fn_elided)
-{
-    struct Rep
-    {
-        const AddrExpr *addr;
-        OpCode op;
-        const std::string *tag;
-        ir::InstrId id;
-    };
-    std::vector<Rep> window;
-
-    for (Instruction &ins : fn.body) {
-        if (isSegmentBoundary(ins.op)) {
-            window.clear();
-            continue;
-        }
-        if (!ir::isMemAccess(ins.op) || !ins.instrumented)
-            continue;
-        // A random address component makes the dynamic address differ
-        // between executions of the same static instruction: such an
-        // access can neither be dominated nor dominate.
-        if (ins.addr.randomCount != 0)
-            continue;
-
-        const Rep *same_op = nullptr;
-        const Rep *store_rep = nullptr;
-        for (const Rep &r : window) {
-            if (!(*r.addr == ins.addr))
-                continue;
-            // Same-op dominance demands an equal tag: the survivor
-            // must be the same report endpoint. The store behind a
-            // RAW downgrade need not share the load's tag — the
-            // endpoint moves to the store by design.
-            if (r.op == ins.op && *r.tag == ins.tag) {
-                same_op = &r;
-                break;
-            }
-            if (r.op == OpCode::Store)
-                store_rep = &r;
-        }
-
-        if (same_op) {
-            ins.instrumented = false;
-            ins.elisionRep = same_op->id;
-            ++stats.dominated;
-            ++fn_elided;
-            continue;
-        }
-        if (ins.op == OpCode::Load && store_rep) {
-            ins.instrumented = false;
-            ins.elisionRep = store_rep->id;
-            ++stats.rawDowngraded;
-            ++fn_elided;
-            continue;
-        }
-        window.push_back({&ins.addr, ins.op, &ins.tag, ins.id});
-    }
-}
 
 /** One instrumented access with its footprint summary. */
 struct Footprint
@@ -271,7 +152,7 @@ struct Footprint
  * with creations inside loops multiplied by the loops' maximum trip
  * counts. Returns 0 when no sound bound exists (thread creation
  * outside the entry function, or absurd loop products), which
- * disables passes 3 and 4 (pre-spawn, never-written,
+ * disables passes 1 and 2 (pre-spawn, never-written,
  * thread-disjointness and lockset).
  */
 uint64_t
@@ -340,10 +221,10 @@ preSpawnEnd(const Program &prog)
     return end;
 }
 
-/** Clear `instrumented` on access @p pc of @p f (an outright
- *  elision: no representative). */
+/** Clear `instrumented` on access @p pc of @p f, counting it in
+ *  @p counter and in @p f's per-function total. */
 void
-elideOutright(Program &prog, ir::FuncId f, uint32_t pc,
+elideAccess(Program &prog, ir::FuncId f, uint32_t pc,
               uint64_t &counter, std::vector<uint64_t> &fn_elided)
 {
     prog.function(f).body[pc].instrumented = false;
@@ -354,7 +235,7 @@ elideOutright(Program &prog, ir::FuncId f, uint32_t pc,
 /**
  * The footprint of every still-instrumented access, for a program
  * of at most @p max_threads threads. The entry function's pre-spawn
- * accesses (see file comment) are elided outright here instead, so
+ * accesses (see file comment) are elided here instead, so
  * they join no footprint.
  */
 std::vector<Footprint>
@@ -402,7 +283,7 @@ collectFootprints(Program &prog, uint64_t max_threads,
             if (!ir::isMemAccess(ins.op) || !ins.instrumented)
                 continue;
             if (f == prog.entry() && pc < pre_spawn_end) {
-                elideOutright(prog, f, pc, stats.preSpawn, fn_elided);
+                elideAccess(prog, f, pc, stats.preSpawn, fn_elided);
                 continue;
             }
 
@@ -483,7 +364,7 @@ elideReadOnly(Program &prog, std::vector<Footprint> &fps,
             [](const auto &w, uint64_t lo) { return w.second < lo; });
         if (it != written.end() && it->first <= fp.hi)
             return false;
-        elideOutright(prog, fp.func, fp.pc, stats.readOnly, fn_elided);
+        elideAccess(prog, fp.func, fp.pc, stats.readOnly, fn_elided);
         return true;
     });
 }
@@ -546,7 +427,7 @@ elidePrivate(Program &prog, std::vector<Footprint> fps,
         }
         uint64_t &counter = safe ? stats.privatized : stats.locked;
         for (size_t i = group_start; i < end; ++i)
-            elideOutright(prog, fps[i].func, fps[i].pc, counter,
+            elideAccess(prog, fps[i].func, fps[i].pc, counter,
                           fn_elided);
     };
     for (size_t i = 1; i < fps.size(); ++i) {
@@ -611,13 +492,10 @@ elide(Program &prog, const ElideConfig &cfg)
         fatal("elide: program not finalized");
 
     std::vector<uint64_t> fn_elided(prog.numFunctions(), 0);
-    for (ir::FuncId f = 0; f < prog.numFunctions(); ++f) {
-        ir::Function &fn = prog.function(f);
-        for (const Instruction &ins : fn.body)
+    for (ir::FuncId f = 0; f < prog.numFunctions(); ++f)
+        for (const Instruction &ins : prog.function(f).body)
             if (ir::isMemAccess(ins.op) && ins.instrumented)
                 ++stats.candidates;
-        elideDominated(fn, stats, fn_elided[f]);
-    }
     if (const uint64_t max_threads = maxThreadBound(prog)) {
         std::vector<Footprint> fps =
             collectFootprints(prog, max_threads, stats, fn_elided);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Happens-before relevance: which lock and condvar ids can order two
- * checked accesses (the rule is item 6 of elide.cc's pass list).
+ * checked accesses (the rule is item 4 of elide.cc's pass list).
  */
 
 #include <algorithm>

@@ -77,10 +77,6 @@ struct ElisionStats
 {
     /** Instrumented memory accesses entering the pipeline. */
     uint64_t candidates = 0;
-    /** Demoted by straight-line dominance (same expr/op/tag). */
-    uint64_t dominated = 0;
-    /** Loads downgraded behind a dominating same-address store. */
-    uint64_t rawDowngraded = 0;
     /** Loads elided because no instrumented store can reach their
      *  footprint (never written, so never a race endpoint). */
     uint64_t readOnly = 0;
@@ -102,14 +98,13 @@ struct ElisionStats
     uint64_t
     elided() const
     {
-        return dominated + rawDowngraded + readOnly + privatized + locked +
-               preSpawn;
+        return readOnly + privatized + locked + preSpawn;
     }
 };
 
 /**
  * Which sync ops the TxRace runtime must track for its checks to see
- * the exact happens-before order (hbRelevance(); the rule is item 6
+ * the exact happens-before order (hbRelevance(); the rule is item 4
  * of elide.cc's pass list). The default tracks every op.
  */
 struct HbRelevance
@@ -146,16 +141,13 @@ void privatize(ir::Program &prog);
 void transactionalize(ir::Program &prog, const PassConfig &cfg = {});
 
 /**
- * Static elision pipeline: dominance elision, read-after-write
- * downgrade, pre-spawn elision (the entry function's accesses before
- * its first spawn), never-written load elision, the thread-disjointness
- * (escape/privatization) analysis with its lockset rule (groups one
- * mutex always guards), and bare-region marking, per @p cfg. Must
- * run after transactionalize() — segment boundaries include the
- * inserted TxBegin/TxEnd/LoopCut markers, so every slow-path
- * re-execution replays the surviving representative before any
- * access elided under it. Only `instrumented` bits and TxBegin region
- * marks change.
+ * Static elision pipeline: pre-spawn elision (the entry function's
+ * accesses before its first spawn), never-written load elision, the
+ * thread-disjointness (escape/privatization) analysis with its
+ * lockset rule (groups one mutex always guards), and bare-region
+ * marking, per @p cfg. Must run after transactionalize(), whose
+ * TxBegin markers carry the bare-region marks. Only `instrumented`
+ * bits and TxBegin region marks change.
  */
 ElisionStats elide(ir::Program &prog, const ElideConfig &cfg = {});
 

@@ -266,8 +266,11 @@ struct ExecHandlers
         m.spawned_.push_back(child);
         ++m.live_;
         m.enrollRunnable(cctx);
+        // Joins parked on a spawn index not spawned yet re-check.
+        for (Tid w : m.spawnWaiters_)
+            m.makeRunnable(m.contexts_[w]);
+        m.spawnWaiters_.clear();
         m.policy_.onThreadCreated(m, t, child);
-        m.policy_.onThreadStart(m, child);
         m.tel_.registry.add(m.met_.threadsCreated);
         ++ctx.pc;
         m.quantumBreak_ = true;
@@ -285,6 +288,8 @@ struct ExecHandlers
                 m.policy_.onThreadJoined(m, t, target);
             ++ctx.pc;
         } else {
+            if (targets.empty())
+                m.spawnWaiters_.push_back(t);
             for (Tid target : targets)
                 if (m.contexts_[target].state != ThreadState::Finished)
                     m.joinWaiters_[target].push_back(t);
@@ -665,7 +670,6 @@ Machine::run()
     observeAccesses_ = policy_.observesAccesses();
     policy_.onRunStart(*this);
     det_.rootThread(0);
-    policy_.onThreadStart(*this, 0);
     runDecoded();
     error_.stepsExecuted = steps_;
     // Abnormal end: drain every thread's flight window into a capture
@@ -891,13 +895,10 @@ Machine::joinReady(const ir::Instruction &ins, Tid t,
         for (Tid s : spawned_)
             if (s != t)
                 targets.push_back(s);
-    } else {
-        if (ins.arg0 >= spawned_.size())
-            fatal("Machine: join of spawn index %llu but only %zu "
-                  "spawned",
-                  static_cast<unsigned long long>(ins.arg0),
-                  spawned_.size());
+    } else if (ins.arg0 < spawned_.size()) {
         targets.push_back(spawned_[ins.arg0]);
+    } else {
+        return false;  // not spawned yet
     }
     for (Tid target : targets)
         if (contexts_[target].state != ThreadState::Finished)

@@ -371,7 +371,8 @@ class Machine
     void captureUnfinishedThreads();
 
     /** Resolve a ThreadJoin target list; returns true when all
-     *  targets are finished (join completes). */
+     *  targets are finished (join completes). A join of a spawn index
+     *  not spawned yet is not ready and leaves @p targets empty. */
     bool joinReady(const ir::Instruction &ins, Tid t,
                    std::vector<Tid> &targets);
 
@@ -396,6 +397,9 @@ class Machine
     std::deque<ThreadContext> contexts_;
     std::vector<Tid> spawned_;  ///< spawn-order list (join indexing)
     std::unordered_map<Tid, std::vector<Tid>> joinWaiters_;
+    /** Threads blocked on a join of a spawn index not spawned yet;
+     *  the next ThreadCreate wakes them to re-check. */
+    std::vector<Tid> spawnWaiters_;
 
     /** Dense runnable set: tids in arbitrary order, swap-removed on
      *  block/finish. runnablePos_[tid] is the tid's index (kNoPos

@@ -33,9 +33,6 @@ class ExecutionPolicy
     /** All threads finished. */
     virtual void onRunEnd(Machine &) {}
 
-    /** Thread @p t is about to execute its first instruction. */
-    virtual void onThreadStart(Machine &, Tid) {}
-
     /** Thread @p t ran off the end of its function. Fires before the
      *  thread is marked finished; the policy must close any open
      *  transaction. */

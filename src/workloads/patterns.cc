@@ -41,7 +41,7 @@ unlockedCounter()
             "write-write race, hot enough for every tool",
             b.build(), 1, Expectation::Detects, Expectation::Detects,
             Expectation::Detects,
-            Expectation::Detects};
+            Expectation::Detects, {}};
 }
 
 Pattern
@@ -76,7 +76,7 @@ atomicityViolation()
             "detectors",
             b.build(), 0, Expectation::Silent, Expectation::Silent,
             Expectation::Silent,
-            Expectation::Silent};
+            Expectation::Silent, {}};
 }
 
 Pattern
@@ -115,7 +115,7 @@ orderViolation()
             "happens-before or overlap detector catches",
             b.build(), 1, Expectation::Detects, Expectation::Detects,
             Expectation::Detects,
-            Expectation::Detects};
+            Expectation::Detects, {}};
 }
 
 Pattern
@@ -148,7 +148,7 @@ unsafePublication()
             "initialization",
             b.build(), 1, Expectation::Detects, Expectation::Misses,
             Expectation::Misses,
-            Expectation::Misses};
+            Expectation::Misses, {}};
 }
 
 Pattern
@@ -185,7 +185,7 @@ doubleCheckedLocking()
             "write",
             b.build(), 1, Expectation::Detects, Expectation::Detects,
             Expectation::Detects,
-            Expectation::Detects};
+            Expectation::Detects, {}};
 }
 
 Pattern
@@ -212,7 +212,7 @@ barrierDoubleBuffer()
             "no lock is ever held — the lockset blind spot",
             b.build(), 0, Expectation::Silent, Expectation::Silent,
             Expectation::FalseAlarm,
-            Expectation::Silent};
+            Expectation::Silent, {}};
 }
 
 Pattern
@@ -238,7 +238,7 @@ falseSharing()
             "the precise slow path",
             b.build(), 0, Expectation::Silent, Expectation::Silent,
             Expectation::Silent,
-            Expectation::FalseAlarm};
+            Expectation::FalseAlarm, {}};
 }
 
 Pattern
@@ -282,7 +282,7 @@ racyFlagSpin()
             "too",
             b.build(), 1, Expectation::Detects, Expectation::Detects,
             Expectation::Detects,
-            Expectation::Detects};
+            Expectation::Detects, {}};
 }
 
 Pattern
@@ -310,7 +310,7 @@ lockedControl()
             "no tool may report anything",
             b.build(), 0, Expectation::Silent, Expectation::Silent,
             Expectation::Silent,
-            Expectation::Silent};
+            Expectation::Silent, {}};
 }
 
 /** Ground-truth tag pairs for the racy patterns (the others stay

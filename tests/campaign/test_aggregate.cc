@@ -180,7 +180,7 @@ TEST(Aggregator, FindingsSortedByFingerprint)
     Aggregator agg;
     agg.add(outcome(0, "app", 1,
                     {race(sig("app\x1dz", 900)),
-                     race(sig("app\x1da", 100)),
+                     race(sig("app\x1d" "a", 100)),
                      race(sig("app\x1dm", 500))}));
     CampaignResult result = agg.finalize(cfgFor({"app"}), {});
     ASSERT_EQ(result.findings.size(), 3u);
@@ -195,7 +195,7 @@ TEST(Aggregator, PrecisionRecallAgainstGroundTruth)
     agg.add(outcome(0, "app", 1,
                     {race(sig("app\x1dtrue1", 1, "L1")),
                      race(sig("app\x1dtrue2", 2, "L2")),
-                     race(sig("app\x1dbogus", 3, "LX"))}));
+                     race(sig("app\x1d" "bogus", 3, "LX"))}));
     std::map<std::string, std::set<std::string>> gt;
     gt["app"] = {"L1", "L2", "L3"};
 

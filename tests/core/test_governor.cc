@@ -519,5 +519,5 @@ TEST(Governor, GoldenChaosSoakDigest)
     ASSERT_TRUE(r.error.ok());
     EXPECT_EQ(r.totalCost, 6039450u);
     EXPECT_EQ(r.races.count(), 112u);
-    EXPECT_EQ(resultDigest(app.program, r), 0x479d3f9ac953f359ull);
+    EXPECT_EQ(resultDigest(app.program, r), 0x3a233eb3edd958b9ull);
 }

@@ -30,10 +30,10 @@
  *    detection catches or misses by schedule luck; for every other
  *    race the two unions are equal.
  *  - TSanEndpointOracle: no endpoint of a race TSan reports may be an
- *    access the TxRace pipeline elided outright (uninstrumented with
- *    no representative). This checks the never-written and
- *    thread-disjointness passes in every execution, not only in the
- *    slow-path episodes where their bits are read.
+ *    access the TxRace pipeline elided. This checks the pre-spawn,
+ *    never-written, thread-disjointness and lockset rules in every
+ *    execution, not only in the slow-path episodes where their bits
+ *    are read.
  */
 
 #include <gtest/gtest.h>
@@ -398,11 +398,9 @@ TEST_P(TSanEndpointOracle, NoRaceEndpointIsElidedOutright)
                 const ir::Instruction &ins = prepared.instr(id);
                 EXPECT_TRUE(ir::isMemAccess(ins.op))
                     << app.name << " seed " << seed << ": id " << id;
-                EXPECT_TRUE(ins.instrumented ||
-                            ins.elisionRep != ir::kNoInstr)
+                EXPECT_TRUE(ins.instrumented)
                     << app.name << " seed " << seed << ": endpoint '"
-                    << ins.tag << "' (id " << id
-                    << ") was elided outright";
+                    << ins.tag << "' (id " << id << ") was elided";
             }
         }
     }

@@ -1,14 +1,13 @@
 /**
  * @file
  * Unit tests for the static access-elision pipeline (passes/elide.cc):
- * dominance elision with its segment boundaries, read-after-write
- * downgrade, never-written load elision, the thread-disjointness
+ * pre-spawn and never-written load elision, the thread-disjointness
  * (privatization) analysis with its slot-family safety conditions,
  * the lockset rule (groups one mutex always guards), bare-region
- * marking, elision statistics, and the
- * structural guarantee underpinning the soundness contract — elision
- * only clears `instrumented` bits and sets bare-region marks, it
- * never changes the instruction stream.
+ * marking, elision statistics, and the structural guarantee
+ * underpinning the soundness contract — elision only clears
+ * `instrumented` bits and sets bare-region marks, it never changes
+ * the instruction stream.
  */
 
 #include <gtest/gtest.h>
@@ -65,128 +64,10 @@ spawnOnce(ProgramBuilder &b, FuncId worker)
 
 } // namespace
 
-TEST(Elide, DominanceElidesRepeatedAccess)
-{
-    ProgramBuilder b;
-    Addr x = b.alloc("x", 64);
-    FuncId worker = b.beginFunction("worker");
-    b.load(AddrExpr::absolute(x), "first");
-    b.compute(1);
-    b.load(AddrExpr::absolute(x), "first");  // same expr, op, tag
-    // A later write keeps x racy, so the never-written pass leaves
-    // the loads to dominance.
-    b.store(AddrExpr::absolute(x), "later write");
-    b.endFunction();
-    spawnOnce(b, worker);
-    Program p = b.build();
-
-    ElisionStats stats = elide(p);
-    EXPECT_EQ(stats.dominated, 1u);
-    EXPECT_EQ(stats.candidates, 3u);
-    EXPECT_EQ(stats.elided(), 1u);
-
-    const auto &body = p.function(0).body;
-    EXPECT_TRUE(body[0].instrumented);
-    EXPECT_FALSE(body[2].instrumented);
-    // The elided access points at its surviving representative so the
-    // slow path can attribute races to it.
-    EXPECT_EQ(body[2].elisionRep, body[0].id);
-}
-
-TEST(Elide, DifferentTagIsNotDominated)
-{
-    // Distinct source tags are distinct report endpoints: eliding one
-    // under the other would change what the developer sees.
-    ProgramBuilder b;
-    Addr x = b.alloc("x", 64);
-    b.beginFunction("main");
-    b.load(AddrExpr::absolute(x), "site A");
-    b.load(AddrExpr::absolute(x), "site B");
-    b.endFunction();
-    Program p = b.build();
-    ElisionStats stats = elide(p);
-    EXPECT_EQ(stats.dominated, 0u);
-}
-
-TEST(Elide, BoundariesResetTheDominanceWindow)
-{
-    // Sync ops, syscalls, and loop edges end an elision segment: the
-    // repeated access after each boundary executes at a different
-    // epoch (or in a different slow-path episode) and must stay
-    // instrumented.
-    ProgramBuilder b;
-    Addr x = b.alloc("x", 64);
-    b.beginFunction("main");
-    b.load(AddrExpr::absolute(x), "a");
-    b.syscall(1);
-    b.load(AddrExpr::absolute(x), "a");
-    b.lock(0);
-    b.load(AddrExpr::absolute(x), "a");
-    b.unlock(0);
-    b.loop(3, [&] { b.load(AddrExpr::absolute(x), "a"); });
-    b.endFunction();
-    Program p = b.build();
-    ElisionStats stats = elide(p);
-    EXPECT_EQ(stats.dominated, 0u);
-}
-
-TEST(Elide, RandomAddressesNeverParticipate)
-{
-    // A randomized address expression resolves differently on every
-    // execution of the same static instruction: it can neither be
-    // dominated nor serve as a representative.
-    ProgramBuilder b;
-    Addr t = b.alloc("t", 1024);
-    b.beginFunction("main");
-    b.load(AddrExpr::randomIn(t, 16, 8), "r");
-    b.load(AddrExpr::randomIn(t, 16, 8), "r");
-    b.endFunction();
-    Program p = b.build();
-    ElisionStats stats = elide(p);
-    EXPECT_EQ(stats.dominated, 0u);
-    EXPECT_EQ(stats.rawDowngraded, 0u);
-}
-
-TEST(Elide, RawDowngradeElidesLoadBehindStore)
-{
-    ProgramBuilder b;
-    Addr x = b.alloc("x", 64);
-    FuncId worker = b.beginFunction("worker");
-    b.store(AddrExpr::absolute(x), "the store");
-    b.load(AddrExpr::absolute(x), "the load");
-    b.endFunction();
-    spawnOnce(b, worker);
-    Program p = b.build();
-
-    ElisionStats stats = elide(p);
-    EXPECT_EQ(stats.rawDowngraded, 1u);
-    EXPECT_EQ(byTag(p, "the store").instrumented, true);
-    EXPECT_FALSE(byTag(p, "the load").instrumented);
-    EXPECT_EQ(byTag(p, "the load").elisionRep,
-              byTag(p, "the store").id);
-}
-
-TEST(Elide, StoreAfterLoadIsNotDowngraded)
-{
-    // The reverse direction is not sound: the store creates the write
-    // entry every later conflicting access is checked against.
-    ProgramBuilder b;
-    Addr x = b.alloc("x", 64);
-    FuncId worker = b.beginFunction("worker");
-    b.load(AddrExpr::absolute(x), "l");
-    b.store(AddrExpr::absolute(x), "s");
-    b.endFunction();
-    spawnOnce(b, worker);
-    Program p = b.build();
-    ElisionStats stats = elide(p);
-    EXPECT_EQ(stats.rawDowngraded, 0u);
-    EXPECT_TRUE(byTag(p, "s").instrumented);
-}
-
 TEST(Elide, ReadOnlyElidesNeverWrittenLoads)
 {
     // No store anywhere reaches the table, so no race can have a
-    // load of it as an endpoint: every such load is elided outright.
+    // load of it as an endpoint: every such load is elided.
     ProgramBuilder b;
     Addr table = b.alloc("table", 1024, 64);
     FuncId worker = b.beginFunction("worker");
@@ -204,7 +85,6 @@ TEST(Elide, ReadOnlyElidesNeverWrittenLoads)
     EXPECT_EQ(stats.elided(), 2u);
     EXPECT_FALSE(byTag(p, "lookup").instrumented);
     EXPECT_FALSE(byTag(p, "scan").instrumented);
-    EXPECT_EQ(byTag(p, "lookup").elisionRep, kNoInstr);
 }
 
 TEST(Elide, ReadOnlyKeptByAStoreInAnotherFunction)
@@ -439,8 +319,7 @@ TEST(Elide, PrivatizationElidesDisjointSlotFamily)
 {
     // Granule-aligned per-thread slots, every access contained in its
     // own slot: no two threads can ever touch a common granule, so
-    // the whole family is elided outright. The load comes first, so
-    // no store dominates it and the pass is the only one that fires.
+    // the whole family is elided.
     ProgramBuilder b;
     Addr slots = b.alloc("slots", 64, 64);
     FuncId worker = b.beginFunction("worker");
@@ -457,8 +336,31 @@ TEST(Elide, PrivatizationElidesDisjointSlotFamily)
     EXPECT_EQ(stats.privatized, 2u);
     EXPECT_FALSE(byTag(p, "own").instrumented);
     EXPECT_FALSE(byTag(p, "own rd").instrumented);
-    // Outright elision, not demotion to a representative.
-    EXPECT_EQ(byTag(p, "own").elisionRep, kNoInstr);
+}
+
+TEST(Elide, PrivatizationCountsRepeatedSlotAccesses)
+{
+    // Repeated accesses with one address expression, opcode and tag,
+    // and a load right behind a store to the same slot: every one of
+    // them stays in the slot family, so the family's sweep elides and
+    // counts all four.
+    ProgramBuilder b;
+    Addr slots = b.alloc("slots", 64, 64);
+    FuncId worker = b.beginFunction("worker");
+    for (int rep = 0; rep < 2; ++rep) {
+        b.store(AddrExpr::perThread(slots, mem::kGranuleSize), "own");
+        b.load(AddrExpr::perThread(slots, mem::kGranuleSize), "own rd");
+    }
+    b.endFunction();
+    spawnOnce(b, worker);
+    Program p = b.build();
+
+    ElisionStats stats = elide(p);
+    EXPECT_EQ(stats.candidates, 4u);
+    EXPECT_EQ(stats.privatized, 4u);
+    EXPECT_EQ(stats.elided(), 4u);
+    for (const Instruction &ins : p.function(worker).body)
+        EXPECT_FALSE(ins.instrumented) << ins.tag;
 }
 
 TEST(Elide, PrivatizationBlockedByOverlappingAbsoluteAccess)
@@ -604,7 +506,6 @@ TEST(Elide, PrivatizationMeasuresSlotPhaseFromTheGroupOrigin)
     EXPECT_EQ(stats.privatized, 3u);
     for (const char *tag : {"node rd", "node wr", "main node rd"}) {
         EXPECT_FALSE(byTag(p, tag).instrumented) << tag;
-        EXPECT_EQ(byTag(p, tag).elisionRep, kNoInstr) << tag;
     }
 }
 
@@ -895,29 +796,34 @@ TEST(Elide, DisabledPipelineIsIdentity)
 
 TEST(Elide, PerFunctionStatsNameTheFunctions)
 {
+    // Each function's total sums what every pass elided in it: the
+    // worker's slot family goes to privatization, main's set-up store
+    // to the pre-spawn rule.
     ProgramBuilder b;
-    Addr x = b.alloc("x", 64);
+    Addr slots = b.alloc("slots", 64, 64);
+    Addr x = b.alloc("x", 64, 64);
     FuncId worker = b.beginFunction("worker");
-    b.load(AddrExpr::absolute(x), "w");
-    b.load(AddrExpr::absolute(x), "w");
+    b.load(AddrExpr::perThread(slots, mem::kGranuleSize), "w rd");
+    b.store(AddrExpr::perThread(slots, mem::kGranuleSize), "w");
+    b.load(AddrExpr::perThread(slots, mem::kGranuleSize), "w rd");
     b.endFunction();
     b.beginFunction("main");
+    b.store(AddrExpr::absolute(x), "init");
     b.spawn(worker, 2);
     b.joinAll();
-    b.load(AddrExpr::absolute(x), "m");
-    b.load(AddrExpr::absolute(x), "m");
-    b.store(AddrExpr::absolute(x), "update");  // x is written
     b.endFunction();
     Program p = b.build();
     ElisionStats stats = elide(p);
+    EXPECT_EQ(stats.privatized, 3u);
+    EXPECT_EQ(stats.preSpawn, 1u);
     ASSERT_EQ(stats.perFunction.size(), 2u);
     EXPECT_EQ(stats.perFunction[0].first, "worker");
-    EXPECT_EQ(stats.perFunction[0].second, 1u);
+    EXPECT_EQ(stats.perFunction[0].second, 3u);
     EXPECT_EQ(stats.perFunction[1].first, "main");
     EXPECT_EQ(stats.perFunction[1].second, 1u);
 }
 
-// --- Bare regions (pass 5) ---
+// --- Bare regions (pass 3) ---
 
 namespace {
 
@@ -1126,7 +1032,7 @@ TEST(Elide, BareRegionCountIsExact)
         EXPECT_NE(mark, kBare);
 }
 
-// --- Lockset elision (pass 4's second rule) ---
+// --- Lockset elision (pass 2's second rule) ---
 
 namespace {
 
@@ -1175,8 +1081,6 @@ TEST(Elide, LockedGroupIsElidedAndItsRegionRunsBare)
     EXPECT_EQ(stats.elided(), 2u);
     EXPECT_FALSE(byTag(p, "cell wr").instrumented);
     EXPECT_FALSE(byTag(p, "cell rd").instrumented);
-    // Outright elision, not demotion to a representative.
-    EXPECT_EQ(byTag(p, "cell wr").elisionRep, kNoInstr);
     EXPECT_EQ(regionMarks(p, 0),
               (std::vector<uint64_t>{kBare, kBare, kBare}));
 }

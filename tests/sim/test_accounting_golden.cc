@@ -83,7 +83,7 @@ const Golden kGolden[] = {
     {"vips", core::RunMode::TSan,
      0x1450b917c1beb2cdull},
     {"vips", core::RunMode::TxRaceDynLoopcut,
-     0x9d6c305f0dbbc63aull},
+     0x8af4a9d7e249749aull},
     {"bodytrack", core::RunMode::Native,
      0x7339205e3015eec0ull},
     {"bodytrack", core::RunMode::TSan,
@@ -103,11 +103,11 @@ const Golden kGolden[] = {
     {.app = "apache-stream", .mode = core::RunMode::TxRaceProfLoopcut,
      .digest = 0xe6de103b74ec7477ull, .governor = true, .budgetPct = 5.0},
     {.app = "vips", .mode = core::RunMode::TxRaceDynLoopcut,
-     .digest = 0x91ca85fba6f98783ull, .workers = 8, .fault = "chaos",
+     .digest = 0x7591574da3b39f03ull, .workers = 8, .fault = "chaos",
      .governor = true},
     {.app = "x264", .mode = core::RunMode::TxRaceDynLoopcut,
      .digest = 0xa0184eab9cbff87eull, .slowpath = core::SlowPathKind::TxFail},
-    {"vips", core::RunMode::TxRaceProfLoopcut, 0x6f7b81aa05885cd4ull},
+    {"vips", core::RunMode::TxRaceProfLoopcut, 0x885c22102c09e202ull},
     {.app = "ferret", .mode = core::RunMode::TSanSampling,
      .digest = 0xe3b2e432426fd62full, .sampleRate = 0.5},
     {"canneal", core::RunMode::Eraser, 0x4fc2f8939c6964adull},
@@ -115,9 +115,9 @@ const Golden kGolden[] = {
     // TxRace abort-dispatch paths the rows above leave unreached:
     // the no-loop-cut scheme, retry exhaustion without the governor's
     // backoff, and a delayed TxFail publication in the pure protocol.
-    {"vips", core::RunMode::TxRaceNoOpt, 0xf661ff876c71dbbeull},
+    {"vips", core::RunMode::TxRaceNoOpt, 0xecd7207e33a901d0ull},
     {.app = "vips", .mode = core::RunMode::TxRaceDynLoopcut,
-     .digest = 0x3c8d2f067a22c462ull, .workers = 8, .fault = "retry-glitch"},
+     .digest = 0xa4ed5844e5535c88ull, .workers = 8, .fault = "retry-glitch"},
     {.app = "x264", .mode = core::RunMode::TxRaceDynLoopcut,
      .digest = 0x973fde71aa1a967aull, .workers = 8, .fault = "txfail-delay",
      .slowpath = core::SlowPathKind::TxFail},

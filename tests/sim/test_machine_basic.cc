@@ -320,6 +320,65 @@ TEST(Machine, DeadlockReturnsStructuredError)
     EXPECT_EQ(m.error().kind, RunError::Kind::Deadlock);
 }
 
+TEST(Machine, JoinWaitsForALaterSpawnOfItsIndex)
+{
+    // Spawn indices are global: index 1 is the thread the spawner
+    // creates, which may not exist yet when main reaches its join.
+    ProgramBuilder b;
+    FuncId leaf = b.beginFunction("leaf");
+    b.compute(1);
+    b.endFunction();
+    FuncId spawner = b.beginFunction("spawner");
+    b.loop(50, [&] { b.compute(1); });  // main reaches its join first
+    b.spawn(leaf);
+    b.endFunction();
+    b.beginFunction("main");
+    b.spawn(spawner);
+    b.join(1);
+    b.join(0);
+    b.endFunction();
+    Program p = b.build();
+    class JoinLog : public core::NativePolicy
+    {
+      public:
+        std::vector<std::pair<Tid, Tid>> joins;
+        void
+        onThreadJoined(Machine &, Tid joiner, Tid target) override
+        {
+            joins.emplace_back(joiner, target);
+        }
+    };
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+        JoinLog policy;
+        Machine m(p, quietConfig(seed), policy);
+        ASSERT_TRUE(m.run().ok()) << "seed " << seed;
+        const std::vector<std::pair<Tid, Tid>> want = {{0, 2}, {0, 1}};
+        EXPECT_EQ(policy.joins, want) << "seed " << seed;
+    }
+}
+
+TEST(Machine, JoinOfAnIndexNeverSpawnedDeadlocks)
+{
+    ProgramBuilder b;
+    FuncId worker = b.beginFunction("worker");
+    b.compute(1);
+    b.endFunction();
+    b.beginFunction("main");
+    b.spawn(worker);
+    b.join(5);  // only index 0 is ever spawned
+    b.endFunction();
+    Program p = b.build();
+    core::NativePolicy policy;
+    Machine m(p, quietConfig(), policy);
+    const RunError &err = m.run();
+    EXPECT_EQ(err.kind, RunError::Kind::Deadlock);
+    ASSERT_EQ(err.threads.size(), 1u);
+    EXPECT_EQ(err.threads[0].tid, 0u);
+    EXPECT_EQ(err.threads[0].state, ThreadState::Blocked);
+    EXPECT_NE(err.threads[0].where.find("join idx=5"), std::string::npos)
+        << err.threads[0].where;
+}
+
 TEST(Machine, OutOfBoundsAccessIsStructuredError)
 {
     // The static base check already triggers at finalize for absolute

@@ -48,11 +48,6 @@ TEST(MachinePolicy, HookOrderForSimpleRun)
         void onRunStart(Machine &) override { log.push_back("start"); }
         void onRunEnd(Machine &) override { log.push_back("end"); }
         void
-        onThreadStart(Machine &, Tid t) override
-        {
-            log.push_back("tstart" + std::to_string(t));
-        }
-        void
         onThreadExit(Machine &, Tid t) override
         {
             log.push_back("texit" + std::to_string(t));
@@ -80,9 +75,9 @@ TEST(MachinePolicy, HookOrderForSimpleRun)
     Machine m(p, quietConfig(), policy);
     m.run();
 
-    std::vector<std::string> expect = {"start",   "tstart0", "create01",
-                                       "tstart1", "mem1",    "texit1",
-                                       "join01",  "texit0",  "end"};
+    std::vector<std::string> expect = {"start",  "create01", "mem1",
+                                       "texit1", "join01",   "texit0",
+                                       "end"};
     EXPECT_EQ(policy.log, expect);
 }
 
