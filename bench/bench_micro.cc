@@ -374,6 +374,64 @@ BM_ReuseNoFlightRec(benchmark::State &state)
 }
 BENCHMARK(BM_ReuseNoFlightRec);
 
+/**
+ * Calibration gate: a calibrated makeApp of the 14 Table-1 apps (4
+ * workers, scale 16, the perfbench table1 set-up), whose probe only
+ * counts checks and sync events, against the same builds plus the
+ * full TSan run at the calibration seed that the same solve could
+ * read instead. Both sides build every model. The same-run ratio
+ * gate in CI (bench_compare.py --ratio-fast BM_CalibrateRegistry
+ * --ratio-slow BM_TsanProbeRegistry --min-ratio 1.5) holds the
+ * counting probe's speed-up.
+ */
+workloads::WorkloadParams
+registryGateParams(bool calibrate)
+{
+    workloads::WorkloadParams params;
+    params.nWorkers = 4;
+    params.scale = 16;
+    params.calibrate = calibrate;
+    return params;
+}
+
+void
+BM_CalibrateRegistry(benchmark::State &state)
+{
+    const auto params = registryGateParams(true);
+    for (auto _ : state) {
+        for (const std::string &name : workloads::appNames()) {
+            workloads::AppModel app = workloads::makeApp(name, params);
+            benchmark::DoNotOptimize(app.machine.cost.checkScale);
+        }
+    }
+    state.SetItemsProcessed(
+        state.iterations() *
+        static_cast<int64_t>(workloads::appNames().size()));
+}
+BENCHMARK(BM_CalibrateRegistry);
+
+void
+BM_TsanProbeRegistry(benchmark::State &state)
+{
+    const auto params = registryGateParams(false);
+    for (auto _ : state) {
+        for (const std::string &name : workloads::appNames()) {
+            workloads::AppModel app = workloads::makeApp(name, params);
+            core::RunConfig cfg;
+            cfg.mode = core::RunMode::TSan;
+            cfg.machine = app.machine;
+            cfg.machine.seed = 0xCA11Bull;
+            cfg.machine.cost.checkScale = 1.0;
+            core::RunResult r = core::runProgram(app.program, cfg);
+            benchmark::DoNotOptimize(r.totalCost);
+        }
+    }
+    state.SetItemsProcessed(
+        state.iterations() *
+        static_cast<int64_t>(workloads::appNames().size()));
+}
+BENCHMARK(BM_TsanProbeRegistry);
+
 } // namespace
 
 /**

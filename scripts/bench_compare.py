@@ -90,8 +90,8 @@ def check_ratio(cur, fast_name, slow_name, min_ratio):
         return False
     ratio = fast / slow
     ok = ratio >= min_ratio
-    print(f"ratio gate: {fast_name} {fast / 1e6:.1f} M/s vs "
-          f"{slow_name} {slow / 1e6:.1f} M/s = {ratio:.2f}x "
+    print(f"ratio gate: {fast_name} {fast:.4g}/s vs "
+          f"{slow_name} {slow:.4g}/s = {ratio:.2f}x "
           f"(need >= {min_ratio:.2f}x) -> "
           f"{'ok' if ok else 'FAIL'}")
     return ok

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "core/driver.hh"
 #include "core/repro.hh"
+#include "passes/passes.hh"
 #include "support/log.hh"
 #include "workloads/apps.hh"
 
@@ -102,34 +102,76 @@ indexedPairs(std::vector<RaceLabel> &out, size_t count,
 }
 
 /**
+ * The calibration probe: counts what a TSan run would charge on top
+ * of the application's own work, and charges nothing itself. Each
+ * instrumented access is one check; each sync event TsanPolicy
+ * tracks (lock, unlock, signal, wait, create, join, and each barrier
+ * participant) is one syncTrackCost. The scheduler is step-driven,
+ * so the probe executes exactly the steps a TSan run would.
+ */
+class CheckCountingPolicy : public sim::ExecutionPolicy
+{
+  public:
+    uint64_t checks = 0;
+    uint64_t syncs = 0;
+
+    bool
+    onMemAccess(sim::Machine &, Tid, const ir::Instruction &ins,
+                ir::Addr, bool) override
+    {
+        checks += ins.instrumented;
+        return true;
+    }
+
+    void
+    onSyncPerformed(sim::Machine &, Tid, const ir::Instruction &) override
+    {
+        ++syncs;
+    }
+
+    void onThreadCreated(sim::Machine &, Tid, Tid) override { ++syncs; }
+    void onThreadJoined(sim::Machine &, Tid, Tid) override { ++syncs; }
+
+    void
+    onBarrierRelease(sim::Machine &, const std::vector<Tid> &parts) override
+    {
+        syncs += parts.size();
+    }
+};
+
+/**
  * Solve for the checkScale that makes the TSan baseline hit the
- * paper's measured overhead on this substrate. The check-cost
- * contribution is linear in checkScale, so one probe run at scale 1
- * suffices:   target * native = (tsan1 - C1) + C1 * scale.
- * The probe's Base bucket is the Native run's total (tools add work,
- * they never change the application's), so no Native run is needed.
+ * paper's measured overhead on this substrate. A TSan run at
+ * checkScale 1 would cost y1 = X + C1 + S: the application's own work
+ * X (the Native total: tools add work, they never change the
+ * application's), C1 = checks * checkCost and S = syncs *
+ * syncTrackCost. Only the check term scales with checkScale, so
+ *   target * X = (y1 - C1) + C1 * scale.
+ * One counting run of the TSan build at the app's own size gives X,
+ * the check count and the sync count; no detector runs. The integer
+ * sum X + S is the double y1 - C1 exactly (every term is below 2^53).
  */
 double
 calibrateCheckScale(const ir::Program &prog,
                     const sim::MachineConfig &machine, double target)
 {
-    core::RunConfig rc;
-    rc.mode = core::RunMode::TSan;
-    rc.machine = machine;
-    rc.machine.seed = 0xCA11Bull;
-    rc.machine.cost.checkScale = 1.0;
-    core::RunResult tsan = core::runProgram(prog, rc);
+    sim::MachineConfig cfg = machine;
+    cfg.seed = 0xCA11Bull;
+    cfg.cost.checkScale = 1.0;
+    ir::Program prepared = passes::preparedForTSan(prog);
+    CheckCountingPolicy probe;
+    sim::Machine m(prepared, cfg, probe);
+    m.run();
 
-    uint64_t checks = tsan.stats.get("detector.reads") +
-                      tsan.stats.get("detector.writes");
-    double c1 = static_cast<double>(checks) *
-                static_cast<double>(rc.machine.cost.checkCost);
-    double x = static_cast<double>(
-        tsan.buckets[static_cast<size_t>(sim::Bucket::Base)]);
-    double y1 = static_cast<double>(tsan.totalCost);
-    if (c1 <= 0.0 || x <= 0.0)
+    // The probe charges nothing, so its total is X.
+    uint64_t x = m.totalCost();
+    double c1 = static_cast<double>(probe.checks) *
+                static_cast<double>(cfg.cost.checkCost);
+    if (c1 <= 0.0 || x == 0)
         return 1.0;
-    double scale = (target * x - (y1 - c1)) / c1;
+    double y1_minus_c1 =
+        static_cast<double>(x + probe.syncs * cfg.cost.syncTrackCost);
+    double scale = (target * static_cast<double>(x) - y1_minus_c1) / c1;
     return std::clamp(scale, 0.1, 2000.0);
 }
 

@@ -37,7 +37,8 @@ struct WorkloadParams
     uint32_t nWorkers = 4;
     /** Work multiplier for longer runs (1 = default benchmark size). */
     uint64_t scale = 1;
-    /** Run the TSan-overhead calibration (costs one TSan run). */
+    /** Run the TSan-overhead calibration: one detector-free run of
+     *  the TSan build that counts checks and sync events. */
     bool calibrate = true;
 };
 

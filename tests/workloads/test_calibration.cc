@@ -2,13 +2,14 @@
  * @file
  * Tests of the per-app TSan check-scale calibration: the exact
  * checkScale of every registry app is pinned at two workload sizes,
- * and the invariant the one-run calibration rests on — a TSan run's
- * Base bucket equals the Native run's total — is checked on every
- * registry app at the calibration seed.
+ * and calibration's detector-free counting probe is checked against
+ * the same solve from a full TSan run (whose Base bucket must equal
+ * the Native total) on every registry app.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -90,24 +91,49 @@ TEST(Calibration, CheckScaleIsPinnedPerApp)
     }
 }
 
-TEST(Calibration, TsanBaseEqualsNativeTotalOnEveryApp)
+TEST(Calibration, CountingProbeMatchesATsanRunOnEveryApp)
 {
-    // Calibration reads the Native cost off the TSan run's Base
-    // bucket, so the two must agree on every registry app at the
-    // calibration seed and check scale.
+    // Calibration counts checks and sync events without a detector.
+    // Oracle: the same solve from a full TSan run at the calibration
+    // seed and check scale 1, whose Base bucket is the app's own work
+    // (the Native total, checked here too).
     for (const std::string &name : registryApps()) {
         for (uint64_t scale : {1u, 8u, 16u}) {
-            AppModel app = makeApp(name, params(scale, false));
-            core::RunConfig rc;
-            rc.machine = app.machine;
-            rc.machine.seed = kCalibrationSeed;
-            rc.mode = core::RunMode::Native;
-            core::RunResult native = core::runProgram(app.program, rc);
-            rc.mode = core::RunMode::TSan;
-            core::RunResult tsan = core::runProgram(app.program, rc);
-            EXPECT_EQ(tsan.buckets[static_cast<size_t>(sim::Bucket::Base)],
-                      native.totalCost)
-                << name << " at scale " << scale;
+            for (uint32_t workers : {2u, 4u, 8u}) {
+                WorkloadParams p = params(scale, false);
+                p.nWorkers = workers;
+                AppModel app = makeApp(name, p);
+                core::RunConfig rc;
+                rc.mode = core::RunMode::TSan;
+                rc.machine = app.machine;
+                rc.machine.seed = kCalibrationSeed;
+                rc.machine.cost.checkScale = 1.0;
+                core::RunResult tsan = core::runProgram(app.program, rc);
+                uint64_t base =
+                    tsan.buckets[static_cast<size_t>(sim::Bucket::Base)];
+                rc.mode = core::RunMode::Native;
+                EXPECT_EQ(base, core::runProgram(app.program, rc).totalCost)
+                    << name << " at scale " << scale << ", " << workers
+                    << " workers: TSan Base differs from Native";
+
+                uint64_t checks = tsan.stats.get("detector.reads") +
+                                  tsan.stats.get("detector.writes");
+                double c1 = static_cast<double>(checks) *
+                            static_cast<double>(sim::CostModel::checkCost);
+                double x = static_cast<double>(base);
+                double y1 = static_cast<double>(tsan.totalCost);
+                double expected = 1.0;
+                if (c1 > 0.0 && x > 0.0)
+                    expected = std::clamp(
+                        (app.paper.tsanOverhead * x - (y1 - c1)) / c1,
+                        0.1, 2000.0);
+
+                p.calibrate = true;
+                EXPECT_EQ(makeApp(name, p).machine.cost.checkScale,
+                          expected)
+                    << name << " at scale " << scale << ", " << workers
+                    << " workers";
+            }
         }
     }
 }

@@ -264,6 +264,15 @@ main(int argc, char **argv)
         cfg.apps = workloads::appNames();
     else if (!apps_arg.empty())
         cfg.apps = splitList("--apps", apps_arg);
+    // The counts are already checked, so only a name can fail.
+    workloads::WorkloadParams app_params;
+    app_params.nWorkers = cfg.workers;
+    app_params.scale = cfg.scale;
+    for (const std::string &app : cfg.apps)
+        if (const std::string error =
+                workloads::appParamsError(app, app_params);
+            !error.empty())
+            fatal("--apps: %s", error.c_str());
 
     std::ofstream progress_file;
     std::ostream *progress_json = nullptr;
