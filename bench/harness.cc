@@ -122,7 +122,7 @@ parseOptions(int argc, char **argv)
             return argv[++i];
         };
         if (const char *v = want("--workers")) {
-            opt.workers = workloads::parseWorkersFlag(v);
+            opt.workers = core::parseWorkersFlag(v);
         } else if (const char *v2 = want("--scale")) {
             opt.scale = core::parseUnsignedFlag("--scale", v2, 1);
         } else if (const char *v3 = want("--seed")) {

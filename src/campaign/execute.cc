@@ -16,11 +16,8 @@ WorkerCache::get(const std::string &app, uint32_t workers,
     auto it = cache_.find(key);
     if (it != cache_.end())
         return it->second;
-    workloads::WorkloadParams params;
-    params.nWorkers = workers;
-    params.scale = scale;
-    params.calibrate = calibrate;
-    return cache_.emplace(key, workloads::makeApp(app, params))
+    return cache_
+        .emplace(key, workloads::makeApp(app, {workers, scale, calibrate}))
         .first->second;
 }
 
@@ -31,24 +28,19 @@ executeJob(const JobSpec &spec, WorkerCache &cache, bool calibrate,
     const workloads::AppModel &app =
         cache.get(spec.app, spec.workers, spec.scale, calibrate);
 
-    core::RunConfig rc;
-    rc.mode = spec.mode;
-    rc.machine = app.machine;
-    rc.machine.seed = spec.seed;
-    rc.machine.interruptPerStep *= spec.interruptScale;
-    rc.governor.enabled = spec.governor;
-    rc.slowpath = slowpath;
-
     core::RunIdentity identity;
-    identity.target = core::RunTarget::App;
     identity.name = spec.app;
-    identity.mode = core::cliModeName(spec.mode);
+    identity.mode = spec.mode;
     identity.workers = spec.workers;
     identity.scale = spec.scale;
     identity.seed = spec.seed;
+    identity.sampleRate = 1.0;  // campaigns sample every access
     identity.governor = spec.governor;
     identity.irqScale = spec.interruptScale;
     identity.calibrated = calibrate;
+    core::RunConfig rc = core::runConfigFor(identity, app.machine);
+    // No flag selects the slow path; only tests change it.
+    rc.slowpath = slowpath;
 
     JobOutcome outcome;
     outcome.spec = spec;

@@ -265,8 +265,9 @@ writeForensics(JsonWriter &w, const ir::Program *prog,
 } // namespace
 
 void
-writeMetricsJson(std::ostream &os, const MetricsMeta &meta,
-                 const ir::Program *prog, const RunResult &result)
+writeMetricsJson(std::ostream &os, const RunIdentity &identity,
+                 bool traceText, const ir::Program *prog,
+                 const RunResult &result)
 {
     JsonWriter w(os);
     w.beginObject();
@@ -274,11 +275,11 @@ writeMetricsJson(std::ostream &os, const MetricsMeta &meta,
 
     w.key("run");
     w.beginObject();
-    w.field("app", meta.app);
-    w.field("mode", meta.mode);
-    w.field("seed", meta.seed);
-    w.field("workers", static_cast<uint64_t>(meta.workers));
-    w.field("scale", meta.scale);
+    w.field("app", identity.name);
+    w.field("mode", cliModeName(identity.mode));
+    w.field("seed", identity.seed);
+    w.field("workers", static_cast<uint64_t>(identity.workers));
+    w.field("scale", identity.scale);
     w.field("total_cost", result.totalCost);
     w.field("error", sim::runErrorKindName(result.error.kind));
     w.field("steps", result.error.stepsExecuted);
@@ -338,7 +339,7 @@ writeMetricsJson(std::ostream &os, const MetricsMeta &meta,
     const uint64_t stored = flight.timeline().size();
     w.key("events");
     w.beginObject();
-    w.field("enabled", meta.traceText);
+    w.field("enabled", traceText);
     w.field("capacity",
             static_cast<uint64_t>(telemetry::FlightRecorder::kTimelineCap));
     w.field("stored", stored);

@@ -13,30 +13,22 @@
 #include <string>
 
 #include "core/driver.hh"
+#include "core/repro.hh"
 #include "ir/program.hh"
 #include "telemetry/profile.hh"
 
 namespace txrace::core {
 
-/** Run identity recorded in the metrics document header. */
-struct MetricsMeta
-{
-    std::string app;
-    std::string mode;
-    uint64_t seed = 0;
-    uint32_t workers = 0;
-    uint64_t scale = 0;
-    /** The `--trace` text timeline was requested (events.enabled). */
-    bool traceText = false;
-};
-
 /**
- * Write the txrace-metrics-v1 JSON document for @p result to @p os.
+ * Write the txrace-metrics-v1 JSON document for @p result to @p os,
+ * headed by the run's @p identity; @p traceText records whether the
+ * `--trace` text timeline was requested (events.enabled).
  * @p prog (nullable) names conflict sites by their IR instruction and
  * enclosing function; without it sites carry only instruction ids.
  */
-void writeMetricsJson(std::ostream &os, const MetricsMeta &meta,
-                      const ir::Program *prog, const RunResult &result);
+void writeMetricsJson(std::ostream &os, const RunIdentity &identity,
+                      bool traceText, const ir::Program *prog,
+                      const RunResult &result);
 
 /**
  * Fold one run's observability state into a single-app

@@ -44,12 +44,10 @@ formatRace(const ir::Program &prog, const detector::Race &race)
     return ss.str();
 }
 
-namespace {
-
 void
-printReport(const ir::Program &prog, const RunResult &result,
-            std::ostream &os, const RunIdentity *identity,
-            uint64_t digest)
+printRaceReport(const ir::Program &prog, const RunResult &result,
+                std::ostream &os, const RunIdentity *identity,
+                uint64_t configDigest)
 {
     os << runModeName(result.mode) << ": " << result.races.count()
        << " distinct data race(s), total cost " << result.totalCost
@@ -62,26 +60,9 @@ printReport(const ir::Program &prog, const RunResult &result,
            << std::setfill(' ') << "\n";
         if (identity)
             os << "  reproduce: " << reproCommand(*identity)
-               << "  # config 0x" << std::hex << digest << std::dec
-               << "\n";
+               << "  # config 0x" << std::hex << configDigest
+               << std::dec << "\n";
     }
-}
-
-} // namespace
-
-void
-printRaceReport(const ir::Program &prog, const RunResult &result,
-                std::ostream &os)
-{
-    printReport(prog, result, os, nullptr, 0);
-}
-
-void
-printRaceReport(const ir::Program &prog, const RunResult &result,
-                std::ostream &os, const RunIdentity &identity,
-                uint64_t configDigest)
-{
-    printReport(prog, result, os, &identity, configDigest);
 }
 
 namespace {

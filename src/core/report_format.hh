@@ -32,19 +32,13 @@ std::string formatRace(const ir::Program &prog,
  * every distinct race with its fingerprint, instruction pair, tags,
  * access kinds, first-seen address, and dynamic hit count. Races are
  * ordered by fingerprint, so the report is byte-stable across any
- * two runs that find the same races.
+ * two runs that find the same races. Given @p identity, each race
+ * also gets its copy-paste reproduction command and @p configDigest.
  */
 void printRaceReport(const ir::Program &prog, const RunResult &result,
-                     std::ostream &os);
-
-/**
- * Same, plus a one-line exact-reproduction command per race (the
- * run's identity and config digest) so any finding can be replayed
- * with a copy-paste.
- */
-void printRaceReport(const ir::Program &prog, const RunResult &result,
-                     std::ostream &os, const RunIdentity &identity,
-                     uint64_t configDigest);
+                     std::ostream &os,
+                     const RunIdentity *identity = nullptr,
+                     uint64_t configDigest = 0);
 
 /**
  * Render the run's forensics captures (txrace_run --explain): per

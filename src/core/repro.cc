@@ -2,14 +2,19 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <iostream>
 #include <sstream>
 
 #include "core/fingerprint.hh"
 #include "core/loopcut.hh"
 #include "core/versionlog.hh"
+#include "fault/fault.hh"
 #include "support/log.hh"
 
 namespace txrace::core {
@@ -60,6 +65,33 @@ class Digest
 };
 
 } // namespace
+
+RunConfig
+runConfigFor(const RunIdentity &id, const sim::MachineConfig &base)
+{
+    RunConfig cfg;
+    cfg.mode = id.mode;
+    cfg.sampleRate = id.sampleRate;
+    cfg.machine = base;
+    cfg.machine.seed = id.seed;
+    cfg.machine.interruptPerStep *= id.irqScale;
+    if (!id.fault.empty())
+        cfg.machine.faults = fault::makeScenario(id.fault, id.faultHorizon);
+    // Monitor mode composes the budget controller on top of the
+    // ladder: the governor rides out storms, the budget caps what the
+    // ride may cost.
+    cfg.governor.enabled = id.governor || id.monitor;
+    if (id.monitor) {
+        if (!isTxRaceMode(id.mode))
+            fatal("--monitor requires a txrace mode");
+        cfg.budget.enabled = true;
+        cfg.budget.budgetPct = id.budgetPct;
+    }
+    // Elision is static only; the differential soundness test
+    // compares against exactly this configuration.
+    cfg.passes.elide.enabled = id.elide;
+    return cfg;
+}
 
 const char *
 cliModeName(RunMode mode)
@@ -221,6 +253,11 @@ configDigest(const RunConfig &cfg)
 std::string
 reproCommand(const RunIdentity &id)
 {
+    const RunIdentity def;
+    auto exact = [](double v) {
+        char buf[32];
+        return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    };
     std::ostringstream ss;
     ss << "txrace_run";
     switch (id.target) {
@@ -228,29 +265,106 @@ reproCommand(const RunIdentity &id)
       case RunTarget::Pattern:     ss << " --pattern "; break;
       case RunTarget::ProgramFile: ss << " --program "; break;
     }
-    ss << id.name << " --mode " << id.mode;
+    ss << id.name << " --mode " << cliModeName(id.mode);
     if (id.target == RunTarget::App)
         ss << " --workers " << id.workers << " --scale " << id.scale;
     ss << " --seed " << id.seed;
-    if (!id.fault.empty()) {
-        ss << " --fault " << id.fault;
-        if (id.faultHorizon != 0)
-            ss << " --fault-horizon " << id.faultHorizon;
-    }
+    if (id.mode == RunMode::TSanSampling && id.sampleRate != def.sampleRate)
+        ss << " --rate " << exact(id.sampleRate);
+    if (!id.fault.empty())
+        ss << " --fault " << id.fault << " --fault-horizon "
+           << id.faultHorizon;
     if (id.governor)
         ss << " --governor";
     if (id.monitor) {
         ss << " --monitor";
-        if (id.budgetPct != 5.0)
-            ss << " --budget-pct " << id.budgetPct;
+        if (id.budgetPct != def.budgetPct)
+            ss << " --budget-pct " << exact(id.budgetPct);
     }
     if (!id.elide)
         ss << " --no-elide";
-    if (id.irqScale != 1.0)
-        ss << " --irq-scale " << id.irqScale;
+    if (id.irqScale != def.irqScale)
+        ss << " --irq-scale " << exact(id.irqScale);
     if (!id.calibrated && id.target == RunTarget::App)
         ss << " --no-calibrate";
     return ss.str();
+}
+
+const char *
+flagValue(const std::vector<std::string> &args, size_t &i,
+          const char *flag)
+{
+    // Both `--flag value` and `--flag=value` spellings work.
+    if (args[i].starts_with(std::string(flag) + '='))
+        return args[i].c_str() + std::strlen(flag) + 1;
+    if (args[i] != flag)
+        return nullptr;
+    if (i + 1 >= args.size())
+        fatal("%s needs a value", flag);
+    return args[++i].c_str();
+}
+
+RunIdentity
+parseRunCommand(const std::vector<std::string> &args,
+                const std::function<bool(size_t &)> &other)
+{
+    RunIdentity id;
+    bool budget_given = false;
+    for (size_t i = 1; i < args.size(); ++i) {
+        auto value = [&](const char *flag) {
+            return flagValue(args, i, flag);
+        };
+        auto target = [&](RunTarget t, const char *name) {
+            if (!id.name.empty() && id.target != t)
+                fatal("--app, --program and --pattern are mutually "
+                      "exclusive");
+            id.target = t;
+            id.name = name;
+        };
+        if (const char *v = value("--app")) {
+            target(RunTarget::App, v);
+        } else if (const char *vp = value("--program")) {
+            target(RunTarget::ProgramFile, vp);
+        } else if (const char *vn = value("--pattern")) {
+            target(RunTarget::Pattern, vn);
+        } else if (const char *v2 = value("--mode")) {
+            id.mode = parseModeFlag(v2);
+        } else if (const char *v3 = value("--workers")) {
+            id.workers = parseWorkersFlag(v3);
+        } else if (const char *v4 = value("--scale")) {
+            id.scale = parseUnsignedFlag("--scale", v4, 1);
+        } else if (const char *v5 = value("--seed")) {
+            id.seed = parseUnsignedFlag("--seed", v5);
+        } else if (const char *vis = value("--irq-scale")) {
+            id.irqScale = parseDoubleFlag("--irq-scale", vis);
+            if (id.irqScale < 0.0)
+                fatal("--irq-scale must not be negative");
+        } else if (const char *v6 = value("--rate")) {
+            id.sampleRate = parseDoubleFlag("--rate", v6);
+        } else if (const char *v8 = value("--fault")) {
+            id.fault = v8;
+        } else if (const char *v9 = value("--fault-horizon")) {
+            id.faultHorizon = parseUnsignedFlag("--fault-horizon", v9);
+        } else if (args[i] == "--governor") {
+            id.governor = true;
+        } else if (args[i] == "--monitor") {
+            id.monitor = true;
+        } else if (const char *vb = value("--budget-pct")) {
+            id.budgetPct = parseDoubleFlag("--budget-pct", vb);
+            budget_given = true;
+            if (id.budgetPct <= 0.0)
+                fatal("--budget-pct must be positive");
+        } else if (args[i] == "--no-elide") {
+            id.elide = false;
+        } else if (args[i] == "--no-calibrate") {
+            id.calibrated = false;
+        } else if (!other(i)) {
+            fatal("unknown option '%s' (try --help)", args[i].c_str());
+        }
+    }
+    if (budget_given && !id.monitor)
+        fatal("--budget-pct requires --monitor");
+    return id;
 }
 
 uint64_t
@@ -269,6 +383,17 @@ parseUnsignedFlag(const char *flag, const std::string &text,
         fatal("%s: '%s' is out of range [%" PRIu64 ", %" PRIu64 "]",
               flag, text.c_str(), min, max);
     return v;
+}
+
+uint32_t
+parseWorkersFlag(const std::string &text)
+{
+    uint32_t n = static_cast<uint32_t>(
+        parseUnsignedFlag("--workers", text, 0, UINT32_MAX));
+    // The floor workloads::appParamsError() holds every app to.
+    if (n < 2)
+        fatal("--workers: need at least two workers");
+    return n;
 }
 
 RunMode
@@ -294,20 +419,39 @@ parseDoubleFlag(const char *flag, const std::string &text)
     return v;
 }
 
-std::vector<uint64_t>
-parseSeedList(const std::string &list)
+std::vector<std::string>
+splitCommas(const std::string &list)
 {
-    std::vector<uint64_t> seeds;
+    std::vector<std::string> items;
     size_t pos = 0;
     while (pos <= list.size()) {
         size_t comma = list.find(',', pos);
         if (comma == std::string::npos)
             comma = list.size();
-        seeds.push_back(parseUnsignedFlag(
-            "--seed-list", list.substr(pos, comma - pos)));
+        items.push_back(list.substr(pos, comma - pos));
         pos = comma + 1;
     }
+    return items;
+}
+
+std::vector<uint64_t>
+parseSeedList(const std::string &list)
+{
+    std::vector<uint64_t> seeds;
+    for (const std::string &item : splitCommas(list))
+        seeds.push_back(parseUnsignedFlag("--seed-list", item));
     return seeds;
+}
+
+std::ostream &
+openOut(const std::string &path, std::ofstream &file)
+{
+    if (path == "-")
+        return std::cout;
+    file.open(path);
+    if (!file)
+        fatal("cannot write %s", path.c_str());
+    return file;
 }
 
 } // namespace txrace::core

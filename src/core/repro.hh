@@ -17,6 +17,8 @@
 #define TXRACE_CORE_REPRO_HH
 
 #include <cstdint>
+#include <functional>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -27,20 +29,22 @@ namespace txrace::core {
 /** How a CLI run names its program. */
 enum class RunTarget : uint8_t { App, Pattern, ProgramFile };
 
-/** Everything needed to rebuild a txrace_run command line. */
+/** Every behaviour-affecting choice a txrace_run command line can
+ *  express: the one description of a run. */
 struct RunIdentity
 {
     RunTarget target = RunTarget::App;
     /** App/pattern name or program file path. */
     std::string name;
-    /** CLI mode token (txrace, txrace-dyn, tsan, ...). */
-    std::string mode = "txrace";
+    RunMode mode = RunMode::TxRaceProfLoopcut;
     uint32_t workers = 4;
     uint64_t scale = 1;
     uint64_t seed = 1;
+    /** Fraction of accesses TSanSampling checks (inert otherwise). */
+    double sampleRate = 0.5;
     /** Fault scenario ("" = none) and its horizon. */
     std::string fault;
-    uint64_t faultHorizon = 0;
+    uint64_t faultHorizon = 200'000;
     bool governor = false;
     /** Monitor mode (overhead budget); renders --monitor and, when
      *  != 5.0, --budget-pct. */
@@ -55,7 +59,15 @@ struct RunIdentity
     /** Whether the app model ran TSan-cost calibration (campaigns
      *  skip it; affects checkScale and hence schedules). */
     bool calibrated = true;
+
+    bool operator==(const RunIdentity &) const = default;
 };
+
+/** The RunConfig a run of @p id executes on machine @p base (the
+ *  app's, or the default for patterns and program files); fatal()s
+ *  when --monitor names a non-TxRace mode. */
+RunConfig runConfigFor(const RunIdentity &id,
+                       const sim::MachineConfig &base);
 
 /** CLI mode token for @p mode (inverse of parseModeFlag). */
 const char *cliModeName(RunMode mode);
@@ -77,15 +89,34 @@ uint64_t configDigest(const RunConfig &cfg);
 /**
  * One-line exact reproduction command, e.g.
  *   txrace_run --app vips --mode txrace --workers 4 --seed 3
- * Default-valued options are included so the line is self-contained.
+ * Default-valued options are included so the line is self-contained;
+ * doubles print in the shortest form that parses back equal.
  */
 std::string reproCommand(const RunIdentity &id);
+
+/** The value of option @p flag at args[@p i], spelled `--flag value`
+ *  (advancing @p i past the value) or `--flag=value`; nullptr when
+ *  args[i] is another argument. fatal()s on a missing value. */
+const char *flagValue(const std::vector<std::string> &args, size_t &i,
+                      const char *flag);
+
+/** Parse txrace_run's command line @p args (args[0] is the program)
+ *  into the identity it runs, the inverse of reproCommand. Other
+ *  arguments go to @p other, which advances the index past any value
+ *  and returns false on an unknown one (fatal). The name is empty if
+ *  no target came; fatal()s on bad values and conflicting flags. */
+RunIdentity parseRunCommand(const std::vector<std::string> &args,
+                            const std::function<bool(size_t &)> &other);
 
 /** Parse all of @p text as option @p flag's decimal value within
  *  [@p min, @p max]; fatal()s naming the flag on junk or a sign. */
 uint64_t parseUnsignedFlag(const char *flag, const std::string &text,
                            uint64_t min = 0,
                            uint64_t max = UINT64_MAX);
+
+/** Parse option --workers's count; fatal()s, naming the flag, on a
+ *  malformed count or one below the two workers every app needs. */
+uint32_t parseWorkersFlag(const std::string &text);
 
 /** Parse option --mode's token: a cliModeName, or the txrace-prof
  *  alias of txrace; fatal()s listing the modes on anything else. */
@@ -94,8 +125,15 @@ RunMode parseModeFlag(const std::string &text);
 /** As parseUnsignedFlag, for a finite floating-point value. */
 double parseDoubleFlag(const char *flag, const std::string &text);
 
+/** The entries of comma-separated @p list, empty ones included. */
+std::vector<std::string> splitCommas(const std::string &list);
+
 /** Parse a comma-separated seed list ("1,2,9"); fatal()s on junk. */
 std::vector<uint64_t> parseSeedList(const std::string &list);
+
+/** A front end's output stream for @p path: "-" means stdout,
+ *  anything else opens @p file for writing (fatal on failure). */
+std::ostream &openOut(const std::string &path, std::ofstream &file);
 
 } // namespace txrace::core
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/repro.hh"
 #include "passes/passes.hh"
 #include "support/log.hh"
 #include "workloads/apps.hh"
@@ -248,19 +247,6 @@ appParamsError(const std::string &name, const WorkloadParams &params)
     if (params.scale == 0)
         return "scale must be at least 1";
     return "";
-}
-
-uint32_t
-parseWorkersFlag(const std::string &text)
-{
-    WorkloadParams params;
-    params.nWorkers = static_cast<uint32_t>(
-        core::parseUnsignedFlag("--workers", text, 0, UINT32_MAX));
-    // Only the count can be wrong, so any registry app judges it.
-    if (const std::string error = appParamsError(appNames().front(), params);
-        !error.empty())
-        fatal("--workers: %s", error.c_str());
-    return params.nWorkers;
 }
 
 AppModel

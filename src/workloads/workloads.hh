@@ -103,10 +103,6 @@ const std::vector<std::string> &appNames();
 std::string appParamsError(const std::string &name,
                            const WorkloadParams &params);
 
-/** The value of a front end's --workers flag. fatal()s, naming the
- *  flag, on a malformed count or one appParamsError() refuses. */
-uint32_t parseWorkersFlag(const std::string &text);
-
 /** Build one application model. fatal()s with appParamsError()'s
  *  message on what it refuses. */
 AppModel makeApp(const std::string &name,

@@ -9,17 +9,31 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <memory>
 #include <sstream>
 
 #include "campaign/campaign.hh"
+#include "campaign/execute.hh"
 #include "campaign/strategy.hh"
+#include "core/repro.hh"
+#include "service/ingest.hh"
 
 using namespace txrace;
 using namespace txrace::campaign;
 
 namespace {
+
+/** Parse a printed repro line as txrace_run parses its argv. */
+core::RunIdentity
+parseLine(const std::string &line)
+{
+    std::istringstream in(line);
+    return core::parseRunCommand(
+        {std::istream_iterator<std::string>(in), {}},
+        [](size_t &) { return false; });
+}
 
 CampaignConfig
 smallCampaign(const std::string &strategy)
@@ -120,6 +134,51 @@ TEST(Campaign, FindingsCarryReproMetadata)
         EXPECT_NE(f.repro.find("--seed "), std::string::npos);
         EXPECT_NE(f.firstConfigDigest, 0u);
         EXPECT_GE(f.runsSeen, 1u);
+    }
+}
+
+TEST(Campaign, FirstSeenReprosReplayTheirDigests)
+{
+    // Each finding's repro line, read back and built over the app
+    // model it names, digests to the config that first found it.
+    CampaignConfig cfg;
+    cfg.apps = {"raytrace"};
+    cfg.seedsPerApp = 2;
+    cfg.strategy = "perturb";
+    CampaignResult result = runCampaign(cfg);
+    ASSERT_FALSE(result.findings.empty());
+    std::map<std::string, uint64_t> digestOf;
+    for (const Finding &f : result.findings)
+        digestOf.emplace(f.repro, f.firstConfigDigest);
+
+    // Perturb's first sightings are all base-variant runs; a streamed
+    // job record carries the variant knobs, at any interrupt scale.
+    JobSpec spec;
+    std::string error;
+    ASSERT_TRUE(service::parseJobLine(R"({"app": "raytrace", "seed": 5, )"
+                                      R"("irq_scale": 0.1234567, )"
+                                      R"("governor": true})",
+                                      cfg, spec, error))
+        << error;
+    WorkerCache cache;
+    JobOutcome job = executeJob(spec, cache, cfg.calibrate, cfg.slowpath);
+    EXPECT_NE(job.repro.find(" --governor --irq-scale 0.1234567"),
+              std::string::npos)
+        << job.repro;
+    digestOf.emplace(job.repro, job.configDigest);
+    // A sampling job's line carries the rate it ran at.
+    spec.mode = core::RunMode::TSanSampling;
+    job = executeJob(spec, cache, cfg.calibrate, cfg.slowpath);
+    EXPECT_NE(job.repro.find(" --rate 1 "), std::string::npos) << job.repro;
+    digestOf.emplace(job.repro, job.configDigest);
+
+    for (const auto &[line, digest] : digestOf) {
+        core::RunIdentity id = parseLine(line);
+        const workloads::AppModel app = workloads::makeApp(
+            id.name, {id.workers, id.scale, id.calibrated});
+        EXPECT_EQ(core::configDigest(core::runConfigFor(id, app.machine)),
+                  digest)
+            << line;
     }
 }
 

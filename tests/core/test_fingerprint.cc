@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <iterator>
+#include <sstream>
 
 #include "core/fingerprint.hh"
 #include "core/repro.hh"
@@ -16,6 +18,16 @@ using namespace txrace;
 using namespace txrace::ir;
 
 namespace {
+
+/** Parse a printed repro line as txrace_run parses its argv. */
+core::RunIdentity
+parseLine(const std::string &line)
+{
+    std::istringstream in(line);
+    return core::parseRunCommand(
+        {std::istream_iterator<std::string>(in), {}},
+        [](size_t &) { return false; });
+}
 
 Program
 taggedProgram()
@@ -202,7 +214,7 @@ TEST(Repro, CommandRendersEveryKnob)
 {
     core::RunIdentity id;
     id.name = "vips";
-    id.mode = "txrace-dyn";
+    id.mode = core::RunMode::TxRaceDynLoopcut;
     id.workers = 8;
     id.scale = 2;
     id.seed = 42;
@@ -226,6 +238,80 @@ TEST(Repro, CommandDefaultsAreMinimal)
     EXPECT_EQ(core::reproCommand(id),
               "txrace_run --app raytrace --mode txrace --workers 4 "
               "--scale 1 --seed 7");
+}
+
+TEST(Repro, CommandParsesBackToItsIdentityAndDigest)
+{
+    // Every mode x each run flag on or off x doubles that a six-digit
+    // rendering would round: the printed line reads back as the
+    // identity it came from, and both build the same config.
+    const double awkward[] = {0.1234567, 3.3333333, 1e-3, 0.3};
+    const std::pair<core::RunTarget, const char *> targets[] = {
+        {core::RunTarget::App, "vips"},
+        {core::RunTarget::Pattern, "unlocked-counter"},
+        {core::RunTarget::ProgramFile,
+         "examples/programs/unlocked_counter.txr"},
+    };
+    const sim::MachineConfig machine;
+    size_t lines = 0;
+    for (const auto &[target, name] : targets) {
+        for (int m = 0; m <= int(core::RunMode::TxRaceProfLoopcut); ++m) {
+            for (unsigned flags = 0; flags < 256; ++flags) {
+                for (double x : awkward) {
+                    auto on = [&](int bit) { return (flags >> bit & 1) != 0; };
+                    core::RunIdentity id;
+                    id.target = target;
+                    id.name = name;
+                    id.mode = core::RunMode(m);
+                    id.seed = 3;
+                    if (on(0) && id.mode == core::RunMode::TSanSampling)
+                        id.sampleRate = x;
+                    if (on(1)) {
+                        id.fault = "interrupt-storm";
+                        id.faultHorizon = 30000;
+                    }
+                    id.governor = on(2);
+                    if (on(3) && core::isTxRaceMode(id.mode)) {
+                        id.monitor = true;
+                        id.budgetPct = x;
+                    }
+                    id.elide = !on(4);
+                    if (on(5))
+                        id.irqScale = x;
+                    if (target == core::RunTarget::App) {
+                        if (on(6)) {
+                            id.workers = 8;
+                            id.scale = 2;
+                        }
+                        id.calibrated = !on(7);
+                    }
+                    const std::string line = core::reproCommand(id);
+                    const core::RunIdentity back =
+                        parseLine(line);
+                    ASSERT_TRUE(back == id) << line;
+                    ASSERT_EQ(core::configDigest(
+                                  core::runConfigFor(back, machine)),
+                              core::configDigest(
+                                  core::runConfigFor(id, machine)))
+                        << line;
+                    ++lines;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(lines, 3u * 8u * 256u * 4u);
+}
+
+TEST(Repro, CommandRendersDoublesExactly)
+{
+    core::RunIdentity id;
+    id.name = "vips";
+    id.mode = core::RunMode::TSanSampling;
+    id.sampleRate = 0.3;
+    id.irqScale = 0.1234567;
+    EXPECT_EQ(core::reproCommand(id),
+              "txrace_run --app vips --mode sampling --workers 4 "
+              "--scale 1 --seed 1 --rate 0.3 --irq-scale 0.1234567");
 }
 
 TEST(Repro, ParseSeedList)

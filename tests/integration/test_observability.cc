@@ -52,11 +52,10 @@ flightConfig(const workloads::AppModel &app, uint64_t seed)
 std::string
 metricsBytes(const ir::Program &prog, const core::RunResult &result)
 {
-    core::MetricsMeta meta;
-    meta.app = "apache-stream";
-    meta.mode = "txrace";
+    core::RunIdentity run;
+    run.name = "apache-stream";
     std::ostringstream ss;
-    core::writeMetricsJson(ss, meta, &prog, result);
+    core::writeMetricsJson(ss, run, false, &prog, result);
     return ss.str();
 }
 

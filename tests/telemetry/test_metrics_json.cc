@@ -57,14 +57,12 @@ runTxRace(const ir::Program &prog, bool record_timeline)
 std::string
 metricsDocument(const ir::Program &prog, const core::RunResult &result)
 {
-    core::MetricsMeta meta;
-    meta.app = "unit-test";
-    meta.mode = "txrace";
-    meta.seed = 11;
-    meta.workers = 3;
-    meta.scale = 1;
+    core::RunIdentity run;
+    run.name = "unit-test";
+    run.seed = 11;
+    run.workers = 3;
     std::ostringstream ss;
-    core::writeMetricsJson(ss, meta, &prog, result);
+    core::writeMetricsJson(ss, run, false, &prog, result);
     return ss.str();
 }
 

@@ -87,34 +87,14 @@ usage()
     std::exit(0);
 }
 
-/** "-" means stdout; anything else opens @p file for writing. */
-std::ostream &
-openOut(const std::string &path, std::ofstream &file)
-{
-    if (path == "-")
-        return std::cout;
-    file.open(path);
-    if (!file)
-        fatal("cannot write %s", path.c_str());
-    return file;
-}
-
 /** The entries of comma-separated @p list; an empty entry is fatal. */
 std::vector<std::string>
 splitList(const char *flag, const std::string &list)
 {
-    std::vector<std::string> items;
-    size_t pos = 0;
-    while (pos <= list.size()) {
-        size_t comma = list.find(',', pos);
-        if (comma == std::string::npos)
-            comma = list.size();
-        std::string item = list.substr(pos, comma - pos);
+    std::vector<std::string> items = core::splitCommas(list);
+    for (const std::string &item : items)
         if (item.empty())
             fatal("%s: empty entry in '%s'", flag, list.c_str());
-        items.push_back(item);
-        pos = comma + 1;
-    }
     return items;
 }
 
@@ -149,7 +129,7 @@ mergeStores(const std::string &list, const std::string &out_path)
             fatal("--merge: %s: %s", paths[i].c_str(), error.c_str());
     }
     std::ofstream file;
-    std::ostream &out = openOut(out_path, file);
+    std::ostream &out = core::openOut(out_path, file);
     total.write(out);
     if (out_path != "-")
         std::cout << "merged " << paths.size() << " store(s) into "
@@ -210,7 +190,7 @@ main(int argc, char **argv)
         } else if (const char *v4 = value("--mode")) {
             cfg.mode = core::parseModeFlag(v4);
         } else if (const char *v5 = value("--workers")) {
-            cfg.workers = workloads::parseWorkersFlag(v5);
+            cfg.workers = core::parseWorkersFlag(v5);
         } else if (const char *v6 = value("--scale")) {
             cfg.scale = core::parseUnsignedFlag("--scale", v6, 1);
         } else if (const char *v7 = value("--master-seed")) {
@@ -277,7 +257,7 @@ main(int argc, char **argv)
     std::ofstream progress_file;
     std::ostream *progress_json = nullptr;
     if (!progress_json_path.empty())
-        progress_json = &openOut(progress_json_path, progress_file);
+        progress_json = &core::openOut(progress_json_path, progress_file);
 
     campaign::CampaignResult result;
     if (serve) {
@@ -352,7 +332,7 @@ main(int argc, char **argv)
 
     if (!out_path.empty()) {
         std::ofstream file;
-        std::ostream &out = openOut(out_path, file);
+        std::ostream &out = core::openOut(out_path, file);
         campaign::writeCampaignJson(out, cfg, result);
         if (out_path != "-")
             std::cout << "report written to " << out_path << "\n";
@@ -360,7 +340,7 @@ main(int argc, char **argv)
 
     if (!profile_out_path.empty()) {
         std::ofstream file;
-        std::ostream &out = openOut(profile_out_path, file);
+        std::ostream &out = core::openOut(profile_out_path, file);
         result.profile.write(out);
         if (profile_out_path != "-")
             std::cout << "profile written to " << profile_out_path
@@ -369,7 +349,7 @@ main(int argc, char **argv)
 
     if (!trace_json_path.empty()) {
         std::ofstream file;
-        std::ostream &out = openOut(trace_json_path, file);
+        std::ostream &out = core::openOut(trace_json_path, file);
         campaign::writeCampaignTrace(out, result);
         if (trace_json_path != "-")
             std::cout << "trace written to " << trace_json_path

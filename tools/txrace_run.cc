@@ -8,7 +8,6 @@
  *   txrace_run --list
  */
 
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -25,21 +24,6 @@
 using namespace txrace;
 
 namespace {
-
-/**
- * Resolve an output path for the JSON exporters: "-" means stdout,
- * anything else opens @p file for writing (fatal on failure).
- */
-std::ostream &
-openOut(const std::string &path, std::ofstream &file)
-{
-    if (path == "-")
-        return std::cout;
-    file.open(path);
-    if (!file)
-        fatal("cannot write %s", path.c_str());
-    return file;
-}
 
 [[noreturn]] void
 usage()
@@ -61,6 +45,7 @@ usage()
         "                 union of distinct races\n"
         "  --irq-scale X  multiply the interrupt rate by X\n"
         "  --rate R       sampling rate for --mode sampling\n"
+        "                 (default 0.5)\n"
         "  --trace N      record and print the first N events\n"
         "  --fault NAME   inject a named fault scenario\n"
         "  --fault-horizon N  scale episode times to N steps\n"
@@ -100,26 +85,11 @@ usage()
 int
 main(int argc, char **argv)
 {
-    std::string app_name;
-    std::string program_path;
-    std::string pattern_name;
-    std::string mode_name = "txrace";
-    workloads::WorkloadParams params;
-    uint64_t seed = 1;
     std::string seed_list;
-    double irq_scale = 1.0;
-    double rate = 0.5;
     bool dump_stats = false;
     std::string stats_filter;
     bool with_overhead = true;
     size_t trace = 0;
-    std::string fault_name;
-    uint64_t fault_horizon = 200'000;
-    bool governor = false;
-    bool monitor = false;
-    double budget_pct = 5.0;
-    bool budget_pct_given = false;
-    bool elide = true;
     bool explain = false;
     bool flightrec = true;
     std::string metrics_json_path;
@@ -127,20 +97,13 @@ main(int argc, char **argv)
     std::string profile_out_path;
     std::string profile_in_path;
 
-    for (int i = 1; i < argc; ++i) {
-        auto value = [&](const char *flag) -> const char * {
-            size_t flen = std::strlen(flag);
-            // Both `--flag value` and `--flag=value` spellings work.
-            if (std::strncmp(argv[i], flag, flen) == 0 &&
-                argv[i][flen] == '=')
-                return argv[i] + flen + 1;
-            if (std::strcmp(argv[i], flag) != 0)
-                return nullptr;
-            if (i + 1 >= argc)
-                fatal("%s needs a value", flag);
-            return argv[++i];
+    // Run flags land in the identity; these are the output-only ones.
+    const std::vector<std::string> args(argv, argv + argc);
+    core::RunIdentity id = core::parseRunCommand(args, [&](size_t &i) {
+        auto value = [&](const char *flag) {
+            return core::flagValue(args, i, flag);
         };
-        if (std::strcmp(argv[i], "--list") == 0) {
+        if (args[i] == "--list") {
             std::cout << "applications:\n";
             for (const std::string &name : workloads::appNames())
                 std::cout << "  " << name << "\n";
@@ -152,50 +115,13 @@ main(int argc, char **argv)
             std::cout << "fault scenarios (--fault):\n";
             for (const std::string &name : fault::scenarioNames())
                 std::cout << "  " << name << "\n";
-            return 0;
-        } else if (std::strcmp(argv[i], "--help") == 0) {
+            std::exit(0);
+        } else if (args[i] == "--help") {
             usage();
-        } else if (const char *v = value("--app")) {
-            app_name = v;
-        } else if (const char *vp = value("--program")) {
-            program_path = vp;
-        } else if (const char *vn = value("--pattern")) {
-            pattern_name = vn;
-        } else if (const char *v2 = value("--mode")) {
-            mode_name = v2;
-        } else if (const char *v3 = value("--workers")) {
-            params.nWorkers = workloads::parseWorkersFlag(v3);
-        } else if (const char *v4 = value("--scale")) {
-            params.scale = core::parseUnsignedFlag("--scale", v4, 1);
-        } else if (const char *v5 = value("--seed")) {
-            seed = core::parseUnsignedFlag("--seed", v5);
         } else if (const char *vsl = value("--seed-list")) {
             seed_list = vsl;
-        } else if (const char *vis = value("--irq-scale")) {
-            irq_scale = core::parseDoubleFlag("--irq-scale", vis);
-            if (irq_scale < 0.0)
-                fatal("--irq-scale must not be negative");
-        } else if (const char *v6 = value("--rate")) {
-            rate = core::parseDoubleFlag("--rate", v6);
         } else if (const char *v7 = value("--trace")) {
             trace = core::parseUnsignedFlag("--trace", v7);
-        } else if (const char *v8 = value("--fault")) {
-            fault_name = v8;
-        } else if (const char *v9 = value("--fault-horizon")) {
-            fault_horizon = core::parseUnsignedFlag("--fault-horizon", v9);
-        } else if (std::strcmp(argv[i], "--governor") == 0) {
-            governor = true;
-        } else if (std::strcmp(argv[i], "--monitor") == 0) {
-            monitor = true;
-        } else if (const char *vb = value("--budget-pct")) {
-            budget_pct = core::parseDoubleFlag("--budget-pct", vb);
-            budget_pct_given = true;
-            if (budget_pct <= 0.0)
-                fatal("--budget-pct must be positive");
-        } else if (std::strcmp(argv[i], "--no-elide") == 0) {
-            elide = false;
-        } else if (std::strcmp(argv[i], "--no-calibrate") == 0) {
-            params.calibrate = false;
         } else if (const char *vm = value("--metrics-json")) {
             metrics_json_path = vm;
         } else if (const char *vt = value("--trace-json")) {
@@ -204,95 +130,42 @@ main(int argc, char **argv)
             profile_out_path = vpo;
         } else if (const char *vpi = value("--profile-in")) {
             profile_in_path = vpi;
-        } else if (std::strcmp(argv[i], "--explain") == 0) {
+        } else if (args[i] == "--explain") {
             explain = true;
-        } else if (std::strcmp(argv[i], "--no-flightrec") == 0) {
+        } else if (args[i] == "--no-flightrec") {
             flightrec = false;
-        } else if (std::strcmp(argv[i], "--stats") == 0) {
+        } else if (args[i] == "--stats") {
             dump_stats = true;
             // Optional value: a name filter (substring match, so
             // `--stats gov` catches txrace.gov.*).
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                stats_filter = argv[++i];
-        } else if (std::strcmp(argv[i], "--no-overhead") == 0) {
+            if (i + 1 < args.size() && args[i + 1][0] != '-')
+                stats_filter = args[++i];
+        } else if (args[i] == "--no-overhead") {
             with_overhead = false;
         } else {
-            fatal("unknown option '%s' (try --help)", argv[i]);
+            return false;
         }
-    }
-    if (app_name.empty() && program_path.empty() &&
-        pattern_name.empty())
+        return true;
+    });
+    if (id.name.empty())
         usage();
-    if (!app_name.empty() + !program_path.empty() +
-            !pattern_name.empty() >
-        1)
-        fatal("--app, --program and --pattern are mutually exclusive");
-    if (budget_pct_given && !monitor)
-        fatal("--budget-pct requires --monitor");
 
-    core::RunConfig cfg;
-    cfg.mode = core::parseModeFlag(mode_name);
-    cfg.sampleRate = rate;
+    sim::MachineConfig machine;
     ir::Program prog = [&] {
-        if (!program_path.empty())
-            return ir::loadProgramFile(program_path);
-        if (!pattern_name.empty()) {
-            workloads::Pattern pattern =
-                workloads::makePattern(pattern_name);
+        if (id.target == core::RunTarget::ProgramFile)
+            return ir::loadProgramFile(id.name);
+        if (id.target == core::RunTarget::Pattern) {
+            workloads::Pattern pattern = workloads::makePattern(id.name);
             std::cout << pattern.name << ": " << pattern.description
                       << "\n\n";
             return std::move(pattern.program);
         }
-        workloads::AppModel app = workloads::makeApp(app_name, params);
-        cfg.machine = app.machine;  // calibrated costs + abort rates
+        workloads::AppModel app = workloads::makeApp(
+            id.name, {id.workers, id.scale, id.calibrated});
+        machine = app.machine;  // calibrated costs + abort rates
         return std::move(app.program);
     }();
-    cfg.machine.seed = seed;
-    cfg.machine.interruptPerStep *= irq_scale;
-    cfg.machine.recordTimeline = trace > 0 || !trace_json_path.empty();
-    cfg.machine.recordFlight = flightrec;
-    if (!fault_name.empty())
-        cfg.machine.faults =
-            fault::makeScenario(fault_name, fault_horizon);
-    cfg.governor.enabled = governor;
-    if (monitor) {
-        if (cfg.mode != core::RunMode::TxRaceNoOpt &&
-            cfg.mode != core::RunMode::TxRaceDynLoopcut &&
-            cfg.mode != core::RunMode::TxRaceProfLoopcut)
-            fatal("--monitor requires a txrace mode");
-        // Monitor mode composes the budget controller on top of the
-        // ladder: the governor rides out storms, the budget caps what
-        // the ride may cost.
-        cfg.governor.enabled = true;
-        cfg.budget.enabled = true;
-        cfg.budget.budgetPct = budget_pct;
-    }
-    // Elision is static only; the differential soundness test
-    // compares against exactly this configuration.
-    if (!elide)
-        cfg.passes.elide.enabled = false;
-
-    core::RunIdentity identity;
-    identity.target = !program_path.empty()
-                          ? core::RunTarget::ProgramFile
-                      : !pattern_name.empty() ? core::RunTarget::Pattern
-                                              : core::RunTarget::App;
-    identity.name = !program_path.empty()    ? program_path
-                    : !pattern_name.empty()  ? pattern_name
-                                             : app_name;
-    identity.mode = core::cliModeName(cfg.mode);
-    identity.workers = params.nWorkers;
-    identity.scale = params.scale;
-    identity.fault = fault_name;
-    identity.faultHorizon = fault_name.empty() ? 0 : fault_horizon;
-    identity.governor = governor;
-    identity.monitor = monitor;
-    identity.budgetPct = budget_pct;
-    identity.elide = elide;
-    identity.irqScale = irq_scale;
-    identity.calibrated = params.calibrate;
-
-    std::vector<uint64_t> seeds = {seed};
+    std::vector<uint64_t> seeds = {id.seed};
     if (!seed_list.empty())
         seeds = core::parseSeedList(seed_list);
 
@@ -311,18 +184,21 @@ main(int argc, char **argv)
     }
 
     detector::RaceSet union_races;
+    core::RunConfig cfg;
     core::RunResult result;
     for (uint64_t s : seeds) {
-        cfg.machine.seed = s;
-        identity.seed = s;
+        id.seed = s;
+        cfg = core::runConfigFor(id, machine);
+        cfg.machine.recordTimeline = trace > 0 || !trace_json_path.empty();
+        cfg.machine.recordFlight = flightrec;
         if (seeds.size() > 1)
             std::cout << "=== seed " << s << " ===\n";
         result = core::runProgram(prog, cfg);
-        core::printRaceReport(prog, result, std::cout, identity,
+        core::printRaceReport(prog, result, std::cout, &id,
                               core::configDigest(cfg));
         if (explain)
             core::printForensics(prog, result, std::cout);
-        profile.merge(core::buildRunProfile(identity.name, result));
+        profile.merge(core::buildRunProfile(id.name, result));
 
         if (!result.error.ok()) {
             std::cout << "abnormal end: "
@@ -354,14 +230,14 @@ main(int argc, char **argv)
               << result.stats.get("tx.abort.capacity") << " capacity / "
               << result.stats.get("tx.abort.unknown")
               << " unknown aborts\n";
-    if (monitor) {
+    if (id.monitor) {
         uint64_t over = 0;
         for (const core::BudgetWindow &w : result.budget.windows)
             if (w.hardOver)
                 ++over;
         std::cout << "budget: " << result.budget.windows.size()
                   << " window(s), " << over << " over the "
-                  << budget_pct << "% budget, "
+                  << id.budgetPct << "% budget, "
                   << result.budget.siteCuts << " site cut(s), "
                   << result.budget.siteProbes << " probe(s)\n";
     }
@@ -387,17 +263,9 @@ main(int argc, char **argv)
 
     if (!metrics_json_path.empty()) {
         std::ofstream file;
-        std::ostream &out = openOut(metrics_json_path, file);
-        core::MetricsMeta meta;
-        meta.app = !app_name.empty() ? app_name
-                   : !pattern_name.empty() ? pattern_name
-                                           : program_path;
-        meta.mode = mode_name;
-        meta.seed = cfg.machine.seed; // the last --seed-list entry
-        meta.workers = params.nWorkers;
-        meta.scale = params.scale;
-        meta.traceText = trace > 0;
-        core::writeMetricsJson(out, meta, &prog, result);
+        std::ostream &out = core::openOut(metrics_json_path, file);
+        // id.seed is the last --seed-list entry, the run it holds.
+        core::writeMetricsJson(out, id, trace > 0, &prog, result);
         if (metrics_json_path != "-")
             std::cout << "metrics written to " << metrics_json_path
                       << "\n";
@@ -405,7 +273,7 @@ main(int argc, char **argv)
 
     if (!trace_json_path.empty()) {
         std::ofstream file;
-        std::ostream &out = openOut(trace_json_path, file);
+        std::ostream &out = core::openOut(trace_json_path, file);
         uint64_t n = core::writeChromeTrace(
             result.telemetry.flight, cfg.machine.faults,
             result.error.stepsExecuted, out);
@@ -418,7 +286,7 @@ main(int argc, char **argv)
 
     if (!profile_out_path.empty()) {
         std::ofstream file;
-        std::ostream &out = openOut(profile_out_path, file);
+        std::ostream &out = core::openOut(profile_out_path, file);
         profile.write(out);
         if (profile_out_path != "-")
             std::cout << "profile written to " << profile_out_path
