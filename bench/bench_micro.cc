@@ -376,13 +376,14 @@ BENCHMARK(BM_ReuseNoFlightRec);
 
 /**
  * Calibration gate: a calibrated makeApp of the 14 Table-1 apps (4
- * workers, scale 16, the perfbench table1 set-up), whose probe only
- * counts checks and sync events, against the same builds plus the
- * full TSan run at the calibration seed that the same solve could
- * read instead. Both sides build every model. The same-run ratio
- * gate in CI (bench_compare.py --ratio-fast BM_CalibrateRegistry
- * --ratio-slow BM_TsanProbeRegistry --min-ratio 1.5) holds the
- * counting probe's speed-up.
+ * workers, scale 16, the perfbench table1 set-up), which tallies each
+ * thread's op stream (sim::tallyProgram) and runs no machine, against
+ * the same builds plus the full TSan run at the calibration seed that
+ * the same solve could read instead. Both sides build every model.
+ * The same-run ratio gate in CI (bench_compare.py --ratio-fast
+ * BM_CalibrateRegistry --ratio-slow BM_TsanProbeRegistry --min-ratio
+ * 9, about half the lowest of five runs on a 4-vCPU host, which read
+ * 18.7x-20.4x) holds the tally's speed-up.
  */
 workloads::WorkloadParams
 registryGateParams(bool calibrate)

@@ -337,8 +337,9 @@ parseRunCommand(const std::vector<std::string> &args,
             id.seed = parseUnsignedFlag("--seed", v5);
         } else if (const char *vis = value("--irq-scale")) {
             id.irqScale = parseDoubleFlag("--irq-scale", vis);
-            if (id.irqScale < 0.0)
-                fatal("--irq-scale must not be negative");
+            if (const std::string e = irqScaleError(id.irqScale);
+                !e.empty())
+                fatal("--irq-scale %s", e.c_str());
         } else if (const char *v6 = value("--rate")) {
             id.sampleRate = parseDoubleFlag("--rate", v6);
         } else if (const char *v8 = value("--fault")) {
@@ -405,6 +406,12 @@ parseModeFlag(const std::string &text)
               "racetm, txrace, txrace-dyn, txrace-noopt)",
               text.c_str());
     return mode;
+}
+
+std::string
+irqScaleError(double irq_scale)
+{
+    return irq_scale < 0.0 ? "must not be negative" : "";
 }
 
 double

@@ -122,6 +122,11 @@ uint32_t parseWorkersFlag(const std::string &text);
  *  alias of txrace; fatal()s listing the modes on anything else. */
 RunMode parseModeFlag(const std::string &text);
 
+/** Why @p irq_scale cannot multiply an app's interrupt rate, or ""
+ *  when it can: the one rule for --irq-scale and a job record's
+ *  irq_scale. */
+std::string irqScaleError(double irq_scale);
+
 /** As parseUnsignedFlag, for a finite floating-point value. */
 double parseDoubleFlag(const char *flag, const std::string &text);
 

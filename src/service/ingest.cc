@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <sstream>
 
+#include "core/repro.hh"
 #include "telemetry/jsonparse.hh"
 #include "workloads/workloads.hh"
 
@@ -42,6 +43,11 @@ readJobSpec(const telemetry::JsonValue &doc,
     if (const telemetry::JsonValue *v = doc.find("irq_scale");
         v && v->isNumber())
         spec.interruptScale = v->asDouble();
+    if (const std::string why = core::irqScaleError(spec.interruptScale);
+        !why.empty()) {
+        error = "irq_scale " + why;
+        return false;
+    }
     spec.governor = telemetry::getBool(doc, "governor");
     workloads::WorkloadParams params;
     params.nWorkers = spec.workers;

@@ -60,6 +60,15 @@ struct ContextSnapshot
     bool valid = false;
 };
 
+/** Seed of thread @p t's Rng in a run seeded @p master (the Machine
+ *  and tallyProgram derive every thread's stream from it). */
+inline uint64_t
+threadSeed(uint64_t master, Tid t)
+{
+    uint64_t s = master ^ (0x9e3779b97f4a7c15ULL * (t + 1));
+    return splitmix64(s);
+}
+
 /** Full per-thread state. */
 struct ThreadContext
 {

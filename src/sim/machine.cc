@@ -7,14 +7,6 @@ namespace txrace::sim {
 
 namespace {
 
-/** Deterministic per-thread RNG seed derivation. */
-uint64_t
-threadSeed(uint64_t master, Tid t)
-{
-    uint64_t s = master ^ (0x9e3779b97f4a7c15ULL * (t + 1));
-    return splitmix64(s);
-}
-
 /** Fold one scheduler pick into the schedule digest. */
 uint64_t
 mixHash(uint64_t h, uint64_t step, Tid t)

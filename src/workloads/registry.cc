@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "passes/passes.hh"
+#include "sim/tally.hh"
 #include "support/log.hh"
 #include "workloads/apps.hh"
 
@@ -101,44 +102,6 @@ indexedPairs(std::vector<RaceLabel> &out, size_t count,
 }
 
 /**
- * The calibration probe: counts what a TSan run would charge on top
- * of the application's own work, and charges nothing itself. Each
- * instrumented access is one check; each sync event TsanPolicy
- * tracks (lock, unlock, signal, wait, create, join, and each barrier
- * participant) is one syncTrackCost. The scheduler is step-driven,
- * so the probe executes exactly the steps a TSan run would.
- */
-class CheckCountingPolicy : public sim::ExecutionPolicy
-{
-  public:
-    uint64_t checks = 0;
-    uint64_t syncs = 0;
-
-    bool
-    onMemAccess(sim::Machine &, Tid, const ir::Instruction &ins,
-                ir::Addr, bool) override
-    {
-        checks += ins.instrumented;
-        return true;
-    }
-
-    void
-    onSyncPerformed(sim::Machine &, Tid, const ir::Instruction &) override
-    {
-        ++syncs;
-    }
-
-    void onThreadCreated(sim::Machine &, Tid, Tid) override { ++syncs; }
-    void onThreadJoined(sim::Machine &, Tid, Tid) override { ++syncs; }
-
-    void
-    onBarrierRelease(sim::Machine &, const std::vector<Tid> &parts) override
-    {
-        syncs += parts.size();
-    }
-};
-
-/**
  * Solve for the checkScale that makes the TSan baseline hit the
  * paper's measured overhead on this substrate. A TSan run at
  * checkScale 1 would cost y1 = X + C1 + S: the application's own work
@@ -146,30 +109,24 @@ class CheckCountingPolicy : public sim::ExecutionPolicy
  * application's), C1 = checks * checkCost and S = syncs *
  * syncTrackCost. Only the check term scales with checkScale, so
  *   target * X = (y1 - C1) + C1 * scale.
- * One counting run of the TSan build at the app's own size gives X,
- * the check count and the sync count; no detector runs. The integer
- * sum X + S is the double y1 - C1 exactly (every term is below 2^53).
+ * A tally of the TSan build's op streams at the app's own size
+ * (sim::tallyProgram) gives X, the check count and the sync count; no
+ * machine runs. The integer sum X + S is the double y1 - C1 exactly
+ * (every term is below 2^53).
  */
 double
-calibrateCheckScale(const ir::Program &prog,
-                    const sim::MachineConfig &machine, double target)
+calibrateCheckScale(const ir::Program &prog, const sim::CostModel &cost,
+                    double target)
 {
-    sim::MachineConfig cfg = machine;
-    cfg.seed = 0xCA11Bull;
-    cfg.cost.checkScale = 1.0;
-    ir::Program prepared = passes::preparedForTSan(prog);
-    CheckCountingPolicy probe;
-    sim::Machine m(prepared, cfg, probe);
-    m.run();
-
-    // The probe charges nothing, so its total is X.
-    uint64_t x = m.totalCost();
-    double c1 = static_cast<double>(probe.checks) *
-                static_cast<double>(cfg.cost.checkCost);
+    const sim::OpTally tally = sim::tallyProgram(
+        passes::preparedForTSan(prog), cost, 0xCA11Bull);
+    const uint64_t x = tally.cost;
+    double c1 = static_cast<double>(tally.checks) *
+                static_cast<double>(cost.checkCost);
     if (c1 <= 0.0 || x == 0)
         return 1.0;
     double y1_minus_c1 =
-        static_cast<double>(x + probe.syncs * cfg.cost.syncTrackCost);
+        static_cast<double>(x + tally.syncs * cost.syncTrackCost);
     double scale = (target * static_cast<double>(x) - y1_minus_c1) / c1;
     return std::clamp(scale, 0.1, 2000.0);
 }
@@ -270,7 +227,7 @@ makeApp(const std::string &name, const WorkloadParams &params)
 
     if (params.calibrate) {
         m.machine.cost.checkScale = calibrateCheckScale(
-            m.program, m.machine, spec.paper.tsanOverhead);
+            m.program, m.machine.cost, spec.paper.tsanOverhead);
     }
     return m;
 }

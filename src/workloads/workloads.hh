@@ -37,8 +37,9 @@ struct WorkloadParams
     uint32_t nWorkers = 4;
     /** Work multiplier for longer runs (1 = default benchmark size). */
     uint64_t scale = 1;
-    /** Run the TSan-overhead calibration: one detector-free run of
-     *  the TSan build that counts checks and sync events. */
+    /** Run the TSan-overhead calibration: a schedule-free tally of
+     *  the TSan build's op streams (sim::tallyProgram) that counts
+     *  its work, checks and sync events; no machine runs. */
     bool calibrate = true;
 };
 

@@ -360,16 +360,19 @@ TEST(Service, StdinBatchesFoldLikeSpoolBatches)
 
 TEST(Service, StdinRefusesBadRecordsAndKeepsServing)
 {
-    // Each of the first four records names something the workload
-    // registry cannot build (or no app at all). The service refuses
-    // them with a warning instead of exiting, counts them in its
-    // heartbeat gauges, and the good job after them still folds.
+    // Each of the first five records names something the workload
+    // registry cannot build (or no app at all) or a negative interrupt
+    // scale. The service refuses them with a warning instead of
+    // exiting, counts them in its heartbeat gauges, and the good job
+    // after them still folds.
     campaign::CampaignConfig cfg = smallCampaign();
     const std::string dir = freshDir("stdin_refuse");
     std::istringstream jobs("{\"app\": \"raytrace\", \"scale\": 0}\n"
                             "{\"app\": \"raytrace\", \"workers\": 1}\n"
                             "{\"app\": \"nosuch\"}\n"
                             "{\"seed\": 3}\n"
+                            "{\"app\": \"raytrace\", \"seed\": 3, "
+                            "\"irq_scale\": -2}\n"
                             "{\"app\": \"raytrace\", \"seed\": 5}\n");
     std::ostringstream progress;
     ServiceOptions opt;
@@ -380,12 +383,12 @@ TEST(Service, StdinRefusesBadRecordsAndKeepsServing)
     ServiceResult res = runService(opt);
     EXPECT_TRUE(res.completed);
     EXPECT_EQ(res.jobsFolded, 1u);
-    // The closing heartbeat carries all four refusals.
+    // The closing heartbeat carries all five refusals.
     const std::string stream = progress.str();
     const size_t end = stream.rfind("\"event\":\"end\"");
     ASSERT_NE(end, std::string::npos) << stream;
     const std::string last = stream.substr(stream.rfind('\n', end) + 1);
-    EXPECT_NE(last.find("\"jobs_refused\":4"), std::string::npos) << last;
+    EXPECT_NE(last.find("\"jobs_refused\":5"), std::string::npos) << last;
 
     FindingsStore store;
     std::string error;

@@ -384,21 +384,25 @@ TEST(Ingest, BadLinesReportTheLineNumber)
 TEST(Ingest, RecordsTheRegistryCannotBuildAreRefused)
 {
     // An unknown app, one worker and scale 0 are refused with the
-    // registry's reason; the good lines around them still parse.
+    // registry's reason, and a negative irq_scale with --irq-scale's;
+    // the good lines around them still parse.
     campaign::CampaignConfig cfg = identity();
     std::vector<campaign::JobSpec> specs;
     std::string error;
     EXPECT_EQ(parseJobBatch("{\"app\": \"nosuch\"}\n"
                             "{\"app\": \"raytrace\", \"seed\": 2}\n"
                             "{\"app\": \"raytrace\", \"workers\": 1}\n"
-                            "{\"app\": \"vips\", \"scale\": 0}\n",
+                            "{\"app\": \"vips\", \"scale\": 0}\n"
+                            "{\"app\": \"raytrace\", \"seed\": 3, "
+                            "\"irq_scale\": -2}\n",
                             cfg, specs, error),
-              3u);
+              4u);
     ASSERT_EQ(specs.size(), 1u);
     EXPECT_EQ(specs[0].seed, 2u);
     for (const char *why : {"line 1: unknown workload 'nosuch'",
                             "line 3: need at least two workers",
-                            "line 4: scale must be at least 1"})
+                            "line 4: scale must be at least 1",
+                            "line 5: irq_scale must not be negative"})
         EXPECT_NE(error.find(why), std::string::npos) << error;
 }
 

@@ -2,9 +2,9 @@
  * @file
  * Tests of the per-app TSan check-scale calibration: the exact
  * checkScale of every registry app is pinned at two workload sizes,
- * and calibration's detector-free counting probe is checked against
- * the same solve from a full TSan run (whose Base bucket must equal
- * the Native total) on every registry app.
+ * and calibration's schedule-free tally is checked against the same
+ * solve from a full TSan run (whose Base bucket must equal the Native
+ * total) on every registry app.
  */
 
 #include <gtest/gtest.h>
@@ -93,13 +93,13 @@ TEST(Calibration, CheckScaleIsPinnedPerApp)
 
 TEST(Calibration, CountingProbeMatchesATsanRunOnEveryApp)
 {
-    // Calibration counts checks and sync events without a detector.
+    // Calibration tallies checks and sync events without a machine.
     // Oracle: the same solve from a full TSan run at the calibration
     // seed and check scale 1, whose Base bucket is the app's own work
     // (the Native total, checked here too).
     for (const std::string &name : registryApps()) {
         for (uint64_t scale : {1u, 8u, 16u}) {
-            for (uint32_t workers : {2u, 4u, 8u}) {
+            for (uint32_t workers : {2u, 3u, 4u, 8u}) {
                 WorkloadParams p = params(scale, false);
                 p.nWorkers = workers;
                 AppModel app = makeApp(name, p);
