@@ -89,10 +89,7 @@ main(int argc, char **argv)
     std::vector<double> g_commodity, g_ideal, g_txfail;
 
     for (const std::string &name : bench::selectedApps(opt)) {
-        workloads::WorkloadParams params;
-        params.nWorkers = opt.workers;
-        params.scale = opt.scale;
-        workloads::AppModel app = workloads::makeApp(name, params);
+        workloads::AppModel app = bench::appModel(name, opt);
 
         core::RunResult native =
             bench::runApp(app, core::RunMode::Native, opt);
@@ -160,10 +157,7 @@ main(int argc, char **argv)
     {
         std::vector<double> uncloned, cloned;
         for (const std::string &name : bench::selectedApps(opt)) {
-            workloads::WorkloadParams params;
-            params.nWorkers = opt.workers;
-            params.scale = opt.scale;
-            workloads::AppModel app = workloads::makeApp(name, params);
+            workloads::AppModel app = bench::appModel(name, opt);
             core::RunResult native =
                 bench::runApp(app, core::RunMode::Native, opt);
             core::RunConfig cfg = bench::configFor(
@@ -218,11 +212,8 @@ main(int argc, char **argv)
     // evicts randomly. Measure the recall cost of small budgets on
     // the most read-shared application.
     {
-        workloads::WorkloadParams params;
-        params.nWorkers = opt.workers;
-        params.scale = opt.scale;
-        workloads::AppModel app = workloads::makeApp(
-            opt.only.empty() ? "facesim" : opt.only, params);
+        workloads::AppModel app =
+            bench::appModel(opt.only.empty() ? "facesim" : opt.only, opt);
         core::RunConfig cfg =
             bench::configFor(app, core::RunMode::TSan, opt);
         core::RunResult sound = core::runProgram(app.program, cfg);

@@ -23,10 +23,7 @@ main(int argc, char **argv)
         opt.only = "vips";
     constexpr int kRuns = 7;
 
-    workloads::WorkloadParams params;
-    params.nWorkers = opt.workers;
-    params.scale = opt.scale;
-    workloads::AppModel app = workloads::makeApp(opt.only, params);
+    workloads::AppModel app = bench::appModel(opt.only, opt);
 
     core::RunResult tsan =
         bench::runApp(app, core::RunMode::TSan, opt);

@@ -36,10 +36,7 @@ main(int argc, char **argv)
         apps.push_back(opt.only);
 
     for (const std::string &name : apps) {
-        workloads::WorkloadParams params;
-        params.nWorkers = opt.workers;
-        params.scale = opt.scale;
-        workloads::AppModel app = workloads::makeApp(name, params);
+        workloads::AppModel app = bench::appModel(name, opt);
 
         core::RunResult native =
             bench::runApp(app, core::RunMode::Native, opt);

@@ -25,10 +25,7 @@ main(int argc, char **argv)
     if (opt.only.empty())
         opt.only = "bodytrack";
 
-    workloads::WorkloadParams params;
-    params.nWorkers = opt.workers;
-    params.scale = opt.scale;
-    workloads::AppModel app = workloads::makeApp(opt.only, params);
+    workloads::AppModel app = bench::appModel(opt.only, opt);
 
     core::RunResult native =
         bench::runApp(app, core::RunMode::Native, opt);

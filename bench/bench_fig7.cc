@@ -30,10 +30,7 @@ main(int argc, char **argv)
     std::vector<double> totals;
 
     for (const std::string &name : bench::selectedApps(opt)) {
-        workloads::WorkloadParams params;
-        params.nWorkers = opt.workers;
-        params.scale = opt.scale;
-        workloads::AppModel app = workloads::makeApp(name, params);
+        workloads::AppModel app = bench::appModel(name, opt);
 
         core::RunResult native =
             bench::runApp(app, core::RunMode::Native, opt);

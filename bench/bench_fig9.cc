@@ -31,10 +31,7 @@ main(int argc, char **argv)
     constexpr int kSeeds = 5;
 
     for (const std::string &name : bench::selectedApps(opt)) {
-        workloads::WorkloadParams params;
-        params.nWorkers = opt.workers;
-        params.scale = opt.scale;
-        workloads::AppModel app = workloads::makeApp(name, params);
+        workloads::AppModel app = bench::appModel(name, opt);
 
         const core::RunMode modes[] = {
             core::RunMode::TSan, core::RunMode::TxRaceNoOpt,

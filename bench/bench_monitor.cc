@@ -46,12 +46,7 @@ main(int argc, char **argv)
 {
     bench::Options opt = bench::parseOptions(argc, argv);
 
-    workloads::WorkloadParams params;
-    params.nWorkers = opt.workers;
-    params.scale = opt.scale;
-    params.calibrate = true;
-    workloads::AppModel app =
-        workloads::makeApp("apache-stream", params);
+    workloads::AppModel app = bench::appModel("apache-stream", opt);
 
     std::set<std::string> truth;
     for (const workloads::RaceLabel &label : app.groundTruth)

@@ -55,22 +55,22 @@ syntheticOutcomes(uint64_t jobs, uint64_t keys, uint64_t idBase = 0)
         const uint64_t id = idBase + i;
         JobOutcome o;
         o.spec.id = id;
-        o.spec.app = "app" + std::to_string(id % 8);
-        o.spec.seed = 1000 + id;
-        o.repro = "txrace_run --app " + o.spec.app;
+        o.spec.run.name = "app" + std::to_string(id % 8);
+        o.spec.run.seed = 1000 + id;
+        o.repro = "txrace_run --app " + o.spec.run.name;
         o.configDigest = 0xd1600 + id;
         o.txCommitted = 40 + id % 9;
         o.abortConflict = id % 5;
         FoundRace f;
-        f.sig = sig(o.spec.app + "\x1dpair" +
+        f.sig = sig(o.spec.run.name + "\x1dpair" +
                     std::to_string(id % keys));
         f.hits = 1 + id % 3;
         o.races.push_back(f);
-        f.sig = sig(o.spec.app + "\x1dpair" +
+        f.sig = sig(o.spec.run.name + "\x1dpair" +
                     std::to_string((id * 7 + 3) % keys));
         o.races.push_back(f);
         if (id % 2 == 0) {
-            f.sig = sig(o.spec.app + "\x1dshared");
+            f.sig = sig(o.spec.run.name + "\x1dshared");
             f.hits = 2;
             o.races.push_back(f);
         }

@@ -33,10 +33,7 @@ main(int argc, char **argv)
     std::vector<double> tsan_ovh, txrace_ovh;
 
     for (const std::string &name : bench::selectedApps(opt)) {
-        workloads::WorkloadParams params;
-        params.nWorkers = opt.workers;
-        params.scale = opt.scale;
-        workloads::AppModel app = workloads::makeApp(name, params);
+        workloads::AppModel app = bench::appModel(name, opt);
 
         // Like the paper, results can be averaged over several
         // trials (--runs N; the paper uses five). Races reported are

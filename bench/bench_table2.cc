@@ -31,10 +31,7 @@ main(int argc, char **argv)
     size_t idx = 0;
 
     for (const std::string &name : bench::selectedApps(opt)) {
-        workloads::WorkloadParams params;
-        params.nWorkers = opt.workers;
-        params.scale = opt.scale;
-        workloads::AppModel app = workloads::makeApp(name, params);
+        workloads::AppModel app = bench::appModel(name, opt);
 
         core::RunResult native =
             bench::runApp(app, core::RunMode::Native, opt);

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 
 #include "core/repro.hh"
@@ -17,11 +16,7 @@ namespace {
 /** One machine-readable result row (--json output). */
 struct ResultRow
 {
-    std::string app;
-    std::string mode;
-    uint64_t seed = 0;
-    uint32_t workers = 0;
-    uint64_t scale = 0;
+    core::RunIdentity run;
     uint64_t steps = 0;
     uint64_t totalCost = 0;
     uint64_t races = 0;
@@ -48,11 +43,11 @@ flushRows()
     w.beginArray();
     for (const ResultRow &row : g_rows) {
         w.beginObject();
-        w.field("app", row.app);
-        w.field("mode", row.mode);
-        w.field("seed", row.seed);
-        w.field("workers", static_cast<uint64_t>(row.workers));
-        w.field("scale", row.scale);
+        w.field("app", row.run.name);
+        w.field("mode", core::runModeName(row.run.mode));
+        w.field("seed", row.run.seed);
+        w.field("workers", static_cast<uint64_t>(row.run.workers));
+        w.field("scale", row.run.scale);
         w.field("steps", row.steps);
         w.field("total_cost", row.totalCost);
         w.field("races", row.races);
@@ -83,18 +78,13 @@ constexpr const char *kKeyCounters[] = {
 };
 
 void
-recordRow(const workloads::AppModel &app, core::RunMode mode,
-          const Options &opt, const core::RunResult &result,
+recordRow(const core::RunIdentity &run, const core::RunResult &result,
           double wall_ms)
 {
     if (g_jsonPath.empty())
         return;
     ResultRow row;
-    row.app = app.name;
-    row.mode = core::runModeName(mode);
-    row.seed = opt.seed;
-    row.workers = opt.workers;
-    row.scale = opt.scale;
+    row.run = run;
     row.steps = result.error.stepsExecuted;
     row.totalCost = result.totalCost;
     row.races = result.races.count();
@@ -107,22 +97,35 @@ recordRow(const workloads::AppModel &app, core::RunMode mode,
     g_rows.push_back(std::move(row));
 }
 
+/** The run of @p app at @p mode that the options describe; every
+ *  access is checked, as RunConfig's default sample rate has it. */
+core::RunIdentity
+identityFor(const std::string &app, core::RunMode mode, const Options &opt)
+{
+    core::RunIdentity id;
+    id.name = app;
+    id.mode = mode;
+    id.workers = opt.workers;
+    id.scale = opt.scale;
+    id.seed = opt.seed;
+    id.sampleRate = 1.0;
+    return id;
+}
+
 } // namespace
 
 Options
 parseOptions(int argc, char **argv)
 {
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        auto want = [&](const char *flag) -> const char * {
-            if (std::strcmp(argv[i], flag) != 0)
-                return nullptr;
-            if (i + 1 >= argc)
-                fatal("%s needs a value", flag);
-            return argv[++i];
+    const std::vector<std::string> args(argv, argv + argc);
+    for (size_t i = 1; i < args.size(); ++i) {
+        auto want = [&](const char *flag) {
+            return core::flagValue(args, i, flag);
         };
         if (const char *v = want("--workers")) {
-            opt.workers = core::parseWorkersFlag(v);
+            opt.workers = static_cast<uint32_t>(
+                core::parseUnsignedFlag("--workers", v, 0, UINT32_MAX));
         } else if (const char *v2 = want("--scale")) {
             opt.scale = core::parseUnsignedFlag("--scale", v2, 1);
         } else if (const char *v3 = want("--seed")) {
@@ -134,24 +137,18 @@ parseOptions(int argc, char **argv)
             opt.only = v4;
         } else if (const char *vj = want("--json")) {
             opt.jsonPath = vj;
-        } else if (std::strcmp(argv[i], "--csv") == 0) {
+        } else if (args[i] == "--csv") {
             opt.csv = true;
         } else {
             fatal("unknown option '%s' (use --workers N --scale N "
                   "--seed N --runs N --app NAME --csv --json FILE)",
-                  argv[i]);
+                  args[i].c_str());
         }
     }
-    if (!opt.only.empty()) {
-        // The counts are already checked, so only the name can fail.
-        workloads::WorkloadParams params;
-        params.nWorkers = opt.workers;
-        params.scale = opt.scale;
-        if (const std::string error =
-                workloads::appParamsError(opt.only, params);
-            !error.empty())
-            fatal("--app: %s", error.c_str());
-    }
+    for (const std::string &app : selectedApps(opt))
+        if (const core::IdentityError e = core::identityError(
+                identityFor(app, core::RunMode::Native, opt)))
+            fatal("%s", e.flagMessage().c_str());
     if (!opt.jsonPath.empty() && g_jsonPath.empty()) {
         g_jsonPath = opt.jsonPath;
         std::atexit(flushRows);
@@ -167,28 +164,32 @@ selectedApps(const Options &opt)
     return {opt.only};
 }
 
+workloads::AppModel
+appModel(const std::string &app, const Options &opt)
+{
+    return workloads::makeApp(app, {opt.workers, opt.scale, true});
+}
+
 core::RunConfig
 configFor(const workloads::AppModel &app, core::RunMode mode,
           const Options &opt)
 {
-    core::RunConfig cfg;
-    cfg.mode = mode;
-    cfg.machine = app.machine;
-    cfg.machine.seed = opt.seed;
-    return cfg;
+    return core::runConfigFor(identityFor(app.name, mode, opt),
+                              app.machine);
 }
 
 core::RunResult
 runApp(const workloads::AppModel &app, core::RunMode mode,
        const Options &opt)
 {
+    const core::RunIdentity run = identityFor(app.name, mode, opt);
     auto t0 = std::chrono::steady_clock::now();
     core::RunResult result =
-        core::runProgram(app.program, configFor(app, mode, opt));
+        core::runProgram(app.program, core::runConfigFor(run, app.machine));
     auto t1 = std::chrono::steady_clock::now();
     double wall_ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
-    recordRow(app, mode, opt, result, wall_ms);
+    recordRow(run, result, wall_ms);
     return result;
 }
 

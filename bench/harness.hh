@@ -31,14 +31,19 @@ struct Options
 };
 
 /** Parse --workers/--scale/--seed/--runs/--csv/--app/--json from
- *  argv. A malformed or out-of-range number (--workers < 2, --scale or
- *  --runs 0) or an unknown --app name is a fatal naming its flag. */
+ *  argv. A malformed or out-of-range number (--scale or --runs 0), or
+ *  a run that core::identityError() refuses (--workers outside 2..8,
+ *  an unknown --app name), is a fatal naming its flag. */
 Options parseOptions(int argc, char **argv);
 
 /** Applications to run given the options (all, or the one chosen). */
 std::vector<std::string> selectedApps(const Options &opt);
 
-/** Build a RunConfig for @p app at @p mode with the harness seed. */
+/** @p app's calibrated model at the options' workers and scale. */
+workloads::AppModel appModel(const std::string &app, const Options &opt);
+
+/** The RunConfig core::runConfigFor() builds for @p app at @p mode
+ *  with the harness seed. */
 core::RunConfig configFor(const workloads::AppModel &app,
                           core::RunMode mode, const Options &opt);
 

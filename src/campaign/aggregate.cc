@@ -41,7 +41,7 @@ Aggregator::add(const JobOutcome &outcome,
     abortConflict_ += outcome.abortConflict;
     abortCapacity_ += outcome.abortCapacity;
     abortUnknown_ += outcome.abortUnknown;
-    apps_.insert(outcome.spec.app);
+    apps_.insert(outcome.spec.run.name);
 
     VariantAcc &va = variants_[outcome.spec.variant];
     ++va.runs;
@@ -58,24 +58,20 @@ Aggregator::add(const JobOutcome &outcome,
 bool
 Aggregator::foldRace(const JobOutcome &outcome, const FoundRace &race)
 {
-    Acc &acc = findings_[race.sig.key];
+    Finding &acc = findings_[race.sig.key];
     const bool fresh = acc.runsSeen == 0;
     if (fresh) {
         acc.sig = race.sig;
-        acc.app = outcome.spec.app;
+        acc.app = outcome.spec.run.name;
     }
     ++acc.runsSeen;
     acc.totalHits += race.hits;
     // First sighting is the LOWEST job id ever to report the
     // race, regardless of the order outcomes reach us.
-    if (outcome.spec.id < acc.firstJob) {
-        acc.firstJob = outcome.spec.id;
-        acc.firstKind = race.kind;
-        acc.firstSeed = outcome.spec.seed;
-        acc.firstVariant = outcome.spec.variant;
-        acc.firstConfigDigest = outcome.configDigest;
-        acc.firstRepro = outcome.repro;
-    }
+    if (outcome.spec.id < acc.first.job)
+        acc.first = {outcome.spec.id, outcome.spec.variant,
+                     outcome.spec.run.seed, outcome.configDigest,
+                     outcome.repro, race.kind};
     return fresh;
 }
 
@@ -99,40 +95,19 @@ Aggregator::merge(const Aggregator &o)
     }
     profile_.merge(o.profile_);
 
-    // Deterministic total order on first-sighting metadata. In the
-    // resume path equal job ids carry identical metadata
-    // (job execution is a pure function of the spec), so the
-    // fallthrough comparisons only matter for unions of unrelated
-    // stores — there they keep merge commutative.
-    auto sightingLess = [](const Acc &x, const Acc &y) {
-        if (x.firstJob != y.firstJob)
-            return x.firstJob < y.firstJob;
-        if (x.firstVariant != y.firstVariant)
-            return x.firstVariant < y.firstVariant;
-        if (x.firstSeed != y.firstSeed)
-            return x.firstSeed < y.firstSeed;
-        if (x.firstConfigDigest != y.firstConfigDigest)
-            return x.firstConfigDigest < y.firstConfigDigest;
-        if (x.firstRepro != y.firstRepro)
-            return x.firstRepro < y.firstRepro;
-        return uint8_t(x.firstKind) < uint8_t(y.firstKind);
-    };
+    // In the resume path equal job ids carry identical sightings
+    // (job execution is a pure function of the spec), so the order
+    // past the job id only matters for unions of unrelated stores —
+    // there it keeps merge commutative.
     for (const auto &[key, theirs] : o.findings_) {
-        Acc &ours = findings_[key];
+        Finding &ours = findings_[key];
         if (ours.runsSeen == 0) {
             ours = theirs;
             continue;
         }
         ours.runsSeen += theirs.runsSeen;
         ours.totalHits += theirs.totalHits;
-        if (sightingLess(theirs, ours)) {
-            ours.firstJob = theirs.firstJob;
-            ours.firstKind = theirs.firstKind;
-            ours.firstSeed = theirs.firstSeed;
-            ours.firstVariant = theirs.firstVariant;
-            ours.firstConfigDigest = theirs.firstConfigDigest;
-            ours.firstRepro = theirs.firstRepro;
-        }
+        ours.first = std::min(ours.first, theirs.first);
     }
 }
 
@@ -167,12 +142,12 @@ Aggregator::writeState(telemetry::JsonWriter &w) const
         w.field("app", acc.app);
         w.field("runs_seen", acc.runsSeen);
         w.field("total_hits", acc.totalHits);
-        w.field("first_job", acc.firstJob);
-        w.field("first_kind", detector::raceKindName(acc.firstKind));
-        w.field("first_seed", acc.firstSeed);
-        w.field("first_config", acc.firstConfigDigest);
-        w.field("first_variant", acc.firstVariant);
-        w.field("first_repro", acc.firstRepro);
+        w.field("first_job", acc.first.job);
+        w.field("first_kind", detector::raceKindName(acc.first.kind));
+        w.field("first_seed", acc.first.seed);
+        w.field("first_config", acc.first.configDigest);
+        w.field("first_variant", acc.first.variant);
+        w.field("first_repro", acc.first.repro);
         w.endObject();
     }
     w.endArray();
@@ -235,7 +210,7 @@ Aggregator::loadState(const telemetry::JsonValue &v, std::string &error)
             return false;
         }
         const telemetry::JsonValue *sigv = f.find("sig");
-        Acc acc;
+        Finding acc;
         if (!sigv || !core::readRaceSig(*sigv, acc.sig, error)) {
             if (error.empty())
                 error = "aggregate state: finding without sig";
@@ -249,17 +224,17 @@ Aggregator::loadState(const telemetry::JsonValue &v, std::string &error)
                     "' with zero runs_seen";
             return false;
         }
-        acc.firstJob = getU64(f, "first_job");
+        acc.first.job = getU64(f, "first_job");
         if (!detector::raceKindFromName(getStr(f, "first_kind"),
-                                        acc.firstKind)) {
+                                        acc.first.kind)) {
             error = "aggregate state: bad first_kind '" +
                     getStr(f, "first_kind") + "'";
             return false;
         }
-        acc.firstSeed = getU64(f, "first_seed");
-        acc.firstConfigDigest = getU64(f, "first_config");
-        acc.firstVariant = getStr(f, "first_variant");
-        acc.firstRepro = getStr(f, "first_repro");
+        acc.first.seed = getU64(f, "first_seed");
+        acc.first.configDigest = getU64(f, "first_config");
+        acc.first.variant = getStr(f, "first_variant");
+        acc.first.repro = getStr(f, "first_repro");
         if (!findings_.emplace(acc.sig.key, std::move(acc)).second) {
             error = "aggregate state: duplicate finding key";
             return false;
@@ -317,18 +292,7 @@ Aggregator::finalize(const CampaignConfig &cfg,
     std::map<std::string, uint64_t> foundPerApp, fpPerApp;
 
     for (const auto &[key, acc] : findings_) {
-        Finding f;
-        f.sig = acc.sig;
-        f.app = acc.app;
-        f.kind = detector::raceKindName(acc.firstKind);
-        f.runsSeen = acc.runsSeen;
-        f.totalHits = acc.totalHits;
-        f.firstJob = acc.firstJob;
-        f.firstSeed = acc.firstSeed;
-        f.firstVariant = acc.firstVariant;
-        f.firstConfigDigest = acc.firstConfigDigest;
-        f.repro = acc.firstRepro;
-
+        Finding f = acc;
         auto gt = groundTruth.find(acc.app);
         f.inGroundTruth =
             gt != groundTruth.end() && gt->second.count(acc.sig.label);
@@ -379,7 +343,7 @@ Aggregator::finalize(const CampaignConfig &cfg,
     }
     for (const Finding &f : result.findings)
         for (VariantYield &vy : result.variants)
-            if (vy.variant == f.firstVariant)
+            if (vy.variant == f.first.variant)
                 ++vy.firstFound;
 
     result.dedupRatio =
@@ -461,17 +425,17 @@ writeCampaignJson(std::ostream &os, const CampaignConfig &cfg,
         w.field("app", f.app);
         w.field("a", f.sig.a);
         w.field("b", f.sig.b);
-        w.field("kind", f.kind);
+        w.field("kind", detector::raceKindName(f.first.kind));
         w.field("runs_seen", f.runsSeen);
         w.field("total_hits", f.totalHits);
         w.field("in_ground_truth", f.inGroundTruth);
         w.key("first_seen");
         w.beginObject();
-        w.field("job", f.firstJob);
-        w.field("seed", f.firstSeed);
-        w.field("variant", f.firstVariant);
-        w.field("config", telemetry::hex64(f.firstConfigDigest));
-        w.field("repro", f.repro);
+        w.field("job", f.first.job);
+        w.field("seed", f.first.seed);
+        w.field("variant", f.first.variant);
+        w.field("config", telemetry::hex64(f.first.configDigest));
+        w.field("repro", f.first.repro);
         w.endObject();
         w.endObject();
     }

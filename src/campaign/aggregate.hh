@@ -122,28 +122,13 @@ class Aggregator
                             const GroundTruth &groundTruth) const;
 
   private:
-    /** Accumulating state of one deduplicated race. */
-    struct Acc
-    {
-        core::RaceSig sig;
-        std::string app;
-        uint64_t runsSeen = 0;
-        uint64_t totalHits = 0;
-        /** First sighting = minimal job id seen so far. */
-        uint64_t firstJob = ~0ull;
-        detector::RaceKind firstKind = detector::RaceKind::WriteWrite;
-        uint64_t firstSeed = 0;
-        std::string firstVariant;
-        uint64_t firstConfigDigest = 0;
-        std::string firstRepro;
-    };
-
     /** One race report of @p outcome into the findings map. Returns
      *  true when the race key was new (a finding delta). */
     bool foldRace(const JobOutcome &outcome, const FoundRace &race);
 
-    /** Keyed by RaceSig::key (full identity, not the hash). */
-    std::map<std::string, Acc> findings_;
+    /** Keyed by RaceSig::key (full identity, not the hash); ground
+     *  truth is judged at finalize(). */
+    std::map<std::string, Finding> findings_;
 
     struct VariantAcc
     {

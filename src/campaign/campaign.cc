@@ -9,6 +9,18 @@
 
 namespace txrace::campaign {
 
+core::RunIdentity
+baseIdentity(const CampaignConfig &cfg)
+{
+    core::RunIdentity run;
+    run.mode = cfg.mode;
+    run.workers = cfg.workers;
+    run.scale = cfg.scale;
+    run.sampleRate = 1.0;
+    run.calibrated = cfg.calibrate;
+    return run;
+}
+
 CampaignResult
 runCampaign(const CampaignConfig &cfg, std::ostream *progress,
             std::ostream *progressJson)

@@ -24,6 +24,7 @@
 #ifndef TXRACE_CAMPAIGN_CAMPAIGN_HH
 #define TXRACE_CAMPAIGN_CAMPAIGN_HH
 
+#include <compare>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -73,26 +74,42 @@ struct CampaignConfig
     uint64_t progressEvery = 8;
 };
 
+/** The identity every job of @p cfg starts from: its mode, workers
+ *  and scale, every access sampled, calibrated as cfg.calibrate. */
+core::RunIdentity baseIdentity(const CampaignConfig &cfg);
+
+/** One job's report of a race: the job, its variant, seed, config
+ *  digest and exact txrace_run repro command, and the access-pair
+ *  kind. Ordered by job id, then by the rest in member order: a total
+ *  order, so the least sighting over any union of findings stores is
+ *  the same whatever the merge order. */
+struct Sighting
+{
+    uint64_t job = ~0ull;
+    std::string variant;
+    uint64_t seed = 0;
+    uint64_t configDigest = 0;
+    std::string repro;
+    detector::RaceKind kind = detector::RaceKind::WriteWrite;
+
+    auto operator<=>(const Sighting &) const = default;
+};
+
 /** One deduplicated race across the whole campaign. */
 struct Finding
 {
     core::RaceSig sig;
     /** App the race belongs to (fingerprints are app-scoped). */
     std::string app;
-    std::string kind;  ///< access-pair kind at first sighting
     /** Distinct runs that reported this race. */
     uint64_t runsSeen = 0;
     /** Dynamic occurrences summed over all runs. */
     uint64_t totalHits = 0;
     /** Ground-truth verdict: does the label match an annotation? */
     bool inGroundTruth = false;
-    /** First sighting = lowest job id (NOT completion order). */
-    uint64_t firstJob = 0;
-    uint64_t firstSeed = 0;
-    std::string firstVariant;
-    uint64_t firstConfigDigest = 0;
-    /** Exact txrace_run command reproducing the first sighting. */
-    std::string repro;
+    /** First sighting = the least (lowest job id, NOT completion
+     *  order); its repro line replays it. */
+    Sighting first;
 };
 
 /** Precision/recall of the campaign union for one app. */

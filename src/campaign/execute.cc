@@ -9,43 +9,31 @@
 namespace txrace::campaign {
 
 const workloads::AppModel &
-WorkerCache::get(const std::string &app, uint32_t workers,
-                 uint64_t scale, bool calibrate)
+WorkerCache::get(const core::RunIdentity &run)
 {
-    Key key{app, workers, scale};
+    Key key{run.name, run.workers, run.scale, run.calibrated};
     auto it = cache_.find(key);
     if (it != cache_.end())
         return it->second;
     return cache_
-        .emplace(key, workloads::makeApp(app, {workers, scale, calibrate}))
+        .emplace(key, workloads::makeApp(run.name, {run.workers, run.scale,
+                                                    run.calibrated}))
         .first->second;
 }
 
 JobOutcome
-executeJob(const JobSpec &spec, WorkerCache &cache, bool calibrate,
+executeJob(const JobSpec &spec, WorkerCache &cache,
            core::SlowPathKind slowpath)
 {
-    const workloads::AppModel &app =
-        cache.get(spec.app, spec.workers, spec.scale, calibrate);
-
-    core::RunIdentity identity;
-    identity.name = spec.app;
-    identity.mode = spec.mode;
-    identity.workers = spec.workers;
-    identity.scale = spec.scale;
-    identity.seed = spec.seed;
-    identity.sampleRate = 1.0;  // campaigns sample every access
-    identity.governor = spec.governor;
-    identity.irqScale = spec.interruptScale;
-    identity.calibrated = calibrate;
-    core::RunConfig rc = core::runConfigFor(identity, app.machine);
+    const workloads::AppModel &app = cache.get(spec.run);
+    core::RunConfig rc = core::runConfigFor(spec.run, app.machine);
     // No flag selects the slow path; only tests change it.
     rc.slowpath = slowpath;
 
     JobOutcome outcome;
     outcome.spec = spec;
     outcome.configDigest = core::configDigest(rc);
-    outcome.repro = core::reproCommand(identity);
+    outcome.repro = core::reproCommand(spec.run);
 
     auto t0 = std::chrono::steady_clock::now();
     core::RunResult result = core::runProgram(app.program, rc);
@@ -67,7 +55,7 @@ executeJob(const JobSpec &spec, WorkerCache &cache, bool calibrate,
     // app.program is exact. Scope by app name: identical tags exist
     // in different apps.
     for (const auto &[sig, race] :
-         core::fingerprintedRaces(app.program, result.races, spec.app)) {
+         core::fingerprintedRaces(app.program, result.races, spec.run.name)) {
         FoundRace found;
         found.sig = sig;
         found.kind = race.kind;
@@ -75,7 +63,7 @@ executeJob(const JobSpec &spec, WorkerCache &cache, bool calibrate,
         found.addr = race.addr;
         outcome.races.push_back(std::move(found));
     }
-    outcome.profile = core::buildRunProfile(spec.app, result);
+    outcome.profile = core::buildRunProfile(spec.run.name, result);
     return outcome;
 }
 

@@ -6,8 +6,7 @@
  * campaign and the hunting service execute jobs identically, which
  * is what makes a resumed service campaign reproduce the
  * uninterrupted run: an outcome is a pure function of its spec (plus
- * the calibrate / slow-path knobs that are part of the campaign
- * identity).
+ * the slow-path knob that is part of the campaign identity).
  */
 
 #ifndef TXRACE_CAMPAIGN_EXECUTE_HH
@@ -32,21 +31,20 @@ namespace txrace::campaign {
 class WorkerCache
 {
   public:
-    const workloads::AppModel &get(const std::string &app,
-                                   uint32_t workers, uint64_t scale,
-                                   bool calibrate);
+    /** The model @p run's app, workers, scale and calibration name. */
+    const workloads::AppModel &get(const core::RunIdentity &run);
 
   private:
-    using Key = std::tuple<std::string, uint32_t, uint64_t>;
+    using Key = std::tuple<std::string, uint32_t, uint64_t, bool>;
     std::map<Key, workloads::AppModel> cache_;
 };
 
 /**
  * Execute @p spec. Deterministic: the returned outcome (minus the
- * wall-clock fields) depends only on the spec and the two knobs.
+ * wall-clock fields) depends only on the spec and the slow path.
  */
 JobOutcome executeJob(const JobSpec &spec, WorkerCache &cache,
-                      bool calibrate, core::SlowPathKind slowpath);
+                      core::SlowPathKind slowpath);
 
 } // namespace txrace::campaign
 

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "core/fingerprint.hh"
-#include "core/runmode.hh"
+#include "core/repro.hh"
 #include "detector/report.hh"
 #include "ir/addr.hh"
 #include "telemetry/profile.hh"
@@ -32,18 +32,13 @@ struct JobSpec
     uint64_t id = 0;
     /** Exploration round that emitted the job (0 = base matrix). */
     uint32_t round = 0;
-    std::string app;
-    uint64_t seed = 1;
-    core::RunMode mode = core::RunMode::TxRaceDynLoopcut;
-    uint32_t workers = 4;
-    uint64_t scale = 1;
     /** Config-variant handle (perturbation sweeps). "base" = the
-     *  registry's calibrated machine config untouched. */
+     *  registry's machine config untouched. */
     std::string variant = "base";
-    /** Multiplier on the app's interruptPerStep (variant knob). */
-    double interruptScale = 1.0;
-    /** Adaptive fallback governor on/off (variant knob). */
-    bool governor = false;
+    /** The run: the campaign's base identity (baseIdentity()) with
+     *  the job's app, seed and variant knobs (irqScale, workers,
+     *  governor) set. */
+    core::RunIdentity run;
 };
 
 /** One race as found by one job, with its stable identity. */

@@ -13,12 +13,12 @@ RoundRunner::RoundRunner(const CampaignConfig &cfg)
       queue_(cfg.queueCapacity), wall0_(std::chrono::steady_clock::now()),
       pool_(
           cfg.jobs,
-          [this, calibrate = cfg.calibrate, slowpath = cfg.slowpath](
-              const JobSpec &spec, uint32_t worker) {
+          [this, slowpath = cfg.slowpath](const JobSpec &spec,
+                                          uint32_t worker) {
               busy_[worker].store(1, std::memory_order_relaxed);
               auto t0 = std::chrono::steady_clock::now();
               JobOutcome outcome =
-                  executeJob(spec, caches_[worker], calibrate, slowpath);
+                  executeJob(spec, caches_[worker], slowpath);
               outcome.worker = worker;
               outcome.startMicros = uint64_t(
                   std::chrono::duration_cast<std::chrono::microseconds>(
@@ -36,9 +36,9 @@ RoundRunner::popped(const JobOutcome &o)
 {
     if (o.worker < workerDone_.size())
         ++workerDone_[o.worker];
-    spans_.push_back({o.spec.id, o.spec.round, o.spec.app, o.spec.variant,
-                      o.spec.seed, o.worker, o.startMicros, o.wallMicros,
-                      o.races.size()});
+    spans_.push_back({o.spec.id, o.spec.round, o.spec.run.name,
+                      o.spec.variant, o.spec.run.seed, o.worker,
+                      o.startMicros, o.wallMicros, o.races.size()});
 }
 
 bool

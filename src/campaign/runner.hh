@@ -40,7 +40,7 @@ class RoundRunner
     using Fold = std::function<bool(JobOutcome)>;
 
     /** Spawns cfg.jobs pool threads; the wall clock starts here.
-     *  Jobs run with cfg's calibrate and slow-path knobs. */
+     *  Jobs run with cfg's slow-path knob. */
     explicit RoundRunner(const CampaignConfig &cfg);
 
     RoundRunner(const RoundRunner &) = delete;

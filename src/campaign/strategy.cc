@@ -5,6 +5,7 @@
 
 #include "support/log.hh"
 #include "support/rng.hh"
+#include "workloads/workloads.hh"
 
 namespace txrace::campaign {
 
@@ -25,11 +26,9 @@ baseJob(const CampaignConfig &cfg, uint64_t &nextId, uint32_t round,
     JobSpec job;
     job.id = nextId++;
     job.round = round;
-    job.app = app;
-    job.seed = seed;
-    job.mode = cfg.mode;
-    job.workers = cfg.workers;
-    job.scale = cfg.scale;
+    job.run = baseIdentity(cfg);
+    job.run.name = app;
+    job.run.seed = seed;
     return job;
 }
 
@@ -125,7 +124,7 @@ class AbortGuided final : public Strategy
         for (const std::string &app : cfg.apps)
             weight[app] = 1;
         for (const JobOutcome &o : history)
-            weight[o.spec.app] += o.abortConflict;
+            weight[o.spec.run.name] += o.abortConflict;
         uint64_t wsum = 0;
         for (const std::string &app : cfg.apps)
             wsum += weight[app];
@@ -220,8 +219,8 @@ class PerturbSweep final : public Strategy
             bool oversub;
             bool governor;
         };
-        // Workload programs support at most 8 workers (idiom row
-        // limits), so oversubscription doubles up to that cap.
+        // Oversubscription doubles the workers up to the most a
+        // workload program supports.
         const Variant kVariants[] = {
             {"base", 1.0, false, false},
             {"irq-x4", 4.0, false, false},
@@ -238,11 +237,11 @@ class PerturbSweep final : public Strategy
                         cfg, nextId, 0, app,
                         deriveSeed(cfg.masterSeed, app, stream, i));
                     job.variant = v.name;
-                    job.interruptScale = v.interruptScale;
+                    job.run.irqScale = v.interruptScale;
                     if (v.oversub)
-                        job.workers =
-                            std::min<uint32_t>(8, cfg.workers * 2);
-                    job.governor = v.governor;
+                        job.run.workers = std::min<uint32_t>(
+                            workloads::kMaxWorkers, cfg.workers * 2);
+                    job.run.governor = v.governor;
                     jobs.push_back(job);
                 }
             }

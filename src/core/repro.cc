@@ -1,5 +1,6 @@
 #include "core/repro.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <charconv>
@@ -16,6 +17,7 @@
 #include "core/versionlog.hh"
 #include "fault/fault.hh"
 #include "support/log.hh"
+#include "workloads/workloads.hh"
 
 namespace txrace::core {
 
@@ -66,6 +68,34 @@ class Digest
 
 } // namespace
 
+std::string
+IdentityError::flagMessage(const char *appFlag) const
+{
+    return std::string(std::strcmp(flag, "--app") ? flag : appFlag) +
+           (key ? " " : ": ") + reason;
+}
+
+IdentityError
+identityError(const RunIdentity &id)
+{
+    if (id.target == RunTarget::App)
+        if (IdentityError e = workloads::appParamsError(
+                id.name, {id.workers, id.scale, id.calibrated}))
+            return e;
+    if (id.monitor && !isTxRaceMode(id.mode))
+        return {"--monitor", "monitor", "requires a txrace mode"};
+    if (!(id.budgetPct > 0.0))
+        return {"--budget-pct", "budget_pct", "must be positive"};
+    if (id.irqScale < 0.0)
+        return {"--irq-scale", "irq_scale", "must not be negative"};
+    if (!(id.sampleRate >= 0.0 && id.sampleRate <= 1.0))
+        return {"--rate", "rate", "must be within [0, 1]"};
+    if (!id.fault.empty() &&
+        !std::ranges::count(fault::scenarioNames(), id.fault))
+        return {"--fault", nullptr, "unknown scenario '" + id.fault + "'"};
+    return {};
+}
+
 RunConfig
 runConfigFor(const RunIdentity &id, const sim::MachineConfig &base)
 {
@@ -81,12 +111,9 @@ runConfigFor(const RunIdentity &id, const sim::MachineConfig &base)
     // ladder: the governor rides out storms, the budget caps what the
     // ride may cost.
     cfg.governor.enabled = id.governor || id.monitor;
-    if (id.monitor) {
-        if (!isTxRaceMode(id.mode))
-            fatal("--monitor requires a txrace mode");
-        cfg.budget.enabled = true;
+    cfg.budget.enabled = id.monitor;
+    if (id.monitor)
         cfg.budget.budgetPct = id.budgetPct;
-    }
     // Elision is static only; the differential soundness test
     // compares against exactly this configuration.
     cfg.passes.elide.enabled = id.elide;
@@ -330,16 +357,14 @@ parseRunCommand(const std::vector<std::string> &args,
         } else if (const char *v2 = value("--mode")) {
             id.mode = parseModeFlag(v2);
         } else if (const char *v3 = value("--workers")) {
-            id.workers = parseWorkersFlag(v3);
+            id.workers = uint32_t(
+                parseUnsignedFlag("--workers", v3, 0, UINT32_MAX));
         } else if (const char *v4 = value("--scale")) {
             id.scale = parseUnsignedFlag("--scale", v4, 1);
         } else if (const char *v5 = value("--seed")) {
             id.seed = parseUnsignedFlag("--seed", v5);
         } else if (const char *vis = value("--irq-scale")) {
             id.irqScale = parseDoubleFlag("--irq-scale", vis);
-            if (const std::string e = irqScaleError(id.irqScale);
-                !e.empty())
-                fatal("--irq-scale %s", e.c_str());
         } else if (const char *v6 = value("--rate")) {
             id.sampleRate = parseDoubleFlag("--rate", v6);
         } else if (const char *v8 = value("--fault")) {
@@ -353,8 +378,6 @@ parseRunCommand(const std::vector<std::string> &args,
         } else if (const char *vb = value("--budget-pct")) {
             id.budgetPct = parseDoubleFlag("--budget-pct", vb);
             budget_given = true;
-            if (id.budgetPct <= 0.0)
-                fatal("--budget-pct must be positive");
         } else if (args[i] == "--no-elide") {
             id.elide = false;
         } else if (args[i] == "--no-calibrate") {
@@ -365,6 +388,9 @@ parseRunCommand(const std::vector<std::string> &args,
     }
     if (budget_given && !id.monitor)
         fatal("--budget-pct requires --monitor");
+    if (const IdentityError e = id.name.empty() ? IdentityError{}
+                                                : identityError(id))
+        fatal("%s", e.flagMessage().c_str());
     return id;
 }
 
@@ -386,17 +412,6 @@ parseUnsignedFlag(const char *flag, const std::string &text,
     return v;
 }
 
-uint32_t
-parseWorkersFlag(const std::string &text)
-{
-    uint32_t n = static_cast<uint32_t>(
-        parseUnsignedFlag("--workers", text, 0, UINT32_MAX));
-    // The floor workloads::appParamsError() holds every app to.
-    if (n < 2)
-        fatal("--workers: need at least two workers");
-    return n;
-}
-
 RunMode
 parseModeFlag(const std::string &text)
 {
@@ -406,12 +421,6 @@ parseModeFlag(const std::string &text)
               "racetm, txrace, txrace-dyn, txrace-noopt)",
               text.c_str());
     return mode;
-}
-
-std::string
-irqScaleError(double irq_scale)
-{
-    return irq_scale < 0.0 ? "must not be negative" : "";
 }
 
 double

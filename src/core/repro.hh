@@ -63,9 +63,36 @@ struct RunIdentity
     bool operator==(const RunIdentity &) const = default;
 };
 
-/** The RunConfig a run of @p id executes on machine @p base (the
- *  app's, or the default for patterns and program files); fatal()s
- *  when --monitor names a non-TxRace mode. */
+/** Why a run identity cannot run: the field at fault and the
+ *  reason, which is empty when it can. */
+struct IdentityError
+{
+    /** The field as a txrace_run flag ("--irq-scale"). */
+    const char *flag = "";
+    /** The field as a job-record key ("irq_scale") when the reason
+     *  reads on from its name ("must not be negative"); null when the
+     *  reason names the field ("need at least two workers"), so that
+     *  a record gives the reason alone. */
+    const char *key = nullptr;
+    std::string reason;
+
+    explicit operator bool() const { return !reason.empty(); }
+    /** "--irq-scale must not be negative", "--workers: need at least
+     *  two workers"; @p appFlag names the app (txrace_hunt: --apps). */
+    std::string flagMessage(const char *appFlag = "--app") const;
+};
+
+/** Whether @p id can run: the one check of run values behind every
+ *  front end (txrace_run, txrace_hunt, job records, bench harness).
+ *  An app target must pass workloads::appParamsError(); a monitor
+ *  needs a TxRace mode and a positive budget; the interrupt scale
+ *  must not be negative, the sample rate lie in [0, 1] and the fault
+ *  name a scenario. */
+IdentityError identityError(const RunIdentity &id);
+
+/** The RunConfig a run of @p id, which must pass identityError(),
+ *  executes on machine @p base (the app's, or the default for
+ *  patterns and program files). */
 RunConfig runConfigFor(const RunIdentity &id,
                        const sim::MachineConfig &base);
 
@@ -104,7 +131,8 @@ const char *flagValue(const std::vector<std::string> &args, size_t &i,
  *  into the identity it runs, the inverse of reproCommand. Other
  *  arguments go to @p other, which advances the index past any value
  *  and returns false on an unknown one (fatal). The name is empty if
- *  no target came; fatal()s on bad values and conflicting flags. */
+ *  no target came; fatal()s on bad values, conflicting flags and a
+ *  targeted identity that identityError() refuses. */
 RunIdentity parseRunCommand(const std::vector<std::string> &args,
                             const std::function<bool(size_t &)> &other);
 
@@ -114,18 +142,9 @@ uint64_t parseUnsignedFlag(const char *flag, const std::string &text,
                            uint64_t min = 0,
                            uint64_t max = UINT64_MAX);
 
-/** Parse option --workers's count; fatal()s, naming the flag, on a
- *  malformed count or one below the two workers every app needs. */
-uint32_t parseWorkersFlag(const std::string &text);
-
 /** Parse option --mode's token: a cliModeName, or the txrace-prof
  *  alias of txrace; fatal()s listing the modes on anything else. */
 RunMode parseModeFlag(const std::string &text);
-
-/** Why @p irq_scale cannot multiply an app's interrupt rate, or ""
- *  when it can: the one rule for --irq-scale and a job record's
- *  irq_scale. */
-std::string irqScaleError(double irq_scale);
 
 /** As parseUnsignedFlag, for a finite floating-point value. */
 double parseDoubleFlag(const char *flag, const std::string &text);

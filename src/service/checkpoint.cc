@@ -23,13 +23,13 @@ writeSpecFields(telemetry::JsonWriter &w, const campaign::JobSpec &spec)
 {
     w.field("id", spec.id);
     w.field("round", uint64_t(spec.round));
-    w.field("app", spec.app);
-    w.field("seed", spec.seed);
+    w.field("app", spec.run.name);
+    w.field("seed", spec.run.seed);
     w.field("variant", spec.variant);
-    w.field("workers", uint64_t(spec.workers));
-    w.field("scale", spec.scale);
-    w.field("irq_scale", spec.interruptScale);
-    w.field("governor", spec.governor);
+    w.field("workers", uint64_t(spec.run.workers));
+    w.field("scale", spec.run.scale);
+    w.field("irq_scale", spec.run.irqScale);
+    w.field("governor", spec.run.governor);
 }
 
 } // namespace
@@ -41,11 +41,10 @@ OutcomeSummary::of(const campaign::JobOutcome &o)
 }
 
 campaign::JobOutcome
-OutcomeSummary::toOutcome(const campaign::CampaignConfig &cfg) const
+OutcomeSummary::toOutcome() const
 {
     campaign::JobOutcome o;
     o.spec = spec;
-    o.spec.mode = cfg.mode;
     o.ok = ok;
     o.abortConflict = abortConflict;
     return o;

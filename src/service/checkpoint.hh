@@ -47,9 +47,8 @@ struct OutcomeSummary
     uint64_t rawReports = 0;
 
     static OutcomeSummary of(const campaign::JobOutcome &o);
-    /** Rebuild the strategy-visible JobOutcome (mode from @p cfg). */
-    campaign::JobOutcome
-    toOutcome(const campaign::CampaignConfig &cfg) const;
+    /** Rebuild the strategy-visible JobOutcome. */
+    campaign::JobOutcome toOutcome() const;
 };
 
 /** Resumable service state. */

@@ -6,7 +6,6 @@
 
 #include "core/repro.hh"
 #include "telemetry/jsonparse.hh"
-#include "workloads/workloads.hh"
 
 namespace txrace::service {
 
@@ -20,40 +19,39 @@ readJobSpec(const telemetry::JsonValue &doc,
         return false;
     }
     spec = campaign::JobSpec{};
-    spec.mode = cfg.mode;
-    spec.workers = cfg.workers;
-    spec.scale = cfg.scale;
-
-    spec.app = telemetry::getStr(doc, "app");
-    if (spec.app.empty()) {
+    spec.run = campaign::baseIdentity(cfg);
+    spec.run.name = telemetry::getStr(doc, "app");
+    if (spec.run.name.empty()) {
         error = "job record without app";
         return false;
     }
-    spec.id = telemetry::getU64(doc, "id");
-    spec.round = uint32_t(telemetry::getU64(doc, "round"));
-    if (const telemetry::JsonValue *v = doc.find("seed"))
-        spec.seed = v->asU64();
+    using telemetry::readUnsigned;
+    if (!readUnsigned(doc, "id", spec.id, error) ||
+        !readUnsigned(doc, "round", spec.round, error) ||
+        !readUnsigned(doc, "seed", spec.run.seed, error) ||
+        !readUnsigned(doc, "workers", spec.run.workers, error) ||
+        !readUnsigned(doc, "scale", spec.run.scale, error))
+        return false;
     if (const telemetry::JsonValue *v = doc.find("variant");
         v && v->isString() && !v->str.empty())
         spec.variant = v->str;
-    if (const telemetry::JsonValue *v = doc.find("workers"))
-        spec.workers = uint32_t(v->asU64());
-    if (const telemetry::JsonValue *v = doc.find("scale"))
-        spec.scale = v->asU64();
-    if (const telemetry::JsonValue *v = doc.find("irq_scale");
-        v && v->isNumber())
-        spec.interruptScale = v->asDouble();
-    if (const std::string why = core::irqScaleError(spec.interruptScale);
-        !why.empty()) {
-        error = "irq_scale " + why;
-        return false;
+    if (const telemetry::JsonValue *v = doc.find("irq_scale")) {
+        if (!v->isNumber()) {
+            error = "irq_scale must be a number";
+            return false;
+        }
+        spec.run.irqScale = v->asDouble();
     }
-    spec.governor = telemetry::getBool(doc, "governor");
-    workloads::WorkloadParams params;
-    params.nWorkers = spec.workers;
-    params.scale = spec.scale;
-    error = workloads::appParamsError(spec.app, params);
-    return error.empty();
+    if (const telemetry::JsonValue *v = doc.find("governor")) {
+        if (v->type != telemetry::JsonValue::Type::Bool) {
+            error = "governor must be true or false";
+            return false;
+        }
+        spec.run.governor = v->boolean;
+    }
+    const core::IdentityError e = core::identityError(spec.run);
+    error = e.key ? std::string(e.key) + " " + e.reason : e.reason;
+    return !e;
 }
 
 bool

@@ -32,11 +32,10 @@ namespace txrace::service {
 
 /**
  * Read one job record (a job line, or a checkpoint's plan or history
- * entry) into @p spec. Only `app` is required; `id` and `round` are
- * read when present, and the other fields default from @p cfg. False
- * with a message in @p error when @p v is not an object, has no app,
- * or names an app, worker count or scale that
- * workloads::appParamsError() refuses.
+ * entry) into @p spec. Only `app` is required; the run starts from
+ * campaign::baseIdentity(@p cfg). False with a message in @p error
+ * when @p v is not an object, has no app, has a field of the wrong
+ * type or range, or names a run core::identityError() refuses.
  */
 bool readJobSpec(const telemetry::JsonValue &v,
                  const campaign::CampaignConfig &cfg,

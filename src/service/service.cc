@@ -116,7 +116,7 @@ ServiceRunner::restoreOrInit()
         agg_ = std::move(ck.aggregate);
 
         for (const OutcomeSummary &s : summaries_)
-            history_.push_back(s.toOutcome(cfg_));
+            history_.push_back(s.toOutcome());
         campaign::sortById(history_);
         ++stats_.resumes;
         if (opt_.chatter)
@@ -160,7 +160,7 @@ ServiceRunner::emitDelta(const campaign::JobOutcome &outcome,
     w.field("schema", "txrace-progress-v1");
     w.field("event", "finding");
     w.field("job", outcome.spec.id);
-    w.field("app", outcome.spec.app);
+    w.field("app", outcome.spec.run.name);
     w.field("fingerprint", telemetry::hex64(race.sig.hash));
     w.field("kind", detector::raceKindName(race.kind));
     w.field("a", race.sig.a);
@@ -212,7 +212,7 @@ ServiceRunner::foldOutcome(const campaign::JobOutcome &outcome)
         emitDelta(outcome, *race);
     summaries_.push_back(OutcomeSummary::of(outcome));
     // Strategies see the summary, exactly what a resume restores.
-    history_.push_back(summaries_.back().toOutcome(cfg_));
+    history_.push_back(summaries_.back().toOutcome());
     if (opt_.progressJson && cfg_.progressEvery > 0 &&
         stats_.jobsIngested % cfg_.progressEvery == 0)
         emitHeartbeat("progress");

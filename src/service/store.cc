@@ -82,12 +82,13 @@ readCampaignIdentity(const telemetry::JsonValue &v,
         }
         cfg.apps.push_back(app.str);
     }
-    if (const telemetry::JsonValue *n = v.find("seeds_per_app"))
-        cfg.seedsPerApp = n->asU64();
-    if (const telemetry::JsonValue *n = v.find("workers"))
-        cfg.workers = uint32_t(n->asU64());
-    if (const telemetry::JsonValue *n = v.find("scale"))
-        cfg.scale = n->asU64();
+    if (!telemetry::readUnsigned(v, "seeds_per_app", cfg.seedsPerApp,
+                                 error) ||
+        !telemetry::readUnsigned(v, "workers", cfg.workers, error) ||
+        !telemetry::readUnsigned(v, "scale", cfg.scale, error)) {
+        error = "campaign identity: " + error;
+        return false;
+    }
     cfg.calibrate = telemetry::getBool(v, "calibrate");
     return true;
 }

@@ -19,7 +19,9 @@
 #ifndef TXRACE_TELEMETRY_JSONPARSE_HH
 #define TXRACE_TELEMETRY_JSONPARSE_HH
 
+#include <charconv>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -57,6 +59,27 @@ struct JsonValue
 /** Member @p key of @p obj as uint64_t (0 when absent or not a
  *  non-negative integer). */
 uint64_t getU64(const JsonValue &obj, std::string_view key);
+
+/** Member @p key of @p obj into @p out when present. False, naming
+ *  the key and @p out's range in @p error, unless it is a plain
+ *  decimal integer that @p out can hold (no sign, fraction, exponent
+ *  or quotes); @p out is then unspecified. */
+template <typename T>
+bool
+readUnsigned(const JsonValue &obj, const char *key, T &out,
+             std::string &error)
+{
+    const JsonValue *v = obj.find(key);
+    if (!v)
+        return true;
+    const char *end = v->number.data() + v->number.size();
+    auto [ptr, ec] = std::from_chars(v->number.data(), end, out);
+    if (v->isNumber() && ec == std::errc() && ptr == end)
+        return true;
+    error = std::string(key) + " must be an integer in [0, " +
+            std::to_string(std::numeric_limits<T>::max()) + "]";
+    return false;
+}
 
 /** Member @p key of @p obj as a string (empty when absent or not a
  *  string). */

@@ -194,24 +194,26 @@ appNames()
     return names;
 }
 
-std::string
+core::IdentityError
 appParamsError(const std::string &name, const WorkloadParams &params)
 {
     if (!lookupSpec(name))
-        return "unknown workload '" + name + "'";
+        return {"--app", nullptr, "unknown workload '" + name + "'"};
     if (params.nWorkers < 2)
-        return "need at least two workers";
+        return {"--workers", nullptr, "need at least two workers"};
+    if (params.nWorkers > kMaxWorkers)
+        return {"--workers", nullptr,
+                "need at most " + std::to_string(kMaxWorkers) + " workers"};
     if (params.scale == 0)
-        return "scale must be at least 1";
-    return "";
+        return {"--scale", nullptr, "scale must be at least 1"};
+    return {};
 }
 
 AppModel
 makeApp(const std::string &name, const WorkloadParams &params)
 {
-    if (const std::string error = appParamsError(name, params);
-        !error.empty())
-        fatal("makeApp(%s): %s", name.c_str(), error.c_str());
+    if (const core::IdentityError e = appParamsError(name, params))
+        fatal("makeApp(%s): %s", name.c_str(), e.reason.c_str());
     const Spec &spec = findSpec(name);
 
     AppModel m;

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "core/repro.hh"
 #include "ir/program.hh"
 #include "sim/machine.hh"
 
@@ -98,14 +99,19 @@ std::vector<RaceLabel> groundTruthRaces(const std::string &name);
 /** All application names, in the paper's Table 1 order. */
 const std::vector<std::string> &appNames();
 
-/** Why makeApp(@p name, @p params) cannot build, or "" when it can:
- *  an unknown name, fewer than two workers, or a scale of 0. Front
- *  ends that must keep running on bad input check this first. */
-std::string appParamsError(const std::string &name,
-                           const WorkloadParams &params);
+/** The most workers a workload program supports: past it, planted
+ *  ground truth stops holding (extra races, then bad accesses). */
+inline constexpr uint32_t kMaxWorkers = 8;
+
+/** Why makeApp(@p name, @p params) cannot build, or no error when it
+ *  can: an unknown name, fewer than two or more than kMaxWorkers
+ *  workers, or a scale of 0. Front ends reach it through
+ *  core::identityError(). */
+core::IdentityError appParamsError(const std::string &name,
+                                   const WorkloadParams &params);
 
 /** Build one application model. fatal()s with appParamsError()'s
- *  message on what it refuses. */
+ *  reason on what it refuses. */
 AppModel makeApp(const std::string &name,
                  const WorkloadParams &params = {});
 

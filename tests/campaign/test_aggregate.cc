@@ -52,8 +52,8 @@ outcome(uint64_t jobId, const std::string &app, uint64_t seed,
 {
     JobOutcome o;
     o.spec.id = jobId;
-    o.spec.app = app;
-    o.spec.seed = seed;
+    o.spec.run.name = app;
+    o.spec.run.seed = seed;
     o.spec.variant = variant;
     o.repro = "txrace_run --app " + app;
     o.configDigest = 0xd1600 + jobId;
@@ -163,10 +163,10 @@ TEST(Aggregator, FirstSeenIsLowestJobIdNotArrivalOrder)
             agg.add(o);
         CampaignResult result = agg.finalize(cfgFor({"app"}), {});
         ASSERT_EQ(result.findings.size(), 1u);
-        EXPECT_EQ(result.findings[0].firstJob, 0u);
-        EXPECT_EQ(result.findings[0].firstSeed, 100u);
-        EXPECT_EQ(result.findings[0].firstVariant, "v0");
-        EXPECT_EQ(result.findings[0].firstConfigDigest,
+        EXPECT_EQ(result.findings[0].first.job, 0u);
+        EXPECT_EQ(result.findings[0].first.seed, 100u);
+        EXPECT_EQ(result.findings[0].first.variant, "v0");
+        EXPECT_EQ(result.findings[0].first.configDigest,
                   uint64_t(0xd1600));
     } while (std::next_permutation(
         outcomes.begin(), outcomes.end(),
@@ -426,5 +426,5 @@ TEST(Aggregator, MergeIsCommutativeOnFirstSightingTies)
     EXPECT_EQ(stateBytes(ab), stateBytes(ba));
     CampaignConfig cfg;
     cfg.apps = {"app"};
-    EXPECT_EQ(ab.finalize(cfg, {}).findings[0].firstJob, 3u);
+    EXPECT_EQ(ab.finalize(cfg, {}).findings[0].first.job, 3u);
 }

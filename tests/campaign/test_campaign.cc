@@ -53,8 +53,8 @@ outcome(uint64_t jobId, const std::string &app, uint64_t seed,
 {
     JobOutcome o;
     o.spec.id = jobId;
-    o.spec.app = app;
-    o.spec.seed = seed;
+    o.spec.run.name = app;
+    o.spec.run.seed = seed;
     o.races = std::move(races);
     return o;
 }
@@ -104,7 +104,7 @@ TEST(Campaign, MasterSeedChangesTheSeedMatrix)
     ASSERT_FALSE(a.findings.empty());
     ASSERT_FALSE(b.findings.empty());
     // Different job seeds, hence different repro lines.
-    EXPECT_NE(a.findings[0].firstSeed, b.findings[0].firstSeed);
+    EXPECT_NE(a.findings[0].first.seed, b.findings[0].first.seed);
 }
 
 TEST(Campaign, ScoresPerfectOnEasyApps)
@@ -129,10 +129,10 @@ TEST(Campaign, FindingsCarryReproMetadata)
     CampaignResult result = runCampaign(cfg);
     ASSERT_FALSE(result.findings.empty());
     for (const Finding &f : result.findings) {
-        EXPECT_NE(f.repro.find("txrace_run --app " + f.app),
+        EXPECT_NE(f.first.repro.find("txrace_run --app " + f.app),
                   std::string::npos);
-        EXPECT_NE(f.repro.find("--seed "), std::string::npos);
-        EXPECT_NE(f.firstConfigDigest, 0u);
+        EXPECT_NE(f.first.repro.find("--seed "), std::string::npos);
+        EXPECT_NE(f.first.configDigest, 0u);
         EXPECT_GE(f.runsSeen, 1u);
     }
 }
@@ -149,7 +149,7 @@ TEST(Campaign, FirstSeenReprosReplayTheirDigests)
     ASSERT_FALSE(result.findings.empty());
     std::map<std::string, uint64_t> digestOf;
     for (const Finding &f : result.findings)
-        digestOf.emplace(f.repro, f.firstConfigDigest);
+        digestOf.emplace(f.first.repro, f.first.configDigest);
 
     // Perturb's first sightings are all base-variant runs; a streamed
     // job record carries the variant knobs, at any interrupt scale.
@@ -161,14 +161,14 @@ TEST(Campaign, FirstSeenReprosReplayTheirDigests)
                                       cfg, spec, error))
         << error;
     WorkerCache cache;
-    JobOutcome job = executeJob(spec, cache, cfg.calibrate, cfg.slowpath);
+    JobOutcome job = executeJob(spec, cache, cfg.slowpath);
     EXPECT_NE(job.repro.find(" --governor --irq-scale 0.1234567"),
               std::string::npos)
         << job.repro;
     digestOf.emplace(job.repro, job.configDigest);
     // A sampling job's line carries the rate it ran at.
-    spec.mode = core::RunMode::TSanSampling;
-    job = executeJob(spec, cache, cfg.calibrate, cfg.slowpath);
+    spec.run.mode = core::RunMode::TSanSampling;
+    job = executeJob(spec, cache, cfg.slowpath);
     EXPECT_NE(job.repro.find(" --rate 1 "), std::string::npos) << job.repro;
     digestOf.emplace(job.repro, job.configDigest);
 
@@ -230,7 +230,7 @@ TEST(Strategy, SaveRestoreContinuesWhereTheOriginalStopped)
             original->nextRound(cfg, history, nextId);
         ASSERT_FALSE(round0.empty()) << name;
         for (const JobSpec &spec : round0) {
-            JobOutcome o = outcome(spec.id, spec.app, spec.seed, {});
+            JobOutcome o = outcome(spec.id, spec.run.name, spec.run.seed, {});
             o.spec = spec;
             o.abortConflict = spec.id % 4;
             history.push_back(o);
@@ -251,8 +251,8 @@ TEST(Strategy, SaveRestoreContinuesWhereTheOriginalStopped)
         ASSERT_EQ(wantRound.size(), gotRound.size()) << name;
         for (size_t i = 0; i < wantRound.size(); ++i) {
             EXPECT_EQ(wantRound[i].id, gotRound[i].id) << name;
-            EXPECT_EQ(wantRound[i].app, gotRound[i].app) << name;
-            EXPECT_EQ(wantRound[i].seed, gotRound[i].seed) << name;
+            EXPECT_EQ(wantRound[i].run.name, gotRound[i].run.name) << name;
+            EXPECT_EQ(wantRound[i].run.seed, gotRound[i].run.seed) << name;
             EXPECT_EQ(wantRound[i].variant, gotRound[i].variant)
                 << name;
         }

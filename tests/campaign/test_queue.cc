@@ -24,7 +24,7 @@ job(uint64_t id)
 {
     JobSpec spec;
     spec.id = id;
-    spec.app = "test";
+    spec.run.name = "test";
     return spec;
 }
 

@@ -264,8 +264,9 @@ TEST(Repro, CommandParsesBackToItsIdentityAndDigest)
                     id.name = name;
                     id.mode = core::RunMode(m);
                     id.seed = 3;
+                    // Quartered: a rate outside [0, 1] is refused.
                     if (on(0) && id.mode == core::RunMode::TSanSampling)
-                        id.sampleRate = x;
+                        id.sampleRate = x / 4;
                     if (on(1)) {
                         id.fault = "interrupt-storm";
                         id.faultHorizon = 30000;
@@ -300,6 +301,63 @@ TEST(Repro, CommandParsesBackToItsIdentityAndDigest)
         }
     }
     EXPECT_EQ(lines, 3u * 8u * 256u * 4u);
+}
+
+TEST(Repro, IdentityErrorNamesTheFieldByFlagAndRecordKey)
+{
+    struct Case
+    {
+        std::function<void(core::RunIdentity &)> set;
+        const char *flagMessage;
+        const char *recordMessage;
+    };
+    const Case cases[] = {
+        {[](core::RunIdentity &id) { id.name = "quake3"; },
+         "--app: unknown workload 'quake3'", "unknown workload 'quake3'"},
+        {[](core::RunIdentity &id) { id.workers = 1; },
+         "--workers: need at least two workers",
+         "need at least two workers"},
+        {[](core::RunIdentity &id) { id.workers = 9; },
+         "--workers: need at most 8 workers", "need at most 8 workers"},
+        {[](core::RunIdentity &id) { id.scale = 0; },
+         "--scale: scale must be at least 1", "scale must be at least 1"},
+        {[](core::RunIdentity &id) {
+             id.monitor = true;
+             id.mode = core::RunMode::TSan;
+         },
+         "--monitor requires a txrace mode",
+         "monitor requires a txrace mode"},
+        {[](core::RunIdentity &id) { id.budgetPct = 0.0; },
+         "--budget-pct must be positive", "budget_pct must be positive"},
+        {[](core::RunIdentity &id) { id.irqScale = -2.0; },
+         "--irq-scale must not be negative",
+         "irq_scale must not be negative"},
+        {[](core::RunIdentity &id) { id.sampleRate = 7.0; },
+         "--rate must be within [0, 1]", "rate must be within [0, 1]"},
+        {[](core::RunIdentity &id) { id.fault = "bogus"; },
+         "--fault: unknown scenario 'bogus'", "unknown scenario 'bogus'"},
+    };
+    for (const Case &c : cases) {
+        core::RunIdentity id;
+        id.name = "vips";
+        EXPECT_FALSE(core::identityError(id));
+        c.set(id);
+        const core::IdentityError e = core::identityError(id);
+        EXPECT_EQ(e.flagMessage(), c.flagMessage);
+        // A job record names the field by its key, or not at all.
+        EXPECT_EQ(e.key ? std::string(e.key) + " " + e.reason : e.reason,
+                  c.recordMessage);
+    }
+    // txrace_hunt names the app by its own flag; workers and scale
+    // bind only app targets.
+    core::RunIdentity id;
+    id.name = "quake3";
+    EXPECT_EQ(core::identityError(id).flagMessage("--apps"),
+              "--apps: unknown workload 'quake3'");
+    id.target = core::RunTarget::Pattern;
+    id.name = "unlocked-counter";
+    id.workers = 1;
+    EXPECT_FALSE(core::identityError(id));
 }
 
 TEST(Repro, CommandRendersDoublesExactly)

@@ -360,11 +360,11 @@ TEST(Service, StdinBatchesFoldLikeSpoolBatches)
 
 TEST(Service, StdinRefusesBadRecordsAndKeepsServing)
 {
-    // Each of the first five records names something the workload
-    // registry cannot build (or no app at all) or a negative interrupt
-    // scale. The service refuses them with a warning instead of
-    // exiting, counts them in its heartbeat gauges, and the good job
-    // after them still folds.
+    // Each of the first eleven records names something the workload
+    // registry cannot build (or no app at all), a negative interrupt
+    // scale, or a malformed number or bool. The service refuses them
+    // with a warning instead of exiting, counts them in its heartbeat
+    // gauges, and the good job after them still folds.
     campaign::CampaignConfig cfg = smallCampaign();
     const std::string dir = freshDir("stdin_refuse");
     std::istringstream jobs("{\"app\": \"raytrace\", \"scale\": 0}\n"
@@ -373,6 +373,13 @@ TEST(Service, StdinRefusesBadRecordsAndKeepsServing)
                             "{\"seed\": 3}\n"
                             "{\"app\": \"raytrace\", \"seed\": 3, "
                             "\"irq_scale\": -2}\n"
+                            "{\"app\": \"raytrace\", \"seed\": 3, "
+                            "\"workers\": 4294967298}\n"
+                            "{\"app\": \"raytrace\", \"seed\": -3}\n"
+                            "{\"app\": \"raytrace\", \"seed\": \"7\"}\n"
+                            "{\"app\": \"raytrace\", \"seed\": 1.5}\n"
+                            "{\"app\": \"raytrace\", \"governor\": \"yes\"}\n"
+                            "{\"app\": \"raytrace\", \"workers\": 9}\n"
                             "{\"app\": \"raytrace\", \"seed\": 5}\n");
     std::ostringstream progress;
     ServiceOptions opt;
@@ -383,12 +390,12 @@ TEST(Service, StdinRefusesBadRecordsAndKeepsServing)
     ServiceResult res = runService(opt);
     EXPECT_TRUE(res.completed);
     EXPECT_EQ(res.jobsFolded, 1u);
-    // The closing heartbeat carries all five refusals.
+    // The closing heartbeat carries all eleven refusals.
     const std::string stream = progress.str();
     const size_t end = stream.rfind("\"event\":\"end\"");
     ASSERT_NE(end, std::string::npos) << stream;
     const std::string last = stream.substr(stream.rfind('\n', end) + 1);
-    EXPECT_NE(last.find("\"jobs_refused\":5"), std::string::npos) << last;
+    EXPECT_NE(last.find("\"jobs_refused\":11"), std::string::npos) << last;
 
     FindingsStore store;
     std::string error;

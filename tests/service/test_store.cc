@@ -12,10 +12,16 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <memory>
+#include <set>
 #include <sstream>
 
 #include "campaign/aggregate.hh"
+#include "campaign/strategy.hh"
 #include "core/fingerprint.hh"
+#include "core/repro.hh"
 #include "service/checkpoint.hh"
 #include "service/ingest.hh"
 #include "service/store.hh"
@@ -48,8 +54,8 @@ outcome(uint64_t jobId, const std::string &app, uint64_t seed,
 {
     campaign::JobOutcome o;
     o.spec.id = jobId;
-    o.spec.app = app;
-    o.spec.seed = seed;
+    o.spec.run.name = app;
+    o.spec.run.seed = seed;
     o.repro = "txrace_run --app " + app;
     o.configDigest = 0xd1600 + jobId;
     o.txCommitted = 10;
@@ -60,6 +66,16 @@ outcome(uint64_t jobId, const std::string &app, uint64_t seed,
         o.races.push_back(f);
     }
     return o;
+}
+
+/** Parse a printed repro line as txrace_run parses its argv. */
+core::RunIdentity
+parseLine(const std::string &line)
+{
+    std::istringstream in(line);
+    return core::parseRunCommand(
+        {std::istream_iterator<std::string>(in), {}},
+        [](size_t &) { return false; });
 }
 
 campaign::CampaignConfig
@@ -158,6 +174,25 @@ TEST(FindingsStore, WrongVersionIsAStructuredError)
         << error;
 }
 
+TEST(FindingsStore, OutOfRangeIdentityCountsAreRefused)
+{
+    // A worker count past 2^32-1 used to load truncated (2^32+2 as 2).
+    const std::string bytes = bytesOf(storeWith({}));
+    const size_t at = bytes.find("\"workers\": 4");
+    ASSERT_NE(at, std::string::npos) << bytes;
+    FindingsStore out;
+    std::string error;
+    for (const char *bad : {"4294967298", "-4", "4.5", "\"4\""}) {
+        std::string text = bytes;
+        text.replace(at + 11, 1, bad);
+        EXPECT_FALSE(FindingsStore::parse(text, out, error)) << bad;
+        EXPECT_NE(error.find("campaign identity: workers must be an "
+                             "integer in [0, 4294967295]"),
+                  std::string::npos)
+            << error;
+    }
+}
+
 TEST(FindingsStore, MissingSchemaNamesThePath)
 {
     FindingsStore out;
@@ -248,8 +283,8 @@ TEST(Checkpoint, RoundTripsByteExactly)
     campaign::JobSpec spec;
     spec.id = 10;
     spec.round = 2;
-    spec.app = "raytrace";
-    spec.seed = 77;
+    spec.run.name = "raytrace";
+    spec.run.seed = 77;
     spec.variant = "reseed";
     ck.plan.push_back(spec);
     campaign::JobOutcome o =
@@ -304,17 +339,17 @@ TEST(Checkpoint, SummaryRoundTripKeepsStrategyVisibleFields)
     campaign::JobOutcome o =
         outcome(5, "canneal", 55, {"canneal\x1dp1"});
     o.spec.variant = "irq-x4";
-    o.spec.interruptScale = 4.0;
-    o.spec.governor = true;
+    o.spec.run.irqScale = 4.0;
+    o.spec.run.governor = true;
     o.ok = false;
     o.abortConflict = 9;
     OutcomeSummary s = OutcomeSummary::of(o);
-    campaign::JobOutcome back = s.toOutcome(identity());
+    campaign::JobOutcome back = s.toOutcome();
     EXPECT_EQ(back.spec.id, 5u);
-    EXPECT_EQ(back.spec.app, "canneal");
+    EXPECT_EQ(back.spec.run.name, "canneal");
     EXPECT_EQ(back.spec.variant, "irq-x4");
-    EXPECT_DOUBLE_EQ(back.spec.interruptScale, 4.0);
-    EXPECT_TRUE(back.spec.governor);
+    EXPECT_DOUBLE_EQ(back.spec.run.irqScale, 4.0);
+    EXPECT_TRUE(back.spec.run.governor);
     EXPECT_FALSE(back.ok);
     EXPECT_EQ(back.abortConflict, 9u);
 }
@@ -346,22 +381,22 @@ TEST(Ingest, JobLineDefaultsComeFromTheCampaign)
     ASSERT_TRUE(parseJobLine("{\"app\": \"raytrace\"}", cfg, spec,
                              error))
         << error;
-    EXPECT_EQ(spec.app, "raytrace");
-    EXPECT_EQ(spec.workers, 6u);
-    EXPECT_EQ(spec.scale, 3u);
+    EXPECT_EQ(spec.run.name, "raytrace");
+    EXPECT_EQ(spec.run.workers, 6u);
+    EXPECT_EQ(spec.run.scale, 3u);
     EXPECT_EQ(spec.variant, "base");
-    EXPECT_EQ(spec.mode, cfg.mode);
+    EXPECT_EQ(spec.run.mode, cfg.mode);
 
     ASSERT_TRUE(parseJobLine(
         "{\"app\": \"vips\", \"seed\": 9, \"variant\": \"irq-x4\", "
         "\"irq_scale\": 4.0, \"workers\": 2, \"governor\": true}",
         cfg, spec, error))
         << error;
-    EXPECT_EQ(spec.seed, 9u);
+    EXPECT_EQ(spec.run.seed, 9u);
     EXPECT_EQ(spec.variant, "irq-x4");
-    EXPECT_DOUBLE_EQ(spec.interruptScale, 4.0);
-    EXPECT_EQ(spec.workers, 2u);
-    EXPECT_TRUE(spec.governor);
+    EXPECT_DOUBLE_EQ(spec.run.irqScale, 4.0);
+    EXPECT_EQ(spec.run.workers, 2u);
+    EXPECT_TRUE(spec.run.governor);
 }
 
 TEST(Ingest, BadLinesReportTheLineNumber)
@@ -383,9 +418,10 @@ TEST(Ingest, BadLinesReportTheLineNumber)
 
 TEST(Ingest, RecordsTheRegistryCannotBuildAreRefused)
 {
-    // An unknown app, one worker and scale 0 are refused with the
-    // registry's reason, and a negative irq_scale with --irq-scale's;
-    // the good lines around them still parse.
+    // An unknown app, one or nine workers and scale 0 are refused with
+    // the registry's reason, a negative irq_scale with --irq-scale's,
+    // and a malformed number or bool by its key; the good lines around
+    // them still parse.
     campaign::CampaignConfig cfg = identity();
     std::vector<campaign::JobSpec> specs;
     std::string error;
@@ -394,16 +430,131 @@ TEST(Ingest, RecordsTheRegistryCannotBuildAreRefused)
                             "{\"app\": \"raytrace\", \"workers\": 1}\n"
                             "{\"app\": \"vips\", \"scale\": 0}\n"
                             "{\"app\": \"raytrace\", \"seed\": 3, "
-                            "\"irq_scale\": -2}\n",
+                            "\"irq_scale\": -2}\n"
+                            "{\"app\": \"raytrace\", \"seed\": 3, "
+                            "\"workers\": 4294967298}\n"
+                            "{\"app\": \"raytrace\", \"seed\": -3}\n"
+                            "{\"app\": \"raytrace\", \"seed\": \"7\"}\n"
+                            "{\"app\": \"raytrace\", \"seed\": 1.5}\n"
+                            "{\"app\": \"raytrace\", \"governor\": \"yes\"}\n"
+                            "{\"app\": \"raytrace\", \"workers\": 9}\n",
                             cfg, specs, error),
-              4u);
+              10u);
     ASSERT_EQ(specs.size(), 1u);
-    EXPECT_EQ(specs[0].seed, 2u);
-    for (const char *why : {"line 1: unknown workload 'nosuch'",
-                            "line 3: need at least two workers",
-                            "line 4: scale must be at least 1",
-                            "line 5: irq_scale must not be negative"})
+    EXPECT_EQ(specs[0].run.seed, 2u);
+    for (const char *why :
+         {"line 1: unknown workload 'nosuch'",
+          "line 3: need at least two workers",
+          "line 4: scale must be at least 1",
+          "line 5: irq_scale must not be negative",
+          "line 6: workers must be an integer in [0, 4294967295]",
+          "line 7: seed must be an integer in [0, 18446744073709551615]",
+          "line 8: seed must be", "line 9: seed must be",
+          "line 10: governor must be true or false",
+          "line 11: need at most 8 workers"})
         EXPECT_NE(error.find(why), std::string::npos) << error;
+}
+
+TEST(Ingest, EveryStrategyJobRoundTripsThroughRecordAndRepro)
+{
+    // Record -> identity -> repro line -> identity, for every job the
+    // three strategies emit (perturb's irq-x4, irq-x16, oversub and
+    // oversub-gov included), in a sampling campaign too.
+    std::set<std::string> variants;
+    size_t jobs = 0;
+    for (core::RunMode mode :
+         {core::RunMode::TxRaceDynLoopcut, core::RunMode::TSanSampling}) {
+        for (const std::string &name : campaign::strategyNames()) {
+            campaign::CampaignConfig cfg = identity();
+            cfg.mode = mode;
+            cfg.strategy = name;
+            std::unique_ptr<campaign::Strategy> strategy =
+                campaign::makeStrategy(name);
+            Checkpoint ck;
+            ck.campaign = cfg;
+            std::vector<campaign::JobOutcome> history;
+            uint64_t nextId = 0;
+            for (;;) {
+                std::vector<campaign::JobSpec> round =
+                    strategy->nextRound(cfg, history, nextId);
+                if (round.empty())
+                    break;
+                for (const campaign::JobSpec &spec : round) {
+                    campaign::JobOutcome o;
+                    o.spec = spec;
+                    o.abortConflict = spec.id % 3;
+                    history.push_back(o);
+                    ck.plan.push_back(spec);
+                }
+            }
+            std::ostringstream os;
+            ck.write(os);
+            Checkpoint back;
+            std::string error;
+            ASSERT_TRUE(Checkpoint::parse(os.str(), back, error)) << error;
+            ASSERT_EQ(back.plan.size(), ck.plan.size());
+            for (size_t i = 0; i < ck.plan.size(); ++i) {
+                const core::RunIdentity &run = back.plan[i].run;
+                EXPECT_TRUE(run == ck.plan[i].run) << i;
+                EXPECT_FALSE(core::identityError(run));
+                // Outside sampling the rate is inert and the line
+                // omits it, so it reads back as the CLI's default.
+                core::RunIdentity want = run;
+                if (mode != core::RunMode::TSanSampling)
+                    want.sampleRate = core::RunIdentity{}.sampleRate;
+                const std::string line = core::reproCommand(run);
+                EXPECT_TRUE(parseLine(line) == want) << line;
+                variants.insert(back.plan[i].variant);
+                ++jobs;
+            }
+        }
+    }
+    // sweep 4 + abort-guided 4 + perturb 5 variants x 4, per mode.
+    EXPECT_EQ(jobs, 2u * (4u + 4u + 20u));
+    EXPECT_EQ(variants,
+              (std::set<std::string>{"base", "reseed", "irq-x4", "irq-x16",
+                                     "oversub", "oversub-gov"}));
+}
+
+TEST(Ingest, NegativeCorpusIsRefusedAsRecordAndAsIdentity)
+{
+    const campaign::CampaignConfig cfg = identity();
+    campaign::JobSpec spec;
+    std::string error;
+    // Malformed values: no identity field can hold them.
+    for (const char *line :
+         {R"({"app": "raytrace", "seed": 3, "workers": 4294967298})",
+          R"({"app": "raytrace", "seed": -3})",
+          R"({"app": "raytrace", "seed": "7"})",
+          R"({"app": "raytrace", "seed": 1.5})",
+          R"({"app": "raytrace", "scale": 1e3})",
+          R"({"app": "raytrace", "id": -1})",
+          R"({"app": "raytrace", "round": 4294967296})",
+          R"({"app": "raytrace", "irq_scale": "4"})",
+          R"({"app": "raytrace", "governor": "yes"})"})
+        EXPECT_FALSE(parseJobLine(line, cfg, spec, error)) << line;
+    // Runs no front end may start, as a record and as an identity.
+    const std::pair<const char *, std::function<void(core::RunIdentity &)>>
+        refused[] = {
+            {R"({"app": "nosuch"})",
+             [](core::RunIdentity &r) { r.name = "nosuch"; }},
+            {R"({"app": "raytrace", "workers": 1})",
+             [](core::RunIdentity &r) { r.workers = 1; }},
+            {R"({"app": "raytrace", "workers": 9})",
+             [](core::RunIdentity &r) { r.workers = 9; }},
+            {R"({"app": "raytrace", "scale": 0})",
+             [](core::RunIdentity &r) { r.scale = 0; }},
+            {R"({"app": "raytrace", "irq_scale": -2})",
+             [](core::RunIdentity &r) { r.irqScale = -2.0; }},
+        };
+    for (const auto &[line, set] : refused) {
+        EXPECT_FALSE(parseJobLine(line, cfg, spec, error)) << line;
+        core::RunIdentity run = campaign::baseIdentity(cfg);
+        run.name = "raytrace";
+        EXPECT_FALSE(core::identityError(run));
+        set(run);
+        EXPECT_TRUE(core::identityError(run)) << line;
+    }
 }
 
 TEST(Ingest, SpoolListingIsSortedAndSkipsTempFiles)

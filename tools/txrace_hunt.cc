@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <csignal>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -165,18 +164,15 @@ main(int argc, char **argv)
                                        "--spool", "--stdin-jobs",
                                        "--follow", "--checkpoint-every"};
 
-    for (int i = 1; i < argc; ++i) {
+    const std::vector<std::string> args(argv, argv + argc);
+    for (size_t i = 1; i < args.size(); ++i) {
         for (const char *flag : serve_flags)
-            if (std::strcmp(argv[i], flag) == 0)
+            if (args[i].starts_with(flag))  // --flag or --flag=value
                 serve_only = flag;
-        auto value = [&](const char *flag) -> const char * {
-            if (std::strcmp(argv[i], flag) != 0)
-                return nullptr;
-            if (i + 1 >= argc)
-                fatal("%s needs a value", flag);
-            return argv[++i];
+        auto value = [&](const char *flag) {
+            return core::flagValue(args, i, flag);
         };
-        if (std::strcmp(argv[i], "--help") == 0) {
+        if (args[i] == "--help") {
             usage();
         } else if (const char *v = value("--apps")) {
             apps_arg = v;
@@ -190,7 +186,8 @@ main(int argc, char **argv)
         } else if (const char *v4 = value("--mode")) {
             cfg.mode = core::parseModeFlag(v4);
         } else if (const char *v5 = value("--workers")) {
-            cfg.workers = core::parseWorkersFlag(v5);
+            cfg.workers = static_cast<uint32_t>(
+                core::parseUnsignedFlag("--workers", v5, 0, UINT32_MAX));
         } else if (const char *v6 = value("--scale")) {
             cfg.scale = core::parseUnsignedFlag("--scale", v6, 1);
         } else if (const char *v7 = value("--master-seed")) {
@@ -217,18 +214,18 @@ main(int argc, char **argv)
             merge_arg = v16;
         } else if (const char *v17 = value("--findings-out")) {
             findings_out_path = v17;
-        } else if (std::strcmp(argv[i], "--serve") == 0) {
+        } else if (args[i] == "--serve") {
             serve = true;
-        } else if (std::strcmp(argv[i], "--resume") == 0) {
+        } else if (args[i] == "--resume") {
             resume = true;
-        } else if (std::strcmp(argv[i], "--stdin-jobs") == 0) {
+        } else if (args[i] == "--stdin-jobs") {
             stdin_jobs = true;
-        } else if (std::strcmp(argv[i], "--follow") == 0) {
+        } else if (args[i] == "--follow") {
             follow = true;
-        } else if (std::strcmp(argv[i], "--quiet") == 0) {
+        } else if (args[i] == "--quiet") {
             quiet = true;
         } else {
-            fatal("unknown option '%s' (try --help)", argv[i]);
+            fatal("unknown option '%s' (try --help)", args[i].c_str());
         }
     }
     if (serve_only && !serve)
@@ -244,15 +241,12 @@ main(int argc, char **argv)
         cfg.apps = workloads::appNames();
     else if (!apps_arg.empty())
         cfg.apps = splitList("--apps", apps_arg);
-    // The counts are already checked, so only a name can fail.
-    workloads::WorkloadParams app_params;
-    app_params.nWorkers = cfg.workers;
-    app_params.scale = cfg.scale;
-    for (const std::string &app : cfg.apps)
-        if (const std::string error =
-                workloads::appParamsError(app, app_params);
-            !error.empty())
-            fatal("--apps: %s", error.c_str());
+    core::RunIdentity run = campaign::baseIdentity(cfg);
+    for (const std::string &app : cfg.apps) {
+        run.name = app;
+        if (const core::IdentityError e = core::identityError(run))
+            fatal("%s", e.flagMessage("--apps").c_str());
+    }
 
     std::ofstream progress_file;
     std::ostream *progress_json = nullptr;
