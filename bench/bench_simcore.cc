@@ -1,10 +1,10 @@
 /**
  * @file
  * Simulator step-loop benchmarks: wall-clock steps/sec of the decoded
- * threaded-code quantum loop on three probes:
+ * quantum loop on three probes:
  *
  *  - compute-bound: uncontended arithmetic and thread-local memory,
- *    the case quantum batching and threaded dispatch target.
+ *    the case quantum batching and the inline simple ops target.
  *  - sync-heavy: a tight lock/update/unlock loop. Every sync op is a
  *    forced preemption point, so this measures the O(1) runnable set
  *    and per-op dispatch rather than batching.

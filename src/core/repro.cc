@@ -17,6 +17,7 @@
 #include "core/versionlog.hh"
 #include "fault/fault.hh"
 #include "support/log.hh"
+#include "workloads/patterns.hh"
 #include "workloads/workloads.hh"
 
 namespace txrace::core {
@@ -93,6 +94,11 @@ identityError(const RunIdentity &id)
     if (!id.fault.empty() &&
         !std::ranges::count(fault::scenarioNames(), id.fault))
         return {"--fault", nullptr, "unknown scenario '" + id.fault + "'"};
+    if (!id.fault.empty() && id.faultHorizon == 0)
+        return {"--fault-horizon", "fault_horizon", "must be nonzero"};
+    if (id.target == RunTarget::Pattern &&
+        !std::ranges::count(workloads::patternNames(), id.name))
+        return {"--pattern", nullptr, "unknown pattern '" + id.name + "'"};
     return {};
 }
 

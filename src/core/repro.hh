@@ -84,10 +84,11 @@ struct IdentityError
 
 /** Whether @p id can run: the one check of run values behind every
  *  front end (txrace_run, txrace_hunt, job records, bench harness).
- *  An app target must pass workloads::appParamsError(); a monitor
- *  needs a TxRace mode and a positive budget; the interrupt scale
- *  must not be negative, the sample rate lie in [0, 1] and the fault
- *  name a scenario. */
+ *  An app target must pass workloads::appParamsError() and a pattern
+ *  target name a pattern; a monitor needs a TxRace mode and a positive
+ *  budget; the interrupt scale must not be negative, the sample rate
+ *  lie in [0, 1], the fault name a scenario and its horizon be
+ *  nonzero. */
 IdentityError identityError(const RunIdentity &id);
 
 /** The RunConfig a run of @p id, which must pass identityError(),

@@ -6,11 +6,12 @@
  * materializes values when a program opts in; examples and tests use
  * VirtualMemory directly to give workloads observable state.
  *
- * Storage is paged: granules live in flat 4 KiB pages found through a
- * page map, with a one-entry cache in front of it. Workload address
- * streams are strongly page-local, so the common load/store is an
- * array index instead of the per-granule hash-map probe the old
- * unordered_map<granule, value> store paid.
+ * Storage is paged: granules live in flat 4 KiB pages found by page
+ * number. Pages below kNearPages (the first 256 MiB, which holds every
+ * registry app's address space many times over) sit in a vector
+ * indexed by page number, grown on demand, so a load or store is two
+ * array indexes whichever threads interleave; farther pages, which
+ * only hand-built programs reach, sit in a map.
  */
 
 #ifndef TXRACE_MEM_MEMORY_HH
@@ -20,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "mem/layout.hh"
 
@@ -62,9 +64,8 @@ class VirtualMemory
     void
     clear()
     {
-        pages_.clear();
-        cachedNo_ = kNoPage;
-        cachedPage_ = nullptr;
+        near_.clear();
+        far_.clear();
         footprint_ = 0;
     }
 
@@ -73,7 +74,9 @@ class VirtualMemory
     static constexpr unsigned kPageGranuleBits = 9;
     static constexpr uint64_t kPageGranules = 1ull << kPageGranuleBits;
     static constexpr uint64_t kPageGranuleMask = kPageGranules - 1;
-    static constexpr uint64_t kNoPage = ~0ull;
+    /** Pages found by vector index: 256 MiB of address space, at most
+     *  512 KiB of page pointers. */
+    static constexpr uint64_t kNearPages = 1ull << 16;
 
     struct Page
     {
@@ -103,34 +106,46 @@ class VirtualMemory
     const Page *
     findPage(uint64_t pageNo) const
     {
-        if (pageNo == cachedNo_)
-            return cachedPage_;
-        auto it = pages_.find(pageNo);
-        if (it == pages_.end())
+        if (pageNo < near_.size())
+            return near_[pageNo].get();
+        if (pageNo < kNearPages)
             return nullptr;
-        cachedNo_ = pageNo;
-        cachedPage_ = it->second.get();
-        return cachedPage_;
+        auto it = far_.find(pageNo);
+        return it == far_.end() ? nullptr : it->second.get();
     }
 
     Page &
     getPage(uint64_t pageNo)
     {
-        if (pageNo == cachedNo_)
-            return *cachedPage_;
-        auto &slot = pages_[pageNo];
-        if (!slot)
-            slot = std::make_unique<Page>();
-        cachedNo_ = pageNo;
-        cachedPage_ = slot.get();
-        return *cachedPage_;
+        if (pageNo < near_.size() && near_[pageNo]) [[likely]]
+            return *near_[pageNo];
+        return farOrNewPage(pageNo);
     }
 
-    /** unique_ptr pages: stable addresses across page-map growth,
-     *  which the one-entry cache relies on. */
-    std::unordered_map<uint64_t, std::unique_ptr<Page>> pages_;
-    mutable uint64_t cachedNo_ = kNoPage;
-    mutable Page *cachedPage_ = nullptr;
+    /** getPage() of a page near_ does not hold: a far page, or a near
+     *  page never written, which is created here. Out of line so the
+     *  common store stays small enough to inline. */
+    [[gnu::noinline]] Page &
+    farOrNewPage(uint64_t pageNo)
+    {
+        std::unique_ptr<Page> *slot;
+        if (pageNo < kNearPages) {
+            if (pageNo >= near_.size())
+                near_.resize(pageNo + 1);
+            slot = &near_[pageNo];
+        } else {
+            slot = &far_[pageNo];
+        }
+        if (!*slot)
+            *slot = std::make_unique<Page>();
+        return **slot;
+    }
+
+    /** Pages below kNearPages, indexed by page number (null: never
+     *  written). */
+    std::vector<std::unique_ptr<Page>> near_;
+    /** Pages at or past kNearPages. */
+    std::unordered_map<uint64_t, std::unique_ptr<Page>> far_;
     size_t footprint_ = 0;
 };
 

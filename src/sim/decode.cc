@@ -39,6 +39,51 @@ staticCost(const ir::Instruction &ins, const CostModel &cost)
     return 0;
 }
 
+/** The inline kind of a load or store of address shape @p shape. */
+OpKind
+accessKind(ir::AddrShape shape, bool store)
+{
+    switch (shape) {
+      case ir::AddrShape::Constant:
+        return store ? OpKind::StoreConstant : OpKind::LoadConstant;
+      case ir::AddrShape::ThreadStrided:
+        return store ? OpKind::StoreThreadStrided
+                     : OpKind::LoadThreadStrided;
+      case ir::AddrShape::LoopIndexed:
+        return store ? OpKind::StoreLoopIndexed : OpKind::LoadLoopIndexed;
+      case ir::AddrShape::Randomized:
+        return store ? OpKind::StoreRandomized : OpKind::LoadRandomized;
+    }
+    panic("decodeProgram: unhandled address shape");
+}
+
+/** How the quantum loop runs @p ins: inline for the simple ops,
+ *  OpKind::Handler for the rest and for a @p constant_oob access. */
+OpKind
+opKind(const ir::Instruction &ins, bool constant_oob)
+{
+    switch (ins.op) {
+      case ir::OpCode::Nop:
+        return OpKind::Nop;
+      case ir::OpCode::Compute:
+        return OpKind::Compute;
+      case ir::OpCode::Syscall:
+        return OpKind::Syscall;
+      case ir::OpCode::LoopBegin:
+        return OpKind::LoopBegin;
+      case ir::OpCode::LoopEnd:
+        return OpKind::LoopEnd;
+      case ir::OpCode::Load:
+      case ir::OpCode::Store:
+        if (constant_oob)
+            return OpKind::Handler;
+        return accessKind(ins.addr.shape(),
+                          ins.op == ir::OpCode::Store);
+      default:
+        return OpKind::Handler;
+    }
+}
+
 } // namespace
 
 DecodedProgram
@@ -68,7 +113,6 @@ decodeProgram(const ir::Program &prog, const CostModel &cost)
             op.cost = staticCost(ins, cost);
             op.arg0 = ins.arg0;
             op.arg1 = ins.arg1;
-            ir::AddrShape shape = ins.addr.shape();
             bool constant_oob = false;
             bool is_mem = ins.op == ir::OpCode::Load ||
                           ins.op == ir::OpCode::Store;
@@ -86,7 +130,7 @@ decodeProgram(const ir::Program &prog, const CostModel &cost)
                     fatal("decodeProgram: loop-indexed address outside "
                           "loop (depth %u, nesting %u)",
                           ins.addr.loopDepth, depth);
-                constant_oob = shape == ir::AddrShape::Constant &&
+                constant_oob = ins.addr.shape() == ir::AddrShape::Constant &&
                                prog.addrSpaceSize() > 0 &&
                                ins.addr.base >= prog.addrSpaceSize();
             }
@@ -94,7 +138,9 @@ decodeProgram(const ir::Program &prog, const CostModel &cost)
                 op.jump = static_cast<uint32_t>(ins.match) + 1;
                 ++depth;
             }
-            op.fn = resolveHandler(ins, shape, constant_oob);
+            op.kind = opKind(ins, constant_oob);
+            if (op.kind == OpKind::Handler)
+                op.fn = resolveHandler(ins, constant_oob);
             ops.push_back(op);
         }
     }

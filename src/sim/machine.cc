@@ -39,110 +39,15 @@ runErrorKindName(RunError::Kind kind)
 }
 
 /**
- * Threaded-code handler bodies. One function per opcode (memory
- * accesses additionally per address shape and direction), resolved
- * once at decode; the quantum loop is then an indirect call per op
- * with no opcode switch. Handlers that constitute forced preemption
- * points set quantumBreak_. Handlers add their op's Base cost to
- * pendingBase_ and settle() it before calling any policy hook.
+ * Out-of-line handler bodies: the ops the quantum loop does not run
+ * inline (sync, thread lifecycle, transaction and loop-cut ops, and
+ * the BadAccess trap), resolved once at decode. Every one of them is
+ * a forced preemption point and sets quantumBreak_. Handlers add
+ * their op's Base cost to pendingBase_ and settle() it before calling
+ * any policy hook.
  */
 struct ExecHandlers
 {
-    static void
-    nop(Machine &, ThreadContext &ctx, const DecodedOp &)
-    {
-        ++ctx.pc;
-    }
-
-    static void
-    compute(Machine &m, ThreadContext &ctx, const DecodedOp &op)
-    {
-        m.pendingBase_ += op.cost;
-        ++ctx.pc;
-    }
-
-    static void
-    syscall(Machine &m, ThreadContext &ctx, const DecodedOp &op)
-    {
-        m.pendingBase_ += op.cost;
-        m.tel_.registry.add(m.met_.syscalls);
-        ++ctx.pc;
-    }
-
-    /**
-     * Load/Store, specialized by pre-classified address shape: the
-     * generic evaluation's branches are resolved at decode, so each
-     * instantiation computes exactly the terms its expression uses.
-     * The bounds check is elided for constant shapes (checked at
-     * decode; statically out-of-range constants get memBad instead).
-     * A policy that does not observe accesses (Native) gets no hook
-     * call, so its access neither settles nor dispatches virtually.
-     */
-    template <ir::AddrShape S, bool W>
-    static void
-    mem(Machine &m, ThreadContext &ctx, const DecodedOp &op)
-    {
-        const Tid t = ctx.tid;
-        m.pendingBase_ += op.cost;
-        ir::Addr addr = op.base;
-        if constexpr (S != ir::AddrShape::Constant)
-            addr += op.threadStride * t;
-        if constexpr (S == ir::AddrShape::LoopIndexed) {
-            const LoopFrame &frame =
-                ctx.loops[ctx.loops.size() - 1 - op.loopDepth];
-            addr += op.loopStride * frame.index;
-        }
-        if constexpr (S == ir::AddrShape::Randomized) {
-            if (op.loopStride != 0) {
-                const LoopFrame &frame =
-                    ctx.loops[ctx.loops.size() - 1 - op.loopDepth];
-                addr += op.loopStride * frame.index;
-            }
-            addr += op.randomStride * ctx.rng.below(op.randomCount);
-        }
-        if constexpr (S != ir::AddrShape::Constant) {
-            if (m.addrLimit_ != 0 && addr >= m.addrLimit_) {
-                m.badAccess(t, addr);
-                return;
-            }
-        }
-        // Any in-flight transaction makes memory order observable to
-        // conflict detection: end the quantum so transactional phases
-        // interleave per access, exactly like per-step scheduling.
-        if (m.htm_.inFlightCount() > 0)
-            m.quantumBreak_ = true;
-        if (m.observeAccesses_) {
-            m.settle(ctx);
-            if (!m.policy_.onMemAccess(m, t, *op.ins, addr, W)) {
-                // The access capacity/conflict-aborted this thread's
-                // own transaction; the context has been rolled back.
-                m.quantumBreak_ = true;
-                return;
-            }
-        }
-        if constexpr (W) {
-            // Stores accumulate into their granule; inside a
-            // transaction they go to the speculative buffer. A quantum
-            // that started outside a transaction stays outside it (tx
-            // begin ends the quantum).
-            if (!m.quantumInTx_ && ctx.txStores.empty()) {
-                m.mem_.add(addr, op.arg0 + 1);
-            } else {
-                uint64_t granule = mem::granuleOf(addr);
-                auto it = ctx.txStores.find(granule);
-                uint64_t old = it != ctx.txStores.end()
-                    ? it->second
-                    : m.mem_.load(addr);
-                uint64_t value = old + op.arg0 + 1;
-                if (m.htm_.inTx(t))
-                    ctx.txStores[granule] = value;
-                else
-                    m.mem_.store(addr, value);
-            }
-        }
-        ++ctx.pc;
-    }
-
     /** Constant address statically outside the address space: raise
      *  the structured BadAccess error if actually executed. */
     static void
@@ -177,7 +82,7 @@ struct ExecHandlers
         m.policy_.onSyncPerformed(m, t, *op.ins);
         Tid next = m.sync_.lockRelease(t, op.arg0);
         if (next != kNoTid) {
-            ThreadContext &nctx = m.contexts_[next];
+            ThreadContext &nctx = *m.contexts_[next];
             m.policy_.onSyncPerformed(m, next,
                                       *nctx.code[nctx.pc].ins);
             m.makeRunnable(nctx);
@@ -196,7 +101,7 @@ struct ExecHandlers
         m.policy_.onSyncPerformed(m, t, *op.ins);
         Tid woken = m.sync_.condSignal(op.arg0);
         if (woken != kNoTid) {
-            ThreadContext &wctx = m.contexts_[woken];
+            ThreadContext &wctx = *m.contexts_[woken];
             m.policy_.onSyncPerformed(m, woken,
                                       *wctx.code[wctx.pc].ins);
             m.makeRunnable(wctx);
@@ -228,13 +133,14 @@ struct ExecHandlers
         const Tid t = ctx.tid;
         m.pendingBase_ += op.cost;
         m.settle(ctx);
-        auto released = m.sync_.barrierArrive(t, op.arg0, op.arg1);
+        const std::vector<Tid> &released =
+            m.sync_.barrierArrive(t, op.arg0, op.arg1);
         if (released.empty()) {
             m.makeUnrunnable(ctx, ThreadState::Blocked);
         } else {
             m.policy_.onBarrierRelease(m, released);
             for (Tid p : released) {
-                ThreadContext &pctx = m.contexts_[p];
+                ThreadContext &pctx = *m.contexts_[p];
                 m.makeRunnable(pctx);
                 ++pctx.pc;
             }
@@ -249,8 +155,8 @@ struct ExecHandlers
         m.pendingBase_ += op.cost;
         m.settle(ctx);
         Tid child = static_cast<Tid>(m.contexts_.size());
-        m.contexts_.emplace_back();
-        ThreadContext &cctx = m.contexts_.back();
+        m.contexts_.push_back(std::make_unique<ThreadContext>());
+        ThreadContext &cctx = *m.contexts_.back();
         cctx.tid = child;
         cctx.func = static_cast<ir::FuncId>(op.arg0);
         cctx.rng = Rng(threadSeed(m.cfg_.seed, child));
@@ -260,7 +166,7 @@ struct ExecHandlers
         m.enrollRunnable(cctx);
         // Joins parked on a spawn index not spawned yet re-check.
         for (Tid w : m.spawnWaiters_)
-            m.makeRunnable(m.contexts_[w]);
+            m.makeRunnable(*m.contexts_[w]);
         m.spawnWaiters_.clear();
         m.policy_.onThreadCreated(m, t, child);
         m.tel_.registry.add(m.met_.threadsCreated);
@@ -283,41 +189,11 @@ struct ExecHandlers
             if (targets.empty())
                 m.spawnWaiters_.push_back(t);
             for (Tid target : targets)
-                if (m.contexts_[target].state != ThreadState::Finished)
+                if (m.contexts_[target]->state != ThreadState::Finished)
                     m.joinWaiters_[target].push_back(t);
             m.makeUnrunnable(ctx, ThreadState::Blocked);
         }
         m.quantumBreak_ = true;
-    }
-
-    static void
-    loopBegin(Machine &, ThreadContext &ctx, const DecodedOp &op)
-    {
-        uint64_t trips = op.arg0;
-        if (op.arg1 > 0)
-            trips += ctx.rng.below(op.arg1 + 1);
-        if (trips == 0) {
-            // Dynamically empty loop: skip past the matching LoopEnd.
-            ctx.pc = op.jump;
-        } else {
-            ctx.loops.push_back(LoopFrame{ctx.pc, 0, trips, 0});
-            ++ctx.pc;
-        }
-    }
-
-    static void
-    loopEnd(Machine &, ThreadContext &ctx, const DecodedOp &)
-    {
-        if (ctx.loops.empty())
-            panic("Machine: LoopEnd with empty loop stack");
-        LoopFrame &frame = ctx.loops.back();
-        ++frame.index;
-        if (frame.index < frame.total) {
-            ctx.pc = frame.beginPc + 1;
-        } else {
-            ctx.loops.pop_back();
-            ++ctx.pc;
-        }
     }
 
     static void
@@ -349,38 +225,15 @@ struct ExecHandlers
 };
 
 ExecFn
-resolveHandler(const ir::Instruction &ins, ir::AddrShape shape,
-               bool constant_oob)
+resolveHandler(const ir::Instruction &ins, bool constant_oob)
 {
     using H = ExecHandlers;
     switch (ins.op) {
-      case ir::OpCode::Nop:
-        return &H::nop;
-      case ir::OpCode::Compute:
-        return &H::compute;
-      case ir::OpCode::Syscall:
-        return &H::syscall;
       case ir::OpCode::Load:
-      case ir::OpCode::Store: {
+      case ir::OpCode::Store:
         if (constant_oob)
             return &H::memBad;
-        const bool w = ins.op == ir::OpCode::Store;
-        switch (shape) {
-          case ir::AddrShape::Constant:
-            return w ? &H::mem<ir::AddrShape::Constant, true>
-                     : &H::mem<ir::AddrShape::Constant, false>;
-          case ir::AddrShape::ThreadStrided:
-            return w ? &H::mem<ir::AddrShape::ThreadStrided, true>
-                     : &H::mem<ir::AddrShape::ThreadStrided, false>;
-          case ir::AddrShape::LoopIndexed:
-            return w ? &H::mem<ir::AddrShape::LoopIndexed, true>
-                     : &H::mem<ir::AddrShape::LoopIndexed, false>;
-          case ir::AddrShape::Randomized:
-            return w ? &H::mem<ir::AddrShape::Randomized, true>
-                     : &H::mem<ir::AddrShape::Randomized, false>;
-        }
         break;
-      }
       case ir::OpCode::LockAcquire:
         return &H::lockAcquire;
       case ir::OpCode::LockRelease:
@@ -395,18 +248,16 @@ resolveHandler(const ir::Instruction &ins, ir::AddrShape shape,
         return &H::threadCreate;
       case ir::OpCode::ThreadJoin:
         return &H::threadJoin;
-      case ir::OpCode::LoopBegin:
-        return &H::loopBegin;
-      case ir::OpCode::LoopEnd:
-        return &H::loopEnd;
       case ir::OpCode::TxBegin:
         return &H::txBegin;
       case ir::OpCode::TxEnd:
         return &H::txEnd;
       case ir::OpCode::LoopCut:
         return &H::loopCut;
+      default:
+        break;
     }
-    panic("resolveHandler: unhandled opcode");
+    panic("resolveHandler: %s runs inline", ir::opName(ins.op));
 }
 
 Machine::Machine(const ir::Program &prog, const MachineConfig &cfg,
@@ -426,8 +277,8 @@ Machine::Machine(const ir::Program &prog, const MachineConfig &cfg,
     decoded_ = decodeProgram(prog_, cfg_.cost);
     addrLimit_ = prog_.addrSpaceSize();
 
-    contexts_.emplace_back();
-    ThreadContext &main = contexts_.back();
+    contexts_.push_back(std::make_unique<ThreadContext>());
+    ThreadContext &main = *contexts_.back();
     main.tid = 0;
     main.func = prog_.entry();
     main.rng = Rng(threadSeed(cfg_.seed, 0));
@@ -466,7 +317,7 @@ void
 Machine::commitTx(Tid t)
 {
     htm_.commit(t);
-    ThreadContext &ctx = contexts_[t];
+    ThreadContext &ctx = *contexts_[t];
     for (const auto &[granule, value] : ctx.txStores)
         mem_.store(granule << mem::kGranuleBits, value);
     ctx.txStores.clear();
@@ -476,7 +327,7 @@ Machine::commitTx(Tid t)
 void
 Machine::rollback(Tid t, Bucket reason)
 {
-    ThreadContext &ctx = contexts_[t];
+    ThreadContext &ctx = *contexts_[t];
     if (!ctx.snap.valid)
         panic("Machine::rollback: thread %u has no snapshot", t);
     // Speculative stores die with the transaction.
@@ -499,7 +350,7 @@ Machine::rollback(Tid t, Bucket reason)
 ir::InstrId
 Machine::currentSite(Tid t) const
 {
-    const ThreadContext &ctx = contexts_[t];
+    const ThreadContext &ctx = *contexts_[t];
     const auto &body = prog_.function(ctx.func).body;
     return ctx.pc < body.size() ? body[ctx.pc].id : ir::kNoInstr;
 }
@@ -552,7 +403,8 @@ Machine::pickRunnable()
 void
 Machine::captureUnfinishedThreads()
 {
-    for (const auto &ctx : contexts_) {
+    for (const auto &slot : contexts_) {
+        const ThreadContext &ctx = *slot;
         if (ctx.state == ThreadState::Finished)
             continue;
         const auto &fn = prog_.function(ctx.func);
@@ -685,19 +537,31 @@ Machine::run()
 }
 
 /**
- * The decoded step loop. One scheduler pick runs a quantum of up to
- * kSchedQuantum decoded ops back-to-back; handlers end the quantum
- * early at every point where another thread's progress is observable
- * (sync operations, transaction boundaries, memory accesses while any
+ * The quantum loop. One scheduler pick runs a quantum of up to
+ * kSchedQuantum decoded ops back-to-back; the quantum ends early at
+ * every point where another thread's progress is observable (sync
+ * operations, transaction boundaries, memory accesses while any
  * transaction is in flight, thread lifecycle ops) so detection-
  * relevant interleavings keep per-op granularity.
  *
+ * Ops run as the cases of one switch on DecodedOp::kind. The simple
+ * ops (nop, compute, syscall, loop begin/end, loads and stores by
+ * address shape) run inline; the rest (OpKind::Handler) call their
+ * out-of-line handler, which ends the quantum. The running thread's
+ * pc, Rng, pending Base cost and the step count live in locals for
+ * the whole quantum, so a Native quantum touches memory only for its
+ * loop frames and stored granules. They are written back (spill)
+ * before every policy hook, out-of-line handler, badAccess, settle
+ * and finishThread, and read again (fill) after, because hooks may
+ * read them or roll the thread back.
+ *
  * Paid once per quantum: the pick, the maxSteps clamp, the phase and
- * in-transaction lookup, the Base-cost booking (settle()) and the
- * phase-profiler note. Paid per step: the fault-episode advance (only
- * with a fault plan), interrupt injection (transactional quanta
- * only), the fetch, one indirect call, and one break test. Zero
- * injection rates draw no RNG (Rng::chance(0) returns before
+ * in-transaction lookup, the policy's beforeStep, the Base-cost
+ * booking (settle()), the syscall counter and the phase-profiler
+ * note. Paid per step: the fault-episode advance (only with a fault
+ * plan), interrupt injection (transactional quanta only), the fetch,
+ * the out-of-line test, the switch and the break and bound tests.
+ * Zero injection rates draw no RNG (Rng::chance(0) returns before
  * drawing), so no separate lane is needed without them.
  *
  * Two invariants make this exact. A quantum has one phase: a quantum
@@ -710,6 +574,8 @@ void
 Machine::runDecoded()
 {
     const bool faulty = !faults_.empty();
+    const bool observe = observeAccesses_;
+    const ir::Addr limit = addrLimit_;
     while (live_ > 0) {
         Tid t = pickRunnable();
         if (t == kNoTid) {
@@ -721,17 +587,14 @@ Machine::runDecoded()
             truncateRun();
             return;
         }
-        ThreadContext &ctx = contexts_[t];
+        ThreadContext &ctx = *contexts_[t];
         // Clamp the quantum to the runaway guard. A quantum cut short
         // by the guard alone truncates the run where it stops, with
         // no further pick (exactly where a per-step check trips).
         const uint64_t room = cfg_.maxSteps - steps_;
-        uint32_t left = kSchedQuantum;
-        bool guard_cut = false;
-        if (room < kSchedQuantum) {
-            left = static_cast<uint32_t>(room);
-            guard_cut = true;
-        }
+        bool guard_cut = room < kSchedQuantum;
+        // The quantum runs steps steps_ + 1 through last_step at most.
+        uint64_t last_step = steps_ + (guard_cut ? room : kSchedQuantum);
         // Every op that changes the thread's transaction state or path
         // forces a quantum break, so these hold for the whole quantum.
         const bool in_tx = htm_.inTx(t);
@@ -741,44 +604,250 @@ Machine::runDecoded()
         // A stop requested outside any quantum (e.g. from onRunStart)
         // still ends the run after one op.
         quantumBreak_ = stopRequest_ != RunError::Kind::None;
-        bool first = true;
-        while (true) {
-            ++steps_;
-            // A fault-episode edge is a forced preemption point: its
-            // modifiers apply to this op, then re-pick.
-            if (faulty && advanceFaults()) {
-                left = 1;
-                guard_cut = false;
-            }
-            if (in_tx && injectAbort(t))
-                break;  // the abort consumed this step
-            if (first) {
-                // Policy pre-step hook, once per quantum (documented
-                // contract since quantum batching): a true return
-                // consumes the step and ends the quantum. Nothing is
-                // pending yet, so the hook sees settled cost.
-                first = false;
-                if (policy_.beforeStep(*this, t))
-                    break;
-            }
-            if (ctx.pc >= ctx.codeLen) {
-                settle(ctx);
-                finishThread(t);
-                break;
-            }
-            const DecodedOp &op = ctx.code[ctx.pc];
-            op.fn(*this, ctx, op);
-            if (quantumBreak_ || --left == 0)
-                break;
+
+        // The quantum's first step. A fault-episode edge is a forced
+        // preemption point: its modifiers apply to this op, then
+        // re-pick. The policy's pre-step hook runs once per quantum
+        // (documented contract since quantum batching): a true return
+        // consumes the step and ends the quantum. Nothing is pending
+        // yet, so the hook sees settled cost.
+        uint64_t steps = ++steps_;
+        if (faulty && advanceFaults()) {
+            last_step = steps;
+            guard_cut = false;
         }
+        const bool consumed =
+            (in_tx && injectAbort(t)) || policy_.beforeStep(*this, t);
+
+        // The running thread's state, held in locals for the quantum.
+        uint32_t pc = ctx.pc;
+        Rng rng = ctx.rng;
+        uint64_t pending = pendingBase_;
+        uint64_t syscalls = 0;
+        const DecodedOp *const code = ctx.code;
+        const uint32_t code_len = ctx.codeLen;
+        // Read once the pre-step hook has run (it may abort every
+        // transaction in flight). Only TxBegin raises the in-flight
+        // count, and TxBegin breaks the quantum, so a quantum that
+        // starts with no transaction in flight has none until it
+        // ends. One that starts with some ends at its first access.
+        const bool tx_in_flight = htm_.inFlightCount() > 0;
+        bool brk = quantumBreak_;
+        bool finished = false;
+        // The locals are already in the context (an out-of-line op
+        // ended the quantum).
+        bool spilled = false;
+        // The quantum ran all its steps without a forced break.
+        bool ran_out = false;
+        // Per-step work beyond the op itself.
+        const bool step_checks = faulty || in_tx;
+
+        auto spill = [&] {
+            ctx.pc = pc;
+            ctx.rng = rng;
+            pendingBase_ = pending;
+            steps_ = steps;
+        };
+        auto fill = [&] {
+            pc = ctx.pc;
+            rng = ctx.rng;
+            pending = pendingBase_;
+            brk = brk || quantumBreak_;
+        };
+        auto loopIndex = [&](const DecodedOp &op) {
+            return ctx.loops[ctx.loops.size() - 1 - op.loopDepth].index;
+        };
+        // One load or store of @p addr; @p bounded: the address was
+        // computed at run time and needs the address-space check
+        // (constant addresses are checked at decode).
+        auto access = [&](const DecodedOp &op, ir::Addr addr,
+                          bool bounded, bool write)
+            __attribute__((always_inline)) {
+            pending += op.cost;
+            if (bounded && limit != 0 && addr >= limit) {
+                spill();
+                badAccess(t, addr);
+                fill();
+                return;
+            }
+            // Any in-flight transaction makes memory order observable
+            // to conflict detection: end the quantum so transactional
+            // phases interleave per access, exactly like per-step
+            // scheduling.
+            brk = brk || tx_in_flight;
+            // A policy that does not observe accesses (Native) gets no
+            // hook call, so its access neither settles nor spills.
+            if (observe) {
+                spill();
+                settle(ctx);
+                const bool kept =
+                    policy_.onMemAccess(*this, t, *op.ins, addr, write);
+                fill();
+                if (!kept) {
+                    // The access capacity/conflict-aborted this
+                    // thread's own transaction; the context has been
+                    // rolled back.
+                    brk = true;
+                    return;
+                }
+            }
+            if (write) {
+                // Stores accumulate into their granule; inside a
+                // transaction they go to the speculative buffer. A
+                // quantum that started outside a transaction stays
+                // outside it (tx begin ends the quantum).
+                if (!in_tx && ctx.txStores.empty()) {
+                    mem_.add(addr, op.arg0 + 1);
+                } else {
+                    uint64_t granule = mem::granuleOf(addr);
+                    auto it = ctx.txStores.find(granule);
+                    uint64_t old = it != ctx.txStores.end()
+                        ? it->second
+                        : mem_.load(addr);
+                    uint64_t value = old + op.arg0 + 1;
+                    if (htm_.inTx(t))
+                        ctx.txStores[granule] = value;
+                    else
+                        mem_.store(addr, value);
+                }
+            }
+            ++pc;
+        };
+        auto strided = [&](const DecodedOp &op) {
+            return op.base + op.threadStride * t;
+        };
+        auto looped = [&](const DecodedOp &op) {
+            return strided(op) + op.loopStride * loopIndex(op);
+        };
+        auto randomized = [&](const DecodedOp &op) {
+            ir::Addr addr = strided(op);
+            if (op.loopStride != 0)
+                addr += op.loopStride * loopIndex(op);
+            return addr + op.randomStride * rng.below(op.randomCount);
+        };
+
+        while (!consumed) {
+            if (pc >= code_len) {
+                finished = true;
+                break;
+            }
+            const DecodedOp &op = code[pc];
+            // Out-of-line ops are tested for before the switch: most
+            // TxRace quanta start with one, and a separate compare
+            // predicts better than the shared jump. Every one of them
+            // is a forced preemption point, so the quantum ends with
+            // it and the state it leaves in the context is final.
+            if (op.kind == OpKind::Handler) {
+                spill();
+                op.fn(*this, ctx, op);
+                if (!quantumBreak_)
+                    panic("Machine: %s did not end its quantum",
+                          ir::opName(op.ins->op));
+                spilled = true;
+                break;
+            }
+            switch (op.kind) {
+              case OpKind::Nop:
+                ++pc;
+                break;
+              case OpKind::Compute:
+                pending += op.cost;
+                ++pc;
+                break;
+              case OpKind::Syscall:
+                pending += op.cost;
+                ++syscalls;
+                ++pc;
+                break;
+              case OpKind::LoopBegin: {
+                uint64_t trips = op.arg0;
+                if (op.arg1 > 0)
+                    trips += rng.below(op.arg1 + 1);
+                if (trips == 0) {
+                    // Dynamically empty loop: skip past the LoopEnd.
+                    pc = op.jump;
+                } else {
+                    ctx.loops.push_back(LoopFrame{pc, 0, trips, 0});
+                    ++pc;
+                }
+                break;
+              }
+              case OpKind::LoopEnd: {
+                if (ctx.loops.empty())
+                    panic("Machine: LoopEnd with empty loop stack");
+                LoopFrame &frame = ctx.loops.back();
+                if (++frame.index < frame.total) {
+                    pc = frame.beginPc + 1;
+                } else {
+                    ctx.loops.pop_back();
+                    ++pc;
+                }
+                break;
+              }
+              case OpKind::LoadConstant:
+                access(op, op.base, false, false);
+                break;
+              case OpKind::StoreConstant:
+                access(op, op.base, false, true);
+                break;
+              case OpKind::LoadThreadStrided:
+                access(op, strided(op), true, false);
+                break;
+              case OpKind::StoreThreadStrided:
+                access(op, strided(op), true, true);
+                break;
+              case OpKind::LoadLoopIndexed:
+                access(op, looped(op), true, false);
+                break;
+              case OpKind::StoreLoopIndexed:
+                access(op, looped(op), true, true);
+                break;
+              case OpKind::LoadRandomized:
+                access(op, randomized(op), true, false);
+                break;
+              case OpKind::StoreRandomized:
+                access(op, randomized(op), true, true);
+                break;
+              case OpKind::Handler:
+                break;  // run before the switch
+            }
+            if (brk)
+                break;
+            if (steps == last_step) {
+                ran_out = true;
+                break;
+            }
+            // The next step of the quantum.
+            ++steps;
+            if (step_checks) {
+                if (faulty) {
+                    steps_ = steps;
+                    if (advanceFaults()) {
+                        last_step = steps;
+                        guard_cut = false;
+                    }
+                }
+                if (in_tx) {
+                    spill();
+                    const bool aborted = injectAbort(t);
+                    fill();
+                    if (aborted)
+                        break;  // the abort consumed this step
+                }
+            }
+        }
+        if (!spilled)
+            spill();
         settle(ctx);
+        if (finished)
+            finishThread(t);
+        if (syscalls != 0)
+            tel_.registry.add(met_.syscalls, syscalls);
         // Every step of the quantum, consumed ones (aborts,
         // beforeStep) included, in the quantum's phase: the profiler
         // totals equal steps executed (the Figure-10 breakdown).
         tel_.phases.noteSteps(t, quantumPhase_, steps_ - first_step);
-        // left is 0 only when the quantum ran out without a forced
-        // break (every break leaves it at 1 or more).
-        if (left == 0) {
+        if (ran_out) {
             if (phaseFor(ctx, htm_.inTx(t)) != quantumPhase_)
                 panic("Machine: thread %u changed phase inside a "
                       "quantum without a forced break", t);
@@ -832,7 +901,7 @@ Machine::injectAbort(Tid t)
         p *= kOversubInterruptFactor;
     p = p * faults_.interruptMult() + faults_.interruptAdd();
     if (intrRng_.chance(p)) {
-        settle(contexts_[t]);
+        settle(*contexts_[t]);
         htm_.abortTx(t, 0);
         tel_.registry.add(met_.interruptAborts);
         tel_.flight.note(
@@ -843,7 +912,7 @@ Machine::injectAbort(Tid t)
     }
     double pr = faults_.retryAdd();
     if (pr > 0.0 && intrRng_.chance(pr)) {
-        settle(contexts_[t]);
+        settle(*contexts_[t]);
         htm_.abortTx(t, htm::kAbortRetry);
         tel_.registry.add(met_.retryAborts);
         tel_.flight.note(
@@ -858,7 +927,7 @@ Machine::injectAbort(Tid t)
 void
 Machine::finishThread(Tid t)
 {
-    ThreadContext &ctx = contexts_[t];
+    ThreadContext &ctx = *contexts_[t];
     policy_.onThreadExit(*this, t);
     makeUnrunnable(ctx, ThreadState::Finished);
     --live_;
@@ -872,8 +941,8 @@ Machine::wakeJoinWaiters(Tid finished)
     if (it == joinWaiters_.end())
         return;
     for (Tid w : it->second) {
-        if (contexts_[w].state == ThreadState::Blocked)
-            makeRunnable(contexts_[w]);
+        if (contexts_[w]->state == ThreadState::Blocked)
+            makeRunnable(*contexts_[w]);
     }
     joinWaiters_.erase(it);
 }
@@ -893,7 +962,7 @@ Machine::joinReady(const ir::Instruction &ins, Tid t,
         return false;  // not spawned yet
     }
     for (Tid target : targets)
-        if (contexts_[target].state != ThreadState::Finished)
+        if (contexts_[target]->state != ThreadState::Finished)
             return false;
     return true;
 }

@@ -15,7 +15,7 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -166,14 +166,14 @@ class Machine
     {
         if (t >= contexts_.size())
             panic("Machine::context: bad tid %u", t);
-        return contexts_[t];
+        return *contexts_[t];
     }
     const ThreadContext &
     context(Tid t) const
     {
         if (t >= contexts_.size())
             panic("Machine::context: bad tid %u", t);
-        return contexts_[t];
+        return *contexts_[t];
     }
     size_t numThreads() const { return contexts_.size(); }
     uint32_t liveThreads() const { return live_; }
@@ -198,7 +198,7 @@ class Machine
     addCost(Tid t, uint64_t c, Bucket b)
     {
         const bool in_tx = htm_.inTx(t);
-        ThreadContext &ctx = contexts_[t];
+        ThreadContext &ctx = *contexts_[t];
         book(ctx, c, b, phaseFor(ctx, in_tx), b == Bucket::Base && in_tx);
     }
 
@@ -208,7 +208,7 @@ class Machine
     void
     addCost(Tid t, uint64_t c, Bucket b, telemetry::Phase p)
     {
-        book(contexts_[t], c, b, p, b == Bucket::Base && htm_.inTx(t));
+        book(*contexts_[t], c, b, p, b == Bucket::Base && htm_.inTx(t));
     }
 
     /**
@@ -287,20 +287,21 @@ class Machine
     /** @} */
 
   private:
-    /** Threaded-code handler bodies (defined in machine.cc). */
+    /** Out-of-line handler bodies (defined in machine.cc). */
     friend struct ExecHandlers;
 
     /**
-     * Decoded quantum loop. Runs until the program ends or error_ is
-     * filled. Bookkeeping is per quantum, not per op: the running
-     * thread's phase and in-transaction flag are read once when its
-     * quantum starts (every op that could change them forces a
-     * quantum break), its steps are noted once when the quantum ends,
-     * and handlers only add their Base cost to pendingBase_, which
-     * settle() books before any policy hook runs and at every exit
-     * of the quantum. Hooks and mid-run readers (totalCost(),
-     * buckets(), myCost, baseSinceTxBegin) therefore see exactly the
-     * per-op numbers.
+     * The quantum loop: one switch on DecodedOp::kind runs the simple
+     * ops inline and calls the out-of-line handlers for the rest.
+     * Runs until the program ends or error_ is filled. Bookkeeping is
+     * per quantum, not per op: the running thread's phase and
+     * in-transaction flag are read once when its quantum starts (every
+     * op that could change them forces a quantum break), its steps are
+     * noted once when the quantum ends, and ops only add their Base
+     * cost to the pending sum, which settle() books before any policy
+     * hook runs and at every exit of the quantum. Hooks and mid-run
+     * readers (totalCost(), buckets(), myCost, baseSinceTxBegin)
+     * therefore see exactly the per-op numbers.
      */
     void runDecoded();
 
@@ -393,8 +394,10 @@ class Machine
     /** End of the simulated address space (cached addrSpaceSize). */
     ir::Addr addrLimit_ = 0;
 
-    /** deque: reference stability across ThreadCreate growth. */
-    std::deque<ThreadContext> contexts_;
+    /** Owned contexts: references stay valid as ThreadCreate grows
+     *  the vector, and finding one is a single load (the hooks ask
+     *  for the running thread's context on every access). */
+    std::vector<std::unique_ptr<ThreadContext>> contexts_;
     std::vector<Tid> spawned_;  ///< spawn-order list (join indexing)
     std::unordered_map<Tid, std::vector<Tid>> joinWaiters_;
     /** Threads blocked on a join of a spawn index not spawned yet;
@@ -416,7 +419,8 @@ class Machine
      *  when its quantum starts. */
     telemetry::Phase quantumPhase_ = telemetry::Phase::Native;
     bool quantumInTx_ = false;
-    /** Running thread's Base cost not yet booked (see settle()). */
+    /** Running thread's Base cost not yet booked (see settle()); the
+     *  quantum loop keeps it in a local between hooks. */
     uint64_t pendingBase_ = 0;
     /** policy_.observesAccesses(), asked once at run start. */
     bool observeAccesses_ = true;

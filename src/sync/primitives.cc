@@ -79,19 +79,20 @@ SyncTables::condSignal(uint64_t id)
     return kNoTid;
 }
 
-std::vector<Tid>
+const std::vector<Tid> &
 SyncTables::barrierArrive(Tid t, uint64_t id, uint64_t participants)
 {
+    static const std::vector<Tid> kNone;
     if (participants == 0)
         panic("SyncTables: barrier %llu with zero participants",
               static_cast<unsigned long long>(id));
     Barrier &b = barriers_[id];
     b.arrived.push_back(t);
     if (b.arrived.size() < participants)
-        return {};
-    std::vector<Tid> released = std::move(b.arrived);
+        return kNone;
+    released_.swap(b.arrived);
     b.arrived.clear();
-    return released;
+    return released_;
 }
 
 bool

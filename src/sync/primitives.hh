@@ -72,10 +72,12 @@ class SyncTables
      * arrivals. When the arrival completes the barrier, the full
      * participant list (including @p t) is returned and the barrier
      * resets; otherwise the caller blocks and an empty vector is
-     * returned.
+     * returned. The list stays valid until the next barrierArrive();
+     * it and the barrier swap buffers, so episodes allocate nothing
+     * once both have grown.
      */
-    std::vector<Tid> barrierArrive(Tid t, uint64_t id,
-                                   uint64_t participants);
+    const std::vector<Tid> &barrierArrive(Tid t, uint64_t id,
+                                          uint64_t participants);
     /** @} */
 
     /** True if any object has blocked waiters (deadlock diagnosis). */
@@ -102,6 +104,8 @@ class SyncTables
     std::unordered_map<uint64_t, Mutex> mutexes_;
     std::unordered_map<uint64_t, Cond> conds_;
     std::unordered_map<uint64_t, Barrier> barriers_;
+    /** The last completed episode's participants (barrierArrive). */
+    std::vector<Tid> released_;
 };
 
 } // namespace txrace::sync

@@ -17,6 +17,7 @@
 #include "core/fingerprint.hh"
 #include "core/policies.hh"
 #include "fault/fault.hh"
+#include "ir/builder.hh"
 #include "passes/passes.hh"
 #include "sim/machine.hh"
 #include "workloads/workloads.hh"
@@ -209,4 +210,118 @@ TEST(AccountingGolden, NativeTruncatedMidQuantum)
     EXPECT_EQ(r.totalCost, 5407u);
     EXPECT_EQ(accountingDigest(r), 0xd0e9f38379d74b5aull)
         << "0x" << std::hex << accountingDigest(r);
+}
+
+TEST(AccountingGolden, NativeHuntSweep)
+{
+    // Every app at the size a hunt campaign's set-up runs it (scale 8,
+    // 4 workers, uncalibrated), at seed 1 and held-out seed 97: each
+    // driver run's accounting digest plus the schedule hash and cost
+    // of a directly built Machine, folded into one digest. Native runs
+    // take the step loop's inline paths only.
+    workloads::WorkloadParams params;
+    params.nWorkers = 4;
+    params.scale = 8;
+    params.calibrate = false;
+    std::string s;
+    for (const std::string &name : workloads::appNames()) {
+        workloads::AppModel app = workloads::makeApp(name, params);
+        for (uint64_t seed : {1ull, 97ull}) {
+            core::RunConfig cfg;
+            cfg.mode = core::RunMode::Native;
+            cfg.machine = app.machine;
+            cfg.machine.seed = seed;
+            core::RunResult r = core::runProgram(app.program, cfg);
+            ASSERT_TRUE(r.error.ok()) << name << " seed " << seed;
+            core::NativePolicy native;
+            sim::Machine m(app.program, cfg.machine, native);
+            ASSERT_TRUE(m.run().ok()) << name << " seed " << seed;
+            s += name + "/" + std::to_string(seed) + " " +
+                 std::to_string(accountingDigest(r)) + " " +
+                 std::to_string(m.scheduleHash()) + " " +
+                 std::to_string(m.totalCost()) + "\n";
+        }
+    }
+    EXPECT_EQ(core::fnv1a64(s), 0x6ade7c2e76640d83ull) << "0x" << std::hex
+                                       << core::fnv1a64(s);
+}
+
+namespace {
+
+/** Two workers that compute, then access @p e in a 40-trip loop: the
+ *  access leaves the 64-byte address space part-way through. */
+core::RunResult
+runStrayAccess(const ir::AddrExpr &e, bool store)
+{
+    ir::ProgramBuilder b;
+    ir::Addr small = b.alloc("small", 64, 64);
+    ir::FuncId worker = b.beginFunction("worker");
+    b.compute(5);
+    b.loop(40, [&] {
+        b.compute(2);
+        ir::AddrExpr at = e;
+        at.base = small;
+        if (store)
+            b.store(at);
+        else
+            b.load(at);
+    });
+    b.endFunction();
+    b.beginFunction("main");
+    b.spawn(worker, 2);
+    b.joinAll();
+    b.endFunction();
+    core::RunConfig cfg;
+    cfg.mode = core::RunMode::Native;
+    cfg.machine.seed = 1;
+    return core::runProgram(b.build(), cfg);
+}
+
+} // namespace
+
+TEST(AccountingGolden, NativeBadAccessMidQuantum)
+{
+    // A stray access raised inside a quantum, after inline ops have
+    // run in it: the step it stops at, the cost booked up to it and
+    // everything else the run accounted are pinned.
+    core::RunResult rnd =
+        runStrayAccess(ir::AddrExpr::randomIn(0, 12, 8), true);
+    ASSERT_EQ(rnd.error.kind, sim::RunError::Kind::BadAccess);
+    EXPECT_EQ(rnd.error.stepsExecuted, 17u);
+    EXPECT_EQ(rnd.totalCost, 80u);
+    EXPECT_EQ(accountingDigest(rnd), 0x468257ea42c659d3ull)
+        << "0x" << std::hex << accountingDigest(rnd);
+
+    core::RunResult loop =
+        runStrayAccess(ir::AddrExpr::perIter(0, 8), false);
+    ASSERT_EQ(loop.error.kind, sim::RunError::Kind::BadAccess);
+    EXPECT_EQ(loop.error.stepsExecuted, 29u);
+    EXPECT_EQ(loop.totalCost, 92u);
+    EXPECT_EQ(accountingDigest(loop), 0xf825b330e9871680ull)
+        << "0x" << std::hex << accountingDigest(loop);
+}
+
+TEST(AccountingGolden, NativeFaultEdgesCutQuanta)
+{
+    // A fault plan's episode edges are forced preemption points, so
+    // they cut Native quanta (and move the schedule) although no
+    // Native op is transactional.
+    workloads::AppModel app = workloads::makeApp("vips");
+    core::RunConfig cfg;
+    cfg.mode = core::RunMode::Native;
+    cfg.machine = app.machine;
+    cfg.machine.seed = 1;
+    cfg.machine.faults = fault::makeScenario("chaos", kFaultHorizon);
+    core::RunResult r = core::runProgram(app.program, cfg);
+    ASSERT_TRUE(r.error.ok());
+    EXPECT_EQ(r.stats.get("fault.episodes_begun"), 5u);
+    EXPECT_EQ(accountingDigest(r), 0x5e4bbd60a88db28aull)
+        << "0x" << std::hex << accountingDigest(r);
+
+    core::NativePolicy native;
+    sim::Machine m(app.program, cfg.machine, native);
+    ASSERT_TRUE(m.run().ok());
+    EXPECT_EQ(m.scheduleHash(), 0x0bf63960e3856ab6ull) << "0x" << std::hex
+                                      << m.scheduleHash();
+    EXPECT_EQ(m.currentStep(), 154987u);
 }

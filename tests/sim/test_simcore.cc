@@ -1,11 +1,12 @@
 /**
  * @file
- * Contract tests for the decoded step loop (threaded-code dispatch,
- * quantum batching, O(1) runnable set): seeded determinism down to the
- * schedule hash and the full stats dump, exact final memory images
- * (schedule-independent by construction), full-registry ground-truth
- * recall under the quantum scheduler, and structured BadAccess errors
- * instead of process death on malformed workloads.
+ * Contract tests for the decoded step loop (one quantum loop switching
+ * on the op kind, quantum batching, O(1) runnable set): seeded
+ * determinism down to the schedule hash and the full stats dump,
+ * exact final memory images (schedule-independent by construction),
+ * full-registry ground-truth recall under the quantum scheduler, and
+ * structured BadAccess errors instead of process death on malformed
+ * workloads.
  */
 
 #include <gtest/gtest.h>
@@ -212,4 +213,49 @@ TEST(SimCore, LoopIndexedBadAccessIsStructured)
     const RunError &err = m.run();
     EXPECT_EQ(err.kind, RunError::Kind::BadAccess);
     EXPECT_FALSE(err.threads.empty());
+}
+
+TEST(SimCore, DecodeSetsOpKinds)
+{
+    // Each simple op decodes to its inline kind and no handler; sync
+    // ops decode to an out-of-line handler.
+    ir::ProgramBuilder b;
+    ir::Addr slots = b.alloc("slots", 4 * 64, 64);
+    b.beginFunction("main");
+    b.raw(ir::Instruction{});
+    b.compute(2);
+    b.syscall(1);
+    b.loop(2, [&] {
+        b.load(ir::AddrExpr::absolute(slots));
+        b.store(ir::AddrExpr::perThread(slots, 64));
+        b.load(ir::AddrExpr::perIter(slots, 8));
+        b.store(ir::AddrExpr::randomIn(slots, 4, 8));
+    });
+    b.lock(0);
+    b.unlock(0);
+    b.endFunction();
+    ir::Program p = b.build();
+    const DecodedProgram d = decodeProgram(p, CostModel{});
+    const DecodedFunction &ops = d.funcs[p.entry()];
+    const OpKind want[] = {
+        OpKind::Nop,
+        OpKind::Compute,
+        OpKind::Syscall,
+        OpKind::LoopBegin,
+        OpKind::LoadConstant,
+        OpKind::StoreThreadStrided,
+        OpKind::LoadLoopIndexed,
+        OpKind::StoreRandomized,
+        OpKind::LoopEnd,
+        OpKind::Handler,  // lock
+        OpKind::Handler,  // unlock
+    };
+    ASSERT_EQ(ops.size(), std::size(want));
+    for (size_t pc = 0; pc < ops.size(); ++pc) {
+        EXPECT_EQ(ops[pc].kind, want[pc]) << "pc " << pc;
+        EXPECT_EQ(ops[pc].fn != nullptr, want[pc] == OpKind::Handler)
+            << "pc " << pc;
+    }
+    // The zero-trip jump lands just past the LoopEnd.
+    EXPECT_EQ(ops[3].jump, 9u);
 }
