@@ -45,9 +45,9 @@ main(int argc, char **argv)
               << std::thread::hardware_concurrency()
               << " hardware thread(s)\n\n";
     if (opt.csv)
-        std::cout << "jobs,wall_s,runs_per_s,speedup,steals\n";
+        std::cout << "jobs,wall_s,runs_per_s,speedup\n";
     else
-        std::cout << "  jobs   wall(s)   runs/s   speedup   steals\n";
+        std::cout << "  jobs   wall(s)   runs/s   speedup\n";
 
     std::string reference_json;
     double base_wall = 0.0;
@@ -73,14 +73,12 @@ main(int argc, char **argv)
         if (opt.csv)
             std::cout << jobs << "," << result.timing.wallSeconds
                       << "," << result.timing.runsPerSec << ","
-                      << speedup << "," << result.timing.steals
-                      << "\n";
+                      << speedup << "\n";
         else
             std::cout << "  " << jobs << "      "
                       << result.timing.wallSeconds << "      "
                       << result.timing.runsPerSec << "     "
-                      << speedup << "x      " << result.timing.steals
-                      << "\n";
+                      << speedup << "x\n";
     }
     std::cout << "\nreports byte-identical across all job counts: yes\n";
     return 0;

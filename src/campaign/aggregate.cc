@@ -385,7 +385,7 @@ writeCampaignJson(std::ostream &os, const CampaignConfig &cfg,
     w.field("schema", "txrace-campaign-v1");
 
     // Campaign identity: everything that determines the report.
-    // Deliberately NOT here: jobs, wall time, steals —
+    // Deliberately NOT here: jobs, wall time, job spans —
     // execution facts that must not leak into the deterministic
     // artifact.
     w.key("campaign");

@@ -64,8 +64,6 @@ struct CampaignConfig
     /** Run the per-app TSan-overhead calibration (slower; race
      *  hunting does not need calibrated check costs). */
     bool calibrate = false;
-    /** Aggregator queue bound (backpressure on the fleet). */
-    size_t queueCapacity = 64;
     /** Progress-stream cadence: one heartbeat record every N
      *  completed jobs. Job-count based, never wall clock, so the
      *  record *count* is a pure function of the config; the record
@@ -156,6 +154,8 @@ struct CampaignTiming
     double wallSeconds = 0.0;
     double runsPerSec = 0.0;
     uint32_t jobs = 0;
+    /** Always 0: the pool has no per-worker queues to steal from.
+     *  Kept only because perfbench's `campaign.steals` reads it. */
     uint64_t steals = 0;
     /** Per-job spans in id order (`txrace_hunt --trace-json`). */
     std::vector<JobSpan> spans;

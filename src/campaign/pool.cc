@@ -4,117 +4,83 @@
 
 namespace txrace::campaign {
 
-WorkStealingPool::WorkStealingPool(uint32_t nWorkers, Runner runner,
-                                   ResultQueue &out)
-    : runner_(std::move(runner)), out_(out)
+JobPool::JobPool(uint32_t nWorkers, Runner runner)
+    : runner_(std::move(runner))
 {
     if (nWorkers == 0)
-        fatal("WorkStealingPool: need at least one worker");
-    workers_.reserve(nWorkers);
-    for (uint32_t i = 0; i < nWorkers; ++i)
-        workers_.push_back(std::make_unique<Worker>());
+        fatal("JobPool: need at least one worker");
     threads_.reserve(nWorkers);
     for (uint32_t i = 0; i < nWorkers; ++i)
         threads_.emplace_back([this, i] { workerLoop(i); });
 }
 
-WorkStealingPool::~WorkStealingPool()
+JobPool::~JobPool()
 {
-    {
-        std::lock_guard<std::mutex> lock(wakeMu_);
-        stop_ = true;
-    }
-    wake_.notify_all();
+    stop();
     for (std::thread &t : threads_)
-        if (t.joinable())
-            t.join();
+        t.join();
 }
 
 void
-WorkStealingPool::stopAndJoin()
+JobPool::submit(const std::vector<JobSpec> &jobs)
 {
-    abandon_.store(true, std::memory_order_relaxed);
     {
-        std::lock_guard<std::mutex> lock(wakeMu_);
-        stop_ = true;
+        std::lock_guard<std::mutex> lock(mu_);
+        jobs_.insert(jobs_.end(), jobs.begin(), jobs.end());
     }
-    wake_.notify_all();
-    for (std::thread &t : threads_)
-        if (t.joinable())
-            t.join();
-}
-
-void
-WorkStealingPool::submit(const std::vector<JobSpec> &jobs)
-{
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        Worker &w = *workers_[i % workers_.size()];
-        std::lock_guard<std::mutex> lock(w.mu);
-        w.q.push_back(jobs[i]);
-    }
-    // Empty lock/unlock pairs with the predicate check in workerLoop:
-    // a worker that saw empty deques is either still holding wakeMu_
-    // (and will be notified) or has not yet re-checked (and will see
-    // the jobs).
-    { std::lock_guard<std::mutex> lock(wakeMu_); }
-    wake_.notify_all();
+    workReady_.notify_all();
 }
 
 bool
-WorkStealingPool::takeJob(uint32_t self, JobSpec &job, bool &stolen)
+JobPool::pop(JobOutcome &out)
 {
-    {
-        Worker &own = *workers_[self];
-        std::lock_guard<std::mutex> lock(own.mu);
-        if (!own.q.empty()) {
-            job = std::move(own.q.front());
-            own.q.pop_front();
-            stolen = false;
-            return true;
-        }
-    }
-    for (size_t k = 1; k < workers_.size(); ++k) {
-        Worker &victim = *workers_[(self + k) % workers_.size()];
-        std::lock_guard<std::mutex> lock(victim.mu);
-        if (!victim.q.empty()) {
-            job = std::move(victim.q.back());
-            victim.q.pop_back();
-            stolen = true;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-WorkStealingPool::anyQueued()
-{
-    for (auto &w : workers_) {
-        std::lock_guard<std::mutex> lock(w->mu);
-        if (!w->q.empty())
-            return true;
-    }
-    return false;
+    std::unique_lock<std::mutex> lock(mu_);
+    outcomeReady_.wait(lock, [&] {
+        return !outcomes_.empty() || (stopped_ && running_ == 0);
+    });
+    if (outcomes_.empty())
+        return false;
+    out = std::move(outcomes_.front());
+    outcomes_.pop_front();
+    lock.unlock();
+    // One slot freed: one held worker may start its next job.
+    workReady_.notify_one();
+    return true;
 }
 
 void
-WorkStealingPool::workerLoop(uint32_t self)
+JobPool::stop()
 {
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        stopped_ = true;
+        jobs_.clear();
+    }
+    workReady_.notify_all();
+    outcomeReady_.notify_all();
+}
+
+void
+JobPool::workerLoop(uint32_t self)
+{
+    std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-        if (abandon_.load(std::memory_order_relaxed))
+        workReady_.wait(lock, [&] {
+            return stopped_ ||
+                   (!jobs_.empty() &&
+                    outcomes_.size() + running_ < kOutcomeBound);
+        });
+        if (stopped_)
             return;
-        JobSpec job;
-        bool stolen = false;
-        if (takeJob(self, job, stolen)) {
-            if (stolen)
-                steals_.fetch_add(1);
-            out_.push(runner_(job, self));
-            continue;
-        }
-        std::unique_lock<std::mutex> lock(wakeMu_);
-        wake_.wait(lock, [&] { return stop_ || anyQueued(); });
-        if (stop_)
-            return;
+        JobSpec job = std::move(jobs_.front());
+        jobs_.pop_front();
+        ++running_;
+        lock.unlock();
+        JobOutcome outcome = runner_(job, self);
+        lock.lock();
+        outcomes_.push_back(std::move(outcome));
+        --running_;
+        outcomeReady_.notify_one();
     }
 }
 

@@ -1,25 +1,29 @@
 /**
  * @file
- * Work-stealing thread pool for campaign runs.
+ * The campaign's thread pool: one FIFO of jobs and one FIFO of
+ * outcomes under one mutex.
  *
- * Each worker owns a deque: its own jobs come off the front, and an
- * idle worker steals from the *back* of a victim's deque (classic
- * Arora-Blumofe-Plumtree shape — thieves take the work the owner
- * would reach last). Jobs are seconds of simulation, so per-deque
- * mutexes are plenty; what matters is that no worker idles while
- * another still has a backlog, which a static partition cannot
- * guarantee when per-job cost varies by app and seed.
+ * A job is one simulator run, milliseconds of host time (see
+ * docs/ARCHITECTURE.md for hunt's spread), so a shared queue under one
+ * lock balances the load: an idle worker takes the next queued job,
+ * whatever its cost. Deliberately boring: the engine must be clean
+ * under real ThreadSanitizer (CI builds it with `-fsanitize=thread`),
+ * which rules out clever unverified lock-free code.
  *
- * Finished outcomes flow into a shared ResultQueue. The pool imposes
- * NO ordering — determinism is the aggregator's problem (it keys
- * everything by job id).
+ * Backpressure: a worker takes a job only while fewer than
+ * kOutcomeBound outcomes are queued or being computed, so a fast
+ * fleet cannot run unboundedly ahead of a slow consumer. A finished
+ * job never waits: its outcome always fits.
+ *
+ * The pool imposes NO ordering across workers; determinism is the
+ * aggregator's problem (it keys everything by job id).
  */
 
 #ifndef TXRACE_CAMPAIGN_POOL_HH
 #define TXRACE_CAMPAIGN_POOL_HH
 
-#include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -28,11 +32,10 @@
 #include <vector>
 
 #include "campaign/job.hh"
-#include "campaign/queue.hh"
 
 namespace txrace::campaign {
 
-class WorkStealingPool
+class JobPool
 {
   public:
     /** Executes one job on a worker thread; @p worker is the index
@@ -40,64 +43,57 @@ class WorkStealingPool
     using Runner =
         std::function<JobOutcome(const JobSpec &spec, uint32_t worker)>;
 
+    /** Undelivered outcomes (queued or being computed) at most. */
+    static constexpr size_t kOutcomeBound = 64;
+
     /** Spawns @p nWorkers threads immediately (>= 1 enforced). */
-    WorkStealingPool(uint32_t nWorkers, Runner runner,
-                     ResultQueue &out);
+    JobPool(uint32_t nWorkers, Runner runner);
 
-    /** Stops workers and joins. Jobs still queued are abandoned —
-     *  callers drain every submitted job before destruction. */
-    ~WorkStealingPool();
+    /** stop(), then join. Never waits for a consumer. */
+    ~JobPool();
 
-    /**
-     * Graceful early stop (service shutdown): workers finish the job
-     * they are executing, abandon everything still queued, and are
-     * joined before this returns. Abandoned jobs never produce an
-     * outcome — the caller must count pops against ids actually
-     * folded, not against ids submitted. Call from a thread that is
-     * NOT the result-queue consumer (an in-flight worker may be
-     * blocked pushing into a full queue; someone must keep
-     * draining). Idempotent; the destructor afterwards is a no-op.
-     */
-    void stopAndJoin();
-
-    WorkStealingPool(const WorkStealingPool &) = delete;
-    WorkStealingPool &operator=(const WorkStealingPool &) = delete;
+    JobPool(const JobPool &) = delete;
+    JobPool &operator=(const JobPool &) = delete;
 
     /**
-     * Enqueue a batch, round-robin across the workers' deques, and
-     * return immediately. One outcome per job will eventually appear
-     * in the ResultQueue; the caller counts pops to find the barrier.
+     * Queue a batch and return immediately. One outcome per job will
+     * eventually be poppable; the caller counts pops to find the
+     * barrier.
      */
     void submit(const std::vector<JobSpec> &jobs);
 
-    /** Jobs executed by a thief rather than their home worker. */
-    uint64_t steals() const { return steals_.load(); }
+    /**
+     * Pop the oldest outcome into @p out. Blocks while none is ready;
+     * returns false once the pool is stopped and drained. One
+     * consumer thread pops.
+     */
+    bool pop(JobOutcome &out);
+
+    /**
+     * Graceful early stop (service shutdown): queued jobs are
+     * abandoned and never produce an outcome; a running job finishes
+     * and its outcome stays poppable. The caller must count pops
+     * against ids actually folded, not against ids submitted.
+     * Idempotent; may be called from the consuming thread.
+     */
+    void stop();
 
   private:
-    /** One worker's deque; mu guards q. */
-    struct Worker
-    {
-        std::mutex mu;
-        std::deque<JobSpec> q;
-    };
-
     void workerLoop(uint32_t self);
-    /** Pop from own front, else steal from a victim's back. */
-    bool takeJob(uint32_t self, JobSpec &job, bool &stolen);
-    bool anyQueued();
 
     Runner runner_;
-    ResultQueue &out_;
-    std::vector<std::unique_ptr<Worker>> workers_;
+    std::mutex mu_;
+    /** Workers: a job is queued and may start, or the pool stopped. */
+    std::condition_variable workReady_;
+    /** Consumer: an outcome is queued, or the pool stopped and drained. */
+    std::condition_variable outcomeReady_;
+    std::deque<JobSpec> jobs_;
+    std::deque<JobOutcome> outcomes_;
+    /** Jobs a worker has taken and not yet delivered to outcomes_. */
+    size_t running_ = 0;
+    bool stopped_ = false;
+    /** Last: workers use every member above. */
     std::vector<std::thread> threads_;
-
-    std::mutex wakeMu_;
-    std::condition_variable wake_;
-    bool stop_ = false;
-    /** Early-stop: abandon queued jobs instead of draining them. */
-    std::atomic<bool> abandon_{false};
-
-    std::atomic<uint64_t> steals_{0};
 };
 
 } // namespace txrace::campaign

@@ -1,7 +1,6 @@
 #include "campaign/runner.hh"
 
 #include <algorithm>
-#include <thread>
 
 #include "campaign/aggregate.hh"
 #include "support/log.hh"
@@ -10,7 +9,7 @@ namespace txrace::campaign {
 
 RoundRunner::RoundRunner(const CampaignConfig &cfg)
     : caches_(cfg.jobs), busy_(cfg.jobs), workerDone_(cfg.jobs, 0),
-      queue_(cfg.queueCapacity), wall0_(std::chrono::steady_clock::now()),
+      wall0_(std::chrono::steady_clock::now()),
       pool_(
           cfg.jobs,
           [this, slowpath = cfg.slowpath](const JobSpec &spec,
@@ -26,8 +25,7 @@ RoundRunner::RoundRunner(const CampaignConfig &cfg)
                       .count());
               busy_[worker].store(0, std::memory_order_relaxed);
               return outcome;
-          },
-          queue_)
+          })
 {
 }
 
@@ -48,8 +46,8 @@ RoundRunner::runRound(const std::vector<JobSpec> &jobs, const Fold &fold)
         pool_.submit(jobs);
     for (size_t i = 0; i < jobs.size(); ++i) {
         JobOutcome outcome;
-        if (!queue_.pop(outcome))
-            fatal("round runner: result queue closed early");
+        if (!pool_.pop(outcome))
+            fatal("round runner: job pool stopped early");
         popped(outcome);
         if (!fold(std::move(outcome)))
             return false;
@@ -60,18 +58,12 @@ RoundRunner::runRound(const std::vector<JobSpec> &jobs, const Fold &fold)
 void
 RoundRunner::stopAndDrain(const Fold &fold)
 {
-    // A running worker may be blocked pushing into a full queue; join
-    // from the side while this thread keeps draining.
-    std::thread joiner([this] {
-        pool_.stopAndJoin();
-        queue_.close();
-    });
+    pool_.stop();
     JobOutcome outcome;
-    while (queue_.pop(outcome)) {
+    while (pool_.pop(outcome)) {
         popped(outcome);
         fold(std::move(outcome));
     }
-    joiner.join();
 }
 
 ProgressRecord
@@ -110,7 +102,6 @@ RoundRunner::timing() const
     t.runsPerSec =
         t.wallSeconds > 0.0 ? double(spans_.size()) / t.wallSeconds : 0.0;
     t.jobs = uint32_t(caches_.size());
-    t.steals = pool_.steals();
     t.spans = spans_;
     std::sort(t.spans.begin(), t.spans.end(),
               [](const JobSpan &x, const JobSpan &y) {

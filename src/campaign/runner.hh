@@ -5,11 +5,12 @@
  * The one-shot campaign and the hunting service (src/service) differ
  * in where rounds come from and in what happens between folds
  * (checkpoints, stop requests), not in how a round runs. The runner
- * owns the per-worker WorkerCaches, busy gauges and done counts, the
- * ResultQueue, and the WorkStealingPool whose workers call executeJob
- * and stamp each outcome's worker and start time. The caller owns the
- * fold: outcomes reach it one at a time, on the caller's thread, in
- * completion order; determinism stays the aggregator's job.
+ * owns the per-worker WorkerCaches, busy gauges and done counts, and
+ * the JobPool whose workers call executeJob and stamp each outcome's
+ * worker and start time. The runner starts no thread of its own. The
+ * caller owns the fold: outcomes reach it one at a time, on the
+ * caller's thread, in completion order; determinism stays the
+ * aggregator's job.
  */
 
 #ifndef TXRACE_CAMPAIGN_RUNNER_HH
@@ -26,7 +27,6 @@
 #include "campaign/execute.hh"
 #include "campaign/pool.hh"
 #include "campaign/progress.hh"
-#include "campaign/queue.hh"
 
 namespace txrace::campaign {
 
@@ -55,10 +55,10 @@ class RoundRunner
     bool runRound(const std::vector<JobSpec> &jobs, const Fold &fold);
 
     /**
-     * Graceful stop: workers finish the job they are running, queued
-     * jobs are abandoned, and the outcomes still in flight are folded
-     * into @p fold (its return value is ignored). Call once; the
-     * runner takes no further rounds.
+     * Graceful stop, on the folding thread: workers finish the job
+     * they are running, queued jobs are abandoned, and the outcomes
+     * still undelivered are folded into @p fold (its return value is
+     * ignored). Call once; the runner takes no further rounds.
      */
     void stopAndDrain(const Fold &fold);
 
@@ -68,8 +68,8 @@ class RoundRunner
                             uint64_t jobsTotal,
                             const Aggregator &agg) const;
 
-    /** Wall time since construction, steals, runs/s, and one span
-     *  per outcome this runner popped, in job-id order. */
+    /** Wall time since construction, runs/s, and one span per
+     *  outcome this runner popped, in job-id order. */
     CampaignTiming timing() const;
     double elapsedSeconds() const;
 
@@ -81,10 +81,9 @@ class RoundRunner
     std::vector<std::atomic<uint8_t>> busy_;
     std::vector<uint64_t> workerDone_;
     std::vector<JobSpan> spans_;
-    ResultQueue queue_;
     std::chrono::steady_clock::time_point wall0_;
     /** Last: its workers use every member above. */
-    WorkStealingPool pool_;
+    JobPool pool_;
 };
 
 /** Sort @p history by job id: strategies and checkpoints see id

@@ -95,19 +95,4 @@ SyncTables::barrierArrive(Tid t, uint64_t id, uint64_t participants)
     return released_;
 }
 
-bool
-SyncTables::anyWaiters() const
-{
-    for (const auto &[id, m] : mutexes_)
-        if (!m.waiters.empty())
-            return true;
-    for (const auto &[id, c] : conds_)
-        if (!c.waiters.empty())
-            return true;
-    for (const auto &[id, b] : barriers_)
-        if (!b.arrived.empty())
-            return true;
-    return false;
-}
-
 } // namespace txrace::sync

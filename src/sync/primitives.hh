@@ -80,9 +80,6 @@ class SyncTables
                                           uint64_t participants);
     /** @} */
 
-    /** True if any object has blocked waiters (deadlock diagnosis). */
-    bool anyWaiters() const;
-
   private:
     struct Mutex
     {

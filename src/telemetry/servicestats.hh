@@ -4,7 +4,7 @@
  * `service` object of txrace-progress-v1 heartbeats.
  *
  * Counters only — everything here is an execution fact (like pool
- * worker lanes or steals) and never feeds the deterministic report.
+ * worker lanes or job spans) and never feeds the deterministic report.
  * Wall-clock derived rates live here too, which is fine for the
  * heartbeat side channel: the record COUNT stays config-determined,
  * the contents reflect live operation.

@@ -43,7 +43,6 @@ smallCampaign(const std::string &strategy)
     cfg.seedsPerApp = 2;
     cfg.masterSeed = 7;
     cfg.strategy = strategy;
-    cfg.queueCapacity = 4;  // exercise backpressure
     return cfg;
 }
 

@@ -143,26 +143,3 @@ TEST(BarrierDeathTest, ZeroParticipantsPanics)
     SyncTables s;
     EXPECT_DEATH(s.barrierArrive(1, 0, 0), "zero participants");
 }
-
-TEST(AnyWaiters, ReflectsAllObjectKinds)
-{
-    SyncTables s;
-    EXPECT_FALSE(s.anyWaiters());
-
-    s.lockTryAcquire(1, 0);
-    s.lockEnqueue(2, 0);
-    EXPECT_TRUE(s.anyWaiters());
-    s.lockRelease(1, 0);
-    s.lockRelease(2, 0);
-    EXPECT_FALSE(s.anyWaiters());
-
-    s.condEnqueue(3, 1);
-    EXPECT_TRUE(s.anyWaiters());
-    s.condSignal(1);
-    EXPECT_FALSE(s.anyWaiters());
-
-    s.barrierArrive(4, 2, 2);
-    EXPECT_TRUE(s.anyWaiters());
-    s.barrierArrive(5, 2, 2);
-    EXPECT_FALSE(s.anyWaiters());
-}

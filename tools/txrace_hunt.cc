@@ -321,8 +321,7 @@ main(int argc, char **argv)
 
     std::cout << "\ntiming: " << result.timing.wallSeconds << "s wall, "
               << result.timing.runsPerSec << " runs/s with "
-              << result.timing.jobs << " job(s), "
-              << result.timing.steals << " steal(s)\n";
+              << result.timing.jobs << " job(s)\n";
 
     if (!out_path.empty()) {
         std::ofstream file;
